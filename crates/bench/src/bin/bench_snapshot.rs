@@ -745,6 +745,17 @@ fn run_digest(out_path: &str) {
     record("gemm_parallel_4t", banded);
     record("matmul_seq", seq);
 
+    // Single-row products through the transpose-free GEMV of
+    // `gemm::matmul`: a 16-lane tail (k = 100) and a k below one lane
+    // step, each with columns past one panel and a ragged column tail.
+    let mut single_row = 0u64;
+    for (i, &(k, n)) in [(100usize, 70usize), (7, 130)].iter().enumerate() {
+        let a = Prng::new(300 + i as u64).fill_uniform(1, k, -1.0, 1.0);
+        let b = Prng::new(400 + i as u64).fill_uniform(k, n, -1.0, 1.0);
+        single_row ^= digest_matrix(&gemm::matmul(&a, &b).expect("shapes agree"));
+    }
+    record("gemm_single_row", single_row);
+
     // Sparse: SpMM and mean aggregation on a small power-law graph.
     let graph = power_law(2_000, 10_000, 2.2, 33).expect("power-law instantiation");
     let x = Prng::new(34).fill_normal(graph.num_nodes(), 48, 0.0, 1.0);

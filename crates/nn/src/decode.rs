@@ -21,11 +21,24 @@
 //!   here), so the masked tail's exact-zero weights contribute nothing;
 //! * per-element f64 dot products are independent of the operand's row
 //!   and column counts, so every fixed-`k` projection of one row equals
-//!   the corresponding row of the batched product;
+//!   the corresponding row of the batched product — the single-row GEMV
+//!   that `gemm::matmul` runs at `m = 1` keeps the blocked kernel's
+//!   16-lane schedule per output, and the per-head scores are the same
+//!   `simd::dot` the full path's score product runs per element;
 //! * the int8 engine calibrates activations *per row*
 //!   ([`crate::int8::QuantLinear::forward_rowwise`]), so a token's
 //!   quantized levels never depend on which other tokens share the
 //!   batch, and integer accumulation is exact in any order.
+//!
+//! ## Reading operands in place
+//!
+//! An f64 step copies no weight and no cached row. The f64 engine
+//! multiplies each weight where it lies, and the `m = 1` product reads
+//! row-major `W` directly instead of packing `Wᵀ`
+//! ([`phox_tensor::gemm::simd::gemv`]). On either engine each head
+//! scores the new query against the head slice of every cached K row in
+//! place, and the context product walks the cached V rows with one axpy
+//! per row, so attention reads the cache once per step and layer.
 //!
 //! ## Trace instrumentation
 //!
@@ -36,7 +49,7 @@
 
 use phox_tensor::{Matrix, TensorError};
 
-use crate::int8::{Int8Engine, MatmulEngine, PreEngine, ResidentInt8Engine};
+use crate::int8::{F64Engine, Int8Engine, MatmulEngine, ResidentInt8Engine};
 use crate::transformer::{
     decode_context_lengths, FfActivation, TransformerConfig, TransformerKind, TransformerModel,
 };
@@ -218,23 +231,6 @@ impl KvCache {
         }
         Ok(())
     }
-
-    /// The head slice `lo..hi` of the cached K rows of `layer`,
-    /// transposed to `(hi-lo) × rows` — the right operand of the decode
-    /// score product `q_h · K_hᵀ`, matching the full path's
-    /// `k.col_slice(lo, hi).transpose()` values exactly.
-    fn k_head_t(&self, layer: usize, lo: usize, hi: usize) -> Matrix {
-        let l = &self.layers[layer];
-        let (t, d, dh) = (l.rows, self.d_model, hi - lo);
-        let mut data = vec![0.0; dh * t];
-        for (j, krow) in l.k.chunks_exact(d).enumerate() {
-            for c in 0..dh {
-                data[c * t + j] = krow[lo + c];
-            }
-        }
-        Matrix::from_vec(dh, t, data)
-            .unwrap_or_else(|_| unreachable!("length is dh*t by construction"))
-    }
 }
 
 /// Per-generation bookkeeping returned by [`TransformerModel::generate`].
@@ -313,14 +309,7 @@ impl TransformerModel {
     /// decoder-only, for a cache built for a different configuration, or
     /// for a cache at capacity; shape errors for a malformed `x`.
     pub fn decode_step(&self, cache: &mut KvCache, x: &Matrix) -> Result<Matrix, TensorError> {
-        self.decode_step_with(
-            cache,
-            x,
-            &PreEngine {
-                pre: &|m| m.clone(),
-            },
-        )
-        .map(|(y, _)| y)
+        self.decode_step_with(cache, x, &F64Engine).map(|(y, _)| y)
     }
 
     /// [`TransformerModel::decode_step`] on the true int8 datapath
@@ -374,19 +363,25 @@ impl TransformerModel {
             cache.append(layer, k.row(0), v.row(0))?;
             let t = cache.layer_rows(layer);
 
+            let LayerKv {
+                k: kbuf, v: vbuf, ..
+            } = &cache.layers[layer];
+            let scale = 1.0 / (dh as f64).sqrt();
             let mut concat = Matrix::zeros(1, d);
             for head in 0..heads {
                 let lo = head * dh;
                 let hi = lo + dh;
-                let qh = q.col_slice(lo, hi)?;
-                // Scores over the cached context: same blocked product
-                // as the full path's `qh.matmul(&kh.transpose())` — the
-                // per-element dot depends only on the fixed inner
-                // dimension `dh`, so one row here equals row t-1 there.
-                let scores = qh
-                    .matmul(&cache.k_head_t(layer, lo, hi))?
-                    .scale(1.0 / (dh as f64).sqrt());
-                let w = phox_tensor::ops::softmax_rows(&scores);
+                let qh = &q.row(0)[lo..hi];
+                // Scores over the cached context, each cached K row's
+                // head slice read in place: `simd::dot` is the per-element
+                // kernel of the full path's `qh.matmul(&kh.transpose())`
+                // and depends only on the fixed inner dimension `dh`, so
+                // score j here equals element (t-1, j) there bit for bit.
+                let scores: Vec<f64> = kbuf
+                    .chunks_exact(d)
+                    .map(|krow| phox_tensor::gemm::simd::dot(qh, &krow[lo..hi]) * scale)
+                    .collect();
+                let w = phox_tensor::ops::softmax_rows(&Matrix::from_vec(1, t, scores)?);
                 // Context product in the same sequential order as the
                 // full path's `ops::matmul_seq`: one accumulator per
                 // output element, ascending context index. The SIMD axpy
@@ -394,7 +389,6 @@ impl TransformerModel {
                 // per-element order (and the prefix-invariance oracle)
                 // is bitwise unchanged.
                 let wrow = w.row(0);
-                let vbuf = &cache.layers[layer].v;
                 let ctx = &mut concat.as_mut_slice()[lo..hi];
                 for (j, &wj) in wrow.iter().enumerate() {
                     phox_tensor::gemm::simd::axpy(ctx, wj, &vbuf[j * d + lo..j * d + hi]);
@@ -452,13 +446,7 @@ impl TransformerModel {
     /// decoder-only or `gen_tokens == 0`; shape errors for a malformed
     /// prompt.
     pub fn generate(&self, prompt: &Matrix, gen_tokens: usize) -> Result<Generation, TensorError> {
-        self.generate_with(
-            prompt,
-            gen_tokens,
-            &PreEngine {
-                pre: &|m| m.clone(),
-            },
-        )
+        self.generate_with(prompt, gen_tokens, &F64Engine)
     }
 
     /// [`TransformerModel::generate`] on the true int8 datapath with

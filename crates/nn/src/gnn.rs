@@ -11,7 +11,7 @@ use phox_tensor::sparse_i8::{self, CsrI8View, I8Reduce};
 use phox_tensor::{ops, quant, Matrix, Prng, Quantizer, TensorError};
 
 use crate::census::OpCensus;
-use crate::int8::{Int8Engine, MatmulEngine, PreEngine};
+use crate::int8::{F64Engine, Int8Engine, MatmulEngine, PreEngine};
 
 /// A directed graph in compressed sparse row form (in-neighbour lists).
 ///
@@ -400,13 +400,7 @@ impl GnnModel {
     /// Returns a shape error when `features` does not match the graph and
     /// configuration.
     pub fn forward(&self, graph: &CsrGraph, features: &Matrix) -> Result<Matrix, TensorError> {
-        self.forward_with(
-            graph,
-            features,
-            &PreEngine {
-                pre: &|m| m.clone(),
-            },
-        )
+        self.forward_with(graph, features, &F64Engine)
     }
 
     /// Inference with fake int8 quantization on all matmul operands.

@@ -14,10 +14,10 @@
 //! forward quantizes exactly the operands the photonic datapath sees.
 //!
 //! The [`MatmulEngine`] trait is the seam the model forwards are written
-//! against: the legacy engine reproduces the fp64/fake-quant semantics
-//! bit-for-bit (including which operand sites the fake-quant reference
-//! treats), while [`Int8Engine`] routes every projection through the
-//! integer kernel.
+//! against: [`F64Engine`] multiplies the operands where they lie,
+//! [`PreEngine`] reproduces the fake-quant semantics bit-for-bit
+//! (including which operand sites the fake-quant reference treats), and
+//! [`Int8Engine`] routes every projection through the integer kernel.
 
 use phox_tensor::{Matrix, QuantMatrix, Quantizer, RowQuantMatrix, TensorError};
 use std::cell::RefCell;
@@ -111,10 +111,25 @@ pub(crate) trait MatmulEngine {
     }
 }
 
-/// The legacy engine: applies a `pre` map (identity for fp64,
-/// [`phox_tensor::quant::fake_quantize`] for the 8-bit accuracy
-/// reference) to operands, preserving the historical call-site semantics
-/// exactly.
+/// Full precision: both sites are a plain f64 product over the operands
+/// as they lie — no copy, so a single-row product reads each weight in
+/// place through the GEMV of [`phox_tensor::gemm::matmul`].
+pub(crate) struct F64Engine;
+
+impl MatmulEngine for F64Engine {
+    fn mm(&self, a: &Matrix, w: &Matrix) -> Result<Matrix, TensorError> {
+        a.matmul(w)
+    }
+
+    fn mm_weight_only(&self, a: &Matrix, w: &Matrix) -> Result<Matrix, TensorError> {
+        a.matmul(w)
+    }
+}
+
+/// The fake-quant engine: applies a `pre` map
+/// ([`phox_tensor::quant::fake_quantize`] or a bit-width variant of it
+/// for the accuracy references) to operands, preserving the historical
+/// call-site semantics exactly.
 pub(crate) struct PreEngine<'a> {
     pub pre: &'a dyn Fn(&Matrix) -> Matrix,
 }

@@ -9,7 +9,7 @@
 use phox_tensor::{ops, quant, Matrix, Prng, TensorError};
 
 use crate::census::OpCensus;
-use crate::int8::{Int8Engine, MatmulEngine, PreEngine};
+use crate::int8::{F64Engine, Int8Engine, MatmulEngine, PreEngine};
 
 /// Which parts of the original transformer a model keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -400,12 +400,7 @@ impl TransformerModel {
     ///
     /// Returns a shape error when `x` does not match the configuration.
     pub fn forward(&self, x: &Matrix) -> Result<Matrix, TensorError> {
-        self.forward_with(
-            x,
-            &PreEngine {
-                pre: &|m| m.clone(),
-            },
-        )
+        self.forward_with(x, &F64Engine)
     }
 
     /// Full-precision sequence-to-sequence pass: encodes `src`, then
@@ -417,13 +412,7 @@ impl TransformerModel {
     /// Returns [`TensorError::InvalidDimension`] for non-encoder-decoder
     /// models and shape errors for mismatched inputs.
     pub fn forward_seq2seq(&self, src: &Matrix, tgt: &Matrix) -> Result<Matrix, TensorError> {
-        self.forward_seq2seq_with(
-            src,
-            tgt,
-            &PreEngine {
-                pre: &|m| m.clone(),
-            },
-        )
+        self.forward_seq2seq_with(src, tgt, &F64Engine)
     }
 
     /// [`TransformerModel::forward_seq2seq`] with fake int8 quantization
@@ -500,12 +489,7 @@ impl TransformerModel {
     /// Returns [`TensorError::InvalidDimension`] for models that are not
     /// decoder-only and shape errors for mismatched inputs.
     pub fn forward_prefix(&self, x: &Matrix) -> Result<Matrix, TensorError> {
-        self.forward_prefix_with(
-            x,
-            &PreEngine {
-                pre: &|m| m.clone(),
-            },
-        )
+        self.forward_prefix_with(x, &F64Engine)
     }
 
     /// [`TransformerModel::forward_prefix`] on the true int8 datapath

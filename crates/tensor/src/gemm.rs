@@ -21,6 +21,14 @@
 //!   results are deterministic — but they are *not* bit-identical to the
 //!   naive single-accumulator order (the equivalence suite bounds the
 //!   difference at `1e-12` per element on unit-scale inputs).
+//! * **Single rows skip the pack.** At `m = 1` (a KV-cached decode step)
+//!   packing `Bᵀ` costs as much as the product, so [`matmul`] hands the
+//!   row to [`simd::gemv`], which reads row-major `B` in place and
+//!   vectorizes across output columns. It runs the same 16-lane schedule
+//!   per output — lane `p % 16` fuses `a[p]·B[p][j]`, the same fold,
+//!   the same in-order tail — so every output equals
+//!   [`matmul_blocked`]'s bit for bit. The trace counters still fire
+//!   first, so a traced m = 1 call is counted like any other.
 //! * **Row-band parallelism.** Above [`PAR_ELEMS_MIN`] multiply-adds the
 //!   output is split into row bands handed to scoped threads
 //!   (see [`crate::parallel`]); each band is computed identically
@@ -146,10 +154,12 @@ pub fn matmul_blocked(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
 
 /// The production kernel behind [`Matrix::matmul`]: the blocked kernel of
 /// [`matmul_blocked`], parallelised over output row bands once the
-/// problem volume clears [`PAR_ELEMS_MIN`].
+/// problem volume clears [`PAR_ELEMS_MIN`]. A single-row `a` takes the
+/// transpose-free [`simd::gemv`] instead.
 ///
-/// Every band is computed by the same deterministic kernel, so the result
-/// is identical for any thread count.
+/// Every band, and the GEMV, computes each output in the same
+/// deterministic order, so the result equals [`matmul_blocked`]'s bit
+/// for bit for any thread count.
 ///
 /// # Errors
 ///
@@ -184,8 +194,15 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
             ],
         );
     }
+    if m == 1 {
+        // Single-row shape (one decode token): read B in place instead of
+        // packing Bᵀ, which would cost as much as the product itself.
+        let mut out = Matrix::zeros(1, n);
+        simd::gemv(a.as_slice(), b.as_slice(), out.as_mut_slice());
+        return Ok(out);
+    }
     let threads = parallel::max_threads();
-    if threads <= 1 || m <= 1 || m * k * n < PAR_ELEMS_MIN {
+    if threads <= 1 || m * k * n < PAR_ELEMS_MIN {
         return matmul_blocked(a, b);
     }
     let bt = transpose_blocked(b);
@@ -230,6 +247,20 @@ mod tests {
             let par = parallel::with_threads(threads, || matmul(&a, &b).unwrap());
             assert_eq!(par, serial, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn matmul_routes_single_row_through_gemv() {
+        // m == 1 takes the GEMV path inside matmul; pin bit-identity with
+        // the GEMV itself and with the blocked reference.
+        let (k, n) = (96, 33);
+        let a = random(1, k, 23);
+        let b = random(k, n, 24);
+        let mut gemv = vec![0.0; n];
+        simd::gemv(a.as_slice(), b.as_slice(), &mut gemv);
+        let routed = matmul(&a, &b).unwrap();
+        assert_eq!(routed.as_slice(), &gemv[..]);
+        assert_eq!(routed, matmul_blocked(&a, &b).unwrap());
     }
 
     #[test]

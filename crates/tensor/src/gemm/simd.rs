@@ -21,6 +21,15 @@
 //!   final pairwise add), then a sequential fused tail for `k % 16`.
 //!   Result: scalar and AVX2 agree **bit-for-bit** on every input,
 //!   subnormals and signed zeros included.
+//! * [`gemv`] computes `a · B` for row-major `B` with every output in the
+//!   schedule of [`dot`] over the corresponding column: lane `p % 16` of
+//!   column `j` accumulates `fma(a[p], B[p][j])` over the 16-lane body,
+//!   the lanes fold in the order above, and the `k % 16` tail is added
+//!   with in-order fused multiply-adds. It vectorizes *across* columns
+//!   (one `__m256d` holds lane `l` of four adjacent columns) instead of
+//!   along `k`, so it reads `B` in place: each output equals `dot(a,
+//!   Bᵀ[j])` bit for bit without packing `Bᵀ`. Lanes are independent
+//!   until the fold, so the AVX2 kernel may run them in any grouping.
 //! * [`axpy`] and [`axpy_unit`] vectorize over the *output* dimension
 //!   (`o[j] += a · b[j]`), where each element has its own accumulator —
 //!   no reassociation happens, so plain vector multiply + add is
@@ -72,6 +81,57 @@ pub fn dot_scalar(a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
+/// Columns per block of the scalar [`gemv`] kernel. Blocking never
+/// changes a value, only which outputs share a pass over `B`.
+const GEMV_COLS: usize = 4;
+
+/// Scalar [`gemv`] kernel for output columns `j0..out.len()`: the
+/// [`dot_scalar`] schedule per column, in blocks of [`GEMV_COLS`] columns
+/// so each pass streams short contiguous runs of the `B` rows. Also the
+/// AVX2 kernel's column tail.
+fn gemv_scalar_from(a: &[f64], b: &[f64], out: &mut [f64], j0: usize) {
+    let (k, n) = (a.len(), out.len());
+    let body = k - k % DOT_LANES;
+    for jc in (j0..n).step_by(GEMV_COLS) {
+        let w = (n - jc).min(GEMV_COLS);
+        let mut s = [[0.0f64; GEMV_COLS]; DOT_LANES];
+        for (p, &ap) in a[..body].iter().enumerate() {
+            let brow = &b[p * n + jc..p * n + jc + w];
+            for (acc, &bv) in s[p % DOT_LANES].iter_mut().zip(brow) {
+                *acc = ap.mul_add(bv, *acc);
+            }
+        }
+        for c in 0..w {
+            let mut wl = [0.0f64; 4];
+            for (l, v) in wl.iter_mut().enumerate() {
+                *v = (s[l][c] + s[l + 4][c]) + (s[l + 8][c] + s[l + 12][c]);
+            }
+            let mut acc = (wl[0] + wl[2]) + (wl[1] + wl[3]);
+            for (p, &ap) in a.iter().enumerate().skip(body) {
+                acc = ap.mul_add(b[p * n + jc + c], acc);
+            }
+            out[jc + c] = acc;
+        }
+    }
+}
+
+/// Scalar [`gemv`] kernel with [`f64::mul_add`]: bit-identical to the
+/// AVX2 path on every input. Public so equivalence suites can pin the
+/// dispatched kernel against it regardless of which path dispatch
+/// selected.
+///
+/// # Panics
+///
+/// Panics if `b.len() != a.len() * out.len()`.
+pub fn gemv_scalar(a: &[f64], b: &[f64], out: &mut [f64]) {
+    assert_eq!(
+        Some(b.len()),
+        a.len().checked_mul(out.len()),
+        "gemv operand is not k × n"
+    );
+    gemv_scalar_from(a, b, out, 0);
+}
+
 /// Scalar `o[j] += x · b[j]` loop. Each output element is its own
 /// accumulator, so the vector path is bitwise-equal by construction.
 /// Public as the equivalence-suite reference for [`axpy`].
@@ -95,9 +155,9 @@ pub fn axpy_unit_scalar(out: &mut [f64], b: &[f64]) {
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::{
-        __m128d, _mm256_add_pd, _mm256_castpd256_pd128, _mm256_extractf128_pd, _mm256_fmadd_pd,
-        _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd,
-        _mm_add_pd, _mm_add_sd, _mm_cvtsd_f64, _mm_unpackhi_pd,
+        __m128d, __m256d, _mm256_add_pd, _mm256_castpd256_pd128, _mm256_extractf128_pd,
+        _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd,
+        _mm256_storeu_pd, _mm_add_pd, _mm_add_sd, _mm_cvtsd_f64, _mm_unpackhi_pd,
     };
 
     /// AVX2+FMA dot product: four 4-lane accumulators advanced by one
@@ -149,6 +209,97 @@ mod x86 {
         while k < n {
             acc = (*ap.add(k)).mul_add(*bp.add(k), acc);
             k += 1;
+        }
+        acc
+    }
+
+    /// AVX2+FMA GEMV over row-major `b` (`a.len() × out.len()`): blocks
+    /// of eight, then four, adjacent columns, where one `__m256d` holds
+    /// lane `l` of the [`dot_avx2`] schedule for four columns, advanced by
+    /// one `vfmadd231pd` per row of `B`, then folded in the same order and
+    /// finished with the same in-order fused tail. The last `n % 4`
+    /// columns run the scalar kernel, which replays the same schedule.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 and FMA are available and
+    /// `b.len() == a.len() * out.len()`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn gemv_avx2(a: &[f64], b: &[f64], out: &mut [f64]) {
+        let n = out.len();
+        let (bp, op) = (b.as_ptr(), out.as_mut_ptr());
+        let mut j = 0usize;
+        while j + 8 <= n {
+            let [lo, hi] = gemv_block::<2>(a, bp, n, j);
+            _mm256_storeu_pd(op.add(j), lo);
+            _mm256_storeu_pd(op.add(j + 4), hi);
+            j += 8;
+        }
+        if j + 4 <= n {
+            let [v] = gemv_block::<1>(a, bp, n, j);
+            _mm256_storeu_pd(op.add(j), v);
+            j += 4;
+        }
+        super::gemv_scalar_from(a, b, out, j);
+    }
+
+    /// Columns `j..j + 4·V` of [`gemv_avx2`], `V` vectors wide. The lanes
+    /// run in four groups, `{g, g+4, g+8, g+12}` for `g` in `0..4`: each
+    /// group needs only four accumulators per vector and folds at once
+    /// into `w[g] = (s[g] + s[g+4]) + (s[g+8] + s[g+12])`, so at `V = 2`
+    /// every accumulator stays in a register.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 and FMA are available, `b` points to
+    /// `a.len() × n` elements and `j + 4·V <= n`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn gemv_block<const V: usize>(
+        a: &[f64],
+        b: *const f64,
+        n: usize,
+        j: usize,
+    ) -> [__m256d; V] {
+        use super::DOT_LANES;
+        let k = a.len();
+        let body = k - k % DOT_LANES;
+        let ap = a.as_ptr();
+        let mut w = [[_mm256_setzero_pd(); V]; 4];
+        for (g, wg) in w.iter_mut().enumerate() {
+            let mut s = [[_mm256_setzero_pd(); V]; 4];
+            let mut p = g;
+            while p < body {
+                for (q, sq) in s.iter_mut().enumerate() {
+                    let row = p + 4 * q;
+                    let x = _mm256_set1_pd(*ap.add(row));
+                    let brow = b.add(row * n + j);
+                    for (v, acc) in sq.iter_mut().enumerate() {
+                        *acc = _mm256_fmadd_pd(x, _mm256_loadu_pd(brow.add(4 * v)), *acc);
+                    }
+                }
+                p += DOT_LANES;
+            }
+            for (v, wv) in wg.iter_mut().enumerate() {
+                *wv = _mm256_add_pd(
+                    _mm256_add_pd(s[0][v], s[1][v]),
+                    _mm256_add_pd(s[2][v], s[3][v]),
+                );
+            }
+        }
+        // (w0 + w2) + (w1 + w3), then the in-order fused tail.
+        let mut acc = [_mm256_setzero_pd(); V];
+        for (v, av) in acc.iter_mut().enumerate() {
+            *av = _mm256_add_pd(
+                _mm256_add_pd(w[0][v], w[2][v]),
+                _mm256_add_pd(w[1][v], w[3][v]),
+            );
+        }
+        for p in body..k {
+            let x = _mm256_set1_pd(*ap.add(p));
+            let brow = b.add(p * n + j);
+            for (v, av) in acc.iter_mut().enumerate() {
+                *av = _mm256_fmadd_pd(x, _mm256_loadu_pd(brow.add(4 * v)), *av);
+            }
         }
         acc
     }
@@ -260,6 +411,31 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     dot_scalar(a, b)
 }
 
+/// `out = a · B` for row-major `b` (`a.len() × out.len()`), every output
+/// in the pinned [`dot`] schedule over its column, dispatching to
+/// AVX2+FMA when available. Bit-identical to `dot(a, Bᵀ[j])` for every
+/// `j`, without packing `Bᵀ`; see the module docs.
+///
+/// # Panics
+///
+/// Panics if `b.len() != a.len() * out.len()`.
+#[inline]
+pub fn gemv(a: &[f64], b: &[f64], out: &mut [f64]) {
+    assert_eq!(
+        Some(b.len()),
+        a.len().checked_mul(out.len()),
+        "gemv operand is not k × n"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if x86::simd_usable() {
+        // SAFETY: AVX2+FMA availability was just checked and the operand
+        // length was asserted above.
+        unsafe { x86::gemv_avx2(a, b, out) };
+        return;
+    }
+    gemv_scalar_from(a, b, out, 0);
+}
+
 /// `out[j] += x · b[j]` over `min(out.len(), b.len())` elements,
 /// dispatching to the AVX2 kernel when available. Per-element
 /// accumulation order is untouched, so this is bitwise-equal to the
@@ -341,6 +517,34 @@ mod tests {
             expect = x.mul_add(y, expect);
         }
         assert_eq!(dot(&a, &b).to_bits(), expect.to_bits());
+    }
+
+    #[test]
+    fn gemv_matches_dot_over_columns_bitwise() {
+        // Every lane tail, and column counts that reach the eight- and
+        // four-column blocks and the scalar column tail.
+        for k in (0..40).chain([63, 64, 65, 300]) {
+            for n in [1usize, 3, 4, 5, 8, 13] {
+                let a = random(k, 31);
+                let b = random(k * n, 32);
+                let mut fast = vec![f64::NAN; n];
+                let mut slow = vec![f64::NAN; n];
+                gemv(&a, &b, &mut fast);
+                gemv_scalar(&a, &b, &mut slow);
+                for j in 0..n {
+                    let col: Vec<f64> = (0..k).map(|p| b[p * n + j]).collect();
+                    let expect = dot_scalar(&a, &col).to_bits();
+                    assert_eq!(fast[j].to_bits(), expect, "k={k} n={n} j={j}");
+                    assert_eq!(slow[j].to_bits(), expect, "scalar k={k} n={n} j={j}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "gemv operand is not k × n")]
+    fn gemv_rejects_a_misshapen_operand() {
+        gemv(&[1.0, 2.0], &[1.0, 2.0, 3.0], &mut [0.0; 2]);
     }
 
     #[test]

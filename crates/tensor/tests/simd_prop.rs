@@ -113,6 +113,32 @@ proptest! {
     }
 
     #[test]
+    fn single_row_gemm_bitwise_equals_scalar_reference_and_blocked(
+        ((k, n), a, b) in (0usize..=300, 1usize..=150)
+            .prop_flat_map(|(k, n)| (Just((k, n)), operands(k), operands(k * n))),
+    ) {
+        // m = 1 takes the transpose-free GEMV inside `gemm::matmul`. Every
+        // 16-lane tail occurs for k ≤ 300, and n runs past the blocked
+        // kernel's `NC`-column panel; each output must equal the scalar
+        // reference dot over the packed Bᵀ row and the blocked kernel's
+        // output, bit for bit.
+        let am = Matrix::from_vec(1, k, a).unwrap();
+        let bm = Matrix::from_vec(k, n, b).unwrap();
+        let routed = gemm::matmul(&am, &bm).unwrap();
+        let blocked = gemm::matmul_blocked(&am, &bm).unwrap();
+        let bt = gemm::transpose_blocked(&bm);
+        let btv = bt.as_slice();
+        for j in 0..n {
+            let reference = simd::dot_scalar(am.as_slice(), &btv[j * k..(j + 1) * k]);
+            prop_assert_eq!(
+                routed.get(0, j).to_bits(), reference.to_bits(),
+                "column {} of 1x{}x{}", j, k, n
+            );
+        }
+        prop_assert_eq!(bits(&routed), bits(&blocked));
+    }
+
+    #[test]
     fn gemm_is_byte_identical_across_thread_counts(
         ((m, k, n), a, b) in (1usize..=24, 0usize..=32, 1usize..=24)
             .prop_flat_map(|(m, k, n)| {
