@@ -6,6 +6,9 @@
 //! "buffer and partition" optimization (§V.D) memory transfers hide behind
 //! compute, so the elapsed time is the maximum rather than the sum.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::ArchError;
 
 /// Tiling of a dense matmul onto a fixed-size analog array.
@@ -125,19 +128,27 @@ pub fn balance_makespan(weights: &[f64], lanes: usize) -> Result<f64, ArchError>
         return Ok(1.0);
     }
     let ideal = total / lanes as f64;
-    // LPT greedy.
+    // LPT greedy, heaviest item first. A min-heap on (load, lane) yields
+    // the least-loaded lane, lowest index among ties: the lane a
+    // front-to-back scan picks, so each lane sums the same items in the
+    // same order. Loads start at +0.0 and add only validated
+    // non-negative weights, so they are never negative or NaN, and their
+    // bit patterns order like their values.
     let mut sorted = weights.to_vec();
     sorted.sort_by(|a, b| b.total_cmp(a));
-    let mut loads = vec![0.0f64; lanes];
+    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = (0..lanes)
+        .map(|lane| Reverse((0.0f64.to_bits(), lane)))
+        .collect();
     for w in sorted {
-        let min_lane = loads
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .map_or(0, |(i, _)| i);
-        loads[min_lane] += w;
+        if let Some(mut least) = heap.peek_mut() {
+            let Reverse((load, _)) = &mut *least;
+            *load = (f64::from_bits(*load) + w).to_bits();
+        }
     }
-    let makespan = loads.iter().copied().fold(0.0, f64::max);
+    let makespan = heap
+        .iter()
+        .map(|Reverse((load, _))| f64::from_bits(*load))
+        .fold(0.0, f64::max);
     Ok(makespan / ideal)
 }
 

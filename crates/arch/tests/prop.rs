@@ -100,3 +100,61 @@ proptest! {
         prop_assert!((e.combine(&e).total_j() - 2.0 * e.total_j()).abs() < 1e-12);
     }
 }
+
+/// The linear-scan LPT that `balance_makespan` ran before its heap: each
+/// item, heaviest first, onto the first lane of least load.
+fn scan_lpt(weights: &[f64], lanes: usize) -> f64 {
+    let total: f64 = weights.iter().sum();
+    if total == 0.0 {
+        return 1.0;
+    }
+    let ideal = total / lanes as f64;
+    let mut sorted = weights.to_vec();
+    sorted.sort_by(|a, b| b.total_cmp(a));
+    let mut loads = vec![0.0f64; lanes];
+    for w in sorted {
+        let min_lane = loads
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.total_cmp(b.1))
+            .map_or(0, |(i, _)| i);
+        loads[min_lane] += w;
+    }
+    loads.iter().copied().fold(0.0, f64::max) / ideal
+}
+
+/// Weights of one of three kinds: small integers (many ties, some
+/// zeros), fractional values, or a mix of both with signed zeros.
+fn lpt_weights() -> impl Strategy<Value = Vec<f64>> {
+    (
+        0u8..3,
+        proptest::collection::vec((0u32..6, 0.0f64..100.0), 1..80),
+    )
+        .prop_map(|(kind, raw)| {
+            raw.into_iter()
+                .map(|(k, frac)| match (kind, k) {
+                    (0, _) => f64::from(k),
+                    (1, _) => frac,
+                    (_, 0) => 0.0,
+                    (_, 1) => -0.0,
+                    (_, 2 | 3) => f64::from(k),
+                    _ => frac,
+                })
+                .collect()
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn heap_lpt_matches_the_linear_scan_bit_for_bit(
+        weights in lpt_weights(),
+        lanes in 1usize..100,
+    ) {
+        // Lane counts run from 1 to past the item count (at most 79).
+        let heap = balance_makespan(&weights, lanes).unwrap();
+        let scan = scan_lpt(&weights, lanes);
+        prop_assert_eq!(heap.to_bits(), scan.to_bits(), "weights {:?} lanes {}", weights, lanes);
+    }
+}

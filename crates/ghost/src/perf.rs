@@ -162,8 +162,15 @@ impl GhostAccelerator {
 
     /// Estimates the lane-load makespan factor for a workload by
     /// instantiating a miniature R-MAT graph with the same degree skew
-    /// and running the (LPT vs round-robin) assignment.
-    pub fn balance_factor(&self, workload: &GnnWorkload) -> f64 {
+    /// and running the (LPT vs round-robin) assignment. The sample is
+    /// rebuilt on every call.
+    ///
+    /// # Errors
+    ///
+    /// Returns the generator's failure, in context, when the sample
+    /// cannot be built: a zero-node shape, or an average degree that
+    /// asks the 2048-node sample for more edges than it has vertex pairs.
+    pub fn balance_factor(&self, workload: &GnnWorkload) -> Result<f64, PhotonicError> {
         let nodes = workload.shape.nodes.min(2048);
         let avg = workload.effective_avg_degree().max(1.0);
         let mini = GraphShape {
@@ -173,19 +180,26 @@ impl GhostAccelerator {
             features: 1,
             classes: 2,
         };
-        let Ok(g) = mini.instantiate(0xB41A) else {
-            return 1.0;
-        };
+        let g = mini
+            .instantiate(0xB41A)
+            .ctx("instantiating the R-MAT lane-balance sample")?;
         let degrees: Vec<f64> = (0..g.num_nodes())
             .map(|v| 1.0 + g.degree(v) as f64)
             .collect();
+        self.lane_makespan(&degrees)
+    }
+
+    /// The makespan factor of `weights` over the lanes: LPT when workload
+    /// balancing is on, round-robin otherwise, never below 1.0.
+    fn lane_makespan(&self, weights: &[f64]) -> Result<f64, PhotonicError> {
         let lanes = self.config.lanes;
         let factor = if self.config.optimizations.balancing {
-            balance_makespan(&degrees, lanes)
+            balance_makespan(weights, lanes)
         } else {
-            round_robin_makespan(&degrees, lanes)
-        };
-        factor.unwrap_or(1.0).max(1.0)
+            round_robin_makespan(weights, lanes)
+        }
+        .map_err(|e| PhotonicError::upstream("arch", e).ctx("balancing edge work across lanes"))?;
+        Ok(factor.max(1.0))
     }
 
     /// Simulates one full-graph inference from the workload's shape
@@ -194,10 +208,10 @@ impl GhostAccelerator {
     ///
     /// # Errors
     ///
-    /// Propagates configuration errors and rejects degenerate workloads.
+    /// Propagates configuration and lane-balance sample errors and
+    /// rejects degenerate workloads.
     pub fn simulate(&self, workload: &GnnWorkload) -> Result<GhostReport, PhotonicError> {
-        let balance = self.balance_factor(workload);
-        Ok(self.simulate_core(workload, balance, None, None)?.0)
+        Ok(self.simulate_core(workload, None, None, None)?.0)
     }
 
     /// The serving-layer cost decomposition of one inference of
@@ -211,8 +225,7 @@ impl GhostAccelerator {
     ///
     /// Propagates simulation failures and cost-validation errors.
     pub fn service_cost(&self, workload: &GnnWorkload) -> Result<ServiceCost, PhotonicError> {
-        let balance = self.balance_factor(workload);
-        Ok(self.simulate_core(workload, balance, None, None)?.1)
+        Ok(self.simulate_core(workload, None, None, None)?.1)
     }
 
     /// Maps a resolved fault impact onto the serving-cost degradation it
@@ -289,28 +302,29 @@ impl GhostAccelerator {
             })
             .collect();
         let branch_passes: u64 = weights.iter().map(|&w| w as u64).sum();
-        let balance = if cfg.optimizations.balancing {
-            phox_arch::schedule::balance_makespan(&weights, cfg.lanes)
-        } else {
-            phox_arch::schedule::round_robin_makespan(&weights, cfg.lanes)
-        }
-        .map_err(|e| PhotonicError::upstream("arch", e).ctx("balancing edge work across lanes"))?
-        .max(1.0);
+        let balance = self.lane_makespan(&weights)?;
         let partition = Partition::new(graph, cfg.lanes, self.config.input_block)?;
         Ok(self
-            .simulate_core(workload, balance, Some(branch_passes), Some(&partition))?
+            .simulate_core(
+                workload,
+                Some(balance),
+                Some(branch_passes),
+                Some(&partition),
+            )?
             .0)
     }
 
-    /// The shared simulation core. `branch_passes_override` and
-    /// `partition` refine the shape-level estimates with exact values
-    /// from an instantiated graph. Returns the report together with the
-    /// serving-layer resident/marginal cost split, accumulated from the
-    /// same ledger terms so the two views cannot diverge.
+    /// The shared simulation core. `balance`, `branch_passes_override`
+    /// and `partition` refine the shape-level estimates with exact values
+    /// from an instantiated graph; without `balance` the lane-balance
+    /// factor is estimated by [`GhostAccelerator::balance_factor`], after
+    /// the degenerate-workload checks. Returns the report together with
+    /// the serving-layer resident/marginal cost split, accumulated from
+    /// the same ledger terms so the two views cannot diverge.
     fn simulate_core(
         &self,
         workload: &GnnWorkload,
-        balance: f64,
+        balance: Option<f64>,
         branch_passes_override: Option<u64>,
         partition: Option<&Partition>,
     ) -> Result<(GhostReport, ServiceCost), PhotonicError> {
@@ -327,6 +341,10 @@ impl GhostAccelerator {
                 what: "workload graph has no nodes",
             });
         }
+        let balance = match balance {
+            Some(balance) => balance,
+            None => self.balance_factor(workload)?,
+        };
         let t_sym = 1.0 / cfg.symbol_rate_hz;
 
         // Per-stage ledgers (aggregate / combine / update / memory): every
@@ -730,7 +748,7 @@ mod tests {
         })
         .unwrap();
         let w = gcn_cora();
-        assert!(balanced.balance_factor(&w) <= unbalanced.balance_factor(&w));
+        assert!(balanced.balance_factor(&w).unwrap() <= unbalanced.balance_factor(&w).unwrap());
     }
 
     #[test]
@@ -815,6 +833,54 @@ mod tests {
             GraphShape::cora(),
         );
         assert!(g.simulate(&w).is_err());
+    }
+
+    #[test]
+    fn unbuildable_balance_sample_is_an_error() {
+        // Average degree 3000 asks the 2048-node sample for 6.1M distinct
+        // pairs, more than the 4.19M it has.
+        let g = ghost();
+        let w = GnnWorkload::new(
+            GnnConfig::two_layer(GnnKind::Gcn, 64, 16, 4),
+            GraphShape {
+                name: "dense".into(),
+                nodes: 100_000,
+                edges: 300_000_000,
+                features: 64,
+                classes: 4,
+            },
+        );
+        let generator = phox_tensor::TensorError::InvalidDimension {
+            what: "graph shape requests more edges than distinct vertex pairs",
+        };
+        let err = g.balance_factor(&w).unwrap_err();
+        assert!(err.to_string().contains("lane-balance sample"), "{err}");
+        assert_eq!(
+            err.root_cause(),
+            &PhotonicError::upstream("tensor", &generator)
+        );
+        assert_eq!(g.simulate(&w).unwrap_err(), err);
+        assert_eq!(g.service_cost(&w).unwrap_err(), err);
+    }
+
+    #[test]
+    fn zero_node_workload_fails_before_sampling() {
+        let w = GnnWorkload::new(
+            GnnConfig::two_layer(GnnKind::Gcn, 64, 16, 4),
+            GraphShape {
+                name: "empty".into(),
+                nodes: 0,
+                edges: 0,
+                features: 64,
+                classes: 4,
+            },
+        );
+        assert_eq!(
+            ghost().simulate(&w).unwrap_err(),
+            PhotonicError::InvalidConfig {
+                what: "workload graph has no nodes",
+            }
+        );
     }
 }
 

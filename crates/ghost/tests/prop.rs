@@ -86,7 +86,7 @@ proptest! {
                 classes: 4,
             },
         );
-        prop_assert!(ghost.balance_factor(&w) >= 1.0);
+        prop_assert!(ghost.balance_factor(&w).unwrap() >= 1.0);
     }
 
     #[test]

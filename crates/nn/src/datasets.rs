@@ -17,6 +17,7 @@
 //!   learnable-by-construction.
 
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use phox_tensor::{Matrix, Prng, TensorError};
 
@@ -123,68 +124,47 @@ impl GraphShape {
                 what: "graph shape requests more edges than distinct vertex pairs",
             });
         }
+        let nodes = self.nodes;
         let mut rng = Prng::new(seed);
         // R-MAT partition probabilities (a, b, c, d) = (0.57, 0.19, 0.19,
         // 0.05): the standard Graph500 skew.
         let (a, b, c) = (0.57, 0.19, 0.19);
-        let levels = (self.nodes as f64).log2().ceil() as u32;
-        let side = 1usize << levels;
-        let mut edges = Vec::with_capacity(self.edges);
-        // Membership-only dedup: the set is never iterated, so hash order
-        // cannot leak into the output and determinism holds.
-        let mut seen: HashSet<(u32, u32)> = HashSet::with_capacity(self.edges);
-        // Simple id scramble: multiply by an odd constant mod side.
-        let scramble =
-            |v: usize| -> u32 { ((v.wrapping_mul(0x9E37_79B1) >> 7) % self.nodes) as u32 };
+        let (ab, abc) = (a + b, a + b + c);
+        let levels = (nodes as f64).log2().ceil() as u32;
+        // Simple id scramble (multiply by an odd constant, reduce mod
+        // nodes), tabulated once so the sampling loop does no division.
+        // Cells at or past `nodes` are rejected before the lookup.
+        let scramble: Vec<u32> = (0..nodes)
+            .map(|v| ((v.wrapping_mul(0x9E37_79B1) >> 7) % nodes) as u32)
+            .collect();
+        let mut edges = DistinctEdges::with_target(self.edges);
         let mut attempts = 0usize;
         let max_attempts = self.edges.saturating_mul(50).max(10_000);
-        while edges.len() < self.edges && attempts < max_attempts {
+        while !edges.is_full() && attempts < max_attempts {
             attempts += 1;
-            let (mut lo_r, mut hi_r) = (0usize, side);
-            let (mut lo_c, mut hi_c) = (0usize, side);
+            // Each level halves the row and the column range: a draw past
+            // a + b takes the bottom half of the rows, one in [a, a + b)
+            // or past a + b + c the right half of the columns. The two
+            // bits shift in most significant first, so no branch depends
+            // on the draw.
+            let (mut row, mut col) = (0usize, 0usize);
             for _ in 0..levels {
                 let p = rng.next_f64();
-                let (top, left) = if p < a {
-                    (true, true)
-                } else if p < a + b {
-                    (true, false)
-                } else if p < a + b + c {
-                    (false, true)
-                } else {
-                    (false, false)
-                };
-                let mid_r = (lo_r + hi_r) / 2;
-                let mid_c = (lo_c + hi_c) / 2;
-                if top {
-                    hi_r = mid_r;
-                } else {
-                    lo_r = mid_r;
-                }
-                if left {
-                    hi_c = mid_c;
-                } else {
-                    lo_c = mid_c;
-                }
+                let bottom = p >= ab;
+                let right = ((p >= a) & (p < ab)) | (p >= abc);
+                row = (row << 1) | usize::from(bottom);
+                col = (col << 1) | usize::from(right);
             }
-            if lo_r < self.nodes && lo_c < self.nodes {
-                // Reject self-loops after scrambling: the scramble is not
-                // injective, so distinct cells can collide on a vertex.
-                let (src, dst) = (scramble(lo_r), scramble(lo_c));
-                if src != dst && seen.insert((src, dst)) {
-                    edges.push((src, dst));
-                }
+            if row < nodes && col < nodes {
+                // The scramble is not injective, so distinct cells can
+                // collide on a vertex: `offer` rejects the self-loop.
+                edges.offer(scramble[row], scramble[col]);
             }
         }
-        // Fallback: uniform rejection sampling completes the edge budget
-        // when the skewed sampler keeps re-hitting its hot cells.
-        while edges.len() < self.edges {
-            let src = (rng.next_u64() % self.nodes as u64) as u32;
-            let dst = (rng.next_u64() % self.nodes as u64) as u32;
-            if src != dst && seen.insert((src, dst)) {
-                edges.push((src, dst));
-            }
-        }
-        CsrGraph::from_edges(self.nodes, &edges)
+        // Fallback for the case the skewed sampler keeps re-hitting its
+        // hot cells.
+        edges.fill_uniform(&mut rng, nodes);
+        edges.into_graph(nodes)
     }
 
     /// Random node features for this shape (deterministic in `seed`).
@@ -245,28 +225,93 @@ pub fn power_law(
         // partition_point: first index whose cumulative weight exceeds x.
         cumulative.partition_point(|&c| c <= x).min(nodes - 1) as u32
     };
-    let mut list = Vec::with_capacity(edges);
-    let mut seen: HashSet<(u32, u32)> = HashSet::with_capacity(edges);
+    let mut list = DistinctEdges::with_target(edges);
     let mut attempts = 0usize;
     let max_attempts = edges.saturating_mul(50).max(10_000);
-    while list.len() < edges && attempts < max_attempts {
+    while !list.is_full() && attempts < max_attempts {
         attempts += 1;
         let src = pick(&mut rng);
         let dst = pick(&mut rng);
-        if src != dst && seen.insert((src, dst)) {
-            list.push((src, dst));
+        list.offer(src, dst);
+    }
+    // Dense requests: hub-to-hub pairs saturate long before the edge
+    // budget does.
+    list.fill_uniform(&mut rng, nodes);
+    list.into_graph(nodes)
+}
+
+/// The distinct directed non-self-loop edges a generator has kept, in
+/// the order it drew them, up to a fixed target count.
+///
+/// [`CsrGraph::from_edges`] merges duplicates, so both generators reject
+/// repeated pairs up front to hit their edge count exactly. The dedup
+/// set is membership-only: it is never iterated, so neither its hasher
+/// nor its layout can reach the output, and determinism holds.
+struct DistinctEdges {
+    list: Vec<(u32, u32)>,
+    seen: HashSet<u64, BuildHasherDefault<PairHasher>>,
+    target: usize,
+}
+
+impl DistinctEdges {
+    fn with_target(target: usize) -> Self {
+        DistinctEdges {
+            list: Vec::with_capacity(target),
+            seen: HashSet::with_capacity_and_hasher(target, BuildHasherDefault::default()),
+            target,
         }
     }
-    // Uniform fill for dense requests the skewed sampler cannot complete:
-    // hub-to-hub pairs saturate long before the edge budget does.
-    while list.len() < edges {
-        let src = (rng.next_u64() % nodes as u64) as u32;
-        let dst = (rng.next_u64() % nodes as u64) as u32;
-        if src != dst && seen.insert((src, dst)) {
-            list.push((src, dst));
+
+    fn is_full(&self) -> bool {
+        self.list.len() >= self.target
+    }
+
+    /// Keeps `src -> dst` unless it is a self-loop or already kept.
+    #[inline]
+    fn offer(&mut self, src: u32, dst: u32) {
+        if src != dst && self.seen.insert((u64::from(src) << 32) | u64::from(dst)) {
+            self.list.push((src, dst));
         }
     }
-    CsrGraph::from_edges(nodes, &list)
+
+    /// Uniform rejection sampling over `nodes` vertices until the target
+    /// is reached: completes requests too dense for a skewed sampler.
+    fn fill_uniform(&mut self, rng: &mut Prng, nodes: usize) {
+        while !self.is_full() {
+            let src = (rng.next_u64() % nodes as u64) as u32;
+            let dst = (rng.next_u64() % nodes as u64) as u32;
+            self.offer(src, dst);
+        }
+    }
+
+    fn into_graph(self, nodes: usize) -> Result<CsrGraph, TensorError> {
+        CsrGraph::from_edges(nodes, &self.list)
+    }
+}
+
+/// Hashes a packed `src << 32 | dst` pair with one folded 128-bit
+/// multiply. The keys are generator output, not adversarial input, so
+/// SipHash's collision resistance buys nothing here; the fold spreads
+/// both endpoints into the low bits that pick a bucket and the high bits
+/// that fill its control byte.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn finish(&self) -> u64 {
+        let product = u128::from(self.0) * 0x9E37_79B9_7F4A_7C15;
+        (product >> 64) as u64 ^ product as u64
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(byte);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
 }
 
 /// A small labelled graph classification task (graph + features +
