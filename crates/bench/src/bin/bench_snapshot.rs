@@ -756,6 +756,36 @@ fn run_digest(out_path: &str) {
     }
     record("gemm_single_row", single_row);
 
+    // KV-cached generation on a d_head 20 decoder, so the fused attention
+    // kernel runs a 16-lane score body plus a tail, four-row score groups
+    // plus leftover rows, and 16- and 4-column context blocks.
+    let decoder = TransformerModel::random(
+        TransformerConfig {
+            kind: TransformerKind::DecoderOnly,
+            layers: 2,
+            d_model: 40,
+            heads: 2,
+            d_ff: 80,
+            ..TransformerConfig::tiny(6)
+        },
+        46,
+    )
+    .expect("valid digest model");
+    let prompt = Prng::new(47).fill_normal(6, 40, 0.0, 1.0);
+    record(
+        "decode_generate_f64",
+        digest_matrix(&decoder.generate(&prompt, 7).expect("generation").tokens),
+    );
+    record(
+        "decode_generate_int8",
+        digest_matrix(
+            &decoder
+                .generate_int8(&prompt, 7)
+                .expect("generation")
+                .tokens,
+        ),
+    );
+
     // Sparse: SpMM and mean aggregation on a small power-law graph.
     let graph = power_law(2_000, 10_000, 2.2, 33).expect("power-law instantiation");
     let x = Prng::new(34).fill_normal(graph.num_nodes(), 48, 0.0, 1.0);

@@ -17,14 +17,15 @@
 //! make that hold:
 //!
 //! * the attention context product uses a sequential accumulation order
-//!   ([`phox_tensor::ops::matmul_seq`] in the full path, the same loop
-//!   here), so the masked tail's exact-zero weights contribute nothing;
+//!   ([`phox_tensor::ops::matmul_seq`] in the full path, the same
+//!   per-output order in the fused attention kernel here), so the masked
+//!   tail's exact-zero weights contribute nothing;
 //! * per-element f64 dot products are independent of the operand's row
 //!   and column counts, so every fixed-`k` projection of one row equals
 //!   the corresponding row of the batched product — the single-row GEMV
 //!   that `gemm::matmul` runs at `m = 1` keeps the blocked kernel's
-//!   16-lane schedule per output, and the per-head scores are the same
-//!   `simd::dot` the full path's score product runs per element;
+//!   16-lane schedule per output, and the per-head scores run the same
+//!   `simd::dot` schedule the full path's score product runs per element;
 //! * the int8 engine calibrates activations *per row*
 //!   ([`crate::int8::QuantLinear::forward_rowwise`]), so a token's
 //!   quantized levels never depend on which other tokens share the
@@ -35,23 +36,43 @@
 //! An f64 step copies no weight and no cached row. The f64 engine
 //! multiplies each weight where it lies, and the `m = 1` product reads
 //! row-major `W` directly instead of packing `Wᵀ`
-//! ([`phox_tensor::gemm::simd::gemv`]). On either engine each head
-//! scores the new query against the head slice of every cached K row in
-//! place, and the context product walks the cached V rows with one axpy
-//! per row, so attention reads the cache once per step and layer.
+//! ([`phox_tensor::gemm::simd::gemv`]). On either engine each head runs
+//! one fused [`phox_tensor::gemm::simd::attend`] call over the cached K/V
+//! rows in place: scores four rows at a time in `simd::dot`'s schedule,
+//! softmax in one scores buffer shared by every head of the step, and the
+//! context accumulated in registers in the sequential order above, so
+//! attention reads the cache once per step and layer and allocates once
+//! per step.
+//!
+//! ## Resident int8 weights
+//!
+//! [`TransformerModel::int8_decoder`] quantizes each layer's six weights
+//! once and keeps them packed as `Wᵀ` codes plus a scale
+//! ([`crate::int8::PackedLinear`]); every step multiplies through the
+//! transpose-free int8 GEMV ([`phox_tensor::gemm_i8::gemv_i32_bt`]) and
+//! dequantizes with `row_scale × weight_scale`, computed once per row.
+//! Weight quantization is deterministic and `i32` sums are exact, so the
+//! decoder is bit-identical to the stateless
+//! [`TransformerModel::decode_step_int8`], which re-quantizes every weight
+//! on every product. [`TransformerModel::generate_int8`] runs through the
+//! same decoder.
 //!
 //! ## Trace instrumentation
 //!
 //! With tracing enabled, each step emits `decode/steps` (+1),
 //! `decode/cached_rows` (+layers: K/V rows appended), and
-//! `decode/gemv_calls` (+6·layers: the m = 1 engine-seam products —
-//! Q/K/V, output projection, both feed-forward layers).
+//! `decode/gemv_calls` (+6·layers: the m = 1 weight products — Q/K/V,
+//! output projection, both feed-forward layers). The int8 products
+//! record the `int8/*` counters of `gemm_i8::matmul_i32` at `m = 1`
+//! whether they run stateless or on the packed weights.
 
+use phox_tensor::gemm::simd;
 use phox_tensor::{Matrix, TensorError};
 
-use crate::int8::{F64Engine, Int8Engine, MatmulEngine, ResidentInt8Engine};
+use crate::int8::{F64Engine, Int8Engine, MatmulEngine, PackedLinear};
 use crate::transformer::{
-    decode_context_lengths, FfActivation, TransformerConfig, TransformerKind, TransformerModel,
+    decode_context_lengths, FfActivation, LayerWeights, TransformerConfig, TransformerKind,
+    TransformerModel,
 };
 
 /// Per-layer K/V rows of one layer.
@@ -265,13 +286,14 @@ pub struct Generation {
 }
 
 /// A weight-resident int8 decoder: [`TransformerModel::decode_step_int8`]
-/// semantics with each layer's weights quantized once and kept in int8
-/// form across steps (bitwise-neutral — weight quantization is
-/// deterministic — but skips `O(layers)` re-calibrations per token,
-/// which is how the accelerator holds weights during decode).
+/// semantics with each layer's six weights quantized once, when the
+/// decoder is built, and kept packed as `Wᵀ` codes plus a scale across
+/// steps — how the accelerator holds weights during decode. Bit-identical
+/// to the stateless step, which re-quantizes every weight per product.
 pub struct Int8Decoder<'m> {
     model: &'m TransformerModel,
-    eng: ResidentInt8Engine<'m>,
+    /// Per layer, the six weights in [`layer_products`] order.
+    layers: Vec<[PackedLinear; 6]>,
 }
 
 impl Int8Decoder<'_> {
@@ -282,17 +304,40 @@ impl Int8Decoder<'_> {
     /// Same conditions as [`TransformerModel::decode_step`].
     pub fn step(&self, cache: &mut KvCache, x: &Matrix) -> Result<Matrix, TensorError> {
         self.model
-            .decode_step_with(cache, x, &self.eng)
+            .decode_step_with(cache, x, StepWeights::Packed(&self.layers))
             .map(|(y, _)| y)
     }
 }
 
+/// A layer's six weights in the order a decode step multiplies by them:
+/// Q, K, V (both operands treated by the engine), then the output
+/// projection and the two feed-forward weights (weight-only sites).
+fn layer_products(lw: &LayerWeights) -> [&Matrix; 6] {
+    [&lw.w_q, &lw.w_k, &lw.w_v, &lw.w_o, &lw.w_ff1, &lw.w_ff2]
+}
+
+/// How a decode step runs its weight products.
+#[derive(Clone, Copy)]
+enum StepWeights<'a> {
+    /// The model's f64 weights through an engine: [`F64Engine`] or the
+    /// stateless [`Int8Engine`].
+    Engine(&'a dyn MatmulEngine),
+    /// Each layer's weights quantized and packed once, per
+    /// [`layer_products`].
+    Packed(&'a [[PackedLinear; 6]]),
+}
+
 impl TransformerModel {
-    /// A weight-resident int8 decode handle borrowing this model.
+    /// A weight-resident int8 decode handle borrowing this model. Builds
+    /// the packed weights: one quantization and `Wᵀ` pack per weight.
     pub fn int8_decoder(&self) -> Int8Decoder<'_> {
         Int8Decoder {
             model: self,
-            eng: ResidentInt8Engine::new(self),
+            layers: self
+                .layers()
+                .iter()
+                .map(|lw| layer_products(lw).map(PackedLinear::new))
+                .collect(),
         }
     }
 
@@ -309,7 +354,8 @@ impl TransformerModel {
     /// decoder-only, for a cache built for a different configuration, or
     /// for a cache at capacity; shape errors for a malformed `x`.
     pub fn decode_step(&self, cache: &mut KvCache, x: &Matrix) -> Result<Matrix, TensorError> {
-        self.decode_step_with(cache, x, &F64Engine).map(|(y, _)| y)
+        self.decode_step_with(cache, x, StepWeights::Engine(&F64Engine))
+            .map(|(y, _)| y)
     }
 
     /// [`TransformerModel::decode_step`] on the true int8 datapath
@@ -320,16 +366,17 @@ impl TransformerModel {
     ///
     /// Same conditions as [`TransformerModel::decode_step`].
     pub fn decode_step_int8(&self, cache: &mut KvCache, x: &Matrix) -> Result<Matrix, TensorError> {
-        self.decode_step_with(cache, x, &Int8Engine).map(|(y, _)| y)
+        self.decode_step_with(cache, x, StepWeights::Engine(&Int8Engine))
+            .map(|(y, _)| y)
     }
 
     /// Shared decode-step implementation. Returns the output row and the
     /// MACs this step executed.
-    pub(crate) fn decode_step_with(
+    fn decode_step_with(
         &self,
         cache: &mut KvCache,
         x: &Matrix,
-        eng: &dyn MatmulEngine,
+        weights: StepWeights<'_>,
     ) -> Result<(Matrix, u64), TensorError> {
         let cfg = self.config();
         if cfg.kind != TransformerKind::DecoderOnly {
@@ -356,54 +403,55 @@ impl TransformerModel {
         let (d_u64, ff_u64) = (d as u64, cfg.d_ff as u64);
         let mut macs = 0u64;
         let mut h = x.clone();
+        // One scores buffer for every head of every layer: each layer
+        // attends over the same number of cached rows.
+        let mut scores = Vec::new();
         for (layer, lw) in self.layers().iter().enumerate() {
-            let q = eng.mm(&h, &lw.w_q)?;
-            let k = eng.mm(&h, &lw.w_k)?;
-            let v = eng.mm(&h, &lw.w_v)?;
+            let products = layer_products(lw);
+            let mm = |i: usize, a: &Matrix| match weights {
+                StepWeights::Engine(eng) if i < 3 => eng.mm(a, products[i]),
+                StepWeights::Engine(eng) => eng.mm_weight_only(a, products[i]),
+                StepWeights::Packed(packed) => packed[layer][i].forward_row(a),
+            };
+            let q = mm(0, &h)?;
+            let k = mm(1, &h)?;
+            let v = mm(2, &h)?;
             cache.append(layer, k.row(0), v.row(0))?;
             let t = cache.layer_rows(layer);
+            scores.resize(t, 0.0);
 
             let LayerKv {
                 k: kbuf, v: vbuf, ..
             } = &cache.layers[layer];
-            let scale = 1.0 / (dh as f64).sqrt();
             let mut concat = Matrix::zeros(1, d);
             for head in 0..heads {
-                let lo = head * dh;
-                let hi = lo + dh;
-                let qh = &q.row(0)[lo..hi];
-                // Scores over the cached context, each cached K row's
-                // head slice read in place: `simd::dot` is the per-element
-                // kernel of the full path's `qh.matmul(&kh.transpose())`
-                // and depends only on the fixed inner dimension `dh`, so
-                // score j here equals element (t-1, j) there bit for bit.
-                let scores: Vec<f64> = kbuf
-                    .chunks_exact(d)
-                    .map(|krow| phox_tensor::gemm::simd::dot(qh, &krow[lo..hi]) * scale)
-                    .collect();
-                let w = phox_tensor::ops::softmax_rows(&Matrix::from_vec(1, t, scores)?);
-                // Context product in the same sequential order as the
-                // full path's `ops::matmul_seq`: one accumulator per
-                // output element, ascending context index. The SIMD axpy
-                // vectorizes across the `dh` output columns only, so the
-                // per-element order (and the prefix-invariance oracle)
-                // is bitwise unchanged.
-                let wrow = w.row(0);
-                let ctx = &mut concat.as_mut_slice()[lo..hi];
-                for (j, &wj) in wrow.iter().enumerate() {
-                    phox_tensor::gemm::simd::axpy(ctx, wj, &vbuf[j * d + lo..j * d + hi]);
-                }
+                let (lo, hi) = (head * dh, (head + 1) * dh);
+                // Score j equals element (t-1, j) of the full path's
+                // `qh.matmul(&kh.transpose())` scaled, bit for bit: both
+                // run `simd::dot`'s schedule over the fixed inner
+                // dimension dh. The context keeps the full path's
+                // `ops::matmul_seq` order, one accumulator per output,
+                // context index ascending (the prefix-invariance oracle).
+                simd::attend(
+                    &q.row(0)[lo..hi],
+                    kbuf,
+                    vbuf,
+                    d,
+                    lo,
+                    &mut scores,
+                    &mut concat.as_mut_slice()[lo..hi],
+                );
             }
-            let mha = eng.mm_weight_only(&concat, &lw.w_o)?;
+            let mha = mm(3, &concat)?;
             let res1 = h.add(&mha)?;
             let norm1 = phox_tensor::ops::layer_norm(&res1, &lw.ln1_gamma, &lw.ln1_beta, 1e-9)?;
 
-            let inner = eng.mm_weight_only(&norm1, &lw.w_ff1)?;
+            let inner = mm(4, &norm1)?;
             let activated = match cfg.ff_activation {
                 FfActivation::Relu => phox_tensor::ops::relu(&inner),
                 FfActivation::Gelu => phox_tensor::ops::gelu(&inner),
             };
-            let ffo = eng.mm_weight_only(&activated, &lw.w_ff2)?;
+            let ffo = mm(5, &activated)?;
             let res2 = norm1.add(&ffo)?;
             h = phox_tensor::ops::layer_norm(&res2, &lw.ln2_gamma, &lw.ln2_beta, 1e-9)?;
 
@@ -416,7 +464,7 @@ impl TransformerModel {
             let layers = self.layers().len();
             tr.count("decode", "steps", 1);
             tr.count("decode", "cached_rows", layers as i64);
-            // The m = 1 engine-seam products: Q/K/V, out proj, FF1, FF2.
+            // The m = 1 weight products: Q/K/V, out proj, FF1, FF2.
             tr.count("decode", "gemv_calls", (6 * layers) as i64);
             tr.instant(
                 "decode",
@@ -446,11 +494,12 @@ impl TransformerModel {
     /// decoder-only or `gen_tokens == 0`; shape errors for a malformed
     /// prompt.
     pub fn generate(&self, prompt: &Matrix, gen_tokens: usize) -> Result<Generation, TensorError> {
-        self.generate_with(prompt, gen_tokens, &F64Engine)
+        self.generate_with(prompt, gen_tokens, StepWeights::Engine(&F64Engine))
     }
 
-    /// [`TransformerModel::generate`] on the true int8 datapath with
-    /// weights quantized once and held resident across steps.
+    /// [`TransformerModel::generate`] on the true int8 datapath through
+    /// an [`Int8Decoder`]: weights quantized and packed once, held
+    /// resident across steps.
     ///
     /// # Errors
     ///
@@ -460,14 +509,15 @@ impl TransformerModel {
         prompt: &Matrix,
         gen_tokens: usize,
     ) -> Result<Generation, TensorError> {
-        self.generate_with(prompt, gen_tokens, &ResidentInt8Engine::new(self))
+        let decoder = self.int8_decoder();
+        self.generate_with(prompt, gen_tokens, StepWeights::Packed(&decoder.layers))
     }
 
     fn generate_with(
         &self,
         prompt: &Matrix,
         gen_tokens: usize,
-        eng: &dyn MatmulEngine,
+        weights: StepWeights<'_>,
     ) -> Result<Generation, TensorError> {
         let cfg = self.config();
         if cfg.kind != TransformerKind::DecoderOnly {
@@ -496,14 +546,14 @@ impl TransformerModel {
         // Prefill: prompt rows 0..p-1 build the cache (contexts 1..p-1).
         for r in 0..p - 1 {
             let row = Matrix::row_vector(prompt.row(r));
-            let (_, m) = self.decode_step_with(&mut cache, &row, eng)?;
+            let (_, m) = self.decode_step_with(&mut cache, &row, weights)?;
             prefill_macs += m;
         }
         // Decode: the last prompt row produces generated token 1
         // (context p); each output feeds the next step.
         let mut next = Matrix::row_vector(prompt.row(p - 1));
         for i in 0..gen_tokens {
-            let (out, m) = self.decode_step_with(&mut cache, &next, eng)?;
+            let (out, m) = self.decode_step_with(&mut cache, &next, weights)?;
             decode_macs += m;
             for c in 0..cfg.d_model {
                 tokens.set(i, c, out.get(0, c));

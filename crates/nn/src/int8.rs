@@ -17,12 +17,18 @@
 //! against: [`F64Engine`] multiplies the operands where they lie,
 //! [`PreEngine`] reproduces the fake-quant semantics bit-for-bit
 //! (including which operand sites the fake-quant reference treats), and
-//! [`Int8Engine`] routes every projection through the integer kernel.
+//! [`Int8Engine`] routes every projection through the integer kernel,
+//! quantizing the weight on every call.
+//!
+//! A KV-cached decode step multiplies one activation row by the same
+//! weights on every token, so [`crate::decode::Int8Decoder`] quantizes
+//! each weight once, when it is built, and keeps it as a [`PackedLinear`]:
+//! `Wᵀ` codes plus a scale, multiplied by the transpose-free int8 GEMV
+//! ([`phox_tensor::gemm_i8::gemv_i32_bt`]). Weight quantization is
+//! deterministic and integer sums are exact, so the packed product is
+//! bit-identical to [`Int8Engine`]'s.
 
-use phox_tensor::{Matrix, QuantMatrix, Quantizer, RowQuantMatrix, TensorError};
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::marker::PhantomData;
+use phox_tensor::{gemm_i8, Matrix, QuantMatrix, Quantizer, RowQuantMatrix, TensorError};
 
 /// A linear layer with a pre-quantized int8 weight: quantizes the
 /// incoming activation, multiplies on the int8 kernel with `i32`
@@ -172,57 +178,59 @@ impl MatmulEngine for Int8Engine {
     }
 }
 
-/// [`Int8Engine`] semantics with weights quantized once and kept
-/// resident in int8 form across calls — how the accelerator actually
-/// holds weights during autoregressive decode, where the same layer
-/// weights are hit once per generated token. Weight quantization
-/// ([`QuantLinear::from_weight`]) is deterministic, so memoization is
-/// bitwise-neutral: this engine produces exactly the bytes the stateless
-/// [`Int8Engine`] does, just without re-calibrating `O(layers)` weights
-/// every step.
-///
-/// Weights are keyed by `(data pointer, rows, cols)`; the lifetime
-/// parameter ties the cache to a borrow of the owning model so a key
-/// can never outlive (and thus never alias) the weight it describes.
-pub(crate) struct ResidentInt8Engine<'w> {
-    memo: RefCell<HashMap<(usize, usize, usize), QuantLinear>>,
-    _weights: PhantomData<&'w ()>,
+/// A weight quantized once, per tensor as [`QuantLinear::from_weight`]
+/// quantizes it, and kept as packed `Wᵀ` codes plus its scale — the
+/// layout [`gemm_i8::gemv_i32_bt`] reads — for the single-row products of
+/// a KV-cached decode step. One row through it is bit-identical to the
+/// same row through [`Int8Engine`]: the same levels, the same exact `i32`
+/// sums, and the same `row_scale × weight_scale` dequantization.
+pub(crate) struct PackedLinear {
+    /// Row-major `n × k` codes of `Wᵀ`.
+    codes_t: Vec<i8>,
+    scale: f64,
+    k: usize,
+    n: usize,
 }
 
-impl<'w> ResidentInt8Engine<'w> {
-    /// A fresh engine whose cache lives as long as the borrow of the
-    /// weight owner (typically the model).
-    pub fn new<T>(_weights: &'w T) -> Self {
-        ResidentInt8Engine {
-            memo: RefCell::new(HashMap::new()),
-            _weights: PhantomData,
+impl PackedLinear {
+    /// Quantizes the `k × n` weight `w` and packs its codes as `Wᵀ`.
+    pub fn new(w: &Matrix) -> Self {
+        let (k, n) = w.shape();
+        let qw = Quantizer::calibrate(w).quantize(w);
+        let codes_t = gemm_i8::transpose_i8(qw.as_i8_slice(), k, n)
+            .unwrap_or_else(|_| unreachable!("quantized codes are k × n by construction"));
+        PackedLinear {
+            codes_t,
+            scale: qw.scale(),
+            k,
+            n,
         }
     }
-}
 
-impl MatmulEngine for ResidentInt8Engine<'_> {
-    fn mm(&self, a: &Matrix, w: &Matrix) -> Result<Matrix, TensorError> {
-        let key = (w.as_slice().as_ptr() as usize, w.rows(), w.cols());
-        let mut memo = self.memo.borrow_mut();
-        let layer = memo
-            .entry(key)
-            .or_insert_with(|| QuantLinear::from_weight(w));
-        layer.forward_rowwise(a)
-    }
-
-    fn mm_weight_only(&self, a: &Matrix, w: &Matrix) -> Result<Matrix, TensorError> {
-        self.mm(a, w)
-    }
-
-    fn int8_aggregation(&self) -> bool {
-        true
+    /// `x · W` for a single activation row `x` (`1 × k`), calibrated per
+    /// row as [`QuantLinear::forward_rowwise`] calibrates it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] unless `x` is `1 × k`.
+    pub fn forward_row(&self, x: &Matrix) -> Result<Matrix, TensorError> {
+        if x.rows() != 1 || x.cols() != self.k {
+            return Err(TensorError::ShapeMismatch {
+                lhs: x.shape(),
+                rhs: (self.k, self.n),
+            });
+        }
+        let qx = RowQuantMatrix::quantize_rows(x);
+        let sums = gemm_i8::gemv_i32_bt(qx.as_i8_slice(), &self.codes_t, self.k, self.n)?;
+        let scale = qx.scales()[0] * self.scale;
+        Matrix::from_vec(1, self.n, sums.iter().map(|&s| s as f64 * scale).collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phox_tensor::{gemm_i8, quant, stats, Prng};
+    use phox_tensor::{quant, stats, Prng};
 
     #[test]
     fn quant_linear_matches_raw_kernel_exactly() {
@@ -273,20 +281,23 @@ mod tests {
     }
 
     #[test]
-    fn resident_engine_matches_stateless_bitwise() {
-        let w1 = Prng::new(9).xavier(10, 4);
-        let w2 = Prng::new(10).xavier(10, 4);
-        let x = Prng::new(11).fill_normal(3, 10, 0.0, 1.0);
-        let weights = (w1, w2);
-        let resident = ResidentInt8Engine::new(&weights);
-        for w in [&weights.0, &weights.1] {
-            // Twice per weight: the second call hits the memo.
-            for _ in 0..2 {
-                assert_eq!(resident.mm(&x, w).unwrap(), Int8Engine.mm(&x, w).unwrap());
+    fn packed_linear_matches_stateless_engine_bitwise() {
+        // Inner dimensions around the 16/32-byte SIMD steps of the i8
+        // dot, and a zero row (scale 1.0, all-zero codes).
+        for (k, n) in [(10usize, 4usize), (16, 3), (33, 7), (64, 64)] {
+            let w = Prng::new(9 + k as u64).xavier(k, n);
+            let packed = PackedLinear::new(&w);
+            for x in [
+                Prng::new(11).fill_normal(1, k, 0.0, 1.0),
+                Matrix::zeros(1, k),
+            ] {
+                let y = packed.forward_row(&x).unwrap();
+                assert_eq!(y, Int8Engine.mm(&x, &w).unwrap(), "k={k} n={n}");
             }
         }
-        assert_eq!(resident.memo.borrow().len(), 2);
-        assert!(resident.int8_aggregation());
+        let packed = PackedLinear::new(&Prng::new(12).xavier(10, 4));
+        assert!(packed.forward_row(&Matrix::zeros(2, 10)).is_err());
+        assert!(packed.forward_row(&Matrix::zeros(1, 9)).is_err());
     }
 
     #[test]

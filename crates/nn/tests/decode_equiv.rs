@@ -59,43 +59,58 @@ fn decode_all_int8(model: &TransformerModel, x: &Matrix) -> Matrix {
     out
 }
 
+/// `(heads, d_model)` of the fixed-shape oracles: d_head 8 (no 16-lane
+/// body in the score dot) and d_head 20 (a 16-lane body plus a tail).
+const HEAD_SHAPES: [(usize, usize); 2] = [(4, 32), (2, 40)];
+
 #[test]
 fn f64_decode_matches_full_forward_on_every_prefix() {
-    let model = TransformerModel::random(decoder_cfg(2, 4, 32, 12), 41).unwrap();
-    let x = Prng::new(42).fill_normal(12, 32, 0.0, 1.0);
-    let incremental = decode_all_f64(&model, &x);
-    // Every decode step t must match the last row of the full causal
-    // forward over the prefix x[0..=t].
-    for t in 1..=x.rows() {
-        let prefix = Matrix::from_vec(t, 32, x.as_slice()[..t * 32].to_vec()).unwrap();
-        let full = model.forward_prefix(&prefix).unwrap();
-        let err = max_rel_err(incremental.row(t - 1), full.row(t - 1));
-        assert!(err <= 1e-9, "prefix {t}: rel err {err}");
+    for (heads, d) in HEAD_SHAPES {
+        let model = TransformerModel::random(decoder_cfg(2, heads, d, 12), 41).unwrap();
+        let x = Prng::new(42).fill_normal(12, d, 0.0, 1.0);
+        let incremental = decode_all_f64(&model, &x);
+        // Every decode step t must match the last row of the full causal
+        // forward over the prefix x[0..=t].
+        for t in 1..=x.rows() {
+            let prefix = Matrix::from_vec(t, d, x.as_slice()[..t * d].to_vec()).unwrap();
+            let full = model.forward_prefix(&prefix).unwrap();
+            let err = max_rel_err(incremental.row(t - 1), full.row(t - 1));
+            assert!(err <= 1e-9, "d_model {d}, prefix {t}: rel err {err}");
+        }
     }
 }
 
 #[test]
 fn int8_decode_is_exactly_full_forward() {
-    let model = TransformerModel::random(decoder_cfg(2, 4, 32, 10), 43).unwrap();
-    let x = Prng::new(44).fill_normal(10, 32, 0.0, 1.0);
-    let incremental = decode_all_int8(&model, &x);
-    for t in 1..=x.rows() {
-        let prefix = Matrix::from_vec(t, 32, x.as_slice()[..t * 32].to_vec()).unwrap();
-        let full = model.forward_prefix_int8(&prefix).unwrap();
-        assert_eq!(incremental.row(t - 1), full.row(t - 1), "prefix {t}");
+    for (heads, d) in HEAD_SHAPES {
+        let model = TransformerModel::random(decoder_cfg(2, heads, d, 10), 43).unwrap();
+        let x = Prng::new(44).fill_normal(10, d, 0.0, 1.0);
+        let incremental = decode_all_int8(&model, &x);
+        for t in 1..=x.rows() {
+            let prefix = Matrix::from_vec(t, d, x.as_slice()[..t * d].to_vec()).unwrap();
+            let full = model.forward_prefix_int8(&prefix).unwrap();
+            assert_eq!(
+                incremental.row(t - 1),
+                full.row(t - 1),
+                "d_model {d}, prefix {t}"
+            );
+        }
     }
 }
 
 #[test]
 fn stateless_int8_step_matches_resident_decoder() {
-    let model = TransformerModel::random(decoder_cfg(2, 2, 16, 6), 45).unwrap();
-    let x = Prng::new(46).fill_normal(6, 16, 0.0, 1.0);
-    let resident = decode_all_int8(&model, &x);
-    let mut cache = KvCache::new(model.config(), 6).unwrap();
-    for r in 0..6 {
-        let row = Matrix::row_vector(x.row(r));
-        let y = model.decode_step_int8(&mut cache, &row).unwrap();
-        assert_eq!(y.row(0), resident.row(r), "step {r}");
+    // d_head 8, then d_head 20.
+    for (heads, d) in [(2, 16), (2, 40)] {
+        let model = TransformerModel::random(decoder_cfg(2, heads, d, 6), 45).unwrap();
+        let x = Prng::new(46).fill_normal(6, d, 0.0, 1.0);
+        let resident = decode_all_int8(&model, &x);
+        let mut cache = KvCache::new(model.config(), 6).unwrap();
+        for r in 0..6 {
+            let row = Matrix::row_vector(x.row(r));
+            let y = model.decode_step_int8(&mut cache, &row).unwrap();
+            assert_eq!(y.row(0), resident.row(r), "d_model {d}, step {r}");
+        }
     }
 }
 

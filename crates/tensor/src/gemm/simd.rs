@@ -37,6 +37,13 @@
 //!   [`crate::sparse`] row accumulator and the [`crate::ops::matmul_seq`]
 //!   decode GEMV, whose sequential-in-`k` accumulation order is a
 //!   documented invariant (prefix invariance) that must not change.
+//! * [`attend`] fuses one head of a KV-cached decode step: scores in the
+//!   [`dot`] schedule (four cached rows at a time, whose horizontal folds
+//!   share one 4×4 transpose), softmax in place through
+//!   [`crate::ops::softmax_in_place`], and the context accumulated in
+//!   registers with [`axpy`]'s unfused multiply-then-add, rows ascending.
+//!   Every output bit equals the per-row `dot` → `softmax_rows` → `axpy`
+//!   composition, which its scalar twin [`attend_scalar`] spells out.
 //!
 //! Dispatch follows the [`crate::gemm_i8`] idiom: cached once-per-process
 //! feature detection (`avx2` **and** `fma` here), with a
@@ -152,12 +159,75 @@ pub fn axpy_unit_scalar(out: &mut [f64], b: &[f64]) {
     }
 }
 
+/// Checks the operands of [`attend`]: `t = scores.len()` cached rows of
+/// `stride` values in `keys` and in `values`, a head slice
+/// `lo..lo + q.len()` inside each row, and one output per head column.
+/// The AVX2 kernel's pointer arithmetic relies on exactly these bounds.
+fn check_attend(
+    q: &[f64],
+    keys: &[f64],
+    values: &[f64],
+    stride: usize,
+    lo: usize,
+    scores: &[f64],
+    out: &[f64],
+) {
+    assert!(stride > 0, "attend row stride is zero");
+    assert_eq!(keys.len(), values.len(), "attend K and V caches differ");
+    assert_eq!(keys.len() % stride, 0, "attend cache is not t × stride");
+    assert_eq!(
+        scores.len(),
+        keys.len() / stride,
+        "attend needs one score per cached row"
+    );
+    assert!(
+        lo.checked_add(q.len()).is_some_and(|hi| hi <= stride),
+        "attend head slice overruns the row"
+    );
+    assert_eq!(out.len(), q.len(), "attend output is not one head wide");
+}
+
+/// Scalar [`attend`] kernel: [`dot_scalar`] per cached row,
+/// [`crate::ops::softmax_in_place`], then [`axpy_scalar`] per cached
+/// row, ascending — the composition the AVX2 kernel reproduces bit for
+/// bit. Public so equivalence suites can pin the dispatched kernel
+/// against it regardless of which path dispatch selected.
+///
+/// # Panics
+///
+/// Panics on the operand shapes [`attend`] rejects.
+pub fn attend_scalar(
+    q: &[f64],
+    keys: &[f64],
+    values: &[f64],
+    stride: usize,
+    lo: usize,
+    scores: &mut [f64],
+    out: &mut [f64],
+) {
+    check_attend(q, keys, values, stride, lo, scores, out);
+    let (hi, scale) = (lo + q.len(), attention_scale(q.len()));
+    for (s, krow) in scores.iter_mut().zip(keys.chunks_exact(stride)) {
+        *s = dot_scalar(q, &krow[lo..hi]) * scale;
+    }
+    crate::ops::softmax_in_place(scores);
+    for (&w, vrow) in scores.iter().zip(values.chunks_exact(stride)) {
+        axpy_scalar(out, w, &vrow[lo..hi]);
+    }
+}
+
+/// The score scale `1/√d_h` of scaled dot-product attention.
+fn attention_scale(dh: usize) -> f64 {
+    1.0 / (dh as f64).sqrt()
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::{
         __m128d, __m256d, _mm256_add_pd, _mm256_castpd256_pd128, _mm256_extractf128_pd,
-        _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd,
-        _mm256_storeu_pd, _mm_add_pd, _mm_add_sd, _mm_cvtsd_f64, _mm_unpackhi_pd,
+        _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_permute2f128_pd, _mm256_set1_pd,
+        _mm256_set_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_unpackhi_pd, _mm256_unpacklo_pd,
+        _mm_add_pd, _mm_add_sd, _mm_cvtsd_f64, _mm_unpackhi_pd,
     };
 
     /// AVX2+FMA dot product: four 4-lane accumulators advanced by one
@@ -332,6 +402,162 @@ mod x86 {
         }
     }
 
+    /// AVX2+FMA [`super::attend`]. Scores run four cached rows at a time:
+    /// each row's head slice advances four accumulators through the 16-lane
+    /// body of [`dot_avx2`] and folds them to `w = (acc0 + acc1) + (acc2 +
+    /// acc3)`; one 4×4 transpose then turns the four rows' `w` into lane
+    /// columns `c0..c3`, so `(c0 + c2) + (c1 + c3)` is every row's
+    /// horizontal fold at once, and the in-order fused tail runs on all
+    /// four rows in one vector. Leftover rows call [`dot_avx2`]. The
+    /// context keeps up to sixteen output columns in registers across all
+    /// cached rows with [`axpy_avx2`]'s unfused `o + w·v`, rows ascending;
+    /// the last `q.len() % 4` columns do the same in scalar code.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 and FMA are available and that the
+    /// operands pass [`super::check_attend`].
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn attend_avx2(
+        q: &[f64],
+        keys: &[f64],
+        values: &[f64],
+        stride: usize,
+        lo: usize,
+        scores: &mut [f64],
+        out: &mut [f64],
+    ) {
+        use super::DOT_LANES;
+        let (dh, t) = (q.len(), scores.len());
+        let body = dh - dh % DOT_LANES;
+        let scale = super::attention_scale(dh);
+        let (qp, kp) = (q.as_ptr(), keys.as_ptr());
+        let mut j = 0usize;
+        while j + 4 <= t {
+            let mut rows = [kp; 4];
+            let mut w = [_mm256_setzero_pd(); 4];
+            for (r, (row, wr)) in rows.iter_mut().zip(&mut w).enumerate() {
+                // SAFETY: row j + r is below t, and the checked operands
+                // put its head slice lo..lo + dh inside `keys`.
+                *row = kp.add((j + r) * stride + lo);
+                *wr = dot_lanes(qp, *row, body);
+            }
+            let (t0, t1) = (
+                _mm256_unpacklo_pd(w[0], w[1]),
+                _mm256_unpackhi_pd(w[0], w[1]),
+            );
+            let (t2, t3) = (
+                _mm256_unpacklo_pd(w[2], w[3]),
+                _mm256_unpackhi_pd(w[2], w[3]),
+            );
+            // Lane r of c_l is lane l of w[r].
+            let c0 = _mm256_permute2f128_pd::<0x20>(t0, t2);
+            let c1 = _mm256_permute2f128_pd::<0x20>(t1, t3);
+            let c2 = _mm256_permute2f128_pd::<0x31>(t0, t2);
+            let c3 = _mm256_permute2f128_pd::<0x31>(t1, t3);
+            let mut acc = _mm256_add_pd(_mm256_add_pd(c0, c2), _mm256_add_pd(c1, c3));
+            for k in body..dh {
+                // SAFETY: k < dh, inside `q` and inside each head slice.
+                let kv = _mm256_set_pd(
+                    *rows[3].add(k),
+                    *rows[2].add(k),
+                    *rows[1].add(k),
+                    *rows[0].add(k),
+                );
+                acc = _mm256_fmadd_pd(_mm256_set1_pd(*qp.add(k)), kv, acc);
+            }
+            // SAFETY: j + 4 <= t = scores.len().
+            _mm256_storeu_pd(
+                scores.as_mut_ptr().add(j),
+                _mm256_mul_pd(acc, _mm256_set1_pd(scale)),
+            );
+            j += 4;
+        }
+        for (s, krow) in scores.iter_mut().zip(keys.chunks_exact(stride)).skip(j) {
+            *s = dot_avx2(q, &krow[lo..lo + dh]) * scale;
+        }
+        crate::ops::softmax_in_place(scores);
+
+        let (vp, op) = (values.as_ptr(), out.as_mut_ptr());
+        let mut c = 0usize;
+        while c + 4 <= dh {
+            let width = if c + 16 <= dh { 16 } else { 4 };
+            // SAFETY: the checked operands put columns lo + c..lo + c +
+            // width of every cached row inside `values`, and c..c + width
+            // inside `out`; no row pointer is formed when t = 0.
+            if width == 16 {
+                context_block::<4>(scores, vp, stride, lo + c, op.add(c));
+            } else {
+                context_block::<1>(scores, vp, stride, lo + c, op.add(c));
+            }
+            c += width;
+        }
+        for (col, o) in out.iter_mut().enumerate().skip(c) {
+            for (&w, vrow) in scores.iter().zip(values.chunks_exact(stride)) {
+                *o += w * vrow[lo + col];
+            }
+        }
+    }
+
+    /// One cached row's 16-lane [`dot_avx2`] body over `body` elements,
+    /// folded lane-wise to `(acc0 + acc1) + (acc2 + acc3)`. A copy of that
+    /// body rather than a call into it: `dot_avx2` is the blocked GEMM's
+    /// per-element kernel, and splitting it would move its code.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 and FMA are available and that `a` and `b`
+    /// each point to at least `body` elements.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn dot_lanes(a: *const f64, b: *const f64, body: usize) -> __m256d {
+        let mut acc = [_mm256_setzero_pd(); 4];
+        let mut k = 0usize;
+        while k < body {
+            for (v, av) in acc.iter_mut().enumerate() {
+                let i = k + 4 * v;
+                *av = _mm256_fmadd_pd(_mm256_loadu_pd(a.add(i)), _mm256_loadu_pd(b.add(i)), *av);
+            }
+            k += super::DOT_LANES;
+        }
+        _mm256_add_pd(_mm256_add_pd(acc[0], acc[1]), _mm256_add_pd(acc[2], acc[3]))
+    }
+
+    /// `out[i] += w[j] · v[j·stride + col + i]` for `i < 4·V` and every
+    /// `j` ascending, the outputs held in `V` registers across all rows
+    /// and each row added as [`axpy_avx2`] adds it: product rounded, then
+    /// added.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available, `out` points to `4·V`
+    /// elements, and `v + j·stride + col` points to `4·V` elements for
+    /// every `j < w.len()`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn context_block<const V: usize>(
+        w: &[f64],
+        v: *const f64,
+        stride: usize,
+        col: usize,
+        out: *mut f64,
+    ) {
+        let mut acc = [_mm256_setzero_pd(); V];
+        for (i, a) in acc.iter_mut().enumerate() {
+            *a = _mm256_loadu_pd(out.add(4 * i));
+        }
+        for (j, &wj) in w.iter().enumerate() {
+            let x = _mm256_set1_pd(wj);
+            let row = v.add(j * stride + col);
+            for (i, a) in acc.iter_mut().enumerate() {
+                *a = _mm256_add_pd(*a, _mm256_mul_pd(x, _mm256_loadu_pd(row.add(4 * i))));
+            }
+        }
+        for (i, a) in acc.iter().enumerate() {
+            _mm256_storeu_pd(out.add(4 * i), *a);
+        }
+    }
+
     /// AVX2 `o[j] += b[j]`.
     ///
     /// # Safety
@@ -452,6 +678,47 @@ pub fn axpy(out: &mut [f64], x: f64, b: &[f64]) {
     axpy_scalar(out, x, b);
 }
 
+/// One head of scaled dot-product attention for a single query over a
+/// row-major K/V cache: `keys` and `values` hold `t = scores.len()` rows
+/// of `stride` values, the head occupies columns `lo..lo + q.len()` of
+/// each row, and
+///
+/// * `scores[j] = dot(q, K_j[lo..lo + d_h]) · (1/√d_h)`,
+/// * `scores` is then softmax-normalised in place,
+/// * `out[c] += scores[j] · V_j[lo + c]` for every `j`, ascending.
+///
+/// Every output bit equals that per-row `dot` →
+/// [`crate::ops::softmax_rows`] → [`axpy`] composition — and therefore
+/// the full causal forward's `ops::matmul_seq` context row when `out`
+/// starts at zero. Dispatches to AVX2+FMA when available; otherwise runs
+/// [`attend_scalar`]. With `t = 0` nothing is written.
+///
+/// # Panics
+///
+/// Panics unless `keys.len() == values.len()` is a multiple of a nonzero
+/// `stride` with `keys.len() / stride == scores.len()`,
+/// `lo + q.len() <= stride`, and `out.len() == q.len()`.
+#[inline]
+pub fn attend(
+    q: &[f64],
+    keys: &[f64],
+    values: &[f64],
+    stride: usize,
+    lo: usize,
+    scores: &mut [f64],
+    out: &mut [f64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if x86::simd_usable() {
+        check_attend(q, keys, values, stride, lo, scores, out);
+        // SAFETY: AVX2+FMA availability was just checked, and so were
+        // the operand shapes every pointer offset in the kernel relies on.
+        unsafe { x86::attend_avx2(q, keys, values, stride, lo, scores, out) };
+        return;
+    }
+    attend_scalar(q, keys, values, stride, lo, scores, out);
+}
+
 /// `out[j] += b[j]` over `min(out.len(), b.len())` elements — the
 /// unit-weight edge case of [`axpy`], kept separate so the sparse
 /// accumulator's weightless path skips the broadcast multiply.
@@ -545,6 +812,22 @@ mod tests {
     #[should_panic(expected = "gemv operand is not k × n")]
     fn gemv_rejects_a_misshapen_operand() {
         gemv(&[1.0, 2.0], &[1.0, 2.0, 3.0], &mut [0.0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "attend head slice overruns the row")]
+    fn attend_rejects_a_head_past_the_row() {
+        // Two rows of stride 4; a 3-wide head at offset 2 would read
+        // past each row.
+        attend(
+            &[1.0; 3],
+            &[0.0; 8],
+            &[0.0; 8],
+            4,
+            2,
+            &mut [0.0; 2],
+            &mut [0.0; 3],
+        );
     }
 
     #[test]

@@ -215,7 +215,8 @@ pub fn gemv_i32(a: &[i8], b: &[i8], k: usize, n: usize) -> Result<Vec<i32>, Tens
 /// i.e. the packed `Bᵀ` panel layout the GEMM kernels use): one SIMD
 /// [`dot_i8`] per output element. The fast path when the caller keeps
 /// `Bᵀ` resident across decode steps — each dot reads two contiguous
-/// `k`-byte panels. Bit-identical to [`gemv_i32`].
+/// `k`-byte panels. Bit-identical to [`gemv_i32`], and traced exactly as
+/// [`matmul_i32`] traces an `m = 1` product.
 ///
 /// # Errors
 ///
@@ -224,7 +225,33 @@ pub fn gemv_i32(a: &[i8], b: &[i8], k: usize, n: usize) -> Result<Vec<i32>, Tens
 pub fn gemv_i32_bt(a: &[i8], bt: &[i8], k: usize, n: usize) -> Result<Vec<i32>, TensorError> {
     check_len(a.len(), k)?;
     check_len(bt.len(), n * k)?;
+    trace_product(1, k, n);
     Ok((0..n).map(|j| dot_i8(a, &bt[j * k..(j + 1) * k])).collect())
+}
+
+/// Records one `m × k × n` int8 product on the "int8" trace track,
+/// mirroring the f64 kernel's "gemm" track: only geometry-derived
+/// quantities, so traces stay byte-identical across thread counts.
+fn trace_product(m: usize, k: usize, n: usize) {
+    if phox_trace::enabled() {
+        let tr = phox_trace::active();
+        tr.count("int8", "gemm_calls", 1);
+        if m == 1 {
+            tr.count("int8", "gemv_calls", 1);
+        }
+        tr.count("int8", "macs", (m * k * n) as i64);
+        tr.instant(
+            "int8",
+            "gemm_kernel",
+            vec![
+                ("m", phox_trace::Value::UInt(m as u64)),
+                ("k", phox_trace::Value::UInt(k as u64)),
+                ("n", phox_trace::Value::UInt(n as u64)),
+                ("panel_nc", phox_trace::Value::UInt(NC as u64)),
+                ("simd", phox_trace::Value::UInt(u64::from(simd_active()))),
+            ],
+        );
+    }
 }
 
 /// Computes output rows `[row0, row0 + band_rows)` into `band`
@@ -324,27 +351,7 @@ pub fn matmul_i32(
 ) -> Result<Vec<i32>, TensorError> {
     check_len(a.len(), m * k)?;
     check_len(b.len(), k * n)?;
-    if phox_trace::enabled() {
-        // Mirrors the f64 kernel's "gemm" track: only geometry-derived
-        // quantities, so traces stay byte-identical across thread counts.
-        let tr = phox_trace::active();
-        tr.count("int8", "gemm_calls", 1);
-        if m == 1 {
-            tr.count("int8", "gemv_calls", 1);
-        }
-        tr.count("int8", "macs", (m * k * n) as i64);
-        tr.instant(
-            "int8",
-            "gemm_kernel",
-            vec![
-                ("m", phox_trace::Value::UInt(m as u64)),
-                ("k", phox_trace::Value::UInt(k as u64)),
-                ("n", phox_trace::Value::UInt(n as u64)),
-                ("panel_nc", phox_trace::Value::UInt(NC as u64)),
-                ("simd", phox_trace::Value::UInt(u64::from(simd_active()))),
-            ],
-        );
-    }
+    trace_product(m, k, n);
     let mut out = vec![0i32; m * n];
     if m == 0 || n == 0 || k == 0 {
         return Ok(out);

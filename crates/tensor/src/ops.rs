@@ -36,25 +36,33 @@ use crate::{Matrix, TensorError};
 pub fn softmax_rows(logits: &Matrix) -> Matrix {
     let mut out = logits.clone();
     for r in 0..out.rows() {
-        let row = out.row_mut(r);
-        let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        if max == f64::NEG_INFINITY {
-            // Fully-masked (or empty) row: exp(v - max) would be NaN.
-            row.fill(0.0);
-            continue;
-        }
-        let mut sum = 0.0;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        if sum > 0.0 {
-            for v in row.iter_mut() {
-                *v /= sum;
-            }
-        }
+        softmax_in_place(out.row_mut(r));
     }
     out
+}
+
+/// The row body of [`softmax_rows`], applied in place to one row: every
+/// output bit equals the corresponding row of `softmax_rows`, including
+/// the all-zero result for a fully-masked (all `-inf`) or empty row.
+/// The fused decode attention kernel
+/// ([`crate::gemm::simd::attend`]) normalises its scores through it.
+pub fn softmax_in_place(row: &mut [f64]) {
+    let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    if max == f64::NEG_INFINITY {
+        // Fully-masked (or empty) row: exp(v - max) would be NaN.
+        row.fill(0.0);
+        return;
+    }
+    let mut sum = 0.0;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    if sum > 0.0 {
+        for v in row.iter_mut() {
+            *v /= sum;
+        }
+    }
 }
 
 /// Matrix product with a strictly sequential accumulation order over the

@@ -360,11 +360,13 @@ impl RowQuantMatrix {
         }
         let sums = gemm_i8::matmul_i32(&self.data, &rhs.data, self.rows, self.cols, rhs.cols)?;
         let n = rhs.cols;
-        let data = sums
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| s as f64 * (self.scales[i / n.max(1)] * rhs.scale))
-            .collect();
+        let mut data = Vec::with_capacity(sums.len());
+        if n > 0 {
+            for (row, &row_scale) in sums.chunks_exact(n).zip(&self.scales) {
+                let scale = row_scale * rhs.scale;
+                data.extend(row.iter().map(|&s| s as f64 * scale));
+            }
+        }
         Ok(Matrix::from_vec(self.rows, n, data)
             .unwrap_or_else(|_| unreachable!("length is rows*cols by construction")))
     }
@@ -565,6 +567,24 @@ mod tests {
         let q = RowQuantMatrix::quantize_rows(&x);
         assert_eq!(q.scales(), &[1.0, 1.0]);
         assert!(q.as_i8_slice().iter().all(|&v| v == 0));
+    }
+
+    #[test]
+    fn row_quant_matmul_with_no_output_columns_or_rows_is_empty() {
+        let w = Quantizer::with_scale(1.0)
+            .unwrap()
+            .quantize(&Matrix::zeros(3, 0));
+        let y = RowQuantMatrix::quantize_rows(&Matrix::filled(2, 3, 0.5))
+            .matmul(&w)
+            .unwrap();
+        assert_eq!(y.shape(), (2, 0));
+        let w = Quantizer::with_scale(1.0)
+            .unwrap()
+            .quantize(&Matrix::filled(3, 4, 0.5));
+        let y = RowQuantMatrix::quantize_rows(&Matrix::zeros(0, 3))
+            .matmul(&w)
+            .unwrap();
+        assert_eq!(y.shape(), (0, 4));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 
 use phox_tensor::gemm::{self, simd};
-use phox_tensor::{parallel, Matrix};
+use phox_tensor::{ops, parallel, Matrix};
 
 /// Strategy: an f64 buffer of exactly `len` elements mixing unit-scale
 /// values, exact zeros, huge/tiny magnitudes, and subnormals — the
@@ -42,6 +42,73 @@ fn operands(len: usize) -> impl Strategy<Value = Vec<f64>> {
 
 fn bits(m: &Matrix) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Strategy: plain unit-range values.
+fn unit(len: usize) -> impl Strategy<Value = Vec<f64>> {
+    proptest::collection::vec(-1.0f64..1.0, len)
+}
+
+/// Strategy: one attention head `(t, d_h, stride, lo)` over a cache of
+/// `t` rows. `t` covers every tail of the four-row score groups; `d_h`
+/// covers `d_h < 4`, no 16-lane body, and a body plus a tail; a row
+/// wider than the head (`stride > d_h`) mostly puts it at an offset
+/// `lo > 0`, as in a multi-head cache.
+fn head_shapes() -> impl Strategy<Value = (usize, usize, usize, usize)> {
+    (1usize..=70, 1usize..=40, 0usize..=8)
+        .prop_flat_map(|(t, dh, pad)| (Just((t, dh, pad)), 0usize..=pad))
+        .prop_map(|((t, dh, pad), lo)| (t, dh, dh + pad, lo))
+}
+
+/// The signature shared by [`simd::attend`] and [`simd::attend_scalar`].
+type AttendFn = fn(&[f64], &[f64], &[f64], usize, usize, &mut [f64], &mut [f64]);
+
+/// Both attention kernels, starting from a zero context, must equal the
+/// explicit composition bit for bit: `dot(q, K_j[lo..lo + d_h]) / √d_h`
+/// per cached row, then `ops::softmax_rows`, then `ops::matmul_seq` over
+/// the head slice of `V`.
+fn check_attend(
+    t: usize,
+    dh: usize,
+    stride: usize,
+    lo: usize,
+    q: &[f64],
+    keys: &[f64],
+    values: &[f64],
+) -> Result<(), TestCaseError> {
+    let hi = lo + dh;
+    let scale = 1.0 / (dh as f64).sqrt();
+    let scores: Vec<f64> = keys
+        .chunks_exact(stride)
+        .map(|krow| simd::dot(q, &krow[lo..hi]) * scale)
+        .collect();
+    let weights = ops::softmax_rows(&Matrix::from_vec(1, t, scores).unwrap());
+    let vh: Vec<f64> = values
+        .chunks_exact(stride)
+        .flat_map(|vrow| vrow[lo..hi].iter().copied())
+        .collect();
+    let expect = bits(&ops::matmul_seq(&weights, &Matrix::from_vec(t, dh, vh).unwrap()).unwrap());
+
+    let mut scores = vec![f64::NAN; t];
+    for (name, kernel) in [
+        ("dispatched", simd::attend as AttendFn),
+        ("scalar", simd::attend_scalar),
+    ] {
+        let mut out = vec![0.0; dh];
+        kernel(q, keys, values, stride, lo, &mut scores, &mut out);
+        let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(
+            &got,
+            &expect,
+            "{} kernel, t = {}, d_h = {}, stride = {}, lo = {}",
+            name,
+            t,
+            dh,
+            stride,
+            lo
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -139,6 +206,28 @@ proptest! {
     }
 
     #[test]
+    fn attend_bitwise_equals_dot_softmax_matmul_seq_composition(
+        ((t, dh, stride, lo), q, keys, values) in head_shapes().prop_flat_map(|s| {
+            (Just(s), operands(s.1), operands(s.0 * s.2), operands(s.0 * s.2))
+        }),
+    ) {
+        check_attend(t, dh, stride, lo, &q, &keys, &values)?;
+    }
+
+    #[test]
+    fn attend_on_unit_operands_bitwise_equals_composition(
+        ((t, dh, stride, lo), q, keys, values) in head_shapes().prop_flat_map(|s| {
+            (Just(s), unit(s.1), unit(s.0 * s.2), unit(s.0 * s.2))
+        }),
+    ) {
+        // The huge magnitudes of `operands` saturate the softmax to
+        // one-hot weights, which hide the low score bits; unit-range
+        // operands keep every score bit visible in the output, so a
+        // reordered fold or a fused context add fails here.
+        check_attend(t, dh, stride, lo, &q, &keys, &values)?;
+    }
+
+    #[test]
     fn gemm_is_byte_identical_across_thread_counts(
         ((m, k, n), a, b) in (1usize..=24, 0usize..=32, 1usize..=24)
             .prop_flat_map(|(m, k, n)| {
@@ -166,6 +255,21 @@ fn large_gemm_is_byte_identical_across_thread_counts() {
     for threads in [1usize, 2, 4, 8] {
         let par = parallel::with_threads(threads, || gemm::matmul(&a, &b).unwrap());
         assert_eq!(bits(&par), bits(&serial), "threads = {threads}");
+    }
+}
+
+/// An empty context attends to nothing: `out` keeps every bit, on both
+/// kernels, even where a head offset lies past the (empty) cache.
+#[test]
+fn attend_over_an_empty_cache_leaves_out_untouched() {
+    let start = [1.5, -0.0, f64::NAN, f64::MIN_POSITIVE * 1e-3, -3.0];
+    let q = [0.25; 5];
+    for kernel in [simd::attend as AttendFn, simd::attend_scalar] {
+        let mut out = start;
+        kernel(&q, &[], &[], 9, 3, &mut [], &mut out);
+        let out_bits: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+        let start_bits: Vec<u64> = start.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(out_bits, start_bits);
     }
 }
 
