@@ -2,11 +2,13 @@
 //!
 //! Six snapshots are produced:
 //!
-//! * **gemm** (`BENCH_1.json`): the textbook i-j-k loop, the
-//!   cache-blocked packed-`Bᵀ` kernel, and the blocked kernel with
-//!   row-band parallelism at 64 / 256 / 1024. The acceptance gate for the
-//!   parallel backend PR is the blocked kernel reaching ≥4× over naive at
-//!   1024.
+//! * **gemm** (`BENCH_1.json`): the textbook i-j-k loop, the blocked
+//!   register-tiled microkernel, and the blocked kernel with row-band
+//!   parallelism at 64 / 256 / 1024, each against the per-output dot
+//!   kernel the microkernel replaced (packed `Bᵀ`, one `simd::dot` per
+//!   output). The same pair is timed at every f64 GEMM shape the
+//!   benchmark workloads run, with GMAC/s and a
+//!   `matches_dot_kernel_bitwise` verdict.
 //! * **sparse** (`BENCH_2.json`): CSR aggregation vs the retired per-node
 //!   dense-stack path on a Cora-class R-MAT graph and a 100k-node /
 //!   1M-edge synthetic power-law graph. The acceptance gate for the
@@ -53,7 +55,8 @@
 //! against a forced-scalar blocked reference and record
 //! `simd_speedup` / `simd_bit_identical` verdicts in-run; a bit-identity
 //! failure (or, for gemm with SIMD active, a regression below the
-//! scalar kernel) exits non-zero after writing the snapshot.
+//! scalar kernel) exits non-zero after writing the snapshot. The
+//! `speedup_vs_dot_kernel` ratios are recorded, not gated.
 //!
 //! Usage: `bench_snapshot [gemm|sparse|int8|decode|serve|faults|digest|all]
 //! [OUTPUT.json]`
@@ -99,35 +102,31 @@ fn time_median<F: FnMut() -> Matrix>(reps: usize, f: F) -> f64 {
     time_median_by(reps, f, |m| m.get(0, 0))
 }
 
-/// Paired medians with interleaved sampling: one evaluation of `f`,
-/// then one of `g`, per rep. Slow drift in machine conditions
-/// (frequency ramps, transparent-huge-page promotion, co-tenant load)
-/// then lands on both kernels instead of biasing whichever block was
-/// timed last — the SIMD-vs-scalar ratio verdicts divide these two
-/// numbers, so they must be sampled as a pair.
-fn time_median_pair<R>(
+/// Medians with interleaved sampling: one evaluation of each kernel per
+/// rep, in order. Slow drift in machine conditions (frequency ramps,
+/// transparent-huge-page promotion, co-tenant load) then lands on every
+/// kernel instead of biasing whichever block was timed last — the ratio
+/// verdicts divide these numbers, so they must be sampled together.
+fn time_medians<R, const N: usize>(
     reps: usize,
-    mut f: impl FnMut() -> R,
-    mut g: impl FnMut() -> R,
+    mut fs: [&mut dyn FnMut() -> R; N],
     checksum: impl Fn(&R) -> f64,
-) -> (f64, f64) {
-    let mut acc = checksum(&f()) + checksum(&g());
-    let mut fs: Vec<f64> = Vec::with_capacity(reps);
-    let mut gs: Vec<f64> = Vec::with_capacity(reps);
+) -> [f64; N] {
+    let mut acc: f64 = fs.iter_mut().map(|f| checksum(&f())).sum();
+    let mut samples = [(); N].map(|()| Vec::with_capacity(reps));
     for _ in 0..reps {
-        let t0 = Instant::now();
-        let out = f();
-        fs.push(t0.elapsed().as_secs_f64());
-        acc += checksum(&out);
-        let t0 = Instant::now();
-        let out = g();
-        gs.push(t0.elapsed().as_secs_f64());
-        acc += checksum(&out);
+        for (f, times) in fs.iter_mut().zip(&mut samples) {
+            let t0 = Instant::now();
+            let out = f();
+            times.push(t0.elapsed().as_secs_f64());
+            acc += checksum(&out);
+        }
     }
     assert!(acc.is_finite());
-    fs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    gs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    (fs[reps / 2], gs[reps / 2])
+    samples.map(|mut times| {
+        times.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+        times[reps / 2]
+    })
 }
 
 /// Shared snapshot envelope. Every snapshot carries the same
@@ -158,21 +157,36 @@ fn snapshot_json(
     json
 }
 
-/// The blocked GEMM with the kernel pinned to the public scalar
-/// reference dot: same `Bᵀ` packing, same 16-lane accumulation order,
-/// no SIMD — the in-run baseline for the simd ratio and bit-identity
-/// verdicts (the production kernel must match it bit for bit).
+/// The blocked GEMM with the microkernel pinned to its public scalar
+/// twin: same lane-major panels, same 16-lane accumulation order, no
+/// SIMD — what a `PHOX_FORCE_SCALAR=1` run executes, and the in-run
+/// baseline for the simd ratio and bit-identity verdicts (the production
+/// kernel must match it bit for bit).
 fn matmul_blocked_scalar(a: &Matrix, b: &Matrix) -> Matrix {
+    let panels = gemm::simd::Panels::pack(b.as_slice(), a.cols(), b.cols());
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    gemm::simd::gemm_scalar(a.as_slice(), &panels, out.as_mut_slice());
+    out
+}
+
+/// The blocked kernel the register-blocked microkernel replaced: `B`
+/// transposed into a packed `Bᵀ`, output columns in panels of 64, and
+/// one dispatched [`gemm::simd::dot`] per output — the honest baseline
+/// for `speedup_vs_dot_kernel`. Every output is bit-identical to the
+/// microkernel's.
+fn matmul_dot_kernel(a: &Matrix, b: &Matrix) -> Matrix {
+    const PANEL: usize = 64;
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let bt = gemm::transpose_blocked(b);
-    let btv = bt.as_slice();
-    let av = a.as_slice();
+    let (av, btv) = (a.as_slice(), bt.as_slice());
     let mut out = Matrix::zeros(m, n);
-    for i in 0..m {
-        let arow = &av[i * k..(i + 1) * k];
-        let orow = out.row_mut(i);
-        for (j, o) in orow.iter_mut().enumerate() {
-            *o = gemm::simd::dot_scalar(arow, &btv[j * k..(j + 1) * k]);
+    for jc in (0..n).step_by(PANEL) {
+        for i in 0..m {
+            let arow = &av[i * k..(i + 1) * k];
+            let orow = out.row_mut(i);
+            for (j, o) in orow.iter_mut().enumerate().take(n.min(jc + PANEL)).skip(jc) {
+                *o = gemm::simd::dot(arow, &btv[j * k..(j + 1) * k]);
+            }
         }
     }
     out
@@ -201,18 +215,61 @@ fn spmm_scalar_into(a: &sparse::CsrView<'_>, x: &Matrix, out: &mut Matrix) {
     }
 }
 
+/// The production microkernel against the kernel it replaced at one
+/// shape, timed interleaved.
+struct DotKernelPair {
+    macs: f64,
+    blocked_s: f64,
+    dot_kernel_s: f64,
+    bitwise: bool,
+}
+
+impl DotKernelPair {
+    /// The pair at `a · b` from its interleaved medians.
+    fn new(a: &Matrix, b: &Matrix, blocked_s: f64, dot_kernel_s: f64) -> DotKernelPair {
+        DotKernelPair {
+            macs: (a.rows() * a.cols() * b.cols()) as f64,
+            blocked_s,
+            dot_kernel_s,
+            bitwise: gemm::matmul_blocked(a, b).unwrap() == matmul_dot_kernel(a, b),
+        }
+    }
+
+    fn speedup(&self) -> f64 {
+        self.dot_kernel_s / self.blocked_s
+    }
+
+    /// The JSON fields of the pair, each line indented for a row object.
+    fn json_fields(&self) -> String {
+        format!(
+            concat!(
+                "      \"dot_kernel_s\": {},\n",
+                "      \"gmac_s\": {},\n",
+                "      \"dot_kernel_gmac_s\": {},\n",
+                "      \"speedup_vs_dot_kernel\": {},\n",
+                "      \"matches_dot_kernel_bitwise\": {}\n",
+            ),
+            json_number(self.dot_kernel_s),
+            json_number(self.macs / self.blocked_s / 1e9),
+            json_number(self.macs / self.dot_kernel_s / 1e9),
+            json_number(self.speedup()),
+            self.bitwise,
+        )
+    }
+}
+
 struct SizeReport {
     n: usize,
     naive_s: f64,
     scalar_s: f64,
-    blocked_s: f64,
     parallel_s: f64,
     simd_bit_identical: bool,
+    vs_dot: DotKernelPair,
 }
 
 impl SizeReport {
     fn blocked_speedup(&self) -> f64 {
-        self.naive_s / self.blocked_s
+        self.naive_s / self.vs_dot.blocked_s
     }
 
     fn parallel_speedup(&self) -> f64 {
@@ -222,7 +279,7 @@ impl SizeReport {
     /// Dispatched (SIMD when available) blocked kernel vs the
     /// forced-scalar blocked reference.
     fn simd_speedup(&self) -> f64 {
-        self.scalar_s / self.blocked_s
+        self.scalar_s / self.vs_dot.blocked_s
     }
 
     fn to_json(&self) -> String {
@@ -237,18 +294,20 @@ impl SizeReport {
                 "      \"blocked_speedup\": {},\n",
                 "      \"parallel_speedup\": {},\n",
                 "      \"simd_speedup\": {},\n",
-                "      \"simd_bit_identical\": {}\n",
+                "      \"simd_bit_identical\": {},\n",
+                "{}",
                 "    }}"
             ),
             self.n,
             json_number(self.naive_s),
             json_number(self.scalar_s),
-            json_number(self.blocked_s),
+            json_number(self.vs_dot.blocked_s),
             json_number(self.parallel_s),
             json_number(self.blocked_speedup()),
             json_number(self.parallel_speedup()),
             json_number(self.simd_speedup()),
             self.simd_bit_identical,
+            self.vs_dot.json_fields(),
         )
     }
 }
@@ -257,21 +316,25 @@ fn measure(n: usize, reps: usize) -> SizeReport {
     let a = Prng::new(1).fill_uniform(n, n, -1.0, 1.0);
     let b = Prng::new(2).fill_uniform(n, n, -1.0, 1.0);
     let naive_s = time_median(reps, || gemm::matmul_naive(&a, &b).unwrap());
-    let (blocked_s, scalar_s) = time_median_pair(
+    let [blocked_s, dot_kernel_s, scalar_s] = time_medians(
         reps,
-        || gemm::matmul_blocked(&a, &b).unwrap(),
-        || matmul_blocked_scalar(&a, &b),
+        [
+            &mut || gemm::matmul_blocked(&a, &b).unwrap(),
+            &mut || matmul_dot_kernel(&a, &b),
+            &mut || matmul_blocked_scalar(&a, &b),
+        ],
         |m| m.get(0, 0),
     );
+    let vs_dot = DotKernelPair::new(&a, &b, blocked_s, dot_kernel_s);
     let parallel_s = time_median(reps, || gemm::matmul(&a, &b).unwrap());
     let simd_bit_identical = gemm::matmul_blocked(&a, &b).unwrap() == matmul_blocked_scalar(&a, &b);
     SizeReport {
         n,
         naive_s,
         scalar_s,
-        blocked_s,
         parallel_s,
         simd_bit_identical,
+        vs_dot,
     }
 }
 
@@ -283,6 +346,19 @@ fn write_or_die(out_path: &str, json: &str) {
     println!("bench_snapshot: wrote {out_path}");
 }
 
+/// The f64 GEMM shapes the benchmark workloads run, `(m, k, n, reps)`:
+/// the `llm_prefill` encoder's projections, feed-forward and per-head
+/// score products (d_model 256, d_ff 1024, d_head 64, seq 256), then the
+/// `gnn_powerlaw` GCN's two combine products on 100k nodes.
+const WORKLOAD_SHAPES: [(usize, usize, usize, usize); 6] = [
+    (256, 256, 256, 21),
+    (256, 256, 1024, 11),
+    (256, 1024, 256, 11),
+    (256, 64, 256, 21),
+    (100_000, 32, 16, 11),
+    (100_000, 16, 4, 21),
+];
+
 fn run_gemm(out_path: &str) {
     let simd_active = gemm::simd::simd_active();
     let sizes_reps = [(64usize, 21usize), (256, 9), (1024, 3)];
@@ -291,47 +367,88 @@ fn run_gemm(out_path: &str) {
         eprintln!("bench_snapshot: measuring n = {n} ({reps} reps)...");
         let r = measure(n, reps);
         eprintln!(
-            "bench_snapshot: n = {n}: naive {:.4}s scalar {:.4}s blocked {:.4}s ({:.2}x naive, {:.2}x scalar) parallel {:.4}s ({:.2}x) bit_identical={}",
+            "bench_snapshot: n = {n}: naive {:.4}s scalar {:.4}s blocked {:.4}s ({:.2}x naive, {:.2}x scalar, {:.2}x dot kernel) parallel {:.4}s ({:.2}x) bit_identical={}",
             r.naive_s,
             r.scalar_s,
-            r.blocked_s,
+            r.vs_dot.blocked_s,
             r.blocked_speedup(),
             r.simd_speedup(),
+            r.vs_dot.speedup(),
             r.parallel_s,
             r.parallel_speedup(),
-            r.simd_bit_identical,
+            r.simd_bit_identical && r.vs_dot.bitwise,
         );
         reports.push(r);
     }
-    // In-run verdicts: the dispatched kernel must agree with the scalar
-    // reference bit for bit, and when the SIMD path is active it must
-    // never regress below the scalar blocked kernel.
+    let mut shapes = Vec::new();
+    let mut shape_rows = Vec::new();
+    for (i, &(m, k, n, reps)) in WORKLOAD_SHAPES.iter().enumerate() {
+        let a = Prng::new(3 + 2 * i as u64).fill_uniform(m, k, -1.0, 1.0);
+        let b = Prng::new(4 + 2 * i as u64).fill_uniform(k, n, -1.0, 1.0);
+        let [blocked_s, dot_kernel_s] = time_medians(
+            reps,
+            [&mut || gemm::matmul_blocked(&a, &b).unwrap(), &mut || {
+                matmul_dot_kernel(&a, &b)
+            }],
+            |m| m.get(0, 0),
+        );
+        let pair = DotKernelPair::new(&a, &b, blocked_s, dot_kernel_s);
+        eprintln!(
+            "bench_snapshot: {m}x{k}x{n}: blocked {:.5}s dot kernel {:.5}s ({:.2}x) bitwise={}",
+            pair.blocked_s,
+            pair.dot_kernel_s,
+            pair.speedup(),
+            pair.bitwise,
+        );
+        shape_rows.push(format!(
+            "    {{\n      \"m\": {m},\n      \"k\": {k},\n      \"n\": {n},\n      \"reps\": {reps},\n      \"blocked_s\": {},\n{}    }}",
+            json_number(pair.blocked_s),
+            pair.json_fields(),
+        ));
+        shapes.push(pair);
+    }
+    // In-run verdicts: the dispatched kernel must agree with its scalar
+    // twin and with the kernel it replaced bit for bit, and when the SIMD
+    // path is active it must never regress below the scalar blocked
+    // kernel.
     let bit_identical = reports.iter().all(|r| r.simd_bit_identical);
+    let matches_dot_kernel = reports
+        .iter()
+        .map(|r| &r.vs_dot)
+        .chain(&shapes)
+        .all(|p| p.bitwise);
     let no_simd_regression = !simd_active || reports.iter().all(|r| r.simd_speedup() >= 1.0);
     eprintln!(
         "bench_snapshot: gemm verdicts: simd_active={simd_active} \
-         simd_bit_identical={bit_identical} no_simd_regression={no_simd_regression}"
+         simd_bit_identical={bit_identical} matches_dot_kernel_bitwise={matches_dot_kernel} \
+         no_simd_regression={no_simd_regression}"
     );
     let rows: Vec<String> = reports.iter().map(SizeReport::to_json).collect();
     let json = snapshot_json(
         "gemm_kernels",
         &[
             "naive_ijk",
-            "scalar_blocked_packed_bt",
-            "blocked_packed_bt",
+            "scalar_blocked_lane_panels",
+            "blocked_microkernel",
             "blocked_parallel",
+            "dot_kernel_packed_bt",
         ],
         &[
             ("simd_active", simd_active.to_string()),
             ("simd_bit_identical", bit_identical.to_string()),
+            ("matches_dot_kernel_bitwise", matches_dot_kernel.to_string()),
             ("no_simd_regression", no_simd_regression.to_string()),
+            (
+                "workload_shapes",
+                format!("[\n{}\n  ]", shape_rows.join(",\n")),
+            ),
         ],
         "sizes",
         &rows,
     );
     write_or_die(out_path, &json);
-    if !bit_identical || !no_simd_regression {
-        eprintln!("bench_snapshot: gemm simd verdicts FAILED");
+    if !bit_identical || !matches_dot_kernel || !no_simd_regression {
+        eprintln!("bench_snapshot: gemm verdicts FAILED");
         std::process::exit(1);
     }
 }
@@ -410,18 +527,20 @@ fn measure_graph(
     });
     let mut spmm_out = Matrix::zeros(graph.num_nodes(), features);
     let mut scalar_out = Matrix::zeros(graph.num_nodes(), features);
-    let (spmm_s, spmm_scalar_s) = {
+    let [spmm_s, spmm_scalar_s] = {
         let view = graph.csr_view();
-        time_median_pair(
+        time_medians(
             sparse_reps,
-            || {
-                sparse::spmm_into(&view, &x, &mut spmm_out).expect("spmm operands agree");
-                spmm_out.get(0, 0)
-            },
-            || {
-                spmm_scalar_into(&view, &x, &mut scalar_out);
-                scalar_out.get(0, 0)
-            },
+            [
+                &mut || {
+                    sparse::spmm_into(&view, &x, &mut spmm_out).expect("spmm operands agree");
+                    spmm_out.get(0, 0)
+                },
+                &mut || {
+                    spmm_scalar_into(&view, &x, &mut scalar_out);
+                    scalar_out.get(0, 0)
+                },
+            ],
             |v| *v,
         )
     };
@@ -744,6 +863,35 @@ fn run_digest(out_path: &str) {
     record("gemm_blocked", blocked);
     record("gemm_parallel_4t", banded);
     record("matmul_seq", seq);
+
+    // The register-blocked microkernel's edges the shapes above miss:
+    // every row remainder past one 6-row tile, k past four 256-value
+    // k-blocks and below one 16-lane step, and padded, 4-wide and full
+    // column panels; the last two shapes clear the parallel threshold,
+    // so the 4-thread run splits them into row bands.
+    let mut micro = 0u64;
+    let mut micro_banded = 0u64;
+    for (i, &(m, k, n)) in [
+        (7usize, 1029usize, 9usize),
+        (8, 300, 12),
+        (9, 17, 45),
+        (10, 530, 3),
+        (11, 5, 20),
+        (12, 1100, 24),
+        (50, 1040, 16),
+    ]
+    .iter()
+    .enumerate()
+    {
+        let a = Prng::new(500 + i as u64).fill_uniform(m, k, -1.0, 1.0);
+        let b = Prng::new(600 + i as u64).fill_uniform(k, n, -1.0, 1.0);
+        micro ^= digest_matrix(&gemm::matmul_blocked(&a, &b).expect("shapes agree"));
+        micro_banded ^= parallel::with_threads(4, || {
+            digest_matrix(&gemm::matmul(&a, &b).expect("shapes agree"))
+        });
+    }
+    record("gemm_microkernel", micro);
+    record("gemm_microkernel_4t", micro_banded);
 
     // Single-row products through the transpose-free GEMV of
     // `gemm::matmul`: a 16-lane tail (k = 100) and a k below one lane

@@ -4,25 +4,40 @@
 //! funnel their dense products through [`Matrix::matmul`], which in turn
 //! calls [`matmul`] here. The kernel strategy:
 //!
-//! * **Pack once, stream contiguously.** `B` is transposed into a
-//!   row-major `Bᵀ` panel first (a blocked transpose, [`transpose_blocked`]),
-//!   so every output element is a dot product of two *contiguous* slices.
-//!   The textbook i-j-k loop ([`matmul_naive`], kept as the benchmark and
-//!   property-test reference) instead walks a column of `B` with an
-//!   `n`-element stride and misses cache on every step at large sizes.
-//! * **Panel blocking.** Output columns are processed in panels of
-//!   [`NC`] so the active `Bᵀ` rows stay resident in L2 while each `A`
-//!   row (L1-resident) is reused across the whole panel.
-//! * **SIMD accumulation with a pinned lane order.** The inner dot
-//!   product lives in [`simd`]: an AVX2+FMA kernel (four `vfmadd231pd`
-//!   accumulators per 16-element step) whose scalar fallback replays the
-//!   *identical* operation schedule with [`f64::mul_add`], so scalar and
-//!   SIMD dispatch agree bit-for-bit. The lane split is fixed, so
-//!   results are deterministic — but they are *not* bit-identical to the
-//!   naive single-accumulator order (the equivalence suite bounds the
-//!   difference at `1e-12` per element on unit-scale inputs).
+//! * **Pack once, in lane order.** `B` is packed once per call into
+//!   [`simd::Panels`]: column panels of [`simd::GEMM_NR`] columns whose
+//!   rows sit lane-major (`p = l + 16·s` for the 16-lane body, the
+//!   `k % 16` tail after), so each accumulation lane of every output
+//!   reads one contiguous run. The pack is as large as the `Bᵀ` transpose
+//!   it replaced. The textbook i-j-k loop ([`matmul_naive`], kept as the
+//!   benchmark and property-test reference) instead walks a column of `B`
+//!   with an `n`-element stride and misses cache on every step at large
+//!   sizes.
+//! * **Register blocking.** The microkernel ([`simd::gemm`]) computes a
+//!   [`simd::GEMM_MR`] × [`simd::GEMM_NR`] output tile at once: per lane
+//!   step, six broadcasts of `A` and two vector loads of the panel feed
+//!   twelve fused multiply-adds held in registers, where the per-output
+//!   dot product it replaced made two loads per FMA. Lane chains run in
+//!   k-blocks of [`simd::GEMM_KC`] values, resuming from their stored
+//!   partials, so a block's slices of `A` and the panel stay in L1 even
+//!   at `k = 1024`. Row tiles pass over a group of panels that fits in
+//!   L1 together, so a skinny `B` (the GCN's `k = 16, 32`) is read
+//!   against each row of `A` once.
+//! * **SIMD accumulation with a pinned lane order.** Every output keeps
+//!   [`simd::dot`]'s exact operation sequence: lane `l` fuses
+//!   `a[p]·B[p][j]` for ascending `p ≡ l (mod 16)`, the lanes fold as
+//!   `(s[g] + s[g+4]) + (s[g+8] + s[g+12])` then `(w0 + w2) + (w1 +
+//!   w3)`, and the `k % 16` tail is added with in-order fused
+//!   multiply-adds. The AVX2+FMA microkernel and its scalar twin
+//!   ([`simd::gemm_scalar`], which unpacks each panel and calls
+//!   [`simd::dot_scalar`] per output) agree bit for bit, and so does the
+//!   per-output dot kernel the microkernel replaced. The lane split is
+//!   fixed, so results are deterministic — but they are *not*
+//!   bit-identical to the naive single-accumulator order (the
+//!   equivalence suite bounds the difference at `1e-12` per element on
+//!   unit-scale inputs).
 //! * **Single rows skip the pack.** At `m = 1` (a KV-cached decode step)
-//!   packing `Bᵀ` costs as much as the product, so [`matmul`] hands the
+//!   packing `B` costs as much as the product, so [`matmul`] hands the
 //!   row to [`simd::gemv`], which reads row-major `B` in place and
 //!   vectorizes across output columns. It runs the same 16-lane schedule
 //!   per output — lane `p % 16` fuses `a[p]·B[p][j]`, the same fold,
@@ -30,19 +45,17 @@
 //!   [`matmul_blocked`]'s bit for bit. The trace counters still fire
 //!   first, so a traced m = 1 call is counted like any other.
 //! * **Row-band parallelism.** Above [`PAR_ELEMS_MIN`] multiply-adds the
-//!   output is split into row bands handed to scoped threads
-//!   (see [`crate::parallel`]); each band is computed identically
-//!   regardless of which thread runs it, so the product is independent of
-//!   the thread count.
+//!   output is split into row bands of whole tiles handed to scoped
+//!   threads (see [`crate::parallel`]). One routine serves the serial and
+//!   the banded path: it packs the panels once, before any band runs, and
+//!   every band reads the same panels and computes each output
+//!   identically regardless of which thread runs it, so the product is
+//!   independent of the thread count.
 
 use crate::matrix::{Matrix, TensorError};
 use crate::parallel;
 
 pub mod simd;
-
-/// Output-column panel width: `NC` rows of `Bᵀ` (each `k` elements long)
-/// are kept hot in L2 while `A` rows stream against them.
-pub const NC: usize = 64;
 
 /// Square tile edge for the blocked transpose; 32×32 `f64` tiles (8 KiB)
 /// keep both the source and destination footprints L1-resident.
@@ -51,14 +64,6 @@ pub const TRANSPOSE_TILE: usize = 32;
 /// Minimum `m·k·n` volume before the kernel spawns worker threads;
 /// below this the scope/join overhead outweighs the work.
 pub const PAR_ELEMS_MIN: usize = 1 << 18;
-
-/// Dot product in the pinned 16-lane FMA accumulation order of
-/// [`simd::dot`] (deterministic and bitwise dispatch-independent, but a
-/// different FP order than a single-accumulator loop).
-#[inline]
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    simd::dot(a, b)
-}
 
 fn check_shapes(a: &Matrix, b: &Matrix) -> Result<(), TensorError> {
     if a.cols() != b.rows() {
@@ -120,36 +125,44 @@ pub fn transpose_blocked(src: &Matrix) -> Matrix {
     out
 }
 
-/// Computes output rows `[row0, row0 + band_rows)` into `band`
-/// (a `band_rows × n` row-major slice of the output).
-fn gemm_band(band: &mut [f64], row0: usize, av: &[f64], bt: &[f64], k: usize, n: usize) {
-    let band_rows = band.len().checked_div(n).unwrap_or(0);
-    for jc in (0..n).step_by(NC) {
-        let jh = (jc + NC).min(n);
-        for bi in 0..band_rows {
-            let arow = &av[(row0 + bi) * k..(row0 + bi + 1) * k];
-            let orow = &mut band[bi * n..(bi + 1) * n];
-            for j in jc..jh {
-                orow[j] = dot(arow, &bt[j * k..(j + 1) * k]);
-            }
-        }
+/// The one routine behind [`matmul_blocked`] and [`matmul`]: packs `B` into
+/// [`simd::Panels`] once, then runs the microkernel over the whole
+/// output, or over row bands on up to `threads` workers once the problem
+/// volume clears [`PAR_ELEMS_MIN`]. Every band reads the same panels and
+/// computes each output in the same order, so the result is independent
+/// of `threads`.
+fn gemm(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
+    let (m, k) = a.shape();
+    let n = b.cols();
+    let panels = simd::Panels::pack(b.as_slice(), k, n);
+    let mut out = Matrix::zeros(m, n);
+    let av = a.as_slice();
+    if threads <= 1 || m * k * n < PAR_ELEMS_MIN {
+        simd::gemm(av, &panels, out.as_mut_slice());
+        return out;
     }
+    // Two bands per thread lets the round-robin distribution absorb any
+    // band finishing early; whole tiles per band keep every tile full but
+    // the last. Band boundaries don't affect the values.
+    let band_rows = m.div_ceil(threads * 2).next_multiple_of(simd::GEMM_MR);
+    parallel::par_chunks_mut(out.as_mut_slice(), band_rows * n, |band_idx, band| {
+        let row0 = band_idx * band_rows;
+        let rows = band.len() / n;
+        simd::gemm(&av[row0 * k..(row0 + rows) * k], &panels, band);
+    });
+    out
 }
 
-/// Serial cache-blocked product: packed `Bᵀ`, panel blocking, unrolled
-/// dot-product kernel. Single-threaded regardless of the thread setting.
+/// Serial cache-blocked product: `B` packed into lane-major column
+/// panels, register-blocked [`simd::gemm`] microkernel. Single-threaded
+/// regardless of the thread setting.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] when `a.cols() != b.rows()`.
 pub fn matmul_blocked(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
     check_shapes(a, b)?;
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let bt = transpose_blocked(b);
-    let mut out = Matrix::zeros(m, n);
-    gemm_band(out.as_mut_slice(), 0, a.as_slice(), bt.as_slice(), k, n);
-    Ok(out)
+    Ok(gemm(a, b, 1))
 }
 
 /// The production kernel behind [`Matrix::matmul`]: the blocked kernel of
@@ -158,8 +171,9 @@ pub fn matmul_blocked(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
 /// transpose-free [`simd::gemv`] instead.
 ///
 /// Every band, and the GEMV, computes each output in the same
-/// deterministic order, so the result equals [`matmul_blocked`]'s bit
-/// for bit for any thread count.
+/// deterministic order — [`simd::dot`]'s over `a`'s row and `B`'s
+/// column — so the result equals [`matmul_blocked`]'s bit for bit for
+/// any thread count.
 ///
 /// # Errors
 ///
@@ -170,7 +184,7 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
     let n = b.cols();
     if phox_trace::enabled() {
         // Only thread-count-independent quantities are recorded (problem
-        // and block geometry, not the worker split), so a fixed-seed trace
+        // and tile geometry, not the worker split), so a fixed-seed trace
         // stays byte-identical across `PHOX_NUM_THREADS`.
         let tr = phox_trace::active();
         tr.count("gemm", "calls", 1);
@@ -182,11 +196,9 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
                 ("m", phox_trace::Value::UInt(m as u64)),
                 ("k", phox_trace::Value::UInt(k as u64)),
                 ("n", phox_trace::Value::UInt(n as u64)),
-                ("panel_nc", phox_trace::Value::UInt(NC as u64)),
-                (
-                    "transpose_tile",
-                    phox_trace::Value::UInt(TRANSPOSE_TILE as u64),
-                ),
+                ("tile_mr", phox_trace::Value::UInt(simd::GEMM_MR as u64)),
+                ("tile_nr", phox_trace::Value::UInt(simd::GEMM_NR as u64)),
+                ("tile_kc", phox_trace::Value::UInt(simd::GEMM_KC as u64)),
                 (
                     "simd",
                     phox_trace::Value::UInt(u64::from(simd::simd_active())),
@@ -196,25 +208,12 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
     }
     if m == 1 {
         // Single-row shape (one decode token): read B in place instead of
-        // packing Bᵀ, which would cost as much as the product itself.
+        // packing it, which would cost as much as the product itself.
         let mut out = Matrix::zeros(1, n);
         simd::gemv(a.as_slice(), b.as_slice(), out.as_mut_slice());
         return Ok(out);
     }
-    let threads = parallel::max_threads();
-    if threads <= 1 || m * k * n < PAR_ELEMS_MIN {
-        return matmul_blocked(a, b);
-    }
-    let bt = transpose_blocked(b);
-    let mut out = Matrix::zeros(m, n);
-    // Two bands per thread lets the round-robin distribution absorb any
-    // band finishing early; band boundaries don't affect the values.
-    let band_rows = m.div_ceil(threads * 2).max(1);
-    let (av, btv) = (a.as_slice(), bt.as_slice());
-    parallel::par_chunks_mut(out.as_mut_slice(), band_rows * n, |band_idx, band| {
-        gemm_band(band, band_idx * band_rows, av, btv, k, n);
-    });
-    Ok(out)
+    Ok(gemm(a, b, parallel::max_threads()))
 }
 
 #[cfg(test)]
@@ -309,7 +308,7 @@ mod tests {
         for n in 0..10 {
             let a: Vec<f64> = (0..n).map(|i| i as f64 + 1.0).collect();
             let expected: f64 = a.iter().map(|v| v * v).sum();
-            assert_eq!(dot(&a, &a), expected, "n={n}");
+            assert_eq!(simd::dot(&a, &a), expected, "n={n}");
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Runtime-dispatched f64 SIMD dot/axpy microkernels with a pinned
+//! Runtime-dispatched f64 SIMD dot/GEMM/axpy microkernels with a pinned
 //! lane-accumulation order.
 //!
 //! Floating-point addition is not associative, so an AVX2 kernel that
@@ -30,6 +30,22 @@
 //!   along `k`, so it reads `B` in place: each output equals `dot(a,
 //!   Bᵀ[j])` bit for bit without packing `Bᵀ`. Lanes are independent
 //!   until the fold, so the AVX2 kernel may run them in any grouping.
+//! * [`gemm`] is the register-blocked microkernel behind
+//!   [`crate::gemm::matmul`] for `m ≥ 2`. `B` is packed once into
+//!   [`Panels`]: [`GEMM_NR`]-column panels (the last one 4 or 8 wide,
+//!   zero-padded) whose rows sit lane-major, `p = l + 16·s` for the
+//!   16-lane body and the `k % 16` tail after. The AVX2 kernel computes a
+//!   [`GEMM_MR`] × [`GEMM_NR`] tile at once — one lane chain at a time,
+//!   twelve `__m256d` accumulators advanced by six broadcasts of `a` and
+//!   two panel loads per lane step — in k-blocks of [`GEMM_KC`] values
+//!   that resume from each lane's stored partial. The sixteen lane
+//!   partials then fold `(s[g] + s[g+4]) + (s[g+8] + s[g+12])`, then
+//!   `(w0 + w2) + (w1 + w3)`, and the tail is added with in-order fused
+//!   multiply-adds, every fma and add with [`dot`]'s operands in [`dot`]'s
+//!   order: each output equals `dot(a_i, Bᵀ[j])` bit for bit. A last
+//!   tile with fewer rows repeats its last row and stores only its own.
+//!   The scalar twin [`gemm_scalar`] unpacks each panel back into `Bᵀ`
+//!   rows and calls [`dot_scalar`] per output.
 //! * [`axpy`] and [`axpy_unit`] vectorize over the *output* dimension
 //!   (`o[j] += a · b[j]`), where each element has its own accumulator —
 //!   no reassociation happens, so plain vector multiply + add is
@@ -139,6 +155,145 @@ pub fn gemv_scalar(a: &[f64], b: &[f64], out: &mut [f64]) {
     gemv_scalar_from(a, b, out, 0);
 }
 
+/// Output rows of one [`gemm`] microkernel tile.
+pub const GEMM_MR: usize = 6;
+
+/// Values of `k` per k-block of the AVX2 [`gemm`] microkernel (a
+/// multiple of [`DOT_LANES`]). Blocking never changes a value: each lane
+/// chain resumes from its stored partial.
+pub const GEMM_KC: usize = 256;
+
+/// Columns of a full [`Panels`] panel: two 4-lane vectors, so an
+/// [`GEMM_MR`] × `GEMM_NR` tile holds twelve accumulators.
+pub const GEMM_NR: usize = 8;
+
+/// `(j0, width)` of every column panel over `n` columns from panel
+/// start `from` on: [`GEMM_NR`] wide while more than half a panel
+/// remains, then one 4-wide panel. The last panel may reach past `n`;
+/// its extra columns are zero.
+fn panel_spans(n: usize, from: usize) -> impl Iterator<Item = (usize, usize)> {
+    let width = move |j0: usize| {
+        if n - j0 > GEMM_NR / 2 {
+            GEMM_NR
+        } else {
+            GEMM_NR / 2
+        }
+    };
+    std::iter::successors((from < n).then(|| (from, width(from))), move |&(j0, w)| {
+        let next = j0 + w;
+        (next < n).then(|| (next, width(next)))
+    })
+}
+
+/// `B` (`k × n`, row-major) packed once for [`gemm`]: column panels of
+/// [`GEMM_NR`] (the last one 4 or 8 wide, zero-padded), each holding its
+/// `k` rows lane-major. Row `p < body = k - k % 16` of the panel sits at
+/// position `(p % 16) · (body / 16) + p / 16`, so lane `l` of the
+/// [`dot`] schedule reads one contiguous run; the `k % 16` tail rows
+/// follow in order. The pack is as large as the `Bᵀ` it replaces, plus
+/// at most three padding columns.
+#[derive(Debug)]
+pub struct Panels {
+    data: Vec<f64>,
+    k: usize,
+    n: usize,
+}
+
+impl Panels {
+    /// Packs row-major `b` (`k × n`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len() != k * n`.
+    pub fn pack(b: &[f64], k: usize, n: usize) -> Panels {
+        assert_eq!(Some(b.len()), k.checked_mul(n), "gemm operand is not k × n");
+        let mut data = vec![0.0; padded_cols(n) * k];
+        for (p, brow) in b.chunks_exact(n.max(1)).enumerate() {
+            let row = packed_row(p, k);
+            for (j0, width) in panel_spans(n, 0) {
+                let cols = width.min(n - j0);
+                let at = j0 * k + row * width;
+                data[at..at + cols].copy_from_slice(&brow[j0..j0 + cols]);
+            }
+        }
+        Panels { data, k, n }
+    }
+}
+
+/// The panel row holding row `p` of `B` (`k` rows): lane-major below
+/// `body = k - k % 16`, in order after it.
+fn packed_row(p: usize, k: usize) -> usize {
+    let body = k - k % DOT_LANES;
+    if p < body {
+        (p % DOT_LANES) * (body / DOT_LANES) + p / DOT_LANES
+    } else {
+        p
+    }
+}
+
+/// Columns [`Panels`] stores for `n` output columns, padding included.
+fn padded_cols(n: usize) -> usize {
+    panel_spans(n, 0).last().map_or(0, |(j0, width)| j0 + width)
+}
+
+/// Checks the operands of [`gemm`] and returns the row count: `out`
+/// holds whole rows of `b.n` outputs, `a` as many rows of `b.k` values,
+/// and the panels their packed length. `None` when there are no columns
+/// to compute. The AVX2 kernel's pointer arithmetic relies on exactly
+/// these bounds.
+fn check_gemm(a: &[f64], b: &Panels, out: &[f64]) -> Option<usize> {
+    assert_eq!(
+        b.data.len(),
+        padded_cols(b.n) * b.k,
+        "gemm panels are not packed for k × n"
+    );
+    if b.n == 0 {
+        assert!(out.is_empty(), "gemm output is not rows × n");
+        return None;
+    }
+    let rows = out.len() / b.n;
+    assert_eq!(out.len(), rows * b.n, "gemm output is not rows × n");
+    assert_eq!(
+        Some(a.len()),
+        rows.checked_mul(b.k),
+        "gemm operand is not rows × k"
+    );
+    Some(rows)
+}
+
+/// Scalar [`gemm`] kernel: unpacks each panel's columns back into `Bᵀ`
+/// rows and computes every output as [`dot_scalar`] over `a`'s row and
+/// that column — the schedule the AVX2 kernel reproduces bit for bit.
+/// Public so equivalence suites can pin the dispatched kernel against it
+/// regardless of which path dispatch selected.
+///
+/// # Panics
+///
+/// Panics on the operand shapes [`gemm`] rejects.
+pub fn gemm_scalar(a: &[f64], b: &Panels, out: &mut [f64]) {
+    let Some(rows) = check_gemm(a, b, out) else {
+        return;
+    };
+    let (k, n) = (b.k, b.n);
+    let mut bt = vec![0.0f64; GEMM_NR * k];
+    for (j0, width) in panel_spans(n, 0) {
+        let cols = width.min(n - j0);
+        let panel = &b.data[j0 * k..(j0 + width) * k];
+        for p in 0..k {
+            let row = &panel[packed_row(p, k) * width..][..cols];
+            for (c, &v) in row.iter().enumerate() {
+                bt[c * k + p] = v;
+            }
+        }
+        for i in 0..rows {
+            let arow = &a[i * k..(i + 1) * k];
+            for c in 0..cols {
+                out[i * n + j0 + c] = dot_scalar(arow, &bt[c * k..(c + 1) * k]);
+            }
+        }
+    }
+}
+
 /// Scalar `o[j] += x · b[j]` loop. Each output element is its own
 /// accumulator, so the vector path is bitwise-equal by construction.
 /// Public as the equivalence-suite reference for [`axpy`].
@@ -230,10 +385,10 @@ mod x86 {
         _mm_add_pd, _mm_add_sd, _mm_cvtsd_f64, _mm_unpackhi_pd,
     };
 
-    /// AVX2+FMA dot product: four 4-lane accumulators advanced by one
-    /// `vfmadd231pd` each per 16-element step, reduced in the fixed
-    /// order documented at module level. Bit-identical to the scalar
-    /// kernel, which replays the same schedule with `f64::mul_add`.
+    /// AVX2+FMA dot product: the 16-lane body of [`dot_lanes`], reduced
+    /// in the fixed order documented at module level, then the in-order
+    /// fused tail. Bit-identical to the scalar kernel, which replays the
+    /// same schedule with `f64::mul_add`.
     ///
     /// # Safety
     ///
@@ -241,34 +396,10 @@ mod x86 {
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn dot_avx2(a: &[f64], b: &[f64]) -> f64 {
         let n = a.len().min(b.len());
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
-        let mut acc2 = _mm256_setzero_pd();
-        let mut acc3 = _mm256_setzero_pd();
-        let mut k = 0usize;
-        while k + 16 <= n {
-            acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(ap.add(k)), _mm256_loadu_pd(bp.add(k)), acc0);
-            acc1 = _mm256_fmadd_pd(
-                _mm256_loadu_pd(ap.add(k + 4)),
-                _mm256_loadu_pd(bp.add(k + 4)),
-                acc1,
-            );
-            acc2 = _mm256_fmadd_pd(
-                _mm256_loadu_pd(ap.add(k + 8)),
-                _mm256_loadu_pd(bp.add(k + 8)),
-                acc2,
-            );
-            acc3 = _mm256_fmadd_pd(
-                _mm256_loadu_pd(ap.add(k + 12)),
-                _mm256_loadu_pd(bp.add(k + 12)),
-                acc3,
-            );
-            k += 16;
-        }
+        let (ap, bp) = (a.as_ptr(), b.as_ptr());
+        let mut k = n - n % super::DOT_LANES;
         // w[l] = (s[l] + s[l+4]) + (s[l+8] + s[l+12]) per lane.
-        let w = _mm256_add_pd(_mm256_add_pd(acc0, acc1), _mm256_add_pd(acc2, acc3));
+        let w = dot_lanes(ap, bp, k);
         // (w0 + w2, w1 + w3): low 128 bits + high 128 bits.
         let lo: __m128d = _mm256_castpd256_pd128(w);
         let hi: __m128d = _mm256_extractf128_pd::<1>(w);
@@ -372,6 +503,188 @@ mod x86 {
             }
         }
         acc
+    }
+
+    /// One [`GEMM_MR`](super::GEMM_MR) × `4·V` tile of accumulators.
+    type Tile<const V: usize> = [[__m256d; V]; super::GEMM_MR];
+
+    /// Packed bytes of the panels one pass of row tiles runs against: a
+    /// pass keeps each tile's rows of `a` in L1 across all its panels, so
+    /// a skinny `B` is read against each row of `a` once.
+    const GEMM_GROUP_BYTES: usize = 16 << 10;
+
+    /// AVX2+FMA [`super::gemm`]: column panels in groups of at most
+    /// [`GEMM_GROUP_BYTES`] packed bytes; for each group, tiles of
+    /// [`GEMM_MR`](super::GEMM_MR) rows run through [`gemm_tile`] against
+    /// every panel of the group, the group staying hot in cache while the
+    /// rows stream past it. A last tile with fewer rows repeats its last
+    /// row and stores only its own rows; a padded panel stores only the
+    /// real columns.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 and FMA are available and that the
+    /// operands pass [`super::check_gemm`] with `b.n > 0`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn gemm_avx2(a: &[f64], b: &super::Panels, out: &mut [f64]) {
+        use super::{GEMM_MR, GEMM_NR};
+        let (k, n) = (b.k, b.n);
+        let rows = out.len() / n;
+        // Whole full panels per group, so every group starts a panel.
+        let group = GEMM_NR * (GEMM_GROUP_BYTES / (k * GEMM_NR * 8).max(1)).max(1);
+        for g0 in (0..n).step_by(group) {
+            let mut i = 0usize;
+            while i < rows {
+                let r = (rows - i).min(GEMM_MR);
+                let arows: [*const f64; GEMM_MR] =
+                    core::array::from_fn(|t| a[(i + t.min(r - 1)) * k..].as_ptr());
+                let spans = super::panel_spans(n, g0).take_while(|&(j0, _)| j0 < g0 + group);
+                for (j0, width) in spans {
+                    let cols = width.min(n - j0);
+                    // SAFETY: the checked panel length covers columns
+                    // j0..j0 + width of all k packed rows, and row i <
+                    // rows, column j0 < n lie inside `out`.
+                    let (panel, dst) = (
+                        b.data.as_ptr().add(j0 * k),
+                        out.as_mut_ptr().add(i * n + j0),
+                    );
+                    // SAFETY: each of `arows` starts a k-long row of `a`,
+                    // the panel is `width` wide, and the tile stores r rows
+                    // and cols columns of `out`, all inside the checked
+                    // operands.
+                    if width == GEMM_NR {
+                        store_tile(&gemm_tile::<2>(&arows, panel, k), dst, n, r, cols);
+                    } else {
+                        store_tile(&gemm_tile::<1>(&arows, panel, k), dst, n, r, cols);
+                    }
+                }
+                i += GEMM_MR;
+            }
+        }
+    }
+
+    /// The outputs of `a` rows against one `4·V`-wide packed panel, each
+    /// in the [`dot_avx2`] schedule. Lane `l` runs as one chain over its
+    /// contiguous run of panel rows, in k-blocks of
+    /// [`GEMM_KC`](super::GEMM_KC) values: every lane's chain over one
+    /// block, then every lane's over the next, each resuming from its
+    /// stored partial, so the block's slices of `a` and the panel stay in
+    /// L1 across all sixteen lanes. The lanes then fold into
+    /// `w[g] = (s[g] + s[g+4]) + (s[g+8] + s[g+12])`, then
+    /// `(w0 + w2) + (w1 + w3)`, and the in-order fused tail follows. With
+    /// no 16-lane body the fold of zero lanes is `+0`, the starting value,
+    /// so it is skipped.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 and FMA are available, each of `a` points
+    /// to `k` elements and `panel` to `k · 4·V` packed elements.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn gemm_tile<const V: usize>(
+        a: &[*const f64; super::GEMM_MR],
+        panel: *const f64,
+        k: usize,
+    ) -> Tile<V> {
+        use super::{DOT_LANES, GEMM_KC};
+        let body = k - k % DOT_LANES;
+        let steps = body / DOT_LANES;
+        let mut acc = [[_mm256_setzero_pd(); V]; super::GEMM_MR];
+        if steps > 0 {
+            let mut s = [acc; DOT_LANES];
+            let mut s0 = 0usize;
+            while s0 < steps {
+                let s1 = steps.min(s0 + GEMM_KC / DOT_LANES);
+                for (l, sl) in s.iter_mut().enumerate() {
+                    let start = if s0 == 0 { acc } else { *sl };
+                    let rows = panel.add((l * steps + s0) * 4 * V);
+                    *sl = fma_rows(a, rows, l + s0 * DOT_LANES, DOT_LANES, s1 - s0, start);
+                }
+                s0 = s1;
+            }
+            let w: [Tile<V>; 4] = core::array::from_fn(|g| {
+                add_tiles(
+                    &add_tiles(&s[g], &s[g + 4]),
+                    &add_tiles(&s[g + 8], &s[g + 12]),
+                )
+            });
+            acc = add_tiles(&add_tiles(&w[0], &w[2]), &add_tiles(&w[1], &w[3]));
+        }
+        fma_rows(a, panel.add(body * 4 * V), body, 1, k - body, acc)
+    }
+
+    /// `count` fused steps over consecutive `4·V`-wide panel rows from
+    /// `rows`, resuming from `start`: step `t` takes `s = fma(a[p],
+    /// row_t, s)` with `p = p0 + t·stride` — one lane chain (stride 16)
+    /// or the in-order tail (stride 1).
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 and FMA are available, `rows` points to
+    /// `count · 4·V` elements, and each of `a` to more than
+    /// `p0 + (count - 1)·stride` elements when `count > 0`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn fma_rows<const V: usize>(
+        a: &[*const f64; super::GEMM_MR],
+        rows: *const f64,
+        p0: usize,
+        stride: usize,
+        count: usize,
+        start: Tile<V>,
+    ) -> Tile<V> {
+        let mut s = start;
+        for t in 0..count {
+            let brow = rows.add(t * 4 * V);
+            let bv: [__m256d; V] = core::array::from_fn(|v| _mm256_loadu_pd(brow.add(4 * v)));
+            let p = p0 + t * stride;
+            for (ai, si) in a.iter().zip(s.iter_mut()) {
+                let x = _mm256_set1_pd(*ai.add(p));
+                for (sv, &bvv) in si.iter_mut().zip(&bv) {
+                    *sv = _mm256_fmadd_pd(x, bvv, *sv);
+                }
+            }
+        }
+        s
+    }
+
+    /// `x + y` per accumulator, `x` first.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn add_tiles<const V: usize>(x: &Tile<V>, y: &Tile<V>) -> Tile<V> {
+        core::array::from_fn(|i| core::array::from_fn(|v| _mm256_add_pd(x[i][v], y[i][v])))
+    }
+
+    /// Stores the first `rows` rows and `cols` columns of `acc` to `dst`,
+    /// whose rows are `n` apart.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available and that `dst + i·n` points to
+    /// `cols` writable elements for every `i < rows`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn store_tile<const V: usize>(
+        acc: &Tile<V>,
+        dst: *mut f64,
+        n: usize,
+        rows: usize,
+        cols: usize,
+    ) {
+        for (i, acc_i) in acc.iter().enumerate().take(rows) {
+            let row = dst.add(i * n);
+            if cols == 4 * V {
+                for (v, &x) in acc_i.iter().enumerate() {
+                    _mm256_storeu_pd(row.add(4 * v), x);
+                }
+            } else {
+                let mut tmp = [0.0f64; super::GEMM_NR];
+                for (v, &x) in acc_i.iter().enumerate() {
+                    _mm256_storeu_pd(tmp.as_mut_ptr().add(4 * v), x);
+                }
+                core::ptr::copy_nonoverlapping(tmp.as_ptr(), row, cols);
+            }
+        }
     }
 
     /// AVX2 `o[j] += x · b[j]`: broadcast `x`, then vector multiply and
@@ -499,10 +812,10 @@ mod x86 {
         }
     }
 
-    /// One cached row's 16-lane [`dot_avx2`] body over `body` elements,
-    /// folded lane-wise to `(acc0 + acc1) + (acc2 + acc3)`. A copy of that
-    /// body rather than a call into it: `dot_avx2` is the blocked GEMM's
-    /// per-element kernel, and splitting it would move its code.
+    /// The 16-lane body of [`dot_avx2`] over `body` (a multiple of 16)
+    /// elements: four 4-lane accumulators advanced by one `vfmadd231pd`
+    /// each per 16-element step, folded lane-wise to `(acc0 + acc1) +
+    /// (acc2 + acc3)`.
     ///
     /// # Safety
     ///
@@ -660,6 +973,31 @@ pub fn gemv(a: &[f64], b: &[f64], out: &mut [f64]) {
         return;
     }
     gemv_scalar_from(a, b, out, 0);
+}
+
+/// `out = a · B` for the rows of row-major `a` (`rows × k`) against `B`
+/// packed as [`Panels`] (`k × n`), `rows = out.len() / n`: every output
+/// in the pinned [`dot`] schedule over its column, so each equals
+/// `dot(a_i, Bᵀ[j])` bit for bit. Dispatches to the AVX2+FMA
+/// register-blocked microkernel when available; otherwise runs
+/// [`gemm_scalar`]. See the module docs.
+///
+/// # Panics
+///
+/// Panics unless `out` holds whole rows of `n` values and `a` the same
+/// number of rows of `k` values.
+#[inline]
+pub fn gemm(a: &[f64], b: &Panels, out: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if x86::simd_usable() {
+        if check_gemm(a, b, out).is_some() {
+            // SAFETY: AVX2+FMA availability was just checked, and so
+            // were the operand lengths every pointer offset relies on.
+            unsafe { x86::gemm_avx2(a, b, out) };
+        }
+        return;
+    }
+    gemm_scalar(a, b, out);
 }
 
 /// `out[j] += x · b[j]` over `min(out.len(), b.len())` elements,

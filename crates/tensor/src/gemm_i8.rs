@@ -34,8 +34,9 @@ use crate::matrix::TensorError;
 use crate::parallel;
 
 /// Output-column panel width (in `Bᵀ` rows, each `k` bytes): int8 panels
-/// are 8× smaller than f64 ones, so a wider panel than [`crate::gemm::NC`]
-/// still fits L2 comfortably.
+/// are 8× smaller than the 64-row f64 panels the f64 kernel used before
+/// its register-blocked microkernel, so a wider panel still fits L2
+/// comfortably.
 pub const NC: usize = 128;
 
 /// Square tile edge for the blocked int8 transpose; 64×64 `i8` tiles

@@ -313,8 +313,13 @@ impl Matrix {
 
     /// Matrix product `self * rhs`.
     ///
-    /// Delegates to the cache-blocked, parallel kernel in [`crate::gemm`];
-    /// the result is deterministic and independent of the thread count.
+    /// Delegates to [`crate::gemm::matmul`]: a register-blocked microkernel
+    /// over `rhs` packed once into lane-major panels, split into row bands
+    /// across threads for large products, or a transpose-free GEMV when
+    /// `self` is a single row. Every output follows
+    /// [`crate::gemm::simd::dot`]'s pinned 16-lane schedule, so the result
+    /// is deterministic, dispatch-independent and independent of the
+    /// thread count.
     ///
     /// # Errors
     ///

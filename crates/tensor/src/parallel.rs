@@ -2,31 +2,38 @@
 //!
 //! The workspace deliberately carries no thread-pool dependency: these
 //! helpers build on [`std::thread::scope`], which is allocation-cheap and
-//! has no global state beyond the thread-count override below. All
-//! scheduling is deterministic-output by construction — work items are
-//! keyed by index, so the result never depends on which thread ran what.
+//! has no global state. All scheduling is deterministic-output by
+//! construction — work items are keyed by index, so the result never
+//! depends on which thread ran what.
+//!
+//! The calling thread's [`with_threads`] override and installed
+//! [`phox_trace`] handle are both per-thread; every worker a helper spawns
+//! inherits them, so a pinned or traced call sees exactly its own call
+//! tree, whatever other threads of the process do meanwhile.
 //!
 //! Thread count resolution order:
 //!
-//! 1. an active [`with_threads`] override (tests pin 1/2/8 this way),
+//! 1. the calling thread's [`with_threads`] override (tests pin 1/2/8
+//!    this way),
 //! 2. the `PHOX_NUM_THREADS` environment variable,
 //! 3. the `RAYON_NUM_THREADS` environment variable (honoured for
 //!    compatibility with common HPC job scripts),
 //! 4. [`std::thread::available_parallelism`].
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-/// Active thread-count override (0 = none). Set only by [`with_threads`].
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+use phox_trace::Trace;
 
-/// Serialises [`with_threads`] callers so concurrent tests cannot clobber
-/// each other's override.
-static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
+thread_local! {
+    /// This thread's thread-count override (0 = none). Set only by
+    /// [`with_threads`] and by [`Inherited::enter`] in spawned workers.
+    static THREAD_OVERRIDE: Cell<usize> = const { Cell::new(0) };
+}
 
 /// Number of worker threads parallel helpers may use.
 pub fn max_threads() -> usize {
-    let o = THREAD_OVERRIDE.load(Ordering::Relaxed);
+    let o = THREAD_OVERRIDE.with(Cell::get);
     if o > 0 {
         return o;
     }
@@ -48,25 +55,54 @@ pub fn max_threads() -> usize {
 ///
 /// Overrides the environment and hardware defaults for the duration of
 /// `f`; used by the determinism test suites to prove results are
-/// bit-identical across thread counts. Callers are serialised, so nesting
-/// `with_threads` inside `f` deadlocks.
+/// bit-identical across thread counts. The pin holds on the calling
+/// thread and in the workers the helpers below spawn for it, never on
+/// other threads, so concurrent callers do not wait for or clobber each
+/// other, and nesting is allowed.
 ///
 /// # Panics
 ///
 /// Panics if `n == 0`.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     assert!(n > 0, "thread count must be positive");
-    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = THREAD_OVERRIDE.swap(n, Ordering::Relaxed);
-    // Restore on unwind as well, so a panicking test can't leak its pin.
-    struct Restore(usize);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            THREAD_OVERRIDE.store(self.0, Ordering::Relaxed);
+    let _restore = pin(n);
+    f()
+}
+
+/// Sets this thread's override to `n`; dropping the guard restores the
+/// previous one, on unwind as well, so a panicking test can't leak its pin.
+fn pin(n: usize) -> Restore {
+    Restore(THREAD_OVERRIDE.with(|o| o.replace(n)))
+}
+
+struct Restore(usize);
+
+impl Drop for Restore {
+    fn drop(&mut self) {
+        THREAD_OVERRIDE.with(|o| o.set(self.0));
+    }
+}
+
+/// The per-thread context a spawned worker takes over from the thread
+/// that called the helper: the thread-count override and the trace.
+struct Inherited {
+    threads: usize,
+    trace: Trace,
+}
+
+impl Inherited {
+    fn capture() -> Inherited {
+        Inherited {
+            threads: THREAD_OVERRIDE.with(Cell::get),
+            trace: phox_trace::active(),
         }
     }
-    let _restore = Restore(prev);
-    f()
+
+    /// Runs `f` on the current (worker) thread under the captured context.
+    fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
+        let _restore = pin(self.threads);
+        phox_trace::with_installed(self.trace.clone(), f)
+    }
 }
 
 /// Maps `f` over `0..n`, returning results in index order.
@@ -84,19 +120,22 @@ where
         return (0..n).map(f).collect();
     }
     let next = AtomicUsize::new(0);
+    let ctx = Inherited::capture();
     let mut buckets: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 s.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
+                    ctx.enter(|| {
+                        let mut local = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                break;
+                            }
+                            local.push((i, f(i)));
                         }
-                        local.push((i, f(i)));
-                    }
-                    local
+                        local
+                    })
                 })
             })
             .collect();
@@ -144,15 +183,18 @@ where
     for (i, chunk) in data.chunks_mut(chunk_size).enumerate() {
         buckets[i % threads].push((i, chunk));
     }
+    let ctx = Inherited::capture();
     std::thread::scope(|s| {
-        let f = &f;
+        let (f, ctx) = (&f, &ctx);
         let handles: Vec<_> = buckets
             .into_iter()
             .map(|bucket| {
                 s.spawn(move || {
-                    for (i, chunk) in bucket {
-                        f(i, chunk);
-                    }
+                    ctx.enter(|| {
+                        for (i, chunk) in bucket {
+                            f(i, chunk);
+                        }
+                    })
                 })
             })
             .collect();
@@ -178,6 +220,58 @@ mod tests {
         let outside = max_threads();
         with_threads(3, || assert_eq!(max_threads(), 3));
         assert_eq!(max_threads(), outside);
+    }
+
+    #[test]
+    fn with_threads_nests_and_stays_on_its_thread() {
+        with_threads(3, || {
+            with_threads(5, || assert_eq!(max_threads(), 5));
+            assert_eq!(max_threads(), 3);
+            let elsewhere = std::thread::spawn(max_threads).join().unwrap();
+            assert_eq!(
+                elsewhere,
+                with_threads(1, || std::thread::spawn(max_threads).join().unwrap())
+            );
+            // Workers of a helper inherit the caller's pin.
+            assert_eq!(par_map_indexed(6, |_| max_threads()), vec![3; 6]);
+        });
+    }
+
+    #[test]
+    fn workers_record_into_the_callers_trace_only() {
+        let run = |trace: &Trace, threads: usize| {
+            phox_trace::with_installed(trace.clone(), || {
+                with_threads(threads, || {
+                    par_map_indexed(64, |_| phox_trace::active().count("t", "items", 1));
+                    let mut data = vec![0u8; 40];
+                    par_chunks_mut(&mut data, 4, |_, _| {
+                        phox_trace::active().count("t", "chunks", 1)
+                    });
+                })
+            })
+        };
+        let (a, b) = (Trace::new(), Trace::new());
+        std::thread::scope(|s| {
+            s.spawn(|| run(&a, 4));
+            s.spawn(|| run(&b, 2));
+        });
+        for t in [&a, &b] {
+            assert_eq!(
+                t.counters(),
+                vec![
+                    (
+                        "t".to_owned(),
+                        "chunks".to_owned(),
+                        phox_trace::CounterValue::Int(10)
+                    ),
+                    (
+                        "t".to_owned(),
+                        "items".to_owned(),
+                        phox_trace::CounterValue::Int(64)
+                    ),
+                ]
+            );
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! `PHOX_FORCE_SCALAR=1`) must be *bitwise* equal to the public scalar
 //! reference kernels, and the blocked/parallel GEMM built on them must
 //! be byte-identical across 1/2/4/8 threads — over arbitrary shapes,
-//! `k = 0`, ragged (non-multiple-of-16) inner dimensions, and subnormal
-//! operands.
+//! `k = 0`, ragged (non-multiple-of-16) inner dimensions, every edge of
+//! the register-blocked microkernel, and subnormal operands.
 //!
 //! CI's `simd-smoke` job runs this suite twice, once per dispatch mode;
 //! each run pins its own mode against the same scalar reference, which
@@ -47,6 +47,49 @@ fn bits(m: &Matrix) -> Vec<u64> {
 /// Strategy: plain unit-range values.
 fn unit(len: usize) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-1.0f64..1.0, len)
+}
+
+/// Strategy: a GEMM shape `(m, k, n)` reaching every edge of the
+/// [`simd::gemm`] microkernel: `m` past two [`simd::GEMM_MR`]-row tiles
+/// with every remainder; `n` across full [`simd::GEMM_NR`]-wide panels,
+/// a 4-wide panel and fewer than 4 leftover columns; and `k` in three
+/// classes — no 16-lane body (`0..=15`), a few lane steps with a ragged
+/// tail, and past two [`simd::GEMM_KC`] k-blocks.
+fn gemm_shapes() -> impl Strategy<Value = (usize, usize, usize)> {
+    (1usize..=20, 0u8..3, 0usize..=300, 1usize..=27).prop_map(|(m, class, x, n)| {
+        let k = match class {
+            0 => x % 16,
+            1 => 16 + x % 64,
+            _ => 2 * simd::GEMM_KC + 1 + x,
+        };
+        (m, k, n)
+    })
+}
+
+/// The first output of `matmul_blocked`, or of the scalar twin
+/// [`simd::gemm_scalar`] over the packed panels, whose bits differ from
+/// [`simd::dot_scalar`] over `a`'s row and the packed `Bᵀ` row — the
+/// schedule every output must follow.
+fn gemm_mismatch(m: usize, k: usize, n: usize, a: Vec<f64>, b: Vec<f64>) -> Option<String> {
+    let am = Matrix::from_vec(m, k, a).unwrap();
+    let bm = Matrix::from_vec(k, n, b).unwrap();
+    let bt = gemm::transpose_blocked(&bm);
+    let (av, btv) = (am.as_slice(), bt.as_slice());
+    let blocked = gemm::matmul_blocked(&am, &bm).unwrap();
+    let mut twin = vec![f64::NAN; m * n];
+    simd::gemm_scalar(av, &simd::Panels::pack(bm.as_slice(), k, n), &mut twin);
+    for (name, got) in [("blocked", blocked.as_slice()), ("scalar twin", &twin[..])] {
+        for (o, v) in got.iter().enumerate() {
+            let (i, j) = (o / n, o % n);
+            let expect = simd::dot_scalar(&av[i * k..(i + 1) * k], &btv[j * k..(j + 1) * k]);
+            if v.to_bits() != expect.to_bits() {
+                return Some(format!(
+                    "{name} ({i}, {j}) of {m}x{k}x{n}: {v:e} != {expect:e}"
+                ));
+            }
+        }
+    }
+    None
 }
 
 /// Strategy: one attention head `(t, d_h, stride, lo)` over a cache of
@@ -153,30 +196,28 @@ proptest! {
 
     #[test]
     fn blocked_gemm_bitwise_equals_scalar_reference_gemm(
-        ((m, k, n), a, b) in (1usize..=20, 0usize..=40, 1usize..=20)
-            .prop_flat_map(|(m, k, n)| {
-                (Just((m, k, n)), operands(m * k), operands(k * n))
-            }),
+        ((m, k, n), a, b) in gemm_shapes().prop_flat_map(|(m, k, n)| {
+            (Just((m, k, n)), operands(m * k), operands(k * n))
+        }),
     ) {
         // Rebuild the blocked product from the scalar reference dot over
-        // the same packed-Bᵀ panels; the production kernel must match it
-        // bitwise no matter which dispatch path is active.
-        let am = Matrix::from_vec(m, k, a).unwrap();
-        let bm = Matrix::from_vec(k, n, b).unwrap();
-        let blocked = gemm::matmul_blocked(&am, &bm).unwrap();
-        let bt = gemm::transpose_blocked(&bm);
-        let btv = bt.as_slice();
-        let av = am.as_slice();
-        for i in 0..m {
-            for j in 0..n {
-                let reference =
-                    simd::dot_scalar(&av[i * k..(i + 1) * k], &btv[j * k..(j + 1) * k]);
-                prop_assert_eq!(
-                    blocked.get(i, j).to_bits(), reference.to_bits(),
-                    "({}, {}) of {}x{}x{}", i, j, m, k, n
-                );
-            }
-        }
+        // the packed Bᵀ rows; the production kernel and its scalar twin
+        // must match it bitwise no matter which dispatch path is active.
+        let mismatch = gemm_mismatch(m, k, n, a, b);
+        prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
+    }
+
+    #[test]
+    fn blocked_gemm_on_unit_operands_bitwise_equals_scalar_reference_gemm(
+        ((m, k, n), a, b) in gemm_shapes().prop_flat_map(|(m, k, n)| {
+            (Just((m, k, n)), unit(m * k), unit(k * n))
+        }),
+    ) {
+        // The 1e300 class of `operands` swamps or overflows many sums,
+        // which hides the low bits a reordered fold or an unfused tail
+        // would move; unit-range operands keep them visible.
+        let mismatch = gemm_mismatch(m, k, n, a, b);
+        prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
     }
 
     #[test]
@@ -185,10 +226,10 @@ proptest! {
             .prop_flat_map(|(k, n)| (Just((k, n)), operands(k), operands(k * n))),
     ) {
         // m = 1 takes the transpose-free GEMV inside `gemm::matmul`. Every
-        // 16-lane tail occurs for k ≤ 300, and n runs past the blocked
-        // kernel's `NC`-column panel; each output must equal the scalar
+        // 16-lane tail occurs for k ≤ 300, and n runs across many panels
+        // of the blocked kernel; each output must equal the scalar
         // reference dot over the packed Bᵀ row and the blocked kernel's
-        // output, bit for bit.
+        // one-row tile, bit for bit.
         let am = Matrix::from_vec(1, k, a).unwrap();
         let bm = Matrix::from_vec(k, n, b).unwrap();
         let routed = gemm::matmul(&am, &bm).unwrap();
@@ -229,11 +270,12 @@ proptest! {
 
     #[test]
     fn gemm_is_byte_identical_across_thread_counts(
-        ((m, k, n), a, b) in (1usize..=24, 0usize..=32, 1usize..=24)
-            .prop_flat_map(|(m, k, n)| {
-                (Just((m, k, n)), operands(m * k), operands(k * n))
-            }),
+        ((m, k, n), a, b) in gemm_shapes().prop_flat_map(|(m, k, n)| {
+            (Just((m, k, n)), operands(m * k), operands(k * n))
+        }),
     ) {
+        // The deep k class clears `gemm::PAR_ELEMS_MIN` for the larger m
+        // and n, so those cases split into real row bands.
         let am = Matrix::from_vec(m, k, a).unwrap();
         let bm = Matrix::from_vec(k, n, b).unwrap();
         let serial = gemm::matmul_blocked(&am, &bm).unwrap();
@@ -256,6 +298,19 @@ fn large_gemm_is_byte_identical_across_thread_counts() {
         let par = parallel::with_threads(threads, || gemm::matmul(&a, &b).unwrap());
         assert_eq!(bits(&par), bits(&serial), "threads = {threads}");
     }
+}
+
+/// One deterministic product deep in k with every ragged edge at once:
+/// 67 rows (eleven tiles and a one-row remainder), 1029 values of k
+/// (four k-blocks and a five-value tail) and 45 columns (five full
+/// panels, a 4-wide panel and one padded column), on unit operands.
+#[test]
+fn deep_ragged_gemm_bitwise_equals_scalar_reference() {
+    let (m, k, n) = (67, 1029, 45);
+    let a = phox_tensor::Prng::new(42).fill_uniform(m, k, -1.0, 1.0);
+    let b = phox_tensor::Prng::new(43).fill_uniform(k, n, -1.0, 1.0);
+    let mismatch = gemm_mismatch(m, k, n, a.into_vec(), b.into_vec());
+    assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
 }
 
 /// An empty context attends to nothing: `out` keeps every bit, on both

@@ -12,8 +12,11 @@
 //! 1. **Zero dependencies.** crates.io is unreachable in this build
 //!    environment; JSON is written with the in-tree writer ([`json`]).
 //! 2. **Opt-in with near-zero disabled overhead.** Instrumentation sites
-//!    guard on [`enabled`], a single relaxed atomic load, so benchmark
-//!    numbers are unaffected when no trace is installed.
+//!    guard on [`enabled`], a single relaxed atomic load while no thread
+//!    has a trace installed, so benchmark numbers are unaffected when
+//!    none is. An installed trace belongs to the thread that installed it
+//!    (and the parallel workers it spawns), so it records that call tree
+//!    only.
 //! 3. **Deterministic exports.** Library instrumentation records only
 //!    model-time quantities (simulated seconds, joules, counters, tile
 //!    indices) — never wall clock — and the exporters sort events by
@@ -31,10 +34,11 @@
 pub mod json;
 pub mod manifest;
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use json::{json_number, json_string};
@@ -715,41 +719,72 @@ impl Drop for WallSpan {
     }
 }
 
-// --- process-global install point -----------------------------------------
+// --- per-thread install point ---------------------------------------------
 //
 // `phox_tensor::gemm` sits at the bottom of the dependency stack and is
 // called from deep inside parallel tile loops; threading a `&Trace`
 // parameter through every signature would churn the whole workspace API.
-// Instead a single global handle is installed for the duration of a
-// profiled run. The fast path for uninstrumented runs is one relaxed
-// atomic load.
+// Instead a handle is installed on the calling thread for the duration of
+// a profiled run, and `phox_tensor::parallel` re-installs it in every
+// worker it spawns, so a trace records exactly the call tree that
+// installed it and nothing a concurrently running untraced caller does.
+// `TRACING` counts the threads that hold a recording handle; the fast path
+// for uninstrumented runs is one relaxed atomic load of it.
 
-static TRACING: AtomicBool = AtomicBool::new(false);
-static ACTIVE: RwLock<Trace> = RwLock::new(Trace::disabled());
-static INSTALL_LOCK: Mutex<()> = Mutex::new(());
+static TRACING: AtomicUsize = AtomicUsize::new(0);
 
-/// Whether a recording trace is currently installed. One relaxed atomic
-/// load — instrumentation sites guard on this before doing any work.
+/// This thread's handle. Dropping a recording handle at thread exit
+/// releases its count in [`TRACING`].
+struct Slot(RefCell<Trace>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        if self.0.get_mut().is_enabled() {
+            TRACING.fetch_sub(1, AtomicOrdering::Relaxed);
+        }
+    }
+}
+
+thread_local! {
+    static ACTIVE: Slot = const { Slot(RefCell::new(Trace::disabled())) };
+}
+
+/// Whether a recording trace is installed on this thread. One relaxed
+/// atomic load while no thread traces — instrumentation sites guard on
+/// this before doing any work.
 #[inline]
 pub fn enabled() -> bool {
-    TRACING.load(AtomicOrdering::Relaxed)
+    TRACING.load(AtomicOrdering::Relaxed) != 0
+        && ACTIVE
+            .try_with(|slot| slot.0.borrow().is_enabled())
+            .unwrap_or(false)
 }
 
-/// The currently installed trace handle (the disabled handle if none).
+/// The handle installed on this thread (the disabled handle if none).
 pub fn active() -> Trace {
-    if !enabled() {
+    if TRACING.load(AtomicOrdering::Relaxed) == 0 {
         return Trace::disabled();
     }
-    ACTIVE.read().unwrap_or_else(|e| e.into_inner()).clone()
+    ACTIVE
+        .try_with(|slot| slot.0.borrow().clone())
+        .unwrap_or_default()
 }
 
-/// Installs `trace` as the process-global handle, returning the previous
-/// one. Prefer [`with_installed`] in tests — it serializes installs so
-/// concurrently running tests cannot observe each other's traces.
+/// Installs `trace` as this thread's handle, returning the previous one.
+/// Prefer [`with_installed`], which restores the previous handle when its
+/// closure returns or unwinds.
 pub fn install(trace: Trace) -> Trace {
-    let mut slot = ACTIVE.write().unwrap_or_else(|e| e.into_inner());
-    let prev = std::mem::replace(&mut *slot, trace);
-    TRACING.store(slot.is_enabled(), AtomicOrdering::Relaxed);
+    let now = trace.is_enabled();
+    let prev = ACTIVE.with(|slot| slot.0.replace(trace));
+    match (prev.is_enabled(), now) {
+        (false, true) => {
+            TRACING.fetch_add(1, AtomicOrdering::Relaxed);
+        }
+        (true, false) => {
+            TRACING.fetch_sub(1, AtomicOrdering::Relaxed);
+        }
+        _ => {}
+    }
     prev
 }
 
@@ -763,12 +798,11 @@ impl Drop for Restore {
     }
 }
 
-/// Runs `f` with `trace` installed as the global handle, restoring the
-/// previous handle afterwards (also on panic). Installs are serialized on
-/// a process-wide mutex, mirroring `phox_tensor::parallel::with_threads`,
-/// so parallel test binaries see a consistent global.
+/// Runs `f` with `trace` installed on this thread, restoring the previous
+/// handle afterwards (also on panic). Other threads keep their own
+/// handles, so concurrently running callers never see each other's
+/// records; nesting is allowed.
 pub fn with_installed<T>(trace: Trace, f: impl FnOnce() -> T) -> T {
-    let _guard = INSTALL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let prev = install(trace);
     let _restore = Restore(Some(prev));
     f()
@@ -987,6 +1021,59 @@ mod tests {
         assert_eq!(
             t.counters(),
             vec![("k".to_owned(), "v".to_owned(), CounterValue::Int(1))]
+        );
+    }
+
+    #[test]
+    fn concurrent_installs_never_see_each_others_records() {
+        let traces: Vec<Trace> = (0..4).map(|_| Trace::new()).collect();
+        let barrier = std::sync::Barrier::new(traces.len() + 1);
+        std::thread::scope(|s| {
+            for (i, t) in traces.iter().enumerate() {
+                let barrier = &barrier;
+                s.spawn(move || {
+                    with_installed(t.clone(), || {
+                        barrier.wait();
+                        for _ in 0..100 {
+                            active().count("thread", &i.to_string(), 1);
+                        }
+                        barrier.wait();
+                    })
+                });
+            }
+            // Every other thread is tracing now; this one is not.
+            barrier.wait();
+            assert!(!enabled());
+            active().count("thread", "untraced", 1);
+            barrier.wait();
+        });
+        for (i, t) in traces.iter().enumerate() {
+            assert_eq!(
+                t.counters(),
+                vec![("thread".to_owned(), i.to_string(), CounterValue::Int(100))]
+            );
+        }
+    }
+
+    #[test]
+    fn nested_installs_restore_in_order() {
+        let (outer, inner) = (Trace::new(), Trace::new());
+        with_installed(outer.clone(), || {
+            active().count("k", "outer", 1);
+            with_installed(inner.clone(), || active().count("k", "inner", 1));
+            with_installed(Trace::disabled(), || {
+                assert!(!enabled());
+                active().count("k", "dropped", 1);
+            });
+            active().count("k", "outer", 1);
+        });
+        assert_eq!(
+            outer.counters(),
+            vec![("k".to_owned(), "outer".to_owned(), CounterValue::Int(2))]
+        );
+        assert_eq!(
+            inner.counters(),
+            vec![("k".to_owned(), "inner".to_owned(), CounterValue::Int(1))]
         );
     }
 

@@ -1,7 +1,10 @@
 #!/usr/bin/env sh
 # Records the kernel speedup snapshots at the repo root:
-#   BENCH_1.json — GEMM: naive vs cache-blocked vs blocked+parallel
-#                  at 64/256/1024.
+#   BENCH_1.json — GEMM: naive vs the register-blocked microkernel vs
+#                  blocked+parallel at 64/256/1024, and the microkernel
+#                  vs the per-output dot kernel it replaced at those
+#                  sizes and every workload shape, with GMAC/s and
+#                  bit-identity verdicts.
 #   BENCH_2.json — sparse aggregation: CSR kernels vs the retired
 #                  dense-stack path on a Cora-class graph and a
 #                  100k-node / 1M-edge power-law graph.
@@ -25,10 +28,11 @@
 #                  verdicts.
 #
 # There is also a timing-free mode that never writes to the repo root:
-#   digest        — reduces a deterministic battery (GEMM, SpMM,
-#                  decode, analog int8 engine, Tron/Ghost forwards) to
-#                  FNV-1a digests over result bit patterns; CI
-#                  byte-diffs the AVX2 and PHOX_FORCE_SCALAR=1 files.
+#   digest        — reduces a deterministic battery (GEMM and its
+#                  microkernel edges, SpMM, decode, analog int8 engine,
+#                  Tron/Ghost forwards) to FNV-1a digests over result
+#                  bit patterns; CI byte-diffs the AVX2 and
+#                  PHOX_FORCE_SCALAR=1 files.
 #
 # Usage: scripts/bench_snapshot.sh [gemm|sparse|int8|decode|serve|faults|digest|all] [OUTPUT.json]
 # Default is "all". A bare OUTPUT.json argument keeps the legacy

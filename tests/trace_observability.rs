@@ -83,9 +83,9 @@ fn disabled_trace_changes_no_ledger_value() {
     let model = TransformerConfig::bert_base(128);
     let workload = &ghost_workloads()[0];
 
-    // Tracing off. `with_installed` (rather than relying on the
-    // process default) also serialises against the other tests in this
-    // binary, so none of these runs record into a sibling test's trace.
+    // Tracing off. `with_installed` makes that explicit rather than
+    // relying on this thread's default; the traces of sibling tests are
+    // installed on their own threads and never see these runs.
     let (tron_plain, ghost_plain) = phox::trace::with_installed(Trace::disabled(), || {
         (
             tron.simulate(&model).unwrap(),
