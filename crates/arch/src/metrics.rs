@@ -107,6 +107,27 @@ impl LatencyLedger {
     }
 }
 
+/// Checks that `actual` matches `expected` to within 1e-9 relative error —
+/// the ledger-invariant guard: a decomposition (per-stage energies,
+/// latency components) must sum back to the total it claims to
+/// decompose, or the roll-up and the itemisation have silently diverged.
+///
+/// # Errors
+///
+/// Returns [`ArchError::InvariantViolated`], naming `what` and both
+/// numbers, on a larger drift or a NaN.
+pub fn check_close(what: &'static str, expected: f64, actual: f64) -> Result<(), ArchError> {
+    let scale = expected.abs().max(actual.abs()).max(f64::MIN_POSITIVE);
+    let rel = (expected - actual).abs() / scale;
+    if rel.is_nan() || rel > 1e-9 {
+        return Err(ArchError::InvariantViolated {
+            what,
+            detail: format!("expected {expected:e}, decomposition sums to {actual:e}"),
+        });
+    }
+    Ok(())
+}
+
 /// The final performance report of one inference on one platform.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfReport {
@@ -295,7 +316,7 @@ impl ServiceCost {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -426,6 +447,30 @@ mod tests {
         }
         .validated()
         .is_err());
+    }
+
+    /// Asserts `err` is the invariant error for `what` and that its
+    /// message names `what` and both numbers, lowercase, no final period.
+    pub(crate) fn assert_invariant_error(err: ArchError, what: &str, a: f64, b: f64) {
+        assert!(matches!(err, ArchError::InvariantViolated { what: w, .. } if w == what));
+        let m = err.to_string();
+        for part in [what.to_owned(), format!("{a:e}"), format!("{b:e}")] {
+            assert!(m.contains(&part), "{m:?} lacks {part:?}");
+        }
+        assert!(
+            m.starts_with(char::is_lowercase) && !m.ends_with('.'),
+            "{m:?}"
+        );
+    }
+
+    #[test]
+    fn check_close_accepts_1e_9_and_rejects_drift_or_nan() {
+        check_close("exact", 2.5, 2.5).unwrap();
+        check_close("within tolerance", 1.0, 1.0 + 5e-10).unwrap();
+        for (expected, actual) in [(1.0, 1.0 + 1e-6), (1.0, f64::NAN), (f64::NAN, 1.0)] {
+            let err = check_close("stage sum", expected, actual).unwrap_err();
+            assert_invariant_error(err, "stage sum", expected, actual);
+        }
     }
 
     #[test]

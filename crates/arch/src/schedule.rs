@@ -94,6 +94,28 @@ pub fn overlap_time_s(compute_s: f64, memory_s: f64) -> f64 {
     compute_s.max(memory_s) + compute_s.min(memory_s).min(compute_s.max(memory_s) * 0.01)
 }
 
+/// The part of `total_s` not hidden behind `hidden_s` — the exposed
+/// (serialised) remainder after overlap. By construction
+/// [`overlap_time_s`] returns at least the larger operand, so a negative
+/// remainder can only mean a NaN or a modeling bug upstream; it is an
+/// error instead of a silent `.max(0.0)` clamp that would zero the
+/// evidence away.
+///
+/// # Errors
+///
+/// Returns [`ArchError::InvariantViolated`], naming `what` and both
+/// times, when the remainder is negative or NaN.
+pub fn exposed_time_s(what: &'static str, total_s: f64, hidden_s: f64) -> Result<f64, ArchError> {
+    let exposed = total_s - hidden_s;
+    if exposed.is_nan() || exposed < 0.0 {
+        return Err(ArchError::InvariantViolated {
+            what,
+            detail: format!("total {total_s:e} s is less than the hidden component {hidden_s:e} s"),
+        });
+    }
+    Ok(exposed)
+}
+
 /// Elapsed time without overlap (ablation baseline): plain sum.
 pub fn serial_time_s(compute_s: f64, memory_s: f64) -> f64 {
     compute_s + memory_s
@@ -220,6 +242,17 @@ mod tests {
         assert!(o >= 10.0);
         // Dominated by the max.
         assert!((o - 10.1).abs() < 1e-9);
+    }
+
+    #[test]
+    fn exposed_time_is_the_remainder_and_rejects_negative_or_nan() {
+        let total = overlap_time_s(10.0, 2.0);
+        assert_eq!(exposed_time_s("overlap", total, 10.0), Ok(total - 10.0));
+        assert_eq!(exposed_time_s("overlap", 3.0, 3.0), Ok(0.0));
+        for (total, hidden) in [(1.0, 2.0), (f64::NAN, 1.0), (1.0, f64::NAN)] {
+            let err = exposed_time_s("overlap split", total, hidden).unwrap_err();
+            crate::metrics::tests::assert_invariant_error(err, "overlap split", total, hidden);
+        }
     }
 
     #[test]

@@ -3,28 +3,11 @@
 use proptest::prelude::*;
 
 use phox_arch::metrics::{EnergyLedger, PerfReport};
-use phox_arch::pipeline::{Pipeline, PipelineStage};
 use phox_arch::schedule::{
     balance_makespan, overlap_time_s, round_robin_makespan, serial_time_s, Tiling,
 };
 
 proptest! {
-    #[test]
-    fn pipelined_time_never_exceeds_serial(
-        lat in proptest::collection::vec(1e-12f64..1e-6, 1..6),
-        items in 1u64..10_000,
-    ) {
-        let stages: Vec<_> = lat
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| PipelineStage::new(&format!("s{i}"), l).unwrap())
-            .collect();
-        let p = Pipeline::new(stages).unwrap();
-        prop_assert!(p.pipelined_time_s(items) <= p.serial_time_s(items) + 1e-18);
-        // And never faster than the initiation-interval bound.
-        prop_assert!(p.pipelined_time_s(items) >= (items as f64) * p.initiation_interval_s() - 1e-18);
-    }
-
     #[test]
     fn tiling_utilization_in_unit_interval(
         m in 1usize..200,

@@ -13,14 +13,14 @@
 //! model of [`crate::partition`]; the `Optimizations` toggles reproduce
 //! the A2 ablation.
 
-use phox_arch::metrics::{EnergyLedger, LatencyLedger, PerfReport, ServiceCost};
-use phox_arch::schedule::{balance_makespan, overlap_time_s, round_robin_makespan};
+use phox_arch::metrics::{check_close, EnergyLedger, LatencyLedger, PerfReport, ServiceCost};
+use phox_arch::schedule::{balance_makespan, exposed_time_s, overlap_time_s, round_robin_makespan};
 use phox_memsim::dram::HbmStack;
 use phox_memsim::sram::{Sram, SramConfig};
 use phox_nn::datasets::GraphShape;
 use phox_nn::gnn::{CsrGraph, GnnConfig, GnnKind};
-use phox_photonics::fault::FaultImpact;
 use phox_photonics::{Ctx, PhotonicError};
+use phox_trace::Value;
 
 use crate::config::GhostConfig;
 use crate::partition::Partition;
@@ -226,49 +226,6 @@ impl GhostAccelerator {
     /// Propagates simulation failures and cost-validation errors.
     pub fn service_cost(&self, workload: &GnnWorkload) -> Result<ServiceCost, PhotonicError> {
         Ok(self.simulate_core(workload, None, None, None)?.1)
-    }
-
-    /// Maps a resolved fault impact onto the serving-cost degradation it
-    /// causes on this accelerator: dead-lane remapping re-runs the lost
-    /// output columns on the surviving lanes (a marginal slowdown of
-    /// `rows / (rows − dead)`), and TO drift compensation draws standing
-    /// power (extra leakage, one compensation budget per array).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhotonicError::InvalidConfig`] when every receiver lane
-    /// is dead — there is nothing left to remap onto.
-    pub fn fault_degradation(&self, impact: &FaultImpact) -> Result<(f64, f64), PhotonicError> {
-        let rows = self.config.array_rows;
-        if rows == 0 || impact.dead_lanes.len() >= rows {
-            return Err(PhotonicError::InvalidConfig {
-                what: "every receiver lane is dead",
-            }
-            .ctx("deriving fault degradation"));
-        }
-        let slowdown = rows as f64 / (rows - impact.dead_lanes.len()) as f64;
-        Ok((slowdown, impact.compensation_power_w))
-    }
-
-    /// [`GhostAccelerator::service_cost`] on an accelerator degraded by
-    /// `impact` — the serving layer's dead-lane-remap / drift-compensation
-    /// cost seam.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GhostAccelerator::service_cost`] and degradation
-    /// failures.
-    pub fn degraded_service_cost(
-        &self,
-        workload: &GnnWorkload,
-        impact: &FaultImpact,
-    ) -> Result<ServiceCost, PhotonicError> {
-        let (slowdown, extra_leakage_w) = self.fault_degradation(impact)?;
-        self.service_cost(workload)?
-            .degraded(slowdown, extra_leakage_w)
-            .map_err(|e| {
-                PhotonicError::upstream("arch", e).ctx("validating the degraded GHOST service cost")
-            })
     }
 
     /// Simulates one full-graph inference over an *instantiated* graph:
@@ -499,7 +456,8 @@ impl GhostAccelerator {
                 "GHOST overlapped latency vs compute time",
                 total_s,
                 compute_s,
-            )?,
+            )
+            .map_err(|e| PhotonicError::upstream("arch", e).ctx("splitting the GHOST latency"))?,
             ..LatencyLedger::default()
         };
 
@@ -514,63 +472,66 @@ impl GhostAccelerator {
             .combine(&memory_energy);
         energy.static_j += static_j;
 
-        // ---- ledger invariants -------------------------------------
-        let stage_sum_j = agg_energy.total_j()
-            + combine_energy.total_j()
-            + update_energy.total_j()
-            + memory_energy.total_j()
-            + static_j;
+        // ---- per-stage decomposition + ledger invariants ------------
+        // One `stage/*` entry per pipeline stage: name, model-time
+        // duration, joules and trace args, laid end to end on a
+        // model-time axis. The ledger check sums it and the trace emits
+        // it, so the trace *is* the ledger decomposition.
+        let tracing = phox_trace::enabled();
+        let args = |a: &[(&'static str, Value)]| if tracing { a.to_vec() } else { Vec::new() };
+        let balance_args = || args(&[("balance", Value::Float(balance))]);
+        let stages = [
+            ("aggregate", agg_s, agg_energy.total_j(), balance_args()),
+            (
+                "combine",
+                combine_s,
+                combine_energy.total_j(),
+                balance_args(),
+            ),
+            ("update", update_s, update_energy.total_j(), balance_args()),
+            (
+                "hbm_stream",
+                latency.memory_s,
+                memory_energy.total_j(),
+                args(&[("edges", Value::UInt(edges))]),
+            ),
+            (
+                "static",
+                0.0,
+                static_j,
+                args(&[("leakage_w", Value::Float(leakage_w))]),
+            ),
+        ];
+        let stage_sum_j: f64 = stages.iter().map(|(_, _, joules, _)| joules).sum();
         check_close(
             "GHOST per-stage energy decomposition vs EnergyLedger total",
             energy.total_j(),
             stage_sum_j,
-        )?;
+        )
+        .map_err(|e| PhotonicError::upstream("arch", e).ctx("checking the GHOST energy ledger"))?;
         check_close(
             "GHOST LatencyLedger component sum vs reported latency",
             total_s,
             latency.total_s(),
-        )?;
+        )
+        .map_err(|e| PhotonicError::upstream("arch", e).ctx("checking the GHOST latency ledger"))?;
 
         let workload_name = format!("{}/{}", workload.model.kind, workload.shape.name);
-
-        // ---- trace: one span per pipeline stage --------------------
-        if phox_trace::enabled() {
+        if tracing {
             let tr = phox_trace::active();
             let track = format!("ghost/{workload_name}");
-            let stages: [(&str, f64, &EnergyLedger); 3] = [
-                ("aggregate", agg_s, &agg_energy),
-                ("combine", combine_s, &combine_energy),
-                ("update", update_s, &update_energy),
-            ];
             let mut t0 = 0.0f64;
-            for (name, dur_s, ledger) in stages {
+            for (name, dur_s, joules, args) in stages {
                 tr.model_span(
                     track.clone(),
                     format!("stage/{name}"),
                     t0,
                     dur_s,
-                    Some(ledger.total_j()),
-                    vec![("balance", phox_trace::Value::Float(balance))],
+                    Some(joules),
+                    args,
                 );
                 t0 += dur_s;
             }
-            tr.model_span(
-                track.clone(),
-                "stage/hbm_stream",
-                t0,
-                latency.memory_s,
-                Some(memory_energy.total_j()),
-                vec![("edges", phox_trace::Value::UInt(edges))],
-            );
-            t0 += latency.memory_s;
-            tr.model_span(
-                track.clone(),
-                "stage/static",
-                t0,
-                0.0,
-                Some(static_j),
-                vec![("leakage_w", phox_trace::Value::Float(leakage_w))],
-            );
         }
 
         let census = workload.census();
@@ -586,12 +547,14 @@ impl GhostAccelerator {
         // Marginal energy = everything but the resident terms and the
         // (window-wide) leakage, taken from the same stage ledgers the
         // invariants above verified. Marginal time overlaps the
-        // per-query compute with the non-weight (feature/index) stream.
+        // per-query compute with the non-weight (feature/index) stream,
+        // which the full stream always covers.
         let marginal_mem_s = exposed_time_s(
             "GHOST feature stream time vs weight stream time",
             memory_s,
             resident_s,
-        )?;
+        )
+        .map_err(|e| PhotonicError::upstream("arch", e).ctx("exposing the GHOST feature stream"))?;
         let service = ServiceCost {
             resident_s,
             resident_j,
@@ -613,40 +576,6 @@ impl GhostAccelerator {
             service,
         ))
     }
-}
-
-/// Asserts that `actual` matches `expected` to within 1e-9 relative
-/// error — the ledger-invariant guard: a decomposition (per-stage
-/// energies, latency components) must sum back to the total it claims to
-/// decompose, or the roll-up and the itemisation have silently diverged.
-fn check_close(what: &'static str, expected: f64, actual: f64) -> Result<(), PhotonicError> {
-    let scale = expected.abs().max(actual.abs()).max(f64::MIN_POSITIVE);
-    let rel = (expected - actual).abs() / scale;
-    if rel.is_nan() || rel > 1e-9 {
-        return Err(PhotonicError::NumericalFailure {
-            what,
-            detail: format!("expected {expected:e}, decomposition sums to {actual:e}"),
-        });
-    }
-    Ok(())
-}
-
-/// The part of `total_s` not hidden behind `hidden_s` — the exposed
-/// (serialised) remainder after overlap. By construction
-/// [`overlap_time_s`] returns at least the larger operand (and the full
-/// stream always covers the weight substream), so a negative remainder
-/// can only mean a NaN or a modeling bug upstream; it is a typed
-/// [`PhotonicError::NumericalFailure`] instead of a silent `.max(0.0)`
-/// clamp that would zero the evidence away.
-fn exposed_time_s(what: &'static str, total_s: f64, hidden_s: f64) -> Result<f64, PhotonicError> {
-    let exposed = total_s - hidden_s;
-    if exposed.is_nan() || exposed < 0.0 {
-        return Err(PhotonicError::NumericalFailure {
-            what,
-            detail: format!("total {total_s:e} s is less than the hidden component {hidden_s:e} s"),
-        });
-    }
-    Ok(exposed)
 }
 
 #[cfg(test)]

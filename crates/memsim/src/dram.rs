@@ -170,106 +170,3 @@ mod tests {
         .is_err());
     }
 }
-
-/// An embedded-DRAM macro: denser and cheaper-per-bit than SRAM for the
-/// multi-megabyte feature buffers GHOST-class accelerators need, at the
-/// cost of refresh power and longer access latency.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Edram {
-    /// Capacity, bytes.
-    pub capacity_bytes: usize,
-    /// Access word width, bytes.
-    pub word_bytes: usize,
-}
-
-impl Edram {
-    /// Builds a validated eDRAM macro.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::InvalidConfig`] for zero sizes or a word wider
-    /// than the macro.
-    pub fn new(capacity_bytes: usize, word_bytes: usize) -> Result<Self, MemError> {
-        if capacity_bytes == 0 || word_bytes == 0 || word_bytes > capacity_bytes {
-            return Err(MemError::InvalidConfig {
-                what: "eDRAM capacity and word size must be non-zero and consistent",
-            });
-        }
-        Ok(Edram {
-            capacity_bytes,
-            word_bytes,
-        })
-    }
-
-    /// Dynamic energy of one access, J — roughly 2× an equally sized
-    /// SRAM's bitline energy but with weaker capacity scaling (folded
-    /// trench cells): `E = 1 pJ · (KiB)^0.35 · (word/8B)^0.7`.
-    pub fn access_energy_j(&self) -> f64 {
-        let kib = self.capacity_bytes as f64 / 1024.0;
-        let word_factor = (self.word_bytes as f64 / 8.0).powf(0.7);
-        1e-12 * kib.powf(0.35) * word_factor
-    }
-
-    /// Access latency, s: `t = 1 ns + 0.1 ns · sqrt(KiB)` — several times
-    /// an SRAM of the same capacity.
-    pub fn access_latency_s(&self) -> f64 {
-        1e-9 + 0.1e-9 * (self.capacity_bytes as f64 / 1024.0).sqrt()
-    }
-
-    /// Refresh power, W (≈ 1 µW per KiB — the eDRAM tax SRAM does not
-    /// pay, but an order of magnitude below SRAM leakage per bit).
-    pub fn refresh_power_w(&self) -> f64 {
-        1e-6 * self.capacity_bytes as f64 / 1024.0
-    }
-
-    /// Energy to stream `bytes` through the macro, J.
-    pub fn stream_energy_j(&self, bytes: usize) -> f64 {
-        bytes.div_ceil(self.word_bytes) as f64 * self.access_energy_j()
-    }
-}
-
-#[cfg(test)]
-mod edram_tests {
-    use super::*;
-    use crate::sram::{Sram, SramConfig};
-
-    #[test]
-    fn edram_denser_tradeoff_vs_sram() {
-        // Same 8 MiB capacity: eDRAM accesses cost less than the big
-        // SRAM's, latency is worse, and refresh replaces leakage at a
-        // lower price.
-        let cap = 8 * 1024 * 1024;
-        let edram = Edram::new(cap, 32).unwrap();
-        let sram = Sram::new(SramConfig {
-            capacity_bytes: cap,
-            word_bytes: 32,
-            banks: 1,
-        })
-        .unwrap();
-        assert!(edram.access_energy_j() < sram.read_energy_j());
-        assert!(edram.access_latency_s() > sram.access_latency_s());
-        assert!(edram.refresh_power_w() < sram.leakage_w());
-    }
-
-    #[test]
-    fn energy_grows_sublinearly_with_capacity() {
-        let small = Edram::new(1024 * 1024, 32).unwrap();
-        let large = Edram::new(16 * 1024 * 1024, 32).unwrap();
-        let ratio = large.access_energy_j() / small.access_energy_j();
-        assert!(ratio > 1.0 && ratio < 4.0, "ratio {ratio}");
-    }
-
-    #[test]
-    fn stream_energy_counts_words() {
-        let e = Edram::new(1024 * 1024, 32).unwrap();
-        assert!((e.stream_energy_j(320) - 10.0 * e.access_energy_j()).abs() < 1e-24);
-        assert_eq!(e.stream_energy_j(0), 0.0);
-    }
-
-    #[test]
-    fn validation() {
-        assert!(Edram::new(0, 16).is_err());
-        assert!(Edram::new(1024, 0).is_err());
-        assert!(Edram::new(16, 32).is_err());
-    }
-}

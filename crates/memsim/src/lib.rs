@@ -1,10 +1,11 @@
 //! # phox-memsim
 //!
 //! CACTI-substitute analytic memory models: on-chip SRAM buffers with
-//! square-root capacity scaling calibrated to published CACTI 7 numbers,
-//! HBM-class off-chip channels, and a [`hierarchy::MemorySystem`] ledger
-//! that the TRON and GHOST architecture simulators charge their traffic
-//! to.
+//! square-root capacity scaling calibrated to published CACTI 7 numbers
+//! ([`sram`]) and HBM-class off-chip channels ([`dram`]). The TRON and
+//! GHOST architecture simulators size their buffers and weight streams
+//! from these models and charge the resulting joules and seconds to
+//! their own `phox-arch` ledgers.
 //!
 //! See DESIGN.md's substitution table: the paper obtains buffer
 //! performance/energy from CACTI; this crate reproduces the quantities the
@@ -27,13 +28,12 @@
 #![warn(missing_docs)]
 
 pub mod dram;
-pub mod hierarchy;
 pub mod sram;
 
 use std::error::Error;
 use std::fmt;
 
-/// Error type for memory model configuration and ledger operations.
+/// Error type for memory model configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MemError {
     /// A configuration value was invalid.

@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 
 use phox_memsim::dram::{HbmChannel, HbmStack};
-use phox_memsim::hierarchy::MemorySystem;
 use phox_memsim::sram::{Sram, SramConfig};
 
 proptest! {
@@ -51,33 +50,5 @@ proptest! {
     fn stack_never_slower_than_single_channel(bytes in 1usize..100_000_000) {
         let stack = HbmStack::default();
         prop_assert!(stack.transfer_time_s(bytes) <= stack.channel.transfer_time_s(bytes));
-    }
-
-    #[test]
-    fn ledger_totals_match_sum_of_operations(
-        reads in proptest::collection::vec(1usize..10_000, 1..20),
-    ) {
-        let mut m = MemorySystem::new();
-        m.add_buffer("b", SramConfig::default()).unwrap();
-        let mut expected_bytes = 0;
-        for r in &reads {
-            m.read("b", *r).unwrap();
-            expected_bytes += r;
-        }
-        let ledger = m.ledger("b").unwrap();
-        prop_assert_eq!(ledger.bytes_read, expected_bytes);
-        prop_assert!(ledger.energy_j > 0.0);
-        prop_assert!((m.total_dynamic_energy_j() - ledger.energy_j).abs() < 1e-18);
-    }
-
-    #[test]
-    fn reset_is_idempotent(bytes in 1usize..10_000) {
-        let mut m = MemorySystem::new();
-        m.add_buffer("b", SramConfig::default()).unwrap();
-        m.read("b", bytes).unwrap();
-        m.reset();
-        m.reset();
-        prop_assert_eq!(m.ledger("b").unwrap().bytes_read, 0);
-        prop_assert_eq!(m.total_dynamic_energy_j(), 0.0);
     }
 }

@@ -13,13 +13,13 @@
 //! `M` symbols each. Weight tiles are programmed once per pass
 //! (weight-DAC sharing), activations once per symbol.
 
-use phox_arch::metrics::{EnergyLedger, LatencyLedger, PerfReport, ServiceCost};
-use phox_arch::schedule::{overlap_time_s, Tiling};
+use phox_arch::metrics::{check_close, EnergyLedger, LatencyLedger, PerfReport, ServiceCost};
+use phox_arch::schedule::{exposed_time_s, overlap_time_s, Tiling};
 use phox_memsim::dram::HbmStack;
 use phox_memsim::sram::{Sram, SramConfig};
-use phox_nn::transformer::{TransformerConfig, TransformerKind};
-use phox_photonics::fault::FaultImpact;
+use phox_nn::transformer::{decode_context_lengths, TransformerConfig, TransformerKind};
 use phox_photonics::{Ctx, PhotonicError};
+use phox_trace::Value;
 
 use crate::config::TronConfig;
 
@@ -94,20 +94,20 @@ impl Stage {
 }
 
 /// Cost of one matmul on one unit group.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct MatmulCost {
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct MatmulCost {
     /// Total array-symbols issued.
-    pub symbols: u64,
+    symbols: u64,
     /// Elapsed symbols after spreading over the group's arrays.
-    pub elapsed_symbols: u64,
+    elapsed_symbols: u64,
     /// Weight DAC conversions (tile programming).
-    pub weight_conversions: u64,
+    weight_conversions: u64,
     /// Activation DAC conversions.
-    pub activation_conversions: u64,
+    activation_conversions: u64,
     /// ADC conversions (row outputs).
-    pub adc_conversions: u64,
+    adc_conversions: u64,
     /// Useful MACs.
-    pub macs: u64,
+    macs: u64,
 }
 
 /// Full delta ledger of one matmul, split into the weight-resident part
@@ -160,6 +160,24 @@ struct ElementwiseCost {
     softmax_s: f64,
     /// Optical LN/residual lane time, s.
     elementwise_s: f64,
+}
+
+/// One pass over a model's prefill matmul list, keeping both of its cost
+/// views: the summed full ledgers [`TronAccelerator::simulate`] charges,
+/// in total and per pipeline stage, and the marginal/resident split
+/// [`TronAccelerator::service_cost`] prices.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct PrefillPass {
+    /// Σ of every matmul's delta: elapsed time, MACs and both sides.
+    total: MatmulDelta,
+    /// Σ of every matmul's full (marginal + resident) ledger.
+    energy: EnergyLedger,
+    /// Σ of full ledgers per stage, indexed by `Stage::index`.
+    stage_energy: [EnergyLedger; Stage::ALL.len()],
+    /// Elapsed time per stage, s.
+    stage_elapsed: [f64; Stage::ALL.len()],
+    /// Matmul count per stage.
+    stage_matmuls: [u64; Stage::ALL.len()],
 }
 
 /// Detailed simulation result for one model inference on TRON.
@@ -253,8 +271,13 @@ impl TronAccelerator {
         self.array_laser_w
     }
 
+    /// Static leakage of the weight and activation buffers, W.
+    fn leakage_w(&self) -> f64 {
+        self.weight_buffer.leakage_w() + self.act_buffer.leakage_w()
+    }
+
     /// Arrays available to a unit class.
-    pub fn arrays_in(&self, unit: UnitClass) -> usize {
+    fn arrays_in(&self, unit: UnitClass) -> usize {
         match unit {
             UnitClass::Head => self.config.head_units * self.config.arrays_per_head,
             UnitClass::Linear => self.config.linear_arrays,
@@ -262,12 +285,9 @@ impl TronAccelerator {
         }
     }
 
-    /// Costs one matmul on a unit group.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhotonicError::InvalidConfig`] for degenerate shapes.
-    pub fn matmul_cost(
+    /// Costs one matmul on a unit group; degenerate shapes fail the
+    /// tiling.
+    fn matmul_cost(
         &self,
         shape: MatmulShape,
         unit: UnitClass,
@@ -385,133 +405,78 @@ impl TronAccelerator {
     /// (encoder layers, then decoder layers for encoder-decoder models),
     /// tagged with the unit group that runs it and the pipeline stage it
     /// belongs to.
-    pub fn model_matmuls(model: &TransformerConfig) -> Vec<(MatmulShape, UnitClass, Stage)> {
+    fn model_matmuls(model: &TransformerConfig) -> Vec<(MatmulShape, UnitClass, Stage)> {
+        let layer = Self::layer_matmuls(model);
         let mut v = Vec::new();
         for _ in 0..model.layers {
-            v.extend(Self::layer_matmuls(model));
+            v.extend_from_slice(&layer);
         }
         if model.kind == TransformerKind::EncoderDecoder {
             for _ in 0..model.layers {
-                v.extend(Self::decoder_layer_matmuls(model));
+                // A decoder layer: a full self-attention layer plus the
+                // cross-attention block — Q from the decoder state, K/V
+                // from the encoder memory, per-head score and context
+                // matmuls, output projection — which is the same list
+                // without its feed-forward pair.
+                v.extend_from_slice(&layer);
+                v.extend(layer.iter().filter(|m| m.2 != Stage::FeedForward));
             }
         }
-        v
-    }
-
-    /// The matmuls of one decoder layer: a full self-attention layer plus
-    /// the cross-attention block.
-    pub fn decoder_layer_matmuls(
-        model: &TransformerConfig,
-    ) -> Vec<(MatmulShape, UnitClass, Stage)> {
-        let s = model.seq_len;
-        let d = model.d_model;
-        let dh = model.d_head();
-        let h = model.heads;
-        let mut v = Self::layer_matmuls(model);
-        // Cross-attention: Q from the decoder state, K/V from the
-        // encoder memory, output projection; per-head score and context
-        // matmuls.
-        v.push((
-            MatmulShape { m: s, k: d, n: d },
-            UnitClass::Head,
-            Stage::Projection,
-        )); // Q_c
-        v.push((
-            MatmulShape { m: s, k: d, n: d },
-            UnitClass::Head,
-            Stage::Projection,
-        )); // K_c
-        v.push((
-            MatmulShape { m: s, k: d, n: d },
-            UnitClass::Head,
-            Stage::Projection,
-        )); // V_c
-        for _ in 0..h {
-            v.push((
-                MatmulShape { m: s, k: dh, n: s },
-                UnitClass::Head,
-                Stage::Attention,
-            ));
-            v.push((
-                MatmulShape { m: s, k: s, n: dh },
-                UnitClass::Head,
-                Stage::Attention,
-            ));
-        }
-        v.push((
-            MatmulShape { m: s, k: d, n: d },
-            UnitClass::Linear,
-            Stage::Linear,
-        )); // W_co
         v
     }
 
     /// The matmuls of one encoder (or single-stack) transformer layer, in
     /// dataflow order.
     pub fn layer_matmuls(model: &TransformerConfig) -> Vec<(MatmulShape, UnitClass, Stage)> {
-        let s = model.seq_len;
-        let d = model.d_model;
-        let dh = model.d_head();
-        let h = model.heads;
-        let mut v = Vec::new();
-        // Q, K, V projections (the decomposition of eq. (3) replaces the
-        // K projection with (Q·W_Kᵀ)·Xᵀ — same MAC count, no digital
-        // transpose).
-        v.push((
-            MatmulShape { m: s, k: d, n: d },
-            UnitClass::Head,
-            Stage::Projection,
-        )); // Q = X·W_Q
-        v.push((
-            MatmulShape { m: s, k: d, n: d },
-            UnitClass::Head,
-            Stage::Projection,
-        )); // Q·W_Kᵀ
-        v.push((
-            MatmulShape { m: s, k: d, n: d },
-            UnitClass::Head,
-            Stage::Projection,
-        )); // V = X·W_V
-        for _ in 0..h {
-            // (Q·W_Kᵀ)·Xᵀ per head: s×dh · dh×s.
-            v.push((
-                MatmulShape { m: s, k: dh, n: s },
-                UnitClass::Head,
-                Stage::Attention,
-            ));
-            // softmax(scores)·V per head: s×s · s×dh.
-            v.push((
-                MatmulShape { m: s, k: s, n: dh },
-                UnitClass::Head,
-                Stage::Attention,
-            ));
+        Self::matmuls_at(model, model.seq_len, model.seq_len)
+    }
+
+    /// The matmuls of one transformer layer whose `m` query rows attend
+    /// over `ctx` key rows, in dataflow order: the prefill pass uses
+    /// `(seq_len, seq_len)`, a KV-cached decode step `(1, t)`.
+    fn matmuls_at(
+        model: &TransformerConfig,
+        m: usize,
+        ctx: usize,
+    ) -> Vec<(MatmulShape, UnitClass, Stage)> {
+        let (d, dh, d_ff) = (model.d_model, model.d_head(), model.d_ff);
+        let mm = |k, n, unit, stage| (MatmulShape { m, k, n }, unit, stage);
+        // Q = X·W_Q, Q·W_Kᵀ and V = X·W_V (the decomposition of eq. (3)
+        // replaces the K projection with (Q·W_Kᵀ)·Xᵀ — same MAC count,
+        // no digital transpose).
+        let mut v = vec![mm(d, d, UnitClass::Head, Stage::Projection); 3];
+        for _ in 0..model.heads {
+            // (Q·W_Kᵀ)·Xᵀ per head: m×dh · dh×ctx.
+            v.push(mm(dh, ctx, UnitClass::Head, Stage::Attention));
+            // softmax(scores)·V per head: m×ctx · ctx×dh.
+            v.push(mm(ctx, dh, UnitClass::Head, Stage::Attention));
         }
         // Output projection (the "linear layer ... two MR bank arrays").
-        v.push((
-            MatmulShape { m: s, k: d, n: d },
-            UnitClass::Linear,
-            Stage::Linear,
-        ));
+        v.push(mm(d, d, UnitClass::Linear, Stage::Linear));
         // Feed-forward.
-        v.push((
-            MatmulShape {
-                m: s,
-                k: d,
-                n: model.d_ff,
-            },
-            UnitClass::FeedForward,
-            Stage::FeedForward,
-        ));
-        v.push((
-            MatmulShape {
-                m: s,
-                k: model.d_ff,
-                n: d,
-            },
-            UnitClass::FeedForward,
-            Stage::FeedForward,
-        ));
+        v.push(mm(d, d_ff, UnitClass::FeedForward, Stage::FeedForward));
+        v.push(mm(d_ff, d, UnitClass::FeedForward, Stage::FeedForward));
         v
+    }
+
+    /// Costs every matmul of one inference of `model` once, in dataflow
+    /// order, into both views of a [`PrefillPass`].
+    fn prefill_pass(&self, model: &TransformerConfig) -> Result<PrefillPass, PhotonicError> {
+        let mut pass = PrefillPass::default();
+        for (shape, unit, stage) in Self::model_matmuls(model) {
+            // The shared per-matmul delta ledger — the same helper the
+            // decode path charges from, so prefill and decode cannot
+            // drift apart in which energy categories they account.
+            let d = self.matmul_delta(shape, unit)?;
+            let delta = d.energy();
+            let i = stage.index();
+            pass.total.add(&d, 1);
+            pass.energy = pass.energy.combine(&delta);
+            pass.stage_energy[i] = pass.stage_energy[i].combine(&delta);
+            pass.stage_elapsed[i] += d.elapsed_s;
+            pass.stage_matmuls[i] += 1;
+        }
+        Ok(pass)
     }
 
     /// Simulates one inference of `model`, returning per-inference
@@ -525,35 +490,19 @@ impl TronAccelerator {
         let batch = cfg.batch as u64;
         let census = model.census();
 
-        let mut energy = EnergyLedger::default();
         let mut latency = LatencyLedger::default();
-        let mut total_macs = 0u64;
 
         // ----- analog compute: every matmul of the whole model -------
         // Each matmul's cost is accumulated as a delta ledger that feeds
         // both the aggregate and its pipeline stage's ledger, so the
         // per-stage decomposition sums to the totals by construction.
-        let matmuls = Self::model_matmuls(model);
-        let mut model_elapsed_s = 0.0;
-        let mut stage_energy = [EnergyLedger::default(); Stage::ALL.len()];
-        let mut stage_elapsed = [0.0f64; Stage::ALL.len()];
-        let mut stage_matmuls = [0u64; Stage::ALL.len()];
-        for &(shape, unit, stage) in &matmuls {
-            // The shared per-matmul delta ledger — the same helper the
-            // decode path charges from, so prefill and decode cannot
-            // drift apart in which energy categories they account.
-            let d = self.matmul_delta(shape, unit)?;
-            total_macs += d.macs;
-            model_elapsed_s += d.elapsed_s;
-            let delta = d.energy();
-            energy = energy.combine(&delta);
-            stage_energy[stage.index()] = stage_energy[stage.index()].combine(&delta);
-            stage_elapsed[stage.index()] += d.elapsed_s;
-            stage_matmuls[stage.index()] += 1;
-        }
+        let pass = self.prefill_pass(model)?;
         // Compute for the whole batch (weights stay; activations stream).
-        let compute_batch_s = model_elapsed_s * batch as f64;
-        energy = scale_analog(&energy, batch as f64);
+        // Matmul deltas charge no digital or static energy, so scaling the
+        // ledger scales only its analog components; the model-level
+        // terms below are charged once.
+        let compute_batch_s = pass.total.elapsed_s * batch as f64;
+        let mut energy = pass.energy.scale(batch as f64);
 
         // ----- digital softmax + optical LayerNorm/residual ---------
         // Model-level elementwise stages from the shared helper, with
@@ -590,11 +539,13 @@ impl TronAccelerator {
             "TRON overlapped latency vs compute time",
             overlapped,
             compute_total_s,
-        )? / batch as f64;
+        )
+        .map_err(|e| PhotonicError::upstream("arch", e).ctx("splitting the TRON latency"))?
+            / batch as f64;
         latency.digital_s = 0.5 * softmax_s / batch as f64;
 
         // ----- static energy ----------------------------------------
-        let leakage_w = self.weight_buffer.leakage_w() + self.act_buffer.leakage_w();
+        let leakage_w = self.leakage_w();
         energy.static_j += leakage_w * batch_latency_s;
 
         // Per-inference figures.
@@ -602,98 +553,93 @@ impl TronAccelerator {
         let per_inf_latency_s = batch_latency_s / batch as f64;
 
         // ----- per-stage decomposition + ledger invariants ----------
-        // Per-inference stage energies. The analog stages scale ×batch
-        // then ÷batch (cancelling), so the raw accumulation is already
-        // per-inference; the model-level stages divide by batch where the
-        // aggregate path multiplied by it.
+        // One `stage/*` entry per pipeline stage: name, model-time
+        // duration, per-inference joules and trace args. The analog
+        // stages scale ×batch then ÷batch (cancelling), so the raw
+        // accumulation is already per-inference; the model-level stages
+        // divide by batch where the aggregate path multiplied by it.
         let batch_f = batch as f64;
         let ew_inf = self.elementwise_costs(
             census.softmax_elements,
             census.adds,
             census.layernorm_elements,
         );
-        let softmax_stage_j = ew_inf.softmax_j;
-        let ln_stage_j = ew_inf.residual_j + ew_inf.ln_j;
-        let hbm_stage_j = hbm_energy_j / batch_f;
-        let static_stage_j = leakage_w * batch_latency_s / batch_f;
-        let stage_sum_j: f64 = stage_energy.iter().map(EnergyLedger::total_j).sum::<f64>()
-            + softmax_stage_j
-            + ln_stage_j
-            + hbm_stage_j
-            + static_stage_j;
+        let tracing = phox_trace::enabled();
+        let args = |a: &[(&'static str, Value)]| if tracing { a.to_vec() } else { Vec::new() };
+        let analog_stage = |stage: Stage| {
+            let i = stage.index();
+            (
+                stage.name(),
+                pass.stage_elapsed[i],
+                pass.stage_energy[i].total_j(),
+                args(&[("matmuls", Value::UInt(pass.stage_matmuls[i]))]),
+            )
+        };
+        let stages = [
+            analog_stage(Stage::Projection),
+            analog_stage(Stage::Attention),
+            analog_stage(Stage::Linear),
+            analog_stage(Stage::FeedForward),
+            (
+                "layernorm_residual",
+                elementwise_s / batch_f,
+                ew_inf.residual_j + ew_inf.ln_j,
+                args(&[
+                    ("ln_elems", Value::UInt(census.layernorm_elements)),
+                    ("residual_elems", Value::UInt(census.adds)),
+                ]),
+            ),
+            (
+                "softmax",
+                latency.digital_s,
+                ew_inf.softmax_j,
+                args(&[("elems", Value::UInt(census.softmax_elements))]),
+            ),
+            (
+                "hbm_stream",
+                latency.memory_s,
+                hbm_energy_j / batch_f,
+                args(&[("weight_bytes", Value::UInt(weight_bytes as u64))]),
+            ),
+            (
+                "static",
+                0.0,
+                leakage_w * batch_latency_s / batch_f,
+                args(&[("leakage_w", Value::Float(leakage_w))]),
+            ),
+        ];
         check_close(
             "TRON per-stage energy decomposition vs EnergyLedger total",
             per_inf_energy.total_j(),
-            stage_sum_j,
-        )?;
+            stages.iter().map(|(_, _, joules, _)| joules).sum(),
+        )
+        .map_err(|e| PhotonicError::upstream("arch", e).ctx("checking the TRON energy ledger"))?;
         check_close(
             "TRON LatencyLedger component sum vs reported latency",
             per_inf_latency_s,
             latency.total_s(),
-        )?;
+        )
+        .map_err(|e| PhotonicError::upstream("arch", e).ctx("checking the TRON latency ledger"))?;
 
         // ----- trace: one span per pipeline stage -------------------
         // The spans lay the stages end to end on a model-time axis; each
         // carries the exact per-inference joules it added to the ledger,
         // so the trace *is* the ledger decomposition.
-        if phox_trace::enabled() {
+        if tracing {
             let tr = phox_trace::active();
             let track = format!("tron/{}", model.name);
             let mut t0 = 0.0f64;
-            for stage in Stage::ALL {
-                let i = stage.index();
+            for (name, dur_s, joules, args) in stages {
                 tr.model_span(
                     track.clone(),
-                    format!("stage/{}", stage.name()),
+                    format!("stage/{name}"),
                     t0,
-                    stage_elapsed[i],
-                    Some(stage_energy[i].total_j()),
-                    vec![("matmuls", phox_trace::Value::UInt(stage_matmuls[i]))],
+                    dur_s,
+                    Some(joules),
+                    args,
                 );
-                t0 += stage_elapsed[i];
+                t0 += dur_s;
             }
-            let ln_dur_s = elementwise_s / batch_f;
-            tr.model_span(
-                track.clone(),
-                "stage/layernorm_residual",
-                t0,
-                ln_dur_s,
-                Some(ln_stage_j),
-                vec![
-                    (
-                        "ln_elems",
-                        phox_trace::Value::UInt(census.layernorm_elements),
-                    ),
-                    ("residual_elems", phox_trace::Value::UInt(census.adds)),
-                ],
-            );
-            t0 += ln_dur_s;
-            tr.model_span(
-                track.clone(),
-                "stage/softmax",
-                t0,
-                latency.digital_s,
-                Some(softmax_stage_j),
-                vec![("elems", phox_trace::Value::UInt(census.softmax_elements))],
-            );
-            t0 += latency.digital_s;
-            tr.model_span(
-                track.clone(),
-                "stage/hbm_stream",
-                t0,
-                latency.memory_s,
-                Some(hbm_stage_j),
-                vec![("weight_bytes", phox_trace::Value::UInt(weight_bytes as u64))],
-            );
-            t0 += latency.memory_s;
-            tr.model_span(
-                track.clone(),
-                "stage/static",
-                t0,
-                0.0,
-                Some(static_stage_j),
-                vec![("leakage_w", phox_trace::Value::Float(leakage_w))],
-            );
         }
 
         let ops = census.total_ops();
@@ -705,7 +651,7 @@ impl TronAccelerator {
 
         let peak_macs = cfg.peak_macs_per_s() * compute_batch_s;
         let utilization = if peak_macs > 0.0 {
-            (total_macs as f64 * batch as f64 / peak_macs).min(1.0)
+            (pass.total.macs as f64 * batch as f64 / peak_macs).min(1.0)
         } else {
             0.0
         };
@@ -718,22 +664,6 @@ impl TronAccelerator {
             model: model.name.clone(),
         })
     }
-}
-
-/// Asserts that `actual` matches `expected` to within 1e-9 relative
-/// error — the ledger-invariant guard: a decomposition (per-stage
-/// energies, latency components) must sum back to the total it claims to
-/// decompose, or the roll-up and the itemisation have silently diverged.
-fn check_close(what: &'static str, expected: f64, actual: f64) -> Result<(), PhotonicError> {
-    let scale = expected.abs().max(actual.abs()).max(f64::MIN_POSITIVE);
-    let rel = (expected - actual).abs() / scale;
-    if rel.is_nan() || rel > 1e-9 {
-        return Err(PhotonicError::NumericalFailure {
-            what,
-            detail: format!("expected {expected:e}, decomposition sums to {actual:e}"),
-        });
-    }
-    Ok(())
 }
 
 /// The decode-phase op count: the generation census minus the prefill
@@ -755,39 +685,6 @@ fn decode_census_ops(
                 prefill.total_ops()
             ),
         }),
-    }
-}
-
-/// The part of `total_s` not hidden behind `hidden_s` — the exposed
-/// (serialised) remainder after overlap. By construction
-/// [`overlap_time_s`] returns at least the larger operand, so a negative
-/// remainder can only mean a NaN or a modeling bug upstream; it is a
-/// typed [`PhotonicError::NumericalFailure`] instead of a silent
-/// `.max(0.0)` clamp that would zero the evidence away.
-fn exposed_time_s(what: &'static str, total_s: f64, hidden_s: f64) -> Result<f64, PhotonicError> {
-    let exposed = total_s - hidden_s;
-    if exposed.is_nan() || exposed < 0.0 {
-        return Err(PhotonicError::NumericalFailure {
-            what,
-            detail: format!("total {total_s:e} s is less than the hidden component {hidden_s:e} s"),
-        });
-    }
-    Ok(exposed)
-}
-
-/// Scales only the per-matmul analog components (laser, converters,
-/// tuning, receiver, memory) by the batch factor; digital/static terms
-/// are accounted at model level.
-fn scale_analog(e: &EnergyLedger, k: f64) -> EnergyLedger {
-    EnergyLedger {
-        laser_j: e.laser_j * k,
-        tuning_j: e.tuning_j * k,
-        dac_j: e.dac_j * k,
-        adc_j: e.adc_j * k,
-        receiver_j: e.receiver_j * k,
-        digital_j: e.digital_j,
-        memory_j: e.memory_j * k,
-        static_j: e.static_j,
     }
 }
 
@@ -937,17 +834,23 @@ mod tests {
     }
 }
 
-/// Context-independent per-step costs of KV-cached decode: the fixed
-/// matmuls (Q/K/V projections, output projection, feed-forward — all
-/// `m = 1`) accumulated over every layer, plus the per-step elementwise
-/// element counts matching `generation_census`'s per-layer decode terms.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct DecodeStepCosts {
-    /// Delta ledger of the context-independent matmuls, all layers.
-    fixed: MatmulDelta,
-    /// Softmax LUT elements per context row (`heads × layers` — each
-    /// step's softmax spans the full context of that step).
-    softmax_per_ctx_row: u64,
+/// One pass over the KV-cached decode steps of a generation, keeping
+/// both of its cost views: the per-sequence ledger and batch wall time
+/// [`TronAccelerator::simulate_generation`] reports, and the
+/// marginal/resident split [`TronAccelerator::decode_service_cost`]
+/// prices. The elementwise element counts match `generation_census`'s
+/// per-layer decode terms.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct DecodePass {
+    /// Decode-phase wall time of the whole batch, s.
+    time_s: f64,
+    /// Itemised decode-phase energy per sequence.
+    energy: EnergyLedger,
+    /// Σ of every step's matmul deltas, one batch row.
+    total: MatmulDelta,
+    /// Softmax LUT elements over every step, one batch row (each step's
+    /// softmax spans the full context of that step).
+    softmax_elems: u64,
     /// Coherent residual adds per step, all layers (`2·d` per layer).
     residual_adds: u64,
     /// LayerNorm elements per step, all layers (`2·d` per layer).
@@ -980,80 +883,86 @@ pub struct GenerationReport {
 }
 
 impl TronAccelerator {
-    /// The context-independent costs of one KV-cached decode step, from
-    /// the same per-matmul delta ledger the prefill pass charges.
-    fn decode_step_costs(
+    /// Costs `gen_tokens` KV-cached decode steps of `model` into both
+    /// views of a [`DecodePass`], each step at the context length it
+    /// actually sees and from the same per-matmul delta ledger and
+    /// elementwise helper the prefill pass charges.
+    fn decode_pass(
         &self,
         model: &TransformerConfig,
-    ) -> Result<DecodeStepCosts, PhotonicError> {
-        let d = model.d_model;
-        // Q/K/V projections, the attention output projection, and the
-        // two feed-forward products, per layer (m = 1 rows).
-        let fixed_shapes: [(MatmulShape, UnitClass); 6] = [
-            (MatmulShape { m: 1, k: d, n: d }, UnitClass::Head), // Q
-            (MatmulShape { m: 1, k: d, n: d }, UnitClass::Head), // K
-            (MatmulShape { m: 1, k: d, n: d }, UnitClass::Head), // V
-            (MatmulShape { m: 1, k: d, n: d }, UnitClass::Linear),
-            (
-                MatmulShape {
-                    m: 1,
-                    k: d,
-                    n: model.d_ff,
-                },
-                UnitClass::FeedForward,
-            ),
-            (
-                MatmulShape {
-                    m: 1,
-                    k: model.d_ff,
-                    n: d,
-                },
-                UnitClass::FeedForward,
-            ),
-        ];
-        let mut fixed = MatmulDelta::default();
-        for &(shape, unit) in &fixed_shapes {
-            let delta = self.matmul_delta(shape, unit)?;
-            fixed.add(&delta, model.layers as u64);
-        }
-        Ok(DecodeStepCosts {
-            fixed,
-            softmax_per_ctx_row: (model.heads * model.layers) as u64,
+        gen_tokens: usize,
+    ) -> Result<DecodePass, PhotonicError> {
+        let batch = self.config.batch as u64;
+        let hl = (model.heads * model.layers) as u64;
+        let mut pass = DecodePass {
             residual_adds: (2 * model.d_model * model.layers) as u64,
             ln_elements: (2 * model.d_model * model.layers) as u64,
-        })
-    }
+            ..DecodePass::default()
+        };
+        // The context-independent `m = 1` products of one step (Q, K, V,
+        // output projection, feed-forward), over every layer.
+        let mut fixed = MatmulDelta::default();
+        for (shape, unit, stage) in Self::matmuls_at(model, 1, model.seq_len) {
+            if stage != Stage::Attention {
+                fixed.add(&self.matmul_delta(shape, unit)?, model.layers as u64);
+            }
+        }
 
-    /// Delta ledger of one step's KV-cached attention over a context of
-    /// `ctx` rows: score (1×dh · dh×ctx) and context product
-    /// (1×ctx · ctx×dh), per head, over every layer.
-    fn decode_attention_delta(
-        &self,
-        model: &TransformerConfig,
-        ctx: usize,
-    ) -> Result<MatmulDelta, PhotonicError> {
-        let dh = model.d_head();
-        let hl = (model.heads * model.layers) as u64;
-        let score = self.matmul_delta(
-            MatmulShape {
-                m: 1,
-                k: dh,
-                n: ctx,
-            },
-            UnitClass::Head,
-        )?;
-        let context = self.matmul_delta(
-            MatmulShape {
-                m: 1,
-                k: ctx,
-                n: dh,
-            },
-            UnitClass::Head,
-        )?;
-        let mut out = MatmulDelta::default();
-        out.add(&score, hl);
-        out.add(&context, hl);
-        Ok(out)
+        // Weight streaming: the whole model re-streams every decode step
+        // (HBM transfer + weight-buffer fill), amortised over the
+        // concurrent batch rows; compute overlaps it.
+        let weight_bytes = model.census().weight_bytes as usize;
+        let step_mem_s = self.hbm.transfer_time_s(weight_bytes);
+        let step_mem_energy = self.hbm.transfer_energy_j(weight_bytes)
+            + self.weight_buffer.write_bytes_energy_j(weight_bytes);
+        let leakage_w = self.leakage_w();
+
+        // One decode step advances every batch row by one token: the
+        // per-sequence rate is 1/step regardless of batch; batching
+        // amortises the *energy* (one weight stream serves all rows).
+        for t in decode_context_lengths(model.seq_len, gen_tokens) {
+            // KV-cached attention over this step's context: one head's
+            // score (1×dh · dh×t) and context product (1×t · t×dh), each
+            // repeated over every head and layer.
+            let mut attn = MatmulDelta::default();
+            let layer = Self::matmuls_at(model, 1, t);
+            for &(shape, unit, _) in layer.iter().filter(|m| m.2 == Stage::Attention).take(2) {
+                attn.add(&self.matmul_delta(shape, unit)?, hl);
+            }
+            pass.total.add(&fixed, 1);
+            pass.total.add(&attn, 1);
+            let mut analog = fixed;
+            analog.add(&attn, 1);
+            // Elementwise stages this step, for the whole batch (timing)
+            // and for one row (energy — the ×batch and ÷batch cancel).
+            let softmax_elems = hl * t as u64;
+            pass.softmax_elems += softmax_elems;
+            let ew_batch = self.elementwise_costs(
+                softmax_elems * batch,
+                pass.residual_adds * batch,
+                pass.ln_elements * batch,
+            );
+            let ew_row =
+                self.elementwise_costs(softmax_elems, pass.residual_adds, pass.ln_elements);
+            // Step latency mirrors `simulate`'s roll-up: elementwise
+            // lanes extend compute, weight streaming overlaps it, half
+            // the softmax pipelines with the context matmul.
+            let step_compute_s = analog.elapsed_s * batch as f64 + ew_batch.elementwise_s;
+            let step_total_s =
+                overlap_time_s(step_compute_s, step_mem_s) + 0.5 * ew_batch.softmax_s;
+            pass.time_s += step_total_s;
+            // Per-sequence energy: each batch row streams its own analog
+            // symbols and elementwise ops, while the weight stream and
+            // leakage are paid once per batch and amortised across rows.
+            let mut step_energy = analog.energy();
+            step_energy.digital_j += ew_row.softmax_j;
+            step_energy.receiver_j += ew_row.residual_j;
+            step_energy.tuning_j += ew_row.ln_j;
+            step_energy.memory_j += step_mem_energy / batch as f64;
+            step_energy.static_j += leakage_w * step_total_s / batch as f64;
+            pass.energy = pass.energy.combine(&step_energy);
+        }
+        Ok(pass)
     }
 
     /// Simulates autoregressive generation: prefill over the model's
@@ -1085,74 +994,22 @@ impl TronAccelerator {
         let prefill = self.simulate(model)?;
         let batch = self.config.batch as u64;
         let g = gen_tokens as u64;
-        let step = self.decode_step_costs(model)?;
+        let decode = self.decode_pass(model, gen_tokens)?;
 
-        // Weight streaming: the whole model re-streams every decode step
-        // (HBM transfer + weight-buffer fill), amortised over the
-        // concurrent batch rows; compute overlaps it.
-        let census = model.census();
-        let weight_bytes = census.weight_bytes as usize;
-        let step_mem_s = self.hbm.transfer_time_s(weight_bytes);
-        let step_mem_energy = self.hbm.transfer_energy_j(weight_bytes)
-            + self.weight_buffer.write_bytes_energy_j(weight_bytes);
-        let leakage_w = self.weight_buffer.leakage_w() + self.act_buffer.leakage_w();
-
-        // One decode step advances every batch row by one token: the
-        // per-sequence rate is 1/step regardless of batch; batching
-        // amortises the *energy* (one weight stream serves all rows).
-        let mut decode_time_s = 0.0;
-        let mut decode_energy = EnergyLedger::default();
-        for t in phox_nn::transformer::decode_context_lengths(model.seq_len, gen_tokens) {
-            // KV-cached attention over this step's context: scores
-            // (1×dh · dh×t) and context product (1×t · t×dh), per head —
-            // costed by the same delta ledger the prefill pass charges.
-            let mut analog = step.fixed;
-            let attn = self.decode_attention_delta(model, t)?;
-            analog.add(&attn, 1);
-            // Elementwise stages this step, for the whole batch (timing)
-            // and for one row (energy — the ×batch and ÷batch cancel).
-            let softmax_elems = step.softmax_per_ctx_row * t as u64;
-            let ew_batch = self.elementwise_costs(
-                softmax_elems * batch,
-                step.residual_adds * batch,
-                step.ln_elements * batch,
-            );
-            let ew_row =
-                self.elementwise_costs(softmax_elems, step.residual_adds, step.ln_elements);
-            // Step latency mirrors `simulate`'s roll-up: elementwise
-            // lanes extend compute, weight streaming overlaps it, half
-            // the softmax pipelines with the context matmul.
-            let step_compute_s = analog.elapsed_s * batch as f64 + ew_batch.elementwise_s;
-            let step_total_s =
-                overlap_time_s(step_compute_s, step_mem_s) + 0.5 * ew_batch.softmax_s;
-            decode_time_s += step_total_s;
-            // Per-sequence energy: each batch row streams its own analog
-            // symbols and elementwise ops, while the weight stream and
-            // leakage are paid once per batch and amortised across rows.
-            let mut step_energy = analog.energy();
-            step_energy.digital_j += ew_row.softmax_j;
-            step_energy.receiver_j += ew_row.residual_j;
-            step_energy.tuning_j += ew_row.ln_j;
-            step_energy.memory_j += step_mem_energy / batch as f64;
-            step_energy.static_j += leakage_w * step_total_s / batch as f64;
-            decode_energy = decode_energy.combine(&step_energy);
-        }
-
-        let gen_census = model.generation_census(gen_tokens);
-        let decode_ops = decode_census_ops(&gen_census, &census)?;
-        let decode_energy_j = decode_energy.total_j();
+        let decode_ops = decode_census_ops(&model.generation_census(gen_tokens), &model.census())?;
+        let decode_energy_j = decode.energy.total_j();
         let decode_perf =
-            PerfReport::new(decode_ops, decode_ops * 8, decode_time_s, decode_energy_j).map_err(
+            PerfReport::new(decode_ops, decode_ops * 8, decode.time_s, decode_energy_j).map_err(
                 |e| PhotonicError::upstream("arch", e).ctx("assembling the generation report"),
             )?;
-        let tokens_per_s = g as f64 / decode_time_s;
+        let tokens_per_s = g as f64 / decode.time_s;
         Ok(GenerationReport {
             tokens_per_s,
             aggregate_tokens_per_s: tokens_per_s * batch as f64,
             energy_per_token_j: decode_energy_j / g as f64,
             prefill,
             decode_perf,
-            decode_energy,
+            decode_energy: decode.energy,
         })
     }
 
@@ -1173,11 +1030,7 @@ impl TronAccelerator {
     /// failures.
     pub fn service_cost(&self, model: &TransformerConfig) -> Result<ServiceCost, PhotonicError> {
         let census = model.census();
-        let mut total = MatmulDelta::default();
-        for &(shape, unit, _) in &Self::model_matmuls(model) {
-            let d = self.matmul_delta(shape, unit)?;
-            total.add(&d, 1);
-        }
+        let total = self.prefill_pass(model)?.total;
         let ew = self.elementwise_costs(
             census.softmax_elements,
             census.adds,
@@ -1191,7 +1044,7 @@ impl TronAccelerator {
                 + self.weight_buffer.write_bytes_energy_j(weight_bytes),
             marginal_s: total.elapsed_s + ew.elementwise_s + 0.5 * ew.softmax_s,
             marginal_j: total.marginal.total_j() + ew.softmax_j + ew.residual_j + ew.ln_j,
-            leakage_w: self.weight_buffer.leakage_w() + self.act_buffer.leakage_w(),
+            leakage_w: self.leakage_w(),
         }
         .validated()
         .map_err(|e| PhotonicError::upstream("arch", e).ctx("validating the TRON service cost"))
@@ -1218,108 +1071,29 @@ impl TronAccelerator {
                 what: "decode service cost needs at least one token",
             });
         }
-        let step = self.decode_step_costs(model)?;
-        let mut total = MatmulDelta::default();
-        let mut softmax_elems = 0u64;
-        for t in phox_nn::transformer::decode_context_lengths(model.seq_len, gen_tokens) {
-            total.add(&step.fixed, 1);
-            let attn = self.decode_attention_delta(model, t)?;
-            total.add(&attn, 1);
-            softmax_elems += step.softmax_per_ctx_row * t as u64;
-        }
+        let decode = self.decode_pass(model, gen_tokens)?;
         let g = gen_tokens as u64;
-        let ew =
-            self.elementwise_costs(softmax_elems, step.residual_adds * g, step.ln_elements * g);
+        let ew = self.elementwise_costs(
+            decode.softmax_elems,
+            decode.residual_adds * g,
+            decode.ln_elements * g,
+        );
         let weight_bytes = model.census().weight_bytes as usize;
         ServiceCost {
             resident_s: self.hbm.transfer_time_s(weight_bytes) * g as f64,
-            resident_j: total.resident.total_j()
+            resident_j: decode.total.resident.total_j()
                 + (self.hbm.transfer_energy_j(weight_bytes)
                     + self.weight_buffer.write_bytes_energy_j(weight_bytes))
                     * g as f64,
-            marginal_s: total.elapsed_s + ew.elementwise_s + 0.5 * ew.softmax_s,
-            marginal_j: total.marginal.total_j() + ew.softmax_j + ew.residual_j + ew.ln_j,
-            leakage_w: self.weight_buffer.leakage_w() + self.act_buffer.leakage_w(),
+            marginal_s: decode.total.elapsed_s + ew.elementwise_s + 0.5 * ew.softmax_s,
+            marginal_j: decode.total.marginal.total_j() + ew.softmax_j + ew.residual_j + ew.ln_j,
+            leakage_w: self.leakage_w(),
         }
         .validated()
         .map_err(|e| {
             PhotonicError::upstream("arch", e).ctx("validating the TRON decode service cost")
         })
     }
-
-    /// Maps a resolved fault impact onto the serving-cost degradation it
-    /// causes on this accelerator: dead-lane remapping re-runs the lost
-    /// output columns on the surviving lanes (a marginal slowdown of
-    /// `rows / (rows − dead)`), and TO drift compensation draws standing
-    /// power (extra leakage, one compensation budget per array).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhotonicError::InvalidConfig`] when every receiver lane
-    /// is dead — there is nothing left to remap onto.
-    pub fn fault_degradation(&self, impact: &FaultImpact) -> Result<(f64, f64), PhotonicError> {
-        fault_degradation(self.config.array_rows, impact)
-    }
-
-    /// [`TronAccelerator::service_cost`] on an accelerator degraded by
-    /// `impact` — the serving layer's dead-lane-remap / drift-compensation
-    /// cost seam.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TronAccelerator::service_cost`] and degradation
-    /// failures.
-    pub fn degraded_service_cost(
-        &self,
-        model: &TransformerConfig,
-        impact: &FaultImpact,
-    ) -> Result<ServiceCost, PhotonicError> {
-        let (slowdown, extra_leakage_w) = self.fault_degradation(impact)?;
-        self.service_cost(model)?
-            .degraded(slowdown, extra_leakage_w)
-            .map_err(|e| {
-                PhotonicError::upstream("arch", e).ctx("validating the degraded TRON service cost")
-            })
-    }
-
-    /// [`TronAccelerator::decode_service_cost`] on an accelerator
-    /// degraded by `impact`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TronAccelerator::decode_service_cost`] and
-    /// degradation failures.
-    pub fn degraded_decode_service_cost(
-        &self,
-        model: &TransformerConfig,
-        gen_tokens: usize,
-        impact: &FaultImpact,
-    ) -> Result<ServiceCost, PhotonicError> {
-        let (slowdown, extra_leakage_w) = self.fault_degradation(impact)?;
-        self.decode_service_cost(model, gen_tokens)?
-            .degraded(slowdown, extra_leakage_w)
-            .map_err(|e| {
-                PhotonicError::upstream("arch", e)
-                    .ctx("validating the degraded TRON decode service cost")
-            })
-    }
-}
-
-/// The shared dead-lane-remap / drift-compensation degradation model:
-/// `rows / (rows − dead)` marginal slowdown plus the impact's
-/// compensation power as extra leakage.
-pub(crate) fn fault_degradation(
-    rows: usize,
-    impact: &FaultImpact,
-) -> Result<(f64, f64), PhotonicError> {
-    if rows == 0 || impact.dead_lanes.len() >= rows {
-        return Err(PhotonicError::InvalidConfig {
-            what: "every receiver lane is dead",
-        }
-        .ctx("deriving fault degradation"));
-    }
-    let slowdown = rows as f64 / (rows - impact.dead_lanes.len()) as f64;
-    Ok((slowdown, impact.compensation_power_w))
 }
 
 #[cfg(test)]
