@@ -14,11 +14,17 @@
 //!   1M-edge synthetic power-law graph. The acceptance gate for the
 //!   sparse compute-path PR is ≥5× on the Cora-class graph and a
 //!   completed large-graph run.
-//! * **int8** (`BENCH_3.json`): the true int8 GEMM and SpMM kernels
-//!   (`i8 x i8 -> i32`) against their f64 counterparts, plus a
-//!   1/2/4/8-thread scaling sweep. Every int8 measurement is checked
-//!   against the naive i32 oracle and for bit-identity across thread
-//!   counts; the verdicts are recorded in the snapshot.
+//! * **int8** (`BENCH_3.json`): the register-blocked int8 GEMM
+//!   microkernel (`i8 x i8 -> i32`) against the per-output dot kernel it
+//!   replaced and today's f64 microkernel, single-threaded and
+//!   interleaved, at 64 / 256 / 1024 and at every int8 call the
+//!   benchmark workloads make (products, single rows over resident
+//!   panels, and the analog engine's tile calls), with
+//!   GMAC/s and `matches_dot_kernel_bitwise` / `matches_naive_oracle`
+//!   verdicts; the quantizer stages against the serial loops they
+//!   replaced; int8 vs f64 SpMM; and a 1/2/4/8-thread scaling sweep
+//!   checked for bit-identity. A failed verdict exits non-zero after
+//!   writing the snapshot.
 //! * **decode** (`BENCH_4.json`): KV-cached autoregressive decode —
 //!   per-token latency of a cached decode step vs a full-sequence
 //!   recompute, f64 and int8, across context lengths and a 1/2/4/8
@@ -47,9 +53,9 @@
 //!
 //! A seventh mode, **digest** (`BENCH_DIGEST.json`, not part of `all`),
 //! emits no timings at all: it runs a fixed deterministic battery
-//! through every SIMD-touched layer and writes result-bit digests, so
-//! CI can run it under both dispatch modes (`PHOX_FORCE_SCALAR=1` vs
-//! AVX2) and byte-diff the outputs.
+//! through every SIMD-touched layer, the int8 microkernel included, and
+//! writes result-bit digests, so CI can run it under both dispatch
+//! modes (`PHOX_FORCE_SCALAR=1` vs AVX2) and byte-diff the outputs.
 //!
 //! The gemm and sparse modes additionally measure the dispatched kernel
 //! against a forced-scalar blocked reference and record
@@ -64,6 +70,7 @@
 //! `OUTPUT.json` first argument keeps the legacy behaviour of writing
 //! the gemm snapshot there.
 
+use std::ops::Range;
 use std::time::Instant;
 
 use phox_core::nn::datasets::{power_law, GraphShape};
@@ -72,7 +79,10 @@ use phox_core::nn::gnn::{Aggregation, CsrGraph, GnnConfig, GnnKind, GnnModel};
 use phox_core::nn::transformer::{
     FfActivation, TransformerConfig, TransformerKind, TransformerModel,
 };
-use phox_core::tensor::{gemm, gemm_i8, parallel, sparse, sparse_i8, Matrix, Prng, Quantizer};
+use phox_core::photonics::analog::TILE;
+use phox_core::tensor::{
+    gemm, gemm_i8, parallel, sparse, sparse_i8, Matrix, Prng, Quantizer, RowQuantMatrix,
+};
 use phox_core::trace::json::json_number;
 
 /// Median-of-`reps` wall time for one evaluation of `f`, in seconds;
@@ -629,51 +639,552 @@ fn i32_checksum(v: &[i32]) -> f64 {
     v.first().copied().unwrap_or(0) as f64
 }
 
-fn run_int8(out_path: &str) {
-    // --- Section 1: dense GEMM, f64 blocked vs int8 blocked, single
-    // thread (the per-core kernel comparison; scaling comes below).
-    let mut gemm_rows = Vec::new();
-    for &(n, reps) in &[(64usize, 21usize), (256, 9), (1024, 3)] {
-        eprintln!("bench_snapshot: int8 gemm n = {n} ({reps} reps)...");
-        let a = Prng::new(1).fill_uniform(n, n, -1.0, 1.0);
-        let b = Prng::new(2).fill_uniform(n, n, -1.0, 1.0);
+/// The int8 kernel the register-blocked microkernel replaced, kept here
+/// (the library no longer carries it) as the honest baseline for the
+/// int8 `speedup_vs_dot_kernel`: `B` transposed into `Bᵀ` in 64×64
+/// tiles, output columns in panels of 128, and one dot product per
+/// output — 16 `i8` widened to `i16`, `vpmaddwd`, then a horizontal
+/// reduction. Where the int8 kernels run scalar (`PHOX_FORCE_SCALAR=1`
+/// or no AVX2) it runs the scalar loop such a host ran before.
+mod dot_kernel_i8 {
+    use std::ops::Range;
+
+    use super::TILE;
+    use phox_core::tensor::gemm_i8;
+
+    /// `Bᵀ` of row-major `b` (`k × n`), copied in 64×64 blocks.
+    pub fn transpose(b: &[i8], k: usize, n: usize) -> Vec<i8> {
+        const BLOCK: usize = 64;
+        let mut bt = vec![0i8; k * n];
+        for r0 in (0..k).step_by(BLOCK) {
+            for c0 in (0..n).step_by(BLOCK) {
+                for r in r0..(r0 + BLOCK).min(k) {
+                    for c in c0..(c0 + BLOCK).min(n) {
+                        bt[c * k + r] = b[r * n + c];
+                    }
+                }
+            }
+        }
+        bt
+    }
+
+    /// `a` (`m × k`) times the `B` whose transpose is `bt` (`n × k`).
+    pub fn matmul_bt(a: &[i8], bt: &[i8], m: usize, k: usize, n: usize) -> Vec<i32> {
+        const PANEL: usize = 128;
+        let mut out = vec![0i32; m * n];
+        for jc in (0..n).step_by(PANEL) {
+            for i in 0..m {
+                let arow = &a[i * k..(i + 1) * k];
+                for j in jc..(jc + PANEL).min(n) {
+                    out[i * n + j] = dot(arow, &bt[j * k..(j + 1) * k]);
+                }
+            }
+        }
+        out
+    }
+
+    /// The replaced analog tile loop: one [`dot`] per output of the
+    /// block of rows `a` (`rows × k`) against the `Bᵀ` rows of `cols`,
+    /// into `out`, whose rows are `TILE` apart.
+    pub fn tile_bt(a: &[i8], bt: &[i8], k: usize, cols: Range<usize>, out: &mut [i32]) {
+        for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(TILE)) {
+            for (o, j) in orow.iter_mut().zip(cols.clone()) {
+                *o = dot(arow, &bt[j * k..(j + 1) * k]);
+            }
+        }
+    }
+
+    /// The whole replaced product: transpose, then [`matmul_bt`].
+    pub fn matmul(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Vec<i32> {
+        matmul_bt(a, &transpose(b, k, n), m, k, n)
+    }
+
+    /// The replaced per-output dot product; its one caller, [`matmul_bt`],
+    /// passes two `k`-long rows.
+    fn dot(a: &[i8], b: &[i8]) -> i32 {
+        debug_assert_eq!(a.len(), b.len());
+        #[cfg(target_arch = "x86_64")]
+        if gemm_i8::simd_active() {
+            // SAFETY: `simd_active` is true only where AVX2 is available,
+            // and `matmul_bt` slices both operands to `k` values.
+            return unsafe { dot_avx2(a, b) };
+        }
+        let mut s = 0i32;
+        for (&x, &y) in a.iter().zip(b) {
+            s = s.wrapping_add((x as i32).wrapping_mul(y as i32));
+        }
+        s
+    }
+
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available and `a.len() == b.len()`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn dot_avx2(a: &[i8], b: &[i8]) -> i32 {
+        use core::arch::x86_64::{
+            __m128i, _mm256_add_epi32, _mm256_castsi256_si128, _mm256_cvtepi8_epi16,
+            _mm256_extracti128_si256, _mm256_madd_epi16, _mm256_setzero_si256, _mm_add_epi32,
+            _mm_cvtsi128_si32, _mm_loadu_si128, _mm_shuffle_epi32,
+        };
+        let n = a.len();
+        let (ap, bp) = (a.as_ptr(), b.as_ptr());
+        let mut acc = _mm256_setzero_si256();
+        let mut k = 0usize;
+        while k + 32 <= n {
+            let a0 = _mm_loadu_si128(ap.add(k) as *const __m128i);
+            let b0 = _mm_loadu_si128(bp.add(k) as *const __m128i);
+            let a1 = _mm_loadu_si128(ap.add(k + 16) as *const __m128i);
+            let b1 = _mm_loadu_si128(bp.add(k + 16) as *const __m128i);
+            let p0 = _mm256_madd_epi16(_mm256_cvtepi8_epi16(a0), _mm256_cvtepi8_epi16(b0));
+            let p1 = _mm256_madd_epi16(_mm256_cvtepi8_epi16(a1), _mm256_cvtepi8_epi16(b1));
+            acc = _mm256_add_epi32(acc, _mm256_add_epi32(p0, p1));
+            k += 32;
+        }
+        if k + 16 <= n {
+            let a0 = _mm_loadu_si128(ap.add(k) as *const __m128i);
+            let b0 = _mm_loadu_si128(bp.add(k) as *const __m128i);
+            let p0 = _mm256_madd_epi16(_mm256_cvtepi8_epi16(a0), _mm256_cvtepi8_epi16(b0));
+            acc = _mm256_add_epi32(acc, p0);
+            k += 16;
+        }
+        let quad = _mm_add_epi32(
+            _mm256_castsi256_si128(acc),
+            _mm256_extracti128_si256::<1>(acc),
+        );
+        let pair = _mm_add_epi32(quad, _mm_shuffle_epi32::<0b00_00_11_10>(quad));
+        let one: __m128i = _mm_add_epi32(pair, _mm_shuffle_epi32::<0b00_00_00_01>(pair));
+        let mut s = _mm_cvtsi128_si32(one);
+        while k < n {
+            s = s.wrapping_add((*ap.add(k) as i32).wrapping_mul(*bp.add(k) as i32));
+            k += 1;
+        }
+        s
+    }
+}
+
+/// How a timed int8 shape reaches the kernel.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Call {
+    /// `matmul_i32`: `B` packed per call, then the banded driver.
+    Product,
+    /// `matmul_packed` one row high over resident panels: a decode step.
+    Row,
+    /// `AnalogEngine::matmul`'s tile loop over resident panels: one
+    /// `gemm` per output tile of up to `TILE` rows and a `TILE`-column
+    /// range, into a stack block whose rows are `TILE` apart.
+    Tile,
+}
+
+impl Call {
+    fn name(self) -> &'static str {
+        match self {
+            Call::Product => "matmul_i32",
+            Call::Row => "matmul_packed",
+            Call::Tile => "analog_tile",
+        }
+    }
+}
+
+/// The int8 calls the benchmark workloads make, `(call, m, k, n, reps)`
+/// over an `m × k` by `k × n` operand pair: the `llm_prefill` int8
+/// encoder's projections and feed-forward (d_model 256, d_ff 1024, seq
+/// 256; its attention heads run in f64), the `gnn_powerlaw` GCN's two
+/// combine products on 100k nodes, the `llm_decode` decoder's
+/// single-row products (d_model 64, d_ff 256), and the analog engine's
+/// tiles: `llm_prefill`'s TRON forward at k = 64 (head scores), 256
+/// (projections, FF up, head context) and 1024 (FF down), and the GHOST
+/// GCN's 32×16 and 32×4 tiles at k = 32 and 16.
+const INT8_WORKLOAD_SHAPES: [(Call, usize, usize, usize, usize); 13] = [
+    (Call::Product, 256, 256, 256, 21),
+    (Call::Product, 256, 256, 1024, 11),
+    (Call::Product, 256, 1024, 256, 11),
+    (Call::Product, 100_000, 32, 16, 11),
+    (Call::Product, 100_000, 16, 4, 21),
+    (Call::Row, 1, 64, 64, 21),
+    (Call::Row, 1, 64, 256, 21),
+    (Call::Row, 1, 256, 64, 21),
+    (Call::Tile, 256, 64, 256, 21),
+    (Call::Tile, 256, 256, 256, 21),
+    (Call::Tile, 256, 1024, 256, 11),
+    (Call::Tile, 256, 32, 16, 21),
+    (Call::Tile, 256, 16, 4, 21),
+];
+
+/// Single-row products timed per sample: one call takes about a
+/// microsecond, below the timer's useful resolution.
+const GEMV_CALLS: usize = 2000;
+
+/// MACs per sample of a tile row: small operand pairs sweep their tiles
+/// several times per sample.
+const TILE_SAMPLE_MACS: usize = 1 << 24;
+
+/// The analog engine's tile loop (`AnalogEngine::matmul`, one thread)
+/// over `a` (`m × k`) and `n` output columns: `tile` fills the stack
+/// block of each output tile — up to `TILE` rows of `a`, a `TILE`-column
+/// range, rows `TILE` apart. Returns a checksum of the blocks and, when
+/// given `full` (`m × n`), copies them into it.
+fn tile_sweep(
+    a: &[i8],
+    (m, k, n): (usize, usize, usize),
+    tile: impl Fn(&[i8], Range<usize>, &mut [i32]),
+    mut full: Option<&mut [i32]>,
+) -> f64 {
+    let mut check = 0.0;
+    let mut sums = [0i32; TILE * TILE];
+    for i0 in (0..m).step_by(TILE) {
+        let rows = TILE.min(m - i0);
+        for j0 in (0..n).step_by(TILE) {
+            let cols = j0..n.min(j0 + TILE);
+            let block = &mut sums[..rows * TILE];
+            tile(&a[i0 * k..(i0 + rows) * k], cols.clone(), block);
+            check += f64::from(block[0]);
+            if let Some(full) = full.as_deref_mut() {
+                for (t, src) in block.chunks_exact(TILE).enumerate() {
+                    full[(i0 + t) * n + j0..][..cols.len()].copy_from_slice(&src[..cols.len()]);
+                }
+            }
+        }
+    }
+    check
+}
+
+/// The int8 microkernel against the per-output dot kernel it replaced
+/// at one workload call, timed interleaved on one thread, and the f64
+/// microkernel at the same product. A single row runs both int8
+/// kernels over an operand packed once beforehand — resident panels
+/// against a resident `Bᵀ`, as the decoder holds its weights — and the
+/// f64 kernel through the GEMV of `gemm::matmul`. A tile runs the analog
+/// engine's loop, each tile one `gemm` call against the old per-element
+/// dot loop over its `Bᵀ` scratch; it has no f64 counterpart, so its
+/// f64 fields are `null`. Times, `m` and `n` are per call: a tile
+/// reports its own rows and columns.
+struct Int8Shape {
+    call: Call,
+    m: usize,
+    k: usize,
+    n: usize,
+    reps: usize,
+    calls: usize,
+    int8_s: f64,
+    dot_kernel_s: f64,
+    f64_s: f64,
+    matches_dot_kernel: bool,
+    matches_oracle: bool,
+}
+
+impl Int8Shape {
+    fn measure(call: Call, m: usize, k: usize, n: usize, reps: usize, seed: u64) -> Int8Shape {
+        let a = Prng::new(seed).fill_uniform(m, k, -1.0, 1.0);
+        let b = Prng::new(seed + 1).fill_uniform(k, n, -1.0, 1.0);
         let qa = Quantizer::calibrate(&a).quantize(&a);
         let qb = Quantizer::calibrate(&b).quantize(&b);
-        let (f64_s, int8_s, int8_out) = parallel::with_threads(1, || {
-            let f64_s = time_median(reps, || gemm::matmul_blocked(&a, &b).unwrap());
-            let int8_s = time_median_by(
+        let (ai, bi) = (qa.as_i8_slice(), qb.as_i8_slice());
+        let panels = gemm_i8::Panels::pack(bi, k, n);
+        let bt = dot_kernel_i8::transpose(bi, k, n);
+        let new_tile = |rows: &[i8], cols, out: &mut [i32]| {
+            gemm_i8::gemm(rows, &panels, cols, out, TILE);
+        };
+        let old_tile = |rows: &[i8], cols, out: &mut [i32]| {
+            dot_kernel_i8::tile_bt(rows, &bt, k, cols, out);
+        };
+        // One call of each int8 kernel, with its full m × n sums.
+        let int8 = || match call {
+            Call::Product => gemm_i8::matmul_i32(ai, bi, m, k, n).expect("shapes agree"),
+            Call::Row => gemm_i8::matmul_packed(ai, &panels, 1).expect("shapes agree"),
+            Call::Tile => {
+                let mut full = vec![0; m * n];
+                tile_sweep(ai, (m, k, n), new_tile, Some(&mut full));
+                full
+            }
+        };
+        let dot_kernel = || match call {
+            Call::Product => dot_kernel_i8::matmul(ai, bi, m, k, n),
+            Call::Row => dot_kernel_i8::matmul_bt(ai, &bt, 1, k, n),
+            Call::Tile => {
+                let mut full = vec![0; m * n];
+                tile_sweep(ai, (m, k, n), old_tile, Some(&mut full));
+                full
+            }
+        };
+        let (calls, [int8_s, dot_kernel_s, f64_s], (call_m, call_n)) = if call == Call::Tile {
+            let sweeps = (TILE_SAMPLE_MACS / (m * k * n)).max(1);
+            let [new_s, old_s] = time_pair(
                 reps,
-                || qa.matmul_i32(&qb).unwrap(),
-                |m| i32_checksum(m.as_i32_slice()),
+                sweeps,
+                || tile_sweep(ai, (m, k, n), new_tile, None),
+                || tile_sweep(ai, (m, k, n), old_tile, None),
             );
-            (f64_s, int8_s, qa.matmul_i32(&qb).unwrap())
-        });
-        let oracle = gemm_i8::matmul_i32_naive(qa.as_i8_slice(), qb.as_i8_slice(), n, n, n)
-            .expect("oracle operands agree");
-        let matches_oracle = int8_out.as_i32_slice() == oracle.as_slice();
-        let speedup = f64_s / int8_s;
-        eprintln!(
-            "bench_snapshot: n = {n}: f64_blocked {f64_s:.4}s int8 {int8_s:.4}s ({speedup:.2}x) oracle_ok={matches_oracle}"
-        );
-        gemm_rows.push(format!(
+            let tiles = m.div_ceil(TILE) * n.div_ceil(TILE);
+            let per_tile = |s: f64| s / tiles as f64;
+            (
+                sweeps * tiles,
+                [per_tile(new_s), per_tile(old_s), f64::NAN],
+                (m.min(TILE), n.min(TILE)),
+            )
+        } else {
+            let calls = if call == Call::Row { GEMV_CALLS } else { 1 };
+            let times = parallel::with_threads(1, || {
+                time_medians(
+                    reps,
+                    [
+                        &mut || (0..calls).map(|_| i32_checksum(&int8())).sum::<f64>(),
+                        &mut || (0..calls).map(|_| i32_checksum(&dot_kernel())).sum(),
+                        &mut || {
+                            (0..calls)
+                                .map(|_| gemm::matmul(&a, &b).expect("shapes agree").get(0, 0))
+                                .sum()
+                        },
+                    ],
+                    |&s| s,
+                )
+            });
+            (calls, times.map(|s| s / calls as f64), (m, n))
+        };
+        let sums = int8();
+        let oracle = gemm_i8::matmul_i32_naive(ai, bi, m, k, n).expect("shapes agree");
+        Int8Shape {
+            call,
+            m: call_m,
+            k,
+            n: call_n,
+            reps,
+            calls,
+            int8_s,
+            dot_kernel_s,
+            f64_s,
+            matches_dot_kernel: sums == dot_kernel(),
+            matches_oracle: sums == oracle,
+        }
+    }
+
+    fn speedup(&self) -> f64 {
+        self.dot_kernel_s / self.int8_s
+    }
+
+    fn to_json(&self) -> String {
+        let gmac = |s: f64| json_number((self.m * self.k * self.n) as f64 / s / 1e9);
+        format!(
             concat!(
                 "        {{\n",
+                "          \"call\": \"{}\",\n",
+                "          \"m\": {},\n",
+                "          \"k\": {},\n",
                 "          \"n\": {},\n",
-                "          \"f64_blocked_s\": {},\n",
+                "          \"reps\": {},\n",
+                "          \"calls_per_sample\": {},\n",
                 "          \"int8_s\": {},\n",
-                "          \"int8_speedup\": {},\n",
+                "          \"dot_kernel_s\": {},\n",
+                "          \"f64_s\": {},\n",
+                "          \"gmac_s\": {},\n",
+                "          \"dot_kernel_gmac_s\": {},\n",
+                "          \"f64_gmac_s\": {},\n",
+                "          \"speedup_vs_dot_kernel\": {},\n",
+                "          \"speedup_vs_f64\": {},\n",
+                "          \"matches_dot_kernel_bitwise\": {},\n",
                 "          \"matches_naive_oracle\": {}\n",
                 "        }}"
             ),
-            n,
-            json_number(f64_s),
-            json_number(int8_s),
-            json_number(speedup),
-            matches_oracle,
+            self.call.name(),
+            self.m,
+            self.k,
+            self.n,
+            self.reps,
+            self.calls,
+            json_number(self.int8_s),
+            json_number(self.dot_kernel_s),
+            json_number(self.f64_s),
+            gmac(self.int8_s),
+            gmac(self.dot_kernel_s),
+            gmac(self.f64_s),
+            json_number(self.speedup()),
+            json_number(self.f64_s / self.int8_s),
+            self.matches_dot_kernel,
+            self.matches_oracle,
+        )
+    }
+}
+
+/// The quantizer the vectorised one replaced: a serial `abs_max` fold
+/// and one libm `round` per element.
+fn abs_max_serial(values: &[f64]) -> f64 {
+    values.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
+}
+
+/// Codes of `values` under `q` as the loop the vectorised quantizer
+/// replaced computed them: libm `round` and a saturating cast per value.
+fn quantize_serial(q: &Quantizer, values: &[f64]) -> Vec<i8> {
+    let scale = q.scale();
+    values
+        .iter()
+        .map(|&v| (v / scale).round().clamp(-127.0, 127.0) as i8)
+        .collect()
+}
+
+/// Per-row codes and scales of `m`, as `RowQuantMatrix::quantize_rows`
+/// computed them before.
+fn quantize_rows_serial(m: &Matrix) -> (Vec<i8>, Vec<f64>) {
+    let mut codes = Vec::with_capacity(m.len());
+    let mut scales = Vec::with_capacity(m.rows());
+    for r in 0..m.rows() {
+        let absmax = abs_max_serial(m.row(r));
+        let scale = if absmax > 0.0 { absmax / 127.0 } else { 1.0 };
+        codes.extend(quantize_serial(
+            &Quantizer::with_scale(scale).expect("positive scale"),
+            m.row(r),
         ));
+        scales.push(scale);
+    }
+    (codes, scales)
+}
+
+/// Interleaved single-thread medians of `new` and `old`, per call, over
+/// `calls` calls per sample.
+fn time_pair(
+    reps: usize,
+    calls: usize,
+    mut new: impl FnMut() -> f64,
+    mut old: impl FnMut() -> f64,
+) -> [f64; 2] {
+    parallel::with_threads(1, || {
+        time_medians(
+            reps,
+            [&mut || (0..calls).map(|_| new()).sum::<f64>(), &mut || {
+                (0..calls).map(|_| old()).sum()
+            }],
+            |&s| s,
+        )
+    })
+    .map(|s| s / calls as f64)
+}
+
+/// One quantizer stage at one operand shape against the serial loop it
+/// replaced, timed interleaved on one thread: the JSON row and whether
+/// both computed the same bits.
+fn measure_quantizer(
+    stage: &str,
+    (rows, cols, reps, calls): (usize, usize, usize, usize),
+    seed: u64,
+) -> (String, bool) {
+    let m = Prng::new(seed).fill_normal(rows, cols, 0.0, 1.0);
+    let q = Quantizer::calibrate(&m);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let (bitwise, [s, serial_s]) = match stage {
+        "abs_max" => (
+            m.abs_max().to_bits() == abs_max_serial(m.as_slice()).to_bits(),
+            time_pair(reps, calls, || m.abs_max(), || abs_max_serial(m.as_slice())),
+        ),
+        "quantize" => (
+            q.quantize(&m).as_i8_slice() == quantize_serial(&q, m.as_slice()),
+            time_pair(
+                reps,
+                calls,
+                || f64::from(q.quantize(&m).as_i8_slice()[0]),
+                || f64::from(quantize_serial(&q, m.as_slice())[0]),
+            ),
+        ),
+        _ => {
+            let (codes, scales) = quantize_rows_serial(&m);
+            let rq = RowQuantMatrix::quantize_rows(&m);
+            (
+                rq.as_i8_slice() == codes && bits(rq.scales()) == bits(&scales),
+                time_pair(
+                    reps,
+                    calls,
+                    || RowQuantMatrix::quantize_rows(&m).scales()[0],
+                    || quantize_rows_serial(&m).1[0],
+                ),
+            )
+        }
+    };
+    eprintln!(
+        "bench_snapshot: {stage} {rows}x{cols}: {s:.7}s serial {serial_s:.7}s ({:.2}x) bitwise={bitwise}",
+        serial_s / s
+    );
+    let row = format!(
+        concat!(
+            "        {{\n",
+            "          \"stage\": \"{}\",\n",
+            "          \"rows\": {},\n",
+            "          \"cols\": {},\n",
+            "          \"reps\": {},\n",
+            "          \"s\": {},\n",
+            "          \"serial_s\": {},\n",
+            "          \"speedup_vs_serial\": {},\n",
+            "          \"matches_serial_bitwise\": {}\n",
+            "        }}"
+        ),
+        stage,
+        rows,
+        cols,
+        reps,
+        json_number(s),
+        json_number(serial_s),
+        json_number(serial_s / s),
+        bitwise,
+    );
+    (row, bitwise)
+}
+
+fn run_int8(out_path: &str) {
+    let dispatch = if gemm_i8::simd_active() {
+        "avx2"
+    } else {
+        "scalar"
+    };
+    // --- Section 1: the int8 microkernel against the per-output dot
+    // kernel it replaced and today's f64 microkernel, single thread, at
+    // square sizes and at every int8 shape the workloads run.
+    let mut shapes = Vec::new();
+    let sizes = [(64, 21), (256, 9), (1024, 3)].map(|(n, reps)| (Call::Product, n, n, n, reps));
+    for (i, &(call, m, k, n, reps)) in sizes.iter().chain(&INT8_WORKLOAD_SHAPES).enumerate() {
+        let name = call.name();
+        eprintln!("bench_snapshot: int8 {name} {m}x{k}x{n} ({reps} reps)...");
+        let s = Int8Shape::measure(call, m, k, n, reps, 1 + 2 * i as u64);
+        let f64_part = if s.f64_s.is_finite() {
+            format!(" f64 {:.3e}s ({:.2}x)", s.f64_s, s.f64_s / s.int8_s)
+        } else {
+            String::new()
+        };
+        eprintln!(
+            "bench_snapshot: {name} {}x{k}x{}: int8 {:.3e}s dot kernel {:.3e}s ({:.2}x){f64_part} bitwise={} oracle={}",
+            s.m,
+            s.n,
+            s.int8_s,
+            s.dot_kernel_s,
+            s.speedup(),
+            s.matches_dot_kernel,
+            s.matches_oracle,
+        );
+        shapes.push(s);
+    }
+    let (sizes, workloads) = shapes.split_at(3);
+
+    // --- Section 2: the vectorised quantizer against the serial loop it
+    // replaced, at the workloads' activation and weight shapes.
+    let mut quant_rows = Vec::new();
+    let mut quant_bitwise = true;
+    for (i, (stage, shape)) in [
+        ("abs_max", (256, 256, 21, 20)),
+        ("abs_max", (256, 1024, 21, 5)),
+        ("abs_max", (100_000, 32, 11, 1)),
+        ("abs_max", (100_000, 16, 11, 1)),
+        ("quantize", (256, 256, 21, 20)),
+        ("quantize", (256, 1024, 21, 5)),
+        ("quantize", (100_000, 32, 11, 1)),
+        ("quantize", (100_000, 16, 11, 1)),
+        ("quantize_rows", (256, 256, 21, 20)),
+        ("quantize_rows", (1, 64, 21, GEMV_CALLS)),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let (row, bitwise) = measure_quantizer(stage, shape, 90 + i as u64);
+        quant_rows.push(row);
+        quant_bitwise &= bitwise;
     }
 
-    // --- Section 2: sparse SpMM, f64 vs int8, on the BENCH_2 workloads.
+    // --- Section 3: sparse SpMM, f64 vs int8, on the BENCH_2 workloads.
     eprintln!("bench_snapshot: generating Cora-class R-MAT graph...");
     let cora = GraphShape::cora()
         .instantiate(21)
@@ -723,7 +1234,7 @@ fn run_int8(out_path: &str) {
         ));
     }
 
-    // --- Section 3: thread scaling sweep on the int8 kernels (gemm-1024
+    // --- Section 4: thread scaling sweep on the int8 kernels (gemm-1024
     // and power-law SpMM), with byte-identity checked against the
     // 1-thread result: i32 sums are exact, so any difference is a bug.
     let n = 1024usize;
@@ -777,12 +1288,31 @@ fn run_int8(out_path: &str) {
         ));
     }
 
+    // In-run verdicts: every int8 product equals the naive oracle and the
+    // kernel it replaced, and the quantizer equals its serial loop.
+    let matches_dot_kernel = shapes.iter().all(|s| s.matches_dot_kernel);
+    let matches_oracle = shapes.iter().all(|s| s.matches_oracle);
+    eprintln!(
+        "bench_snapshot: int8 verdicts: dispatch={dispatch} \
+         matches_dot_kernel_bitwise={matches_dot_kernel} matches_naive_oracle={matches_oracle} \
+         quantizer_matches_serial_bitwise={quant_bitwise}"
+    );
     let sections = [
-        ("gemm_f64_vs_int8", "sizes", gemm_rows),
+        (
+            "gemm_int8_vs_dot_kernel",
+            "sizes",
+            sizes.iter().map(Int8Shape::to_json).collect(),
+        ),
+        (
+            "workload_shapes",
+            "shapes",
+            workloads.iter().map(Int8Shape::to_json).collect(),
+        ),
+        ("quantizer_vs_serial", "stages", quant_rows),
         ("spmm_f64_vs_int8", "workloads", spmm_rows),
         ("int8_thread_scaling", "sweep", sweep_rows),
     ]
-    .map(|(section, key, rows)| {
+    .map(|(section, key, rows): (&str, &str, Vec<String>)| {
         format!(
             "    {{\n      \"section\": \"{section}\",\n      \"{key}\": [\n{}\n      ]\n    }}",
             rows.join(",\n"),
@@ -790,12 +1320,32 @@ fn run_int8(out_path: &str) {
     });
     let json = snapshot_json(
         "int8_kernels",
-        &["f64_blocked", "int8_blocked", "f64_spmm", "int8_spmm"],
-        &[("accumulation", "\"exact i32\"".to_string())],
+        &[
+            "int8_microkernel",
+            "dot_kernel_packed_bt",
+            "f64_microkernel",
+            "quantizer",
+            "f64_spmm",
+            "int8_spmm",
+        ],
+        &[
+            ("accumulation", "\"exact i32\"".to_string()),
+            ("dispatch", format!("\"{dispatch}\"")),
+            ("matches_naive_oracle", matches_oracle.to_string()),
+            ("matches_dot_kernel_bitwise", matches_dot_kernel.to_string()),
+            (
+                "quantizer_matches_serial_bitwise",
+                quant_bitwise.to_string(),
+            ),
+        ],
         "sections",
         &sections,
     );
     write_or_die(out_path, &json);
+    if !matches_oracle || !matches_dot_kernel || !quant_bitwise {
+        eprintln!("bench_snapshot: int8 verdicts FAILED");
+        std::process::exit(1);
+    }
 }
 
 /// FNV-1a over a stream of f64 bit patterns — the result digest for the
@@ -815,10 +1365,15 @@ fn digest_matrix(m: &Matrix) -> u64 {
     fnv1a(m.as_slice().iter().map(|v| v.to_bits()))
 }
 
+fn digest_i32(sums: &[i32]) -> u64 {
+    fnv1a(sums.iter().map(|&v| u64::from(v as u32)))
+}
+
 /// The `digest` mode: a fixed battery of deterministic computations
 /// through every SIMD-touched layer — blocked/parallel GEMM, the
-/// sequence/decode GEMV path, SpMM and GNN aggregation, the analog int8
-/// engine (ideal and noisy), and full Tron/Ghost functional forwards —
+/// sequence/decode GEMV path, the int8 microkernel, SpMM and GNN
+/// aggregation, the analog int8 engine (ideal and noisy), and full
+/// Tron/Ghost functional forwards —
 /// reduced to result-bit digests. No timings, no thread counts, no
 /// environment: the output bytes depend only on the computed values, so
 /// CI runs this twice (`PHOX_FORCE_SCALAR=1` vs the AVX2 dispatch) and
@@ -892,6 +1447,41 @@ fn run_digest(out_path: &str) {
     }
     record("gemm_microkernel", micro);
     record("gemm_microkernel_4t", micro_banded);
+
+    // The int8 microkernel's edges over the whole i8 range: every row
+    // remainder past one tile at both register widths, k = 0, 1, odd and
+    // past two k-blocks, full, half-width and padded panels, and a single
+    // row over resident panels. Serially through pre-packed panels, and
+    // on 4 threads through `matmul_i32`, which splits the last shape into
+    // row bands and sends the single row to its pack-free GEMV.
+    let mut int8 = 0u64;
+    let mut int8_banded = 0u64;
+    for (i, &(m, k, n)) in [
+        (7usize, 1usize, 9usize),
+        (8, 0, 12),
+        (9, 17, 45),
+        (10, 2049, 3),
+        (11, 5, 20),
+        (13, 300, 33),
+        (1, 64, 256),
+        (70, 1100, 37),
+    ]
+    .iter()
+    .enumerate()
+    {
+        let mut rng = Prng::new(700 + i as u64);
+        let a: Vec<i8> = (0..m * k).map(|_| rng.next_u64() as i8).collect();
+        let b: Vec<i8> = (0..k * n).map(|_| rng.next_u64() as i8).collect();
+        let panels = gemm_i8::Panels::pack(&b, k, n);
+        int8 ^= parallel::with_threads(1, || {
+            digest_i32(&gemm_i8::matmul_packed(&a, &panels, m).expect("shapes agree"))
+        });
+        int8_banded ^= parallel::with_threads(4, || {
+            digest_i32(&gemm_i8::matmul_i32(&a, &b, m, k, n).expect("shapes agree"))
+        });
+    }
+    record("int8_microkernel", int8);
+    record("int8_microkernel_4t", int8_banded);
 
     // Single-row products through the transpose-free GEMV of
     // `gemm::matmul`: a 16-lane tail (k = 100) and a k below one lane

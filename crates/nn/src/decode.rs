@@ -47,10 +47,11 @@
 //! ## Resident int8 weights
 //!
 //! [`TransformerModel::int8_decoder`] quantizes each layer's six weights
-//! once and keeps them packed as `Wᵀ` codes plus a scale
-//! ([`crate::int8::PackedLinear`]); every step multiplies through the
-//! transpose-free int8 GEMV ([`phox_tensor::gemm_i8::gemv_i32_bt`]) and
-//! dequantizes with `row_scale × weight_scale`, computed once per row.
+//! once and keeps their codes packed as the int8 microkernel's panels
+//! plus a scale ([`crate::int8::PackedLinear`]); every step multiplies
+//! through the register-blocked kernel one row high
+//! ([`phox_tensor::gemm_i8::matmul_packed`]) and dequantizes with
+//! `row_scale × weight_scale`, computed once per row.
 //! Weight quantization is deterministic and `i32` sums are exact, so the
 //! decoder is bit-identical to the stateless
 //! [`TransformerModel::decode_step_int8`], which re-quantizes every weight
@@ -287,7 +288,7 @@ pub struct Generation {
 
 /// A weight-resident int8 decoder: [`TransformerModel::decode_step_int8`]
 /// semantics with each layer's six weights quantized once, when the
-/// decoder is built, and kept packed as `Wᵀ` codes plus a scale across
+/// decoder is built, and kept as packed codes plus a scale across
 /// steps — how the accelerator holds weights during decode. Bit-identical
 /// to the stateless step, which re-quantizes every weight per product.
 pub struct Int8Decoder<'m> {
@@ -329,7 +330,7 @@ enum StepWeights<'a> {
 
 impl TransformerModel {
     /// A weight-resident int8 decode handle borrowing this model. Builds
-    /// the packed weights: one quantization and `Wᵀ` pack per weight.
+    /// the packed weights: one quantization and panel pack per weight.
     pub fn int8_decoder(&self) -> Int8Decoder<'_> {
         Int8Decoder {
             model: self,

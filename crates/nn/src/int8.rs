@@ -23,10 +23,10 @@
 //! A KV-cached decode step multiplies one activation row by the same
 //! weights on every token, so [`crate::decode::Int8Decoder`] quantizes
 //! each weight once, when it is built, and keeps it as a [`PackedLinear`]:
-//! `Wᵀ` codes plus a scale, multiplied by the transpose-free int8 GEMV
-//! ([`phox_tensor::gemm_i8::gemv_i32_bt`]). Weight quantization is
-//! deterministic and integer sums are exact, so the packed product is
-//! bit-identical to [`Int8Engine`]'s.
+//! codes packed as the int8 microkernel's panels plus a scale, multiplied
+//! one row high by [`phox_tensor::gemm_i8::matmul_packed`]. Weight
+//! quantization is deterministic and integer sums are exact, so the
+//! packed product is bit-identical to [`Int8Engine`]'s.
 
 use phox_tensor::{gemm_i8, Matrix, QuantMatrix, Quantizer, RowQuantMatrix, TensorError};
 
@@ -179,31 +179,25 @@ impl MatmulEngine for Int8Engine {
 }
 
 /// A weight quantized once, per tensor as [`QuantLinear::from_weight`]
-/// quantizes it, and kept as packed `Wᵀ` codes plus its scale — the
-/// layout [`gemm_i8::gemv_i32_bt`] reads — for the single-row products of
-/// a KV-cached decode step. One row through it is bit-identical to the
-/// same row through [`Int8Engine`]: the same levels, the same exact `i32`
-/// sums, and the same `row_scale × weight_scale` dequantization.
+/// quantizes it, and kept as its codes packed into the int8
+/// microkernel's [`gemm_i8::Panels`] plus its scale, for the single-row
+/// products of a KV-cached decode step. One row through it is
+/// bit-identical to the same row through [`Int8Engine`]: the same
+/// levels, the same exact `i32` sums, and the same
+/// `row_scale × weight_scale` dequantization.
 pub(crate) struct PackedLinear {
-    /// Row-major `n × k` codes of `Wᵀ`.
-    codes_t: Vec<i8>,
+    panels: gemm_i8::Panels,
     scale: f64,
-    k: usize,
-    n: usize,
 }
 
 impl PackedLinear {
-    /// Quantizes the `k × n` weight `w` and packs its codes as `Wᵀ`.
+    /// Quantizes the `k × n` weight `w` and packs its codes as panels.
     pub fn new(w: &Matrix) -> Self {
         let (k, n) = w.shape();
         let qw = Quantizer::calibrate(w).quantize(w);
-        let codes_t = gemm_i8::transpose_i8(qw.as_i8_slice(), k, n)
-            .unwrap_or_else(|_| unreachable!("quantized codes are k × n by construction"));
         PackedLinear {
-            codes_t,
+            panels: gemm_i8::Panels::pack(qw.as_i8_slice(), k, n),
             scale: qw.scale(),
-            k,
-            n,
         }
     }
 
@@ -214,16 +208,17 @@ impl PackedLinear {
     ///
     /// Returns [`TensorError::ShapeMismatch`] unless `x` is `1 × k`.
     pub fn forward_row(&self, x: &Matrix) -> Result<Matrix, TensorError> {
-        if x.rows() != 1 || x.cols() != self.k {
+        let (k, n) = (self.panels.k(), self.panels.n());
+        if x.rows() != 1 || x.cols() != k {
             return Err(TensorError::ShapeMismatch {
                 lhs: x.shape(),
-                rhs: (self.k, self.n),
+                rhs: (k, n),
             });
         }
         let qx = RowQuantMatrix::quantize_rows(x);
-        let sums = gemm_i8::gemv_i32_bt(qx.as_i8_slice(), &self.codes_t, self.k, self.n)?;
+        let sums = gemm_i8::matmul_packed(qx.as_i8_slice(), &self.panels, 1)?;
         let scale = qx.scales()[0] * self.scale;
-        Matrix::from_vec(1, self.n, sums.iter().map(|&s| s as f64 * scale).collect())
+        Matrix::from_vec(1, n, sums.iter().map(|&s| s as f64 * scale).collect())
     }
 }
 

@@ -34,17 +34,18 @@ struct FaultState {
 /// product is one work item with its own noise stream.
 pub const TILE: usize = 32;
 
-/// Reusable per-engine matmul scratch: the packed int8 `bᵀ` panel and
-/// the flat per-tile accumulator buffer (fixed `TILE × TILE` stride per
-/// tile). Capacities persist across calls, so steady-state serving hits
-/// the same allocations on every step; the `analog/scratch_reuse_hits`
-/// trace counter reports how often each buffer was large enough.
+/// Reusable per-engine matmul scratch: the int8 weight operand packed
+/// as [`gemm_i8::Panels`] for the microkernel, and the flat per-tile
+/// read-out buffer (fixed `TILE × TILE` stride per tile). Capacities
+/// persist across calls, so steady-state serving hits the same
+/// allocations on every step; the `analog/scratch_reuse_hits` trace
+/// counter reports how often each buffer was large enough.
 ///
 /// Scratch is a cache, not engine state: it is excluded from the
 /// engine's `PartialEq` and children start with empty buffers.
 #[derive(Debug, Clone, Default)]
 struct MatmulScratch {
-    qbt: Vec<i8>,
+    panels: gemm_i8::Panels,
     tiles: Vec<f64>,
 }
 
@@ -302,11 +303,15 @@ impl AnalogEngine {
     /// in parallel across tiles. Each output element accumulates the
     /// balanced-photodetector difference current in exact level-product
     /// counts — the same `i32` accumulation the digital int8 reference
-    /// ([`phox_tensor::QuantMatrix::matmul`]) performs, run through the
-    /// [`gemm_i8`] microkernel — and receiver noise perturbs the
-    /// accumulated count before dequantization. Each tile draws its
-    /// noise from an independent stream keyed on `(engine seed,
-    /// operation counter, tile index)`, so the result is
+    /// ([`phox_tensor::QuantMatrix::matmul`]) performs. The weight
+    /// operand is packed once per call into the engine's reusable
+    /// [`gemm_i8::Panels`] (stuck-cell faults are applied to the packed
+    /// codes), and each tile's sums come from one call of the
+    /// register-blocked [`gemm_i8::gemm`] microkernel into a stack block.
+    /// Receiver noise then perturbs each accumulated count before
+    /// dequantization, in row-major `(i, j)` order within the tile. Each
+    /// tile draws its noise from an independent stream keyed on `(engine
+    /// seed, operation counter, tile index)`, so the result is
     /// **bit-identical for any thread count** — the tile's noise depends
     /// only on which tile it is, never on which thread computes it or
     /// in what order. The cross-tile `abs_max` reduction for ADC
@@ -345,29 +350,13 @@ impl AnalogEngine {
 
         // Reusable scratch, moved out of `self` for the duration of the
         // call so the parallel section can borrow both buffers freely.
-        let mut qbt = std::mem::take(&mut self.scratch.qbt);
+        // The weight codes are packed once for the int8 microkernel.
+        let mut panels = std::mem::take(&mut self.scratch.panels);
         let mut tile_vals = std::mem::take(&mut self.scratch.tiles);
-        let scratch_hits = i64::from(qbt.capacity() >= k * n)
+        let scratch_hits = i64::from(panels.repack(qb.as_i8_slice(), k, n))
             + i64::from(tile_vals.capacity() >= num_tiles * TILE * TILE);
-        qbt.clear();
-        qbt.resize(k * n, 0);
         tile_vals.clear();
         tile_vals.resize(num_tiles * TILE * TILE, 0.0);
-
-        // Pack bᵀ so every output element reads both operands
-        // contiguously (blocked copy, same scheme as the digital kernel).
-        let qbs = qb.as_i8_slice();
-        for r0 in (0..k).step_by(TILE) {
-            let r1 = (r0 + TILE).min(k);
-            for c0 in (0..n).step_by(TILE) {
-                let c1 = (c0 + TILE).min(n);
-                for r in r0..r1 {
-                    for c in c0..c1 {
-                        qbt[c * k + r] = qbs[r * n + c];
-                    }
-                }
-            }
-        }
 
         // Device faults, part 1: a stuck microring forces every weight it
         // carries to its stuck transmission level. Output column `j` is
@@ -383,8 +372,8 @@ impl AnalogEngine {
                     let level = (s.transmission * 127.0).round() as i8;
                     for j in (s.row..n).step_by(fs.array_rows) {
                         for kk in (s.channel..k).step_by(fs.array_channels) {
-                            let w = &mut qbt[j * k + kk];
-                            *w = if *w >= 0 { level } else { -level };
+                            let w = panels.code(kk, j);
+                            panels.set_code(kk, j, if w >= 0 { level } else { -level });
                         }
                     }
                 }
@@ -397,15 +386,16 @@ impl AnalogEngine {
         parallel::par_chunks_mut(&mut tile_vals, TILE * TILE, |t, chunk| {
             let (i0, j0) = ((t / tile_cols) * TILE, (t % tile_cols) * TILE);
             let (i1, j1) = ((i0 + TILE).min(m), (j0 + TILE).min(n));
+            // The BPD difference current accumulates level products
+            // exactly — the int8 microkernel's i32 accumulators, shared
+            // with the digital reference.
+            let mut sums = [0i32; TILE * TILE];
+            let rows = &mut sums[..(i1 - i0) * TILE];
+            gemm_i8::gemm(&qas[i0 * k..i1 * k], &panels, j0..j1, rows, TILE);
             let mut rng = Prng::stream(op_key, t as u64);
             for i in i0..i1 {
-                let arow = &qas[i * k..(i + 1) * k];
                 for j in j0..j1 {
-                    let brow = &qbt[j * k..(j + 1) * k];
-                    // The BPD difference current accumulates level
-                    // products exactly — the int8 microkernel's i32
-                    // accumulator, shared with the digital reference.
-                    let s = gemm_i8::dot_i8(arow, brow);
+                    let s = sums[(i - i0) * TILE + (j - j0)];
                     // Receiver noise perturbs the accumulated count
                     // (pre-dequantization). The draw happens even for
                     // dead-lane outputs, to keep stream alignment with
@@ -477,7 +467,7 @@ impl AnalogEngine {
                 );
             }
         }
-        self.scratch.qbt = qbt;
+        self.scratch.panels = panels;
         self.scratch.tiles = tile_vals;
         // ADC stage: per-tile auto-ranged read-back on the accumulator
         // code grid — round to the nearest level-product count, clamped
@@ -643,13 +633,19 @@ mod tests {
         let a = rng.fill_normal(40, 40, 0.0, 1.0);
         let b = rng.fill_normal(40, 40, 0.0, 1.0);
         eng.matmul(&a, &b).unwrap();
-        let (cap_qbt, cap_tiles) = (eng.scratch.qbt.capacity(), eng.scratch.tiles.capacity());
-        assert!(cap_qbt > 0 && cap_tiles > 0);
-        eng.matmul(&a, &b).unwrap();
-        assert_eq!(
-            eng.scratch.qbt.capacity(),
-            cap_qbt,
-            "qbt scratch reallocated"
+        let cap_tiles = eng.scratch.tiles.capacity();
+        assert!(eng.scratch.panels.k() == 40 && cap_tiles > 0);
+        // The second call of the same shape fits both buffers.
+        let trace = phox_trace::Trace::new();
+        phox_trace::with_installed(trace.clone(), || eng.matmul(&a, &b).unwrap());
+        let hits = trace
+            .counters()
+            .into_iter()
+            .find(|(t, n, _)| t == "analog" && n == "scratch_reuse_hits")
+            .map(|(_, _, v)| v);
+        assert!(
+            matches!(hits, Some(phox_trace::CounterValue::Int(2))),
+            "{hits:?}"
         );
         assert_eq!(
             eng.scratch.tiles.capacity(),

@@ -168,17 +168,15 @@ pub const GEMM_KC: usize = 256;
 pub const GEMM_NR: usize = 8;
 
 /// `(j0, width)` of every column panel over `n` columns from panel
-/// start `from` on: [`GEMM_NR`] wide while more than half a panel
-/// remains, then one 4-wide panel. The last panel may reach past `n`;
-/// its extra columns are zero.
-fn panel_spans(n: usize, from: usize) -> impl Iterator<Item = (usize, usize)> {
-    let width = move |j0: usize| {
-        if n - j0 > GEMM_NR / 2 {
-            GEMM_NR
-        } else {
-            GEMM_NR / 2
-        }
-    };
+/// start `from` on: `nr` wide while more than half a panel remains, then
+/// one panel half as wide. The last panel may reach past `n`; its extra
+/// columns are zero. Shared with the int8 panels of [`crate::gemm_i8`].
+pub(crate) fn panel_spans(
+    n: usize,
+    from: usize,
+    nr: usize,
+) -> impl Iterator<Item = (usize, usize)> {
+    let width = move |j0: usize| if n - j0 > nr / 2 { nr } else { nr / 2 };
     std::iter::successors((from < n).then(|| (from, width(from))), move |&(j0, w)| {
         let next = j0 + w;
         (next < n).then(|| (next, width(next)))
@@ -207,10 +205,10 @@ impl Panels {
     /// Panics if `b.len() != k * n`.
     pub fn pack(b: &[f64], k: usize, n: usize) -> Panels {
         assert_eq!(Some(b.len()), k.checked_mul(n), "gemm operand is not k × n");
-        let mut data = vec![0.0; padded_cols(n) * k];
+        let mut data = vec![0.0; padded_cols(n, GEMM_NR) * k];
         for (p, brow) in b.chunks_exact(n.max(1)).enumerate() {
             let row = packed_row(p, k);
-            for (j0, width) in panel_spans(n, 0) {
+            for (j0, width) in panel_spans(n, 0, GEMM_NR) {
                 let cols = width.min(n - j0);
                 let at = j0 * k + row * width;
                 data[at..at + cols].copy_from_slice(&brow[j0..j0 + cols]);
@@ -231,9 +229,14 @@ fn packed_row(p: usize, k: usize) -> usize {
     }
 }
 
-/// Columns [`Panels`] stores for `n` output columns, padding included.
-fn padded_cols(n: usize) -> usize {
-    panel_spans(n, 0).last().map_or(0, |(j0, width)| j0 + width)
+/// Columns a pack of `nr`-wide [`panel_spans`] stores for `n` output
+/// columns, padding included.
+pub(crate) fn padded_cols(n: usize, nr: usize) -> usize {
+    match n % nr {
+        0 => n,
+        rem if rem <= nr / 2 => n - rem + nr / 2,
+        rem => n - rem + nr,
+    }
 }
 
 /// Checks the operands of [`gemm`] and returns the row count: `out`
@@ -244,7 +247,7 @@ fn padded_cols(n: usize) -> usize {
 fn check_gemm(a: &[f64], b: &Panels, out: &[f64]) -> Option<usize> {
     assert_eq!(
         b.data.len(),
-        padded_cols(b.n) * b.k,
+        padded_cols(b.n, GEMM_NR) * b.k,
         "gemm panels are not packed for k × n"
     );
     if b.n == 0 {
@@ -276,7 +279,7 @@ pub fn gemm_scalar(a: &[f64], b: &Panels, out: &mut [f64]) {
     };
     let (k, n) = (b.k, b.n);
     let mut bt = vec![0.0f64; GEMM_NR * k];
-    for (j0, width) in panel_spans(n, 0) {
+    for (j0, width) in panel_spans(n, 0, GEMM_NR) {
         let cols = width.min(n - j0);
         let panel = &b.data[j0 * k..(j0 + width) * k];
         for p in 0..k {
@@ -538,7 +541,8 @@ mod x86 {
                 let r = (rows - i).min(GEMM_MR);
                 let arows: [*const f64; GEMM_MR] =
                     core::array::from_fn(|t| a[(i + t.min(r - 1)) * k..].as_ptr());
-                let spans = super::panel_spans(n, g0).take_while(|&(j0, _)| j0 < g0 + group);
+                let spans =
+                    super::panel_spans(n, g0, GEMM_NR).take_while(|&(j0, _)| j0 < g0 + group);
                 for (j0, width) in spans {
                     let cols = width.min(n - j0);
                     // SAFETY: the checked panel length covers columns
@@ -902,7 +906,7 @@ mod x86 {
         use std::sync::OnceLock;
         static USABLE: OnceLock<bool> = OnceLock::new();
         *USABLE.get_or_init(|| {
-            !super::force_scalar_env()
+            !super::force_scalar()
                 && std::arch::is_x86_feature_detected!("avx2")
                 && std::arch::is_x86_feature_detected!("fma")
         })
@@ -911,15 +915,19 @@ mod x86 {
 
 /// Whether `PHOX_FORCE_SCALAR` requests the scalar path. `1`, `true`,
 /// `yes`, and `on` (any case) force scalar; anything else (including
-/// unset) leaves dispatch to feature detection.
-fn force_scalar_env() -> bool {
-    match std::env::var("PHOX_FORCE_SCALAR") {
+/// unset) leaves dispatch to feature detection. Read once per process
+/// and shared with the int8 kernels of [`crate::gemm_i8`], so every
+/// dispatched kernel takes the same side of the override.
+pub(crate) fn force_scalar() -> bool {
+    use std::sync::OnceLock;
+    static FORCE: OnceLock<bool> = OnceLock::new();
+    *FORCE.get_or_init(|| match std::env::var("PHOX_FORCE_SCALAR") {
         Ok(v) => matches!(
             v.trim().to_ascii_lowercase().as_str(),
             "1" | "true" | "yes" | "on"
         ),
         Err(_) => false,
-    }
+    })
 }
 
 /// Whether the f64 `core::arch` kernels are in use on this host.
@@ -1142,6 +1150,16 @@ mod tests {
                     assert_eq!(fast[j].to_bits(), expect, "k={k} n={n} j={j}");
                     assert_eq!(slow[j].to_bits(), expect, "scalar k={k} n={n} j={j}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn padded_cols_ends_the_last_panel_span() {
+        for nr in [GEMM_NR, 16] {
+            for n in 0..100 {
+                let end = panel_spans(n, 0, nr).last().map_or(0, |(j0, w)| j0 + w);
+                assert_eq!(padded_cols(n, nr), end, "n={n} nr={nr}");
             }
         }
     }

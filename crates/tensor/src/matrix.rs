@@ -427,9 +427,10 @@ impl Matrix {
         self.data.iter().copied().fold(f64::INFINITY, f64::min)
     }
 
-    /// Largest absolute element value (0 for an empty matrix).
+    /// Largest absolute element value (0 for an empty matrix); NaN
+    /// elements are ignored, as [`f64::max`] ignores them.
     pub fn abs_max(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
+        abs_max(&self.data)
     }
 
     /// Sum of all elements.
@@ -510,6 +511,28 @@ impl Matrix {
         }
         true
     }
+}
+
+/// Largest absolute value of `values` (0 when empty), NaNs ignored: 16
+/// independent lanes, then one fold over the lanes and the tail. `max`
+/// is exact and, with NaNs ignored, order-free, so this equals the
+/// serial fold bit for bit; the lanes let it vectorize.
+pub(crate) fn abs_max(values: &[f64]) -> f64 {
+    let mut lanes = [0.0f64; 16];
+    let mut chunks = values.chunks_exact(16);
+    for chunk in &mut chunks {
+        for (lane, &v) in lanes.iter_mut().zip(chunk) {
+            // `f64::max` for a lane that is never NaN: a NaN `|v|`
+            // compares false and keeps the lane. This form is one `maxpd`.
+            let a = v.abs();
+            *lane = if a > *lane { a } else { *lane };
+        }
+    }
+    let tail = chunks
+        .remainder()
+        .iter()
+        .fold(0.0f64, |m, &v| m.max(v.abs()));
+    lanes.into_iter().fold(tail, f64::max)
 }
 
 impl fmt::Display for Matrix {
@@ -663,6 +686,21 @@ mod tests {
         assert_eq!(a.max(), 3.0);
         assert_eq!(a.min(), -4.0);
         assert_eq!(a.sum(), -1.0);
+    }
+
+    #[test]
+    fn abs_max_lanes_equal_the_serial_fold_and_ignore_nan() {
+        // Random bit patterns include NaNs, infinities and subnormals.
+        let mut rng = crate::Prng::new(5);
+        for len in [0, 1, 7, 31, 32, 33, 64, 100, 1001] {
+            let v: Vec<f64> = (0..len).map(|_| f64::from_bits(rng.next_u64())).collect();
+            let serial = v.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
+            assert_eq!(abs_max(&v).to_bits(), serial.to_bits(), "len={len}");
+        }
+        assert_eq!(abs_max(&[f64::NAN, -2.0, f64::NAN]), 2.0);
+        assert_eq!(abs_max(&[f64::NAN; 9]).to_bits(), 0.0f64.to_bits());
+        assert_eq!(abs_max(&[-0.0; 11]).to_bits(), 0.0f64.to_bits());
+        assert_eq!(abs_max(&[-0.0, f64::NEG_INFINITY]), f64::INFINITY);
     }
 
     #[test]

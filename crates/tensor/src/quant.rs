@@ -57,9 +57,22 @@ impl Quantizer {
     }
 
     /// Quantizes a single value.
+    #[inline]
     pub fn quantize_value(&self, x: f64) -> i8 {
+        /// `1.5 · 2⁵²`: adding it to an integer of magnitude below 2⁵¹
+        /// is exact and leaves the integer's two's complement in the low
+        /// bits of the sum.
+        const LOW_BITS: f64 = 6_755_399_441_055_744.0;
         let q = (x / self.scale).round();
-        q.clamp(-127.0, 127.0) as i8
+        // `q.clamp(-127.0, 127.0) as i8`, in a form whose loop
+        // vectorizes (the saturating cast's does not): a NaN level
+        // becomes 0, as the cast makes it.
+        let q = if q.is_nan() {
+            0.0
+        } else {
+            q.clamp(-127.0, 127.0)
+        };
+        (q + LOW_BITS).to_bits() as i8
     }
 
     /// Dequantizes a single level.
@@ -69,16 +82,46 @@ impl Quantizer {
 
     /// Quantizes a whole matrix.
     pub fn quantize(&self, m: &Matrix) -> QuantMatrix {
+        let mut data = Vec::with_capacity(m.len());
+        self.quantize_into(m.as_slice(), &mut data);
         QuantMatrix {
             rows: m.rows(),
             cols: m.cols(),
             scale: self.scale,
-            data: m
-                .as_slice()
-                .iter()
-                .map(|&v| self.quantize_value(v))
-                .collect(),
+            data,
         }
+    }
+
+    /// Appends the codes of `values` to `out`, each exactly
+    /// [`Quantizer::quantize_value`]. Where the int8 kernels are
+    /// dispatched ([`gemm_i8::simd_active`]) the loop is compiled for
+    /// AVX2, so LLVM inlines `round` as `trunc(x + copysign(pred(0.5),
+    /// x))` — exact for every input, NaN and ±∞ included — and
+    /// vectorizes it; otherwise each element calls libm `round`.
+    fn quantize_into(&self, values: &[f64], out: &mut Vec<i8>) {
+        #[cfg(target_arch = "x86_64")]
+        if gemm_i8::simd_active() {
+            // SAFETY: `simd_active` is true only where AVX2 is available.
+            unsafe { self.quantize_into_avx2(values, out) };
+            return;
+        }
+        self.quantize_loop(values, out);
+    }
+
+    #[inline(always)]
+    fn quantize_loop(&self, values: &[f64], out: &mut Vec<i8>) {
+        out.extend(values.iter().map(|&v| self.quantize_value(v)));
+    }
+
+    /// [`Quantizer::quantize_loop`] compiled for AVX2.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn quantize_into_avx2(&self, values: &[f64], out: &mut Vec<i8>) {
+        self.quantize_loop(values, out);
     }
 }
 
@@ -303,10 +346,9 @@ impl RowQuantMatrix {
         let mut data = Vec::with_capacity(rows * cols);
         for r in 0..rows {
             let row = m.row(r);
-            let absmax = row.iter().fold(0.0f64, |acc, &v| acc.max(v.abs()));
+            let absmax = crate::matrix::abs_max(row);
             let scale = if absmax > 0.0 { absmax / 127.0 } else { 1.0 };
-            let q = Quantizer { scale };
-            data.extend(row.iter().map(|&v| q.quantize_value(v)));
+            Quantizer { scale }.quantize_into(row, &mut data);
             scales.push(scale);
         }
         RowQuantMatrix {
@@ -477,6 +519,59 @@ mod tests {
         assert!(QuantMatrix::from_levels(2, 2, 0.5, vec![1]).is_err());
         assert!(QuantMatrix::from_levels(1, 1, 0.0, vec![1]).is_err());
         assert!(QuantMatrix::from_levels(1, 1, f64::NAN, vec![1]).is_err());
+    }
+
+    #[test]
+    fn dispatched_quantizer_equals_libm_round_per_element() {
+        // Exact halves and their neighbours, ±0, ±∞, NaN, subnormals,
+        // huge integers and random bit patterns, at unit scale and two
+        // awkward ones; the reference calls libm `round` per element
+        // and casts with saturation. A row holding ±∞ gets an infinite
+        // scale.
+        let mut values = vec![
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE / 3.0,
+            0.499_999_999_999_999_94,
+            -0.499_999_999_999_999_94,
+            4_503_599_627_370_497.0,
+            -9_007_199_254_740_993.0,
+        ];
+        for h in -140..140 {
+            let x = f64::from(h) + 0.5;
+            values.extend([
+                x,
+                f64::from_bits(x.to_bits() + 1),
+                f64::from_bits(x.to_bits() - 1),
+            ]);
+        }
+        let mut rng = crate::Prng::new(9);
+        values.extend((0..4096).map(|_| f64::from_bits(rng.next_u64())));
+        let m =
+            Matrix::from_vec(4, values.len() / 4, values[..values.len() / 4 * 4].to_vec()).unwrap();
+        // The textbook form of `quantize_value`, saturating cast and all.
+        let code = |v: f64, scale: f64| (v / scale).round().clamp(-127.0, 127.0) as i8;
+        for scale in [1.0, 0.1, 3.7e-3] {
+            let q = Quantizer::with_scale(scale).unwrap();
+            let want: Vec<i8> = m.as_slice().iter().map(|&v| code(v, scale)).collect();
+            let single: Vec<i8> = m.as_slice().iter().map(|&v| q.quantize_value(v)).collect();
+            assert_eq!(single, want, "scale={scale}");
+            assert_eq!(q.quantize(&m).as_i8_slice(), &want[..], "scale={scale}");
+        }
+        // Per-row calibration runs the same loop row by row.
+        let rows = RowQuantMatrix::quantize_rows(&m);
+        for (r, &scale) in rows.scales().iter().enumerate() {
+            let absmax = m.row(r).iter().fold(0.0f64, |acc, &v| acc.max(v.abs()));
+            assert_eq!(scale, if absmax > 0.0 { absmax / 127.0 } else { 1.0 });
+            let want: Vec<i8> = m.row(r).iter().map(|&v| code(v, scale)).collect();
+            assert_eq!(
+                &rows.as_i8_slice()[r * m.cols()..(r + 1) * m.cols()],
+                &want[..]
+            );
+        }
     }
 
     #[test]

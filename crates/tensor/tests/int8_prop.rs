@@ -1,19 +1,92 @@
-//! Property-based tests for the int8 compute path: the blocked/SIMD GEMM
-//! kernel must be *bitwise* equal to the naive i32 oracle over arbitrary
-//! shapes (including degenerate and saturated operands), byte-identical
-//! across thread counts, and the int8 SpMM must agree exactly with the
-//! int8 dense GEMM on the densified adjacency.
+//! Property-based tests for the int8 compute path: the register-blocked
+//! GEMM microkernel — dispatched (AVX2, or the baseline twin under
+//! `PHOX_FORCE_SCALAR=1`), its public baseline twin, the banded driver and
+//! the single-row product over resident panels — must be *bitwise* equal
+//! to the naive i32 oracle over arbitrary shapes and the whole `i8`
+//! range (−128 included), byte-identical across thread counts, and the
+//! int8 SpMM must agree exactly with the int8 dense GEMM on the
+//! densified adjacency.
+//!
+//! CI's `simd-smoke` job runs this suite once per dispatch mode.
 
 use proptest::prelude::*;
 
+use phox_tensor::gemm_i8::{self, Panels, TILE_KC, TILE_MR, TILE_NR};
 use phox_tensor::sparse::DegreeBuckets;
 use phox_tensor::sparse_i8::{self, CsrI8View, I8Reduce};
-use phox_tensor::{gemm_i8, parallel, Matrix, QuantMatrix, Quantizer};
+use phox_tensor::{parallel, Matrix, QuantMatrix, Quantizer};
 
-/// Strategy: an i8 buffer of exactly `len` elements spanning the full
-/// (symmetric) level range, saturation included.
+/// Strategy: an i8 buffer of exactly `len` elements spanning the
+/// symmetric level range a quantizer emits, saturation included.
 fn levels(len: usize) -> impl Strategy<Value = Vec<i8>> {
     proptest::collection::vec(-127i8..=127, len)
+}
+
+/// Strategy: an i8 buffer of exactly `len` elements over the whole `i8`
+/// range, with `−128`, `127` and `0` drawn often: the kernel accepts any
+/// code, and `−128 · −128` pairs are its largest `vpmaddwd` sums.
+fn codes(len: usize) -> impl Strategy<Value = Vec<i8>> {
+    (
+        proptest::collection::vec(any::<i8>(), len),
+        proptest::collection::vec(0u8..8, len),
+    )
+        .prop_map(|(vals, classes)| {
+            vals.into_iter()
+                .zip(classes)
+                .map(|(v, class)| match class {
+                    0 => i8::MIN,
+                    1 => i8::MAX,
+                    2 => 0,
+                    _ => v,
+                })
+                .collect()
+        })
+}
+
+/// Strategy: a GEMM shape `(m, k, n)` reaching every edge of the
+/// microkernel: `m` past two [`TILE_MR`]-row tiles with every remainder;
+/// `n` across full [`TILE_NR`]-wide panels, a half-width last panel and
+/// padded ones; and `k` in three classes — `0..=3` (no pair, one pair,
+/// an odd pad), below and around one 16-value SIMD step, and past two
+/// [`TILE_KC`] k-blocks, odd and even.
+fn gemm_shapes() -> impl Strategy<Value = (usize, usize, usize)> {
+    (
+        1usize..=2 * TILE_MR + 3,
+        0u8..3,
+        0usize..=300,
+        1usize..=3 * TILE_NR + 9,
+    )
+        .prop_map(|(m, class, x, n)| {
+            let k = match class {
+                0 => x % 4,
+                1 => 4 + x % 37,
+                _ => 2 * TILE_KC + 1 + x,
+            };
+            (m, k, n)
+        })
+}
+
+/// The first path whose sums differ from the naive oracle's: the
+/// production product on one thread, the dispatched microkernel and its
+/// baseline twin over the packed panels, and the banded driver over them.
+fn gemm_mismatch(m: usize, k: usize, n: usize, a: &[i8], b: &[i8]) -> Option<String> {
+    let naive = gemm_i8::matmul_i32_naive(a, b, m, k, n).unwrap();
+    let panels = Panels::pack(b, k, n);
+    let mut fast = vec![i32::MIN; m * n];
+    gemm_i8::gemm(a, &panels, 0..n, &mut fast, n);
+    let mut twin = vec![i32::MIN; m * n];
+    gemm_i8::gemm_baseline(a, &panels, 0..n, &mut twin, n);
+    let production = parallel::with_threads(1, || gemm_i8::matmul_i32(a, b, m, k, n).unwrap());
+    let packed = gemm_i8::matmul_packed(a, &panels, m).unwrap();
+    [
+        ("matmul_i32", production),
+        ("gemm", fast),
+        ("gemm_baseline", twin),
+        ("matmul_packed", packed),
+    ]
+    .into_iter()
+    .find(|(_, got)| *got != naive)
+    .map(|(name, _)| format!("{name} differs from the naive oracle at {m}x{k}x{n}"))
 }
 
 /// Strategy: a CSR pattern over an `n x n` adjacency as a row-major
@@ -40,39 +113,79 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn blocked_gemm_bitwise_equals_naive_oracle(
-        ((m, k, n), a, b) in (1usize..=24, 0usize..=24, 1usize..=24)
-            .prop_flat_map(|(m, k, n)| {
-                (Just((m, k, n)), levels(m * k), levels(k * n))
-            }),
+    fn microkernel_bitwise_equals_naive_oracle(
+        ((m, k, n), a, b) in gemm_shapes().prop_flat_map(|(m, k, n)| {
+            (Just((m, k, n)), codes(m * k), codes(k * n))
+        }),
     ) {
+        let mismatch = gemm_mismatch(m, k, n, &a, &b);
+        prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
+    }
+
+    #[test]
+    fn column_ranges_write_exactly_their_naive_columns(
+        ((m, k, n), a, b, (first, ld_pad)) in gemm_shapes().prop_flat_map(|(m, k, n)| {
+            (Just((m, k, n)), codes(m * k), codes(k * n), (0usize..4, 0usize..5))
+        }),
+    ) {
+        // The analog engine's use: a panel-aligned column range of each
+        // output tile, stored with a stride wider than the range.
         let naive = gemm_i8::matmul_i32_naive(&a, &b, m, k, n).unwrap();
-        let blocked = gemm_i8::matmul_i32_blocked(&a, &b, m, k, n).unwrap();
-        let production = gemm_i8::matmul_i32(&a, &b, m, k, n).unwrap();
-        prop_assert_eq!(&blocked, &naive);
-        prop_assert_eq!(&production, &naive);
+        let panels = Panels::pack(&b, k, n);
+        let j0 = (first * TILE_NR).min(n - n % TILE_NR);
+        let j1 = n.min(j0 + 2 * TILE_NR);
+        let ld = j1 - j0 + ld_pad;
+        for scalar in [false, true] {
+            let mut out = vec![i32::MIN; m * ld.max(1)];
+            if scalar {
+                gemm_i8::gemm_baseline(&a, &panels, j0..j1, &mut out, ld.max(1));
+            } else {
+                gemm_i8::gemm(&a, &panels, j0..j1, &mut out, ld.max(1));
+            }
+            for i in 0..m {
+                for c in 0..ld {
+                    let want = if j0 + c < j1 { naive[i * n + j0 + c] } else { i32::MIN };
+                    prop_assert_eq!(out[i * ld + c], want, "scalar {} ({}, {})", scalar, i, c);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn single_rows_through_packed_panels_equal_naive_oracle(
+        ((k, n), a, b) in gemm_shapes().prop_flat_map(|(_, k, n)| {
+            (Just((k, n)), codes(k), codes(k * n))
+        }),
+    ) {
+        // A KV-cached decode step: one row against resident panels, and
+        // the same row through the pack-free single-row path.
+        let naive = gemm_i8::matmul_i32_naive(&a, &b, 1, k, n).unwrap();
+        let packed = gemm_i8::matmul_packed(&a, &Panels::pack(&b, k, n), 1).unwrap();
+        prop_assert_eq!(&packed, &naive);
+        prop_assert_eq!(&gemm_i8::matmul_i32(&a, &b, 1, k, n).unwrap(), &naive);
     }
 
     #[test]
     fn saturated_operands_stay_exact(
-        (m, k, n) in (1usize..=8, 1usize..=64, 1usize..=8),
+        (m, k, n, low) in (1usize..=9, 1usize..=1100, 1usize..=40, any::<bool>()),
     ) {
-        // All-saturated panels maximise every partial product; the sums
-        // must still be exact (i32 headroom) and identical in all paths.
-        let a = vec![127i8; m * k];
-        let b = vec![-127i8; k * n];
+        // All-saturated panels maximise every partial product and pair
+        // sum; the sums must still be exact (i32 headroom) on every path.
+        let (x, y) = if low { (-128i8, -128i8) } else { (127, -127) };
+        let a = vec![x; m * k];
+        let b = vec![y; k * n];
+        let expected = i32::from(x) * i32::from(y) * k as i32;
         let naive = gemm_i8::matmul_i32_naive(&a, &b, m, k, n).unwrap();
-        prop_assert!(naive.iter().all(|&s| s == -(127 * 127 * k as i32)));
-        let blocked = gemm_i8::matmul_i32_blocked(&a, &b, m, k, n).unwrap();
-        prop_assert_eq!(&blocked, &naive);
+        prop_assert!(naive.iter().all(|&s| s == expected));
+        let mismatch = gemm_mismatch(m, k, n, &a, &b);
+        prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
     }
 
     #[test]
     fn gemm_is_byte_identical_across_thread_counts(
-        ((m, k, n), a, b) in (1usize..=20, 1usize..=20, 1usize..=20)
-            .prop_flat_map(|(m, k, n)| {
-                (Just((m, k, n)), levels(m * k), levels(k * n))
-            }),
+        ((m, k, n), a, b) in gemm_shapes().prop_flat_map(|(m, k, n)| {
+            (Just((m, k, n)), codes(m * k), codes(k * n))
+        }),
     ) {
         let baseline = parallel::with_threads(1, || {
             gemm_i8::matmul_i32(&a, &b, m, k, n).unwrap()
@@ -172,6 +285,30 @@ proptest! {
                 prop_assert!(out[v * f + c] <= 127);
             }
         }
+    }
+}
+
+/// The proptest shapes stay below [`gemm_i8::PAR_ELEMS_MIN`] for speed;
+/// this product clears it, so the driver splits it into row bands (the
+/// last one short of a whole band) that share one pack.
+#[test]
+fn banded_products_above_the_parallel_threshold_equal_naive_oracle() {
+    let (m, k, n) = (70, 1100, 37);
+    assert!(m * k * n >= gemm_i8::PAR_ELEMS_MIN);
+    let mut rng = phox_tensor::Prng::new(0x18);
+    let a: Vec<i8> = (0..m * k).map(|_| rng.next_u64() as i8).collect();
+    let b: Vec<i8> = (0..k * n).map(|_| rng.next_u64() as i8).collect();
+    let naive = gemm_i8::matmul_i32_naive(&a, &b, m, k, n).unwrap();
+    let panels = Panels::pack(&b, k, n);
+    for threads in [1usize, 2, 4, 8] {
+        let (out, packed) = parallel::with_threads(threads, || {
+            (
+                gemm_i8::matmul_i32(&a, &b, m, k, n).unwrap(),
+                gemm_i8::matmul_packed(&a, &panels, m).unwrap(),
+            )
+        });
+        assert_eq!(out, naive, "threads = {threads}");
+        assert_eq!(packed, naive, "packed, threads = {threads}");
     }
 }
 

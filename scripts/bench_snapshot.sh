@@ -8,9 +8,13 @@
 #   BENCH_2.json — sparse aggregation: CSR kernels vs the retired
 #                  dense-stack path on a Cora-class graph and a
 #                  100k-node / 1M-edge power-law graph.
-#   BENCH_3.json — int8 kernels: i8 x i8 -> i32 GEMM and SpMM vs their
-#                  f64 counterparts, plus the 1/2/4/8-thread scaling
-#                  sweep with oracle and bit-identity verdicts.
+#   BENCH_3.json — int8 kernels: the register-blocked i8 x i8 -> i32
+#                  microkernel vs the per-output dot kernel it replaced
+#                  and the f64 microkernel at 64/256/1024 and every int8
+#                  workload call (products, decode rows, analog tiles),
+#                  the quantizer vs its serial loop,
+#                  int8 vs f64 SpMM, and the 1/2/4/8-thread sweep, with
+#                  oracle and bit-identity verdicts.
 #   BENCH_4.json — KV-cached decode: per-token latency of a cached
 #                  decode step vs full-sequence recompute (f64 and
 #                  int8) across context lengths, with full-forward
@@ -29,8 +33,9 @@
 #
 # There is also a timing-free mode that never writes to the repo root:
 #   digest        — reduces a deterministic battery (GEMM and its
-#                  microkernel edges, SpMM, decode, analog int8 engine,
-#                  Tron/Ghost forwards) to FNV-1a digests over result
+#                  microkernel edges, the int8 microkernel's edges,
+#                  SpMM, decode, analog int8 engine, Tron/Ghost
+#                  forwards) to FNV-1a digests over result
 #                  bit patterns; CI byte-diffs the AVX2 and
 #                  PHOX_FORCE_SCALAR=1 files.
 #
