@@ -2080,9 +2080,10 @@ fn leg_json(result: &Result<phox_core::nn::quant_eval::QuantReport, String>) -> 
 fn run_faults(out_path: &str) {
     use phox_core::ghost::{GhostConfig, GhostFunctional};
     use phox_core::nn::datasets::{labelled_sequences, sbm};
+    use phox_core::nn::int8::Precision;
     use phox_core::nn::quant_eval::{
-        evaluate_gnn_int8, evaluate_gnn_outputs, evaluate_transformer_int8,
-        evaluate_transformer_outputs, QuantReport,
+        evaluate_gnn, evaluate_gnn_outputs, evaluate_transformer, evaluate_transformer_outputs,
+        QuantReport,
     };
     use phox_core::photonics::fault::FaultSchedule;
     use phox_core::serve::{
@@ -2104,8 +2105,9 @@ fn run_faults(out_path: &str) {
 
     // Fault-free int8 reference: the paper's §VI "int8 is comparable"
     // claim, restated here so the cliff has a quantization baseline.
-    let int8_tf = evaluate_transformer_int8(&tf_model, &seq_task).expect("int8 transformer");
-    let int8_gnn = evaluate_gnn_int8(&gnn_model, &graph_task).expect("int8 gnn");
+    let int8_tf =
+        evaluate_transformer(&tf_model, &seq_task, Precision::Int8).expect("int8 transformer");
+    let int8_gnn = evaluate_gnn(&gnn_model, &graph_task, Precision::Int8).expect("int8 gnn");
 
     let mut cliff_rows = Vec::new();
     let mut tron_errors = Vec::new();

@@ -326,6 +326,7 @@ pub fn quantization_table() -> Result<String, Box<dyn std::error::Error>> {
     use phox_core::nn::datasets::{labelled_sequences, sbm};
     use phox_core::nn::quant_eval::{evaluate_gnn, evaluate_transformer};
 
+    let fq8 = Precision::FakeQuant { bits: 8 };
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -333,7 +334,7 @@ pub fn quantization_table() -> Result<String, Box<dyn std::error::Error>> {
     );
     let seq_task = labelled_sequences(24, 4, 8, 32, 201)?;
     let model = TransformerModel::random(TransformerConfig::tiny(8), 202)?;
-    let r = evaluate_transformer(&model, &seq_task)?;
+    let r = evaluate_transformer(&model, &seq_task, fq8)?;
     let _ = writeln!(
         out,
         "{:<22} {:>8.3} {:>8.3} {:>10.3}  comparable: {}",
@@ -346,7 +347,7 @@ pub fn quantization_table() -> Result<String, Box<dyn std::error::Error>> {
     let graph_task = sbm(3, 12, 16, 0.5, 0.05, 203)?;
     for kind in [GnnKind::Gcn, GnnKind::GraphSage, GnnKind::Gin, GnnKind::Gat] {
         let model = GnnModel::random(GnnConfig::two_layer(kind, 16, 32, 3), 204)?;
-        let r = evaluate_gnn(&model, &graph_task)?;
+        let r = evaluate_gnn(&model, &graph_task, fq8)?;
         let _ = writeln!(
             out,
             "{:<22} {:>8.3} {:>8.3} {:>10.3}  comparable: {}",
@@ -888,9 +889,9 @@ pub fn precision_table() -> Result<String, Box<dyn std::error::Error>> {
     let gnn = GnnModel::random(GnnConfig::two_layer(GnnKind::Gcn, 12, 16, 3), 314)?;
     let gnn_ref = ops::argmax_rows(&gnn.forward(&task.graph, &task.features)?);
     for bits in [2u32, 4, 6, 8, 10, 12] {
-        let terr = stats::relative_error(&reference, &model.forward_quantized_bits(&x, bits)?);
-        let gpred =
-            ops::argmax_rows(&gnn.forward_quantized_bits(&task.graph, &task.features, bits)?);
+        let p = Precision::FakeQuant { bits };
+        let terr = stats::relative_error(&reference, &model.forward_with(&x, p)?);
+        let gpred = ops::argmax_rows(&gnn.forward_with(&task.graph, &task.features, p)?);
         let agree = stats::accuracy(&gpred, &gnn_ref);
         // Hardware side: a TRON provisioned for this precision.
         let hw = TronConfig {

@@ -60,6 +60,7 @@ pub mod prelude {
     };
     pub use phox_nn::datasets::GraphShape;
     pub use phox_nn::gnn::{Aggregation, CsrGraph, GnnConfig, GnnKind, GnnModel};
+    pub use phox_nn::int8::Precision;
     pub use phox_nn::transformer::{TransformerConfig, TransformerModel};
     pub use phox_photonics::design_space::{RejectionReason, SweepConfig};
     pub use phox_photonics::fault::{

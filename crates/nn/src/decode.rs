@@ -13,7 +13,7 @@
 //! The whole module is pinned by one property: an incremental decode
 //! step over context `t` must reproduce row `t-1` of the full-sequence
 //! causal forward ([`TransformerModel::forward_prefix`]) — within 1e-9
-//! relative in f64, *exactly* for the int8 engine. Three design choices
+//! relative in f64, *exactly* on the int8 datapath. Three design choices
 //! make that hold:
 //!
 //! * the attention context product uses a sequential accumulation order
@@ -26,17 +26,17 @@
 //!   that `gemm::matmul` runs at `m = 1` keeps the blocked kernel's
 //!   16-lane schedule per output, and the per-head scores run the same
 //!   `simd::dot` schedule the full path's score product runs per element;
-//! * the int8 engine calibrates activations *per row*
-//!   ([`crate::int8::QuantLinear::forward_rowwise`]), so a token's
-//!   quantized levels never depend on which other tokens share the
-//!   batch, and integer accumulation is exact in any order.
+//! * the int8 datapath calibrates activations *per row*
+//!   ([`crate::int8::QuantLinear::forward`]), so a token's quantized
+//!   levels never depend on which other tokens share the batch, and
+//!   integer accumulation is exact in any order.
 //!
 //! ## Reading operands in place
 //!
-//! An f64 step copies no weight and no cached row. The f64 engine
-//! multiplies each weight where it lies, and the `m = 1` product reads
-//! row-major `W` directly instead of packing `Wᵀ`
-//! ([`phox_tensor::gemm::simd::gemv`]). On either engine each head runs
+//! An f64 step copies no weight and no cached row. It multiplies each
+//! weight where it lies, and the `m = 1` product reads row-major `W`
+//! directly instead of packing `Wᵀ`
+//! ([`phox_tensor::gemm::simd::gemv`]). At either precision each head runs
 //! one fused [`phox_tensor::gemm::simd::attend`] call over the cached K/V
 //! rows in place: scores four rows at a time in `simd::dot`'s schedule,
 //! softmax in one scores buffer shared by every head of the step, and the
@@ -48,15 +48,14 @@
 //!
 //! [`TransformerModel::int8_decoder`] quantizes each layer's six weights
 //! once and keeps their codes packed as the int8 microkernel's panels
-//! plus a scale ([`crate::int8::PackedLinear`]); every step multiplies
+//! plus a scale ([`crate::int8::QuantLinear`]); every step multiplies
 //! through the register-blocked kernel one row high
 //! ([`phox_tensor::gemm_i8::matmul_packed`]) and dequantizes with
 //! `row_scale × weight_scale`, computed once per row.
-//! Weight quantization is deterministic and `i32` sums are exact, so the
-//! decoder is bit-identical to the stateless
-//! [`TransformerModel::decode_step_int8`], which re-quantizes every weight
-//! on every product. [`TransformerModel::generate_int8`] runs through the
-//! same decoder.
+//! Weight quantization is deterministic and `i32` sums are exact, so a
+//! step reproduces [`TransformerModel::forward_prefix_int8`], which
+//! quantizes every weight on every product, bit for bit.
+//! [`TransformerModel::generate_int8`] runs through the same decoder.
 //!
 //! ## Trace instrumentation
 //!
@@ -64,16 +63,14 @@
 //! `decode/cached_rows` (+layers: K/V rows appended), and
 //! `decode/gemv_calls` (+6·layers: the m = 1 weight products — Q/K/V,
 //! output projection, both feed-forward layers). The int8 products
-//! record the `int8/*` counters of `gemm_i8::matmul_i32` at `m = 1`
-//! whether they run stateless or on the packed weights.
+//! record the `int8/*` counters of `gemm_i8::matmul_packed` at `m = 1`.
 
 use phox_tensor::gemm::simd;
 use phox_tensor::{Matrix, TensorError};
 
-use crate::int8::{F64Engine, Int8Engine, MatmulEngine, PackedLinear};
+use crate::int8::QuantLinear;
 use crate::transformer::{
-    decode_context_lengths, FfActivation, LayerWeights, TransformerConfig, TransformerKind,
-    TransformerModel,
+    decode_context_lengths, LayerWeights, TransformerConfig, TransformerKind, TransformerModel,
 };
 
 /// Per-layer K/V rows of one layer.
@@ -286,15 +283,14 @@ pub struct Generation {
     pub stats: DecodeStats,
 }
 
-/// A weight-resident int8 decoder: [`TransformerModel::decode_step_int8`]
-/// semantics with each layer's six weights quantized once, when the
-/// decoder is built, and kept as packed codes plus a scale across
-/// steps — how the accelerator holds weights during decode. Bit-identical
-/// to the stateless step, which re-quantizes every weight per product.
+/// A weight-resident int8 decoder: [`TransformerModel::decode_step`] on
+/// the int8 datapath, with each layer's six weights quantized once, when
+/// the decoder is built, and kept as packed codes plus a scale across
+/// steps — how the accelerator holds weights during decode.
 pub struct Int8Decoder<'m> {
     model: &'m TransformerModel,
     /// Per layer, the six weights in [`layer_products`] order.
-    layers: Vec<[PackedLinear; 6]>,
+    layers: Vec<[QuantLinear; 6]>,
 }
 
 impl Int8Decoder<'_> {
@@ -305,27 +301,15 @@ impl Int8Decoder<'_> {
     /// Same conditions as [`TransformerModel::decode_step`].
     pub fn step(&self, cache: &mut KvCache, x: &Matrix) -> Result<Matrix, TensorError> {
         self.model
-            .decode_step_with(cache, x, StepWeights::Packed(&self.layers))
+            .decode_step_with(cache, x, Some(&self.layers))
             .map(|(y, _)| y)
     }
 }
 
 /// A layer's six weights in the order a decode step multiplies by them:
-/// Q, K, V (both operands treated by the engine), then the output
-/// projection and the two feed-forward weights (weight-only sites).
+/// Q, K, V, the output projection and the two feed-forward weights.
 fn layer_products(lw: &LayerWeights) -> [&Matrix; 6] {
     [&lw.w_q, &lw.w_k, &lw.w_v, &lw.w_o, &lw.w_ff1, &lw.w_ff2]
-}
-
-/// How a decode step runs its weight products.
-#[derive(Clone, Copy)]
-enum StepWeights<'a> {
-    /// The model's f64 weights through an engine: [`F64Engine`] or the
-    /// stateless [`Int8Engine`].
-    Engine(&'a dyn MatmulEngine),
-    /// Each layer's weights quantized and packed once, per
-    /// [`layer_products`].
-    Packed(&'a [[PackedLinear; 6]]),
 }
 
 impl TransformerModel {
@@ -337,7 +321,7 @@ impl TransformerModel {
             layers: self
                 .layers()
                 .iter()
-                .map(|lw| layer_products(lw).map(PackedLinear::new))
+                .map(|lw| layer_products(lw).map(QuantLinear::from_weight))
                 .collect(),
         }
     }
@@ -355,29 +339,18 @@ impl TransformerModel {
     /// decoder-only, for a cache built for a different configuration, or
     /// for a cache at capacity; shape errors for a malformed `x`.
     pub fn decode_step(&self, cache: &mut KvCache, x: &Matrix) -> Result<Matrix, TensorError> {
-        self.decode_step_with(cache, x, StepWeights::Engine(&F64Engine))
-            .map(|(y, _)| y)
+        self.decode_step_with(cache, x, None).map(|(y, _)| y)
     }
 
-    /// [`TransformerModel::decode_step`] on the true int8 datapath
-    /// (stateless: weights re-quantized per product; use
-    /// [`TransformerModel::int8_decoder`] to keep them resident).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TransformerModel::decode_step`].
-    pub fn decode_step_int8(&self, cache: &mut KvCache, x: &Matrix) -> Result<Matrix, TensorError> {
-        self.decode_step_with(cache, x, StepWeights::Engine(&Int8Engine))
-            .map(|(y, _)| y)
-    }
-
-    /// Shared decode-step implementation. Returns the output row and the
-    /// MACs this step executed.
+    /// Shared decode-step implementation: the weight products run on
+    /// `packed` (per layer, in [`layer_products`] order) when given, in
+    /// f64 on the model's weights otherwise. Returns the output row and
+    /// the MACs this step executed.
     fn decode_step_with(
         &self,
         cache: &mut KvCache,
         x: &Matrix,
-        weights: StepWeights<'_>,
+        packed: Option<&[[QuantLinear; 6]]>,
     ) -> Result<(Matrix, u64), TensorError> {
         let cfg = self.config();
         if cfg.kind != TransformerKind::DecoderOnly {
@@ -409,10 +382,9 @@ impl TransformerModel {
         let mut scores = Vec::new();
         for (layer, lw) in self.layers().iter().enumerate() {
             let products = layer_products(lw);
-            let mm = |i: usize, a: &Matrix| match weights {
-                StepWeights::Engine(eng) if i < 3 => eng.mm(a, products[i]),
-                StepWeights::Engine(eng) => eng.mm_weight_only(a, products[i]),
-                StepWeights::Packed(packed) => packed[layer][i].forward_row(a),
+            let mm = |i: usize, a: &Matrix| match packed {
+                Some(packed) => packed[layer][i].forward(a),
+                None => a.matmul(products[i]),
             };
             let q = mm(0, &h)?;
             let k = mm(1, &h)?;
@@ -448,10 +420,7 @@ impl TransformerModel {
             let norm1 = phox_tensor::ops::layer_norm(&res1, &lw.ln1_gamma, &lw.ln1_beta, 1e-9)?;
 
             let inner = mm(4, &norm1)?;
-            let activated = match cfg.ff_activation {
-                FfActivation::Relu => phox_tensor::ops::relu(&inner),
-                FfActivation::Gelu => phox_tensor::ops::gelu(&inner),
-            };
+            let activated = cfg.ff_activation.apply(&inner);
             let ffo = mm(5, &activated)?;
             let res2 = norm1.add(&ffo)?;
             h = phox_tensor::ops::layer_norm(&res2, &lw.ln2_gamma, &lw.ln2_beta, 1e-9)?;
@@ -495,7 +464,7 @@ impl TransformerModel {
     /// decoder-only or `gen_tokens == 0`; shape errors for a malformed
     /// prompt.
     pub fn generate(&self, prompt: &Matrix, gen_tokens: usize) -> Result<Generation, TensorError> {
-        self.generate_with(prompt, gen_tokens, StepWeights::Engine(&F64Engine))
+        self.generate_with(prompt, gen_tokens, None)
     }
 
     /// [`TransformerModel::generate`] on the true int8 datapath through
@@ -511,14 +480,14 @@ impl TransformerModel {
         gen_tokens: usize,
     ) -> Result<Generation, TensorError> {
         let decoder = self.int8_decoder();
-        self.generate_with(prompt, gen_tokens, StepWeights::Packed(&decoder.layers))
+        self.generate_with(prompt, gen_tokens, Some(&decoder.layers))
     }
 
     fn generate_with(
         &self,
         prompt: &Matrix,
         gen_tokens: usize,
-        weights: StepWeights<'_>,
+        packed: Option<&[[QuantLinear; 6]]>,
     ) -> Result<Generation, TensorError> {
         let cfg = self.config();
         if cfg.kind != TransformerKind::DecoderOnly {
@@ -547,14 +516,14 @@ impl TransformerModel {
         // Prefill: prompt rows 0..p-1 build the cache (contexts 1..p-1).
         for r in 0..p - 1 {
             let row = Matrix::row_vector(prompt.row(r));
-            let (_, m) = self.decode_step_with(&mut cache, &row, weights)?;
+            let (_, m) = self.decode_step_with(&mut cache, &row, packed)?;
             prefill_macs += m;
         }
         // Decode: the last prompt row produces generated token 1
         // (context p); each output feeds the next step.
         let mut next = Matrix::row_vector(prompt.row(p - 1));
         for i in 0..gen_tokens {
-            let (out, m) = self.decode_step_with(&mut cache, &next, weights)?;
+            let (out, m) = self.decode_step_with(&mut cache, &next, packed)?;
             decode_macs += m;
             for c in 0..cfg.d_model {
                 tokens.set(i, c, out.get(0, c));

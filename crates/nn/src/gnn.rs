@@ -8,10 +8,10 @@
 
 use phox_tensor::sparse::{self, CsrView, SparseReduce};
 use phox_tensor::sparse_i8::{self, CsrI8View, I8Reduce};
-use phox_tensor::{ops, quant, Matrix, Prng, Quantizer, TensorError};
+use phox_tensor::{ops, Matrix, Prng, Quantizer, TensorError};
 
 use crate::census::OpCensus;
-use crate::int8::{F64Engine, Int8Engine, MatmulEngine, PreEngine};
+use crate::int8::Precision;
 
 /// A directed graph in compressed sparse row form (in-neighbour lists).
 ///
@@ -400,68 +400,36 @@ impl GnnModel {
     /// Returns a shape error when `features` does not match the graph and
     /// configuration.
     pub fn forward(&self, graph: &CsrGraph, features: &Matrix) -> Result<Matrix, TensorError> {
-        self.forward_with(graph, features, &F64Engine)
+        self.forward_with(graph, features, Precision::F64)
     }
 
-    /// Inference with fake int8 quantization on all matmul operands.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error when `features` does not match.
-    pub fn forward_quantized(
-        &self,
-        graph: &CsrGraph,
-        features: &Matrix,
-    ) -> Result<Matrix, TensorError> {
-        self.forward_with(
-            graph,
-            features,
-            &PreEngine {
-                pre: &quant::fake_quantize,
-            },
-        )
-    }
-
-    /// Inference on the true int8 datapath: combine matmuls run on the
-    /// `i8 x i8 -> i32` GEMM kernel and aggregation on the int8 sparse
-    /// kernel ([`GnnModel::aggregate_int8`]); GAT attention coefficients
-    /// stay in f64 (the digital/LUT periphery). Contrast with
-    /// [`GnnModel::forward_quantized`], which only *models* 8-bit
-    /// rounding inside an f64 pass.
+    /// Inference on the true int8 datapath
+    /// ([`GnnModel::forward_with`] at [`Precision::Int8`]): combine
+    /// matmuls run on the `i8 x i8 -> i32` GEMM kernel and aggregation on
+    /// the int8 sparse kernel ([`GnnModel::aggregate_int8`]); GAT
+    /// attention coefficients stay in f64 (the digital/LUT periphery).
     ///
     /// # Errors
     ///
     /// Returns a shape error when `features` does not match.
     pub fn forward_int8(&self, graph: &CsrGraph, features: &Matrix) -> Result<Matrix, TensorError> {
-        self.forward_with(graph, features, &Int8Engine)
+        self.forward_with(graph, features, Precision::Int8)
     }
 
-    /// Inference with fake quantization at an arbitrary bit width (the
-    /// precision-sensitivity analysis).
+    /// Inference with every combine product at precision `p`;
+    /// aggregation runs on the int8 sparse kernel at [`Precision::Int8`]
+    /// and in f64 otherwise.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidDimension`] for `bits` outside
-    /// `2..=16` and shape errors for mismatched inputs.
-    pub fn forward_quantized_bits(
+    /// Returns a shape error when `features` does not match the graph and
+    /// configuration, and [`TensorError::InvalidDimension`] for a
+    /// [`Precision::FakeQuant`] width outside `2..=16`.
+    pub fn forward_with(
         &self,
         graph: &CsrGraph,
         features: &Matrix,
-        bits: u32,
-    ) -> Result<Matrix, TensorError> {
-        quant::fake_quantize_bits(&Matrix::zeros(1, 1), bits)?;
-        let pre = move |m: &Matrix| {
-            quant::fake_quantize_bits(m, bits)
-                .unwrap_or_else(|_| unreachable!("bit width validated above"))
-        };
-        self.forward_with(graph, features, &PreEngine { pre: &pre })
-    }
-
-    fn forward_with(
-        &self,
-        graph: &CsrGraph,
-        features: &Matrix,
-        eng: &dyn MatmulEngine,
+        p: Precision,
     ) -> Result<Matrix, TensorError> {
         if features.rows() != graph.num_nodes() || features.cols() != self.config.dims[0] {
             return Err(TensorError::ShapeMismatch {
@@ -473,10 +441,10 @@ impl GnnModel {
         let last = self.layers.len() - 1;
         for (l, lw) in self.layers.iter().enumerate() {
             h = match self.config.kind {
-                GnnKind::Gcn => self.gcn_layer(graph, &h, lw, eng)?,
-                GnnKind::GraphSage => self.sage_layer(graph, &h, lw, eng)?,
-                GnnKind::Gin => self.gin_layer(graph, &h, lw, eng)?,
-                GnnKind::Gat => self.gat_layer(graph, &h, lw, eng)?,
+                GnnKind::Gcn => self.gcn_layer(graph, &h, lw, p)?,
+                GnnKind::GraphSage => self.sage_layer(graph, &h, lw, p)?,
+                GnnKind::Gin => self.gin_layer(graph, &h, lw, p)?,
+                GnnKind::Gat => self.gat_layer(graph, &h, lw, p)?,
             };
             // Hidden layers use ReLU; the output layer stays linear
             // (logits).
@@ -629,17 +597,17 @@ impl GnnModel {
         out
     }
 
-    /// Dispatches aggregation to the f64 or int8 sparse kernel according
-    /// to the engine.
+    /// Dispatches aggregation to the int8 sparse kernel at
+    /// [`Precision::Int8`] and to the f64 one otherwise.
     fn aggregate_for(
         &self,
         graph: &CsrGraph,
         h: &Matrix,
         agg: Aggregation,
         include_self: bool,
-        eng: &dyn MatmulEngine,
+        p: Precision,
     ) -> Matrix {
-        if eng.int8_aggregation() {
+        if p == Precision::Int8 {
             self.aggregate_int8(graph, h, agg, include_self)
         } else {
             self.aggregate(graph, h, agg, include_self)
@@ -651,10 +619,10 @@ impl GnnModel {
         graph: &CsrGraph,
         h: &Matrix,
         lw: &GnnLayerWeights,
-        eng: &dyn MatmulEngine,
+        p: Precision,
     ) -> Result<Matrix, TensorError> {
-        let agg = self.aggregate_for(graph, h, Aggregation::Mean, true, eng);
-        eng.mm(&agg, &lw.w)
+        let agg = self.aggregate_for(graph, h, Aggregation::Mean, true, p);
+        p.mm(&agg, &lw.w)
     }
 
     fn sage_layer(
@@ -662,11 +630,11 @@ impl GnnModel {
         graph: &CsrGraph,
         h: &Matrix,
         lw: &GnnLayerWeights,
-        eng: &dyn MatmulEngine,
+        p: Precision,
     ) -> Result<Matrix, TensorError> {
-        let agg = self.aggregate_for(graph, h, self.config.aggregation, false, eng);
+        let agg = self.aggregate_for(graph, h, self.config.aggregation, false, p);
         let cat = h.hconcat(&agg)?;
-        eng.mm(&cat, &lw.w)
+        p.mm(&cat, &lw.w)
     }
 
     fn gin_layer(
@@ -674,11 +642,11 @@ impl GnnModel {
         graph: &CsrGraph,
         h: &Matrix,
         lw: &GnnLayerWeights,
-        eng: &dyn MatmulEngine,
+        p: Precision,
     ) -> Result<Matrix, TensorError> {
-        let agg = self.aggregate_for(graph, h, Aggregation::Sum, false, eng);
+        let agg = self.aggregate_for(graph, h, Aggregation::Sum, false, p);
         let mixed = h.scale(1.0 + self.epsilon).add(&agg)?;
-        eng.mm(&mixed, &lw.w)
+        p.mm(&mixed, &lw.w)
     }
 
     fn gat_layer(
@@ -686,10 +654,10 @@ impl GnnModel {
         graph: &CsrGraph,
         h: &Matrix,
         lw: &GnnLayerWeights,
-        eng: &dyn MatmulEngine,
+        p: Precision,
     ) -> Result<Matrix, TensorError> {
         // Transform first: z = h·W, then attention over edges.
-        let z = eng.mm(h, &lw.w)?;
+        let z = p.mm(h, &lw.w)?;
         let fout = z.cols();
         let n = graph.num_nodes();
         // Per-node source/destination attention logits.
@@ -866,7 +834,9 @@ mod tests {
         let x = Prng::new(6).fill_normal(3, 8, 0.0, 1.0);
         let m = GnnModel::random(GnnConfig::two_layer(GnnKind::Gcn, 8, 16, 4), 7).unwrap();
         let y = m.forward(&g, &x).unwrap();
-        let yq = m.forward_quantized(&g, &x).unwrap();
+        let yq = m
+            .forward_with(&g, &x, Precision::FakeQuant { bits: 8 })
+            .unwrap();
         assert!(stats::relative_error(&y, &yq) < 0.1);
     }
 

@@ -3,8 +3,8 @@
 //! The neural-network model zoo for the `phox` accelerator simulators:
 //!
 //! * [`transformer`] — the Transformer configurations the paper evaluates
-//!   TRON on (BERT-base/large, GPT-2, ViT-B/16) with an executable fp64
-//!   reference stack and fake-int8 variant;
+//!   TRON on (BERT-base/large, GPT-2, ViT-B/16) with an executable
+//!   reference stack;
 //! * [`gnn`] — CSR graphs plus GCN / GraphSAGE / GIN / GAT reference
 //!   models, the families the GHOST evaluation covers;
 //! * [`datasets`] — deterministic synthetic workloads with the published
@@ -13,9 +13,12 @@
 //!   tasks for accuracy experiments;
 //! * [`census`] — the static operation inventory ([`census::OpCensus`])
 //!   both the photonic simulators and the electronic baselines consume;
-//! * [`int8`] — the true int8 execution layer ([`int8::QuantLinear`]):
-//!   weight products on the `i8 x i8 -> i32` kernels behind
-//!   `forward_int8` on both model families;
+//! * [`decode`] — KV-cached autoregressive decode, in f64 and on
+//!   resident int8 weights;
+//! * [`int8`] — the precision seam ([`int8::Precision`]: f64, fake
+//!   quantization at any width, or true int8) that every model forward
+//!   takes, and the int8 linear layer ([`int8::QuantLinear`]) behind its
+//!   int8 arm and the int8 decoder;
 //! * [`quant_eval`] — the "8-bit ≈ fp32" analysis of §VI;
 //! * [`tasks`] — the other graph tasks §III motivates (link prediction,
 //!   graph classification).

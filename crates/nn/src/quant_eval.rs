@@ -4,22 +4,25 @@
 //! dataset, we concluded that employing 8-bit model quantization yields
 //! algorithmic accuracy comparable to models utilizing full (32-bit)
 //! precision."* This module reproduces that analysis on synthetic
-//! separable tasks: it runs the fp64 reference and the fake-int8 forward
-//! passes of a model over a labelled workload and reports classification
-//! accuracy and prediction agreement.
+//! separable tasks: it runs the fp64 reference and a quantized forward
+//! pass ([`Precision::FakeQuant`] at 8 bits, or [`Precision::Int8`]) of
+//! a model over a labelled workload and reports classification accuracy
+//! and prediction agreement. The `*_outputs` scorers grade outputs some
+//! other datapath produced (a photonic simulator, say) the same way.
 
 use phox_tensor::{ops, stats, Matrix, TensorError};
 
 use crate::datasets::{LabelledGraph, LabelledSequences};
 use crate::gnn::GnnModel;
+use crate::int8::Precision;
 use crate::transformer::TransformerModel;
 
-/// Accuracy comparison between full precision and int8 execution.
+/// Accuracy comparison between full precision and quantized execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantReport {
     /// Classification accuracy of the fp64 reference.
     pub fp_accuracy: f64,
-    /// Classification accuracy of the int8 (fake-quantized) model.
+    /// Classification accuracy of the quantized leg.
     pub int8_accuracy: f64,
     /// Fraction of examples where both models predict the same class.
     pub agreement: f64,
@@ -36,30 +39,18 @@ impl QuantReport {
 }
 
 /// Evaluates a GNN on a labelled graph: node classification by logits
-/// argmax. The quantized leg is the fake-int8 forward (8-bit rounding
-/// modelled inside an f64 pass).
+/// argmax, with the quantized leg the forward at precision `p`.
 ///
 /// # Errors
 ///
-/// Propagates forward-pass shape errors.
-pub fn evaluate_gnn(model: &GnnModel, task: &LabelledGraph) -> Result<QuantReport, TensorError> {
-    let q = model.forward_quantized(&task.graph, &task.features)?;
-    gnn_report(model, task, &q)
-}
-
-/// [`evaluate_gnn`] with the quantized leg on the true int8 datapath
-/// ([`GnnModel::forward_int8`]): `i8 x i8 -> i32` kernels end to end,
-/// compared against the same f64 oracle.
-///
-/// # Errors
-///
-/// Propagates forward-pass shape errors.
-pub fn evaluate_gnn_int8(
+/// Propagates forward-pass errors.
+pub fn evaluate_gnn(
     model: &GnnModel,
     task: &LabelledGraph,
+    p: Precision,
 ) -> Result<QuantReport, TensorError> {
-    let q = model.forward_int8(&task.graph, &task.features)?;
-    gnn_report(model, task, &q)
+    let q = model.forward_with(&task.graph, &task.features, p)?;
+    evaluate_gnn_outputs(model, task, &q)
 }
 
 /// Scores *externally produced* GNN outputs (e.g. a photonic simulator
@@ -78,7 +69,35 @@ pub fn evaluate_gnn_outputs(
     task: &LabelledGraph,
     outputs: &Matrix,
 ) -> Result<QuantReport, TensorError> {
-    gnn_report(model, task, outputs)
+    let fp = model.forward(&task.graph, &task.features)?;
+    let fp_pred = ops::argmax_rows(&fp);
+    let q_pred = ops::argmax_rows(outputs);
+    Ok(QuantReport {
+        fp_accuracy: stats::accuracy(&fp_pred, &task.labels),
+        int8_accuracy: stats::accuracy(&q_pred, &task.labels),
+        agreement: stats::accuracy(&fp_pred, &q_pred),
+        mean_relative_error: stats::relative_error(&fp, outputs),
+    })
+}
+
+/// Evaluates a transformer on labelled sequences: classification via a
+/// fixed nearest-class-mean readout over the mean output embedding, with
+/// the quantized leg the forward at precision `p`.
+///
+/// # Errors
+///
+/// Propagates forward-pass errors.
+pub fn evaluate_transformer(
+    model: &TransformerModel,
+    task: &LabelledSequences,
+    p: Precision,
+) -> Result<QuantReport, TensorError> {
+    let outputs = task
+        .inputs
+        .iter()
+        .map(|x| model.forward_with(x, p))
+        .collect::<Result<Vec<_>, _>>()?;
+    evaluate_transformer_outputs(model, task, &outputs)
 }
 
 /// Scores externally produced transformer outputs, one matrix per input
@@ -100,76 +119,14 @@ pub fn evaluate_transformer_outputs(
             actual: outputs.len(),
         });
     }
-    // The report loop calls the quantized leg once per input, in order;
-    // a Cell cursor hands each precomputed output back in turn.
-    let cursor = std::cell::Cell::new(0usize);
-    transformer_report(model, task, &|_, _| {
-        let i = cursor.get();
-        cursor.set(i + 1);
-        outputs.get(i).cloned().ok_or(TensorError::LengthMismatch {
-            expected: task.inputs.len(),
-            actual: outputs.len(),
-        })
-    })
-}
-
-fn gnn_report(
-    model: &GnnModel,
-    task: &LabelledGraph,
-    q: &Matrix,
-) -> Result<QuantReport, TensorError> {
-    let fp = model.forward(&task.graph, &task.features)?;
-    let fp_pred = ops::argmax_rows(&fp);
-    let q_pred = ops::argmax_rows(q);
-    Ok(QuantReport {
-        fp_accuracy: stats::accuracy(&fp_pred, &task.labels),
-        int8_accuracy: stats::accuracy(&q_pred, &task.labels),
-        agreement: stats::accuracy(&fp_pred, &q_pred),
-        mean_relative_error: stats::relative_error(&fp, q),
-    })
-}
-
-/// Evaluates a transformer on labelled sequences: classification via a
-/// fixed nearest-class-mean readout over the mean output embedding. The
-/// quantized leg is the fake-int8 forward.
-///
-/// # Errors
-///
-/// Propagates forward-pass shape errors.
-pub fn evaluate_transformer(
-    model: &TransformerModel,
-    task: &LabelledSequences,
-) -> Result<QuantReport, TensorError> {
-    transformer_report(model, task, &|m, x| m.forward_quantized(x))
-}
-
-/// [`evaluate_transformer`] with the quantized leg on the true int8
-/// datapath ([`TransformerModel::forward_int8`]).
-///
-/// # Errors
-///
-/// Propagates forward-pass shape errors.
-pub fn evaluate_transformer_int8(
-    model: &TransformerModel,
-    task: &LabelledSequences,
-) -> Result<QuantReport, TensorError> {
-    transformer_report(model, task, &|m, x| m.forward_int8(x))
-}
-
-fn transformer_report(
-    model: &TransformerModel,
-    task: &LabelledSequences,
-    quantized: &dyn Fn(&TransformerModel, &Matrix) -> Result<Matrix, TensorError>,
-) -> Result<QuantReport, TensorError> {
     let mut fp_pred = Vec::with_capacity(task.inputs.len());
     let mut q_pred = Vec::with_capacity(task.inputs.len());
     let mut rel_err_sum = 0.0;
-    for x in &task.inputs {
+    for (x, q) in task.inputs.iter().zip(outputs) {
         let fp = model.forward(x)?;
-        let q = quantized(model, x)?;
-        rel_err_sum += stats::relative_error(&fp, &q);
+        rel_err_sum += stats::relative_error(&fp, q);
         fp_pred.push(classify(&fp, &task.class_means));
-        q_pred.push(classify(&q, &task.class_means));
+        q_pred.push(classify(q, &task.class_means));
     }
     Ok(QuantReport {
         fp_accuracy: stats::accuracy(&fp_pred, &task.labels),
@@ -210,12 +167,14 @@ mod tests {
     use crate::gnn::{GnnConfig, GnnKind};
     use crate::transformer::{TransformerConfig, TransformerModel};
 
+    const FQ8: Precision = Precision::FakeQuant { bits: 8 };
+
     #[test]
     fn gnn_int8_accuracy_comparable_to_fp() {
         let task = sbm(3, 12, 16, 0.5, 0.05, 21).unwrap();
         for kind in [GnnKind::Gcn, GnnKind::GraphSage, GnnKind::Gin, GnnKind::Gat] {
             let model = GnnModel::random(GnnConfig::two_layer(kind, 16, 32, 3), 22).unwrap();
-            let r = evaluate_gnn(&model, &task).unwrap();
+            let r = evaluate_gnn(&model, &task, FQ8).unwrap();
             // Random weights: accuracy itself is incidental, but int8
             // must track fp predictions closely.
             assert!(r.agreement >= 0.9, "{kind}: agreement {}", r.agreement);
@@ -227,7 +186,7 @@ mod tests {
     fn transformer_int8_accuracy_comparable_to_fp() {
         let task = labelled_sequences(12, 3, 8, 32, 23).unwrap();
         let model = TransformerModel::random(TransformerConfig::tiny(8), 24).unwrap();
-        let r = evaluate_transformer(&model, &task).unwrap();
+        let r = evaluate_transformer(&model, &task, FQ8).unwrap();
         assert!(r.agreement >= 0.8, "agreement {}", r.agreement);
         assert!(r.is_comparable(0.25), "{r:?}");
         assert!(r.mean_relative_error < 0.2, "err {}", r.mean_relative_error);
@@ -238,10 +197,10 @@ mod tests {
         let task = sbm(3, 12, 16, 0.5, 0.05, 31).unwrap();
         let model = GnnModel::random(GnnConfig::two_layer(GnnKind::Gcn, 16, 32, 3), 32).unwrap();
         let q = model
-            .forward_quantized(&task.graph, &task.features)
+            .forward_with(&task.graph, &task.features, FQ8)
             .unwrap();
         let via_outputs = evaluate_gnn_outputs(&model, &task, &q).unwrap();
-        let via_builtin = evaluate_gnn(&model, &task).unwrap();
+        let via_builtin = evaluate_gnn(&model, &task, FQ8).unwrap();
         assert_eq!(via_outputs, via_builtin);
 
         let seq = labelled_sequences(6, 3, 8, 32, 33).unwrap();
@@ -249,10 +208,10 @@ mod tests {
         let outs: Vec<_> = seq
             .inputs
             .iter()
-            .map(|x| tf.forward_quantized(x).unwrap())
+            .map(|x| tf.forward_with(x, FQ8).unwrap())
             .collect();
         let via_outputs = evaluate_transformer_outputs(&tf, &seq, &outs).unwrap();
-        let via_builtin = evaluate_transformer(&tf, &seq).unwrap();
+        let via_builtin = evaluate_transformer(&tf, &seq, FQ8).unwrap();
         assert_eq!(via_outputs, via_builtin);
 
         // Length mismatch is a typed error, not a panic.

@@ -6,10 +6,10 @@
 //! the encoder/decoder stack used to validate the photonic functional
 //! simulation and the 8-bit quantization claim.
 
-use phox_tensor::{ops, quant, Matrix, Prng, TensorError};
+use phox_tensor::{ops, Matrix, Prng, TensorError};
 
 use crate::census::OpCensus;
-use crate::int8::{F64Engine, Int8Engine, MatmulEngine, PreEngine};
+use crate::int8::Precision;
 
 /// Which parts of the original transformer a model keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,6 +44,16 @@ pub enum FfActivation {
     Relu,
     /// GELU, as in BERT/GPT-2.
     Gelu,
+}
+
+impl FfActivation {
+    /// Applies the nonlinearity element-wise.
+    pub(crate) fn apply(self, m: &Matrix) -> Matrix {
+        match self {
+            FfActivation::Relu => ops::relu(m),
+            FfActivation::Gelu => ops::gelu(m),
+        }
+    }
 }
 
 /// Hyper-parameters of a transformer stack.
@@ -391,164 +401,41 @@ impl TransformerModel {
     }
 
     /// Full-precision reference forward pass over `x`
-    /// (`seq_len x d_model`). For an encoder-decoder model this runs the
-    /// full pipeline with `x` as both source and target (the standard
-    /// structure-validation setting); use
-    /// [`TransformerModel::forward_seq2seq`] for distinct sequences.
+    /// (`seq_len x d_model`); [`TransformerModel::forward_with`] at
+    /// [`Precision::F64`].
     ///
     /// # Errors
     ///
     /// Returns a shape error when `x` does not match the configuration.
     pub fn forward(&self, x: &Matrix) -> Result<Matrix, TensorError> {
-        self.forward_with(x, &F64Engine)
+        self.forward_with(x, Precision::F64)
     }
 
-    /// Full-precision sequence-to-sequence pass: encodes `src`, then
-    /// decodes `tgt` against the encoder memory through the
-    /// cross-attention blocks (Fig. 1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidDimension`] for non-encoder-decoder
-    /// models and shape errors for mismatched inputs.
-    pub fn forward_seq2seq(&self, src: &Matrix, tgt: &Matrix) -> Result<Matrix, TensorError> {
-        self.forward_seq2seq_with(src, tgt, &F64Engine)
-    }
-
-    /// [`TransformerModel::forward_seq2seq`] with fake int8 quantization
-    /// on every matmul operand.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TransformerModel::forward_seq2seq`].
-    pub fn forward_seq2seq_quantized(
-        &self,
-        src: &Matrix,
-        tgt: &Matrix,
-    ) -> Result<Matrix, TensorError> {
-        self.forward_seq2seq_with(
-            src,
-            tgt,
-            &PreEngine {
-                pre: &quant::fake_quantize,
-            },
-        )
-    }
-
-    /// [`TransformerModel::forward_seq2seq`] executed on the true int8
-    /// datapath: every weight product runs on the `i8 x i8 -> i32` kernel
-    /// with one dequantization at the output.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TransformerModel::forward_seq2seq`].
-    pub fn forward_seq2seq_int8(&self, src: &Matrix, tgt: &Matrix) -> Result<Matrix, TensorError> {
-        self.forward_seq2seq_with(src, tgt, &Int8Engine)
-    }
-
-    /// Forward pass with fake int8 quantization applied to every operand
-    /// (weights and activations) — the digital 8-bit reference the
-    /// photonic datapath is validated against.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error when `x` does not match the configuration.
-    pub fn forward_quantized(&self, x: &Matrix) -> Result<Matrix, TensorError> {
-        self.forward_with(
-            x,
-            &PreEngine {
-                pre: &quant::fake_quantize,
-            },
-        )
-    }
-
-    /// Forward pass on the true int8 datapath: projections execute on the
-    /// `i8 x i8 -> i32` GEMM kernel (operands quantized, exact integer
-    /// accumulation, one dequantization per product), while softmax,
-    /// LayerNorm and residual adds stay in f64 — matching the
-    /// digital/LUT periphery of the accelerator. Contrast with
-    /// [`TransformerModel::forward_quantized`], which only *models* 8-bit
-    /// rounding inside an f64 pass.
+    /// Forward pass on the true int8 datapath
+    /// ([`TransformerModel::forward_with`] at [`Precision::Int8`]):
+    /// projections execute on the `i8 x i8 -> i32` GEMM kernel, while
+    /// softmax, LayerNorm and residual adds stay in f64 — matching the
+    /// digital/LUT periphery of the accelerator.
     ///
     /// # Errors
     ///
     /// Returns a shape error when `x` does not match the configuration.
     pub fn forward_int8(&self, x: &Matrix) -> Result<Matrix, TensorError> {
-        self.forward_with(x, &Int8Engine)
+        self.forward_with(x, Precision::Int8)
     }
 
-    /// Full-precision causal forward over an arbitrary-length prefix of
-    /// a decoder-only model: like [`TransformerModel::forward`] but
-    /// accepting any row count `>= 1` instead of exactly `seq_len` (the
-    /// reference stack has no positional encodings, so nothing pins the
-    /// length). This is the oracle the KV-cached incremental decode in
-    /// [`crate::decode`] is validated against, prefix by prefix.
+    /// Forward pass over `x` (`seq_len x d_model`) with every weight
+    /// product at precision `p`. For an encoder-decoder model this runs
+    /// the full pipeline with `x` as both source and target (the
+    /// standard structure-validation setting); use
+    /// [`TransformerModel::forward_seq2seq`] for distinct sequences.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidDimension`] for models that are not
-    /// decoder-only and shape errors for mismatched inputs.
-    pub fn forward_prefix(&self, x: &Matrix) -> Result<Matrix, TensorError> {
-        self.forward_prefix_with(x, &F64Engine)
-    }
-
-    /// [`TransformerModel::forward_prefix`] on the true int8 datapath
-    /// (per-row activation quantization — see
-    /// [`crate::int8::QuantLinear::forward_rowwise`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TransformerModel::forward_prefix`].
-    pub fn forward_prefix_int8(&self, x: &Matrix) -> Result<Matrix, TensorError> {
-        self.forward_prefix_with(x, &Int8Engine)
-    }
-
-    /// Shared prefix-forward implementation over `x` (`t × d_model`,
-    /// any `t >= 1`), causal by construction (decoder-only).
-    pub(crate) fn forward_prefix_with(
-        &self,
-        x: &Matrix,
-        eng: &dyn MatmulEngine,
-    ) -> Result<Matrix, TensorError> {
-        if self.config.kind != TransformerKind::DecoderOnly {
-            return Err(TensorError::InvalidDimension {
-                what: "prefix forward requires a decoder-only model",
-            });
-        }
-        if x.rows() == 0 || x.cols() != self.config.d_model {
-            return Err(TensorError::ShapeMismatch {
-                lhs: x.shape(),
-                rhs: (1, self.config.d_model),
-            });
-        }
-        let mut h = x.clone();
-        for lw in &self.layers {
-            h = self.layer_forward(&h, lw, eng)?;
-        }
-        Ok(h)
-    }
-
-    /// Forward pass with fake quantization at an arbitrary bit width —
-    /// the precision-sensitivity analysis (heterogeneous-quantization
-    /// direction of the paper's CrossLight/SONIC lineage).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidDimension`] for `bits` outside
-    /// `2..=16` and shape errors for mismatched inputs.
-    pub fn forward_quantized_bits(&self, x: &Matrix, bits: u32) -> Result<Matrix, TensorError> {
-        // Validate once up front so the closure cannot fail.
-        quant::fake_quantize_bits(&Matrix::zeros(1, 1), bits)?;
-        let pre = move |m: &Matrix| {
-            quant::fake_quantize_bits(m, bits)
-                .unwrap_or_else(|_| unreachable!("bit width validated above"))
-        };
-        self.forward_with(x, &PreEngine { pre: &pre })
-    }
-
-    /// Shared forward implementation; `eng` decides how each weight
-    /// product executes (fp64, fake-quant, or the true int8 kernel).
-    fn forward_with(&self, x: &Matrix, eng: &dyn MatmulEngine) -> Result<Matrix, TensorError> {
+    /// Returns a shape error when `x` does not match the configuration,
+    /// and [`TensorError::InvalidDimension`] for a
+    /// [`Precision::FakeQuant`] width outside `2..=16`.
+    pub fn forward_with(&self, x: &Matrix, p: Precision) -> Result<Matrix, TensorError> {
         if x.rows() != self.config.seq_len || x.cols() != self.config.d_model {
             return Err(TensorError::ShapeMismatch {
                 lhs: x.shape(),
@@ -556,20 +443,25 @@ impl TransformerModel {
             });
         }
         if self.config.kind == TransformerKind::EncoderDecoder {
-            return self.forward_seq2seq_with(x, x, eng);
+            return self.forward_seq2seq(x, x, p);
         }
-        let mut h = x.clone();
-        for lw in &self.layers {
-            h = self.layer_forward(&h, lw, eng)?;
-        }
-        Ok(h)
+        self.encode(x, p)
     }
 
-    fn forward_seq2seq_with(
+    /// Sequence-to-sequence pass at precision `p`: encodes `src`, then
+    /// decodes `tgt` against the encoder memory through the
+    /// cross-attention blocks (Fig. 1).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidDimension`] for non-encoder-decoder
+    /// models or a bad [`Precision::FakeQuant`] width, and shape errors
+    /// for mismatched inputs.
+    pub fn forward_seq2seq(
         &self,
         src: &Matrix,
         tgt: &Matrix,
-        eng: &dyn MatmulEngine,
+        p: Precision,
     ) -> Result<Matrix, TensorError> {
         if self.config.kind != TransformerKind::EncoderDecoder {
             return Err(TensorError::InvalidDimension {
@@ -585,14 +477,63 @@ impl TransformerModel {
             }
         }
         // Encode (bidirectional self-attention).
-        let mut memory = src.clone();
-        for lw in &self.layers {
-            memory = self.layer_forward(&memory, lw, eng)?;
-        }
+        let memory = self.encode(src, p)?;
         // Decode (causal self-attention + cross-attention).
         let mut h = tgt.clone();
         for dw in &self.decoder_layers {
-            h = self.decoder_layer_forward(&h, &memory, dw, eng)?;
+            h = self.decoder_layer_forward(&h, &memory, dw, p)?;
+        }
+        Ok(h)
+    }
+
+    /// Full-precision causal forward over an arbitrary-length prefix of
+    /// a decoder-only model: like [`TransformerModel::forward`] but
+    /// accepting any row count `>= 1` instead of exactly `seq_len` (the
+    /// reference stack has no positional encodings, so nothing pins the
+    /// length). This is the oracle the KV-cached incremental decode in
+    /// [`crate::decode`] is validated against, prefix by prefix.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidDimension`] for models that are not
+    /// decoder-only and shape errors for mismatched inputs.
+    pub fn forward_prefix(&self, x: &Matrix) -> Result<Matrix, TensorError> {
+        self.prefix_with(x, Precision::F64)
+    }
+
+    /// [`TransformerModel::forward_prefix`] on the true int8 datapath
+    /// (per-row activation quantization — see
+    /// [`crate::int8::QuantLinear::forward`]).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`TransformerModel::forward_prefix`].
+    pub fn forward_prefix_int8(&self, x: &Matrix) -> Result<Matrix, TensorError> {
+        self.prefix_with(x, Precision::Int8)
+    }
+
+    /// Shared prefix-forward implementation over `x` (`t × d_model`,
+    /// any `t >= 1`), causal by construction (decoder-only).
+    fn prefix_with(&self, x: &Matrix, p: Precision) -> Result<Matrix, TensorError> {
+        if self.config.kind != TransformerKind::DecoderOnly {
+            return Err(TensorError::InvalidDimension {
+                what: "prefix forward requires a decoder-only model",
+            });
+        }
+        if x.rows() == 0 || x.cols() != self.config.d_model {
+            return Err(TensorError::ShapeMismatch {
+                lhs: x.shape(),
+                rhs: (1, self.config.d_model),
+            });
+        }
+        self.encode(x, p)
+    }
+
+    /// Runs `x` through the encoder (or single-stack) layers.
+    fn encode(&self, x: &Matrix, p: Precision) -> Result<Matrix, TensorError> {
+        let mut h = x.clone();
+        for lw in &self.layers {
+            h = self.layer_forward(&h, lw, p)?;
         }
         Ok(h)
     }
@@ -606,7 +547,7 @@ impl TransformerModel {
         v: &Matrix,
         w_o: &Matrix,
         causal: bool,
-        eng: &dyn MatmulEngine,
+        p: Precision,
     ) -> Result<Matrix, TensorError> {
         let d = self.config.d_model;
         let dh = self.config.d_head();
@@ -636,32 +577,20 @@ impl TransformerModel {
                 }
             }
         }
-        eng.mm_weight_only(&concat, w_o)
+        p.mm_weight_only(&concat, w_o)
     }
 
+    /// One encoder (or single-stack) layer: self-attention, then the
+    /// feed-forward block.
     fn layer_forward(
         &self,
         x: &Matrix,
         lw: &LayerWeights,
-        eng: &dyn MatmulEngine,
+        p: Precision,
     ) -> Result<Matrix, TensorError> {
         let causal = self.config.kind == TransformerKind::DecoderOnly;
-
-        let q = eng.mm(x, &lw.w_q)?;
-        let k = eng.mm(x, &lw.w_k)?;
-        let v = eng.mm(x, &lw.w_v)?;
-        let mha = self.multi_head_attention(&q, &k, &v, &lw.w_o, causal, eng)?;
-        let res1 = x.add(&mha)?;
-        let norm1 = ops::layer_norm(&res1, &lw.ln1_gamma, &lw.ln1_beta, 1e-9)?;
-
-        let inner = eng.mm_weight_only(&norm1, &lw.w_ff1)?;
-        let activated = match self.config.ff_activation {
-            FfActivation::Relu => ops::relu(&inner),
-            FfActivation::Gelu => ops::gelu(&inner),
-        };
-        let ffo = eng.mm_weight_only(&activated, &lw.w_ff2)?;
-        let res2 = norm1.add(&ffo)?;
-        ops::layer_norm(&res2, &lw.ln2_gamma, &lw.ln2_beta, 1e-9)
+        let norm1 = self.self_attention(x, lw, causal, p)?;
+        self.feed_forward(&norm1, lw, p)
     }
 
     /// One decoder layer: causal self-attention, cross-attention against
@@ -672,35 +601,50 @@ impl TransformerModel {
         x: &Matrix,
         memory: &Matrix,
         dw: &DecoderLayerWeights,
-        eng: &dyn MatmulEngine,
+        p: Precision,
     ) -> Result<Matrix, TensorError> {
-        let lw = &dw.base;
-        // Causal self-attention.
-        let q = eng.mm(x, &lw.w_q)?;
-        let k = eng.mm(x, &lw.w_k)?;
-        let v = eng.mm(x, &lw.w_v)?;
-        let self_attn = self.multi_head_attention(&q, &k, &v, &lw.w_o, true, eng)?;
-        let res1 = x.add(&self_attn)?;
-        let norm1 = ops::layer_norm(&res1, &lw.ln1_gamma, &lw.ln1_beta, 1e-9)?;
-
+        let norm1 = self.self_attention(x, &dw.base, true, p)?;
         // Cross-attention: queries from the decoder state, keys/values
         // from the encoder memory.
-        let cq = eng.mm(&norm1, &dw.w_cq)?;
-        let ck = eng.mm(memory, &dw.w_ck)?;
-        let cv = eng.mm(memory, &dw.w_cv)?;
-        let cross = self.multi_head_attention(&cq, &ck, &cv, &dw.w_co, false, eng)?;
+        let cq = p.mm(&norm1, &dw.w_cq)?;
+        let ck = p.mm(memory, &dw.w_ck)?;
+        let cv = p.mm(memory, &dw.w_cv)?;
+        let cross = self.multi_head_attention(&cq, &ck, &cv, &dw.w_co, false, p)?;
         let res2 = norm1.add(&cross)?;
         let norm2 = ops::layer_norm(&res2, &dw.ln_cross_gamma, &dw.ln_cross_beta, 1e-9)?;
+        self.feed_forward(&norm2, &dw.base, p)
+    }
 
-        // Feed-forward.
-        let inner = eng.mm_weight_only(&norm2, &lw.w_ff1)?;
-        let activated = match self.config.ff_activation {
-            FfActivation::Relu => ops::relu(&inner),
-            FfActivation::Gelu => ops::gelu(&inner),
-        };
-        let ffo = eng.mm_weight_only(&activated, &lw.w_ff2)?;
-        let res3 = norm2.add(&ffo)?;
-        ops::layer_norm(&res3, &lw.ln2_gamma, &lw.ln2_beta, 1e-9)
+    /// Self-attention over `x` with its residual connection and
+    /// LayerNorm.
+    fn self_attention(
+        &self,
+        x: &Matrix,
+        lw: &LayerWeights,
+        causal: bool,
+        p: Precision,
+    ) -> Result<Matrix, TensorError> {
+        let q = p.mm(x, &lw.w_q)?;
+        let k = p.mm(x, &lw.w_k)?;
+        let v = p.mm(x, &lw.w_v)?;
+        let mha = self.multi_head_attention(&q, &k, &v, &lw.w_o, causal, p)?;
+        let res1 = x.add(&mha)?;
+        ops::layer_norm(&res1, &lw.ln1_gamma, &lw.ln1_beta, 1e-9)
+    }
+
+    /// The feed-forward block over `x` with its residual connection and
+    /// LayerNorm.
+    fn feed_forward(
+        &self,
+        x: &Matrix,
+        lw: &LayerWeights,
+        p: Precision,
+    ) -> Result<Matrix, TensorError> {
+        let inner = p.mm_weight_only(x, &lw.w_ff1)?;
+        let activated = self.config.ff_activation.apply(&inner);
+        let ffo = p.mm_weight_only(&activated, &lw.w_ff2)?;
+        let res2 = x.add(&ffo)?;
+        ops::layer_norm(&res2, &lw.ln2_gamma, &lw.ln2_beta, 1e-9)
     }
 }
 
@@ -850,7 +794,9 @@ mod tests {
         let m = TransformerModel::random(TransformerConfig::tiny(16), 11).unwrap();
         let x = Prng::new(6).fill_normal(16, 32, 0.0, 1.0);
         let y = m.forward(&x).unwrap();
-        let yq = m.forward_quantized(&x).unwrap();
+        let yq = m
+            .forward_with(&x, Precision::FakeQuant { bits: 8 })
+            .unwrap();
         let err = stats::relative_error(&y, &yq);
         assert!(err < 0.15, "int8 relative error {err}");
     }
@@ -896,9 +842,9 @@ mod encoder_decoder_tests {
         let m = tiny_encdec(7);
         let src = Prng::new(8).fill_normal(8, 32, 0.0, 1.0);
         let tgt = Prng::new(9).fill_normal(8, 32, 0.0, 1.0);
-        let y = m.forward_seq2seq(&src, &tgt).unwrap();
+        let y = m.forward_seq2seq(&src, &tgt, Precision::F64).unwrap();
         assert_eq!(y.shape(), (8, 32));
-        assert_eq!(y, m.forward_seq2seq(&src, &tgt).unwrap());
+        assert_eq!(y, m.forward_seq2seq(&src, &tgt, Precision::F64).unwrap());
         assert!(y.as_slice().iter().all(|v| v.is_finite()));
     }
 
@@ -906,7 +852,10 @@ mod encoder_decoder_tests {
     fn forward_on_encdec_uses_x_as_both_sequences() {
         let m = tiny_encdec(11);
         let x = Prng::new(12).fill_normal(8, 32, 0.0, 1.0);
-        assert_eq!(m.forward(&x).unwrap(), m.forward_seq2seq(&x, &x).unwrap());
+        assert_eq!(
+            m.forward(&x).unwrap(),
+            m.forward_seq2seq(&x, &x, Precision::F64).unwrap()
+        );
     }
 
     #[test]
@@ -914,14 +863,14 @@ mod encoder_decoder_tests {
         let m = tiny_encdec(13);
         let src = Prng::new(14).fill_normal(8, 32, 0.0, 1.0);
         let tgt = Prng::new(15).fill_normal(8, 32, 0.0, 1.0);
-        let y1 = m.forward_seq2seq(&src, &tgt).unwrap();
+        let y1 = m.forward_seq2seq(&src, &tgt, Precision::F64).unwrap();
         // Perturb the last target token: earlier target outputs must not
         // change (causal self-attention).
         let mut tgt2 = tgt.clone();
         for c in 0..32 {
             tgt2.set(7, c, tgt2.get(7, c) + 1.0);
         }
-        let y2 = m.forward_seq2seq(&src, &tgt2).unwrap();
+        let y2 = m.forward_seq2seq(&src, &tgt2, Precision::F64).unwrap();
         for c in 0..32 {
             assert!((y1.get(0, c) - y2.get(0, c)).abs() < 1e-9);
         }
@@ -931,7 +880,7 @@ mod encoder_decoder_tests {
         for c in 0..32 {
             src2.set(7, c, src2.get(7, c) + 1.0);
         }
-        let y3 = m.forward_seq2seq(&src2, &tgt).unwrap();
+        let y3 = m.forward_seq2seq(&src2, &tgt, Precision::F64).unwrap();
         let mut changed = false;
         for c in 0..32 {
             if (y1.get(0, c) - y3.get(0, c)).abs() > 1e-9 {
@@ -945,7 +894,7 @@ mod encoder_decoder_tests {
     fn seq2seq_rejects_non_encdec_models() {
         let m = TransformerModel::random(TransformerConfig::tiny(8), 1).unwrap();
         let x = Matrix::zeros(8, 32);
-        assert!(m.forward_seq2seq(&x, &x).is_err());
+        assert!(m.forward_seq2seq(&x, &x, Precision::F64).is_err());
         assert!(m.decoder_layers().is_empty());
     }
 
@@ -954,8 +903,10 @@ mod encoder_decoder_tests {
         let m = tiny_encdec(17);
         let src = Prng::new(18).fill_normal(8, 32, 0.0, 1.0);
         let tgt = Prng::new(19).fill_normal(8, 32, 0.0, 1.0);
-        let fp = m.forward_seq2seq(&src, &tgt).unwrap();
-        let q = m.forward_seq2seq_quantized(&src, &tgt).unwrap();
+        let fp = m.forward_seq2seq(&src, &tgt, Precision::F64).unwrap();
+        let q = m
+            .forward_seq2seq(&src, &tgt, Precision::FakeQuant { bits: 8 })
+            .unwrap();
         assert!(phox_tensor::stats::relative_error(&fp, &q) < 0.2);
     }
 

@@ -4,10 +4,10 @@
 
 use phox_nn::datasets::{labelled_sequences, sbm};
 use phox_nn::gnn::{Aggregation, CsrGraph, GnnConfig, GnnKind, GnnModel};
-use phox_nn::int8::QuantLinear;
-use phox_nn::quant_eval::{evaluate_gnn_int8, evaluate_transformer_int8};
+use phox_nn::int8::{Precision, QuantLinear};
+use phox_nn::quant_eval::{evaluate_gnn, evaluate_transformer};
 use phox_nn::transformer::{TransformerConfig, TransformerKind, TransformerModel};
-use phox_tensor::{gemm_i8, parallel, Matrix, Prng, Quantizer};
+use phox_tensor::{gemm_i8, parallel, Matrix, Prng, Quantizer, RowQuantMatrix};
 
 #[test]
 fn transformer_int8_tracks_full_precision() {
@@ -26,8 +26,8 @@ fn seq2seq_int8_tracks_full_precision() {
     let model = TransformerModel::random(cfg, 3).unwrap();
     let src = Prng::new(4).fill_normal(8, 32, 0.0, 1.0);
     let tgt = Prng::new(5).fill_normal(8, 32, 0.0, 1.0);
-    let fp = model.forward_seq2seq(&src, &tgt).unwrap();
-    let int8 = model.forward_seq2seq_int8(&src, &tgt).unwrap();
+    let fp = model.forward_seq2seq(&src, &tgt, Precision::F64).unwrap();
+    let int8 = model.forward_seq2seq(&src, &tgt, Precision::Int8).unwrap();
     let err = phox_tensor::stats::relative_error(&fp, &int8);
     assert!(err < 0.25, "seq2seq int8 relative error {err}");
 }
@@ -67,14 +67,14 @@ fn int8_forward_is_bit_identical_across_thread_counts() {
 fn quant_linear_equals_raw_kernel() {
     let w = Prng::new(12).xavier(24, 10);
     let x = Prng::new(13).fill_normal(6, 24, 0.0, 1.0);
-    let layer = QuantLinear::from_weight(&w);
-    let y = layer.forward(&x).unwrap();
+    let y = QuantLinear::from_weight(&w).forward(&x).unwrap();
 
-    let qx = Quantizer::calibrate(&x).quantize(&x);
-    let sums = gemm_i8::matmul_i32_naive(qx.as_i8_slice(), layer.weight().as_i8_slice(), 6, 24, 10)
-        .unwrap();
-    let scale = qx.scale() * layer.weight().scale();
+    // Activations per row, the weight per tensor.
+    let qx = RowQuantMatrix::quantize_rows(&x);
+    let qw = Quantizer::calibrate(&w).quantize(&w);
+    let sums = gemm_i8::matmul_i32_naive(qx.as_i8_slice(), qw.as_i8_slice(), 6, 24, 10).unwrap();
     for r in 0..6 {
+        let scale = qx.scales()[r] * qw.scale();
         for c in 0..10 {
             assert_eq!(y.get(r, c), sums[r * 10 + c] as f64 * scale);
         }
@@ -110,14 +110,14 @@ fn quant_eval_int8_reports_are_comparable() {
     let task = sbm(3, 12, 16, 0.5, 0.05, 16).unwrap();
     for kind in [GnnKind::Gcn, GnnKind::GraphSage, GnnKind::Gin, GnnKind::Gat] {
         let model = GnnModel::random(GnnConfig::two_layer(kind, 16, 32, 3), 17).unwrap();
-        let r = evaluate_gnn_int8(&model, &task).unwrap();
+        let r = evaluate_gnn(&model, &task, Precision::Int8).unwrap();
         assert!(r.agreement >= 0.8, "{kind}: agreement {}", r.agreement);
         assert!(r.is_comparable(0.15), "{kind}: {r:?}");
     }
 
     let seq_task = labelled_sequences(12, 3, 8, 32, 18).unwrap();
     let model = TransformerModel::random(TransformerConfig::tiny(8), 19).unwrap();
-    let r = evaluate_transformer_int8(&model, &seq_task).unwrap();
+    let r = evaluate_transformer(&model, &seq_task, Precision::Int8).unwrap();
     assert!(r.agreement >= 0.75, "agreement {}", r.agreement);
     assert!(r.is_comparable(0.25), "{r:?}");
     assert!(r.mean_relative_error < 0.3, "err {}", r.mean_relative_error);

@@ -165,6 +165,18 @@ pub fn matmul_blocked(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
     Ok(gemm(a, b, 1))
 }
 
+/// Rows, columns and k-block of the tile the dispatched kernel computes
+/// at once, for an inner dimension `k`: [`simd::GEMM_MR`] ×
+/// [`simd::GEMM_NR`] in k-blocks of [`simd::GEMM_KC`] on AVX2+FMA, one
+/// output over the whole of `k` in [`simd::gemm_scalar`].
+fn dispatched_tile(k: usize) -> (usize, usize, usize) {
+    if simd::simd_active() {
+        (simd::GEMM_MR, simd::GEMM_NR, simd::GEMM_KC)
+    } else {
+        (1, 1, k)
+    }
+}
+
 /// The production kernel behind [`Matrix::matmul`]: the blocked kernel of
 /// [`matmul_blocked`], parallelised over output row bands once the
 /// problem volume clears [`PAR_ELEMS_MIN`]. A single-row `a` takes the
@@ -187,6 +199,7 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
         // and tile geometry, not the worker split), so a fixed-seed trace
         // stays byte-identical across `PHOX_NUM_THREADS`.
         let tr = phox_trace::active();
+        let (tile_mr, tile_nr, tile_kc) = dispatched_tile(k);
         tr.count("gemm", "calls", 1);
         tr.count("gemm", "macs", (m * k * n) as i64);
         tr.instant(
@@ -196,9 +209,9 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
                 ("m", phox_trace::Value::UInt(m as u64)),
                 ("k", phox_trace::Value::UInt(k as u64)),
                 ("n", phox_trace::Value::UInt(n as u64)),
-                ("tile_mr", phox_trace::Value::UInt(simd::GEMM_MR as u64)),
-                ("tile_nr", phox_trace::Value::UInt(simd::GEMM_NR as u64)),
-                ("tile_kc", phox_trace::Value::UInt(simd::GEMM_KC as u64)),
+                ("tile_mr", phox_trace::Value::UInt(tile_mr as u64)),
+                ("tile_nr", phox_trace::Value::UInt(tile_nr as u64)),
+                ("tile_kc", phox_trace::Value::UInt(tile_kc as u64)),
                 (
                     "simd",
                     phox_trace::Value::UInt(u64::from(simd::simd_active())),
@@ -260,6 +273,26 @@ mod tests {
         let routed = matmul(&a, &b).unwrap();
         assert_eq!(routed.as_slice(), &gemv[..]);
         assert_eq!(routed, matmul_blocked(&a, &b).unwrap());
+    }
+
+    #[test]
+    fn trace_records_the_dispatched_tile() {
+        let trace = phox_trace::Trace::new();
+        phox_trace::with_installed(trace.clone(), || {
+            matmul(&random(2, 3, 25), &random(3, 2, 26)).unwrap()
+        });
+        let events = trace.events();
+        let instant = events
+            .iter()
+            .find(|e| e.track == "gemm" && e.name == "kernel")
+            .expect("gemm kernel instant");
+        let arg = |key| instant.args.iter().find(|(k, _)| *k == key).map(|(_, v)| v);
+        let (mr, nr, kc) = dispatched_tile(3);
+        assert_eq!(arg("tile_mr"), Some(&phox_trace::Value::UInt(mr as u64)));
+        assert_eq!(arg("tile_nr"), Some(&phox_trace::Value::UInt(nr as u64)));
+        assert_eq!(arg("tile_kc"), Some(&phox_trace::Value::UInt(kc as u64)));
+        let microkernel = (simd::GEMM_MR, simd::GEMM_NR, simd::GEMM_KC);
+        assert_eq!(simd::simd_active(), (mr, nr, kc) == microkernel);
     }
 
     #[test]

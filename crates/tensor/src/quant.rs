@@ -330,8 +330,6 @@ impl I32Matrix {
 /// stay per-tensor ([`QuantMatrix`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RowQuantMatrix {
-    rows: usize,
-    cols: usize,
     scales: Vec<f64>,
     data: Vec<i8>,
 }
@@ -351,27 +349,7 @@ impl RowQuantMatrix {
             Quantizer { scale }.quantize_into(row, &mut data);
             scales.push(scale);
         }
-        RowQuantMatrix {
-            rows,
-            cols,
-            scales,
-            data,
-        }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// `(rows, cols)` pair.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
+        RowQuantMatrix { scales, data }
     }
 
     /// Per-row quantization step sizes.
@@ -382,35 +360,6 @@ impl RowQuantMatrix {
     /// Raw int8 data (row-major).
     pub fn as_i8_slice(&self) -> &[i8] {
         &self.data
-    }
-
-    /// Integer matmul against a per-tensor-quantized weight, each output
-    /// row dequantized with `row_scale × weight_scale`. Runs on the
-    /// [`crate::gemm_i8`] kernel (the m = 1 case takes its GEMV route),
-    /// so integer sums are bit-identical across thread counts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when inner dimensions
-    /// differ.
-    pub fn matmul(&self, rhs: &QuantMatrix) -> Result<Matrix, TensorError> {
-        if self.cols != rhs.rows {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let sums = gemm_i8::matmul_i32(&self.data, &rhs.data, self.rows, self.cols, rhs.cols)?;
-        let n = rhs.cols;
-        let mut data = Vec::with_capacity(sums.len());
-        if n > 0 {
-            for (row, &row_scale) in sums.chunks_exact(n).zip(&self.scales) {
-                let scale = row_scale * rhs.scale;
-                data.extend(row.iter().map(|&s| s as f64 * scale));
-            }
-        }
-        Ok(Matrix::from_vec(self.rows, n, data)
-            .unwrap_or_else(|_| unreachable!("length is rows*cols by construction")))
     }
 }
 
@@ -632,63 +581,11 @@ mod tests {
     }
 
     #[test]
-    fn row_quant_matmul_rows_match_single_row_products() {
-        let mut rng = crate::Prng::new(45);
-        let x = rng.fill_uniform(4, 6, -2.0, 2.0);
-        let w = rng.fill_uniform(6, 3, -1.0, 1.0);
-        let qw = Quantizer::calibrate(&w).quantize(&w);
-        let full = RowQuantMatrix::quantize_rows(&x).matmul(&qw).unwrap();
-        for r in 0..4 {
-            let alone = Matrix::from_vec(1, 6, x.row(r).to_vec()).unwrap();
-            let solo = RowQuantMatrix::quantize_rows(&alone).matmul(&qw).unwrap();
-            assert_eq!(solo.row(0), full.row(r), "row {r}");
-        }
-    }
-
-    #[test]
-    fn row_quant_tracks_exact_product() {
-        let mut rng = crate::Prng::new(46);
-        let x = rng.fill_uniform(6, 16, -1.0, 1.0);
-        let w = rng.fill_uniform(16, 5, -1.0, 1.0);
-        let qw = Quantizer::calibrate(&w).quantize(&w);
-        let int8 = RowQuantMatrix::quantize_rows(&x).matmul(&qw).unwrap();
-        let exact = x.matmul(&w).unwrap();
-        assert!(int8.approx_eq(&exact, 0.1));
-    }
-
-    #[test]
     fn row_quant_zero_row_is_identity_scale() {
         let x = Matrix::zeros(2, 3);
         let q = RowQuantMatrix::quantize_rows(&x);
         assert_eq!(q.scales(), &[1.0, 1.0]);
         assert!(q.as_i8_slice().iter().all(|&v| v == 0));
-    }
-
-    #[test]
-    fn row_quant_matmul_with_no_output_columns_or_rows_is_empty() {
-        let w = Quantizer::with_scale(1.0)
-            .unwrap()
-            .quantize(&Matrix::zeros(3, 0));
-        let y = RowQuantMatrix::quantize_rows(&Matrix::filled(2, 3, 0.5))
-            .matmul(&w)
-            .unwrap();
-        assert_eq!(y.shape(), (2, 0));
-        let w = Quantizer::with_scale(1.0)
-            .unwrap()
-            .quantize(&Matrix::filled(3, 4, 0.5));
-        let y = RowQuantMatrix::quantize_rows(&Matrix::zeros(0, 3))
-            .matmul(&w)
-            .unwrap();
-        assert_eq!(y.shape(), (0, 4));
-    }
-
-    #[test]
-    fn row_quant_shape_mismatch() {
-        let x = RowQuantMatrix::quantize_rows(&Matrix::zeros(2, 3));
-        let w = Quantizer::with_scale(1.0)
-            .unwrap()
-            .quantize(&Matrix::zeros(2, 2));
-        assert!(x.matmul(&w).is_err());
     }
 
     #[test]
@@ -783,10 +680,29 @@ mod bit_tests {
 
     #[test]
     fn eight_bit_matches_fixed_quantizer() {
-        let m = Matrix::from_rows(&[&[0.3, -0.7, 1.0, -1.0, 0.05]]).unwrap();
-        let generic = fake_quantize_bits(&m, 8).unwrap();
-        let fixed = fake_quantize(&m);
-        assert!(generic.approx_eq(&fixed, 1e-12));
+        // Bit for bit, not within a tolerance: fake quantization at 8
+        // bits stands in for the fixed 8-bit quantizer. Random matrices
+        // at three scales, exact half-steps of a 127-level grid, ±0,
+        // ±∞, NaN and an all-zero matrix.
+        let mut rng = crate::Prng::new(11);
+        let mut cases: Vec<Matrix> = [1e-3, 1.0, 1e3]
+            .iter()
+            .map(|&s| rng.fill_normal(7, 9, 0.0, s))
+            .collect();
+        // absmax 127 makes the step exactly 1.
+        let mut halves: Vec<f64> = (-127..127).map(|h| f64::from(h) + 0.5).collect();
+        halves.push(127.0);
+        cases.push(Matrix::from_vec(3, 85, halves).unwrap());
+        cases.push(Matrix::from_rows(&[&[0.0, -0.0, 0.3, -0.7, 1.0, -1.0, 0.05]]).unwrap());
+        cases.push(Matrix::from_rows(&[&[f64::INFINITY, 1.0, f64::NEG_INFINITY, -0.0]]).unwrap());
+        cases.push(Matrix::from_rows(&[&[f64::NAN, 0.5, -2.0, 0.0]]).unwrap());
+        cases.push(Matrix::zeros(3, 4));
+        for m in &cases {
+            let generic = fake_quantize_bits(m, 8).unwrap();
+            let fixed = fake_quantize(m);
+            let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&generic), bits(&fixed), "{m:?}");
+        }
     }
 
     #[test]

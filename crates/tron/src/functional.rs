@@ -401,6 +401,7 @@ impl TronFunctional {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phox_nn::int8::Precision;
     use phox_nn::transformer::TransformerConfig;
     use phox_tensor::{stats, Prng};
 
@@ -503,7 +504,9 @@ mod tests {
         // about as well as int8 agrees with fp64.
         let model = tiny_model(61);
         let x = Prng::new(62).fill_normal(8, 32, 0.0, 1.0);
-        let int8 = model.forward_quantized(&x).unwrap();
+        let int8 = model
+            .forward_with(&x, Precision::FakeQuant { bits: 8 })
+            .unwrap();
         let mut sim = TronFunctional::ideal(&TronConfig::default(), 63);
         let analog = sim.forward(&model, &x).unwrap();
         let err = stats::relative_error(&int8, &analog);
@@ -514,6 +517,7 @@ mod tests {
 #[cfg(test)]
 mod encoder_decoder_tests {
     use super::*;
+    use phox_nn::int8::Precision;
     use phox_nn::transformer::TransformerConfig;
     use phox_tensor::{stats, Prng};
 
@@ -530,7 +534,7 @@ mod encoder_decoder_tests {
         let model = encdec_model(71);
         let src = Prng::new(72).fill_normal(8, 32, 0.0, 1.0);
         let tgt = Prng::new(73).fill_normal(8, 32, 0.0, 1.0);
-        let reference = model.forward_seq2seq(&src, &tgt).unwrap();
+        let reference = model.forward_seq2seq(&src, &tgt, Precision::F64).unwrap();
         let mut sim = TronFunctional::new(&TronConfig::default(), 74).unwrap();
         let photonic = sim.forward_seq2seq(&model, &src, &tgt).unwrap();
         let err = stats::relative_error(&reference, &photonic);

@@ -18,7 +18,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("8-bit quantization vs full precision:");
     let seq_task = labelled_sequences(24, 4, 8, 32, 501)?;
     let transformer = TransformerModel::random(TransformerConfig::tiny(8), 502)?;
-    let r = evaluate_transformer(&transformer, &seq_task)?;
+    let fq8 = Precision::FakeQuant { bits: 8 };
+    let r = evaluate_transformer(&transformer, &seq_task, fq8)?;
     println!(
         "  transformer : fp {:.2} / int8 {:.2} / agreement {:.2}",
         r.fp_accuracy, r.int8_accuracy, r.agreement
@@ -26,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let graph_task = sbm(3, 12, 16, 0.5, 0.05, 503)?;
     for kind in [GnnKind::Gcn, GnnKind::GraphSage, GnnKind::Gin, GnnKind::Gat] {
         let model = GnnModel::random(GnnConfig::two_layer(kind, 16, 32, 3), 504)?;
-        let r = evaluate_gnn(&model, &graph_task)?;
+        let r = evaluate_gnn(&model, &graph_task, fq8)?;
         println!(
             "  {kind:<11} : fp {:.2} / int8 {:.2} / agreement {:.2}",
             r.fp_accuracy, r.int8_accuracy, r.agreement
@@ -53,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nerror ladder (tiny transformer, seq 8):");
     let x = Prng::new(509).fill_normal(8, 32, 0.0, 1.0);
     let fp = transformer.forward(&x)?;
-    let int8 = transformer.forward_quantized(&x)?;
+    let int8 = transformer.forward_with(&x, fq8)?;
     let mut sim = TronFunctional::new(&TronConfig::default(), 510)?;
     let analog = sim.forward(&transformer, &x)?;
     println!(

@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The paper's 8-bit claim (E6): int8 ≈ fp32 accuracy.
     let task = phox::nn::datasets::labelled_sequences(24, 4, 16, 32, 10)?;
-    let report = quant_eval::evaluate_transformer(&model, &task)?;
+    let report = quant_eval::evaluate_transformer(&model, &task, Precision::FakeQuant { bits: 8 })?;
     println!(
         "  int8 vs fp accuracy: {:.2} vs {:.2} (agreement {:.2})",
         report.int8_accuracy, report.fp_accuracy, report.agreement

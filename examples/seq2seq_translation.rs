@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let src = Prng::new(42).fill_normal(12, 32, 0.0, 1.0);
     let tgt = Prng::new(43).fill_normal(12, 32, 0.0, 1.0);
 
-    let reference = model.forward_seq2seq(&src, &tgt)?;
+    let reference = model.forward_seq2seq(&src, &tgt, Precision::F64)?;
     let mut sim = TronFunctional::new(&TronConfig::default(), 44)?;
     let photonic = sim.forward_seq2seq(&model, &src, &tgt)?;
     let err = stats::relative_error(&reference, &photonic);

@@ -28,7 +28,7 @@ fn quantization_claim_holds_on_community_graphs() {
     let task = sbm(4, 10, 16, 0.5, 0.04, 51).unwrap();
     for kind in [GnnKind::Gcn, GnnKind::GraphSage, GnnKind::Gin, GnnKind::Gat] {
         let model = GnnModel::random(GnnConfig::two_layer(kind, 16, 32, 4), 52).unwrap();
-        let r = quant_eval::evaluate_gnn(&model, &task).unwrap();
+        let r = quant_eval::evaluate_gnn(&model, &task, Precision::FakeQuant { bits: 8 }).unwrap();
         assert!(r.is_comparable(0.1), "{kind}: {r:?}");
     }
 }

@@ -17,7 +17,9 @@ fn functional_matches_digital_reference_across_seeds() {
     for seed in [1u64, 2, 3] {
         let model = TransformerModel::random(tiny(8), seed).unwrap();
         let x = Prng::new(seed + 100).fill_normal(8, 32, 0.0, 1.0);
-        let reference = model.forward_quantized(&x).unwrap();
+        let reference = model
+            .forward_with(&x, Precision::FakeQuant { bits: 8 })
+            .unwrap();
         let mut sim = TronFunctional::new(&config, seed + 200).unwrap();
         let photonic = sim.forward(&model, &x).unwrap();
         let err = stats::relative_error(&reference, &photonic);

@@ -9,11 +9,13 @@ use phox::nn::quant_eval::{evaluate_gnn, evaluate_transformer};
 use phox::prelude::*;
 use phox::tensor::{ops, stats};
 
+const FQ8: Precision = Precision::FakeQuant { bits: 8 };
+
 #[test]
 fn transformer_int8_is_comparable_on_sequence_tasks() {
     let task = labelled_sequences(20, 4, 8, 32, 91).unwrap();
     let model = TransformerModel::random(TransformerConfig::tiny(8), 92).unwrap();
-    let r = evaluate_transformer(&model, &task).unwrap();
+    let r = evaluate_transformer(&model, &task, FQ8).unwrap();
     assert!(r.is_comparable(0.15), "{r:?}");
     assert!(r.agreement >= 0.85, "agreement {}", r.agreement);
     assert!(r.mean_relative_error < 0.2);
@@ -24,7 +26,7 @@ fn gnn_int8_is_comparable_for_every_family() {
     let task = sbm(3, 12, 16, 0.5, 0.05, 93).unwrap();
     for kind in [GnnKind::Gcn, GnnKind::GraphSage, GnnKind::Gin, GnnKind::Gat] {
         let model = GnnModel::random(GnnConfig::two_layer(kind, 16, 32, 3), 94).unwrap();
-        let r = evaluate_gnn(&model, &task).unwrap();
+        let r = evaluate_gnn(&model, &task, FQ8).unwrap();
         assert!(r.is_comparable(0.1), "{kind}: {r:?}");
         assert!(r.agreement >= 0.9, "{kind}: agreement {}", r.agreement);
     }
@@ -38,7 +40,7 @@ fn analog_chain_adds_no_more_error_than_quantization_itself() {
     let model = TransformerModel::random(TransformerConfig::tiny(8), 95).unwrap();
     let x = Prng::new(96).fill_normal(8, 32, 0.0, 1.0);
     let fp = model.forward(&x).unwrap();
-    let int8 = model.forward_quantized(&x).unwrap();
+    let int8 = model.forward_with(&x, FQ8).unwrap();
     let mut sim = TronFunctional::new(&TronConfig::default(), 97).unwrap();
     let analog = sim.forward(&model, &x).unwrap();
 
@@ -61,7 +63,7 @@ fn end_to_end_classification_survives_the_full_photonic_chain() {
 
     let fp = model.forward(&task.graph, &task.features).unwrap();
     let int8 = model
-        .forward_quantized(&task.graph, &task.features)
+        .forward_with(&task.graph, &task.features, FQ8)
         .unwrap();
     let mut sim = GhostFunctional::new(&GhostConfig::default(), 100).unwrap();
     let analog = sim.forward(&model, &task.graph, &task.features).unwrap();
