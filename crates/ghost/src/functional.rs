@@ -6,6 +6,18 @@
 //! the shared [`AnalogEngine`], per-edge LUT-softmax attention for GAT,
 //! and SOA update activations. Validated against the digital int8
 //! reference of `phox-nn`.
+//!
+//! Sum and mean aggregation run on the digital reference's own kernel:
+//! the reduce unit's coherent sum of DAC codes is the exact `i32`
+//! structural sum of [`phox_tensor::sparse_i8`] (AVX2 where the int8
+//! kernels are dispatched), on the degree-bucketed schedule this module
+//! also reports in its trace counters. One pass over the nodes then adds
+//! each node's receiver noise, dequantizes and divides a mean. The
+//! kernel's wrapping `i32` equals the true sum while a row has at most
+//! ⌊(2³¹ − 1) / 127⌋ = 16,909,320 members; a larger row is a returned
+//! error. Transform-unit products read out in one pass too (see
+//! [`AnalogEngine::matmul`]): the ADC's range spans each product, and
+//! every read value lies inside the window rounded from it.
 
 use phox_nn::gnn::{Aggregation, CsrGraph, GnnKind, GnnModel};
 use phox_photonics::analog::AnalogEngine;
@@ -16,10 +28,22 @@ use phox_photonics::noise::{perturb, NoiseBudget};
 use phox_photonics::summation::OpticalComparator;
 use phox_photonics::tuning::HybridTuning;
 use phox_photonics::{Ctx, PhotonicError};
-use phox_tensor::sparse::DegreeBuckets;
+use phox_tensor::sparse::{DegreeBuckets, ROW_TILE};
+use phox_tensor::sparse_i8::{self, I8Reduce};
 use phox_tensor::{ops, parallel, Matrix, Prng, Quantizer};
 
 use crate::config::GhostConfig;
+
+/// The most members a sum/mean row may have while its `i32` sum of DAC
+/// codes stays exact: ⌊(2³¹ − 1) / 127⌋, since every code lies within
+/// ±127. The shared int8 kernel adds in wrapping `i32`; past this count
+/// a row could wrap where the true sum does not.
+const MAX_EXACT_MEMBERS: usize = (i32::MAX / 127) as usize;
+
+/// Whether a row of `members` DAC codes sums exactly in `i32`.
+fn sum_is_exact(members: usize) -> bool {
+    members <= MAX_EXACT_MEMBERS
+}
 
 /// Mid-run fault-schedule state: the model-time fault timeline plus the
 /// device models needed to re-resolve the active plan as time advances.
@@ -256,30 +280,29 @@ impl GhostFunctional {
     /// coherent summation, max uses the optical comparator tournament.
     ///
     /// Int8 datapath: sum/mean members enter through the DAC, so the
-    /// reduce unit accumulates exact integer level counts — the same
-    /// accumulators as the digital int8 reference
-    /// ([`phox_tensor::sparse_i8::aggregate_i8_into`]) — and receiver
-    /// noise perturbs the accumulated count *before* dequantization. A
-    /// noiseless sum aggregation therefore reproduces the digital int8
-    /// reference bit for bit. Max stays on the optical amplitudes
-    /// directly (the comparator is value-preserving, not a quantizing
-    /// stage).
+    /// reduce unit accumulates exact integer level counts — the digital
+    /// int8 reference's structural sum
+    /// ([`phox_tensor::sparse_i8::aggregate_i8_scheduled`], on the
+    /// degree-bucketed schedule this call also reports in its trace
+    /// counters) — and receiver noise perturbs the accumulated count
+    /// *before* dequantization. A noiseless sum aggregation therefore
+    /// reproduces the digital int8 reference bit for bit. Max stays on
+    /// the optical amplitudes directly (the comparator is
+    /// value-preserving, not a quantizing stage).
     ///
-    /// Sparse compute path: nodes are scheduled in degree-bucketed
-    /// [`phox_tensor::sparse::ROW_TILE`]-row tiles (hubs first, so the
-    /// work-stealing loop never straggles on a power-law tail), and each
-    /// tile accumulates member rows CSR-order into one reusable scratch
-    /// buffer — no per-node stack matrix is allocated. Each node draws
-    /// its receiver noise from a deterministic stream keyed by
-    /// `(operation key, node index)`, the same scheme as
-    /// [`AnalogEngine::matmul`]'s per-tile streams, so the aggregate is
-    /// bit-identical for any thread count (and to the retired
-    /// dense-stack path).
+    /// After the sum, one pass over the nodes in node order draws each
+    /// node's receiver noise from a deterministic stream keyed by
+    /// `(operation key, node index)` — the same scheme as
+    /// [`AnalogEngine::matmul`]'s per-tile streams — dequantizes, divides
+    /// a mean, and writes the node's output row; an isolated node
+    /// without `include_self` aggregates to zero and draws nothing. The
+    /// aggregate is bit-identical for any thread count.
     ///
     /// # Errors
     ///
     /// Returns [`PhotonicError::InvalidConfig`] on operand shape
-    /// mismatch.
+    /// mismatch, and a context-chained one when a sum/mean row has more
+    /// members than its `i32` level sum holds exactly (16,909,320).
     pub fn optical_aggregate(
         &mut self,
         graph: &CsrGraph,
@@ -292,101 +315,122 @@ impl GhostFunctional {
                 what: "aggregation features must have one row per graph vertex",
             });
         }
-        let f = h.cols();
-        let n = graph.num_nodes();
+        let coherent = !matches!(agg, Aggregation::Max);
+        if coherent && !sum_is_exact(graph.max_degree() + usize::from(include_self)) {
+            return Err(PhotonicError::InvalidConfig {
+                what: "a vertex has more members than the exact i32 level sum holds",
+            }
+            .ctx("coherent-summation aggregation"));
+        }
         let key = self.engine.stream_key();
-        let sigma = self.engine.relative_sigma();
-        let comparator = self.comparator;
-        // DAC stage for the coherent-summation path: member rows enter
-        // as symmetric int8 levels, one calibration per aggregate call.
-        let qh = Quantizer::calibrate(h).quantize(h);
-        let codes = qh.as_i8_slice();
-        let h_scale = qh.scale();
         let sched = DegreeBuckets::new(graph.offsets());
+        let out = if coherent {
+            self.coherent_sum(graph, h, &sched, agg, include_self, key)?
+        } else {
+            self.comparator_max(graph, h, &sched, include_self)
+        };
+        self.trace_aggregate("optical_aggregate", &sched, h.cols(), coherent);
+        Ok(out)
+    }
+
+    /// Sum/mean aggregation: the exact `i32` structural sum of the
+    /// members' DAC codes, then one node-order pass that perturbs each
+    /// count with the node's `(key, node)` stream and dequantizes it.
+    fn coherent_sum(
+        &self,
+        graph: &CsrGraph,
+        h: &Matrix,
+        sched: &DegreeBuckets,
+        agg: Aggregation,
+        include_self: bool,
+        key: u64,
+    ) -> Result<Matrix, PhotonicError> {
+        let (n, f) = (graph.num_nodes(), h.cols());
+        let sigma = self.engine.relative_sigma();
+        // DAC stage: member rows enter as symmetric int8 levels, one
+        // calibration per aggregate call.
+        let qh = Quantizer::calibrate(h).quantize(h);
+        let h_scale = qh.scale();
+        let mut sums = vec![0i32; n * f];
+        sparse_i8::aggregate_i8_scheduled(
+            &graph.csr_i8_view(),
+            qh.as_i8_slice(),
+            f,
+            sched,
+            I8Reduce::Sum,
+            include_self,
+            &mut sums,
+        )
+        .ctx("coherent-summation aggregation")?;
+        let mut out = Matrix::zeros(n, f);
+        let chunk = ROW_TILE * f.max(1);
+        parallel::par_chunks_mut(out.as_mut_slice(), chunk, |t, rows| {
+            for (i, row) in rows.chunks_exact_mut(f).enumerate() {
+                let v = t * ROW_TILE + i;
+                let members = graph.degree(v) + usize::from(include_self);
+                if members == 0 {
+                    continue; // isolated node aggregates to zero
+                }
+                let denom = if agg == Aggregation::Mean {
+                    members as f64
+                } else {
+                    1.0
+                };
+                let mut rng = Prng::stream(key, v as u64);
+                for (o, &s) in row.iter_mut().zip(&sums[v * f..(v + 1) * f]) {
+                    *o = perturb(f64::from(s), sigma, &mut rng) * h_scale / denom;
+                }
+            }
+        });
+        Ok(out)
+    }
+
+    /// Max aggregation: the comparator tournament, folded member-major
+    /// with the first member seeding every column, on the degree-bucketed
+    /// tile schedule.
+    fn comparator_max(
+        &self,
+        graph: &CsrGraph,
+        h: &Matrix,
+        sched: &DegreeBuckets,
+        include_self: bool,
+    ) -> Matrix {
+        let f = h.cols();
+        let comparator = self.comparator;
         let tiles: Vec<Vec<f64>> = parallel::par_map_indexed(sched.num_tiles(), |t| {
             let rows = sched.tile_rows(t);
-            // One scratch buffer per tile, reused across its rows, plus
-            // one integer accumulator reused across the tile's nodes.
+            // One scratch buffer per tile, reused across its rows.
             let mut buf = vec![0.0; rows.len() * f];
-            let mut acc = vec![0i64; f];
             for (i, &v) in rows.iter().enumerate() {
                 let v = v as usize;
                 let slot = &mut buf[i * f..(i + 1) * f];
-                let neigh = graph.neighbors(v);
-                if neigh.is_empty() && !include_self {
-                    continue; // isolated node aggregates to zero
+                let mut seeded = false;
+                if include_self {
+                    slot.copy_from_slice(h.row(v));
+                    seeded = true;
                 }
-                match agg {
-                    Aggregation::Sum | Aggregation::Mean => {
-                        // Coherent summation on the int8 codes: member
-                        // levels accumulate exactly in CSR order (the
-                        // digital reference's accumulator), then every
-                        // column's count picks up receiver noise from
-                        // the node's stream before dequantization.
-                        for a in acc.iter_mut() {
-                            *a = 0;
-                        }
-                        if include_self {
-                            for (a, &q) in acc.iter_mut().zip(&codes[v * f..(v + 1) * f]) {
-                                *a = i64::from(q);
-                            }
-                        }
-                        for &u in neigh {
-                            let u = u as usize;
-                            for (a, &q) in acc.iter_mut().zip(&codes[u * f..(u + 1) * f]) {
-                                *a += i64::from(q);
-                            }
-                        }
-                        let denom = if agg == Aggregation::Mean {
-                            (neigh.len() + usize::from(include_self)) as f64
-                        } else {
-                            1.0
-                        };
-                        let mut rng = Prng::stream(key, v as u64);
-                        for (s, &a) in slot.iter_mut().zip(acc.iter()) {
-                            #[allow(clippy::cast_precision_loss)]
-                            let count = a as f64;
-                            *s = perturb(count, sigma, &mut rng) * h_scale / denom;
-                        }
-                    }
-                    Aggregation::Max => {
-                        // Comparator tournament, folded member-major with
-                        // the first member seeding every column.
-                        let mut seeded = false;
-                        if include_self {
-                            slot.copy_from_slice(h.row(v));
-                            seeded = true;
-                        }
-                        for &u in neigh {
-                            let row = h.row(u as usize);
-                            if !seeded {
-                                slot.copy_from_slice(row);
-                                seeded = true;
-                            } else {
-                                for (s, &x) in slot.iter_mut().zip(row) {
-                                    *s = comparator.max2(*s, x);
-                                }
-                            }
+                for &u in graph.neighbors(v) {
+                    let row = h.row(u as usize);
+                    if !seeded {
+                        slot.copy_from_slice(row);
+                        seeded = true;
+                    } else {
+                        for (s, &x) in slot.iter_mut().zip(row) {
+                            *s = comparator.max2(*s, x);
                         }
                     }
                 }
             }
             buf
         });
-        let mut out = Matrix::zeros(n, f);
+        let mut out = Matrix::zeros(graph.num_nodes(), f);
         for (t, buf) in tiles.iter().enumerate() {
             for (i, &v) in sched.tile_rows(t).iter().enumerate() {
                 out.row_mut(v as usize)
                     .copy_from_slice(&buf[i * f..(i + 1) * f]);
             }
         }
-        self.trace_aggregate(
-            "optical_aggregate",
-            &sched,
-            f,
-            !matches!(agg, Aggregation::Max),
-        );
-        Ok(out)
+        out
     }
 
     /// Records sparse-aggregation counters and a summary event. Called
@@ -612,6 +656,16 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn exact_sum_bound_is_the_last_member_count_that_cannot_wrap() {
+        assert!(sum_is_exact(16_909_320));
+        assert!(!sum_is_exact(16_909_321));
+        // The bound is tight: that many codes at ±127 fit in i32, one
+        // more does not.
+        assert!(i32::try_from(-127 * 16_909_320i64).is_ok());
+        assert!(i32::try_from(127 * 16_909_321i64).is_err());
     }
 
     #[test]

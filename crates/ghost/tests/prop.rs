@@ -118,6 +118,7 @@ proptest! {
     fn ideal_optical_aggregation_matches_digital_int8(
         g in arbitrary_graph(),
         seed in any::<u64>(),
+        width in 0usize..4,
     ) {
         // With zero receiver noise the coherent sum is exact on the
         // DAC's int8 code grid, so the photonic sparse kernel must
@@ -125,9 +126,10 @@ proptest! {
         // mean reduce exact integer level counts in the same CSR member
         // order, dequantized afterwards). Max is excluded: the
         // comparator's dead-zone is a physical effect that differs from
-        // ideal max by design.
-        let x = Prng::new(seed).fill_normal(g.num_nodes(), 5, 0.0, 1.0);
-        let f = x.cols();
+        // ideal max by design. The widths reach below, at and past the
+        // int8 structural sum's 8-, 16- and 32-column blocks.
+        let f = [5, 8, 16, 33][width];
+        let x = Prng::new(seed).fill_normal(g.num_nodes(), f, 0.0, 1.0);
         let qx = Quantizer::calibrate(&x).quantize(&x);
         let codes = qx.as_i8_slice();
         for agg in [Aggregation::Sum, Aggregation::Mean] {

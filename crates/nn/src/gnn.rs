@@ -550,9 +550,10 @@ impl GnnModel {
 
     /// [`GnnModel::aggregate`] on the int8 sparse kernel
     /// ([`phox_tensor::sparse_i8`]): `h` is quantized once per call,
-    /// sums/maxima reduce exactly in `i32` on the degree-bucketed
-    /// schedule, and the mean divides the exact integer sums in f64 at
-    /// dequantization. Bit-identical for any thread count.
+    /// sums (the kernel's structural sum) and maxima reduce exactly in
+    /// `i32` on the degree-bucketed schedule, and one pass over the
+    /// output rows dequantizes, the mean dividing the exact integer sums
+    /// in f64. Bit-identical for any thread count.
     ///
     /// # Panics
     ///
@@ -584,14 +585,15 @@ impl GnnModel {
         }
         let scale = q.scale();
         let mut out = Matrix::zeros(n, f);
-        for v in 0..n {
+        let rows = out.as_mut_slice().chunks_exact_mut(f.max(1));
+        for (v, (row, row_sums)) in rows.zip(sums.chunks_exact(f.max(1))).enumerate() {
             let denom = if agg == Aggregation::Mean {
                 (graph.degree(v) + usize::from(include_self)).max(1) as f64
             } else {
                 1.0
             };
-            for c in 0..f {
-                out.set(v, c, sums[v * f + c] as f64 * scale / denom);
+            for (o, &s) in row.iter_mut().zip(row_sums) {
+                *o = f64::from(s) * scale / denom;
             }
         }
         out

@@ -7,10 +7,16 @@
 //! balanced-photodetector difference current in exact level-product
 //! counts (the same `i32` accumulators as the digital int8 reference,
 //! via [`phox_tensor::gemm_i8`]), receiver noise injected on the
-//! accumulated counts, and ADC read-back with per-tile auto-ranging
-//! whose code grid coincides with the accumulator grid — so a
-//! noiseless, fault-free engine reproduces the digital int8 reference
-//! bit for bit.
+//! accumulated counts, and ADC read-back on a code grid that coincides
+//! with the accumulator grid — so a noiseless, fault-free engine
+//! reproduces the digital int8 reference bit for bit.
+//!
+//! [`AnalogEngine::matmul`] makes one pass per output: each tile's exact
+//! sums go through noise, drift gain, dead-lane zeroing and the ADC
+//! read-back straight into the result. The converter's range spans the
+//! whole product (its largest magnitude), and no read value can leave
+//! the window rounded from that range, so the read-back needs no second
+//! pass over the product.
 
 use phox_tensor::{gemm_i8, ops, parallel, split_seed, Matrix, Prng, Quantizer};
 
@@ -35,18 +41,34 @@ struct FaultState {
 pub const TILE: usize = 32;
 
 /// Reusable per-engine matmul scratch: the int8 weight operand packed
-/// as [`gemm_i8::Panels`] for the microkernel, and the flat per-tile
-/// read-out buffer (fixed `TILE × TILE` stride per tile). Capacities
-/// persist across calls, so steady-state serving hits the same
-/// allocations on every step; the `analog/scratch_reuse_hits` trace
-/// counter reports how often each buffer was large enough.
+/// as [`gemm_i8::Panels`] for the microkernel, and one range value per
+/// output tile (its largest read-out magnitude, which the tile's trace
+/// span reports). Capacities persist across calls, so steady-state
+/// serving hits the same allocations on every step; the
+/// `analog/scratch_reuse_hits` trace counter reports how often each
+/// buffer was large enough.
 ///
 /// Scratch is a cache, not engine state: it is excluded from the
 /// engine's `PartialEq` and children start with empty buffers.
 #[derive(Debug, Clone, Default)]
 struct MatmulScratch {
     panels: gemm_i8::Panels,
-    tiles: Vec<f64>,
+    ranges: Vec<f64>,
+}
+
+/// Clears `buf` to `len` zeros and reports whether its capacity already
+/// sufficed. A short buffer grows to the larger of `len` and twice its
+/// capacity — `Vec`'s amortised growth without its four-element minimum
+/// — so the range buffer, one value per tile, reports reuse on exactly
+/// the calls a buffer of `TILE × TILE` values per tile would.
+fn reuse_doubling(buf: &mut Vec<f64>, len: usize) -> bool {
+    let reused = buf.capacity() >= len;
+    buf.clear();
+    if !reused {
+        buf.reserve_exact(len.max(2 * buf.capacity()));
+    }
+    buf.resize(len, 0.0);
+    reused
 }
 
 /// A value-level analog compute engine.
@@ -300,7 +322,8 @@ impl AnalogEngine {
     /// Analog matrix multiplication `a · b`.
     ///
     /// The product is computed [`TILE`]`×`[`TILE`] output tile by tile,
-    /// in parallel across tiles. Each output element accumulates the
+    /// one parallel task per `TILE`-row block of the output. Each output
+    /// element accumulates the
     /// balanced-photodetector difference current in exact level-product
     /// counts — the same `i32` accumulation the digital int8 reference
     /// ([`phox_tensor::QuantMatrix::matmul`]) performs. The weight
@@ -314,17 +337,23 @@ impl AnalogEngine {
     /// seed, operation counter, tile index)`, so the result is
     /// **bit-identical for any thread count** — the tile's noise depends
     /// only on which tile it is, never on which thread computes it or
-    /// in what order. The cross-tile `abs_max` reduction for ADC
-    /// auto-ranging is a plain `max`, which is order-independent.
+    /// in what order. Drift gain and dead ADC lanes (a column mask built
+    /// once per call) apply in the same pass.
     ///
-    /// The ADC read-back rounds to the nearest level-product count,
-    /// clamped to the auto-ranged window: with the int8 datapath the
-    /// accumulator grid *is* the converter's code grid (the TIA gain
-    /// maps the tile's dynamic range onto full scale, and the
-    /// sub-count quantization residual is subsumed by the receiver
-    /// noise term). A noiseless, fault-free engine therefore returns
-    /// exactly the digital int8 product. `adc_bits` continues to gate
-    /// constructor validation and the digital conversion blocks.
+    /// The ADC read-back rounds to the nearest level-product count: with
+    /// the int8 datapath the accumulator grid *is* the converter's code
+    /// grid (the TIA gain maps the product's range, its largest
+    /// magnitude, onto full scale, and the sub-count quantization
+    /// residual is subsumed by the receiver noise term). The converter's
+    /// window is that range rounded, and since every value lies within
+    /// the range and rounding is monotone and odd, no read value falls
+    /// outside it: the read-back is `round(v) · scale`, written straight
+    /// into the result as each value is drawn. Each tile's largest
+    /// magnitude is kept only for its trace span. A noiseless,
+    /// fault-free engine therefore returns exactly the digital int8
+    /// product. `adc_bits` continues to gate constructor validation and
+    /// the digital conversion blocks. A product with no outputs records
+    /// no tiles.
     ///
     /// # Errors
     ///
@@ -340,23 +369,21 @@ impl AnalogEngine {
         let qa = Quantizer::calibrate(a).quantize(a);
         let qb = Quantizer::calibrate(b).quantize(b);
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
-        let full_scale = 127.0 * 127.0 * k as f64;
         let op_key = self.stream_key();
         let sigma = self.relative_sigma;
+        let scale = qa.scale() * qb.scale();
 
         let tile_rows = m.div_ceil(TILE);
-        let tile_cols = n.div_ceil(TILE).max(1);
+        let tile_cols = n.div_ceil(TILE);
         let num_tiles = tile_rows * tile_cols;
 
         // Reusable scratch, moved out of `self` for the duration of the
         // call so the parallel section can borrow both buffers freely.
         // The weight codes are packed once for the int8 microkernel.
         let mut panels = std::mem::take(&mut self.scratch.panels);
-        let mut tile_vals = std::mem::take(&mut self.scratch.tiles);
+        let mut ranges = std::mem::take(&mut self.scratch.ranges);
         let scratch_hits = i64::from(panels.repack(qb.as_i8_slice(), k, n))
-            + i64::from(tile_vals.capacity() >= num_tiles * TILE * TILE);
-        tile_vals.clear();
-        tile_vals.resize(num_tiles * TILE * TILE, 0.0);
+            + i64::from(reuse_doubling(&mut ranges, num_tiles));
 
         // Device faults, part 1: a stuck microring forces every weight it
         // carries to its stuck transmission level. Output column `j` is
@@ -365,7 +392,7 @@ impl AnalogEngine {
         // stuck cell repeats across the logical matrix with the bank
         // geometry's period. The programmed sign survives (it lives in
         // the BPD arm assignment, not the ring bias).
-        let (weight_gain, dead_period, dead_lanes): (f64, usize, &[usize]) = match &self.faults {
+        let (weight_gain, dead): (f64, Vec<bool>) = match &self.faults {
             Some(fs) => {
                 for s in &fs.impact.stuck {
                     #[allow(clippy::cast_possible_truncation)]
@@ -377,78 +404,90 @@ impl AnalogEngine {
                         }
                     }
                 }
-                (fs.impact.weight_gain, fs.array_rows, &fs.impact.dead_lanes)
+                // Dead ADC lanes as a column mask, built once per call.
+                let lanes = &fs.impact.dead_lanes;
+                let dead = if lanes.is_empty() {
+                    Vec::new()
+                } else {
+                    (0..n)
+                        .map(|j| lanes.contains(&(j % fs.array_rows)))
+                        .collect()
+                };
+                (fs.impact.weight_gain, dead)
             }
-            None => (1.0, 1, &[]),
+            None => (1.0, Vec::new()),
         };
 
-        let qas = qa.as_i8_slice();
-        parallel::par_chunks_mut(&mut tile_vals, TILE * TILE, |t, chunk| {
-            let (i0, j0) = ((t / tile_cols) * TILE, (t % tile_cols) * TILE);
-            let (i1, j1) = ((i0 + TILE).min(m), (j0 + TILE).min(n));
-            // The BPD difference current accumulates level products
-            // exactly — the int8 microkernel's i32 accumulators, shared
-            // with the digital reference.
-            let mut sums = [0i32; TILE * TILE];
-            let rows = &mut sums[..(i1 - i0) * TILE];
-            gemm_i8::gemm(&qas[i0 * k..i1 * k], &panels, j0..j1, rows, TILE);
-            let mut rng = Prng::stream(op_key, t as u64);
-            for i in i0..i1 {
-                for j in j0..j1 {
-                    let s = sums[(i - i0) * TILE + (j - j0)];
-                    // Receiver noise perturbs the accumulated count
-                    // (pre-dequantization). The draw happens even for
-                    // dead-lane outputs, to keep stream alignment with
-                    // the fault-free engine.
-                    let noisy = perturb(f64::from(s), sigma, &mut rng);
-                    // Device faults, part 2: residual thermal-drift
-                    // mis-bias is a uniform gain error on the analog
-                    // difference; a dead ADC lane reads its output
-                    // columns as zero. Both are pure functions of (i, j),
-                    // so the result stays bit-identical across thread
-                    // counts.
-                    let diff = if dead_lanes.contains(&(j % dead_period)) {
-                        0.0
-                    } else {
-                        noisy * weight_gain
-                    };
-                    chunk[(i - i0) * TILE + (j - j0)] = diff;
+        let mut out = Matrix::zeros(m, n);
+        if num_tiles > 0 {
+            let qas = qa.as_i8_slice();
+            // One task per TILE-row block of the output: its rows and the
+            // range slots of its tiles.
+            let mut blocks: Vec<(&mut [f64], &mut [f64])> = out
+                .as_mut_slice()
+                .chunks_mut(TILE * n)
+                .zip(ranges.chunks_mut(tile_cols))
+                .collect();
+            parallel::par_chunks_mut(&mut blocks, 1, |ti, block| {
+                let (rows_out, tile_ranges) = &mut block[0];
+                let (i0, height) = (ti * TILE, rows_out.len() / n);
+                let a_rows = &qas[i0 * k..(i0 + height) * k];
+                for (tj, range) in tile_ranges.iter_mut().enumerate() {
+                    let (j0, j1) = (tj * TILE, ((tj + 1) * TILE).min(n));
+                    // The BPD difference current accumulates level
+                    // products exactly — the int8 microkernel's i32
+                    // accumulators, shared with the digital reference.
+                    let mut sums = [0i32; TILE * TILE];
+                    gemm_i8::gemm(a_rows, &panels, j0..j1, &mut sums[..height * TILE], TILE);
+                    let mut rng = Prng::stream(op_key, (ti * tile_cols + tj) as u64);
+                    let mut tile_max = 0.0f64;
+                    for (row_sums, row_out) in
+                        sums.chunks_exact(TILE).zip(rows_out.chunks_exact_mut(n))
+                    {
+                        for ((&s, o), j) in row_sums.iter().zip(&mut row_out[j0..j1]).zip(j0..) {
+                            // Receiver noise perturbs the accumulated
+                            // count (pre-dequantization). The draw
+                            // happens even for dead-lane outputs, to keep
+                            // stream alignment with the fault-free engine.
+                            let noisy = perturb(f64::from(s), sigma, &mut rng);
+                            // Device faults, part 2: residual thermal-drift
+                            // mis-bias is a uniform gain error on the
+                            // analog difference; a dead ADC lane reads its
+                            // output columns as zero. Both are pure
+                            // functions of (i, j), so the result stays
+                            // bit-identical across thread counts.
+                            let v = if dead.get(j).copied().unwrap_or(false) {
+                                0.0
+                            } else {
+                                noisy * weight_gain
+                            };
+                            tile_max = tile_max.max(v.abs());
+                            // ADC stage: read back on the accumulator code
+                            // grid — the nearest level-product count.
+                            *o = v.round() * scale;
+                        }
+                    }
+                    *range = tile_max;
                 }
-            }
-        });
+            });
+        }
+        self.scratch.panels = panels;
 
-        let mut raw = Matrix::zeros(m, n);
-        let mut abs_max = 0.0f64;
-        // Tile spans are recorded here, in the serial assembly loop over
-        // tile indices — never from the worker threads — so the recording
+        // Tile spans are recorded here, in a serial loop over tile
+        // indices — never from the worker threads — so the recording
         // order (and hence the exported trace) is independent of the
         // thread count. The span axis is the tile sequence number, not
         // wall or model time: the functional engine has no time model.
-        let tracer = if phox_trace::enabled() {
+        if phox_trace::enabled() {
             let tr = phox_trace::active();
             tr.count("analog", "matmuls", 1);
             tr.count("analog", "tiles", num_tiles as i64);
             tr.count("analog", "scratch_reuse_hits", scratch_hits);
             tr.count("int8", "analog_gemm_calls", 1);
             tr.count("int8", "analog_macs", (m * k * n) as i64);
-            Some(tr)
-        } else {
-            None
-        };
-        for (t, chunk) in tile_vals.chunks(TILE * TILE).enumerate() {
-            let (i0, j0) = ((t / tile_cols) * TILE, (t % tile_cols) * TILE);
-            let (i1, j1) = ((i0 + TILE).min(m), (j0 + TILE).min(n));
-            let tile_w = j1 - j0;
-            let mut tile_max = 0.0f64;
-            for i in i0..i1 {
-                let vals = &chunk[(i - i0) * TILE..(i - i0) * TILE + tile_w];
-                for &v in vals {
-                    tile_max = tile_max.max(v.abs());
-                }
-                raw.row_mut(i)[j0..j1].copy_from_slice(vals);
-            }
-            abs_max = abs_max.max(tile_max);
-            if let Some(tr) = &tracer {
+            for (t, &tile_max) in ranges.iter().enumerate() {
+                let (i0, j0) = ((t / tile_cols) * TILE, (t % tile_cols) * TILE);
+                let (i1, j1) = ((i0 + TILE).min(m), (j0 + TILE).min(n));
                 tr.model_span(
                     "analog",
                     "tile",
@@ -467,18 +506,8 @@ impl AnalogEngine {
                 );
             }
         }
-        self.scratch.panels = panels;
-        self.scratch.tiles = tile_vals;
-        // ADC stage: per-tile auto-ranged read-back on the accumulator
-        // code grid — round to the nearest level-product count, clamped
-        // to the ranged window (the TIA gain maps `range` onto full
-        // scale). Noiseless, fault-free counts are already exact
-        // integers, so the read-back is the identity there and the
-        // dequantized product equals the digital int8 reference bitwise.
-        let range = if abs_max > 0.0 { abs_max } else { full_scale };
-        let window = range.round();
-        let scale = qa.scale() * qb.scale();
-        Ok(raw.map(|v| v.round().clamp(-window, window) * scale))
+        self.scratch.ranges = ranges;
+        Ok(out)
     }
 
     /// Coherent summation of the rows of `inputs` (each column summed
@@ -633,8 +662,8 @@ mod tests {
         let a = rng.fill_normal(40, 40, 0.0, 1.0);
         let b = rng.fill_normal(40, 40, 0.0, 1.0);
         eng.matmul(&a, &b).unwrap();
-        let cap_tiles = eng.scratch.tiles.capacity();
-        assert!(eng.scratch.panels.k() == 40 && cap_tiles > 0);
+        let cap_ranges = eng.scratch.ranges.capacity();
+        assert!(eng.scratch.panels.k() == 40 && cap_ranges > 0);
         // The second call of the same shape fits both buffers.
         let trace = phox_trace::Trace::new();
         phox_trace::with_installed(trace.clone(), || eng.matmul(&a, &b).unwrap());
@@ -648,9 +677,9 @@ mod tests {
             "{hits:?}"
         );
         assert_eq!(
-            eng.scratch.tiles.capacity(),
-            cap_tiles,
-            "tile scratch reallocated"
+            eng.scratch.ranges.capacity(),
+            cap_ranges,
+            "range scratch reallocated"
         );
         // The twin performs the same ops but drops its scratch: engines
         // must still compare equal (scratch is a cache, not state).
@@ -658,6 +687,162 @@ mod tests {
         twin.matmul(&a, &b).unwrap();
         twin.scratch = MatmulScratch::default();
         assert_eq!(eng, twin);
+    }
+
+    #[test]
+    fn range_scratch_reports_reuse_on_the_calls_a_tile_buffer_would() {
+        // One, two, three and one 32-row tiles of the same k × n: the
+        // panels fit from the second call on, and a buffer grown like a
+        // `Vec` of TILE × TILE values per tile fits only on the last.
+        let mut eng = AnalogEngine::new(2e-3, 8, 8, 4).unwrap();
+        let b = Prng::new(5).fill_normal(8, 32, 0.0, 1.0);
+        let mut hits = Vec::new();
+        for m in [32, 64, 96, 32] {
+            let a = Prng::new(6).fill_normal(m, 8, 0.0, 1.0);
+            let trace = phox_trace::Trace::new();
+            phox_trace::with_installed(trace.clone(), || eng.matmul(&a, &b).unwrap());
+            hits.extend(
+                trace
+                    .counters()
+                    .into_iter()
+                    .filter(|(t, n, _)| t == "analog" && n == "scratch_reuse_hits")
+                    .map(|(_, _, v)| v),
+            );
+        }
+        let want: Vec<_> = [0, 1, 1, 2]
+            .into_iter()
+            .map(phox_trace::CounterValue::Int)
+            .collect();
+        assert_eq!(hits, want);
+    }
+
+    /// The read-back the one-pass engine replaced, recomputed from the
+    /// engine's state before its next product: every pre-ADC value (the
+    /// exact sums of the stuck-patched codes, perturbed tile by tile in
+    /// row-major order, drift gain, dead lanes), then `v.round().clamp(-w,
+    /// w) * scale` with `w` rounded from the product's global `abs_max`.
+    fn two_pass_read_back(eng: &AnalogEngine, a: &Matrix, b: &Matrix) -> Matrix {
+        let (qa, qb) = (
+            Quantizer::calibrate(a).quantize(a),
+            Quantizer::calibrate(b).quantize(b),
+        );
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        let mut codes = qb.as_i8_slice().to_vec();
+        let (gain, lanes, dead) = match &eng.faults {
+            Some(fs) => {
+                for s in &fs.impact.stuck {
+                    let level = (s.transmission * 127.0).round() as i8;
+                    for j in (s.row..n).step_by(fs.array_rows) {
+                        for kk in (s.channel..k).step_by(fs.array_channels) {
+                            let w = codes[kk * n + j];
+                            codes[kk * n + j] = if w >= 0 { level } else { -level };
+                        }
+                    }
+                }
+                let f = &fs.impact;
+                (f.weight_gain, fs.array_rows, f.dead_lanes.clone())
+            }
+            None => (1.0, 1, Vec::new()),
+        };
+        let sums = gemm_i8::matmul_i32_naive(qa.as_i8_slice(), &codes, m, k, n).unwrap();
+        let op_key = split_seed(eng.seed, eng.ops);
+        let tile_cols = n.div_ceil(TILE);
+        let mut v = vec![0.0; m * n];
+        for t in 0..m.div_ceil(TILE) * tile_cols {
+            let (i0, j0) = ((t / tile_cols) * TILE, (t % tile_cols) * TILE);
+            let mut rng = Prng::stream(op_key, t as u64);
+            for i in i0..(i0 + TILE).min(m) {
+                for j in j0..(j0 + TILE).min(n) {
+                    let noisy = perturb(f64::from(sums[i * n + j]), eng.relative_sigma, &mut rng);
+                    v[i * n + j] = if dead.contains(&(j % lanes)) {
+                        0.0
+                    } else {
+                        noisy * gain
+                    };
+                }
+            }
+        }
+        let abs_max = v.iter().fold(0.0f64, |acc, x| acc.max(x.abs()));
+        let range = if abs_max > 0.0 {
+            abs_max
+        } else {
+            127.0 * 127.0 * k as f64
+        };
+        let (w, scale) = (range.round(), qa.scale() * qb.scale());
+        let read: Vec<f64> = v.iter().map(|x| x.round().clamp(-w, w) * scale).collect();
+        Matrix::from_vec(m, n, read).unwrap()
+    }
+
+    #[test]
+    fn one_pass_read_back_equals_the_two_pass_formula() {
+        let impact = FaultImpact {
+            sigma_scale: 1.5,
+            weight_gain: 0.97,
+            compensation_power_w: 0.0,
+            dead_lanes: vec![1, 5],
+            stuck: vec![
+                crate::fault::StuckWeight {
+                    row: 0,
+                    channel: 2,
+                    transmission: 0.4,
+                },
+                crate::fault::StuckWeight {
+                    row: 3,
+                    channel: 0,
+                    transmission: 0.9,
+                },
+            ],
+        };
+        let mut rng = Prng::new(12);
+        for (m, k, n) in [(41, 70, 37), (33, 8, 1), (1, 5, 40), (70, 3, 65)] {
+            let a = rng.fill_normal(m, k, 0.0, 1.0);
+            let b = rng.fill_normal(k, n, 0.0, 1.0);
+            for (sigma, faulted) in [(5e-3, false), (5e-2, false), (5e-3, true)] {
+                let mut eng = AnalogEngine::new(sigma, 8, 8, 13).unwrap();
+                if faulted {
+                    eng.inject_faults(&impact, 8, 4).unwrap();
+                }
+                // Two products: the second runs on the next op key.
+                for call in 0..2 {
+                    let want = two_pass_read_back(&eng, &a, &b);
+                    let got = eng.matmul(&a, &b).unwrap();
+                    let bits = |y: &Matrix| -> Vec<u64> {
+                        y.as_slice().iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{m}x{k}x{n} sigma {sigma} faulted {faulted} call {call}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_products_record_no_tiles() {
+        for (m, k, n) in [(40, 8, 0), (0, 8, 40), (40, 0, 0), (0, 0, 0)] {
+            let mut eng = AnalogEngine::new(2e-3, 8, 8, 3).unwrap();
+            let trace = phox_trace::Trace::new();
+            let y = phox_trace::with_installed(trace.clone(), || {
+                eng.matmul(&Matrix::zeros(m, k), &Matrix::zeros(k, n))
+                    .unwrap()
+            });
+            assert_eq!(y.shape(), (m, n));
+            let tiles = trace
+                .counters()
+                .into_iter()
+                .find(|(t, name, _)| t == "analog" && name == "tiles")
+                .map(|(_, _, v)| v);
+            assert!(
+                matches!(tiles, Some(phox_trace::CounterValue::Int(0))),
+                "{m}x{k}x{n}: {tiles:?}"
+            );
+            assert!(
+                trace.events().iter().all(|e| e.name != "tile"),
+                "{m}x{k}x{n} recorded a tile span"
+            );
+        }
     }
 
     #[test]

@@ -439,6 +439,10 @@ pub fn aggregate_into(
 /// the expensive tiles before the cheap tail. Within a class rows stay in
 /// ascending id order, and results are keyed by row id — the schedule
 /// affects wall-time only, never values.
+///
+/// Every row id of `0..rows` appears in the schedule exactly once; the
+/// int8 kernels of [`crate::sparse_i8`] rely on that to write each row
+/// in place from whichever thread runs its tile.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DegreeBuckets {
     /// All row ids, heaviest degree class first.

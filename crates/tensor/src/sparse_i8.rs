@@ -4,17 +4,33 @@
 //! GHOST's datapath is 8-bit end to end (§VI), so the graph kernels get
 //! the same treatment as the dense GEMM in [`crate::gemm_i8`]: `i8`
 //! operands, wrapping `i32` sums, exact arithmetic. Scheduling reuses
-//! [`DegreeBuckets`] from PR 4 — tiles are ordered heaviest degree class
+//! [`DegreeBuckets`] — tiles are ordered heaviest degree class
 //! first and pulled by the work-stealing loop in
-//! [`parallel::par_map_indexed`] — and each tile accumulates into one
-//! per-tile `i32` scratch buffer (allocation amortised over
-//! [`ROW_TILE`] rows) before a deterministic scatter keyed by row id.
+//! [`parallel::par_map_indexed`] — and because the schedule lists every
+//! row exactly once, each tile writes its rows straight into the output.
 //! Because integer sums are exact, the schedule affects wall-time only;
-//! outputs are bit-identical for every thread count, which the test
+//! outputs are bit-identical for any thread count, which the test
 //! suites pin.
+//!
+//! The structural (pattern-only) sum — unweighted SpMM, and sum
+//! aggregation, which ignores stored values — is the hot kernel of both
+//! GNN aggregations: the digital int8 reference's and GHOST's coherent
+//! summation. Where the int8 kernels are dispatched
+//! ([`crate::gemm_i8::simd_active`]) it runs an AVX2 body: per row,
+//! columns in blocks of 32, 16 and 8, each block's `i32` sums held in
+//! registers across all of the row's members (`vpmovsxbd` + `vpaddd` per
+//! eight levels), then stored once. `PHOX_FORCE_SCALAR` and hosts
+//! without AVX2 run the member-major loop. Integer sums are exact in any
+//! order, so both give the same bits. Weighted SpMM and max aggregation
+//! run the member-major loop everywhere.
+//!
+//! All sums wrap in `i32`, as in [`crate::gemm_i8`]. A row of `m`
+//! members of levels within ±127 stays exact while `127 · m < 2³¹`;
+//! callers that need the true sum past that bound (GHOST's reduce units)
+//! check it themselves.
 
 use crate::sparse::{DegreeBuckets, ROW_TILE};
-use crate::{parallel, TensorError};
+use crate::{gemm_i8, parallel, TensorError};
 
 /// A borrowed compressed-sparse-row matrix with `i8` values.
 ///
@@ -210,20 +226,76 @@ fn trace_kernel(rows: usize, nnz: usize, f: usize) {
     }
 }
 
+/// The output rows of one kernel call, writable from the tile loop's
+/// worker threads. A [`DegreeBuckets`] schedule lists every row of
+/// `0..rows` exactly once, so its tiles write disjoint rows and each row
+/// is written once — straight into the output, with no per-tile scratch
+/// or scatter pass.
+#[derive(Clone, Copy)]
+struct RowSink {
+    ptr: *mut i32,
+    rows: usize,
+    f: usize,
+}
+
+// SAFETY: `ptr` is the start of the output slice `run_scheduled` holds
+// mutably borrowed until its scoped tile loop has joined, and `rows` and
+// `f` are plain lengths; the sink hands out only disjoint rows (see
+// `RowSink::row`), so no two threads ever touch the same element.
+unsafe impl Send for RowSink {}
+// SAFETY: as for `Send`: shared sinks write only disjoint rows.
+unsafe impl Sync for RowSink {}
+
+impl RowSink {
+    fn new(out: &mut [i32], f: usize) -> RowSink {
+        RowSink {
+            ptr: out.as_mut_ptr(),
+            rows: out.len() / f,
+            f,
+        }
+    }
+
+    /// Row `r` of the output.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure no other reference to row `r` is live while
+    /// the returned one is, and that the output outlives `'a`: each row
+    /// is taken once per kernel call, which the schedule's
+    /// one-entry-per-row guarantee provides.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is out of range.
+    unsafe fn row<'a>(self, r: usize) -> &'a mut [i32] {
+        assert!(r < self.rows, "row outside the output");
+        std::slice::from_raw_parts_mut(self.ptr.add(r * self.f), self.f)
+    }
+}
+
 /// The tile body shared by SpMM and aggregation: reduces the given rows
-/// into `scratch` (one `f`-wide slot per row, in tile order).
-fn reduce_tile(
+/// into their rows of `sink`.
+///
+/// # Safety
+///
+/// Caller must ensure no other reference to these rows of `sink` is
+/// live.
+unsafe fn reduce_tile(
     a: &CsrI8View<'_>,
     x: &[i8],
     f: usize,
     rows: &[u32],
     reduce: I8Reduce,
     include_self: bool,
-    scratch: &mut [i32],
+    sink: RowSink,
 ) {
-    for (local, &r) in rows.iter().enumerate() {
+    if reduce == I8Reduce::Sum && a.values.is_none() {
+        structural_sum(a, x, f, rows, include_self, sink);
+        return;
+    }
+    for &r in rows {
         let r = r as usize;
-        let slot = &mut scratch[local * f..(local + 1) * f];
+        let slot = sink.row(r);
         let idx = a.row_indices(r);
         match reduce {
             I8Reduce::Sum => {
@@ -233,22 +305,11 @@ fn reduce_tile(
                         *s = s.wrapping_add(v as i32);
                     }
                 }
-                match a.row_values(r) {
-                    Some(vals) => {
-                        for (&u, &w) in idx.iter().zip(vals) {
-                            let src = &x[u as usize * f..(u as usize + 1) * f];
-                            for (s, &v) in slot.iter_mut().zip(src) {
-                                *s = s.wrapping_add((w as i32).wrapping_mul(v as i32));
-                            }
-                        }
-                    }
-                    None => {
-                        for &u in idx {
-                            let src = &x[u as usize * f..(u as usize + 1) * f];
-                            for (s, &v) in slot.iter_mut().zip(src) {
-                                *s = s.wrapping_add(v as i32);
-                            }
-                        }
+                // Weighted rows: the structural sum returned above.
+                for (&u, &w) in idx.iter().zip(a.row_values(r).unwrap_or_default()) {
+                    let src = &x[u as usize * f..(u as usize + 1) * f];
+                    for (s, &v) in slot.iter_mut().zip(src) {
+                        *s = s.wrapping_add((w as i32).wrapping_mul(v as i32));
                     }
                 }
             }
@@ -275,8 +336,164 @@ fn reduce_tile(
     }
 }
 
-/// Runs the degree-bucketed tile loop and scatters per-tile scratch back
-/// into `out` keyed by row id (deterministic for any thread count).
+/// The structural (pattern-only) sum of the given rows into their rows
+/// of `sink`: each row is the wrapping `i32` sum of its members' levels,
+/// the row's own levels included when `include_self` is set. Dispatches
+/// to the AVX2 kernel where the int8 kernels are
+/// ([`gemm_i8::simd_active`]), otherwise runs the member-major loop;
+/// integer sums have one value, so both give the same bits.
+///
+/// # Safety
+///
+/// Caller must ensure no other reference to these rows of `sink` is
+/// live, and the operand contract [`check_operands`] and
+/// [`CsrI8View::new`] verify: `x` holds `a.cols()` rows of `f` levels,
+/// every member id is below `a.cols()`, and `include_self` implies a
+/// square pattern.
+unsafe fn structural_sum(
+    a: &CsrI8View<'_>,
+    x: &[i8],
+    f: usize,
+    rows: &[u32],
+    include_self: bool,
+    sink: RowSink,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if gemm_i8::simd_active() {
+        // SAFETY: `simd_active` is true only where AVX2 is available; the
+        // caller guarantees the rest.
+        x86::structural_sum_avx2(a, x, f, rows, include_self, sink);
+        return;
+    }
+    for &r in rows {
+        let r = r as usize;
+        sum_columns(
+            x,
+            f,
+            0,
+            include_self.then_some(r),
+            a.row_indices(r),
+            sink.row(r),
+        );
+    }
+}
+
+/// Columns `c..f` of one row's structural sum into `dst`, member-major:
+/// the row's own levels (`own`) and then each member's, added to a
+/// zeroed `dst` with wrapping `i32` arithmetic.
+fn sum_columns(x: &[i8], f: usize, c: usize, own: Option<usize>, members: &[u32], dst: &mut [i32]) {
+    dst.fill(0);
+    let mut add = |u: usize| {
+        for (s, &v) in dst.iter_mut().zip(&x[u * f + c..(u + 1) * f]) {
+            *s = s.wrapping_add(i32::from(v));
+        }
+    };
+    if let Some(r) = own {
+        add(r);
+    }
+    for &u in members {
+        add(u as usize);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use core::arch::x86_64::{
+        __m256i, _mm256_add_epi32, _mm256_cvtepi8_epi32, _mm256_setzero_si256, _mm256_storeu_si256,
+        _mm_loadl_epi64,
+    };
+
+    use super::{CsrI8View, RowSink};
+
+    /// AVX2 [`super::structural_sum`]: per row, columns in blocks of 32,
+    /// 16 and 8 (four, two and one register of eight `i32` sums), each
+    /// block's sums held in registers across all of the row's members —
+    /// one `vpmovsxbd` of eight levels and one `vpaddd` per register and
+    /// member — then stored once. The last `f % 8` columns run a scalar
+    /// loop.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available and the contract of
+    /// [`super::structural_sum`]: every load reads eight levels at
+    /// `x[u·f + c..]` with `c + 8 ≤ f` and `u < a.cols()`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn structural_sum_avx2(
+        a: &CsrI8View<'_>,
+        x: &[i8],
+        f: usize,
+        rows: &[u32],
+        include_self: bool,
+        sink: RowSink,
+    ) {
+        for &r in rows {
+            let r = r as usize;
+            let slot = sink.row(r);
+            let (own, members) = (include_self.then_some(r), a.row_indices(r));
+            let mut c = 0;
+            while c + 32 <= f {
+                block::<4>(x, f, c, own, members, slot);
+                c += 32;
+            }
+            if c + 16 <= f {
+                block::<2>(x, f, c, own, members, slot);
+                c += 16;
+            }
+            if c + 8 <= f {
+                block::<1>(x, f, c, own, members, slot);
+                c += 8;
+            }
+            if c < f {
+                super::sum_columns(x, f, c, own, members, &mut slot[c..]);
+            }
+        }
+    }
+
+    /// Columns `c..c + 8·V` of one row's sum into `slot`.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available, `c + 8·V ≤ f ≤ slot.len()`,
+    /// and that `x` holds `f` levels at `u·f` for `own` and every member.
+    #[inline(always)]
+    unsafe fn block<const V: usize>(
+        x: &[i8],
+        f: usize,
+        c: usize,
+        own: Option<usize>,
+        members: &[u32],
+        slot: &mut [i32],
+    ) {
+        let base = x.as_ptr().add(c);
+        let mut acc = [_mm256_setzero_si256(); V];
+        if let Some(r) = own {
+            add_levels(&mut acc, base.add(r * f));
+        }
+        for &u in members {
+            add_levels(&mut acc, base.add(u as usize * f));
+        }
+        for (v, &sums) in acc.iter().enumerate() {
+            _mm256_storeu_si256(slot.as_mut_ptr().add(c + 8 * v).cast(), sums);
+        }
+    }
+
+    /// `acc[v] += sign-extended src[8v..8v + 8]` for every register.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available and `src` points to `8·V`
+    /// readable levels.
+    #[inline(always)]
+    unsafe fn add_levels<const V: usize>(acc: &mut [__m256i; V], src: *const i8) {
+        for (v, sums) in acc.iter_mut().enumerate() {
+            let levels = _mm256_cvtepi8_epi32(_mm_loadl_epi64(src.add(8 * v).cast()));
+            *sums = _mm256_add_epi32(*sums, levels);
+        }
+    }
+}
+
+/// Runs the degree-bucketed tile loop, each row reduced straight into its
+/// row of `out` (deterministic for any thread count).
 fn run_scheduled(
     a: &CsrI8View<'_>,
     x: &[i8],
@@ -292,21 +509,15 @@ fn run_scheduled(
             actual: schedule.rows(),
         });
     }
-    let tiles = schedule.num_tiles();
     // Heaviest tiles are scheduled first and pulled by the work-stealing
-    // loop; each tile owns one scratch allocation reused across its rows.
-    let results: Vec<Vec<i32>> = parallel::par_map_indexed(tiles, |t| {
-        let rows = schedule.tile_rows(t);
-        let mut scratch = vec![0i32; rows.len() * f];
-        reduce_tile(a, x, f, rows, reduce, include_self, &mut scratch);
-        scratch
+    // loop; each writes its rows straight into `out`.
+    let sink = RowSink::new(out, f);
+    parallel::par_map_indexed(schedule.num_tiles(), |t| {
+        // SAFETY: the schedule lists each of the `a.rows()` rows of `out`
+        // once, so tiles take disjoint rows, and `check_operands` and the
+        // view's validation give the operand contract.
+        unsafe { reduce_tile(a, x, f, schedule.tile_rows(t), reduce, include_self, sink) }
     });
-    for (t, scratch) in results.iter().enumerate() {
-        for (local, &r) in schedule.tile_rows(t).iter().enumerate() {
-            let r = r as usize;
-            out[r * f..(r + 1) * f].copy_from_slice(&scratch[local * f..(local + 1) * f]);
-        }
-    }
     Ok(())
 }
 
@@ -375,6 +586,32 @@ pub fn aggregate_i8_into(
     include_self: bool,
     out: &mut [i32],
 ) -> Result<(), TensorError> {
+    let schedule = DegreeBuckets::new(a.offsets());
+    aggregate_i8_scheduled(a, x, f, &schedule, reduce, include_self, out)?;
+    if f > 0 && a.rows() > 0 {
+        trace_kernel(a.rows(), a.nnz(), f);
+    }
+    Ok(())
+}
+
+/// [`aggregate_i8_into`] on a caller-provided [`DegreeBuckets`] schedule,
+/// recording no trace counters: the entry for a caller that builds the
+/// graph's schedule once and counts its own work, as GHOST's reduce
+/// units do.
+///
+/// # Errors
+///
+/// As [`aggregate_i8_into`], plus [`TensorError::LengthMismatch`] when
+/// the schedule covers a different row count.
+pub fn aggregate_i8_scheduled(
+    a: &CsrI8View<'_>,
+    x: &[i8],
+    f: usize,
+    schedule: &DegreeBuckets,
+    reduce: I8Reduce,
+    include_self: bool,
+    out: &mut [i32],
+) -> Result<(), TensorError> {
     check_operands(a, x.len(), f, out.len())?;
     if include_self && a.rows() != a.cols() {
         return Err(TensorError::InvalidDimension {
@@ -385,10 +622,7 @@ pub fn aggregate_i8_into(
         return Ok(());
     }
     let unweighted = CsrI8View { values: None, ..*a };
-    let schedule = DegreeBuckets::new(a.offsets());
-    run_scheduled(&unweighted, x, f, &schedule, reduce, include_self, out)?;
-    trace_kernel(a.rows(), a.nnz(), f);
-    Ok(())
+    run_scheduled(&unweighted, x, f, schedule, reduce, include_self, out)
 }
 
 #[cfg(test)]

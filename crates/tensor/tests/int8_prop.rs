@@ -5,7 +5,9 @@
 //! to the naive i32 oracle over arbitrary shapes and the whole `i8`
 //! range (−128 included), byte-identical across thread counts, and the
 //! int8 SpMM must agree exactly with the int8 dense GEMM on the
-//! densified adjacency.
+//! densified adjacency, and the structural (pattern-only) sum behind
+//! unweighted SpMM and sum aggregation with a naive `i64` oracle at every
+//! feature width its blocks reach.
 //!
 //! CI's `simd-smoke` job runs this suite once per dispatch mode.
 
@@ -107,6 +109,45 @@ fn csr_pattern(n: usize) -> impl Strategy<Value = (Vec<usize>, Vec<u32>)> {
         }
         (offsets, indices)
     })
+}
+
+/// Strategy: a CSR pattern over an `n x n` adjacency like
+/// [`csr_pattern`], with about one row in four, and always the last row,
+/// left empty.
+fn csr_pattern_with_empty_rows(n: usize) -> impl Strategy<Value = (Vec<usize>, Vec<u32>)> {
+    (
+        proptest::collection::vec(0u8..4, n * n),
+        proptest::collection::vec(0u8..4, n),
+    )
+        .prop_map(move |(mask, rows)| {
+            let mut offsets = vec![0];
+            let mut indices = Vec::new();
+            for r in 0..n {
+                if rows[r] > 0 && r + 1 < n {
+                    indices.extend((0..n as u32).filter(|&c| mask[r * n + c as usize] == 0));
+                }
+                offsets.push(indices.len());
+            }
+            (offsets, indices)
+        })
+}
+
+/// The structural sum of every row of `view` over `f`-wide levels in
+/// `i64`, the row's own levels first when `include_self` is set.
+fn structural_sum_oracle(view: &CsrI8View<'_>, x: &[i8], f: usize, include_self: bool) -> Vec<i32> {
+    let mut out = Vec::with_capacity(view.rows() * f);
+    for r in 0..view.rows() {
+        let own = include_self.then_some(r);
+        let members: Vec<usize> = own
+            .into_iter()
+            .chain(view.row_indices(r).iter().map(|&u| u as usize))
+            .collect();
+        for c in 0..f {
+            let sum: i64 = members.iter().map(|&u| i64::from(x[u * f + c])).sum();
+            out.push(i32::try_from(sum).unwrap());
+        }
+    }
+    out
 }
 
 proptest! {
@@ -264,6 +305,29 @@ proptest! {
         sparse_i8::spmm_i8_scheduled(&view, &x, f, &schedule, &mut out).unwrap();
         let unscheduled = sparse_i8::spmm_i8(&view, &x, f).unwrap();
         prop_assert_eq!(&out, &unscheduled);
+    }
+
+    #[test]
+    fn structural_sums_equal_naive_oracle_at_every_width(
+        (n, f, pattern, x) in (1usize..=12, 1usize..=70)
+            .prop_flat_map(|(n, f)| {
+                (Just(n), Just(f), csr_pattern_with_empty_rows(n), codes(n * f))
+            }),
+    ) {
+        // Widths through every block of the structural-sum kernel (32,
+        // 16 and 8 columns) and every tail length, the whole `i8` range,
+        // rows of every length from empty up.
+        let (offsets, indices) = pattern;
+        let view = CsrI8View::new(n, n, &offsets, &indices, None).unwrap();
+        let spmm = sparse_i8::spmm_i8(&view, &x, f).unwrap();
+        prop_assert_eq!(&spmm, &structural_sum_oracle(&view, &x, f, false));
+        for include_self in [false, true] {
+            let mut out = vec![i32::MIN; n * f];
+            sparse_i8::aggregate_i8_into(&view, &x, f, I8Reduce::Sum, include_self, &mut out)
+                .unwrap();
+            let oracle = structural_sum_oracle(&view, &x, f, include_self);
+            prop_assert_eq!(&out, &oracle, "include_self {}", include_self);
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Runs an actual transformer forward pass through the modelled photonic
 //! pipeline: int8 DAC quantization of every operand, signed arithmetic
 //! via the balanced-photodetector positive/negative arms (§V.C), analog
-//! noise injection at the receiver, 8-bit ADC read-back with per-tile
-//! auto-ranging, LUT softmax, optical LayerNorm and coherent-summation
+//! noise injection at the receiver, 8-bit ADC read-back ranged over each
+//! product, LUT softmax, optical LayerNorm and coherent-summation
 //! residuals. Used to validate that the accelerator computes the same
 //! results as the digital int8 reference within noise tolerance.
 //!
