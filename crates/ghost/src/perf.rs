@@ -160,9 +160,11 @@ impl GhostAccelerator {
         self.array_laser_w
     }
 
-    /// Estimates the lane-load makespan factor for a workload by
-    /// instantiating a miniature R-MAT graph with the same degree skew
-    /// and running the (LPT vs round-robin) assignment. The sample is
+    /// Estimates the lane-load makespan factor for a workload from a
+    /// miniature R-MAT sample with the same degree skew: the in-degrees
+    /// of the up-to-2048-node graph [`GraphShape::instantiate`] would
+    /// build, counted by [`GraphShape::in_degrees`] without building it,
+    /// then the (LPT vs round-robin) assignment over them. The sample is
     /// rebuilt on every call.
     ///
     /// # Errors
@@ -180,11 +182,11 @@ impl GhostAccelerator {
             features: 1,
             classes: 2,
         };
-        let g = mini
-            .instantiate(0xB41A)
-            .ctx("instantiating the R-MAT lane-balance sample")?;
-        let degrees: Vec<f64> = (0..g.num_nodes())
-            .map(|v| 1.0 + g.degree(v) as f64)
+        let degrees: Vec<f64> = mini
+            .in_degrees(0xB41A)
+            .ctx("counting the R-MAT lane-balance sample's degrees")?
+            .into_iter()
+            .map(|d| 1.0 + d as f64)
             .collect();
         self.lane_makespan(&degrees)
     }

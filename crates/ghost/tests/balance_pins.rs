@@ -5,7 +5,7 @@
 //! their earlier implementations, so the factors the figures use must
 //! not move by a single ulp.
 
-use phox_ghost::{GhostAccelerator, GhostConfig, GnnWorkload};
+use phox_ghost::{GhostAccelerator, GhostConfig, GnnWorkload, Optimizations};
 use phox_nn::datasets::GraphShape;
 use phox_nn::gnn::{GnnConfig, GnnKind};
 
@@ -20,9 +20,9 @@ fn reddit_sage(fanout: usize) -> GnnWorkload {
 #[test]
 fn balance_factors_keep_their_bits() {
     let ghost = GhostAccelerator::new(GhostConfig::default()).unwrap();
-    // The GHOST figure workloads (`phox_bench::ghost_workloads`), with
-    // Reddit at two fan-outs of the sensitivity sweep.
-    let cases: [(GnnWorkload, u64); 5] = [
+    // The GHOST figure workloads (`phox_bench::ghost_workloads`), then
+    // Reddit at every fan-out of the sensitivity sweep.
+    let cases: [(GnnWorkload, u64); 8] = [
         (
             GnnWorkload::new(
                 GnnConfig::two_layer(GnnKind::Gcn, 1433, 16, 7),
@@ -46,6 +46,9 @@ fn balance_factors_keep_their_bits() {
         ),
         (reddit_sage(5), 0x3ff9_eaaa_aaaa_aaab),
         (reddit_sage(10), 0x3ff6_745d_1745_d174),
+        (reddit_sage(25), 0x3ff0_0000_0000_0000),
+        (reddit_sage(50), 0x3ff0_0000_0000_0000),
+        (reddit_sage(100), 0x3ff0_0000_0000_0000),
     ];
     for (workload, want) in cases {
         let got = ghost.balance_factor(&workload).unwrap();
@@ -58,4 +61,20 @@ fn balance_factors_keep_their_bits() {
             workload.neighbor_sample
         );
     }
+}
+
+#[test]
+fn round_robin_factor_keeps_its_bits() {
+    // LPT levels the large fan-outs' samples to a factor of exactly 1.0;
+    // round-robin lanes keep the heaviest sample's degree skew in it.
+    let ghost = GhostAccelerator::new(GhostConfig {
+        optimizations: Optimizations {
+            balancing: false,
+            ..Optimizations::default()
+        },
+        ..GhostConfig::default()
+    })
+    .unwrap();
+    let got = ghost.balance_factor(&reddit_sage(100)).unwrap();
+    assert_eq!(got.to_bits(), 0x3ff8_d9fa_ee41_e6a7, "got {got}");
 }

@@ -19,7 +19,7 @@
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use phox_tensor::{Matrix, Prng, TensorError};
+use phox_tensor::{gemm_i8, Matrix, Prng, TensorError};
 
 use crate::gnn::CsrGraph;
 
@@ -106,13 +106,40 @@ impl GraphShape {
     /// non-self-loop edges are produced: [`CsrGraph::from_edges`] merges
     /// duplicates, so the generator rejects repeated pairs up front (with
     /// a uniform-random fill pass for the unlikely case the skewed sampler
-    /// stalls on a dense request).
+    /// stalls on a dense request). [`GraphShape::in_degrees`] counts this
+    /// graph's degrees from the same sample without building it.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidDimension`] for degenerate shapes or
     /// when more edges are requested than distinct vertex pairs exist.
     pub fn instantiate(&self, seed: u64) -> Result<CsrGraph, TensorError> {
+        self.rmat_edges(seed)?.into_graph(self.nodes)
+    }
+
+    /// The in-degree of every vertex of [`GraphShape::instantiate`]`(seed)`,
+    /// indexed by vertex id: the same sample, counted straight from its
+    /// kept pairs, with no CSR build and no per-row sort. GHOST's
+    /// lane-balance estimate reads nothing else of the graph.
+    ///
+    /// # Errors
+    ///
+    /// The same as [`GraphShape::instantiate`].
+    pub fn in_degrees(&self, seed: u64) -> Result<Vec<usize>, TensorError> {
+        Ok(self.rmat_edges(seed)?.in_degrees(self.nodes))
+    }
+
+    /// The R-MAT sample behind [`GraphShape::instantiate`] and
+    /// [`GraphShape::in_degrees`]: the kept pairs, in the order drawn.
+    ///
+    /// Each attempt descends `levels` quadrant levels on one draw each.
+    /// Draws come from [`Prng::fill_u64`] in batches of up to
+    /// [`RMAT_BATCH`] attempts, and a batch never runs past
+    /// `max_attempts`, so a request that stalls there hands the uniform
+    /// fill the generator state after exactly `max_attempts` attempts.
+    /// A batch that fills the target leaves its later draws unused; the
+    /// generator is not read again.
+    fn rmat_edges(&self, seed: u64) -> Result<DistinctEdges, TensorError> {
         if self.nodes == 0 {
             return Err(TensorError::InvalidDimension {
                 what: "graph shape has zero nodes",
@@ -126,50 +153,186 @@ impl GraphShape {
         }
         let nodes = self.nodes;
         let mut rng = Prng::new(seed);
-        // R-MAT partition probabilities (a, b, c, d) = (0.57, 0.19, 0.19,
-        // 0.05): the standard Graph500 skew.
-        let (a, b, c) = (0.57, 0.19, 0.19);
-        let (ab, abc) = (a + b, a + b + c);
-        let levels = (nodes as f64).log2().ceil() as u32;
+        let quadrants = RmatThresholds::graph500();
+        let levels = (nodes as f64).log2().ceil() as usize;
         // Simple id scramble (multiply by an odd constant, reduce mod
         // nodes), tabulated once so the sampling loop does no division.
         // Cells at or past `nodes` are rejected before the lookup.
         let scramble: Vec<u32> = (0..nodes)
             .map(|v| ((v.wrapping_mul(0x9E37_79B1) >> 7) % nodes) as u32)
             .collect();
-        let mut edges = DistinctEdges::with_target(self.edges);
+        let mut edges = DistinctEdges::new(self.edges, nodes);
         let mut attempts = 0usize;
         let max_attempts = self.edges.saturating_mul(50).max(10_000);
+        // A one-node shape has no levels, but also no edge to draw.
+        let mut draws = vec![0u64; levels * RMAT_BATCH];
+        let mut cells = [(0usize, 0usize); RMAT_BATCH];
         while !edges.is_full() && attempts < max_attempts {
-            attempts += 1;
-            // Each level halves the row and the column range: a draw past
-            // a + b takes the bottom half of the rows, one in [a, a + b)
-            // or past a + b + c the right half of the columns. The two
-            // bits shift in most significant first, so no branch depends
-            // on the draw.
-            let (mut row, mut col) = (0usize, 0usize);
-            for _ in 0..levels {
-                let p = rng.next_f64();
-                let bottom = p >= ab;
-                let right = ((p >= a) & (p < ab)) | (p >= abc);
-                row = (row << 1) | usize::from(bottom);
-                col = (col << 1) | usize::from(right);
-            }
-            if row < nodes && col < nodes {
-                // The scramble is not injective, so distinct cells can
-                // collide on a vertex: `offer` rejects the self-loop.
-                edges.offer(scramble[row], scramble[col]);
+            let batch = (max_attempts - attempts).min(RMAT_BATCH);
+            attempts += batch;
+            let draws = &mut draws[..batch * levels];
+            rng.fill_u64(draws);
+            let cells = &mut cells[..batch];
+            quadrants.cells(draws, levels, cells);
+            for &(row, col) in cells.iter() {
+                if edges.is_full() {
+                    break;
+                }
+                if row < nodes && col < nodes {
+                    // The scramble is not injective, so distinct cells
+                    // can collide on a vertex: `offer` rejects the
+                    // self-loop.
+                    edges.offer(scramble[row], scramble[col]);
+                }
             }
         }
         // Fallback for the case the skewed sampler keeps re-hitting its
         // hot cells.
         edges.fill_uniform(&mut rng, nodes);
-        edges.into_graph(nodes)
+        Ok(edges)
     }
 
     /// Random node features for this shape (deterministic in `seed`).
     pub fn random_features(&self, seed: u64) -> Matrix {
         Prng::new(seed).fill_uniform(self.nodes, self.features, 0.0, 1.0)
+    }
+}
+
+/// Attempts per [`Prng::fill_u64`] batch of the R-MAT sampler.
+const RMAT_BATCH: usize = 16;
+
+/// R-MAT partition probabilities (a, b, c) of the top-left, top-right and
+/// bottom-left quadrants, d = 0.05 the rest: the standard Graph500 skew.
+const GRAPH500: (f64, f64, f64) = (0.57, 0.19, 0.19);
+
+/// R-MAT's quadrant thresholds `a`, `a + b` and `a + b + c` as integers
+/// on the 53-bit grid of [`Prng::next_f64`].
+///
+/// `next_f64` is `(u >> 11)·2⁻⁵³`: an integer `k < 2⁵³` scaled by a power
+/// of two, so exact. For a threshold `t` in `[0, 1]`, `t·2⁵³` is exact
+/// too, and `k·2⁻⁵³ >= t` holds exactly when `k >= ceil(t·2⁵³)`. Each
+/// comparison on `u >> 11` is therefore the `f64` comparison it
+/// replaces.
+struct RmatThresholds {
+    a: u64,
+    ab: u64,
+    abc: u64,
+}
+
+impl RmatThresholds {
+    fn graph500() -> Self {
+        let (a, b, c) = GRAPH500;
+        // The least 53-bit `k` with `k·2⁻⁵³ >= t`.
+        let grid = |t: f64| (t * (1u64 << 53) as f64).ceil() as u64;
+        RmatThresholds {
+            a: grid(a),
+            ab: grid(a + b),
+            abc: grid(a + b + c),
+        }
+    }
+
+    /// The cell one attempt lands on. Each level halves the row and the
+    /// column range: a draw past `a + b` takes the bottom half of the
+    /// rows, one in `[a, a + b)` or past `a + b + c` the right half of
+    /// the columns. The thresholds are ordered, so a draw passes none,
+    /// the first, the first two or all three of them, and the column bit
+    /// is the parity of that count: `c1 ^ c2 ^ c3`. The two bits shift in
+    /// most significant first, so no branch depends on the draw.
+    #[inline]
+    fn cell(&self, draws: &[u64]) -> (usize, usize) {
+        let (mut row, mut col) = (0usize, 0usize);
+        for &u in draws {
+            let k = u >> 11;
+            let (c1, c2, c3) = (k >= self.a, k >= self.ab, k >= self.abc);
+            row = (row << 1) | usize::from(c2);
+            col = (col << 1) | usize::from(c1 ^ c2 ^ c3);
+        }
+        (row, col)
+    }
+
+    /// The cell of each attempt of `draws` (`levels` draws apiece) into
+    /// `cells`. Where the int8 kernels are dispatched
+    /// ([`gemm_i8::simd_active`]: AVX2 present and `PHOX_FORCE_SCALAR`
+    /// not set), each group of four attempts descends in one AVX2
+    /// register, one lane per attempt; [`RmatThresholds::cell`] takes the
+    /// rest, and the whole batch elsewhere. Both give the same cells.
+    fn cells(&self, draws: &[u64], levels: usize, cells: &mut [(usize, usize)]) {
+        #[cfg(target_arch = "x86_64")]
+        let done = if gemm_i8::simd_active() {
+            let done = cells.len() / 4 * 4;
+            // SAFETY: `simd_active` is true only where AVX2 is available.
+            unsafe { x86::cells_avx2(self, &draws[..done * levels], levels, &mut cells[..done]) };
+            done
+        } else {
+            0
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let done = 0;
+        let rest = draws[done * levels..].chunks_exact(levels);
+        for (cell, attempt) in cells[done..].iter_mut().zip(rest) {
+            *cell = self.cell(attempt);
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use core::arch::x86_64::{
+        __m256i, _mm256_cmpgt_epi64, _mm256_set1_epi64x, _mm256_setr_epi64x, _mm256_setzero_si256,
+        _mm256_slli_epi64, _mm256_srli_epi64, _mm256_storeu_si256, _mm256_sub_epi64,
+        _mm256_xor_si256,
+    };
+
+    use super::RmatThresholds;
+
+    /// `k >= t` in each lane as `k > t − 1`, all ones where it holds. A
+    /// signed compare is exact here: `k < 2⁵³` and `t ≤ 2⁵³` are
+    /// non-negative as `i64`, and `t = 0` gives `−1`, below every `k`.
+    #[inline(always)]
+    unsafe fn at_least(k: __m256i, t: u64) -> __m256i {
+        _mm256_cmpgt_epi64(k, _mm256_set1_epi64x(t as i64 - 1))
+    }
+
+    /// AVX2 [`RmatThresholds::cells`] for whole groups of four attempts:
+    /// lane `j` reads attempt `j`'s draws in order and makes
+    /// [`RmatThresholds::cell`]'s comparisons and shifts. A passed
+    /// comparison is all ones (`−1`), so subtracting it shifts in a 1.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn cells_avx2(
+        t: &RmatThresholds,
+        draws: &[u64],
+        levels: usize,
+        cells: &mut [(usize, usize)],
+    ) {
+        for (group, out) in draws
+            .chunks_exact(4 * levels)
+            .zip(cells.chunks_exact_mut(4))
+        {
+            let (d0, rest) = group.split_at(levels);
+            let (d1, rest) = rest.split_at(levels);
+            let (d2, d3) = rest.split_at(levels);
+            let (mut row, mut col) = (_mm256_setzero_si256(), _mm256_setzero_si256());
+            for (((&u0, &u1), &u2), &u3) in d0.iter().zip(d1).zip(d2).zip(d3) {
+                let u = _mm256_setr_epi64x(u0 as i64, u1 as i64, u2 as i64, u3 as i64);
+                let k = _mm256_srli_epi64::<11>(u);
+                let (c1, c2, c3) = (at_least(k, t.a), at_least(k, t.ab), at_least(k, t.abc));
+                row = _mm256_sub_epi64(_mm256_slli_epi64::<1>(row), c2);
+                let right = _mm256_xor_si256(_mm256_xor_si256(c1, c2), c3);
+                col = _mm256_sub_epi64(_mm256_slli_epi64::<1>(col), right);
+            }
+            let (mut rows, mut cols) = ([0u64; 4], [0u64; 4]);
+            // SAFETY: each array holds four `u64`s, one unaligned 32-byte
+            // store apiece.
+            _mm256_storeu_si256(rows.as_mut_ptr().cast(), row);
+            _mm256_storeu_si256(cols.as_mut_ptr().cast(), col);
+            for (cell, (&r, &c)) in out.iter_mut().zip(rows.iter().zip(&cols)) {
+                *cell = (r as usize, c as usize);
+            }
+        }
     }
 }
 
@@ -225,7 +388,7 @@ pub fn power_law(
         // partition_point: first index whose cumulative weight exceeds x.
         cumulative.partition_point(|&c| c <= x).min(nodes - 1) as u32
     };
-    let mut list = DistinctEdges::with_target(edges);
+    let mut list = DistinctEdges::new(edges, nodes);
     let mut attempts = 0usize;
     let max_attempts = edges.saturating_mul(50).max(10_000);
     while !list.is_full() && attempts < max_attempts {
@@ -245,19 +408,20 @@ pub fn power_law(
 ///
 /// [`CsrGraph::from_edges`] merges duplicates, so both generators reject
 /// repeated pairs up front to hit their edge count exactly. The dedup
-/// set is membership-only: it is never iterated, so neither its hasher
-/// nor its layout can reach the output, and determinism holds.
+/// set only answers whether a pair was kept: it is never iterated, so
+/// neither its representation nor its hasher can reach the output, and
+/// determinism holds.
 struct DistinctEdges {
     list: Vec<(u32, u32)>,
-    seen: HashSet<u64, BuildHasherDefault<PairHasher>>,
+    seen: PairSet,
     target: usize,
 }
 
 impl DistinctEdges {
-    fn with_target(target: usize) -> Self {
+    fn new(target: usize, nodes: usize) -> Self {
         DistinctEdges {
             list: Vec::with_capacity(target),
-            seen: HashSet::with_capacity_and_hasher(target, BuildHasherDefault::default()),
+            seen: PairSet::new(nodes, target),
             target,
         }
     }
@@ -267,11 +431,17 @@ impl DistinctEdges {
     }
 
     /// Keeps `src -> dst` unless it is a self-loop or already kept.
+    /// Callers offer only while the list is short of its target, so the
+    /// push never reallocates.
     #[inline]
     fn offer(&mut self, src: u32, dst: u32) {
-        if src != dst && self.seen.insert((u64::from(src) << 32) | u64::from(dst)) {
-            self.list.push((src, dst));
-        }
+        let new = src != dst && self.seen.insert(src, dst);
+        // Push, then drop the pair again unless it is new: no branch
+        // waits on the set's answer, which a skewed sampler cannot
+        // predict.
+        let kept = self.list.len();
+        self.list.push((src, dst));
+        self.list.truncate(kept + usize::from(new));
     }
 
     /// Uniform rejection sampling over `nodes` vertices until the target
@@ -284,8 +454,63 @@ impl DistinctEdges {
         }
     }
 
+    /// Each vertex's count of kept edges into it: its in-degree in
+    /// [`DistinctEdges::into_graph`], whose pairs are already distinct.
+    fn in_degrees(&self, nodes: usize) -> Vec<usize> {
+        let mut degrees = vec![0; nodes];
+        for &(_, dst) in &self.list {
+            degrees[dst as usize] += 1;
+        }
+        degrees
+    }
+
     fn into_graph(self, nodes: usize) -> Result<CsrGraph, TensorError> {
         CsrGraph::from_edges(nodes, &self.list)
+    }
+}
+
+/// Most ordered vertex pairs tracked as one bit each: 2²² bits (512
+/// KiB), a 2048-node graph such as GHOST's lane-balance sample.
+const DENSE_PAIR_BITS: usize = 1 << 22;
+
+/// The pairs a [`DistinctEdges`] has kept, sized by the vertex count: a
+/// bitset over all `nodes²` ordered pairs while it fits in
+/// [`DENSE_PAIR_BITS`], otherwise a hash set keyed `src << 32 | dst`
+/// (large graphs such as a 100k-node `power_law`, whose bitset would be
+/// over a gigabyte).
+enum PairSet {
+    Dense { bits: Vec<u64>, nodes: usize },
+    Hashed(HashSet<u64, BuildHasherDefault<PairHasher>>),
+}
+
+impl PairSet {
+    fn new(nodes: usize, target: usize) -> Self {
+        match nodes.checked_mul(nodes) {
+            Some(pairs) if pairs <= DENSE_PAIR_BITS => PairSet::Dense {
+                bits: vec![0; pairs.div_ceil(64)],
+                nodes,
+            },
+            _ => PairSet::Hashed(HashSet::with_capacity_and_hasher(
+                target,
+                BuildHasherDefault::default(),
+            )),
+        }
+    }
+
+    /// Adds `src -> dst` (both below `nodes`), returning whether it was
+    /// new.
+    #[inline]
+    fn insert(&mut self, src: u32, dst: u32) -> bool {
+        match self {
+            PairSet::Dense { bits, nodes } => {
+                let pair = src as usize * *nodes + dst as usize;
+                let (word, bit) = (&mut bits[pair / 64], 1u64 << (pair % 64));
+                let new = *word & bit == 0;
+                *word |= bit;
+                new
+            }
+            PairSet::Hashed(set) => set.insert((u64::from(src) << 32) | u64::from(dst)),
+        }
     }
 }
 
@@ -537,6 +762,76 @@ mod tests {
         // A complete directed graph is exactly reachable.
         let g = power_law(4, 12, 2.5, 1).unwrap();
         assert_eq!(g.num_edges(), 12);
+    }
+
+    /// The seed whose generator's first `next_u64` is `u`: SplitMix64's
+    /// output mix run backwards, less one state increment.
+    fn seed_drawing(u: u64) -> u64 {
+        // `x ^ (x >> s)` fixes `s` more top bits of `x` per round.
+        let unshift = |y: u64, s: u32| (0..64).fold(y, |x, _| y ^ (x >> s));
+        // An odd multiplier's inverse mod 2⁶⁴ by Newton's iteration: `m`
+        // is its own inverse mod 8, and each round doubles the bits.
+        let inverse = |m: u64| {
+            (0..5).fold(m, |i, _| {
+                i.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(i)))
+            })
+        };
+        let z = unshift(u, 31).wrapping_mul(inverse(0x94D0_49BB_1331_11EB));
+        let z = unshift(z, 27).wrapping_mul(inverse(0xBF58_476D_1CE4_E5B9));
+        unshift(z, 30).wrapping_sub(0x9E37_79B9_7F4A_7C15)
+    }
+
+    #[test]
+    fn integer_thresholds_match_next_f64_comparisons() {
+        let quadrants = RmatThresholds::graph500();
+        let (a, b, c) = GRAPH500;
+        for (t, grid) in [
+            (a, quadrants.a),
+            (a + b, quadrants.ab),
+            (a + b + c, quadrants.abc),
+        ] {
+            for k in (grid - 2..=grid + 2).chain([0, (1 << 53) - 1]) {
+                // `next_f64` drops the low 11 bits, whatever they hold.
+                let u = (k << 11) | 0x5A5;
+                let rng = Prng::new(seed_drawing(u));
+                assert_eq!(rng.clone().next_u64(), u);
+                assert_eq!(
+                    k >= grid,
+                    rng.clone().next_f64() >= t,
+                    "t = {t}, k = {k}, threshold {grid}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn batched_cells_match_the_scalar_descent() {
+        let quadrants = RmatThresholds::graph500();
+        // Draws on either side of each threshold, and at the ends.
+        let edges: Vec<u64> = [quadrants.a, quadrants.ab, quadrants.abc]
+            .iter()
+            .flat_map(|&t| [t << 11, (t << 11) - 1])
+            .chain([0, u64::MAX])
+            .collect();
+        let mut rng = Prng::new(17);
+        for levels in 1..=33 {
+            for batch in 1..=RMAT_BATCH {
+                let mut draws = vec![0; levels * batch];
+                rng.fill_u64(&mut draws);
+                for (i, draw) in draws.iter_mut().enumerate().step_by(3) {
+                    *draw = edges[i % edges.len()];
+                }
+                let mut cells = [(0, 0); RMAT_BATCH];
+                quadrants.cells(&draws, levels, &mut cells[..batch]);
+                for (cell, attempt) in cells[..batch].iter().zip(draws.chunks_exact(levels)) {
+                    assert_eq!(
+                        *cell,
+                        quadrants.cell(attempt),
+                        "levels {levels}, batch {batch}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

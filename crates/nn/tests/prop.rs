@@ -79,7 +79,9 @@ proptest! {
 
     #[test]
     fn rmat_generator_matches_requested_shape(
-        nodes in 16usize..400,
+        // Crosses 2048 nodes, where the pair set turns from a bitset
+        // into a hash set.
+        nodes in 16usize..2_400,
         avg_degree in 1usize..8,
         seed in any::<u64>(),
     ) {
@@ -97,6 +99,8 @@ proptest! {
         for v in 0..nodes {
             prop_assert!(!g.neighbors(v).contains(&(v as u32)));
         }
+        let degrees: Vec<usize> = (0..nodes).map(|v| g.degree(v)).collect();
+        prop_assert_eq!(shape.in_degrees(seed).unwrap(), degrees);
     }
 
     #[test]

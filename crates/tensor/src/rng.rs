@@ -5,6 +5,11 @@
 //! SplitMix64-based generator, so that figures and tests are exactly
 //! reproducible from a seed. We deliberately do not pull `rand` into the
 //! substrate crate; the generators here are sufficient and dependency-free.
+//!
+//! SplitMix64's state is a counter: the `n`-th output is a pure function
+//! of `seed + n·γ`. [`Prng::fill_u64`] uses that to compute a batch of
+//! raw draws four at a time on AVX2 hosts, with the same bits and the
+//! same final state as a [`Prng::next_u64`] loop.
 
 /// Derives an independent child seed from `(seed, stream)`.
 ///
@@ -83,6 +88,47 @@ impl Prng {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// Writes the next `out.len()` outputs of [`Prng::next_u64`] to
+    /// `out`, in order, and leaves the generator where that many calls
+    /// would. The cached normal variate is untouched, as `next_u64`
+    /// leaves it.
+    ///
+    /// Where the int8 kernels are dispatched
+    /// ([`crate::gemm_i8::simd_active`]: AVX2 present and
+    /// `PHOX_FORCE_SCALAR` not set), each group of four draws is computed
+    /// in one AVX2 register straight from its counter value; the rest is
+    /// the `next_u64` loop, which is also the whole fill elsewhere. Both
+    /// give the same bits.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use phox_tensor::Prng;
+    ///
+    /// let (mut a, mut b) = (Prng::new(9), Prng::new(9));
+    /// let mut batch = [0u64; 7];
+    /// a.fill_u64(&mut batch);
+    /// assert!(batch.iter().all(|&u| u == b.next_u64()));
+    /// assert_eq!(a, b);
+    /// ```
+    pub fn fill_u64(&mut self, out: &mut [u64]) {
+        #[cfg(target_arch = "x86_64")]
+        let out = if crate::gemm_i8::simd_active() {
+            let (body, tail) = out.split_at_mut(out.len() / 4 * 4);
+            // SAFETY: `simd_active` is true only where AVX2 is available.
+            unsafe { x86::fill_u64_avx2(self.state, body) };
+            self.state = self
+                .state
+                .wrapping_add(x86::GAMMA.wrapping_mul(body.len() as u64));
+            tail
+        } else {
+            out
+        };
+        for u in out {
+            *u = self.next_u64();
+        }
     }
 
     /// Uniform `f64` in `[0, 1)`.
@@ -176,6 +222,60 @@ impl Prng {
     pub fn xavier(&mut self, fan_in: usize, fan_out: usize) -> crate::Matrix {
         let limit = (6.0 / (fan_in + fan_out).max(1) as f64).sqrt();
         self.fill_uniform(fan_in, fan_out, -limit, limit)
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use core::arch::x86_64::{
+        __m256i, _mm256_add_epi64, _mm256_mul_epu32, _mm256_set1_epi64x, _mm256_setr_epi64x,
+        _mm256_slli_epi64, _mm256_srli_epi64, _mm256_storeu_si256, _mm256_xor_si256,
+    };
+
+    // `Prng::next_u64`'s state increment and its two mix multipliers.
+    pub const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+    const MIX1: u64 = 0xBF58_476D_1CE4_E5B9;
+    const MIX2: u64 = 0x94D0_49BB_1331_11EB;
+
+    /// `x · m` modulo 2⁶⁴ in each lane, from three 32 × 32 → 64-bit
+    /// `vpmuludq`: the low halves' full product plus the two cross
+    /// products shifted up by 32 (the high halves' product lies wholly
+    /// above bit 63).
+    #[inline(always)]
+    unsafe fn mul_u64(x: __m256i, m: u64) -> __m256i {
+        let lo = _mm256_mul_epu32(x, _mm256_set1_epi64x(m as i64));
+        let hi_lo = _mm256_mul_epu32(_mm256_srli_epi64::<32>(x), _mm256_set1_epi64x(m as i64));
+        let lo_hi = _mm256_mul_epu32(x, _mm256_set1_epi64x((m >> 32) as i64));
+        _mm256_add_epi64(lo, _mm256_slli_epi64::<32>(_mm256_add_epi64(hi_lo, lo_hi)))
+    }
+
+    /// `z ^ (z >> S)` in each lane.
+    #[inline(always)]
+    unsafe fn xor_shift<const S: i32>(z: __m256i) -> __m256i {
+        _mm256_xor_si256(z, _mm256_srli_epi64::<S>(z))
+    }
+
+    /// Fills `out` (a multiple of four long) with the SplitMix64 outputs
+    /// that follow `state`: lane `i` of a group holds the counter value
+    /// `state + (i + 1)·γ` and runs `next_u64`'s mix on it, and each group
+    /// steps every lane by `4·γ`.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn fill_u64_avx2(state: u64, out: &mut [u64]) {
+        let lane = |i: u64| state.wrapping_add(GAMMA.wrapping_mul(i)) as i64;
+        let mut s = _mm256_setr_epi64x(lane(1), lane(2), lane(3), lane(4));
+        let step = _mm256_set1_epi64x(GAMMA.wrapping_mul(4) as i64);
+        for group in out.chunks_exact_mut(4) {
+            let z = mul_u64(xor_shift::<30>(s), MIX1);
+            let z = xor_shift::<31>(mul_u64(xor_shift::<27>(z), MIX2));
+            // SAFETY: `group` holds four `u64`s, one unaligned 32-byte
+            // store.
+            _mm256_storeu_si256(group.as_mut_ptr().cast(), z);
+            s = _mm256_add_epi64(s, step);
+        }
     }
 }
 

@@ -6,6 +6,10 @@
 //! `k = 0`, ragged (non-multiple-of-16) inner dimensions, every edge of
 //! the register-blocked microkernel, and subnormal operands.
 //!
+//! The batched `Prng::fill_u64` (a 4-lane AVX2 body where the int8
+//! kernels are dispatched) must equal a `next_u64` loop in its outputs
+//! and in the state it leaves behind.
+//!
 //! CI's `simd-smoke` job runs this suite twice, once per dispatch mode;
 //! each run pins its own mode against the same scalar reference, which
 //! transitively pins the two modes against each other.
@@ -13,7 +17,7 @@
 use proptest::prelude::*;
 
 use phox_tensor::gemm::{self, simd};
-use phox_tensor::{ops, parallel, Matrix};
+use phox_tensor::{ops, parallel, Matrix, Prng};
 
 /// Strategy: an f64 buffer of exactly `len` elements mixing unit-scale
 /// values, exact zeros, huge/tiny magnitudes, and subnormals — the
@@ -152,6 +156,80 @@ fn check_attend(
         );
     }
     Ok(())
+}
+
+/// SplitMix64's state increment: `Prng::next_u64` adds it before each
+/// draw.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// `Prng::fill_u64` of `len` draws from `Prng::new(seed)` (after one
+/// normal draw when `spare`, which caches a Box–Muller variate) against
+/// the `next_u64` loop from the same generator: the outputs, the state
+/// left behind, the cached variate and the draws that follow.
+fn fill_mismatch(seed: u64, len: usize, spare: bool) -> Option<String> {
+    let mut filled = Prng::new(seed);
+    if spare {
+        filled.next_normal();
+    }
+    let mut looped = filled.clone();
+    let cached = filled.clone().next_normal();
+    let mut out = vec![0; len];
+    filled.fill_u64(&mut out);
+    let want: Vec<u64> = (0..len).map(|_| looped.next_u64()).collect();
+    let case = format!("seed {seed:#x}, len {len}, spare {spare}");
+    if out != want {
+        return Some(format!("{case}: the fill differs from the next_u64 loop"));
+    }
+    if filled != looped {
+        return Some(format!("{case}: the fill leaves a different generator"));
+    }
+    if spare && filled.clone().next_normal().to_bits() != cached.to_bits() {
+        return Some(format!("{case}: the fill lost the cached normal"));
+    }
+    for draw in 0..9 {
+        let (a, b) = if draw % 3 == 0 {
+            (
+                filled.next_normal().to_bits(),
+                looped.next_normal().to_bits(),
+            )
+        } else {
+            (filled.next_u64(), looped.next_u64())
+        };
+        if a != b {
+            return Some(format!("{case}: draw {draw} after the fill differs"));
+        }
+    }
+    None
+}
+
+#[test]
+fn fill_u64_equals_the_next_u64_loop_at_every_length() {
+    // Seeds at the ends of the range, and seeds whose counter lands
+    // exactly on zero at draw 1, 4, 5, 33 or 64: the first lane, the
+    // last lane of a group, the first of the next, the scalar tail of a
+    // 33- to 35-long fill, and the last draw of a 64-long one.
+    let mut seeds = vec![0, 1, u64::MAX, u64::MAX - GAMMA];
+    seeds.extend([1u64, 4, 5, 33, 64].map(|j| 0u64.wrapping_sub(GAMMA.wrapping_mul(j))));
+    for seed in seeds {
+        for len in 0..=67 {
+            for spare in [false, true] {
+                let mismatch = fill_mismatch(seed, len, spare);
+                assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
+            }
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn fill_u64_equals_the_next_u64_loop(
+        seed in any::<u64>(),
+        len in 0usize..=67,
+        spare in any::<bool>(),
+    ) {
+        let mismatch = fill_mismatch(seed, len, spare);
+        prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
+    }
 }
 
 proptest! {
