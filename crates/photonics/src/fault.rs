@@ -29,6 +29,7 @@ use crate::noise::NoiseBudget;
 use crate::tuning::HybridTuning;
 use crate::{Ctx, PhotonicError};
 use phox_tensor::Prng;
+use std::collections::BTreeMap;
 
 /// One injected device fault.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -134,41 +135,48 @@ fn check_fault(rows: usize, channels: usize, fault: &DeviceFault) -> Result<(), 
     Ok(())
 }
 
+/// The cell a fault occupies exclusively: a stuck ring or a dead lane.
+/// Drift and droop are additive bank-wide magnitudes and occupy none.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Cell {
+    Mr { row: usize, channel: usize },
+    Lane(usize),
+}
+
+impl Cell {
+    fn of(fault: &DeviceFault) -> Option<Cell> {
+        match *fault {
+            DeviceFault::StuckAtMr { row, channel, .. } => Some(Cell::Mr { row, channel }),
+            DeviceFault::DeadAdcLane { lane } => Some(Cell::Lane(lane)),
+            DeviceFault::ThermalDrift { .. } | DeviceFault::LaserPowerDroop { .. } => None,
+        }
+    }
+
+    fn duplicate(self) -> PhotonicError {
+        match self {
+            Cell::Mr { row, channel } => PhotonicError::DuplicateFault {
+                what: "stuck-MR cell",
+                row,
+                channel,
+            },
+            Cell::Lane(lane) => PhotonicError::DuplicateFault {
+                what: "dead ADC lane",
+                row: lane,
+                channel: 0,
+            },
+        }
+    }
+}
+
 /// Rejects a fault that re-addresses a cell already faulted in
 /// `existing`. Two stuck levels on one ring (or two deaths of one lane)
 /// are contradictory, so they are a typed [`PhotonicError::DuplicateFault`]
-/// instead of a silent last-wins. Drift and droop are additive bank-wide
-/// magnitudes and may repeat.
+/// instead of a silent last-wins. Drift and droop may repeat.
 fn check_conflict(existing: &[DeviceFault], fault: &DeviceFault) -> Result<(), PhotonicError> {
-    match *fault {
-        DeviceFault::StuckAtMr { row, channel, .. } => {
-            let dup = existing.iter().any(|f| {
-                matches!(f, DeviceFault::StuckAtMr { row: r, channel: c, .. }
-                    if *r == row && *c == channel)
-            });
-            if dup {
-                return Err(PhotonicError::DuplicateFault {
-                    what: "stuck-MR cell",
-                    row,
-                    channel,
-                });
-            }
-        }
-        DeviceFault::DeadAdcLane { lane } => {
-            let dup = existing
-                .iter()
-                .any(|f| matches!(f, DeviceFault::DeadAdcLane { lane: l } if *l == lane));
-            if dup {
-                return Err(PhotonicError::DuplicateFault {
-                    what: "dead ADC lane",
-                    row: lane,
-                    channel: 0,
-                });
-            }
-        }
-        DeviceFault::ThermalDrift { .. } | DeviceFault::LaserPowerDroop { .. } => {}
+    match Cell::of(fault) {
+        Some(cell) if existing.iter().any(|f| Cell::of(f) == Some(cell)) => Err(cell.duplicate()),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 /// A set of faults addressed against one bank-array geometry.
@@ -466,13 +474,36 @@ impl ScheduledFault {
 /// is consumed mid-run by the functional simulators
 /// (`advance_to(t_s)` re-resolves the active [`FaultPlan`]) and by the
 /// serving engine's health monitor.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `==` and `{:?}` see the geometry and the events only, not the
+/// per-cell index that insertion checks conflicts against.
+#[derive(Clone)]
 pub struct FaultSchedule {
     /// Rows (waveguides / receiver lanes) per bank array.
     pub array_rows: usize,
     /// Wavelength channels per row.
     pub array_channels: usize,
     events: Vec<ScheduledFault>,
+    /// The `[onset, clear)` windows of the events on each exclusive cell.
+    busy: BTreeMap<Cell, Vec<(f64, f64)>>,
+}
+
+impl PartialEq for FaultSchedule {
+    fn eq(&self, other: &Self) -> bool {
+        self.array_rows == other.array_rows
+            && self.array_channels == other.array_channels
+            && self.events == other.events
+    }
+}
+
+impl std::fmt::Debug for FaultSchedule {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FaultSchedule")
+            .field("array_rows", &self.array_rows)
+            .field("array_channels", &self.array_channels)
+            .field("events", &self.events)
+            .finish()
+    }
 }
 
 impl FaultSchedule {
@@ -484,6 +515,7 @@ impl FaultSchedule {
             array_rows,
             array_channels,
             events: Vec::new(),
+            busy: BTreeMap::new(),
         }
     }
 
@@ -517,14 +549,18 @@ impl FaultSchedule {
         check_fault(self.array_rows, self.array_channels, &event.fault)?;
         // Two *time-overlapping* events on the same cell are as
         // contradictory as two in one plan; the same cell may re-fault
-        // after clearing.
-        let overlapping: Vec<DeviceFault> = self
-            .events
-            .iter()
-            .filter(|e| e.onset_s < event.clear_s && event.onset_s < e.clear_s)
-            .map(|e| e.fault)
-            .collect();
-        check_conflict(&overlapping, &event.fault)?;
+        // after clearing. Only the events on the new fault's own cell
+        // can conflict, so only those are checked.
+        if let Some(cell) = Cell::of(&event.fault) {
+            let windows = self.busy.entry(cell).or_default();
+            if windows
+                .iter()
+                .any(|&(onset_s, clear_s)| onset_s < event.clear_s && event.onset_s < clear_s)
+            {
+                return Err(cell.duplicate());
+            }
+            windows.push((event.onset_s, event.clear_s));
+        }
         let at = self.events.partition_point(|e| e.onset_s <= event.onset_s);
         self.events.insert(at, event);
         Ok(())
@@ -1018,6 +1054,120 @@ mod tests {
         // A different seed reshuffles the timeline.
         let c = FaultSchedule::random(8, 64, 16, 200.0, 0.05, 0.01, 0.25).unwrap();
         assert_ne!(a, c);
+    }
+
+    /// A random event on a 4 × 3 array: onsets and holds on a coarse
+    /// grid (so windows touch, nest and share onsets), some permanent.
+    fn random_event(rng: &mut Prng, grid_onsets: bool) -> ScheduledFault {
+        let onset_s = if grid_onsets {
+            rng.next_index(24) as f64
+        } else {
+            rng.uniform(0.0, 24.0)
+        };
+        let clear_s = match rng.next_index(5) {
+            0 => f64::INFINITY,
+            _ => onset_s + 1.0 + rng.next_index(6) as f64,
+        };
+        let fault = match rng.next_index(4) {
+            0 => DeviceFault::StuckAtMr {
+                row: rng.next_index(4),
+                channel: rng.next_index(3),
+                transmission: 0.5,
+            },
+            1 => DeviceFault::DeadAdcLane {
+                lane: rng.next_index(4),
+            },
+            2 => DeviceFault::ThermalDrift { drift_nm: 0.2 },
+            _ => DeviceFault::LaserPowerDroop { droop_db: 1.0 },
+        };
+        ScheduledFault {
+            onset_s,
+            clear_s,
+            ramp_s: 0.0,
+            fault,
+        }
+    }
+
+    #[test]
+    fn cell_index_decides_like_a_scan_of_every_event() {
+        let same_cell = |a: &DeviceFault, b: &DeviceFault| match (*a, *b) {
+            (
+                DeviceFault::StuckAtMr {
+                    row: r1,
+                    channel: c1,
+                    ..
+                },
+                DeviceFault::StuckAtMr {
+                    row: r2,
+                    channel: c2,
+                    ..
+                },
+            ) => r1 == r2 && c1 == c2,
+            (DeviceFault::DeadAdcLane { lane: a }, DeviceFault::DeadAdcLane { lane: b }) => a == b,
+            _ => false,
+        };
+        for seed in 0..8 {
+            let mut rng = Prng::new(seed);
+            let mut sched = FaultSchedule::new(4, 3);
+            let mut reference: Vec<ScheduledFault> = Vec::new();
+            let (mut accepted, mut rejected) = (0, 0);
+            for _ in 0..400 {
+                let event = random_event(&mut rng, true);
+                let conflict = reference.iter().any(|e| {
+                    e.onset_s < event.clear_s
+                        && event.onset_s < e.clear_s
+                        && same_cell(&e.fault, &event.fault)
+                });
+                match sched.try_add(event) {
+                    Ok(()) => {
+                        assert!(!conflict, "accepted a conflicting {event:?}");
+                        let at = reference.partition_point(|e| e.onset_s <= event.onset_s);
+                        reference.insert(at, event);
+                        accepted += 1;
+                    }
+                    Err(err) => {
+                        assert!(conflict, "rejected a free {event:?}: {err}");
+                        let (what, row, channel) = match event.fault {
+                            DeviceFault::StuckAtMr { row, channel, .. } => {
+                                ("stuck-MR cell", row, channel)
+                            }
+                            DeviceFault::DeadAdcLane { lane } => ("dead ADC lane", lane, 0),
+                            _ => unreachable!("only cells conflict"),
+                        };
+                        assert_eq!(
+                            format!("{err:?}"),
+                            format!("{:?}", PhotonicError::DuplicateFault { what, row, channel })
+                        );
+                        rejected += 1;
+                    }
+                }
+            }
+            assert_eq!(sched.events(), reference.as_slice());
+            assert!(accepted > 50 && rejected > 50, "{accepted} / {rejected}");
+        }
+    }
+
+    #[test]
+    fn equality_and_debug_ignore_insertion_order() {
+        let mut rng = Prng::new(41);
+        let mut forward = FaultSchedule::new(4, 3);
+        let mut accepted = Vec::new();
+        for _ in 0..200 {
+            let event = random_event(&mut rng, false);
+            if forward.try_add(event).is_ok() {
+                accepted.push(event);
+            }
+        }
+        let mut backward = FaultSchedule::new(4, 3);
+        for &event in accepted.iter().rev() {
+            backward.try_add(event).unwrap();
+        }
+        assert_eq!(forward, backward);
+        assert_eq!(format!("{forward:?}"), format!("{backward:?}"));
+        assert_eq!(format!("{forward:#?}"), format!("{backward:#?}"));
+        assert!(format!("{forward:?}").starts_with(
+            "FaultSchedule { array_rows: 4, array_channels: 3, events: [ScheduledFault {"
+        ));
     }
 
     #[test]

@@ -156,6 +156,12 @@ impl NoiseBudget {
     /// Minimum received optical power (W) that sustains `bits` effective
     /// bits, found by bisection over a 60 dB span above sensitivity.
     ///
+    /// The bisection runs at most 200 steps and stops early once its
+    /// bracket is a fixed point, which gives the 200-step result exactly:
+    /// `hi` always supports `bits` and every `lo` but the first has
+    /// failed, so a midpoint equal to `hi`, or to a `lo` that has moved,
+    /// leaves the bracket unchanged for every remaining step.
+    ///
     /// # Errors
     ///
     /// Returns [`PhotonicError::PrecisionUnreachable`] if even the top of
@@ -173,6 +179,9 @@ impl NoiseBudget {
         let (mut lo, mut hi) = (lo0, hi0);
         for _ in 0..200 {
             let mid = (lo * hi).sqrt(); // geometric bisection over decades
+            if mid == hi || (mid == lo && lo != lo0) {
+                break;
+            }
             if self.supports_bits(mid, bits) {
                 hi = mid;
             } else {
@@ -262,6 +271,73 @@ mod tests {
         assert!(p8 > p6);
         // The found power indeed supports the target.
         assert!(nb.supports_bits(p8 * 1.0001, 8));
+    }
+
+    /// The full 200-step bisection `required_power_w` stops early on.
+    fn required_power_200_steps(nb: &NoiseBudget, bits: u32) -> Result<f64, PhotonicError> {
+        let lo0 = nb.detector.sensitivity_w();
+        let hi0 = lo0 * 1e6;
+        if !nb.supports_bits(hi0, bits) {
+            let top = nb.evaluate(hi0).map(|r| r.enob).unwrap_or(0.0);
+            return Err(PhotonicError::PrecisionUnreachable {
+                target_bits: bits,
+                achieved_bits: top,
+            });
+        }
+        let (mut lo, mut hi) = (lo0, hi0);
+        for _ in 0..200 {
+            let mid = (lo * hi).sqrt();
+            if nb.supports_bits(mid, bits) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        Ok(hi)
+    }
+
+    #[test]
+    fn early_exit_bisection_equals_the_200_step_loop() {
+        // TRON's and GHOST's default budget, the residual-crosstalk
+        // budgets the design-space sweep provisions (one of them past
+        // reach at high bit counts), a detector behind 3 dB of laser
+        // droop, and a hot low-impedance front end.
+        let default = NoiseBudget::default();
+        let budgets = [
+            default,
+            NoiseBudget {
+                crosstalk_ratio: 1e-3,
+                ..default
+            },
+            NoiseBudget {
+                crosstalk_ratio: 0.05,
+                ..default
+            },
+            NoiseBudget {
+                detector: Photodetector {
+                    responsivity_a_per_w: default.detector.responsivity_a_per_w
+                        * crate::constants::db_to_ratio(-3.0),
+                    ..default.detector
+                },
+                ..default
+            },
+            NoiseBudget {
+                load_ohms: 50.0,
+                temperature_k: 350.0,
+                ..default
+            },
+        ];
+        for nb in budgets {
+            for bits in 1..=16 {
+                let got = nb.required_power_w(bits).map(f64::to_bits);
+                let want = required_power_200_steps(&nb, bits).map(f64::to_bits);
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "{bits} bits on {nb:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -205,6 +205,10 @@ impl ServeEngine {
     /// `Degrade` policy pauses through detected finite fatal windows
     /// and serves known-degraded periods in a slower remapped mode.
     ///
+    /// Under an installed trace the run records samples, marks and
+    /// window spans as it goes, and its `serve/*` counters once, at the
+    /// end, from its totals.
+    ///
     /// # Errors
     ///
     /// Propagates arrival-generation failures and reports a
@@ -272,7 +276,6 @@ impl ServeEngine {
                         let state = &mut states[ev.class];
                         if state.queue.len() >= cfg.queue_capacity {
                             state.rejected += 1;
-                            trace_handle.count("serve", "rejected", 1);
                         } else {
                             state.queue.push_back(QueuedRequest {
                                 arrive_s: ev.arrive_s,
@@ -280,7 +283,6 @@ impl ServeEngine {
                                 attempts: 0,
                             });
                             state.admitted += 1;
-                            trace_handle.count("serve", "admitted", 1);
                         }
                         *next += 1;
                         changed = true;
@@ -293,7 +295,6 @@ impl ServeEngine {
                         if state.queue.len() >= cfg.queue_capacity {
                             // No room to retry into: the request drops.
                             state.dropped += 1;
-                            trace_handle.count("serve", "dropped", 1);
                         } else {
                             state.queue.push_back(QueuedRequest {
                                 arrive_s: entry.arrive_s,
@@ -361,7 +362,6 @@ impl ServeEngine {
                     if dispatch_s - front.enqueued_s > deadline_s {
                         state.queue.pop_front();
                         state.timed_out += 1;
-                        trace_handle.count("serve", "timed_out", 1);
                     } else {
                         break;
                     }
@@ -385,7 +385,6 @@ impl ServeEngine {
                     dispatch_s += ctx.probe.latency_s;
                     known = ctx.timeline.state_at(dispatch_s);
                     next_probe_s = dispatch_s + ctx.probe.interval_s;
-                    trace_handle.count("serve", "probes", 1);
                     if trace_handle.is_enabled() {
                         trace_handle.mark(
                             "serve",
@@ -464,7 +463,6 @@ impl ServeEngine {
                 // are spent. Occupants retry (with exponential backoff)
                 // or drop, per the policy.
                 failed_windows += 1;
-                trace_handle.count("serve", "failed_windows", 1);
                 for _ in 0..occupancy {
                     let Some(req) = state.queue.pop_front() else {
                         return Err(dry_queue_error(&self.classes[class].name, occupancy));
@@ -488,12 +486,8 @@ impl ServeEngine {
                                 },
                             );
                             state.retried += 1;
-                            trace_handle.count("serve", "retried", 1);
                         }
-                        _ => {
-                            state.dropped += 1;
-                            trace_handle.count("serve", "dropped", 1);
-                        }
+                        _ => state.dropped += 1,
                     }
                 }
                 if trace_handle.is_enabled() {
@@ -516,16 +510,13 @@ impl ServeEngine {
                 }
                 if serve_degraded {
                     state.degraded += occupancy as u64;
-                    trace_handle.count("serve", "degraded", occupancy as i64);
                 }
-                trace_handle.count("serve", "completed", occupancy as i64);
             }
             state.energy_j += window_energy_j;
             state.occupancy_sum += occupancy as u64;
             state.windows += 1;
             server_free_s = done_s;
             makespan_s = makespan_s.max(done_s);
-            trace_handle.count("serve", "windows", 1);
             if trace_handle.is_enabled() {
                 trace_handle.sample(
                     "serve",
@@ -548,6 +539,7 @@ impl ServeEngine {
             }
         }
 
+        emit_counters(&trace_handle, &states, probes, failed_windows);
         self.finish(
             &arrivals,
             states,
@@ -686,6 +678,32 @@ impl ServeEngine {
             makespan_s,
             classes,
         })
+    }
+}
+
+/// Emits each `serve/*` counter once per run, from the run's totals.
+/// A zero total emits nothing: a counter appears only when what it
+/// counts happened, so a run without faults records no fault counters.
+fn emit_counters(trace: &trace::Trace, states: &[ClassState], probes: u64, failed_windows: u64) {
+    if !trace.is_enabled() {
+        return;
+    }
+    let total = |field: fn(&ClassState) -> u64| states.iter().map(field).sum::<u64>();
+    for (name, value) in [
+        ("admitted", total(|s| s.admitted)),
+        ("rejected", total(|s| s.rejected)),
+        ("completed", total(|s| s.completed)),
+        ("dropped", total(|s| s.dropped)),
+        ("timed_out", total(|s| s.timed_out)),
+        ("retried", total(|s| s.retried)),
+        ("degraded", total(|s| s.degraded)),
+        ("windows", total(|s| s.windows)),
+        ("probes", probes),
+        ("failed_windows", failed_windows),
+    ] {
+        if value != 0 {
+            trace.count("serve", name, value as i64);
+        }
     }
 }
 
@@ -1061,6 +1079,101 @@ mod tests {
             report.completed + report.dropped + report.timed_out,
             report.admitted
         );
+    }
+
+    /// Every `serve/*` counter equals the report's total, and a zero
+    /// total leaves no counter behind.
+    fn assert_counters_match(trace: &phox_trace::Trace, report: &ServeReport) {
+        use phox_trace::CounterValue;
+        let totals = [
+            ("admitted", report.admitted),
+            ("rejected", report.rejected),
+            ("completed", report.completed),
+            ("dropped", report.dropped),
+            ("timed_out", report.timed_out),
+            ("retried", report.retried),
+            ("degraded", report.degraded),
+            ("windows", report.windows),
+            ("probes", report.probes),
+            ("failed_windows", report.failed_windows),
+        ];
+        let counters = trace.counters();
+        for (name, total) in totals {
+            let got = counters
+                .iter()
+                .find(|(t, n, _)| t == "serve" && n == name)
+                .map(|(_, _, v)| *v);
+            let want = (total != 0).then_some(CounterValue::Int(total as i64));
+            assert_eq!(got, want, "serve/{name}");
+        }
+        let serve = counters.iter().filter(|(t, _, _)| t == "serve").count();
+        assert_eq!(serve, totals.iter().filter(|(_, v)| *v != 0).count());
+    }
+
+    #[test]
+    fn counters_equal_the_report_totals() {
+        // An outage the policy pauses through, then a permanent
+        // degradation, with deadlines and a small queue: every outcome a
+        // counter names occurs.
+        let timeline = crate::health::HazardTimeline::from_hazards(vec![
+            crate::health::Hazard {
+                onset_s: 0.0,
+                clear_s: 5e-3,
+                severity: crate::health::Severity::Fatal,
+            },
+            crate::health::Hazard {
+                onset_s: 8e-3,
+                clear_s: f64::INFINITY,
+                severity: crate::health::Severity::Degraded {
+                    marginal_slowdown: 2.0,
+                    extra_leakage_w: 0.1,
+                },
+            },
+        ])
+        .unwrap();
+        let ctx = crate::health::FaultContext::new(
+            timeline,
+            crate::health::RecoveryPolicy::Degrade {
+                max_retries: 1,
+                base_backoff_s: 250e-6,
+                recalibration_s: 500e-6,
+                fallback_slowdown: 2.0,
+            },
+            crate::health::ProbeConfig::default(),
+        )
+        .unwrap();
+        let config = ServeConfig {
+            arrival_rate_hz: 20_000.0,
+            duration_s: 0.02,
+            queue_capacity: 8,
+            ..ServeConfig::default()
+        };
+        let class = synthetic_class(1.0).with_deadline(2e-3).unwrap();
+        let engine = ServeEngine::with_faults(config, vec![class.clone()], ctx).unwrap();
+        let trace = phox_trace::Trace::new();
+        let report = phox_trace::with_installed(trace.clone(), || engine.run().unwrap());
+        for (name, total) in [
+            ("rejected", report.rejected),
+            ("dropped", report.dropped),
+            ("timed_out", report.timed_out),
+            ("retried", report.retried),
+            ("degraded", report.degraded),
+            ("failed_windows", report.failed_windows),
+        ] {
+            assert!(
+                total > 0,
+                "the run must produce {name}: {}",
+                report.to_json()
+            );
+        }
+        assert_counters_match(&trace, &report);
+
+        // A fault-free run leaves the fault counters out entirely.
+        let plain = ServeEngine::new(config, vec![class]).unwrap();
+        let trace = phox_trace::Trace::new();
+        let report = phox_trace::with_installed(trace.clone(), || plain.run().unwrap());
+        assert_eq!(report.probes + report.failed_windows + report.retried, 0);
+        assert_counters_match(&trace, &report);
     }
 
     #[test]

@@ -251,17 +251,132 @@ impl HazardState {
 /// judged at their peak, which is deliberately conservative: the
 /// serving layer treats a fault that *will* become fatal as fatal from
 /// onset.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The timeline is piecewise constant between its hazards' onsets and
+/// clears, so its constructors index it once: the sorted, distinct onset
+/// and clear times (the *breaks*), and the state and fatal clear time
+/// of each segment between consecutive breaks. A lookup is then one
+/// binary search. `==` and `{:?}` see only the hazards.
+#[derive(Clone)]
 pub struct HazardTimeline {
     hazards: Vec<Hazard>,
+    breaks: Vec<f64>,
+    segments: Vec<Segment>,
+}
+
+/// The timeline's value on `[breaks[i], breaks[i + 1])`.
+#[derive(Clone, Copy)]
+struct Segment {
+    state: HazardState,
+    fatal_clear_s: Option<f64>,
+}
+
+impl PartialEq for HazardTimeline {
+    fn eq(&self, other: &Self) -> bool {
+        self.hazards == other.hazards
+    }
+}
+
+impl std::fmt::Debug for HazardTimeline {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HazardTimeline")
+            .field("hazards", &self.hazards)
+            .finish()
+    }
 }
 
 impl HazardTimeline {
+    /// Indexes `hazards` (in list order) into a timeline.
+    ///
+    /// Every onset and every clear is a break, so the set of active
+    /// hazards is constant within a segment: the one at its first break.
+    /// One sweep over the breaks keeps that set (as list indices, in
+    /// list order) and folds each segment over it exactly as a scan of
+    /// the list would. Fatal is an OR, slowdowns multiply and leakages
+    /// add in list order, and fatal clears combine by `max`.
+    fn new(hazards: Vec<Hazard>) -> HazardTimeline {
+        let mut breaks: Vec<f64> = hazards
+            .iter()
+            .flat_map(|h| [h.onset_s, h.clear_s])
+            .filter(|t| !t.is_nan())
+            .collect();
+        breaks.sort_by(f64::total_cmp);
+        // `==`, not bits: ±0 are one break, as `<=` sees them.
+        breaks.dedup_by(|a, b| a == b);
+        // A hazard with a NaN bound is never active.
+        let mut by_onset: Vec<usize> = (0..hazards.len())
+            .filter(|&i| !hazards[i].onset_s.is_nan() && !hazards[i].clear_s.is_nan())
+            .collect();
+        by_onset.sort_by(|&a, &b| hazards[a].onset_s.total_cmp(&hazards[b].onset_s));
+        let mut by_clear = by_onset.clone();
+        by_clear.sort_by(|&a, &b| hazards[a].clear_s.total_cmp(&hazards[b].clear_s));
+        let (mut next_onset, mut next_clear) = (0, 0);
+        let mut active: Vec<usize> = Vec::new();
+        let mut segments = Vec::with_capacity(breaks.len());
+        for &b in &breaks {
+            // A hazard's clear is a later break than its onset, so it
+            // joins the set at its onset and leaves it at its clear.
+            while let Some(&i) = by_clear
+                .get(next_clear)
+                .filter(|&&i| hazards[i].clear_s <= b)
+            {
+                if let Ok(at) = active.binary_search(&i) {
+                    active.remove(at);
+                }
+                next_clear += 1;
+            }
+            while let Some(&i) = by_onset
+                .get(next_onset)
+                .filter(|&&i| hazards[i].onset_s <= b)
+            {
+                if let Err(at) = active.binary_search(&i) {
+                    active.insert(at, i);
+                }
+                next_onset += 1;
+            }
+            let mut segment = Segment {
+                state: HazardState::NOMINAL,
+                fatal_clear_s: None,
+            };
+            for h in active.iter().map(|&i| &hazards[i]) {
+                match h.severity {
+                    Severity::Fatal => {
+                        segment.state.fatal = true;
+                        segment.fatal_clear_s = Some(
+                            segment
+                                .fatal_clear_s
+                                .map_or(h.clear_s, |c| c.max(h.clear_s)),
+                        );
+                    }
+                    Severity::Degraded {
+                        marginal_slowdown,
+                        extra_leakage_w,
+                    } => {
+                        segment.state.marginal_slowdown *= marginal_slowdown;
+                        segment.state.extra_leakage_w += extra_leakage_w;
+                    }
+                }
+            }
+            segments.push(segment);
+        }
+        HazardTimeline {
+            hazards,
+            breaks,
+            segments,
+        }
+    }
+
+    /// The segment holding `t_s`: the last break at or before it. `None`
+    /// before the first break and for a NaN time, where no hazard is
+    /// active.
+    fn segment(&self, t_s: f64) -> Option<&Segment> {
+        let after = self.breaks.partition_point(|&b| b <= t_s);
+        after.checked_sub(1).map(|i| &self.segments[i])
+    }
+
     /// The empty timeline: no hazards, ever.
     pub fn empty() -> HazardTimeline {
-        HazardTimeline {
-            hazards: Vec::new(),
-        }
+        HazardTimeline::new(Vec::new())
     }
 
     /// Whether the timeline carries no hazards.
@@ -320,7 +435,7 @@ impl HazardTimeline {
             }
         }
         hazards.sort_by(|a, b| a.onset_s.total_cmp(&b.onset_s));
-        Ok(HazardTimeline { hazards })
+        Ok(HazardTimeline::new(hazards))
     }
 
     /// Resolves `schedule` against the TRON transformer accelerator's
@@ -406,40 +521,22 @@ impl HazardTimeline {
                 severity,
             });
         }
-        Ok(HazardTimeline { hazards })
+        Ok(HazardTimeline::new(hazards))
     }
 
     /// The combined device state at model time `t_s`: fatal if any
     /// fatal hazard is active; degraded slowdowns multiply and standing
-    /// powers sum.
+    /// powers sum, in list order. One binary search over the breaks.
     pub fn state_at(&self, t_s: f64) -> HazardState {
-        let mut state = HazardState::NOMINAL;
-        for h in &self.hazards {
-            if h.onset_s <= t_s && t_s < h.clear_s {
-                match h.severity {
-                    Severity::Fatal => state.fatal = true,
-                    Severity::Degraded {
-                        marginal_slowdown,
-                        extra_leakage_w,
-                    } => {
-                        state.marginal_slowdown *= marginal_slowdown;
-                        state.extra_leakage_w += extra_leakage_w;
-                    }
-                }
-            }
-        }
-        state
+        self.segment(t_s)
+            .map_or(HazardState::NOMINAL, |segment| segment.state)
     }
 
     /// When the last fatal hazard active at `t_s` clears — `None` if no
     /// fatal hazard is active, `Some(f64::INFINITY)` if one is
-    /// permanent.
+    /// permanent. One binary search over the breaks.
     pub fn fatal_clear_after(&self, t_s: f64) -> Option<f64> {
-        self.hazards
-            .iter()
-            .filter(|h| h.severity == Severity::Fatal && h.onset_s <= t_s && t_s < h.clear_s)
-            .map(|h| h.clear_s)
-            .fold(None, |acc, c| Some(acc.map_or(c, |a: f64| a.max(c))))
+        self.segment(t_s).and_then(|segment| segment.fatal_clear_s)
     }
 }
 

@@ -3,17 +3,19 @@
 
 use phox_trace::json::{json_number, json_string};
 
-/// Nearest-rank percentile of a latency population. Sorts a copy with
-/// `total_cmp`, so the result is deterministic for any input order.
-/// Returns 0.0 for an empty population.
+/// Nearest-rank percentile of a latency population: the element of
+/// rank `ceil(p/100 · n)` in `total_cmp` order, selected from a copy in
+/// O(n). `total_cmp` is a total order whose ties are bit-equal, so the
+/// result is the sorted element's bits for any input order. Returns 0.0
+/// for an empty population.
 pub(crate) fn percentile_s(values: &[f64], p: f64) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
+    let mut copy = values.to_vec();
+    let rank = ((p / 100.0) * copy.len() as f64).ceil() as usize;
+    let index = rank.saturating_sub(1).min(copy.len() - 1);
+    *copy.select_nth_unstable_by(index, f64::total_cmp).1
 }
 
 /// Per-class steady-state statistics.
@@ -177,6 +179,39 @@ mod tests {
         assert_eq!(percentile_s(&v, 100.0), 5.0);
         assert_eq!(percentile_s(&[], 50.0), 0.0);
         assert_eq!(percentile_s(&[7.0], 50.0), 7.0);
+    }
+
+    /// The definition `percentile_s` selects by: sort, then index.
+    fn sorted_percentile(values: &[f64], p: f64) -> f64 {
+        let mut sorted = values.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+        sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
+    }
+
+    #[test]
+    fn selection_equals_the_sort_definition() {
+        let mut rng = phox_tensor::Prng::new(0x9e1);
+        // Duplicates, both zeros and a spread of magnitudes.
+        let palette = [0.0, -0.0, 1e-3, 1e-3, 2.5e-3, 7e-6, 7e-6, 40e-3];
+        for n in 1..=70 {
+            for trial in 0..4 {
+                let values: Vec<f64> = (0..n)
+                    .map(|_| match trial {
+                        0 => palette[rng.next_index(palette.len())],
+                        1 => palette[rng.next_index(3)],
+                        _ => rng.uniform(0.0, 50e-3),
+                    })
+                    .collect();
+                for p in [0.0, 1.0, 50.0, 99.0, 100.0] {
+                    assert_eq!(
+                        percentile_s(&values, p).to_bits(),
+                        sorted_percentile(&values, p).to_bits(),
+                        "n {n}, trial {trial}, p {p}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
