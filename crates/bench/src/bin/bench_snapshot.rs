@@ -9,11 +9,14 @@
 //!   output). The same pair is timed at every f64 GEMM shape the
 //!   benchmark workloads run, with GMAC/s and a
 //!   `matches_dot_kernel_bitwise` verdict.
-//! * **sparse** (`BENCH_2.json`): CSR aggregation vs the retired per-node
-//!   dense-stack path on a Cora-class R-MAT graph and a 100k-node /
-//!   1M-edge synthetic power-law graph. The acceptance gate for the
-//!   sparse compute-path PR is ≥5× on the Cora-class graph and a
-//!   completed large-graph run.
+//! * **sparse** (`BENCH_2.json`): the register-resident f64 row kernel
+//!   behind `sparse::aggregate_into` and `sparse::spmm_into` against the
+//!   per-member axpy loop it replaced (kept as a private copy), on one
+//!   thread, interleaved: GCN's mean-with-self, a sum and a weighted
+//!   SpMM at the GCN's widths 32 and 16 on a 100k-node / 1M-edge
+//!   power-law graph and at width 1,433 on a Cora-class R-MAT graph,
+//!   with a `matches_axpy_kernel_bitwise` verdict per row. A failed
+//!   verdict exits non-zero after writing the snapshot.
 //! * **int8** (`BENCH_3.json`): the register-blocked int8 GEMM
 //!   microkernel (`i8 x i8 -> i32`) against the per-output dot kernel it
 //!   replaced and today's f64 microkernel, single-threaded and
@@ -57,12 +60,12 @@
 //! writes result-bit digests, so CI can run it under both dispatch
 //! modes (`PHOX_FORCE_SCALAR=1` vs AVX2) and byte-diff the outputs.
 //!
-//! The gemm and sparse modes additionally measure the dispatched kernel
-//! against a forced-scalar blocked reference and record
-//! `simd_speedup` / `simd_bit_identical` verdicts in-run; a bit-identity
-//! failure (or, for gemm with SIMD active, a regression below the
-//! scalar kernel) exits non-zero after writing the snapshot. The
-//! `speedup_vs_dot_kernel` ratios are recorded, not gated.
+//! The gemm mode additionally measures the dispatched kernel against a
+//! forced-scalar blocked reference and records `simd_speedup` /
+//! `simd_bit_identical` verdicts in-run; a bit-identity failure (or,
+//! with SIMD active, a regression below the scalar kernel) exits
+//! non-zero after writing the snapshot. The `speedup_vs_dot_kernel` and
+//! `speedup_vs_axpy_kernel` ratios are recorded, not gated.
 //!
 //! Usage: `bench_snapshot [gemm|sparse|int8|decode|serve|faults|digest|all]
 //! [OUTPUT.json]`
@@ -75,7 +78,7 @@ use std::time::Instant;
 
 use phox_core::nn::datasets::{power_law, GraphShape};
 use phox_core::nn::decode::KvCache;
-use phox_core::nn::gnn::{Aggregation, CsrGraph, GnnConfig, GnnKind, GnnModel};
+use phox_core::nn::gnn::{Aggregation, GnnConfig, GnnKind, GnnModel};
 use phox_core::nn::transformer::{
     FfActivation, TransformerConfig, TransformerKind, TransformerModel,
 };
@@ -200,29 +203,6 @@ fn matmul_dot_kernel(a: &Matrix, b: &Matrix) -> Matrix {
         }
     }
     out
-}
-
-/// SpMM with the accumulation pinned to the scalar axpy reference:
-/// same CSR member order and same per-row clear as
-/// [`sparse::spmm_into`], no SIMD. Writes into a caller-owned buffer
-/// so the timed pair compares kernels, not allocators.
-fn spmm_scalar_into(a: &sparse::CsrView<'_>, x: &Matrix, out: &mut Matrix) {
-    for r in 0..a.rows() {
-        let slot = out.row_mut(r);
-        slot.fill(0.0);
-        match a.row_values(r) {
-            Some(vals) => {
-                for (&u, &w) in a.row_indices(r).iter().zip(vals) {
-                    gemm::simd::axpy_scalar(slot, w, x.row(u as usize));
-                }
-            }
-            None => {
-                for &u in a.row_indices(r) {
-                    gemm::simd::axpy_unit_scalar(slot, x.row(u as usize));
-                }
-            }
-        }
-    }
 }
 
 /// The production microkernel against the kernel it replaced at one
@@ -463,173 +443,258 @@ fn run_gemm(out_path: &str) {
     }
 }
 
-struct GraphReport {
-    name: &'static str,
+/// The per-member sparse loop the row kernel replaced, kept here (the
+/// library no longer carries it) as BENCH_2's honest baseline: each
+/// output row cleared in place, then one dispatched axpy per member —
+/// `o[j] += x[j]` unweighted, `o[j] += w · x[j]` weighted — loading and
+/// storing the output row each time; a mean divides the row afterwards.
+/// Where the f64 kernels run scalar (`PHOX_FORCE_SCALAR=1` or no
+/// AVX2+FMA) it runs the scalar loops such a host ran before.
+mod axpy_kernel {
+    use phox_core::tensor::gemm::simd;
+    use phox_core::tensor::sparse::{CsrView, ROW_TILE};
+    use phox_core::tensor::{parallel, Matrix};
+
+    /// `out = a · x`, as the replaced `sparse::spmm_into` computed it.
+    pub fn spmm_into(a: &CsrView<'_>, x: &Matrix, out: &mut Matrix) {
+        let f = x.cols();
+        parallel::par_chunks_mut(out.as_mut_slice(), ROW_TILE * f, |tile, chunk| {
+            for (r, slot) in (tile * ROW_TILE..).zip(chunk.chunks_mut(f)) {
+                slot.fill(0.0);
+                match a.row_values(r) {
+                    Some(vals) => {
+                        for (&u, &w) in a.row_indices(r).iter().zip(vals) {
+                            simd::axpy(slot, w, x.row(u as usize));
+                        }
+                    }
+                    None => {
+                        for &u in a.row_indices(r) {
+                            axpy_unit(slot, x.row(u as usize));
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    /// Sum (or mean) aggregation, as the replaced
+    /// `sparse::aggregate_into` computed it.
+    pub fn aggregate_into(
+        a: &CsrView<'_>,
+        x: &Matrix,
+        mean: bool,
+        include_self: bool,
+        out: &mut Matrix,
+    ) {
+        let f = x.cols();
+        parallel::par_chunks_mut(out.as_mut_slice(), ROW_TILE * f, |tile, chunk| {
+            for (r, slot) in (tile * ROW_TILE..).zip(chunk.chunks_mut(f)) {
+                let neigh = a.row_indices(r);
+                slot.fill(0.0);
+                if include_self {
+                    axpy_unit(slot, x.row(r));
+                }
+                for &u in neigh {
+                    axpy_unit(slot, x.row(u as usize));
+                }
+                if mean {
+                    let denom = (neigh.len() + usize::from(include_self)).max(1) as f64;
+                    for s in slot.iter_mut() {
+                        *s /= denom;
+                    }
+                }
+            }
+        });
+    }
+
+    /// The replaced `simd::axpy_unit`: `out[j] += b[j]`.
+    fn axpy_unit(out: &mut [f64], b: &[f64]) {
+        #[cfg(target_arch = "x86_64")]
+        if simd::simd_active() {
+            // SAFETY: `simd_active` is true only where AVX2 is available.
+            unsafe { axpy_unit_avx2(out, b) };
+            return;
+        }
+        for (o, &v) in out.iter_mut().zip(b) {
+            *o += v;
+        }
+    }
+
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn axpy_unit_avx2(out: &mut [f64], b: &[f64]) {
+        use core::arch::x86_64::{_mm256_add_pd, _mm256_loadu_pd, _mm256_storeu_pd};
+        let n = out.len().min(b.len());
+        let (op, bp) = (out.as_mut_ptr(), b.as_ptr());
+        let mut j = 0usize;
+        while j + 4 <= n {
+            let o = _mm256_loadu_pd(op.add(j));
+            let v = _mm256_loadu_pd(bp.add(j));
+            _mm256_storeu_pd(op.add(j), _mm256_add_pd(o, v));
+            j += 4;
+        }
+        while j < n {
+            *op.add(j) += *bp.add(j);
+            j += 1;
+        }
+    }
+}
+
+/// The row kernel against the per-member axpy loop at one operation,
+/// timed interleaved.
+struct SparseRow {
+    graph: &'static str,
     nodes: usize,
     edges: usize,
     features: usize,
-    dense_stack_s: f64,
-    sparse_s: f64,
-    spmm_s: f64,
-    spmm_scalar_s: f64,
-    simd_bit_identical: bool,
+    op: &'static str,
+    kernel_s: f64,
+    axpy_kernel_s: f64,
+    bitwise: bool,
 }
 
-impl GraphReport {
+impl SparseRow {
     fn speedup(&self) -> f64 {
-        self.dense_stack_s / self.sparse_s
-    }
-
-    /// Dispatched (SIMD when available) SpMM vs the forced-scalar
-    /// accumulation reference.
-    fn simd_speedup(&self) -> f64 {
-        self.spmm_scalar_s / self.spmm_s
+        self.axpy_kernel_s / self.kernel_s
     }
 
     fn to_json(&self) -> String {
         format!(
             concat!(
                 "    {{\n",
-                "      \"name\": \"{}\",\n",
+                "      \"graph\": \"{}\",\n",
                 "      \"nodes\": {},\n",
                 "      \"edges\": {},\n",
                 "      \"features\": {},\n",
-                "      \"dense_stack_s\": {},\n",
-                "      \"sparse_s\": {},\n",
-                "      \"spmm_s\": {},\n",
-                "      \"spmm_scalar_s\": {},\n",
-                "      \"speedup\": {},\n",
-                "      \"simd_speedup\": {},\n",
-                "      \"simd_bit_identical\": {}\n",
+                "      \"op\": \"{}\",\n",
+                "      \"kernel_s\": {},\n",
+                "      \"axpy_kernel_s\": {},\n",
+                "      \"speedup_vs_axpy_kernel\": {},\n",
+                "      \"matches_axpy_kernel_bitwise\": {}\n",
                 "    }}"
             ),
-            self.name,
+            self.graph,
             self.nodes,
             self.edges,
             self.features,
-            json_number(self.dense_stack_s),
-            json_number(self.sparse_s),
-            json_number(self.spmm_s),
-            json_number(self.spmm_scalar_s),
+            self.op,
+            json_number(self.kernel_s),
+            json_number(self.axpy_kernel_s),
             json_number(self.speedup()),
-            json_number(self.simd_speedup()),
-            self.simd_bit_identical,
+            self.bitwise,
         )
     }
 }
 
-fn measure_graph(
-    name: &'static str,
-    graph: &CsrGraph,
-    features: usize,
-    dense_reps: usize,
-    sparse_reps: usize,
-) -> GraphReport {
-    // GCN's aggregation op: mean over neighbours plus the vertex itself.
-    let x = Prng::new(11).fill_normal(graph.num_nodes(), features, 0.0, 1.0);
-    let model = GnnModel::random(GnnConfig::two_layer(GnnKind::Gcn, features, 8, 2), 12)
-        .expect("valid benchmark model");
-    let dense_stack_s = time_median(dense_reps, || {
-        model.aggregate_dense_stack(graph, &x, Aggregation::Mean, true)
-    });
-    let sparse_s = time_median(sparse_reps, || {
-        model.aggregate(graph, &x, Aggregation::Mean, true)
-    });
-    let mut spmm_out = Matrix::zeros(graph.num_nodes(), features);
-    let mut scalar_out = Matrix::zeros(graph.num_nodes(), features);
-    let [spmm_s, spmm_scalar_s] = {
-        let view = graph.csr_view();
-        time_medians(
-            sparse_reps,
-            [
-                &mut || {
-                    sparse::spmm_into(&view, &x, &mut spmm_out).expect("spmm operands agree");
-                    spmm_out.get(0, 0)
-                },
-                &mut || {
-                    spmm_scalar_into(&view, &x, &mut scalar_out);
-                    scalar_out.get(0, 0)
-                },
-            ],
-            |v| *v,
-        )
-    };
-    let simd_bit_identical = spmm_out == scalar_out;
-    GraphReport {
-        name,
-        nodes: graph.num_nodes(),
-        edges: graph.num_edges(),
-        features,
-        dense_stack_s,
-        sparse_s,
-        spmm_s,
-        spmm_scalar_s,
-        simd_bit_identical,
-    }
-}
+/// A sparse operation into a preallocated output.
+type SparseCall<'a> = Box<dyn Fn(&mut Matrix) + 'a>;
 
 fn run_sparse(out_path: &str) {
+    use sparse::SparseReduce::{Mean, Sum};
+
     eprintln!("bench_snapshot: generating Cora-class R-MAT graph...");
     let cora = GraphShape::cora()
         .instantiate(21)
         .expect("Cora-class instantiation");
     eprintln!("bench_snapshot: generating 100k-node / 1M-edge power-law graph...");
     let large = power_law(100_000, 1_000_000, 2.2, 22).expect("power-law instantiation");
-    let mut reports = Vec::new();
-    for (name, graph, features, dense_reps, sparse_reps) in [
-        ("cora_class_rmat", &cora, 1_433usize, 5usize, 9usize),
-        ("power_law_100k", &large, 64, 3, 5),
-    ] {
-        eprintln!("bench_snapshot: measuring {name}...");
-        let r = measure_graph(name, graph, features, dense_reps, sparse_reps);
-        eprintln!(
-            "bench_snapshot: {name}: dense_stack {:.4}s sparse {:.4}s ({:.2}x) spmm {:.4}s scalar {:.4}s ({:.2}x) bit_identical={}",
-            r.dense_stack_s,
-            r.sparse_s,
-            r.speedup(),
-            r.spmm_s,
-            r.spmm_scalar_s,
-            r.simd_speedup(),
-            r.simd_bit_identical,
+    // One thread, as `gnn_powerlaw` times its GCN: the pair compares
+    // kernels, not the host's second vCPU.
+    let (json, all_bitwise) = parallel::with_threads(1, || {
+        let mut rows = Vec::new();
+        for (name, graph, f) in [
+            ("power_law_100k", &large, 32usize),
+            ("power_law_100k", &large, 16),
+            ("cora_class_rmat", &cora, 1_433),
+        ] {
+            let n = graph.num_nodes();
+            let x = Prng::new(11).fill_normal(n, f, 0.0, 1.0);
+            let mut rng = Prng::new(12);
+            let weights: Vec<f64> = (0..graph.num_edges())
+                .map(|_| rng.uniform(-1.0, 1.0))
+                .collect();
+            let (plain, x) = (graph.csr_view(), &x);
+            let weighted =
+                sparse::CsrView::new(n, n, graph.offsets(), graph.neighbor_ids(), Some(&weights))
+                    .expect("weights match the graph");
+            // GCN's mean with the row itself, GIN's sum, and GAT's
+            // weighted SpMM, each on the row kernel and the axpy loop.
+            let ops: [(&str, SparseCall, SparseCall); 3] = [
+                (
+                    "mean_include_self",
+                    Box::new(|o| sparse::aggregate_into(&plain, x, Mean, true, o).expect("agree")),
+                    Box::new(|o| axpy_kernel::aggregate_into(&plain, x, true, true, o)),
+                ),
+                (
+                    "sum",
+                    Box::new(|o| sparse::aggregate_into(&plain, x, Sum, false, o).expect("agree")),
+                    Box::new(|o| axpy_kernel::aggregate_into(&plain, x, false, false, o)),
+                ),
+                (
+                    "spmm_weighted",
+                    Box::new(|o| sparse::spmm_into(&weighted, x, o).expect("agree")),
+                    Box::new(|o| axpy_kernel::spmm_into(&weighted, x, o)),
+                ),
+            ];
+            for (op, kernel, axpy) in ops {
+                let mut kernel_out = Matrix::zeros(n, f);
+                let mut axpy_out = Matrix::zeros(n, f);
+                let [kernel_s, axpy_kernel_s] = time_medians(
+                    15,
+                    [
+                        &mut || {
+                            kernel(&mut kernel_out);
+                            kernel_out.get(0, 0)
+                        },
+                        &mut || {
+                            axpy(&mut axpy_out);
+                            axpy_out.get(0, 0)
+                        },
+                    ],
+                    |v| *v,
+                );
+                let bitwise = kernel_out
+                    .as_slice()
+                    .iter()
+                    .zip(axpy_out.as_slice())
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                let r = SparseRow {
+                    graph: name,
+                    nodes: n,
+                    edges: graph.num_edges(),
+                    features: f,
+                    op,
+                    kernel_s,
+                    axpy_kernel_s,
+                    bitwise,
+                };
+                eprintln!(
+                    "bench_snapshot: {name} f={f} {op}: kernel {kernel_s:.4}s axpy_kernel {axpy_kernel_s:.4}s ({:.2}x) bitwise={bitwise}",
+                    r.speedup(),
+                );
+                rows.push(r);
+            }
+        }
+        let all_bitwise = rows.iter().all(|r| r.bitwise);
+        let json_rows: Vec<String> = rows.iter().map(SparseRow::to_json).collect();
+        let json = snapshot_json(
+            "sparse_row_kernel",
+            &["csr_row_kernel", "axpy_kernel"],
+            &[
+                ("simd_active", gemm::simd::simd_active().to_string()),
+                ("matches_axpy_kernel_bitwise", all_bitwise.to_string()),
+            ],
+            "shapes",
+            &json_rows,
         );
-        reports.push(r);
-    }
-    let simd_active = gemm::simd::simd_active();
-    let bit_identical = reports.iter().all(|r| r.simd_bit_identical);
-    // SpMM is DRAM-bandwidth-bound, so the dispatched axpy is expected
-    // at *parity* with the scalar loop, not at the GEMM kernel's
-    // vector-width speedup — per-workload ratios swing with memory
-    // noise. The verdict therefore guards against gross kernel
-    // regressions only: geometric mean across workloads ≥ 0.9.
-    let geomean =
-        (reports.iter().map(|r| r.simd_speedup().ln()).sum::<f64>() / reports.len() as f64).exp();
-    let no_simd_regression = !simd_active || geomean >= 0.9;
-    eprintln!(
-        "bench_snapshot: sparse verdicts: simd_active={simd_active} \
-         simd_bit_identical={bit_identical} simd_geomean={geomean:.2} \
-         no_simd_regression={no_simd_regression}"
-    );
-    let rows: Vec<String> = reports.iter().map(GraphReport::to_json).collect();
-    let json = snapshot_json(
-        "sparse_aggregation",
-        &[
-            "dense_stack",
-            "csr_aggregate",
-            "csr_spmm",
-            "csr_spmm_scalar",
-        ],
-        &[
-            ("aggregation", "\"mean_include_self\"".to_string()),
-            ("simd_active", simd_active.to_string()),
-            ("simd_bit_identical", bit_identical.to_string()),
-            ("no_simd_regression", no_simd_regression.to_string()),
-        ],
-        "workloads",
-        &rows,
-    );
+        (json, all_bitwise)
+    });
     write_or_die(out_path, &json);
-    if !bit_identical {
-        eprintln!("bench_snapshot: sparse simd verdicts FAILED");
+    if !all_bitwise {
+        eprintln!("bench_snapshot: sparse verdicts FAILED");
         std::process::exit(1);
     }
 }
@@ -1535,7 +1600,11 @@ fn run_digest(out_path: &str) {
         .expect("valid digest model");
     record(
         "gcn_aggregate",
-        digest_matrix(&model.aggregate(&graph, &x, Aggregation::Mean, true)),
+        digest_matrix(
+            &model
+                .aggregate(&graph, &x, Aggregation::Mean, true)
+                .expect("aggregate operands agree"),
+        ),
     );
 
     // The analog int8 engine, ideal and noisy, ragged tiles.

@@ -19,6 +19,8 @@
 //! [`AnalogEngine::matmul`]): the ADC's range spans each product, and
 //! every read value lies inside the window rounded from it.
 
+use std::borrow::Cow;
+
 use phox_nn::gnn::{Aggregation, CsrGraph, GnnKind, GnnModel};
 use phox_photonics::analog::AnalogEngine;
 use phox_photonics::devices::OpticalActivation;
@@ -245,10 +247,11 @@ impl GhostFunctional {
                 what: "feature shape must match graph and model",
             });
         }
-        let mut h = features.clone();
+        // The first layer reads `features` in place.
+        let mut h = Cow::Borrowed(features);
         let last = cfg.layers() - 1;
         for (l, lw) in model.layers().iter().enumerate() {
-            h = match cfg.kind {
+            let next = match cfg.kind {
                 GnnKind::Gcn => {
                     let agg = self.optical_aggregate(graph, &h, Aggregation::Mean, true)?;
                     self.engine.matmul(&agg, &lw.w)?
@@ -268,12 +271,14 @@ impl GhostFunctional {
                 }
                 GnnKind::Gat => self.gat_layer(graph, &h, lw)?,
             };
-            if l != last {
+            h = Cow::Owned(if l != last {
                 // SOA ReLU in the update units.
-                h = self.engine.soa_activate(OpticalActivation::Relu, &h);
-            }
+                self.engine.soa_activate(OpticalActivation::Relu, &next)
+            } else {
+                next
+            });
         }
-        Ok(h)
+        Ok(h.into_owned())
     }
 
     /// Optical aggregation through the reduce units: sum/mean use

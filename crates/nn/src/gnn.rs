@@ -6,6 +6,8 @@
 //! **update** (non-linear activation). The model families the paper's
 //! GHOST evaluation covers are GCN, GraphSAGE, GIN and GAT.
 
+use std::borrow::Cow;
+
 use phox_tensor::sparse::{self, CsrView, SparseReduce};
 use phox_tensor::sparse_i8::{self, CsrI8View, I8Reduce};
 use phox_tensor::{ops, Matrix, Prng, Quantizer, TensorError};
@@ -437,22 +439,25 @@ impl GnnModel {
                 rhs: (graph.num_nodes(), self.config.dims[0]),
             });
         }
-        let mut h = features.clone();
+        // The first layer reads `features` in place; each layer's output
+        // is the next one's input.
+        let mut h = Cow::Borrowed(features);
         let last = self.layers.len() - 1;
         for (l, lw) in self.layers.iter().enumerate() {
-            h = match self.config.kind {
+            let mut next = match self.config.kind {
                 GnnKind::Gcn => self.gcn_layer(graph, &h, lw, p)?,
                 GnnKind::GraphSage => self.sage_layer(graph, &h, lw, p)?,
                 GnnKind::Gin => self.gin_layer(graph, &h, lw, p)?,
                 GnnKind::Gat => self.gat_layer(graph, &h, lw, p)?,
             };
-            // Hidden layers use ReLU; the output layer stays linear
-            // (logits).
+            // Hidden layers use ReLU (`ops::relu`, in place); the output
+            // layer stays linear (logits).
             if l != last {
-                h = ops::relu(&h);
+                next.map_inplace(|v| v.max(0.0));
             }
+            h = Cow::Owned(next);
         }
-        Ok(h)
+        Ok(h.into_owned())
     }
 
     /// Aggregates neighbour features (plus optionally the vertex itself)
@@ -461,39 +466,38 @@ impl GnnModel {
     /// implementation).
     ///
     /// Runs on the CSR sparse kernel ([`phox_tensor::sparse`]): rows are
-    /// processed in parallel tiles with member-major accumulation, and
-    /// the result is bit-identical for any thread count.
+    /// processed in parallel tiles, each row block accumulated in
+    /// registers over its members in CSR order, and the result is
+    /// bit-identical for any thread count.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `h` does not have one row per graph vertex.
+    /// Returns [`TensorError::ShapeMismatch`] if `h` does not have one
+    /// row per graph vertex.
     pub fn aggregate(
         &self,
         graph: &CsrGraph,
         h: &Matrix,
         agg: Aggregation,
         include_self: bool,
-    ) -> Matrix {
-        let mut out = Matrix::zeros(h.rows(), h.cols());
+    ) -> Result<Matrix, TensorError> {
+        let mut out = Matrix::zeros(graph.num_nodes(), h.cols());
         let reduce = match agg {
             Aggregation::Sum => SparseReduce::Sum,
             Aggregation::Mean => SparseReduce::Mean,
             Aggregation::Max => SparseReduce::Max,
         };
-        if let Err(e) = sparse::aggregate_into(&graph.csr_view(), h, reduce, include_self, &mut out)
-        {
-            panic!("aggregate operands must match the graph: {e}");
-        }
-        out
+        sparse::aggregate_into(&graph.csr_view(), h, reduce, include_self, &mut out)?;
+        Ok(out)
     }
 
     /// The pre-sparse dense-stack aggregation: per vertex, neighbour rows
     /// are copied into a freshly allocated stack matrix and reduced
     /// column-major — one allocation and a stride-`f` walk per vertex.
     ///
-    /// Retained as the equivalence-test oracle and the `BENCH_2` baseline
-    /// for the sparse kernels; production paths use
-    /// [`GnnModel::aggregate`].
+    /// Retained as the equivalence-test oracle for the sparse kernels:
+    /// sums fold from `+0.0` in member order, as the kernel does.
+    /// Production paths use [`GnnModel::aggregate`].
     ///
     /// # Panics
     ///
@@ -531,7 +535,10 @@ impl GnnModel {
                         1.0
                     };
                     for c in 0..f {
-                        let s: f64 = (0..stack.rows()).map(|r| stack.get(r, c)).sum();
+                        // From +0.0, as the kernel folds: `Iterator::sum`
+                        // starts from -0.0, so a column of -0.0 members
+                        // would keep its sign here and lose it there.
+                        let s = (0..stack.rows()).fold(0.0, |s, r| s + stack.get(r, c));
                         out.set(v, c, s / denom);
                     }
                 }
@@ -555,34 +562,40 @@ impl GnnModel {
     /// output rows dequantizes, the mean dividing the exact integer sums
     /// in f64. Bit-identical for any thread count.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `h` does not have one row per graph vertex.
+    /// Returns [`TensorError::ShapeMismatch`] if `h` does not have one
+    /// row per graph vertex.
     pub fn aggregate_int8(
         &self,
         graph: &CsrGraph,
         h: &Matrix,
         agg: Aggregation,
         include_self: bool,
-    ) -> Matrix {
+    ) -> Result<Matrix, TensorError> {
+        let n = graph.num_nodes();
+        if h.rows() != n {
+            // The f64 kernel's error, before any quantization work.
+            return Err(TensorError::ShapeMismatch {
+                lhs: (n, n),
+                rhs: h.shape(),
+            });
+        }
         let q = Quantizer::calibrate(h).quantize(h);
         let f = h.cols();
-        let n = graph.num_nodes();
         let reduce = match agg {
             Aggregation::Sum | Aggregation::Mean => I8Reduce::Sum,
             Aggregation::Max => I8Reduce::Max,
         };
         let mut sums = vec![0i32; n * f];
-        if let Err(e) = sparse_i8::aggregate_i8_into(
+        sparse_i8::aggregate_i8_into(
             &graph.csr_i8_view(),
             q.as_i8_slice(),
             f,
             reduce,
             include_self,
             &mut sums,
-        ) {
-            panic!("aggregate operands must match the graph: {e}");
-        }
+        )?;
         let scale = q.scale();
         let mut out = Matrix::zeros(n, f);
         let rows = out.as_mut_slice().chunks_exact_mut(f.max(1));
@@ -596,7 +609,7 @@ impl GnnModel {
                 *o = f64::from(s) * scale / denom;
             }
         }
-        out
+        Ok(out)
     }
 
     /// Dispatches aggregation to the int8 sparse kernel at
@@ -608,7 +621,7 @@ impl GnnModel {
         agg: Aggregation,
         include_self: bool,
         p: Precision,
-    ) -> Matrix {
+    ) -> Result<Matrix, TensorError> {
         if p == Precision::Int8 {
             self.aggregate_int8(graph, h, agg, include_self)
         } else {
@@ -623,7 +636,7 @@ impl GnnModel {
         lw: &GnnLayerWeights,
         p: Precision,
     ) -> Result<Matrix, TensorError> {
-        let agg = self.aggregate_for(graph, h, Aggregation::Mean, true, p);
+        let agg = self.aggregate_for(graph, h, Aggregation::Mean, true, p)?;
         p.mm(&agg, &lw.w)
     }
 
@@ -634,7 +647,7 @@ impl GnnModel {
         lw: &GnnLayerWeights,
         p: Precision,
     ) -> Result<Matrix, TensorError> {
-        let agg = self.aggregate_for(graph, h, self.config.aggregation, false, p);
+        let agg = self.aggregate_for(graph, h, self.config.aggregation, false, p)?;
         let cat = h.hconcat(&agg)?;
         p.mm(&cat, &lw.w)
     }
@@ -646,7 +659,7 @@ impl GnnModel {
         lw: &GnnLayerWeights,
         p: Precision,
     ) -> Result<Matrix, TensorError> {
-        let agg = self.aggregate_for(graph, h, Aggregation::Sum, false, p);
+        let agg = self.aggregate_for(graph, h, Aggregation::Sum, false, p)?;
         let mixed = h.scale(1.0 + self.epsilon).add(&agg)?;
         p.mm(&mixed, &lw.w)
     }
@@ -746,9 +759,9 @@ mod tests {
         let m = GnnModel::random(GnnConfig::two_layer(GnnKind::Gcn, 1, 2, 2), 9).unwrap();
         // The duplicated edge counts once: mean over {6, 3, 9}, not a
         // double-weighted 6.
-        let mean = m.aggregate(&g, &x, Aggregation::Mean, false);
+        let mean = m.aggregate(&g, &x, Aggregation::Mean, false).unwrap();
         assert_eq!(mean.get(2, 0), 6.0);
-        let sum = m.aggregate(&g, &x, Aggregation::Sum, false);
+        let sum = m.aggregate(&g, &x, Aggregation::Sum, false).unwrap();
         assert_eq!(sum.get(2, 0), 18.0);
     }
 
@@ -759,9 +772,37 @@ mod tests {
         let m = GnnModel::random(GnnConfig::two_layer(GnnKind::Gcn, 6, 4, 2), 22).unwrap();
         for agg in [Aggregation::Sum, Aggregation::Mean, Aggregation::Max] {
             for include_self in [false, true] {
-                let sparse = m.aggregate(&g, &x, agg, include_self);
+                let sparse = m.aggregate(&g, &x, agg, include_self).unwrap();
                 let dense = m.aggregate_dense_stack(&g, &x, agg, include_self);
                 assert_eq!(sparse, dense, "{agg} include_self={include_self}");
+            }
+        }
+    }
+
+    #[test]
+    fn aggregates_reject_a_feature_matrix_of_the_wrong_height() {
+        // Three vertices, two feature rows: a typed error from both
+        // kernels, never a panic.
+        let g = triangle();
+        let x = Matrix::zeros(2, 4);
+        let m = GnnModel::random(GnnConfig::two_layer(GnnKind::Gcn, 4, 4, 2), 23).unwrap();
+        for agg in [Aggregation::Sum, Aggregation::Mean, Aggregation::Max] {
+            for include_self in [false, true] {
+                for result in [
+                    m.aggregate(&g, &x, agg, include_self),
+                    m.aggregate_int8(&g, &x, agg, include_self),
+                ] {
+                    assert!(
+                        matches!(
+                            result,
+                            Err(TensorError::ShapeMismatch {
+                                lhs: (3, 3),
+                                rhs: (2, 4)
+                            })
+                        ),
+                        "{agg} include_self={include_self}: {result:?}"
+                    );
+                }
             }
         }
     }
@@ -904,18 +945,18 @@ mod tests {
         x.set(2, 1, 7.0);
         let m = GnnModel::random(GnnConfig::two_layer(GnnKind::Gcn, 2, 4, 2), 8).unwrap();
 
-        let sum = m.aggregate(&g, &x, Aggregation::Sum, false);
+        let sum = m.aggregate(&g, &x, Aggregation::Sum, false).unwrap();
         assert_eq!(sum.get(2, 0), 8.0);
         assert_eq!(sum.get(2, 1), 0.0);
 
-        let mean = m.aggregate(&g, &x, Aggregation::Mean, false);
+        let mean = m.aggregate(&g, &x, Aggregation::Mean, false).unwrap();
         assert_eq!(mean.get(2, 0), 4.0);
 
-        let max = m.aggregate(&g, &x, Aggregation::Max, false);
+        let max = m.aggregate(&g, &x, Aggregation::Max, false).unwrap();
         assert_eq!(max.get(2, 0), 5.0);
 
         // include_self folds the vertex's own features in.
-        let sum_self = m.aggregate(&g, &x, Aggregation::Sum, true);
+        let sum_self = m.aggregate(&g, &x, Aggregation::Sum, true).unwrap();
         assert_eq!(sum_self.get(2, 1), 7.0);
 
         // Isolated vertices aggregate to zero without self.

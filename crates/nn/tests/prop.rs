@@ -133,8 +133,8 @@ proptest! {
     fn aggregate_sum_equals_mean_times_degree(seed in any::<u64>()) {
         let t = sbm(2, 6, 4, 0.6, 0.2, seed).unwrap();
         let model = GnnModel::random(GnnConfig::two_layer(GnnKind::Gcn, 4, 4, 2), seed).unwrap();
-        let sum = model.aggregate(&t.graph, &t.features, Aggregation::Sum, false);
-        let mean = model.aggregate(&t.graph, &t.features, Aggregation::Mean, false);
+        let sum = model.aggregate(&t.graph, &t.features, Aggregation::Sum, false).unwrap();
+        let mean = model.aggregate(&t.graph, &t.features, Aggregation::Mean, false).unwrap();
         for v in 0..t.graph.num_nodes() {
             let deg = t.graph.degree(v);
             if deg == 0 {
@@ -150,8 +150,8 @@ proptest! {
     fn max_aggregation_dominates_mean(seed in any::<u64>()) {
         let t = sbm(2, 6, 4, 0.6, 0.2, seed).unwrap();
         let model = GnnModel::random(GnnConfig::two_layer(GnnKind::Gcn, 4, 4, 2), seed).unwrap();
-        let mean = model.aggregate(&t.graph, &t.features, Aggregation::Mean, false);
-        let max = model.aggregate(&t.graph, &t.features, Aggregation::Max, false);
+        let mean = model.aggregate(&t.graph, &t.features, Aggregation::Mean, false).unwrap();
+        let max = model.aggregate(&t.graph, &t.features, Aggregation::Max, false).unwrap();
         for v in 0..t.graph.num_nodes() {
             if t.graph.degree(v) == 0 {
                 continue;

@@ -46,13 +46,15 @@
 //!   tile with fewer rows repeats its last row and stores only its own.
 //!   The scalar twin [`gemm_scalar`] unpacks each panel back into `Bᵀ`
 //!   rows and calls [`dot_scalar`] per output.
-//! * [`axpy`] and [`axpy_unit`] vectorize over the *output* dimension
-//!   (`o[j] += a · b[j]`), where each element has its own accumulator —
-//!   no reassociation happens, so plain vector multiply + add is
-//!   bitwise-equal to the scalar loop by construction. These back the
-//!   [`crate::sparse`] row accumulator and the [`crate::ops::matmul_seq`]
-//!   decode GEMV, whose sequential-in-`k` accumulation order is a
-//!   documented invariant (prefix invariance) that must not change.
+//! * [`axpy`] vectorizes over the *output* dimension (`o[j] += a ·
+//!   b[j]`), where each element has its own accumulator — no
+//!   reassociation happens, so plain vector multiply + add is
+//!   bitwise-equal to the scalar loop by construction. It backs the
+//!   [`crate::ops::matmul_seq`] decode GEMV, whose sequential-in-`k`
+//!   accumulation order is a documented invariant (prefix invariance)
+//!   that must not change. The [`crate::sparse`] kernels keep the same
+//!   per-element order in their own register-resident row kernel,
+//!   dispatched on [`simd_active`].
 //! * [`attend`] fuses one head of a KV-cached decode step: scores in the
 //!   [`dot`] schedule (four cached rows at a time, whose horizontal folds
 //!   share one 4×4 transpose), softmax in place through
@@ -304,16 +306,6 @@ pub fn gemm_scalar(a: &[f64], b: &Panels, out: &mut [f64]) {
 pub fn axpy_scalar(out: &mut [f64], x: f64, b: &[f64]) {
     for (o, &v) in out.iter_mut().zip(b) {
         *o += x * v;
-    }
-}
-
-/// Scalar `o[j] += b[j]` loop (the weightless-edge case in the sparse
-/// accumulator). Public as the equivalence-suite reference for
-/// [`axpy_unit`].
-#[inline]
-pub fn axpy_unit_scalar(out: &mut [f64], b: &[f64]) {
-    for (o, &v) in out.iter_mut().zip(b) {
-        *o += v;
     }
 }
 
@@ -875,29 +867,6 @@ mod x86 {
         }
     }
 
-    /// AVX2 `o[j] += b[j]`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy_unit_avx2(out: &mut [f64], b: &[f64]) {
-        let n = out.len().min(b.len());
-        let op = out.as_mut_ptr();
-        let bp = b.as_ptr();
-        let mut j = 0usize;
-        while j + 4 <= n {
-            let o = _mm256_loadu_pd(op.add(j));
-            let v = _mm256_loadu_pd(bp.add(j));
-            _mm256_storeu_pd(op.add(j), _mm256_add_pd(o, v));
-            j += 4;
-        }
-        while j < n {
-            *op.add(j) += *bp.add(j);
-            j += 1;
-        }
-    }
-
     /// The f64 kernels need both AVX2 (4-lane f64 vectors) and FMA
     /// (`vfmadd231pd`); detection is cached once per process together
     /// with the `PHOX_FORCE_SCALAR` override so a flipped environment
@@ -1065,20 +1034,6 @@ pub fn attend(
     attend_scalar(q, keys, values, stride, lo, scores, out);
 }
 
-/// `out[j] += b[j]` over `min(out.len(), b.len())` elements — the
-/// unit-weight edge case of [`axpy`], kept separate so the sparse
-/// accumulator's weightless path skips the broadcast multiply.
-#[inline]
-pub fn axpy_unit(out: &mut [f64], b: &[f64]) {
-    #[cfg(target_arch = "x86_64")]
-    if x86::simd_usable() {
-        // SAFETY: AVX2 availability was just checked.
-        unsafe { x86::axpy_unit_avx2(out, b) };
-        return;
-    }
-    axpy_unit_scalar(out, b);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1208,17 +1163,6 @@ mod tests {
                     .zip(&slow)
                     .all(|(x, y)| x.to_bits() == y.to_bits()),
                 "len={len}"
-            );
-            let mut fast_u = random(len, 23);
-            let mut slow_u = fast_u.clone();
-            axpy_unit(&mut fast_u, &b);
-            axpy_unit_scalar(&mut slow_u, &b);
-            assert!(
-                fast_u
-                    .iter()
-                    .zip(&slow_u)
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "unit len={len}"
             );
         }
     }

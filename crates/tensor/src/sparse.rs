@@ -6,14 +6,33 @@
 //! output row. The dense path the simulators used previously stacked
 //! each vertex's neighbour rows into a freshly allocated matrix and
 //! reduced the stack column-major — an allocation per vertex and a
-//! cache-hostile stride-`f` walk per element. The kernels here stream
-//! the CSR adjacency member-major into the output (or a reusable
-//! scratch row), which is allocation-free per row and keeps the
-//! accumulator resident in L1.
+//! cache-hostile stride-`f` walk per element.
+//!
+//! [`spmm_into`] and [`aggregate_into`] share one row kernel instead. It
+//! takes an output row in column blocks of 32, 16, 8 and 4, then single
+//! columns. For each block it holds the block's accumulators in a local
+//! `[f64; W]` (registers), walks the row's members once in CSR order,
+//! and stores the block once, so the output row is never re-read. One
+//! `#[inline(always)]` body is compiled twice: for AVX2 where
+//! [`simd::simd_active`] holds, and at the baseline otherwise (which is
+//! also what `PHOX_FORCE_SCALAR=1` runs; there the widest block is 16,
+//! since 32 accumulators would fill all sixteen SSE2 registers and
+//! spill). Blocking changes no value: each element keeps the same
+//! sequence of operations on both:
+//!
+//! * sum and mean start at `+0.0`, add the row itself (`include_self`),
+//!   then each member in CSR order; a mean divides once, by the member
+//!   count (at least 1);
+//! * max folds `f64::max(acc, x)` from `-∞` in the same order and
+//!   stores a non-finite result as 0;
+//! * SpMM computes `acc + w · x` from `+0.0`, the product rounded before
+//!   the add (Rust never contracts it into a fused multiply-add), or
+//!   `acc + x` for an unweighted matrix.
 //!
 //! Determinism: every kernel reduces each row's members in CSR order,
-//! so results are bit-identical for any thread count — the same
-//! guarantee (and the same scheme) as the blocked GEMM in [`crate::gemm`].
+//! so results are bit-identical for any thread count and either
+//! compilation — the same guarantee (and the same scheme) as the blocked
+//! GEMM in [`crate::gemm`].
 //! Consumers that need per-row noise streams (the photonic functional
 //! simulators) key a [`crate::Prng::stream`] on `(operation key, row)`
 //! exactly like the analog matmul keys `(operation key, tile)`.
@@ -296,8 +315,8 @@ fn trace_kernel(kernel: &'static str, rows: usize, nnz: usize) {
 ///
 /// Row-range parallel: output rows are processed in [`ROW_TILE`]-row
 /// tiles, each tile touched by exactly one thread, and every row reduces
-/// its stored entries in CSR order — the result is bit-identical for any
-/// thread count.
+/// its stored entries in CSR order on the module's row kernel — the
+/// result is bit-identical for any thread count.
 ///
 /// # Errors
 ///
@@ -305,35 +324,15 @@ fn trace_kernel(kernel: &'static str, rows: usize, nnz: usize) {
 /// with `a`'s shape.
 pub fn spmm_into(a: &CsrView<'_>, x: &Matrix, out: &mut Matrix) -> Result<(), TensorError> {
     check_operand_shapes(a, x, out)?;
-    let f = x.cols();
-    if f == 0 || a.rows() == 0 {
+    if x.cols() == 0 || a.rows() == 0 {
         return Ok(());
     }
-    let a = *a;
-    let x_ref = x;
-    parallel::par_chunks_mut(out.as_mut_slice(), ROW_TILE * f, |tile, chunk| {
-        let r0 = tile * ROW_TILE;
-        for (local, slot) in chunk.chunks_mut(f).enumerate() {
-            let r = r0 + local;
-            slot.fill(0.0);
-            let idx = a.row_indices(r);
-            // The SIMD axpy vectorizes over the feature dimension only —
-            // each output element keeps its own accumulator, so the
-            // CSR-order reduction per element is bitwise unchanged.
-            match a.row_values(r) {
-                Some(vals) => {
-                    for (&u, &w) in idx.iter().zip(vals) {
-                        simd::axpy(slot, w, x_ref.row(u as usize));
-                    }
-                }
-                None => {
-                    for &u in idx {
-                        simd::axpy_unit(slot, x_ref.row(u as usize));
-                    }
-                }
-            }
-        }
-    });
+    let fold = if a.values.is_some() {
+        RowFold::Weighted
+    } else {
+        RowFold::Sum
+    };
+    RowKernel::new(a, x, fold, false).run(out);
     trace_kernel("spmm_calls", a.rows(), a.nnz());
     Ok(())
 }
@@ -353,10 +352,10 @@ pub fn spmm(a: &CsrView<'_>, x: &Matrix) -> Result<Matrix, TensorError> {
 /// Neighbourhood aggregation `out[r] = reduce(x[members of r])`, with the
 /// row itself prepended to the members when `include_self` is set.
 ///
-/// This is the digital reference kernel behind GNN aggregation: sum and
-/// mean accumulate member rows in CSR order directly into the output row
-/// (no scratch, no allocation); max folds `f64::max` with empty rows
-/// reducing to zero. Stored values are ignored — aggregation is a
+/// This is the digital reference kernel behind GNN aggregation, on the
+/// module's row kernel: sum and mean add member rows in CSR order from
+/// `+0.0` (no scratch, no allocation); max folds `f64::max` with empty
+/// rows reducing to zero. Stored values are ignored — aggregation is a
 /// structural operation on the adjacency pattern.
 ///
 /// # Errors
@@ -377,56 +376,194 @@ pub fn aggregate_into(
             what: "include_self aggregation needs a square adjacency pattern",
         });
     }
-    let f = x.cols();
-    if f == 0 || a.rows() == 0 {
+    if x.cols() == 0 || a.rows() == 0 {
         return Ok(());
     }
-    let a = *a;
-    let x_ref = x;
-    parallel::par_chunks_mut(out.as_mut_slice(), ROW_TILE * f, |tile, chunk| {
-        let r0 = tile * ROW_TILE;
-        for (local, slot) in chunk.chunks_mut(f).enumerate() {
-            let r = r0 + local;
-            let neigh = a.row_indices(r);
-            match reduce {
-                SparseReduce::Sum | SparseReduce::Mean => {
-                    slot.fill(0.0);
-                    if include_self {
-                        simd::axpy_unit(slot, x_ref.row(r));
-                    }
-                    for &u in neigh {
-                        simd::axpy_unit(slot, x_ref.row(u as usize));
-                    }
-                    if reduce == SparseReduce::Mean {
-                        let denom = (neigh.len() + usize::from(include_self)).max(1) as f64;
-                        for s in slot.iter_mut() {
-                            *s /= denom;
-                        }
-                    }
+    let fold = match reduce {
+        SparseReduce::Sum => RowFold::Sum,
+        SparseReduce::Mean => RowFold::Mean,
+        SparseReduce::Max => RowFold::Max,
+    };
+    RowKernel::new(a, x, fold, include_self).run(out);
+    trace_kernel("aggregate_calls", a.rows(), a.nnz());
+    Ok(())
+}
+
+/// What the row kernel folds over an output row's members. Every output
+/// element keeps its own accumulator, so holding a block of them in
+/// registers changes no bit.
+#[derive(Debug, Clone, Copy)]
+enum RowFold {
+    /// `acc + x` from `+0.0`: sums and unweighted SpMM.
+    Sum,
+    /// [`RowFold::Sum`], then one division by the member count (at
+    /// least 1).
+    Mean,
+    /// `acc + w · x` from `+0.0`, the product rounded before the add:
+    /// weighted SpMM.
+    Weighted,
+    /// `f64::max(acc, x)` from `-∞`; a non-finite result stores as 0.
+    Max,
+}
+
+/// One output row's operands: the row itself when `include_self` is
+/// set, its members in CSR order, and their weights (empty unless the
+/// fold is [`RowFold::Weighted`]).
+struct Row<'a> {
+    own: Option<usize>,
+    members: &'a [u32],
+    weights: &'a [f64],
+}
+
+/// The row kernel behind [`spmm_into`] and [`aggregate_into`]; see the
+/// module docs. Operands are checked by the callers: `x` has `a.cols()`
+/// rows of `f` values, and `include_self` implies a square `a`.
+#[derive(Clone, Copy)]
+struct RowKernel<'a> {
+    a: CsrView<'a>,
+    x: &'a [f64],
+    f: usize,
+    fold: RowFold,
+    include_self: bool,
+}
+
+impl<'a> RowKernel<'a> {
+    fn new(a: &CsrView<'a>, x: &'a Matrix, fold: RowFold, include_self: bool) -> Self {
+        RowKernel {
+            a: *a,
+            x: x.as_slice(),
+            f: x.cols(),
+            fold,
+            include_self,
+        }
+    }
+
+    /// Writes every row of `out` (`a.rows() × f`, `f > 0`), each
+    /// [`ROW_TILE`]-row tile on one thread.
+    fn run(self, out: &mut Matrix) {
+        parallel::par_chunks_mut(out.as_mut_slice(), ROW_TILE * self.f, |tile, chunk| {
+            #[cfg(target_arch = "x86_64")]
+            if simd::simd_active() {
+                // SAFETY: `simd_active` is true only where AVX2 is available.
+                unsafe { self.rows_avx2(tile * ROW_TILE, chunk) };
+                return;
+            }
+            self.rows(tile * ROW_TILE, chunk, false);
+        });
+    }
+
+    /// [`RowKernel::rows`] compiled for AVX2.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn rows_avx2(&self, r0: usize, chunk: &mut [f64]) {
+        self.rows(r0, chunk, true);
+    }
+
+    /// Rows `r0..` into `chunk`, whole rows of `f` values: column blocks
+    /// of 32 (when `wide`), 16, 8 and 4, then single columns. A 32-wide
+    /// block fills eight AVX2 registers but all sixteen SSE2 ones, whose
+    /// spills cost more than the extra member walks of 16-wide blocks.
+    #[inline(always)]
+    fn rows(&self, r0: usize, chunk: &mut [f64], wide: bool) {
+        let f = self.f;
+        for (r, slot) in (r0..).zip(chunk.chunks_exact_mut(f)) {
+            let row = Row {
+                own: self.include_self.then_some(r),
+                members: self.a.row_indices(r),
+                weights: self.a.row_values(r).unwrap_or_default(),
+            };
+            let mut c = 0;
+            while wide && c + 32 <= f {
+                self.block::<32>(&row, c, slot);
+                c += 32;
+            }
+            while c + 16 <= f {
+                self.block::<16>(&row, c, slot);
+                c += 16;
+            }
+            if c + 8 <= f {
+                self.block::<8>(&row, c, slot);
+                c += 8;
+            }
+            if c + 4 <= f {
+                self.block::<4>(&row, c, slot);
+                c += 4;
+            }
+            while c < f {
+                self.block::<1>(&row, c, slot);
+                c += 1;
+            }
+        }
+    }
+
+    /// Columns `c..c + W` of `row`: accumulated in registers over one
+    /// CSR-order walk of the members, then stored into `slot` once.
+    #[inline(always)]
+    fn block<const W: usize>(&self, row: &Row<'_>, c: usize, slot: &mut [f64]) {
+        let out = &mut slot[c..c + W];
+        match self.fold {
+            RowFold::Sum => out.copy_from_slice(&self.fold_row::<W>(row, c, 0.0, |s, v| s + v)),
+            RowFold::Mean => {
+                let acc = self.fold_row::<W>(row, c, 0.0, |s, v| s + v);
+                let denom = (row.members.len() + usize::from(row.own.is_some())).max(1) as f64;
+                for (o, s) in out.iter_mut().zip(acc) {
+                    *o = s / denom;
                 }
-                SparseReduce::Max => {
-                    slot.fill(f64::NEG_INFINITY);
-                    if include_self {
-                        for (s, &v) in slot.iter_mut().zip(x_ref.row(r)) {
-                            *s = s.max(v);
-                        }
-                    }
-                    for &u in neigh {
-                        for (s, &v) in slot.iter_mut().zip(x_ref.row(u as usize)) {
-                            *s = s.max(v);
-                        }
-                    }
-                    for s in slot.iter_mut() {
-                        if !s.is_finite() {
-                            *s = 0.0;
-                        }
-                    }
+            }
+            RowFold::Weighted => {
+                let mut acc = [0.0f64; W];
+                for (&u, &w) in row.members.iter().zip(row.weights) {
+                    fold_block(&mut acc, self.cols::<W>(u as usize, c), |s, v| s + w * v);
+                }
+                out.copy_from_slice(&acc);
+            }
+            RowFold::Max => {
+                let acc = self.fold_row::<W>(row, c, f64::NEG_INFINITY, f64::max);
+                for (o, s) in out.iter_mut().zip(acc) {
+                    *o = if s.is_finite() { s } else { 0.0 };
                 }
             }
         }
-    });
-    trace_kernel("aggregate_calls", a.rows(), a.nnz());
-    Ok(())
+    }
+
+    /// Columns `c..c + W` folded with `op` from `start`: the row itself
+    /// first when it is included, then each member in CSR order.
+    #[inline(always)]
+    fn fold_row<const W: usize>(
+        &self,
+        row: &Row<'_>,
+        c: usize,
+        start: f64,
+        op: impl Fn(f64, f64) -> f64 + Copy,
+    ) -> [f64; W] {
+        let mut acc = [start; W];
+        if let Some(r) = row.own {
+            fold_block(&mut acc, self.cols::<W>(r, c), op);
+        }
+        for &u in row.members {
+            fold_block(&mut acc, self.cols::<W>(u as usize, c), op);
+        }
+        acc
+    }
+
+    /// Columns `c..c + W` of row `u` of `x`.
+    #[inline(always)]
+    fn cols<const W: usize>(&self, u: usize, c: usize) -> &[f64] {
+        let at = u * self.f + c;
+        &self.x[at..at + W]
+    }
+}
+
+/// `acc[j] = op(acc[j], src[j])` for every column of a block.
+#[inline(always)]
+fn fold_block<const W: usize>(acc: &mut [f64; W], src: &[f64], op: impl Fn(f64, f64) -> f64) {
+    for (s, &v) in acc.iter_mut().zip(src) {
+        *s = op(*s, v);
+    }
 }
 
 /// A degree-bucketed row schedule for load-balanced sparse kernels.

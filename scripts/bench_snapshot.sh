@@ -5,9 +5,11 @@
 #                  vs the per-output dot kernel it replaced at those
 #                  sizes and every workload shape, with GMAC/s and
 #                  bit-identity verdicts.
-#   BENCH_2.json — sparse aggregation: CSR kernels vs the retired
-#                  dense-stack path on a Cora-class graph and a
-#                  100k-node / 1M-edge power-law graph.
+#   BENCH_2.json — sparse kernels: the f64 row kernel vs the
+#                  per-member axpy loop it replaced (mean-with-self,
+#                  sum, weighted SpMM) at widths 32 and 16 on a
+#                  100k-node / 1M-edge power-law graph and 1,433 on a
+#                  Cora-class graph, with bit-identity verdicts.
 #   BENCH_3.json — int8 kernels: the register-blocked i8 x i8 -> i32
 #                  microkernel vs the per-output dot kernel it replaced
 #                  and the f64 microkernel at 64/256/1024 and every int8
