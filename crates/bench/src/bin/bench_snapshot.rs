@@ -42,7 +42,13 @@
 //!   checked byte-identical across 1/2/4/8-thread pools. The verdicts
 //!   section records that joules/request falls as batch occupancy
 //!   rises (weight residency amortised) and that every rate was
-//!   thread-invariant.
+//!   thread-invariant. A host-clock section times `paper_sweep`'s
+//!   heaviest arrival horizon (32k req/s × 30 s) streamed through
+//!   `ArrivalStream` against the materialising loop it replaced (kept
+//!   as a private copy), interleaved on one thread, with the heap bytes
+//!   each holds at its peak and a `matches_materialized_bitwise`
+//!   verdict; a failed verdict exits non-zero after writing the
+//!   snapshot.
 //! * **faults** (`BENCH_6.json`): the accuracy-under-physics study.
 //!   Section one sweeps a ladder of device-fault budgets (stuck MRs,
 //!   dead ADC lanes, thermal drift) through the TRON and GHOST
@@ -73,7 +79,9 @@
 //! `OUTPUT.json` first argument keeps the legacy behaviour of writing
 //! the gemm snapshot there.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering};
 use std::time::Instant;
 
 use phox_core::nn::datasets::{power_law, GraphShape};
@@ -1907,6 +1915,280 @@ fn run_decode(out_path: &str) {
     write_or_die(out_path, &json);
 }
 
+/// The system allocator, counting the heap bytes held while
+/// [`peak_heap_bytes`] measures; otherwise it only checks a flag.
+struct PeakHeap;
+
+static HEAP_ARMED: AtomicBool = AtomicBool::new(false);
+static HEAP_HELD: AtomicIsize = AtomicIsize::new(0);
+static HEAP_PEAK: AtomicIsize = AtomicIsize::new(0);
+
+#[global_allocator]
+static ALLOCATOR: PeakHeap = PeakHeap;
+
+fn note_heap(delta: isize) {
+    if HEAP_ARMED.load(Ordering::Relaxed) {
+        let held = HEAP_HELD.fetch_add(delta, Ordering::Relaxed) + delta;
+        HEAP_PEAK.fetch_max(held, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments
+// unchanged; the counters never touch the memory.
+unsafe impl GlobalAlloc for PeakHeap {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: forwarded as received; the caller upholds `alloc`'s
+        // contract.
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            note_heap(layout.size() as isize);
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded as received; `ptr` came from `System`.
+        unsafe { System.dealloc(ptr, layout) };
+        note_heap(-(layout.size() as isize));
+    }
+
+    // Forwarded rather than left to the default (`alloc`, then a
+    // memset), so large zeroed buffers keep the system's pre-zeroed
+    // pages and the other snapshots' timings do not move.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: forwarded as received, as in `alloc`.
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        if !ptr.is_null() {
+            note_heap(layout.size() as isize);
+        }
+        ptr
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: forwarded as received; `ptr` came from `System`.
+        let moved = unsafe { System.realloc(ptr, layout, new_size) };
+        if !moved.is_null() {
+            note_heap(new_size as isize - layout.size() as isize);
+        }
+        moved
+    }
+}
+
+/// Runs `f` (on this thread only) and returns its result with the most
+/// heap bytes it held at once, counted from zero at the start.
+fn peak_heap_bytes<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    HEAP_HELD.store(0, Ordering::Relaxed);
+    HEAP_PEAK.store(0, Ordering::Relaxed);
+    HEAP_ARMED.store(true, Ordering::Relaxed);
+    let out = f();
+    HEAP_ARMED.store(false, Ordering::Relaxed);
+    (out, HEAP_PEAK.load(Ordering::Relaxed).max(0) as usize)
+}
+
+/// The arrival generator `ArrivalStream` replaced, kept here (the
+/// library no longer carries it) as the baseline of BENCH_5's
+/// `arrival_generation` section: the whole horizon generated into one
+/// vector of 24-byte arrivals before the engine read it.
+mod materialized {
+    use phox_core::serve::ServiceClass;
+    use phox_core::tensor::Prng;
+
+    /// One arrival as the replaced trace stored it.
+    pub struct Arrival {
+        pub id: u64,
+        pub class: usize,
+        pub arrive_s: f64,
+    }
+
+    /// The replaced `ArrivalTrace::generate` loop (its argument checks
+    /// aside).
+    pub fn generate(
+        seed: u64,
+        rate_hz: f64,
+        duration_s: f64,
+        classes: &[ServiceClass],
+    ) -> Vec<Arrival> {
+        let total_weight: f64 = classes.iter().map(|c| c.weight).sum();
+        let mut rng = Prng::stream(seed, 0x5EBE);
+        let mut arrivals = Vec::new();
+        let mut t = 0.0f64;
+        loop {
+            // Exponential inter-arrival: -ln(1-u)/λ, u ∈ [0,1).
+            let u = rng.next_f64();
+            t += -(1.0 - u).ln() / rate_hz;
+            if t >= duration_s {
+                break;
+            }
+            // Weighted class draw on the same stream.
+            let mut pick = rng.next_f64() * total_weight;
+            let mut class = classes.len() - 1;
+            for (i, c) in classes.iter().enumerate() {
+                if pick < c.weight {
+                    class = i;
+                    break;
+                }
+                pick -= c.weight;
+            }
+            arrivals.push(Arrival {
+                id: arrivals.len() as u64,
+                class,
+                arrive_s: t,
+            });
+        }
+        arrivals
+    }
+}
+
+/// The arrival horizon BENCH_5 times: `paper_sweep`'s 32k req/s
+/// fault-free run, 30 model-seconds.
+const ARRIVAL_RATE_HZ: f64 = 32_000.0;
+const ARRIVAL_DURATION_S: f64 = 30.0;
+
+/// One arrival source's row of the `arrival_generation` section.
+struct ArrivalSourceRow {
+    source: &'static str,
+    arrivals: u64,
+    /// Wall times, ms, sorted.
+    times_ms: Vec<f64>,
+    peak_heap_bytes: usize,
+}
+
+impl ArrivalSourceRow {
+    /// The `q`-quantile of the sorted times (nearest index).
+    fn quantile_ms(&self, q: f64) -> f64 {
+        let last = self.times_ms.len() - 1;
+        self.times_ms[(q * last as f64).round() as usize]
+    }
+
+    fn to_json(&self, extra: &str) -> String {
+        let p50 = self.quantile_ms(0.5);
+        format!(
+            concat!(
+                "        {{\n",
+                "          \"source\": \"{}\",\n",
+                "          \"offered_rate_hz\": {},\n",
+                "          \"duration_s\": {},\n",
+                "          \"reps\": {},\n",
+                "          \"arrivals\": {},\n",
+                "          \"p10_ms\": {},\n",
+                "          \"p50_ms\": {},\n",
+                "          \"p90_ms\": {},\n",
+                "          \"arrivals_per_s\": {},\n",
+                "          \"peak_heap_bytes\": {}{}\n",
+                "        }}"
+            ),
+            self.source,
+            json_number(ARRIVAL_RATE_HZ),
+            json_number(ARRIVAL_DURATION_S),
+            self.times_ms.len(),
+            self.arrivals,
+            json_number(self.quantile_ms(0.1)),
+            json_number(p50),
+            json_number(self.quantile_ms(0.9)),
+            json_number(self.arrivals as f64 / (p50 * 1e-3)),
+            self.peak_heap_bytes,
+            extra,
+        )
+    }
+}
+
+/// `paper_sweep`'s heaviest arrival horizon at seed 1, generated
+/// streamed and materialised: the section's rows, and whether both gave
+/// the same arrivals bit for bit.
+fn measure_arrival_generation(classes: &[phox_core::serve::ServiceClass]) -> (Vec<String>, bool) {
+    use phox_core::serve::ArrivalStream;
+    use phox_core::tensor::split_seed;
+
+    const REPS: usize = 15;
+    let (rate_hz, duration_s) = (ARRIVAL_RATE_HZ, ARRIVAL_DURATION_S);
+    let seed = split_seed(1, 1);
+    eprintln!("bench_snapshot: arrival generation at {rate_hz:.0} req/s x {duration_s} s...");
+    // Each source folds every arrival it produces, read the way the
+    // engine reads it (the stream a block at a time), once: (count,
+    // digest of every class and time bit).
+    let fold = |acc: (u64, u64), class: usize, arrive_s: f64| {
+        let digest = (acc.1 ^ arrive_s.to_bits() ^ class as u64).wrapping_mul(0x0100_0000_01B3);
+        (acc.0 + 1, digest)
+    };
+    let streamed = || {
+        let mut stream =
+            ArrivalStream::new(seed, rate_hz, duration_s, classes).expect("arrival stream");
+        let mut acc = (0, 0);
+        loop {
+            let (times, block_classes) = stream.pending();
+            let due = times.len();
+            if due == 0 {
+                return acc;
+            }
+            acc = times
+                .iter()
+                .zip(block_classes)
+                .fold(acc, |acc, (&arrive_s, &class)| fold(acc, class, arrive_s));
+            stream.advance(due);
+        }
+    };
+    let materialised = || {
+        materialized::generate(seed, rate_hz, duration_s, classes)
+            .iter()
+            .fold((0, 0), |acc, a| fold(acc, a.class, a.arrive_s))
+    };
+    let (stream_fold, stream_peak) = peak_heap_bytes(streamed);
+    let (trace_fold, trace_peak) = peak_heap_bytes(materialised);
+    // Bit for bit: the same count, then every class and time in order.
+    let matches = stream_fold == trace_fold && {
+        let stream = ArrivalStream::new(seed, rate_hz, duration_s, classes).expect("stream");
+        let trace = materialized::generate(seed, rate_hz, duration_s, classes);
+        stream.zip(&trace).enumerate().all(|(i, (a, b))| {
+            b.id == i as u64 && a.class == b.class && a.arrive_s.to_bits() == b.arrive_s.to_bits()
+        })
+    };
+    let mut times = [Vec::new(), Vec::new()];
+    parallel::with_threads(1, || {
+        for _ in 0..REPS {
+            let sources: [&dyn Fn() -> (u64, u64); 2] = [&streamed, &materialised];
+            for (times, source) in times.iter_mut().zip(sources) {
+                let t0 = Instant::now();
+                std::hint::black_box(source());
+                times.push(t0.elapsed().as_secs_f64() * 1e3);
+            }
+        }
+    });
+    let [mut stream_ms, mut trace_ms] = times;
+    stream_ms.sort_by(f64::total_cmp);
+    trace_ms.sort_by(f64::total_cmp);
+    let stream = ArrivalSourceRow {
+        source: "streamed",
+        arrivals: stream_fold.0,
+        times_ms: stream_ms,
+        peak_heap_bytes: stream_peak,
+    };
+    let trace = ArrivalSourceRow {
+        source: "materialized",
+        arrivals: trace_fold.0,
+        times_ms: trace_ms,
+        peak_heap_bytes: trace_peak,
+    };
+    let speedup = trace.quantile_ms(0.5) / stream.quantile_ms(0.5);
+    eprintln!(
+        "bench_snapshot: arrivals {}: streamed p50 {:.2} ms ({} B peak), materialized p50 {:.2} ms \
+         ({} B peak), {speedup:.2}x, matches_materialized_bitwise={matches}",
+        stream.arrivals,
+        stream.quantile_ms(0.5),
+        stream.peak_heap_bytes,
+        trace.quantile_ms(0.5),
+        trace.peak_heap_bytes,
+    );
+    let rows = vec![
+        stream.to_json(&format!(
+            ",\n          \"speedup_vs_materialized\": {},\n          \
+             \"matches_materialized_bitwise\": {matches}",
+            json_number(speedup)
+        )),
+        trace.to_json(""),
+    ];
+    (rows, matches)
+}
+
 fn run_serve(out_path: &str) {
     use phox_core::ghost::{GhostAccelerator, GhostConfig};
     use phox_core::serve::{standard_mix, ServeConfig, ServeEngine};
@@ -2006,9 +2288,12 @@ fn run_serve(out_path: &str) {
         occupancy_rises, jpr_decreases, all_thread_identical,
     )];
 
+    let (arrival_rows, arrivals_match) = measure_arrival_generation(&build_classes());
+
     let sections = [
         ("rate_sweep", "rates", rate_rows),
         ("serve_verdicts", "verdicts", verdict_rows),
+        ("arrival_generation", "sources", arrival_rows),
     ]
     .map(|(section, key, rows)| {
         format!(
@@ -2025,14 +2310,19 @@ fn run_serve(out_path: &str) {
                 "{\"max_batch\": 16, \"duration_s\": 0.05, \"thread_sweep\": [1, 2, 4, 8]}"
                     .to_string(),
             ),
-            // Unlike the kernel snapshots, every latency here is
-            // deterministic simulated time, not a wall-clock measurement.
+            // Unlike the kernel snapshots, every latency in the rate
+            // sweep is deterministic simulated time; only the
+            // `arrival_generation` section is wall-clock, in ms.
             ("time_base", "\"deterministic model seconds\"".to_string()),
         ],
         "sections",
         &sections,
     );
     write_or_die(out_path, &json);
+    if !arrivals_match {
+        eprintln!("bench_snapshot: serve verdicts FAILED");
+        std::process::exit(1);
+    }
 }
 
 /// One rung of the accuracy-cliff ladder: a fault budget expressed as

@@ -4,9 +4,10 @@
 //!
 //! The scheduling model is intentionally simple and fully reproducible:
 //!
-//! * Arrivals are pre-generated ([`crate::arrivals::ArrivalTrace`]) and
-//!   admitted in time order; a class whose queue is at capacity rejects
-//!   the arrival (admission control).
+//! * Arrivals stream in from an [`ArrivalStream`], a block of them
+//!   generated at a time (the run never holds its whole arrival
+//!   horizon), and are admitted in time order; a class whose queue is at
+//!   capacity rejects the arrival (admission control).
 //! * The accelerator serves one batch window at a time. Each window
 //!   holds requests of a *single* class, because a window shares weight
 //!   residency — the MR-bank programming and HBM weight stream of that
@@ -28,9 +29,9 @@ use std::collections::VecDeque;
 use phox_photonics::{Ctx, PhotonicError};
 use phox_trace as trace;
 
-use crate::arrivals::ArrivalTrace;
+use crate::arrivals::{mix_weight, ArrivalStream};
 use crate::health::{FaultContext, HazardState, RecoveryPolicy};
-use crate::report::{percentile_s, ClassReport, ServeReport};
+use crate::report::{percentiles_s, ClassReport, ServeReport};
 use crate::workload::ServiceClass;
 
 /// Serving-run configuration.
@@ -145,15 +146,12 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`PhotonicError::InvalidConfig`] for degenerate configs
-    /// or an empty class list.
+    /// Returns [`PhotonicError::InvalidConfig`] for degenerate configs,
+    /// an empty class list, or class weights the arrival mix cannot
+    /// sample (not finite and positive, or an overflowing sum).
     pub fn new(config: ServeConfig, classes: Vec<ServiceClass>) -> Result<Self, PhotonicError> {
         config.validate()?;
-        if classes.is_empty() {
-            return Err(PhotonicError::InvalidConfig {
-                what: "serve engine needs at least one service class",
-            });
-        }
+        mix_weight(&classes)?;
         Ok(ServeEngine {
             config,
             classes,
@@ -172,8 +170,8 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`PhotonicError::InvalidConfig`] for degenerate configs
-    /// or an empty class list.
+    /// Returns [`PhotonicError::InvalidConfig`] for what
+    /// [`ServeEngine::new`] rejects.
     pub fn with_faults(
         config: ServeConfig,
         classes: Vec<ServiceClass>,
@@ -194,7 +192,7 @@ impl ServeEngine {
         self.faults.as_ref()
     }
 
-    /// Runs the full horizon — generate arrivals, admit, batch, serve,
+    /// Runs the full horizon — stream arrivals, admit, batch, serve,
     /// drain — and returns the steady-state report.
     ///
     /// When the engine was built with [`ServeEngine::with_faults`], the
@@ -219,9 +217,8 @@ impl ServeEngine {
     pub fn run(&self) -> Result<ServeReport, PhotonicError> {
         let cfg = &self.config;
         let trace_handle = trace::active();
-        let arrivals =
-            ArrivalTrace::generate(cfg.seed, cfg.arrival_rate_hz, cfg.duration_s, &self.classes)?;
-        let events = arrivals.arrivals();
+        let mut arrivals =
+            ArrivalStream::new(cfg.seed, cfg.arrival_rate_hz, cfg.duration_s, &self.classes)?;
         let mut states: Vec<ClassState> = self
             .classes
             .iter()
@@ -254,7 +251,6 @@ impl ServeEngine {
         let mut retries: VecDeque<RetryEntry> = VecDeque::new();
         let mut retry_seq: u64 = 0;
 
-        let mut next = 0usize; // next un-admitted arrival
         let mut server_free_s = 0.0f64;
         let mut makespan_s = 0.0f64;
 
@@ -262,49 +258,57 @@ impl ServeEngine {
         // order (arrivals win exact ties), applying per-class admission
         // control, and samples the aggregate queue depth.
         let admit_until = |t: f64,
-                           next: &mut usize,
+                           arrivals: &mut ArrivalStream,
                            states: &mut Vec<ClassState>,
                            retries: &mut VecDeque<RetryEntry>| {
             let mut changed = false;
             loop {
-                let arrival_s = events.get(*next).map(|e| e.arrive_s).filter(|&a| a <= t);
+                // Arrivals up to the first ready retry go before it.
                 let retry_s = retries.front().map(|r| r.ready_s).filter(|&r| r <= t);
-                match (arrival_s, retry_s) {
-                    (None, None) => break,
-                    (Some(a), r) if r.is_none_or(|r| a <= r) => {
-                        let ev = &events[*next];
-                        let state = &mut states[ev.class];
+                let bound_s = retry_s.unwrap_or(t);
+                loop {
+                    let (times, classes) = arrivals.pending();
+                    let mut due = 0;
+                    for (&arrive_s, &class) in times.iter().zip(classes) {
+                        if arrive_s > bound_s {
+                            break;
+                        }
+                        let state = &mut states[class];
                         if state.queue.len() >= cfg.queue_capacity {
                             state.rejected += 1;
                         } else {
                             state.queue.push_back(QueuedRequest {
-                                arrive_s: ev.arrive_s,
-                                enqueued_s: ev.arrive_s,
+                                arrive_s,
+                                enqueued_s: arrive_s,
                                 attempts: 0,
                             });
                             state.admitted += 1;
                         }
-                        *next += 1;
-                        changed = true;
+                        due += 1;
                     }
-                    _ => {
-                        let Some(entry) = retries.pop_front() else {
-                            break;
-                        };
-                        let state = &mut states[entry.class];
-                        if state.queue.len() >= cfg.queue_capacity {
-                            // No room to retry into: the request drops.
-                            state.dropped += 1;
-                        } else {
-                            state.queue.push_back(QueuedRequest {
-                                arrive_s: entry.arrive_s,
-                                enqueued_s: entry.ready_s,
-                                attempts: entry.attempts,
-                            });
-                        }
-                        changed = true;
+                    // A block used up may be followed by more due arrivals.
+                    let more = due > 0 && due == times.len();
+                    arrivals.advance(due);
+                    changed |= due > 0;
+                    if !more {
+                        break;
                     }
                 }
+                let Some(entry) = retry_s.and_then(|_| retries.pop_front()) else {
+                    break;
+                };
+                let state = &mut states[entry.class];
+                if state.queue.len() >= cfg.queue_capacity {
+                    // No room to retry into: the request drops.
+                    state.dropped += 1;
+                } else {
+                    state.queue.push_back(QueuedRequest {
+                        arrive_s: entry.arrive_s,
+                        enqueued_s: entry.ready_s,
+                        attempts: entry.attempts,
+                    });
+                }
+                changed = true;
             }
             if changed && trace_handle.is_enabled() {
                 let depth: usize = states.iter().map(|s| s.queue.len()).sum();
@@ -314,7 +318,7 @@ impl ServeEngine {
 
         loop {
             if states.iter().all(|s| s.queue.is_empty()) {
-                let next_arrival = events.get(next).map(|e| e.arrive_s);
+                let next_arrival = arrivals.pending().0.first().copied();
                 let next_retry = retries.front().map(|r| r.ready_s);
                 let wake_s = match (next_arrival, next_retry) {
                     (None, None) => break, // drained
@@ -323,7 +327,7 @@ impl ServeEngine {
                     (Some(a), Some(r)) => a.min(r),
                 };
                 // Idle: jump to the next arrival or ready retry.
-                admit_until(wake_s, &mut next, &mut states, &mut retries);
+                admit_until(wake_s, &mut arrivals, &mut states, &mut retries);
                 continue;
             }
 
@@ -344,12 +348,12 @@ impl ServeEngine {
             // under-filled, hold it open up to the batch timeout so more
             // same-class requests can join.
             let mut dispatch_s = server_free_s.max(head_s);
-            admit_until(dispatch_s, &mut next, &mut states, &mut retries);
+            admit_until(dispatch_s, &mut arrivals, &mut states, &mut retries);
             if states[class].queue.len() < cfg.max_batch
-                && (next < events.len() || !retries.is_empty())
+                && (!arrivals.pending().0.is_empty() || !retries.is_empty())
             {
                 dispatch_s = dispatch_s.max(head_s + cfg.batch_timeout_s);
-                admit_until(dispatch_s, &mut next, &mut states, &mut retries);
+                admit_until(dispatch_s, &mut arrivals, &mut states, &mut retries);
             }
 
             // Per-attempt deadlines: requests that waited too long since
@@ -541,7 +545,7 @@ impl ServeEngine {
 
         emit_counters(&trace_handle, &states, probes, failed_windows);
         self.finish(
-            &arrivals,
+            arrivals.consumed(),
             states,
             makespan_s,
             probes,
@@ -554,7 +558,7 @@ impl ServeEngine {
     /// checks the conservation invariants.
     fn finish(
         &self,
-        arrivals: &ArrivalTrace,
+        arrivals: u64,
         states: Vec<ClassState>,
         makespan_s: f64,
         probes: u64,
@@ -570,12 +574,11 @@ impl ServeEngine {
         let degraded: u64 = states.iter().map(|s| s.degraded).sum();
         let windows: u64 = states.iter().map(|s| s.windows).sum();
         let occupancy_sum: u64 = states.iter().map(|s| s.occupancy_sum).sum();
-        if admitted + rejected != arrivals.len() as u64 {
+        if admitted + rejected != arrivals {
             return Err(PhotonicError::NumericalFailure {
                 what: "serve admission conservation",
                 detail: format!(
-                    "{} arrivals but {admitted} admitted + {rejected} rejected",
-                    arrivals.len()
+                    "{arrivals} arrivals but {admitted} admitted + {rejected} rejected"
                 ),
             });
         }
@@ -607,16 +610,21 @@ impl ServeEngine {
         for s in &states {
             all_latencies.extend_from_slice(&s.latencies_s);
         }
+        let [p50_latency_s, p99_latency_s] = percentiles_s(&mut all_latencies, [50.0, 99.0]);
         let classes = self
             .classes
             .iter()
-            .zip(&states)
-            .map(|(class, s)| {
+            .zip(states)
+            .map(|(class, mut s)| {
+                // The mean sums in completion order, before the
+                // percentiles reorder the latencies.
                 let mean = if s.latencies_s.is_empty() {
                     0.0
                 } else {
                     s.latencies_s.iter().sum::<f64>() / s.latencies_s.len() as f64
                 };
+                let [p50_latency_s, p99_latency_s] =
+                    percentiles_s(&mut s.latencies_s, [50.0, 99.0]);
                 ClassReport {
                     name: class.name.clone(),
                     admitted: s.admitted,
@@ -626,8 +634,8 @@ impl ServeEngine {
                     timed_out: s.timed_out,
                     retried: s.retried,
                     degraded: s.degraded,
-                    p50_latency_s: percentile_s(&s.latencies_s, 50.0),
-                    p99_latency_s: percentile_s(&s.latencies_s, 99.0),
+                    p50_latency_s,
+                    p99_latency_s,
                     mean_latency_s: mean,
                     mean_occupancy: if s.windows == 0 {
                         0.0
@@ -646,7 +654,7 @@ impl ServeEngine {
         Ok(ServeReport {
             seed: self.config.seed,
             offered_rate_hz: self.config.arrival_rate_hz,
-            arrivals: arrivals.len() as u64,
+            arrivals,
             admitted,
             rejected,
             completed,
@@ -667,8 +675,8 @@ impl ServeEngine {
             } else {
                 0.0
             },
-            p50_latency_s: percentile_s(&all_latencies, 50.0),
-            p99_latency_s: percentile_s(&all_latencies, 99.0),
+            p50_latency_s,
+            p99_latency_s,
             total_energy_j,
             joules_per_request: if completed == 0 {
                 0.0

@@ -64,7 +64,7 @@ pub mod health;
 pub mod report;
 pub mod workload;
 
-pub use arrivals::{Arrival, ArrivalTrace};
+pub use arrivals::{Arrival, ArrivalStream};
 pub use engine::{ServeConfig, ServeEngine};
 pub use health::{
     FaultContext, Hazard, HazardState, HazardTimeline, ProbeConfig, RecoveryPolicy, Severity,

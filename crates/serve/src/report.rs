@@ -3,19 +3,33 @@
 
 use phox_trace::json::{json_number, json_string};
 
-/// Nearest-rank percentile of a latency population: the element of
-/// rank `ceil(p/100 · n)` in `total_cmp` order, selected from a copy in
-/// O(n). `total_cmp` is a total order whose ties are bit-equal, so the
-/// result is the sorted element's bits for any input order. Returns 0.0
-/// for an empty population.
-pub(crate) fn percentile_s(values: &[f64], p: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
+/// Nearest-rank percentiles of a latency population, for ascending
+/// `ps`: each is the element of rank `ceil(p/100 · n)` in `total_cmp`
+/// order, selected in place in O(n), each among the elements above the
+/// one before it, so `values` comes back reordered. `total_cmp` is a
+/// total order whose ties are bit-equal, so every result has the sorted
+/// element's bits for any input order. An empty population gives 0.0.
+pub(crate) fn percentiles_s<const N: usize>(values: &mut [f64], ps: [f64; N]) -> [f64; N] {
+    let n = values.len();
+    if n == 0 {
+        return [0.0; N];
     }
-    let mut copy = values.to_vec();
-    let rank = ((p / 100.0) * copy.len() as f64).ceil() as usize;
-    let index = rank.saturating_sub(1).min(copy.len() - 1);
-    *copy.select_nth_unstable_by(index, f64::total_cmp).1
+    // `values[from..]` holds every element ranked above the last one
+    // selected, which sits at `from - 1`.
+    let mut from = 0;
+    ps.map(|p| {
+        let rank = ((p / 100.0) * n as f64).ceil() as usize;
+        let index = rank.saturating_sub(1).min(n - 1);
+        if index < from {
+            debug_assert_eq!(index + 1, from, "percentiles must ascend");
+            return values[index];
+        }
+        let selected = *values[from..]
+            .select_nth_unstable_by(index - from, f64::total_cmp)
+            .1;
+        from = index + 1;
+        selected
+    })
 }
 
 /// Per-class steady-state statistics.
@@ -173,15 +187,13 @@ mod tests {
 
     #[test]
     fn percentile_nearest_rank() {
-        let v = [5.0, 1.0, 3.0, 2.0, 4.0];
-        assert_eq!(percentile_s(&v, 50.0), 3.0);
-        assert_eq!(percentile_s(&v, 99.0), 5.0);
-        assert_eq!(percentile_s(&v, 100.0), 5.0);
-        assert_eq!(percentile_s(&[], 50.0), 0.0);
-        assert_eq!(percentile_s(&[7.0], 50.0), 7.0);
+        let mut v = [5.0, 1.0, 3.0, 2.0, 4.0];
+        assert_eq!(percentiles_s(&mut v, [50.0, 99.0, 100.0]), [3.0, 5.0, 5.0]);
+        assert_eq!(percentiles_s(&mut [], [50.0, 99.0]), [0.0, 0.0]);
+        assert_eq!(percentiles_s(&mut [7.0], [50.0, 99.0]), [7.0, 7.0]);
     }
 
-    /// The definition `percentile_s` selects by: sort, then index.
+    /// The definition `percentiles_s` selects by: sort, then index.
     fn sorted_percentile(values: &[f64], p: f64) -> f64 {
         let mut sorted = values.to_vec();
         sorted.sort_by(f64::total_cmp);
@@ -203,12 +215,15 @@ mod tests {
                         _ => rng.uniform(0.0, 50e-3),
                     })
                     .collect();
-                for p in [0.0, 1.0, 50.0, 99.0, 100.0] {
-                    assert_eq!(
-                        percentile_s(&values, p).to_bits(),
-                        sorted_percentile(&values, p).to_bits(),
-                        "n {n}, trial {trial}, p {p}"
-                    );
+                let ps = [0.0, 1.0, 50.0, 99.0, 100.0];
+                // All at once (each selected above the one before), and
+                // each alone.
+                let together = percentiles_s(&mut values.clone(), ps);
+                for (p, got) in ps.into_iter().zip(together) {
+                    let want = sorted_percentile(&values, p).to_bits();
+                    assert_eq!(got.to_bits(), want, "n {n}, trial {trial}, p {p}");
+                    let [alone] = percentiles_s(&mut values.clone(), [p]);
+                    assert_eq!(alone.to_bits(), want, "n {n}, trial {trial}, p {p} alone");
                 }
             }
         }

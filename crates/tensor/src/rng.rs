@@ -133,8 +133,16 @@ impl Prng {
 
     /// Uniform `f64` in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
+        Self::unit_f64(self.next_u64())
+    }
+
+    /// The uniform `f64` in `[0, 1)` that [`Prng::next_f64`] makes of
+    /// the raw output `raw`, so a batch drawn with [`Prng::fill_u64`]
+    /// converts to the same values as a `next_f64` loop.
+    #[inline]
+    pub fn unit_f64(raw: u64) -> f64 {
         // 53 high bits -> [0, 1).
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        (raw >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform `f64` in `[lo, hi)`.

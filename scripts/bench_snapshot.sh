@@ -25,7 +25,11 @@
 #                  engine over an offered-rate sweep — p50/p99 latency,
 #                  sustained QPS, batch occupancy and joules/request
 #                  for the prefill + decode + GNN mix, with
-#                  occupancy/energy and thread bit-identity verdicts.
+#                  occupancy/energy and thread bit-identity verdicts,
+#                  plus the host time and peak heap bytes of streaming
+#                  paper_sweep's heaviest arrival horizon against the
+#                  materialising loop it replaced, with a bit-identity
+#                  verdict.
 #   BENCH_6.json — accuracy under physics: the fault-budget accuracy
 #                  cliff through both functional simulators plus the
 #                  availability/p99/joules-per-request sweep over
