@@ -4,8 +4,9 @@
 //! pipeline: coherent-summation aggregation (sum/mean) and
 //! optical-comparator `max` (Fig. 7(a)), transform-unit matmuls through
 //! the shared [`AnalogEngine`], per-edge LUT-softmax attention for GAT,
-//! and SOA update activations. Validated against the digital int8
-//! reference of `phox-nn`.
+//! and SOA update activations: the analog datapath that the model's own
+//! layer walk in `phox-nn` runs on. Validated against the digital int8
+//! reference.
 //!
 //! Sum and mean aggregation run on the digital reference's own kernel:
 //! the reduce unit's coherent sum of DAC codes is the exact `i32`
@@ -19,16 +20,12 @@
 //! [`AnalogEngine::matmul`]): the ADC's range spans each product, and
 //! every read value lies inside the window rounded from it.
 
-use std::borrow::Cow;
-
-use phox_nn::gnn::{Aggregation, CsrGraph, GnnKind, GnnModel};
-use phox_photonics::analog::AnalogEngine;
+use phox_nn::gnn::{Aggregation, CsrGraph, GnnDatapath, GnnModel};
+use phox_photonics::analog::{AnalogDevices, AnalogEngine, AnalogRuntime};
 use phox_photonics::devices::OpticalActivation;
 use phox_photonics::fault::{FaultPlan, FaultSchedule};
-use phox_photonics::mr::MrConfig;
-use phox_photonics::noise::{perturb, NoiseBudget};
+use phox_photonics::noise::perturb;
 use phox_photonics::summation::OpticalComparator;
-use phox_photonics::tuning::HybridTuning;
 use phox_photonics::{Ctx, PhotonicError};
 use phox_tensor::sparse::{DegreeBuckets, ROW_TILE};
 use phox_tensor::sparse_i8::{self, I8Reduce};
@@ -47,238 +44,100 @@ fn sum_is_exact(members: usize) -> bool {
     members <= MAX_EXACT_MEMBERS
 }
 
-/// Mid-run fault-schedule state: the model-time fault timeline plus the
-/// device models needed to re-resolve the active plan as time advances.
-#[derive(Debug, Clone, PartialEq)]
-struct FaultRuntime {
-    schedule: FaultSchedule,
-    mr: MrConfig,
-    tuning: HybridTuning,
-    noise: NoiseBudget,
-    bits: u32,
-    current: FaultPlan,
+/// Writes each tile's buffer (its rows, `f` values each, in schedule
+/// order) back to those rows of an `n × f` matrix.
+fn scatter_tiles(sched: &DegreeBuckets, tiles: &[Vec<f64>], n: usize, f: usize) -> Matrix {
+    let mut out = Matrix::zeros(n, f);
+    for (t, buf) in tiles.iter().enumerate() {
+        for (i, &v) in sched.tile_rows(t).iter().enumerate() {
+            out.row_mut(v as usize)
+                .copy_from_slice(&buf[i * f..(i + 1) * f]);
+        }
+    }
+    out
 }
 
-/// Functional GHOST simulator.
+/// Functional GHOST simulator: executes a [`GnnModel`] on the analog
+/// datapath of its [`AnalogRuntime`], built from the configuration's
+/// converters, bank arrays and device models.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GhostFunctional {
-    engine: AnalogEngine,
-    comparator: OpticalComparator,
-    fault_runtime: Option<FaultRuntime>,
+pub struct GhostFunctional(AnalogRuntime);
+
+fn devices(config: &GhostConfig) -> AnalogDevices {
+    AnalogDevices {
+        adc_bits: config.adc.bits,
+        dac_bits: config.dac.bits,
+        array_rows: config.array_rows,
+        array_channels: config.array_channels,
+        mr: config.mr,
+        tuning: config.tuning,
+        noise: config.noise,
+    }
 }
 
 impl GhostFunctional {
-    /// Builds the functional simulator with receiver noise from the
-    /// configuration's 8-bit optical budget.
-    ///
-    /// # Errors
-    ///
-    /// Propagates noise-budget failures.
+    /// See [`AnalogRuntime::new`].
     pub fn new(config: &GhostConfig, seed: u64) -> Result<Self, PhotonicError> {
-        Ok(GhostFunctional {
-            engine: AnalogEngine::from_noise_budget(&config.noise, config.adc.bits, seed)?,
-            comparator: OpticalComparator::default(),
-            fault_runtime: None,
-        })
+        AnalogRuntime::new(devices(config), seed).map(GhostFunctional)
     }
 
-    /// Builds a noiseless simulator (quantization effects only).
+    /// See [`AnalogRuntime::ideal`].
     pub fn ideal(config: &GhostConfig, seed: u64) -> Self {
-        GhostFunctional {
-            engine: AnalogEngine::ideal(config.adc.bits, config.dac.bits, seed),
-            comparator: OpticalComparator::default(),
-            fault_runtime: None,
-        }
+        GhostFunctional(AnalogRuntime::ideal(devices(config), seed))
     }
 
-    /// Builds a simulator with an explicit receiver noise level for
-    /// robustness sweeps.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine construction failures.
-    pub fn with_noise(
-        config: &GhostConfig,
-        relative_sigma: f64,
-        seed: u64,
-    ) -> Result<Self, PhotonicError> {
-        Ok(GhostFunctional {
-            engine: AnalogEngine::new(relative_sigma, config.adc.bits, config.dac.bits, seed)?,
-            comparator: OpticalComparator::default(),
-            fault_runtime: None,
-        })
+    /// See [`AnalogRuntime::with_noise`].
+    pub fn with_noise(config: &GhostConfig, sigma: f64, seed: u64) -> Result<Self, PhotonicError> {
+        AnalogRuntime::with_noise(devices(config), sigma, seed).map(GhostFunctional)
     }
 
-    /// Builds a simulator with injected device faults.
-    ///
-    /// The plan is validated against the configuration's transform-array
-    /// geometry and resolved against its device models; the resulting
-    /// degradation (stuck weights, drift gain error, dead ADC lanes,
-    /// droop-inflated noise) applies to every analog operation, including
-    /// the per-node child engines of the aggregation units.
-    ///
-    /// # Errors
-    ///
-    /// Returns a context-chained error when the plan is out of geometry
-    /// or the fault is uncompensatable.
+    /// See [`AnalogRuntime::with_faults`].
     pub fn with_faults(
         config: &GhostConfig,
         plan: FaultPlan,
         seed: u64,
     ) -> Result<Self, PhotonicError> {
-        if plan.array_rows != config.array_rows || plan.array_channels != config.array_channels {
-            return Err(PhotonicError::InvalidConfig {
-                what: "fault plan geometry must match the accelerator's bank arrays",
-            }
-            .ctx("injecting device faults into GHOST"));
-        }
-        let plan = plan.validated().ctx("injecting device faults into GHOST")?;
-        let impact = plan
-            .impact(&config.mr, &config.tuning, &config.noise, config.adc.bits)
-            .ctx("injecting device faults into GHOST")?;
-        let mut engine = AnalogEngine::from_noise_budget(&config.noise, config.adc.bits, seed)?;
-        engine
-            .inject_faults(&impact, config.array_rows, config.array_channels)
-            .ctx("injecting device faults into GHOST")?;
-        Ok(GhostFunctional {
-            engine,
-            comparator: OpticalComparator::default(),
-            fault_runtime: None,
-        })
+        AnalogRuntime::with_faults(devices(config), plan, seed)
+            .ctx("injecting device faults into GHOST")
+            .map(GhostFunctional)
     }
 
-    /// Builds a simulator driven by a model-time [`FaultSchedule`]: call
-    /// [`GhostFunctional::advance_to`] before each forward pass and the
-    /// simulator re-resolves the faults active at that instant. An empty
-    /// schedule is a strict no-op — the simulator behaves byte-identically
-    /// to [`GhostFunctional::new`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a context-chained error when the schedule geometry does
-    /// not match the accelerator, or a fault active at `t = 0` is
-    /// uncompensatable.
+    /// See [`AnalogRuntime::with_fault_schedule`].
     pub fn with_fault_schedule(
         config: &GhostConfig,
         schedule: FaultSchedule,
         seed: u64,
     ) -> Result<Self, PhotonicError> {
-        if schedule.array_rows != config.array_rows
-            || schedule.array_channels != config.array_channels
-        {
-            return Err(PhotonicError::InvalidConfig {
-                what: "fault schedule geometry must match the accelerator's bank arrays",
-            }
-            .ctx("attaching fault schedule to GHOST"));
-        }
-        let mut sim = GhostFunctional::new(config, seed)?;
-        sim.fault_runtime = Some(FaultRuntime {
-            schedule,
-            mr: config.mr,
-            tuning: config.tuning,
-            noise: config.noise,
-            bits: config.adc.bits,
-            current: FaultPlan::new(config.array_rows, config.array_channels),
-        });
-        sim.advance_to(0.0)?;
-        Ok(sim)
+        AnalogRuntime::with_fault_schedule(devices(config), schedule, seed)
+            .ctx("attaching fault schedule to GHOST")
+            .map(GhostFunctional)
     }
 
-    /// Advances the fault schedule to model time `t_s`, re-resolving the
-    /// active [`FaultPlan`] into the analog engine. Cheap when the plan
-    /// has not changed since the last call; a no-op without a schedule.
-    ///
-    /// # Errors
-    ///
-    /// Returns a context-chained error when a newly active fault is
-    /// uncompensatable (drift beyond the tuning range, droop below the
-    /// noise floor, all receiver lanes dead) — the accelerator is down,
-    /// not silently wrong.
+    /// See [`AnalogRuntime::advance_to`].
     pub fn advance_to(&mut self, t_s: f64) -> Result<(), PhotonicError> {
-        let Some(rt) = self.fault_runtime.as_mut() else {
-            return Ok(());
-        };
-        let plan = rt
-            .schedule
-            .plan_at(t_s)
-            .ctx("advancing GHOST fault schedule")?;
-        if plan == rt.current {
-            return Ok(());
-        }
-        if plan.is_empty() {
-            self.engine.clear_faults();
-        } else {
-            let impact = plan
-                .impact(&rt.mr, &rt.tuning, &rt.noise, rt.bits)
-                .ctx("advancing GHOST fault schedule")?;
-            self.engine
-                .set_fault_impact(&impact, plan.array_rows, plan.array_channels)
-                .ctx("advancing GHOST fault schedule")?;
-        }
-        rt.current = plan;
-        Ok(())
-    }
-
-    /// The attached fault schedule, if any.
-    pub fn fault_schedule(&self) -> Option<&FaultSchedule> {
-        self.fault_runtime.as_ref().map(|rt| &rt.schedule)
+        self.0.advance_to(t_s).ctx("advancing GHOST fault schedule")
     }
 
     /// The underlying analog engine.
     pub fn engine(&self) -> &AnalogEngine {
-        &self.engine
+        self.0.engine()
     }
 
-    /// Runs the photonic inference of `model` over `graph` with node
-    /// `features` (`nodes × dims[0]`).
+    /// Runs the model's own layer walk ([`GnnModel::forward_with`]) on
+    /// the analog datapath over `graph` with node `features`
+    /// (`nodes × dims[0]`).
     ///
     /// # Errors
     ///
-    /// Returns [`PhotonicError::InvalidConfig`] on shape mismatch.
+    /// Returns a shape error when `features` does not match the graph
+    /// and model.
     pub fn forward(
         &mut self,
         model: &GnnModel,
         graph: &CsrGraph,
         features: &Matrix,
     ) -> Result<Matrix, PhotonicError> {
-        let cfg = model.config().clone();
-        if features.rows() != graph.num_nodes() || features.cols() != cfg.dims[0] {
-            return Err(PhotonicError::InvalidConfig {
-                what: "feature shape must match graph and model",
-            });
-        }
-        // The first layer reads `features` in place.
-        let mut h = Cow::Borrowed(features);
-        let last = cfg.layers() - 1;
-        for (l, lw) in model.layers().iter().enumerate() {
-            let next = match cfg.kind {
-                GnnKind::Gcn => {
-                    let agg = self.optical_aggregate(graph, &h, Aggregation::Mean, true)?;
-                    self.engine.matmul(&agg, &lw.w)?
-                }
-                GnnKind::GraphSage => {
-                    let agg = self.optical_aggregate(graph, &h, cfg.aggregation, false)?;
-                    let cat = h.hconcat(&agg).ctx("concatenating GraphSAGE features")?;
-                    self.engine.matmul(&cat, &lw.w)?
-                }
-                GnnKind::Gin => {
-                    let agg = self.optical_aggregate(graph, &h, Aggregation::Sum, false)?;
-                    let mixed = h
-                        .scale(1.0 + model.epsilon())
-                        .add(&agg)
-                        .ctx("mixing GIN self and aggregate features")?;
-                    self.engine.matmul(&mixed, &lw.w)?
-                }
-                GnnKind::Gat => self.gat_layer(graph, &h, lw)?,
-            };
-            h = Cow::Owned(if l != last {
-                // SOA ReLU in the update units.
-                self.engine.soa_activate(OpticalActivation::Relu, &next)
-            } else {
-                next
-            });
-        }
-        Ok(h.into_owned())
+        model.forward_with(graph, features, self)
     }
 
     /// Optical aggregation through the reduce units: sum/mean use
@@ -327,12 +186,12 @@ impl GhostFunctional {
             }
             .ctx("coherent-summation aggregation"));
         }
-        let key = self.engine.stream_key();
+        let key = self.0.engine_mut().stream_key();
         let sched = DegreeBuckets::new(graph.offsets());
         let out = if coherent {
             self.coherent_sum(graph, h, &sched, agg, include_self, key)?
         } else {
-            self.comparator_max(graph, h, &sched, include_self)
+            Self::comparator_max(graph, h, &sched, include_self)
         };
         self.trace_aggregate("optical_aggregate", &sched, h.cols(), coherent);
         Ok(out)
@@ -351,7 +210,7 @@ impl GhostFunctional {
         key: u64,
     ) -> Result<Matrix, PhotonicError> {
         let (n, f) = (graph.num_nodes(), h.cols());
-        let sigma = self.engine.relative_sigma();
+        let sigma = self.engine().relative_sigma();
         // DAC stage: member rows enter as symmetric int8 levels, one
         // calibration per aggregate call.
         let qh = Quantizer::calibrate(h).quantize(h);
@@ -394,14 +253,13 @@ impl GhostFunctional {
     /// with the first member seeding every column, on the degree-bucketed
     /// tile schedule.
     fn comparator_max(
-        &self,
         graph: &CsrGraph,
         h: &Matrix,
         sched: &DegreeBuckets,
         include_self: bool,
     ) -> Matrix {
         let f = h.cols();
-        let comparator = self.comparator;
+        let comparator = OpticalComparator::default();
         let tiles: Vec<Vec<f64>> = parallel::par_map_indexed(sched.num_tiles(), |t| {
             let rows = sched.tile_rows(t);
             // One scratch buffer per tile, reused across its rows.
@@ -428,14 +286,7 @@ impl GhostFunctional {
             }
             buf
         });
-        let mut out = Matrix::zeros(graph.num_nodes(), f);
-        for (t, buf) in tiles.iter().enumerate() {
-            for (i, &v) in sched.tile_rows(t).iter().enumerate() {
-                out.row_mut(v as usize)
-                    .copy_from_slice(&buf[i * f..(i + 1) * f]);
-            }
-        }
-        out
+        scatter_tiles(sched, &tiles, graph.num_nodes(), f)
     }
 
     /// Records sparse-aggregation counters and a summary event. Called
@@ -477,30 +328,37 @@ impl GhostFunctional {
             ],
         );
     }
+}
 
-    /// GAT layer: optical transform, digital LUT attention softmax,
-    /// attention-weighted coherent accumulation.
-    fn gat_layer(
+/// The analog datapath (Figs. 2 and 7): combine products on the engine,
+/// aggregation through the reduce units
+/// ([`GhostFunctional::optical_aggregate`]), GAT attention as an int8
+/// LUT-weighted coherent accumulation, and SOA ReLU in the update units.
+impl GnnDatapath for &mut GhostFunctional {
+    type Error = PhotonicError;
+
+    fn mm(&mut self, h: &Matrix, w: &Matrix) -> Result<Matrix, PhotonicError> {
+        self.0.engine_mut().matmul(h, w)
+    }
+
+    fn aggregate(
         &mut self,
         graph: &CsrGraph,
         h: &Matrix,
-        lw: &phox_nn::gnn::GnnLayerWeights,
+        agg: Aggregation,
+        include_self: bool,
     ) -> Result<Matrix, PhotonicError> {
-        let z = self.engine.matmul(h, &lw.w)?;
-        let fout = z.cols();
-        let n = graph.num_nodes();
-        let mut src_logit = vec![0.0; n];
-        let mut dst_logit = vec![0.0; n];
-        for v in 0..n {
-            let mut s = 0.0;
-            let mut d = 0.0;
-            for c in 0..fout {
-                s += z.get(v, c) * lw.a_src[c];
-                d += z.get(v, c) * lw.a_dst[c];
-            }
-            src_logit[v] = s;
-            dst_logit[v] = d;
-        }
+        self.optical_aggregate(graph, h, agg, include_self)
+    }
+
+    fn attend(
+        &mut self,
+        graph: &CsrGraph,
+        z: &Matrix,
+        src: &[f64],
+        dst: &[f64],
+    ) -> Result<Matrix, PhotonicError> {
+        let (n, fout) = (graph.num_nodes(), z.cols());
         // Per-node attention and weighted accumulation run on the sparse
         // tile schedule: attention weights stream straight into the tile's
         // scratch buffer (no per-node stack matrix), and each node's
@@ -514,67 +372,67 @@ impl GhostFunctional {
         // `1 / dac_levels()` — so the weighted accumulation is an exact
         // integer MAC (`alpha code × feature code`) with receiver noise
         // perturbing the accumulated count before dequantization.
-        let key = self.engine.stream_key();
-        let sigma = self.engine.relative_sigma();
-        let engine = &self.engine;
-        let qz = Quantizer::calibrate(&z).quantize(&z);
+        let key = self.0.engine_mut().stream_key();
+        let engine = self.engine();
+        let sigma = engine.relative_sigma();
+        let qz = Quantizer::calibrate(z).quantize(z);
         let zcodes = qz.as_i8_slice();
         let alpha_levels = engine.dac_levels();
         let acc_scale = qz.scale() / alpha_levels;
         let sched = DegreeBuckets::new(graph.offsets());
-        let tiles: Vec<Vec<f64>> =
-            parallel::par_map_indexed(sched.num_tiles(), |t| {
-                let rows = sched.tile_rows(t);
-                let mut buf = vec![0.0; rows.len() * fout];
-                let mut acc = vec![0i64; fout];
-                let mut alphas: Vec<f64> = Vec::new();
-                for (i, &v) in rows.iter().enumerate() {
-                    let v = v as usize;
-                    let slot = &mut buf[i * fout..(i + 1) * fout];
-                    let neigh = graph.neighbors(v);
-                    if neigh.is_empty() {
-                        // Attention over an empty neighbourhood passes the
-                        // node's own transform through.
-                        slot.copy_from_slice(z.row(v));
-                        continue;
-                    }
-                    alphas.clear();
-                    alphas.extend(neigh.iter().map(|&u| {
-                        ops::leaky_relu_scalar(src_logit[u as usize] + dst_logit[v], 0.2)
-                    }));
-                    engine.lut_softmax_in_place(&mut alphas);
-                    for a in acc.iter_mut() {
-                        *a = 0;
-                    }
-                    for (&u, &a) in neigh.iter().zip(alphas.iter()) {
-                        let u = u as usize;
-                        // Recover the exact integer LUT code of the
-                        // attention weight (the softmax output is a
-                        // multiple of 1/alpha_levels by construction).
-                        #[allow(clippy::cast_possible_truncation)]
-                        let code = (a * alpha_levels).round() as i64;
-                        for (s, &q) in acc.iter_mut().zip(&zcodes[u * fout..(u + 1) * fout]) {
-                            *s += code * i64::from(q);
-                        }
-                    }
-                    let mut rng = Prng::stream(key, v as u64);
-                    for (s, &a) in slot.iter_mut().zip(acc.iter()) {
-                        #[allow(clippy::cast_precision_loss)]
-                        let count = a as f64;
-                        *s = perturb(count, sigma, &mut rng) * acc_scale;
+        let tiles: Vec<Vec<f64>> = parallel::par_map_indexed(sched.num_tiles(), |t| {
+            let rows = sched.tile_rows(t);
+            let mut buf = vec![0.0; rows.len() * fout];
+            let mut acc = vec![0i64; fout];
+            let mut alphas: Vec<f64> = Vec::new();
+            for (i, &v) in rows.iter().enumerate() {
+                let v = v as usize;
+                let slot = &mut buf[i * fout..(i + 1) * fout];
+                let neigh = graph.neighbors(v);
+                if neigh.is_empty() {
+                    // Attention over an empty neighbourhood passes the
+                    // node's own transform through.
+                    slot.copy_from_slice(z.row(v));
+                    continue;
+                }
+                alphas.clear();
+                alphas.extend(
+                    neigh
+                        .iter()
+                        .map(|&u| ops::leaky_relu_scalar(src[u as usize] + dst[v], 0.2)),
+                );
+                engine.lut_softmax_in_place(&mut alphas);
+                for a in acc.iter_mut() {
+                    *a = 0;
+                }
+                for (&u, &a) in neigh.iter().zip(alphas.iter()) {
+                    let u = u as usize;
+                    // Recover the exact integer LUT code of the
+                    // attention weight (the softmax output is a
+                    // multiple of 1/alpha_levels by construction).
+                    #[allow(clippy::cast_possible_truncation)]
+                    let code = (a * alpha_levels).round() as i64;
+                    for (s, &q) in acc.iter_mut().zip(&zcodes[u * fout..(u + 1) * fout]) {
+                        *s += code * i64::from(q);
                     }
                 }
-                buf
-            });
-        let mut out = Matrix::zeros(n, fout);
-        for (t, buf) in tiles.iter().enumerate() {
-            for (i, &v) in sched.tile_rows(t).iter().enumerate() {
-                out.row_mut(v as usize)
-                    .copy_from_slice(&buf[i * fout..(i + 1) * fout]);
+                let mut rng = Prng::stream(key, v as u64);
+                for (s, &a) in slot.iter_mut().zip(acc.iter()) {
+                    #[allow(clippy::cast_precision_loss)]
+                    let count = a as f64;
+                    *s = perturb(count, sigma, &mut rng) * acc_scale;
+                }
             }
-        }
+            buf
+        });
         self.trace_aggregate("gat_attention_aggregate", &sched, fout, true);
-        Ok(out)
+        Ok(scatter_tiles(&sched, &tiles, n, fout))
+    }
+
+    fn relu(&mut self, h: Matrix) -> Matrix {
+        self.0
+            .engine_mut()
+            .soa_activate(OpticalActivation::Relu, &h)
     }
 }
 
@@ -582,7 +440,7 @@ impl GhostFunctional {
 mod tests {
     use super::*;
     use phox_nn::datasets::sbm;
-    use phox_nn::gnn::GnnConfig;
+    use phox_nn::gnn::{GnnConfig, GnnKind};
     use phox_tensor::{stats, Prng};
 
     fn small_task() -> phox_nn::datasets::LabelledGraph {

@@ -7,7 +7,11 @@
 //! each tile's read-out range; GHOST's optical aggregation for every
 //! reduction, with and without the node itself, over a graph with
 //! isolated nodes, at feature widths below, at and past the int8
-//! kernels' SIMD blocks; and a GHOST forward of every GNN family. The
+//! kernels' SIMD blocks; a GHOST forward of every GNN family on every
+//! constructor (provisioned, ideal, explicit noise, a fault plan, a fault
+//! schedule before and after onset); GraphSAGE with max aggregation; and
+//! the JSONL export of a traced GAT forward, whose tile spans carry each
+//! product's `op_key` and so pin the order of the analog operations. The
 //! phoxbench goldens pin one shape of each path; these pin the rest. The
 //! digests are the same under either SIMD dispatch and for any thread
 //! count.
@@ -16,7 +20,7 @@ use phox_ghost::{GhostConfig, GhostFunctional};
 use phox_nn::datasets::sbm;
 use phox_nn::gnn::{Aggregation, CsrGraph, GnnConfig, GnnKind, GnnModel};
 use phox_photonics::analog::AnalogEngine;
-use phox_photonics::fault::{FaultImpact, StuckWeight};
+use phox_photonics::fault::{DeviceFault, FaultImpact, FaultPlan, FaultSchedule, StuckWeight};
 use phox_tensor::{Matrix, Prng};
 use phox_trace::{digest_of, Trace};
 
@@ -91,7 +95,7 @@ fn analog_products_keep_their_bits() {
             got.push((format!("noisy {shape} call {call}"), digest_of(&y)));
         }
         let mut faulted = noisy(7);
-        faulted.inject_faults(&faults(), 8, 4).unwrap();
+        faulted.set_fault_impact(&faults(), 8, 4).unwrap();
         let y = faulted.matmul(&a, &b).unwrap();
         got.push((format!("faulted {shape}"), digest_of(&y)));
     }
@@ -125,7 +129,7 @@ fn traced_product_exports_its_tile_ranges() {
     for faulted in [false, true] {
         let mut eng = noisy(8);
         if faulted {
-            eng.inject_faults(&faults(), 8, 4).unwrap();
+            eng.set_fault_impact(&faults(), 8, 4).unwrap();
         }
         let trace = Trace::new();
         phox_trace::with_installed(trace.clone(), || eng.matmul(&a, &b).unwrap());
@@ -226,6 +230,99 @@ fn ghost_forwards_keep_their_bits() {
             "3798885874cf8bea", // GraphSAGE
             "67c67aa0654e2421", // GIN
             "36545fe01b244ef4", // GAT
+        ],
+    );
+}
+
+const FAMILIES: [GnnKind; 4] = [GnnKind::Gcn, GnnKind::GraphSage, GnnKind::Gin, GnnKind::Gat];
+
+#[test]
+fn ghost_forwards_on_every_constructor_keep_their_bits() {
+    let cfg = GhostConfig::default();
+    let task = sbm(3, 8, 12, 0.5, 0.05, 71).unwrap();
+    // Column 3 / channel 5 and lane 7 lie inside the 12 -> 16 layer.
+    let plan = FaultPlan::new(cfg.array_rows, cfg.array_channels)
+        .stuck_mr(3, 5, 0.25)
+        .and_then(|p| p.dead_adc_lane(7))
+        .and_then(|p| p.laser_droop(3.0))
+        .unwrap();
+    let schedule = FaultSchedule::new(cfg.array_rows, cfg.array_channels)
+        .schedule(1.0, f64::INFINITY, DeviceFault::DeadAdcLane { lane: 2 })
+        .unwrap();
+    let (g, x) = (&task.graph, &task.features);
+    let mut got = Vec::new();
+    for kind in FAMILIES {
+        let model = GnnModel::random(GnnConfig::two_layer(kind, 12, 16, 3), 72).unwrap();
+        let y = GhostFunctional::ideal(&cfg, 74).forward(&model, g, x);
+        got.push((format!("ideal {kind}"), digest_of(&y.unwrap())));
+        let y = GhostFunctional::with_noise(&cfg, 1e-2, 75)
+            .unwrap()
+            .forward(&model, g, x);
+        got.push((format!("with_noise(1e-2) {kind}"), digest_of(&y.unwrap())));
+        let y = GhostFunctional::with_faults(&cfg, plan.clone(), 76)
+            .unwrap()
+            .forward(&model, g, x);
+        got.push((format!("with_faults {kind}"), digest_of(&y.unwrap())));
+        let mut sim = GhostFunctional::with_fault_schedule(&cfg, schedule.clone(), 77).unwrap();
+        for t in [0.5, 1.5] {
+            sim.advance_to(t).unwrap();
+            let y = sim.forward(&model, g, x).unwrap();
+            got.push((format!("schedule t={t} {kind}"), digest_of(&y)));
+        }
+    }
+    let sage_max = GnnConfig {
+        aggregation: Aggregation::Max,
+        ..GnnConfig::two_layer(GnnKind::GraphSage, 12, 16, 3)
+    };
+    let model = GnnModel::random(sage_max, 78).unwrap();
+    let y = GhostFunctional::new(&cfg, 79)
+        .unwrap()
+        .forward(&model, g, x);
+    got.push(("new GraphSAGE-max".to_owned(), digest_of(&y.unwrap())));
+    let y = GhostFunctional::ideal(&cfg, 79).forward(&model, g, x);
+    got.push(("ideal GraphSAGE-max".to_owned(), digest_of(&y.unwrap())));
+    check(
+        &got,
+        &[
+            "99d7cea444f3160a", // ideal GCN
+            "7f06d4eef6fb6326", // with_noise(1e-2) GCN
+            "cb9b86c9896df1e2", // with_faults GCN
+            "7f0e12dd89048d15", // schedule t=0.5 GCN
+            "5b09f11a6ef29d53", // schedule t=1.5 GCN
+            "c0068289f451609a", // ideal GraphSAGE
+            "37ec87c43377f3a6", // with_noise(1e-2) GraphSAGE
+            "06be3d98c6f00637", // with_faults GraphSAGE
+            "ffcda96456f71de4", // schedule t=0.5 GraphSAGE
+            "9abbc6b1aa252947", // schedule t=1.5 GraphSAGE
+            "b33b649330e3f3e7", // ideal GIN
+            "76e4ea0e5ed08a9c", // with_noise(1e-2) GIN
+            "fe3ee6cde27b43a3", // with_faults GIN
+            "63f78ac728b6f49a", // schedule t=0.5 GIN
+            "c8971b70ecb02277", // schedule t=1.5 GIN
+            "6d3b2ff67168eee1", // ideal GAT
+            "97fc4245556537b0", // with_noise(1e-2) GAT
+            "68ce815d798f26c6", // with_faults GAT
+            "807363930a7c88d2", // schedule t=0.5 GAT
+            "b8ef879701f14d8e", // schedule t=1.5 GAT
+            "c5e4f996ecc0f7dc", // new GraphSAGE-max
+            "b52e96ca88fecc09", // ideal GraphSAGE-max
+        ],
+    );
+}
+
+#[test]
+fn traced_gat_forward_exports_its_op_order() {
+    let task = sbm(3, 8, 12, 0.5, 0.05, 71).unwrap();
+    let model = GnnModel::random(GnnConfig::two_layer(GnnKind::Gat, 12, 16, 3), 80).unwrap();
+    let trace = Trace::new();
+    phox_trace::with_installed(trace.clone(), || {
+        let mut sim = GhostFunctional::new(&GhostConfig::default(), 81).unwrap();
+        sim.forward(&model, &task.graph, &task.features).unwrap()
+    });
+    check(
+        &[("jsonl".to_owned(), digest_of(&trace.export_jsonl()))],
+        &[
+            "1cc8e54c87c3d0fd", // jsonl
         ],
     );
 }

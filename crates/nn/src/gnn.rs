@@ -14,6 +14,7 @@ use phox_tensor::{ops, Matrix, Prng, Quantizer, TensorError};
 
 use crate::census::OpCensus;
 use crate::int8::Precision;
+use crate::transformer::TransformerDatapath;
 
 /// A directed graph in compressed sparse row form (in-neighbour lists).
 ///
@@ -418,46 +419,74 @@ impl GnnModel {
         self.forward_with(graph, features, Precision::Int8)
     }
 
-    /// Inference with every combine product at precision `p`;
-    /// aggregation runs on the int8 sparse kernel at [`Precision::Int8`]
-    /// and in f64 otherwise.
+    /// Inference on datapath `dp`: a [`Precision`] for the digital
+    /// reference (every combine product at that precision; aggregation
+    /// on the int8 sparse kernel at [`Precision::Int8`] and in f64
+    /// otherwise), or GHOST's analog datapath.
     ///
     /// # Errors
     ///
     /// Returns a shape error when `features` does not match the graph and
-    /// configuration, and [`TensorError::InvalidDimension`] for a
-    /// [`Precision::FakeQuant`] width outside `2..=16`.
-    pub fn forward_with(
+    /// configuration, and any error of the datapath's ops
+    /// ([`TensorError::InvalidDimension`] for a [`Precision::FakeQuant`]
+    /// width outside `2..=16`).
+    pub fn forward_with<D: GnnDatapath>(
         &self,
         graph: &CsrGraph,
         features: &Matrix,
-        p: Precision,
-    ) -> Result<Matrix, TensorError> {
+        mut dp: D,
+    ) -> Result<Matrix, D::Error> {
         if features.rows() != graph.num_nodes() || features.cols() != self.config.dims[0] {
             return Err(TensorError::ShapeMismatch {
                 lhs: features.shape(),
                 rhs: (graph.num_nodes(), self.config.dims[0]),
-            });
+            }
+            .into());
         }
         // The first layer reads `features` in place; each layer's output
         // is the next one's input.
         let mut h = Cow::Borrowed(features);
         let last = self.layers.len() - 1;
         for (l, lw) in self.layers.iter().enumerate() {
-            let mut next = match self.config.kind {
-                GnnKind::Gcn => self.gcn_layer(graph, &h, lw, p)?,
-                GnnKind::GraphSage => self.sage_layer(graph, &h, lw, p)?,
-                GnnKind::Gin => self.gin_layer(graph, &h, lw, p)?,
-                GnnKind::Gat => self.gat_layer(graph, &h, lw, p)?,
-            };
-            // Hidden layers use ReLU (`ops::relu`, in place); the output
-            // layer stays linear (logits).
-            if l != last {
-                next.map_inplace(|v| v.max(0.0));
-            }
-            h = Cow::Owned(next);
+            let next = self.layer(&mut dp, graph, &h, lw)?;
+            // Hidden layers update through ReLU; the output layer stays
+            // linear (logits).
+            h = Cow::Owned(if l != last { dp.relu(next) } else { next });
         }
         Ok(h.into_owned())
+    }
+
+    /// One layer's aggregate and combine (GAT: transform, then attention).
+    fn layer<D: GnnDatapath>(
+        &self,
+        dp: &mut D,
+        graph: &CsrGraph,
+        h: &Matrix,
+        lw: &GnnLayerWeights,
+    ) -> Result<Matrix, D::Error> {
+        match self.config.kind {
+            GnnKind::Gcn => {
+                let agg = dp.aggregate(graph, h, Aggregation::Mean, true)?;
+                dp.mm(&agg, &lw.w)
+            }
+            GnnKind::GraphSage => {
+                let agg = dp.aggregate(graph, h, self.config.aggregation, false)?;
+                dp.mm(&h.hconcat(&agg)?, &lw.w)
+            }
+            GnnKind::Gin => {
+                let agg = dp.aggregate(graph, h, Aggregation::Sum, false)?;
+                dp.mm(&h.scale(1.0 + self.epsilon).add(&agg)?, &lw.w)
+            }
+            GnnKind::Gat => {
+                let z = dp.mm(h, &lw.w)?;
+                // Per-node source/destination attention logits.
+                let logits = |a: &[f64]| -> Vec<f64> {
+                    let dot = |v: usize| z.row(v).iter().zip(a).fold(0.0, |s, (&x, &w)| s + x * w);
+                    (0..z.rows()).map(dot).collect()
+                };
+                dp.attend(graph, &z, &logits(&lw.a_src), &logits(&lw.a_dst))
+            }
+        }
     }
 
     /// Aggregates neighbour features (plus optionally the vertex itself)
@@ -481,14 +510,7 @@ impl GnnModel {
         agg: Aggregation,
         include_self: bool,
     ) -> Result<Matrix, TensorError> {
-        let mut out = Matrix::zeros(graph.num_nodes(), h.cols());
-        let reduce = match agg {
-            Aggregation::Sum => SparseReduce::Sum,
-            Aggregation::Mean => SparseReduce::Mean,
-            Aggregation::Max => SparseReduce::Max,
-        };
-        sparse::aggregate_into(&graph.csr_view(), h, reduce, include_self, &mut out)?;
-        Ok(out)
+        Precision::F64.aggregate(graph, h, agg, include_self)
     }
 
     /// The pre-sparse dense-stack aggregation: per vertex, neighbour rows
@@ -573,6 +595,77 @@ impl GnnModel {
         agg: Aggregation,
         include_self: bool,
     ) -> Result<Matrix, TensorError> {
+        Precision::Int8.aggregate(graph, h, agg, include_self)
+    }
+}
+
+/// The ops of the GNN layer walk ([`GnnModel::forward_with`]) that
+/// differ between datapaths. Two implement it: [`Precision`], the
+/// digital reference, and the GHOST functional simulator's analog
+/// datapath. Each layer aggregates before it combines, GAT runs its
+/// transform before its attention, and a hidden layer's update comes
+/// last. An analog datapath keys its noise streams on that order.
+pub trait GnnDatapath {
+    /// The ops' error; tensor errors convert into it.
+    type Error: From<TensorError>;
+    /// The combine (or GAT transform) product `h · W`.
+    fn mm(&mut self, h: &Matrix, w: &Matrix) -> Result<Matrix, Self::Error>;
+    /// Reduces each vertex's in-neighbours, plus the vertex itself when
+    /// `include_self`, with `agg`; an isolated vertex aggregates to zero.
+    fn aggregate(
+        &mut self,
+        graph: &CsrGraph,
+        h: &Matrix,
+        agg: Aggregation,
+        include_self: bool,
+    ) -> Result<Matrix, Self::Error>;
+    /// GAT's attention-weighted neighbour sum of the transformed features
+    /// `z`: vertex `v` weighs in-neighbour `u` by the softmax, over `v`'s
+    /// in-neighbours, of `LeakyReLU(src[u] + dst[v])` (slope 0.2). An
+    /// isolated vertex keeps its own row of `z`.
+    ///
+    /// # Panics
+    ///
+    /// May panic if `src`, `dst` or `z` has fewer entries or rows than
+    /// `graph` has vertices; the walk passes one per vertex.
+    fn attend(
+        &mut self,
+        graph: &CsrGraph,
+        z: &Matrix,
+        src: &[f64],
+        dst: &[f64],
+    ) -> Result<Matrix, Self::Error>;
+    /// The hidden-layer update: ReLU.
+    fn relu(&mut self, h: Matrix) -> Matrix;
+}
+
+/// The digital reference: combine products at the precision,
+/// aggregation on the int8 sparse kernel at [`Precision::Int8`] and on
+/// the f64 one otherwise, GAT attention in f64, ReLU in place.
+impl GnnDatapath for Precision {
+    type Error = TensorError;
+
+    fn mm(&mut self, h: &Matrix, w: &Matrix) -> Result<Matrix, TensorError> {
+        TransformerDatapath::mm(self, h, w)
+    }
+
+    fn aggregate(
+        &mut self,
+        graph: &CsrGraph,
+        h: &Matrix,
+        agg: Aggregation,
+        include_self: bool,
+    ) -> Result<Matrix, TensorError> {
+        if *self != Precision::Int8 {
+            let mut out = Matrix::zeros(graph.num_nodes(), h.cols());
+            let reduce = match agg {
+                Aggregation::Sum => SparseReduce::Sum,
+                Aggregation::Mean => SparseReduce::Mean,
+                Aggregation::Max => SparseReduce::Max,
+            };
+            sparse::aggregate_into(&graph.csr_view(), h, reduce, include_self, &mut out)?;
+            return Ok(out);
+        }
         let n = graph.num_nodes();
         if h.rows() != n {
             // The f64 kernel's error, before any quantization work.
@@ -612,85 +705,16 @@ impl GnnModel {
         Ok(out)
     }
 
-    /// Dispatches aggregation to the int8 sparse kernel at
-    /// [`Precision::Int8`] and to the f64 one otherwise.
-    fn aggregate_for(
-        &self,
+    fn attend(
+        &mut self,
         graph: &CsrGraph,
-        h: &Matrix,
-        agg: Aggregation,
-        include_self: bool,
-        p: Precision,
+        z: &Matrix,
+        src: &[f64],
+        dst: &[f64],
     ) -> Result<Matrix, TensorError> {
-        if p == Precision::Int8 {
-            self.aggregate_int8(graph, h, agg, include_self)
-        } else {
-            self.aggregate(graph, h, agg, include_self)
-        }
-    }
-
-    fn gcn_layer(
-        &self,
-        graph: &CsrGraph,
-        h: &Matrix,
-        lw: &GnnLayerWeights,
-        p: Precision,
-    ) -> Result<Matrix, TensorError> {
-        let agg = self.aggregate_for(graph, h, Aggregation::Mean, true, p)?;
-        p.mm(&agg, &lw.w)
-    }
-
-    fn sage_layer(
-        &self,
-        graph: &CsrGraph,
-        h: &Matrix,
-        lw: &GnnLayerWeights,
-        p: Precision,
-    ) -> Result<Matrix, TensorError> {
-        let agg = self.aggregate_for(graph, h, self.config.aggregation, false, p)?;
-        let cat = h.hconcat(&agg)?;
-        p.mm(&cat, &lw.w)
-    }
-
-    fn gin_layer(
-        &self,
-        graph: &CsrGraph,
-        h: &Matrix,
-        lw: &GnnLayerWeights,
-        p: Precision,
-    ) -> Result<Matrix, TensorError> {
-        let agg = self.aggregate_for(graph, h, Aggregation::Sum, false, p)?;
-        let mixed = h.scale(1.0 + self.epsilon).add(&agg)?;
-        p.mm(&mixed, &lw.w)
-    }
-
-    fn gat_layer(
-        &self,
-        graph: &CsrGraph,
-        h: &Matrix,
-        lw: &GnnLayerWeights,
-        p: Precision,
-    ) -> Result<Matrix, TensorError> {
-        // Transform first: z = h·W, then attention over edges.
-        let z = p.mm(h, &lw.w)?;
-        let fout = z.cols();
+        // Per-edge attention weights, laid out CSR-aligned so the
+        // accumulation is one weighted SpMM through the sparse kernel.
         let n = graph.num_nodes();
-        // Per-node source/destination attention logits.
-        let mut src_logit = vec![0.0; n];
-        let mut dst_logit = vec![0.0; n];
-        for v in 0..n {
-            let mut s = 0.0;
-            let mut d = 0.0;
-            for c in 0..fout {
-                s += z.get(v, c) * lw.a_src[c];
-                d += z.get(v, c) * lw.a_dst[c];
-            }
-            src_logit[v] = s;
-            dst_logit[v] = d;
-        }
-        // Per-edge attention weights α_u = softmax_u(LeakyReLU(src(u) +
-        // dst(v))), laid out CSR-aligned so the accumulation is one
-        // weighted SpMM through the sparse kernel.
         let mut alphas = vec![0.0; graph.num_edges()];
         let offsets = graph.offsets();
         for v in 0..n {
@@ -700,7 +724,7 @@ impl GnnModel {
             }
             let slot = &mut alphas[offsets[v]..offsets[v + 1]];
             for (a, &u) in slot.iter_mut().zip(neigh) {
-                *a = ops::leaky_relu_scalar(src_logit[u as usize] + dst_logit[v], 0.2);
+                *a = ops::leaky_relu_scalar(src[u as usize] + dst[v], 0.2);
             }
             let m = slot.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             let mut sum = 0.0;
@@ -713,7 +737,7 @@ impl GnnModel {
             }
         }
         let attention = CsrView::new(n, n, offsets, graph.neighbor_ids(), Some(&alphas))?;
-        let mut out = sparse::spmm(&attention, &z)?;
+        let mut out = sparse::spmm(&attention, z)?;
         // Self-attention fallback: an isolated node keeps its own
         // transform.
         for v in 0..n {
@@ -722,6 +746,11 @@ impl GnnModel {
             }
         }
         Ok(out)
+    }
+
+    fn relu(&mut self, mut h: Matrix) -> Matrix {
+        h.map_inplace(|v| v.max(0.0));
+        h
     }
 }
 

@@ -1,8 +1,10 @@
 //! The precision of the reference models' weight products, and true int8
 //! execution.
 //!
-//! Every weight product of [`crate::transformer::TransformerModel`] and
-//! [`crate::gnn::GnnModel`] runs at one [`Precision`]:
+//! [`Precision`] is the digital implementation of both layer-walk seams
+//! ([`crate::transformer::TransformerDatapath`],
+//! [`crate::gnn::GnnDatapath`]); every weight product of a digital
+//! forward runs at one precision:
 //!
 //! * [`Precision::F64`] multiplies the operands where they lie — no
 //!   copy, so a single-row product reads each weight in place through the
@@ -32,7 +34,7 @@
 //! and driver [`gemm_i8::matmul_i32`] runs inside);
 //! [`crate::decode::Int8Decoder`] builds one per weight and keeps it.
 
-use phox_tensor::{gemm_i8, quant, Matrix, Quantizer, RowQuantMatrix, TensorError};
+use phox_tensor::{gemm_i8, Matrix, Quantizer, RowQuantMatrix, TensorError};
 
 /// How a model forward executes its weight products; see the module
 /// docs.
@@ -49,29 +51,6 @@ pub enum Precision {
     },
     /// True int8 execution on the `i8 × i8 → i32` kernels.
     Int8,
-}
-
-impl Precision {
-    /// Product at a site where both operands pass through the precision
-    /// model (Q/K/V, cross-attention, GNN combine).
-    pub(crate) fn mm(self, a: &Matrix, w: &Matrix) -> Result<Matrix, TensorError> {
-        match self {
-            Precision::F64 => a.matmul(w),
-            Precision::FakeQuant { bits } => {
-                quant::fake_quantize_bits(a, bits)?.matmul(&quant::fake_quantize_bits(w, bits)?)
-            }
-            Precision::Int8 => QuantLinear::from_weight(w).forward(a),
-        }
-    }
-
-    /// Product at a site where fake quantization treats only the weight
-    /// (attention output projection, feed-forward block).
-    pub(crate) fn mm_weight_only(self, a: &Matrix, w: &Matrix) -> Result<Matrix, TensorError> {
-        match self {
-            Precision::FakeQuant { bits } => a.matmul(&quant::fake_quantize_bits(w, bits)?),
-            Precision::F64 | Precision::Int8 => self.mm(a, w),
-        }
-    }
 }
 
 /// A linear layer on the int8 datapath: the weight quantized once, per
@@ -149,8 +128,8 @@ mod tests {
     use super::*;
     use crate::datasets::sbm;
     use crate::gnn::{GnnConfig, GnnKind, GnnModel};
-    use crate::transformer::{TransformerConfig, TransformerModel};
-    use phox_tensor::{stats, Prng};
+    use crate::transformer::{TransformerConfig, TransformerDatapath, TransformerModel};
+    use phox_tensor::{quant, stats, Prng};
 
     #[test]
     fn quant_linear_rows_are_batch_independent() {
@@ -218,7 +197,7 @@ mod tests {
             ),
             (Precision::Int8, int8.clone(), int8),
         ];
-        for (p, both, weight_only) in table {
+        for (mut p, both, weight_only) in table {
             assert_eq!(p.mm(&a, &w).unwrap(), both, "{p:?}");
             assert_eq!(p.mm_weight_only(&a, &w).unwrap(), weight_only, "{p:?}");
             if p != (Precision::FakeQuant { bits: 4 }) {
@@ -234,7 +213,7 @@ mod tests {
         let bad_width =
             |r: Result<Matrix, TensorError>| matches!(r, Err(TensorError::InvalidDimension { .. }));
         for bits in [1, 17] {
-            let p = Precision::FakeQuant { bits };
+            let mut p = Precision::FakeQuant { bits };
             assert!(bad_width(p.mm(&a, &w)), "{p:?}");
             assert!(bad_width(p.mm_weight_only(&a, &w)), "{p:?}");
             assert!(bad_width(tf.forward_with(&x, p)), "{p:?}");

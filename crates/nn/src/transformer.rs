@@ -6,10 +6,10 @@
 //! the encoder/decoder stack used to validate the photonic functional
 //! simulation and the 8-bit quantization claim.
 
-use phox_tensor::{ops, Matrix, Prng, TensorError};
+use phox_tensor::{ops, quant, Matrix, Prng, TensorError};
 
 use crate::census::OpCensus;
-use crate::int8::Precision;
+use crate::int8::{Precision, QuantLinear};
 
 /// Which parts of the original transformer a model keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -424,66 +424,79 @@ impl TransformerModel {
         self.forward_with(x, Precision::Int8)
     }
 
-    /// Forward pass over `x` (`seq_len x d_model`) with every weight
-    /// product at precision `p`. For an encoder-decoder model this runs
-    /// the full pipeline with `x` as both source and target (the
+    /// Forward pass over `x` (`seq_len x d_model`) on datapath `dp`: a
+    /// [`Precision`] for the digital reference, or a photonic
+    /// simulator's analog datapath. For an encoder-decoder model this
+    /// runs the full pipeline with `x` as both source and target (the
     /// standard structure-validation setting); use
     /// [`TransformerModel::forward_seq2seq`] for distinct sequences.
     ///
     /// # Errors
     ///
     /// Returns a shape error when `x` does not match the configuration,
-    /// and [`TensorError::InvalidDimension`] for a
-    /// [`Precision::FakeQuant`] width outside `2..=16`.
-    pub fn forward_with(&self, x: &Matrix, p: Precision) -> Result<Matrix, TensorError> {
-        if x.rows() != self.config.seq_len || x.cols() != self.config.d_model {
-            return Err(TensorError::ShapeMismatch {
-                lhs: x.shape(),
-                rhs: (self.config.seq_len, self.config.d_model),
-            });
-        }
+    /// and any error of the datapath's ops ([`TensorError::InvalidDimension`]
+    /// for a [`Precision::FakeQuant`] width outside `2..=16`).
+    pub fn forward_with<D: TransformerDatapath>(
+        &self,
+        x: &Matrix,
+        mut dp: D,
+    ) -> Result<Matrix, D::Error> {
+        self.check_input(x)?;
         if self.config.kind == TransformerKind::EncoderDecoder {
-            return self.forward_seq2seq(x, x, p);
+            return self.forward_seq2seq(x, x, dp);
         }
-        self.encode(x, p)
+        self.encode(x, &mut dp)
     }
 
-    /// Sequence-to-sequence pass at precision `p`: encodes `src`, then
+    /// Sequence-to-sequence pass on datapath `dp`: encodes `src`, then
     /// decodes `tgt` against the encoder memory through the
     /// cross-attention blocks (Fig. 1).
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidDimension`] for non-encoder-decoder
-    /// models or a bad [`Precision::FakeQuant`] width, and shape errors
-    /// for mismatched inputs.
-    pub fn forward_seq2seq(
+    /// models, shape errors for mismatched inputs, and any error of the
+    /// datapath's ops.
+    pub fn forward_seq2seq<D: TransformerDatapath>(
         &self,
         src: &Matrix,
         tgt: &Matrix,
-        p: Precision,
-    ) -> Result<Matrix, TensorError> {
+        mut dp: D,
+    ) -> Result<Matrix, D::Error> {
         if self.config.kind != TransformerKind::EncoderDecoder {
             return Err(TensorError::InvalidDimension {
                 what: "seq2seq forward requires an encoder-decoder model",
-            });
-        }
-        for m in [src, tgt] {
-            if m.rows() != self.config.seq_len || m.cols() != self.config.d_model {
-                return Err(TensorError::ShapeMismatch {
-                    lhs: m.shape(),
-                    rhs: (self.config.seq_len, self.config.d_model),
-                });
             }
+            .into());
         }
+        self.check_input(src)?;
+        self.check_input(tgt)?;
         // Encode (bidirectional self-attention).
-        let memory = self.encode(src, p)?;
-        // Decode (causal self-attention + cross-attention).
+        let memory = self.encode(src, &mut dp)?;
+        // Decode: causal self-attention, cross-attention with queries
+        // from the decoder state and keys/values from the encoder memory,
+        // then the feed-forward block.
         let mut h = tgt.clone();
         for dw in &self.decoder_layers {
-            h = self.decoder_layer_forward(&h, &memory, dw, p)?;
+            let norm1 = self.attention(&mut dp, (&h, &h), dw.base.self_attention(), true)?;
+            let cross = [&dw.w_cq, &dw.w_ck, &dw.w_cv, &dw.w_co];
+            let ln = (&dw.ln_cross_gamma[..], &dw.ln_cross_beta[..]);
+            let norm2 = self.attention(&mut dp, (&norm1, &memory), (cross, ln), false)?;
+            h = self.feed_forward(&mut dp, &norm2, &dw.base)?;
         }
         Ok(h)
+    }
+
+    /// A shape error unless `x` is `seq_len x d_model`.
+    fn check_input(&self, x: &Matrix) -> Result<(), TensorError> {
+        let want = (self.config.seq_len, self.config.d_model);
+        if x.shape() != want {
+            return Err(TensorError::ShapeMismatch {
+                lhs: x.shape(),
+                rhs: want,
+            });
+        }
+        Ok(())
     }
 
     /// Full-precision causal forward over an arbitrary-length prefix of
@@ -514,7 +527,7 @@ impl TransformerModel {
 
     /// Shared prefix-forward implementation over `x` (`t × d_model`,
     /// any `t >= 1`), causal by construction (decoder-only).
-    fn prefix_with(&self, x: &Matrix, p: Precision) -> Result<Matrix, TensorError> {
+    fn prefix_with(&self, x: &Matrix, mut p: Precision) -> Result<Matrix, TensorError> {
         if self.config.kind != TransformerKind::DecoderOnly {
             return Err(TensorError::InvalidDimension {
                 what: "prefix forward requires a decoder-only model",
@@ -526,125 +539,186 @@ impl TransformerModel {
                 rhs: (1, self.config.d_model),
             });
         }
-        self.encode(x, p)
+        self.encode(x, &mut p)
     }
 
-    /// Runs `x` through the encoder (or single-stack) layers.
-    fn encode(&self, x: &Matrix, p: Precision) -> Result<Matrix, TensorError> {
+    /// Runs `x` through the encoder (or single-stack) layers: each one
+    /// self-attention (causal in a decoder-only model), then the
+    /// feed-forward block.
+    fn encode<D: TransformerDatapath>(&self, x: &Matrix, dp: &mut D) -> Result<Matrix, D::Error> {
+        let causal = self.config.kind == TransformerKind::DecoderOnly;
         let mut h = x.clone();
         for lw in &self.layers {
-            h = self.layer_forward(&h, lw, p)?;
+            let norm1 = self.attention(dp, (&h, &h), lw.self_attention(), causal)?;
+            h = self.feed_forward(dp, &norm1, lw)?;
         }
         Ok(h)
     }
 
-    /// Multi-head scaled-dot-product attention with per-head
-    /// concatenation (Fig. 5(b) buffer & concat) and output projection.
-    fn multi_head_attention(
+    /// One attention block: queries from `x`, keys and values from `kv`
+    /// (`x` itself, or the encoder memory for cross-attention), the
+    /// heads, the output projection `w[3]`, then the residual onto `x`
+    /// and the LayerNorm `ln`.
+    fn attention<D: TransformerDatapath>(
         &self,
-        q: &Matrix,
-        k: &Matrix,
-        v: &Matrix,
-        w_o: &Matrix,
+        dp: &mut D,
+        (x, kv): (&Matrix, &Matrix),
+        ([w_q, w_k, w_v, w_o], ln): ([&Matrix; 4], (&[f64], &[f64])),
         causal: bool,
-        p: Precision,
-    ) -> Result<Matrix, TensorError> {
-        let d = self.config.d_model;
-        let dh = self.config.d_head();
-        let mut concat = Matrix::zeros(q.rows(), d);
-        for head in 0..self.config.heads {
-            let lo = head * dh;
-            let hi = lo + dh;
-            let qh = q.col_slice(lo, hi)?;
-            let kh = k.col_slice(lo, hi)?;
-            let vh = v.col_slice(lo, hi)?;
-            let mut scores = qh.matmul(&kh.transpose())?.scale(1.0 / (dh as f64).sqrt());
-            if causal {
-                for r in 0..scores.rows() {
-                    for c in (r + 1)..scores.cols() {
-                        scores.set(r, c, f64::NEG_INFINITY);
-                    }
-                }
-            }
-            // Sequential accumulation over the context dimension: the
-            // masked tail beyond row r carries exact-zero weights, so a
-            // KV-cached decode step (context t, no tail) reproduces row
-            // t-1 of this product bit-for-bit. See [`ops::matmul_seq`].
-            let attn = ops::matmul_seq(&ops::softmax_rows(&scores), &vh)?;
-            for r in 0..attn.rows() {
-                for c in 0..dh {
-                    concat.set(r, lo + c, attn.get(r, c));
-                }
-            }
-        }
-        p.mm_weight_only(&concat, w_o)
-    }
-
-    /// One encoder (or single-stack) layer: self-attention, then the
-    /// feed-forward block.
-    fn layer_forward(
-        &self,
-        x: &Matrix,
-        lw: &LayerWeights,
-        p: Precision,
-    ) -> Result<Matrix, TensorError> {
-        let causal = self.config.kind == TransformerKind::DecoderOnly;
-        let norm1 = self.self_attention(x, lw, causal, p)?;
-        self.feed_forward(&norm1, lw, p)
-    }
-
-    /// One decoder layer: causal self-attention, cross-attention against
-    /// the encoder memory, then the feed-forward block — each with its
-    /// residual connection and LayerNorm.
-    fn decoder_layer_forward(
-        &self,
-        x: &Matrix,
-        memory: &Matrix,
-        dw: &DecoderLayerWeights,
-        p: Precision,
-    ) -> Result<Matrix, TensorError> {
-        let norm1 = self.self_attention(x, &dw.base, true, p)?;
-        // Cross-attention: queries from the decoder state, keys/values
-        // from the encoder memory.
-        let cq = p.mm(&norm1, &dw.w_cq)?;
-        let ck = p.mm(memory, &dw.w_ck)?;
-        let cv = p.mm(memory, &dw.w_cv)?;
-        let cross = self.multi_head_attention(&cq, &ck, &cv, &dw.w_co, false, p)?;
-        let res2 = norm1.add(&cross)?;
-        let norm2 = ops::layer_norm(&res2, &dw.ln_cross_gamma, &dw.ln_cross_beta, 1e-9)?;
-        self.feed_forward(&norm2, &dw.base, p)
-    }
-
-    /// Self-attention over `x` with its residual connection and
-    /// LayerNorm.
-    fn self_attention(
-        &self,
-        x: &Matrix,
-        lw: &LayerWeights,
-        causal: bool,
-        p: Precision,
-    ) -> Result<Matrix, TensorError> {
-        let q = p.mm(x, &lw.w_q)?;
-        let k = p.mm(x, &lw.w_k)?;
-        let v = p.mm(x, &lw.w_v)?;
-        let mha = self.multi_head_attention(&q, &k, &v, &lw.w_o, causal, p)?;
-        let res1 = x.add(&mha)?;
-        ops::layer_norm(&res1, &lw.ln1_gamma, &lw.ln1_beta, 1e-9)
+    ) -> Result<Matrix, D::Error> {
+        let (q, k, v) = (dp.mm(x, w_q)?, dp.mm(kv, w_k)?, dp.mm(kv, w_v)?);
+        let heads = dp.heads([&q, &k, &v], self.config.heads, causal)?;
+        let mha = dp.mm_weight_only(&heads, w_o)?;
+        let res = dp.residual(x, &mha)?;
+        dp.layer_norm(&res, ln)
     }
 
     /// The feed-forward block over `x` with its residual connection and
     /// LayerNorm.
-    fn feed_forward(
+    fn feed_forward<D: TransformerDatapath>(
         &self,
+        dp: &mut D,
         x: &Matrix,
         lw: &LayerWeights,
-        p: Precision,
-    ) -> Result<Matrix, TensorError> {
-        let inner = p.mm_weight_only(x, &lw.w_ff1)?;
-        let activated = self.config.ff_activation.apply(&inner);
-        let ffo = p.mm_weight_only(&activated, &lw.w_ff2)?;
-        let res2 = x.add(&ffo)?;
-        ops::layer_norm(&res2, &lw.ln2_gamma, &lw.ln2_beta, 1e-9)
+    ) -> Result<Matrix, D::Error> {
+        let inner = dp.mm_weight_only(x, &lw.w_ff1)?;
+        let activated = dp.activate(self.config.ff_activation, &inner);
+        let ffo = dp.mm_weight_only(&activated, &lw.w_ff2)?;
+        let res = dp.residual(x, &ffo)?;
+        dp.layer_norm(&res, (&lw.ln2_gamma, &lw.ln2_beta))
+    }
+}
+
+impl LayerWeights {
+    /// The self-attention block's projections and LayerNorm.
+    fn self_attention(&self) -> ([&Matrix; 4], (&[f64], &[f64])) {
+        (
+            [&self.w_q, &self.w_k, &self.w_v, &self.w_o],
+            (&self.ln1_gamma, &self.ln1_beta),
+        )
+    }
+}
+
+/// The ops of the transformer layer walk
+/// ([`TransformerModel::forward_with`]) that differ between datapaths.
+/// Two implement it: [`Precision`], the digital reference, and the TRON
+/// functional simulator's analog datapath. Per attention block the walk
+/// issues Q, K, V, the heads, the output projection, the residual and
+/// the LayerNorm; per feed-forward block the first product, the
+/// activation, the second product, the residual and the LayerNorm. An
+/// analog datapath keys its noise streams on that order.
+pub trait TransformerDatapath {
+    /// The ops' error; tensor errors convert into it.
+    type Error: From<TensorError>;
+    /// A product where both operands meet the precision model (Q/K/V,
+    /// cross-attention).
+    fn mm(&mut self, a: &Matrix, w: &Matrix) -> Result<Matrix, Self::Error>;
+    /// A product where fake quantization treats only the weight (output
+    /// projection, feed-forward block).
+    fn mm_weight_only(&mut self, a: &Matrix, w: &Matrix) -> Result<Matrix, Self::Error>;
+    /// The `n` attention heads over `[q, k, v]`: each head's
+    /// `softmax(q_h·k_hᵀ/√d_h)·v_h`, the future masked when `causal`,
+    /// concatenated in head order.
+    fn heads(&mut self, qkv: [&Matrix; 3], n: usize, causal: bool) -> Result<Matrix, Self::Error>;
+    /// The residual add `x + y`.
+    fn residual(&mut self, x: &Matrix, y: &Matrix) -> Result<Matrix, Self::Error>;
+    /// LayerNorm with `(gain, bias)`.
+    fn layer_norm(&mut self, x: &Matrix, ln: (&[f64], &[f64])) -> Result<Matrix, Self::Error>;
+    /// The feed-forward nonlinearity.
+    fn activate(&mut self, f: FfActivation, x: &Matrix) -> Matrix;
+}
+
+/// Head `h` of `n` over `[q, k, v]`: its query columns, its key columns
+/// transposed, and its value columns.
+///
+/// # Errors
+///
+/// Returns a shape error when the head's columns lie outside an operand.
+pub fn head_operands(qkv: [&Matrix; 3], n: usize, h: usize) -> Result<[Matrix; 3], TensorError> {
+    let dh = qkv[0].cols() / n;
+    let [q, k, v] = qkv.map(|m| m.col_slice(h * dh, (h + 1) * dh));
+    Ok([q?, k?.transpose(), v?])
+}
+
+/// Scales a head's scores by `1/√d_h` and, when `causal`, masks every
+/// future position with `-∞`.
+pub fn mask_scores(scores: Matrix, dh: usize, causal: bool) -> Matrix {
+    let mut scores = scores.scale(1.0 / (dh as f64).sqrt());
+    if causal {
+        for r in 0..scores.rows() {
+            for c in (r + 1)..scores.cols() {
+                scores.set(r, c, f64::NEG_INFINITY);
+            }
+        }
+    }
+    scores
+}
+
+/// Concatenates the heads' contexts in head order into one `rows x d`
+/// matrix (Fig. 5(b) buffer & concat).
+///
+/// # Errors
+///
+/// Returns the first failed head's error.
+pub fn concat_heads<E>(
+    (rows, d): (usize, usize),
+    contexts: impl IntoIterator<Item = Result<Matrix, E>>,
+) -> Result<Matrix, E> {
+    let mut concat = Matrix::zeros(rows, d);
+    for (h, ctx) in contexts.into_iter().enumerate() {
+        let ctx = ctx?;
+        for r in 0..rows {
+            concat.row_mut(r)[h * ctx.cols()..][..ctx.cols()].copy_from_slice(ctx.row(r));
+        }
+    }
+    Ok(concat)
+}
+
+/// The digital reference: products at the precision, the heads one after
+/// another in f64, softmax, LayerNorm and residual adds in f64.
+impl TransformerDatapath for Precision {
+    type Error = TensorError;
+
+    fn mm(&mut self, a: &Matrix, w: &Matrix) -> Result<Matrix, TensorError> {
+        match *self {
+            Precision::F64 => a.matmul(w),
+            Precision::FakeQuant { bits } => {
+                quant::fake_quantize_bits(a, bits)?.matmul(&quant::fake_quantize_bits(w, bits)?)
+            }
+            Precision::Int8 => QuantLinear::from_weight(w).forward(a),
+        }
+    }
+
+    fn mm_weight_only(&mut self, a: &Matrix, w: &Matrix) -> Result<Matrix, TensorError> {
+        match *self {
+            Precision::FakeQuant { bits } => a.matmul(&quant::fake_quantize_bits(w, bits)?),
+            Precision::F64 | Precision::Int8 => self.mm(a, w),
+        }
+    }
+
+    fn heads(&mut self, qkv: [&Matrix; 3], n: usize, causal: bool) -> Result<Matrix, TensorError> {
+        let contexts = (0..n).map(|h| {
+            let [qh, kt, vh] = head_operands(qkv, n, h)?;
+            let scores = mask_scores(qh.matmul(&kt)?, vh.cols(), causal);
+            // Sequential accumulation over the context dimension: the
+            // masked tail beyond row r carries exact-zero weights, so a
+            // KV-cached decode step (context t, no tail) reproduces row
+            // t-1 of this product bit-for-bit. See [`ops::matmul_seq`].
+            ops::matmul_seq(&ops::softmax_rows(&scores), &vh)
+        });
+        concat_heads(qkv[0].shape(), contexts)
+    }
+
+    fn residual(&mut self, x: &Matrix, y: &Matrix) -> Result<Matrix, TensorError> {
+        x.add(y)
+    }
+
+    fn layer_norm(&mut self, x: &Matrix, (g, b): (&[f64], &[f64])) -> Result<Matrix, TensorError> {
+        ops::layer_norm(x, g, b, 1e-9)
+    }
+
+    fn activate(&mut self, f: FfActivation, x: &Matrix) -> Matrix {
+        f.apply(x)
     }
 }
 

@@ -21,8 +21,10 @@
 use phox_tensor::{gemm_i8, ops, parallel, split_seed, Matrix, Prng, Quantizer};
 
 use crate::devices::{OpticalActivation, Soa};
-use crate::fault::FaultImpact;
+use crate::fault::{FaultImpact, FaultPlan, FaultSchedule};
+use crate::mr::MrConfig;
 use crate::noise::{perturb, NoiseBudget};
+use crate::tuning::HybridTuning;
 use crate::{Ctx, PhotonicError};
 
 /// Resolved device-fault state carried by an engine: the quantified
@@ -157,31 +159,8 @@ impl AnalogEngine {
         Ok(AnalogEngine {
             relative_sigma,
             base_sigma: relative_sigma,
-            adc_bits,
-            dac_bits,
-            soa: Soa::default(),
-            seed,
-            ops: 0,
-            rng: Prng::new(seed),
-            faults: None,
-            scratch: MatmulScratch::default(),
+            ..AnalogEngine::ideal(adc_bits, dac_bits, seed)
         })
-    }
-
-    /// Builds an engine whose noise level comes from a [`NoiseBudget`]
-    /// provisioned for `bits` of precision.
-    ///
-    /// # Errors
-    ///
-    /// Propagates noise-budget failures.
-    pub fn from_noise_budget(
-        budget: &NoiseBudget,
-        bits: u32,
-        seed: u64,
-    ) -> Result<Self, PhotonicError> {
-        let rx = budget.required_power_w(bits)?;
-        let report = budget.evaluate(rx)?;
-        AnalogEngine::new(report.relative_sigma, bits, bits, seed)
     }
 
     /// A noiseless engine (quantization effects only).
@@ -200,7 +179,10 @@ impl AnalogEngine {
         }
     }
 
-    /// Injects resolved device faults into the datapath.
+    /// Replaces the engine's fault state with `impact`, recomputing the
+    /// effective noise from the stored unfaulted baseline, so calling it
+    /// on every schedule step never compounds sigma scales: the engine
+    /// always reflects exactly the *current* fault plan.
     ///
     /// The receiver noise is inflated by the impact's `sigma_scale`
     /// (laser droop), and subsequent [`AnalogEngine::matmul`] calls apply
@@ -208,26 +190,6 @@ impl AnalogEngine {
     /// dead ADC lanes. Child engines created afterwards inherit the
     /// faults, so a faulted accelerator is faulted in every parallel
     /// unit.
-    ///
-    /// # Errors
-    ///
-    /// Returns a context-chained [`PhotonicError::InvalidConfig`] for a
-    /// degenerate geometry or when every receiver lane is dead.
-    pub fn inject_faults(
-        &mut self,
-        impact: &FaultImpact,
-        array_rows: usize,
-        array_channels: usize,
-    ) -> Result<(), PhotonicError> {
-        self.set_fault_impact(impact, array_rows, array_channels)
-    }
-
-    /// Replaces the engine's fault state with `impact`, recomputing the
-    /// effective noise from the stored unfaulted baseline. Unlike a
-    /// repeated [`AnalogEngine::inject_faults`] of old, calling this on
-    /// every schedule step never compounds sigma scales — the engine
-    /// always reflects exactly the *current* fault plan, which is what
-    /// the mid-run [`crate::fault::FaultSchedule`] path needs.
     ///
     /// # Errors
     ///
@@ -304,18 +266,12 @@ impl AnalogEngine {
     /// concurrently while drawing exactly the noise they would draw
     /// serially.
     pub fn make_child(&self, key: u64, unit: u64) -> AnalogEngine {
-        let child_seed = split_seed(key, unit);
         AnalogEngine {
             relative_sigma: self.relative_sigma,
             base_sigma: self.base_sigma,
-            adc_bits: self.adc_bits,
-            dac_bits: self.dac_bits,
             soa: self.soa,
-            seed: child_seed,
-            ops: 0,
-            rng: Prng::new(child_seed),
             faults: self.faults.clone(),
-            scratch: MatmulScratch::default(),
+            ..AnalogEngine::ideal(self.adc_bits, self.dac_bits, split_seed(key, unit))
         }
     }
 
@@ -510,27 +466,6 @@ impl AnalogEngine {
         Ok(out)
     }
 
-    /// Coherent summation of the rows of `inputs` (each column summed
-    /// across rows), with receiver-noise perturbation — the value-level
-    /// model of a reduce unit's column.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhotonicError::InvalidConfig`] on an empty input.
-    pub fn coherent_sum_rows(&mut self, inputs: &Matrix) -> Result<Vec<f64>, PhotonicError> {
-        if inputs.is_empty() {
-            return Err(PhotonicError::InvalidConfig {
-                what: "coherent sum needs at least one row",
-            });
-        }
-        let mut out = Vec::with_capacity(inputs.cols());
-        for c in 0..inputs.cols() {
-            let s: f64 = (0..inputs.rows()).map(|r| inputs.get(r, c)).sum();
-            out.push(perturb(s, self.relative_sigma, &mut self.rng));
-        }
-        Ok(out)
-    }
-
     /// Digital LUT softmax: row-wise softmax with probabilities quantized
     /// to the LUT's output grid. Delegates each row to
     /// [`AnalogEngine::lut_softmax_in_place`].
@@ -539,14 +474,6 @@ impl AnalogEngine {
         for r in 0..out.rows() {
             self.lut_softmax_in_place(out.row_mut(r));
         }
-        out
-    }
-
-    /// LUT softmax over a plain slice (per-neighbour attention weights in
-    /// GAT). Delegates to [`AnalogEngine::lut_softmax_in_place`].
-    pub fn lut_softmax_slice(&self, logits: &[f64]) -> Vec<f64> {
-        let mut out = logits.to_vec();
-        self.lut_softmax_in_place(&mut out);
         out
     }
 
@@ -609,6 +536,174 @@ impl AnalogEngine {
         let soa = self.soa;
         let rng = &mut self.rng;
         x.map(|v| perturb(soa.activate(f, v), sigma, rng))
+    }
+}
+
+/// What an [`AnalogRuntime`] is built from: an accelerator's converter
+/// widths, its bank-array geometry, and the device models a
+/// [`FaultPlan`] resolves against.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AnalogDevices {
+    /// ADC resolution, bits; the noise budget is provisioned for it.
+    pub adc_bits: u32,
+    /// DAC resolution, bits: the LUT-softmax output grid.
+    pub dac_bits: u32,
+    /// Rows (waveguides / receiver lanes) per bank array.
+    pub array_rows: usize,
+    /// Wavelength channels per bank-array row.
+    pub array_channels: usize,
+    /// Ring configuration.
+    pub mr: MrConfig,
+    /// Tuning circuit policy.
+    pub tuning: HybridTuning,
+    /// Receiver noise budget.
+    pub noise: NoiseBudget,
+}
+
+/// The analog state of one functional simulator (TRON and GHOST each
+/// hold one): the [`AnalogEngine`], the [`AnalogDevices`] a fault plan
+/// resolves against, and an optional model-time [`FaultSchedule`] with
+/// the plan last resolved from it. Its errors name no accelerator; the
+/// simulators add that context.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AnalogRuntime {
+    engine: AnalogEngine,
+    devices: AnalogDevices,
+    schedule: Option<(FaultSchedule, FaultPlan)>,
+}
+
+impl AnalogRuntime {
+    /// Receiver noise from the noise budget provisioned for `adc_bits`
+    /// of precision.
+    ///
+    /// # Errors
+    ///
+    /// Propagates noise-budget and engine construction failures.
+    pub fn new(devices: AnalogDevices, seed: u64) -> Result<Self, PhotonicError> {
+        let rx = devices.noise.required_power_w(devices.adc_bits)?;
+        let sigma = devices.noise.evaluate(rx)?.relative_sigma;
+        AnalogRuntime::with_noise(devices, sigma, seed)
+    }
+
+    /// A noiseless runtime: quantization effects only.
+    pub fn ideal(devices: AnalogDevices, seed: u64) -> Self {
+        AnalogRuntime {
+            engine: AnalogEngine::ideal(devices.adc_bits, devices.dac_bits, seed),
+            devices,
+            schedule: None,
+        }
+    }
+
+    /// An explicit receiver noise level, for robustness sweeps beyond the
+    /// provisioned operating point.
+    ///
+    /// # Errors
+    ///
+    /// Propagates engine construction failures.
+    pub fn with_noise(
+        devices: AnalogDevices,
+        sigma: f64,
+        seed: u64,
+    ) -> Result<Self, PhotonicError> {
+        Ok(AnalogRuntime {
+            engine: AnalogEngine::new(sigma, devices.adc_bits, devices.dac_bits, seed)?,
+            devices,
+            schedule: None,
+        })
+    }
+
+    /// The provisioned runtime with `plan`'s device faults: validated
+    /// against the bank arrays and resolved against the device models
+    /// ([`FaultPlan::impact`]), they degrade every analog operation,
+    /// child engines included.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the plan is out of geometry or a fault is
+    /// uncompensatable (drift beyond the tuning range, droop below the
+    /// noise floor, every receiver lane dead).
+    pub fn with_faults(
+        devices: AnalogDevices,
+        plan: FaultPlan,
+        seed: u64,
+    ) -> Result<Self, PhotonicError> {
+        let d = &devices;
+        if (plan.array_rows, plan.array_channels) != (d.array_rows, d.array_channels) {
+            return Err(PhotonicError::InvalidConfig {
+                what: "fault plan geometry must match the accelerator's bank arrays",
+            });
+        }
+        let impact = plan
+            .validated()?
+            .impact(&d.mr, &d.tuning, &d.noise, d.adc_bits)?;
+        let mut rt = AnalogRuntime::new(devices, seed)?;
+        rt.engine
+            .set_fault_impact(&impact, d.array_rows, d.array_channels)?;
+        Ok(rt)
+    }
+
+    /// The provisioned runtime driven by a model-time [`FaultSchedule`]:
+    /// call [`AnalogRuntime::advance_to`] before each forward pass. An
+    /// empty schedule is a strict no-op: the runtime behaves
+    /// byte-identically to [`AnalogRuntime::new`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the schedule geometry does not match the
+    /// bank arrays, or a fault active at `t = 0` is uncompensatable.
+    pub fn with_fault_schedule(
+        devices: AnalogDevices,
+        schedule: FaultSchedule,
+        seed: u64,
+    ) -> Result<Self, PhotonicError> {
+        let d = &devices;
+        if (schedule.array_rows, schedule.array_channels) != (d.array_rows, d.array_channels) {
+            return Err(PhotonicError::InvalidConfig {
+                what: "fault schedule geometry must match the accelerator's bank arrays",
+            });
+        }
+        let mut rt = AnalogRuntime::new(devices, seed)?;
+        rt.schedule = Some((schedule, FaultPlan::new(d.array_rows, d.array_channels)));
+        rt.advance_to(0.0)?;
+        Ok(rt)
+    }
+
+    /// Advances the fault schedule to model time `t_s`, resolving the
+    /// active [`FaultPlan`] into the engine when it changed; a no-op
+    /// without a schedule.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when `t_s` is not finite or a newly active fault
+    /// is uncompensatable: the accelerator is down, not silently wrong.
+    pub fn advance_to(&mut self, t_s: f64) -> Result<(), PhotonicError> {
+        let Some((schedule, current)) = self.schedule.as_mut() else {
+            return Ok(());
+        };
+        let plan = schedule.plan_at(t_s)?;
+        if plan == *current {
+            return Ok(());
+        }
+        if plan.is_empty() {
+            self.engine.clear_faults();
+        } else {
+            let d = &self.devices;
+            let impact = plan.impact(&d.mr, &d.tuning, &d.noise, d.adc_bits)?;
+            let (rows, channels) = (plan.array_rows, plan.array_channels);
+            self.engine.set_fault_impact(&impact, rows, channels)?;
+        }
+        *current = plan;
+        Ok(())
+    }
+
+    /// The engine.
+    pub fn engine(&self) -> &AnalogEngine {
+        &self.engine
+    }
+
+    /// The engine, to issue analog operations on.
+    pub fn engine_mut(&mut self) -> &mut AnalogEngine {
+        &mut self.engine
     }
 }
 
@@ -800,7 +895,7 @@ mod tests {
             for (sigma, faulted) in [(5e-3, false), (5e-2, false), (5e-3, true)] {
                 let mut eng = AnalogEngine::new(sigma, 8, 8, 13).unwrap();
                 if faulted {
-                    eng.inject_faults(&impact, 8, 4).unwrap();
+                    eng.set_fault_impact(&impact, 8, 4).unwrap();
                 }
                 // Two products: the second runs on the next op key.
                 for call in 0..2 {
@@ -851,25 +946,6 @@ mod tests {
         assert!(eng
             .matmul(&Matrix::zeros(2, 3), &Matrix::zeros(4, 2))
             .is_err());
-    }
-
-    #[test]
-    fn coherent_sum_rows_sums() {
-        let mut eng = AnalogEngine::ideal(8, 8, 1);
-        let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]).unwrap();
-        let s = eng.coherent_sum_rows(&m).unwrap();
-        assert!((s[0] - 9.0).abs() < 1e-12);
-        assert!((s[1] - 12.0).abs() < 1e-12);
-        assert!(eng.coherent_sum_rows(&Matrix::zeros(0, 0)).is_err());
-    }
-
-    #[test]
-    fn lut_softmax_slice_sums_near_one() {
-        let eng = AnalogEngine::ideal(8, 8, 1);
-        let p = eng.lut_softmax_slice(&[1.0, 2.0, 3.0]);
-        let sum: f64 = p.iter().sum();
-        assert!((sum - 1.0).abs() < 0.02);
-        assert!(eng.lut_softmax_slice(&[]).is_empty());
     }
 
     #[test]
@@ -953,6 +1029,5 @@ mod tests {
         assert!(AnalogEngine::new(-1.0, 8, 8, 1).is_err());
         assert!(AnalogEngine::new(0.0, 0, 8, 1).is_err());
         assert!(AnalogEngine::new(0.0, 8, 32, 1).is_err());
-        assert!(AnalogEngine::from_noise_budget(&NoiseBudget::default(), 8, 1).is_ok());
     }
 }

@@ -10,7 +10,7 @@ use phox_photonics::crosstalk::{HeterodyneAnalysis, HomodyneAnalysis};
 use phox_photonics::mr::MrConfig;
 use phox_photonics::noise::{enob, NoiseBudget};
 use phox_photonics::tuning::{HybridTuning, ThermalField};
-use phox_tensor::{parallel, Matrix};
+use phox_tensor::parallel;
 
 fn mr_with_q(q: f64) -> MrConfig {
     MrConfig {
@@ -161,19 +161,6 @@ proptest! {
         let b = rng.fill_normal(5, 3, 0.0, 2.0);
         let y = eng.matmul(&a, &b).unwrap();
         prop_assert!(y.as_slice().iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn coherent_sum_rows_matches_exact_when_noiseless(
-        vals in proptest::collection::vec(0.0f64..1.0, 12),
-    ) {
-        let mut eng = AnalogEngine::ideal(8, 8, 1);
-        let m = Matrix::from_vec(4, 3, vals).unwrap();
-        let sums = eng.coherent_sum_rows(&m).unwrap();
-        for c in 0..3 {
-            let exact: f64 = (0..4).map(|r| m.get(r, c)).sum();
-            prop_assert!((sums[c] - exact).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -172,28 +172,6 @@ pub fn leaky_relu_scalar(v: f64, alpha: f64) -> f64 {
     }
 }
 
-/// Reference scaled-dot-product attention, eq. (1) of the paper:
-/// `softmax(Q·Kᵀ/√d_k)·V`.
-///
-/// # Errors
-///
-/// Returns a shape error when `Q`, `K`, `V` dimensions are incompatible.
-pub fn scaled_dot_product_attention(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
-) -> Result<Matrix, TensorError> {
-    if k.cols() == 0 {
-        return Err(TensorError::InvalidDimension {
-            what: "attention key dimension must be nonzero",
-        });
-    }
-    let scores = q
-        .matmul(&k.transpose())?
-        .scale(1.0 / (k.cols() as f64).sqrt());
-    softmax_rows(&scores).matmul(v)
-}
-
 /// Row-wise argmax (ties resolved to the lowest index). Used by accuracy
 /// evaluation of classification heads.
 pub fn argmax_rows(x: &Matrix) -> Vec<usize> {
@@ -342,25 +320,6 @@ mod tests {
     fn leaky_relu_slope() {
         assert_eq!(leaky_relu_scalar(2.0, 0.2), 2.0);
         assert_eq!(leaky_relu_scalar(-2.0, 0.2), -0.4);
-    }
-
-    #[test]
-    fn attention_output_shape() {
-        let q = Matrix::zeros(4, 8);
-        let k = Matrix::zeros(6, 8);
-        let v = Matrix::zeros(6, 16);
-        let o = scaled_dot_product_attention(&q, &k, &v).unwrap();
-        assert_eq!(o.shape(), (4, 16));
-    }
-
-    #[test]
-    fn attention_uniform_when_scores_equal() {
-        // With Q=0, all scores are equal, so attention averages V rows.
-        let q = Matrix::zeros(1, 4);
-        let k = Matrix::filled(3, 4, 1.0);
-        let v = Matrix::from_rows(&[&[3.0], &[6.0], &[9.0]]).unwrap();
-        let o = scaled_dot_product_attention(&q, &k, &v).unwrap();
-        assert!((o.get(0, 0) - 6.0).abs() < 1e-12);
     }
 
     #[test]

@@ -363,20 +363,6 @@ impl RowQuantMatrix {
     }
 }
 
-/// Quantizes both operands with per-tensor calibration and multiplies
-/// them on the int8 kernel — the "true int8" matmul the 8-bit photonic
-/// datapath performs, as opposed to [`fake_quantize`] which only injects
-/// quantization error into an f64 product.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when `a.cols() != b.rows()`.
-pub fn int8_matmul(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
-    let qa = Quantizer::calibrate(a).quantize(a);
-    let qb = Quantizer::calibrate(b).quantize(b);
-    qa.matmul(&qb)
-}
-
 /// Quantizes with per-tensor calibration and immediately dequantizes —
 /// the "fake quantization" used to evaluate 8-bit accuracy in fp64
 /// reference models.
@@ -531,16 +517,6 @@ mod tests {
         assert_eq!(s.shape(), (1, 1));
         assert_eq!(s.as_i32_slice(), &[3 * 5 - 4 * 6]);
         assert_eq!(s.dequantize(2.0).get(0, 0), -18.0);
-    }
-
-    #[test]
-    fn int8_matmul_tracks_exact_product() {
-        let mut rng = crate::Prng::new(43);
-        let a = rng.fill_uniform(6, 8, -1.0, 1.0);
-        let b = rng.fill_uniform(8, 5, -1.0, 1.0);
-        let int8 = int8_matmul(&a, &b).unwrap();
-        let exact = a.matmul(&b).unwrap();
-        assert!(int8.approx_eq(&exact, 0.1));
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! > improvement and 3.8× better energy efficiency against
 //! > state-of-the-art GNN accelerators."*
 //!
-//! Absolute numbers come from our substitute models (see DESIGN.md), so
-//! the assertions check the claims with a small margin below the paper's
-//! exact factors: the *shape* — photonics wins every comparison by large
-//! factors of the reported order — is what must hold.
+//! Absolute numbers come from our substitute models (see DESIGN.md); the
+//! assertions state the paper's own factors. TRON's throughput claim is
+//! read as the mean over the models of each model's minimum speedup, and
+//! its message also reports the global minimum, which one model leaves
+//! below 14×.
 
 use phox::prelude::*;
 
@@ -62,17 +63,25 @@ fn ghost_workloads() -> Vec<GnnWorkload> {
 #[test]
 fn tron_headline_claims_hold() {
     let tron = tron();
+    let models = tron_workloads();
     let mut all = Vec::new();
-    for model in tron_workloads() {
-        let rows = tron_comparison(&tron, &model).expect("comparison");
+    for model in &models {
+        let rows = tron_comparison(&tron, model).expect("comparison");
         all.push(claims(&rows).expect("claims"));
     }
     let agg = aggregate_claims(&all);
     // Paper: ≥14× throughput on average, ≥8× energy efficiency.
     let mean_speedup = all.iter().map(|c| c.min_speedup).sum::<f64>() / all.len() as f64;
+    let worst = models
+        .iter()
+        .zip(&all)
+        .min_by(|a, b| a.1.min_speedup.total_cmp(&b.1.min_speedup))
+        .map(|(m, _)| m.name.as_str())
+        .expect("four models");
     assert!(
-        mean_speedup >= 13.0,
-        "mean min-speedup {mean_speedup:.1}× (paper: ≥14×)"
+        mean_speedup >= 14.0,
+        "mean min-speedup {mean_speedup:.2}× (paper: ≥14×); global minimum {:.2}× on {worst}",
+        agg.min_speedup
     );
     assert!(
         agg.min_efficiency >= 8.0,
@@ -94,7 +103,7 @@ fn ghost_headline_claims_hold() {
     let agg = aggregate_claims(&all);
     // Paper: ≥10.2× throughput, ≥3.8× energy efficiency, as minima.
     assert!(
-        agg.min_speedup >= 10.0,
+        agg.min_speedup >= 10.2,
         "min speedup {:.1}× (paper: ≥10.2×)",
         agg.min_speedup
     );

@@ -100,3 +100,80 @@ fn infeasible_designs_fail_with_typed_errors() {
         Err(PhotonicError::NoFeasibleDesign { .. })
     ));
 }
+
+#[test]
+fn every_functional_constructor_takes_the_configured_dac_width() {
+    // A 6-bit DAC under the default 8-bit ADC: the LUT-softmax and GAT
+    // code grid has 2^6 - 1 levels on every constructor, and the ideal
+    // simulator is the zero-noise simulator, bit for bit.
+    let dac = Dac {
+        bits: 6,
+        ..Dac::default()
+    };
+    let tron = TronConfig {
+        dac,
+        ..TronConfig::default()
+    };
+    let ghost = GhostConfig {
+        dac,
+        ..GhostConfig::default()
+    };
+    let tron_plan = FaultPlan::new(tron.array_rows, tron.array_channels);
+    let tron_schedule = FaultSchedule::new(tron.array_rows, tron.array_channels);
+    let ghost_plan = FaultPlan::new(ghost.array_rows, ghost.array_channels);
+    let ghost_schedule = FaultSchedule::new(ghost.array_rows, ghost.array_channels);
+    let levels = [
+        TronFunctional::new(&tron, 1).unwrap().engine().dac_levels(),
+        TronFunctional::ideal(&tron, 1).engine().dac_levels(),
+        TronFunctional::with_noise(&tron, 1e-3, 1)
+            .unwrap()
+            .engine()
+            .dac_levels(),
+        TronFunctional::with_faults(&tron, tron_plan, 1)
+            .unwrap()
+            .engine()
+            .dac_levels(),
+        TronFunctional::with_fault_schedule(&tron, tron_schedule, 1)
+            .unwrap()
+            .engine()
+            .dac_levels(),
+        GhostFunctional::new(&ghost, 1)
+            .unwrap()
+            .engine()
+            .dac_levels(),
+        GhostFunctional::ideal(&ghost, 1).engine().dac_levels(),
+        GhostFunctional::with_noise(&ghost, 1e-3, 1)
+            .unwrap()
+            .engine()
+            .dac_levels(),
+        GhostFunctional::with_faults(&ghost, ghost_plan, 1)
+            .unwrap()
+            .engine()
+            .dac_levels(),
+        GhostFunctional::with_fault_schedule(&ghost, ghost_schedule, 1)
+            .unwrap()
+            .engine()
+            .dac_levels(),
+    ];
+    assert_eq!(levels, [63.0; 10]);
+
+    let bits = |m: &Matrix| -> Vec<u64> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
+    let model = TransformerModel::random(TransformerConfig::tiny(8), 2).unwrap();
+    let x = Prng::new(3).fill_normal(8, 32, 0.0, 1.0);
+    let ideal = TronFunctional::ideal(&tron, 4).forward(&model, &x).unwrap();
+    let zero = TronFunctional::with_noise(&tron, 0.0, 4)
+        .unwrap()
+        .forward(&model, &x);
+    assert_eq!(bits(&ideal), bits(&zero.unwrap()));
+
+    let task = phox::nn::datasets::sbm(3, 8, 12, 0.5, 0.05, 5).unwrap();
+    let gat = GnnModel::random(GnnConfig::two_layer(GnnKind::Gat, 12, 16, 3), 6).unwrap();
+    let (g, f) = (&task.graph, &task.features);
+    let ideal = GhostFunctional::ideal(&ghost, 7)
+        .forward(&gat, g, f)
+        .unwrap();
+    let zero = GhostFunctional::with_noise(&ghost, 0.0, 7)
+        .unwrap()
+        .forward(&gat, g, f);
+    assert_eq!(bits(&ideal), bits(&zero.unwrap()));
+}
