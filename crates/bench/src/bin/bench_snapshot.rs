@@ -25,9 +25,13 @@
 //!   panels, and the analog engine's tile calls), with
 //!   GMAC/s and `matches_dot_kernel_bitwise` / `matches_naive_oracle`
 //!   verdicts; the quantizer stages against the serial loops they
-//!   replaced; int8 vs f64 SpMM; and a 1/2/4/8-thread scaling sweep
-//!   checked for bit-identity. A failed verdict exits non-zero after
-//!   writing the snapshot.
+//!   replaced; int8 vs f64 SpMM; every activation crossing of the int8
+//!   GCN (row quantizer, aggregate, combine product) at 100k × 32 and
+//!   100k × 16 against the two-pass code it replaced (kept as private
+//!   copies), one thread, interleaved, with p10/p50/p90 and a
+//!   `matches_replaced_bitwise` verdict per row; and a 1/2/4/8-thread
+//!   scaling sweep checked for bit-identity. A failed verdict exits
+//!   non-zero after writing the snapshot.
 //! * **decode** (`BENCH_4.json`): KV-cached autoregressive decode —
 //!   per-token latency of a cached decode step vs a full-sequence
 //!   recompute, f64 and int8, across context lengths and a 1/2/4/8
@@ -86,13 +90,17 @@ use std::time::Instant;
 
 use phox_core::nn::datasets::{power_law, GraphShape};
 use phox_core::nn::decode::KvCache;
-use phox_core::nn::gnn::{Aggregation, GnnConfig, GnnKind, GnnModel};
+use phox_core::nn::gnn::{Aggregation, CsrGraph, GnnConfig, GnnKind, GnnModel};
+use phox_core::nn::int8::QuantLinear;
 use phox_core::nn::transformer::{
     FfActivation, TransformerConfig, TransformerKind, TransformerModel,
 };
 use phox_core::photonics::analog::TILE;
+use phox_core::tensor::sparse::SparseReduce;
+use phox_core::tensor::sparse_i8::I8Reduce;
 use phox_core::tensor::{
-    gemm, gemm_i8, parallel, sparse, sparse_i8, Matrix, Prng, Quantizer, RowQuantMatrix,
+    gemm, gemm_i8, parallel, sparse, sparse_i8, Matrix, Prng, QuantMatrix, Quantizer,
+    RowQuantMatrix,
 };
 use phox_core::trace::json::json_number;
 
@@ -841,7 +849,8 @@ mod dot_kernel_i8 {
 enum Call {
     /// `matmul_i32`: `B` packed per call, then the banded driver.
     Product,
-    /// `matmul_packed` one row high over resident panels: a decode step.
+    /// `matmul_packed` one row high over resident panels: a decode
+    /// step's product, before its dequantization.
     Row,
     /// `AnalogEngine::matmul`'s tile loop over resident panels: one
     /// `gemm` per output tile of up to `TILE` rows and a `TILE`-column
@@ -1199,6 +1208,274 @@ fn measure_quantizer(
     (row, bitwise)
 }
 
+/// The per-row quantizer that `RowQuantMatrix::quantize_rows` replaced,
+/// kept here (the library no longer carries it) as the baseline of the
+/// BENCH_3 `activation_crossings` rows: per row, a 16-lane abs-max fold,
+/// the quantizer dispatched for that row alone, and its codes appended.
+mod per_row_quantizer {
+    use phox_core::tensor::{gemm_i8, Matrix, Quantizer};
+
+    /// Largest `|v|` of a row, NaNs ignored, in 16 lanes.
+    fn abs_max(values: &[f64]) -> f64 {
+        let mut lanes = [0.0f64; 16];
+        let mut chunks = values.chunks_exact(16);
+        for chunk in &mut chunks {
+            for (lane, &v) in lanes.iter_mut().zip(chunk) {
+                let a = v.abs();
+                *lane = if a > *lane { a } else { *lane };
+            }
+        }
+        let tail = chunks
+            .remainder()
+            .iter()
+            .fold(0.0f64, |m, &v| m.max(v.abs()));
+        lanes.into_iter().fold(tail, f64::max)
+    }
+
+    #[inline(always)]
+    fn extend(q: Quantizer, row: &[f64], codes: &mut Vec<i8>) {
+        codes.extend(row.iter().map(|&v| q.quantize_value(v)));
+    }
+
+    /// [`extend`] compiled for AVX2.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn extend_avx2(q: Quantizer, row: &[f64], codes: &mut Vec<i8>) {
+        extend(q, row, codes);
+    }
+
+    /// The codes and scales of every row of `m`.
+    pub fn quantize_rows(m: &Matrix) -> (Vec<i8>, Vec<f64>) {
+        let mut codes = Vec::with_capacity(m.len());
+        let mut scales = Vec::with_capacity(m.rows());
+        for r in 0..m.rows() {
+            let row = m.row(r);
+            let absmax = abs_max(row);
+            let scale = if absmax > 0.0 { absmax / 127.0 } else { 1.0 };
+            let q = Quantizer::with_scale(scale).expect("finite rows");
+            #[cfg(target_arch = "x86_64")]
+            if gemm_i8::simd_active() {
+                // SAFETY: `simd_active` is true only where AVX2 is available.
+                unsafe { extend_avx2(q, row, &mut codes) };
+                scales.push(scale);
+                continue;
+            }
+            extend(q, row, &mut codes);
+            scales.push(scale);
+        }
+        (codes, scales)
+    }
+}
+
+/// The int8 GCN aggregate before it dequantized on store: the exact
+/// sums into an `n × f` `i32` buffer, then a second pass dequantizing
+/// and dividing them into a fresh matrix.
+fn aggregate_two_pass(graph: &CsrGraph, q: &QuantMatrix) -> Matrix {
+    let (n, f) = (graph.num_nodes(), q.cols());
+    let mut sums = vec![0i32; n * f];
+    let view = graph.csr_i8_view();
+    sparse_i8::aggregate_i8_into(&view, q.as_i8_slice(), f, I8Reduce::Sum, true, &mut sums)
+        .expect("operands agree");
+    let mut out = Matrix::zeros(n, f);
+    let rows = out.as_mut_slice().chunks_exact_mut(f);
+    for (v, (row, row_sums)) in rows.zip(sums.chunks_exact(f)).enumerate() {
+        let denom = (graph.degree(v) + 1).max(1) as f64;
+        for (o, &s) in row.iter_mut().zip(row_sums) {
+            *o = f64::from(s) * q.scale() / denom;
+        }
+    }
+    out
+}
+
+/// `QuantLinear::forward` before its product dequantized on store:
+/// per-row codes, the raw `i32` product of `matmul_packed`, then a
+/// second pass dequantizing it into a fresh matrix.
+fn quant_linear_two_pass(x: &Matrix, panels: &gemm_i8::Panels, w_scale: f64) -> Matrix {
+    let qx = RowQuantMatrix::quantize_rows(x);
+    let n = panels.n();
+    let sums = gemm_i8::matmul_packed(qx.as_i8_slice(), panels, x.rows()).expect("shapes agree");
+    let mut data = Vec::with_capacity(sums.len());
+    for (row, &row_scale) in sums.chunks_exact(n).zip(qx.scales()) {
+        let scale = row_scale * w_scale;
+        data.extend(row.iter().map(|&s| s as f64 * scale));
+    }
+    Matrix::from_vec(x.rows(), n, data).expect("m × n sums")
+}
+
+/// The `q`-quantile of sorted times (nearest index).
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    sorted[(q * (sorted.len() - 1) as f64).round() as usize]
+}
+
+/// Wall times in ms of `new` and `old`, sampled interleaved on one
+/// thread after one warm-up call each, sorted.
+fn time_interleaved<A, B>(
+    reps: usize,
+    mut new: impl FnMut() -> A,
+    mut old: impl FnMut() -> B,
+) -> [Vec<f64>; 2] {
+    parallel::with_threads(1, || {
+        std::hint::black_box((new(), old()));
+        let mut times = [Vec::with_capacity(reps), Vec::with_capacity(reps)];
+        for _ in 0..reps {
+            let t0 = Instant::now();
+            std::hint::black_box(new());
+            times[0].push(t0.elapsed().as_secs_f64() * 1e3);
+            let t0 = Instant::now();
+            std::hint::black_box(old());
+            times[1].push(t0.elapsed().as_secs_f64() * 1e3);
+        }
+        times.map(|mut t| {
+            t.sort_by(f64::total_cmp);
+            t
+        })
+    })
+}
+
+/// One activation crossing of the int8 GCN forward against the code it
+/// replaced: `rows × cols` activations (`out_cols` output columns for
+/// the combine product).
+struct CrossingRow {
+    stage: &'static str,
+    baseline: &'static str,
+    rows: usize,
+    cols: usize,
+    out_cols: usize,
+    /// Wall times, ms, sorted: the production code, then the baseline.
+    times: [Vec<f64>; 2],
+    bitwise: bool,
+}
+
+impl CrossingRow {
+    fn speedup(&self) -> f64 {
+        quantile(&self.times[1], 0.5) / quantile(&self.times[0], 0.5)
+    }
+
+    fn to_json(&self) -> String {
+        let q = |t: &[f64], p: f64| json_number(quantile(t, p));
+        let [new, old] = &self.times;
+        format!(
+            concat!(
+                "        {{\n",
+                "          \"stage\": \"{}\",\n",
+                "          \"baseline\": \"{}\",\n",
+                "          \"rows\": {},\n",
+                "          \"cols\": {},\n",
+                "          \"out_cols\": {},\n",
+                "          \"reps\": {},\n",
+                "          \"p10_ms\": {},\n",
+                "          \"p50_ms\": {},\n",
+                "          \"p90_ms\": {},\n",
+                "          \"baseline_p10_ms\": {},\n",
+                "          \"baseline_p50_ms\": {},\n",
+                "          \"baseline_p90_ms\": {},\n",
+                "          \"speedup_vs_replaced\": {},\n",
+                "          \"matches_replaced_bitwise\": {}\n",
+                "        }}"
+            ),
+            self.stage,
+            self.baseline,
+            self.rows,
+            self.cols,
+            self.out_cols,
+            new.len(),
+            q(new, 0.1),
+            q(new, 0.5),
+            q(new, 0.9),
+            q(old, 0.1),
+            q(old, 0.5),
+            q(old, 0.9),
+            json_number(self.speedup()),
+            self.bitwise,
+        )
+    }
+}
+
+/// Every activation crossing of `gnn_powerlaw`'s int8 GCN at its two
+/// layers' widths (32 → 16 and 16 → 4) on `graph`, each against the
+/// production code it replaced, 15 interleaved reps on one thread: the
+/// row quantizer, the aggregate (GCN's mean with the row itself) and the
+/// combine product.
+fn measure_activation_crossings(graph: &CsrGraph) -> Vec<CrossingRow> {
+    const REPS: usize = 15;
+    let n = graph.num_nodes();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut rows = Vec::new();
+    for (i, (f, out_cols)) in [(32usize, 16usize), (16, 4)].into_iter().enumerate() {
+        let x = Prng::new(40 + i as u64).fill_normal(n, f, 0.0, 1.0);
+        eprintln!("bench_snapshot: int8 activation crossings at {n} x {f}...");
+
+        let new = RowQuantMatrix::quantize_rows(&x);
+        let (codes, scales) = per_row_quantizer::quantize_rows(&x);
+        rows.push(CrossingRow {
+            stage: "quantize_rows",
+            baseline: "per_row_quantizer",
+            rows: n,
+            cols: f,
+            out_cols: f,
+            times: time_interleaved(
+                REPS,
+                || RowQuantMatrix::quantize_rows(&x),
+                || per_row_quantizer::quantize_rows(&x),
+            ),
+            bitwise: new.as_i8_slice() == codes && bits(new.scales()) == bits(&scales),
+        });
+
+        let q = Quantizer::calibrate(&x).quantize(&x);
+        let view = graph.csr_i8_view();
+        let fused = || {
+            let mut out = Matrix::zeros(n, f);
+            sparse_i8::aggregate_dequant_into(&view, &q, SparseReduce::Mean, true, &mut out)
+                .expect("operands agree");
+            out
+        };
+        rows.push(CrossingRow {
+            stage: "aggregate_mean_include_self",
+            baseline: "aggregate_i8_into_then_dequant",
+            rows: n,
+            cols: f,
+            out_cols: f,
+            bitwise: bits(fused().as_slice()) == bits(aggregate_two_pass(graph, &q).as_slice()),
+            times: time_interleaved(REPS, fused, || aggregate_two_pass(graph, &q)),
+        });
+
+        let w = Prng::new(50 + i as u64).xavier(f, out_cols);
+        let layer = QuantLinear::from_weight(&w);
+        let qw = Quantizer::calibrate(&w).quantize(&w);
+        let panels = gemm_i8::Panels::pack(qw.as_i8_slice(), f, out_cols);
+        let fused = || layer.forward(&x).expect("shapes agree");
+        let two_pass = || quant_linear_two_pass(&x, &panels, qw.scale());
+        rows.push(CrossingRow {
+            stage: "quant_linear_forward",
+            baseline: "matmul_packed_then_dequant",
+            rows: n,
+            cols: f,
+            out_cols,
+            bitwise: bits(fused().as_slice()) == bits(two_pass().as_slice()),
+            times: time_interleaved(REPS, fused, two_pass),
+        });
+    }
+    for r in &rows {
+        eprintln!(
+            "bench_snapshot: {} {}x{}->{}: p50 {:.2} ms, {} p50 {:.2} ms ({:.2}x) bitwise={}",
+            r.stage,
+            r.rows,
+            r.cols,
+            r.out_cols,
+            quantile(&r.times[0], 0.5),
+            r.baseline,
+            quantile(&r.times[1], 0.5),
+            r.speedup(),
+            r.bitwise,
+        );
+    }
+    rows
+}
+
 fn run_int8(out_path: &str) {
     let dispatch = if gemm_i8::simd_active() {
         "avx2"
@@ -1307,7 +1584,12 @@ fn run_int8(out_path: &str) {
         ));
     }
 
-    // --- Section 4: thread scaling sweep on the int8 kernels (gemm-1024
+    // --- Section 4: every activation crossing of the int8 GCN against
+    // the code it replaced, at the GCN's shapes, one thread.
+    let crossings = measure_activation_crossings(&large);
+    let crossings_bitwise = crossings.iter().all(|r| r.bitwise);
+
+    // --- Section 5: thread scaling sweep on the int8 kernels (gemm-1024
     // and power-law SpMM), with byte-identity checked against the
     // 1-thread result: i32 sums are exact, so any difference is a bug.
     let n = 1024usize;
@@ -1368,7 +1650,8 @@ fn run_int8(out_path: &str) {
     eprintln!(
         "bench_snapshot: int8 verdicts: dispatch={dispatch} \
          matches_dot_kernel_bitwise={matches_dot_kernel} matches_naive_oracle={matches_oracle} \
-         quantizer_matches_serial_bitwise={quant_bitwise}"
+         quantizer_matches_serial_bitwise={quant_bitwise} \
+         activation_crossings_match_replaced_bitwise={crossings_bitwise}"
     );
     let sections = [
         (
@@ -1383,6 +1666,11 @@ fn run_int8(out_path: &str) {
         ),
         ("quantizer_vs_serial", "stages", quant_rows),
         ("spmm_f64_vs_int8", "workloads", spmm_rows),
+        (
+            "activation_crossings",
+            "stages",
+            crossings.iter().map(CrossingRow::to_json).collect(),
+        ),
         ("int8_thread_scaling", "sweep", sweep_rows),
     ]
     .map(|(section, key, rows): (&str, &str, Vec<String>)| {
@@ -1400,6 +1688,7 @@ fn run_int8(out_path: &str) {
             "quantizer",
             "f64_spmm",
             "int8_spmm",
+            "int8_activation_crossings",
         ],
         &[
             ("accumulation", "\"exact i32\"".to_string()),
@@ -1410,12 +1699,16 @@ fn run_int8(out_path: &str) {
                 "quantizer_matches_serial_bitwise",
                 quant_bitwise.to_string(),
             ),
+            (
+                "activation_crossings_match_replaced_bitwise",
+                crossings_bitwise.to_string(),
+            ),
         ],
         "sections",
         &sections,
     );
     write_or_die(out_path, &json);
-    if !matches_oracle || !matches_dot_kernel || !quant_bitwise {
+    if !matches_oracle || !matches_dot_kernel || !quant_bitwise || !crossings_bitwise {
         eprintln!("bench_snapshot: int8 verdicts FAILED");
         std::process::exit(1);
     }
@@ -1614,6 +1907,58 @@ fn run_digest(out_path: &str) {
                 .expect("aggregate operands agree"),
         ),
     );
+
+    // The int8 GCN and GraphSAGE-max forwards `int8_forward` pins: a
+    // 2,000-node power-law graph at widths 37 -> 19 -> 5, through every
+    // column block of the dequantizing aggregate and its tail.
+    let graph = power_law(2_000, 16_000, 2.2, 0x27).expect("power-law instantiation");
+    let x = Prng::new(0x28).fill_normal(graph.num_nodes(), 37, 0.0, 1.0);
+    let mut forwards = 0u64;
+    for (kind, aggregation) in [
+        (GnnKind::Gcn, Aggregation::Mean),
+        (GnnKind::GraphSage, Aggregation::Max),
+    ] {
+        let cfg = GnnConfig {
+            kind,
+            dims: vec![37, 19, 5],
+            aggregation,
+        };
+        let model = GnnModel::random(cfg, 0x29).expect("valid digest model");
+        let y = model.forward_int8(&graph, &x).expect("forward succeeds");
+        forwards ^= digest_matrix(&y);
+    }
+    record("gcn_forward_int8", forwards);
+
+    // The row quantizer over an adversarial battery: widths through its
+    // SIMD steps and tail, rows of ±0, ±∞, NaN, subnormals, exact halves
+    // of a unit step and their neighbours, all zero and all NaN.
+    let mut battery = Vec::new();
+    for cols in (0..=40).chain([64, 256, 1024]) {
+        for rows in [0usize, 1, 2, 7, 100] {
+            let data: Vec<f64> = (0..rows * cols)
+                .map(|i| {
+                    let (r, c) = (i / cols, i % cols);
+                    let half = ((c + r) % 254) as f64 - 126.5;
+                    match (r + cols) % 6 {
+                        0 => 0.0,
+                        1 => f64::NAN,
+                        2 if c == 0 => 127.0,
+                        2 => f64::from_bits(half.to_bits() + (c % 3) as u64 - 1),
+                        3 => [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 5e-324]
+                            [(c + r) % 6],
+                        4 => [5e-324, -1e-310, f64::MIN_POSITIVE / 7.0][(c + r) % 3],
+                        _ => f64::from((i as u32).wrapping_mul(0x9e37_79b9) as i32) * 0.75,
+                    }
+                })
+                .collect();
+            let q = RowQuantMatrix::quantize_rows(
+                &Matrix::from_vec(rows, cols, data).expect("rows × cols values"),
+            );
+            battery.extend(q.as_i8_slice().iter().map(|&v| u64::from(v as u8)));
+            battery.extend(q.scales().iter().map(|v| v.to_bits()));
+        }
+    }
+    record("quantize_rows", fnv1a(battery));
 
     // The analog int8 engine, ideal and noisy, ragged tiles.
     let a = Prng::new(36).fill_normal(70, 40, 0.0, 1.0);
@@ -2056,8 +2401,7 @@ struct ArrivalSourceRow {
 impl ArrivalSourceRow {
     /// The `q`-quantile of the sorted times (nearest index).
     fn quantile_ms(&self, q: f64) -> f64 {
-        let last = self.times_ms.len() - 1;
-        self.times_ms[(q * last as f64).round() as usize]
+        quantile(&self.times_ms, q)
     }
 
     fn to_json(&self, extra: &str) -> String {

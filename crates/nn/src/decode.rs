@@ -49,9 +49,9 @@
 //! [`TransformerModel::int8_decoder`] quantizes each layer's six weights
 //! once and keeps their codes packed as the int8 microkernel's panels
 //! plus a scale ([`crate::int8::QuantLinear`]); every step multiplies
-//! through the register-blocked kernel one row high
-//! ([`phox_tensor::gemm_i8::matmul_packed`]) and dequantizes with
-//! `row_scale × weight_scale`, computed once per row.
+//! through the register-blocked kernel one row high and dequantizes
+//! with `row_scale × weight_scale`, computed once per row, as the
+//! kernel stores the row ([`phox_tensor::gemm_i8::matmul_packed_dequant`]).
 //! Weight quantization is deterministic and `i32` sums are exact, so a
 //! step reproduces [`TransformerModel::forward_prefix_int8`], which
 //! quantizes every weight on every product, bit for bit.
@@ -63,7 +63,8 @@
 //! `decode/cached_rows` (+layers: K/V rows appended), and
 //! `decode/gemv_calls` (+6·layers: the m = 1 weight products — Q/K/V,
 //! output projection, both feed-forward layers). The int8 products
-//! record the `int8/*` counters of `gemm_i8::matmul_packed` at `m = 1`.
+//! record the `int8/*` counters of `gemm_i8::matmul_packed_dequant` at
+//! `m = 1`.
 
 use phox_tensor::gemm::simd;
 use phox_tensor::{Matrix, TensorError};

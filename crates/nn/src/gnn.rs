@@ -9,7 +9,7 @@
 use std::borrow::Cow;
 
 use phox_tensor::sparse::{self, CsrView, SparseReduce};
-use phox_tensor::sparse_i8::{self, CsrI8View, I8Reduce};
+use phox_tensor::sparse_i8::{self, CsrI8View};
 use phox_tensor::{ops, Matrix, Prng, Quantizer, TensorError};
 
 use crate::census::OpCensus;
@@ -578,11 +578,12 @@ impl GnnModel {
     }
 
     /// [`GnnModel::aggregate`] on the int8 sparse kernel
-    /// ([`phox_tensor::sparse_i8`]): `h` is quantized once per call,
-    /// sums (the kernel's structural sum) and maxima reduce exactly in
-    /// `i32` on the degree-bucketed schedule, and one pass over the
-    /// output rows dequantizes, the mean dividing the exact integer sums
-    /// in f64. Bit-identical for any thread count.
+    /// ([`phox_tensor::sparse_i8::aggregate_dequant_into`]): `h` is
+    /// quantized once per call, sums (the kernel's structural sum) and
+    /// maxima reduce exactly in `i32` on the degree-bucketed schedule,
+    /// and each row is dequantized into the output as soon as it is
+    /// final, the mean dividing the exact integer sums in f64.
+    /// Bit-identical for any thread count.
     ///
     /// # Errors
     ///
@@ -656,17 +657,17 @@ impl GnnDatapath for Precision {
         agg: Aggregation,
         include_self: bool,
     ) -> Result<Matrix, TensorError> {
+        let n = graph.num_nodes();
+        let mut out = Matrix::zeros(n, h.cols());
+        let reduce = match agg {
+            Aggregation::Sum => SparseReduce::Sum,
+            Aggregation::Mean => SparseReduce::Mean,
+            Aggregation::Max => SparseReduce::Max,
+        };
         if *self != Precision::Int8 {
-            let mut out = Matrix::zeros(graph.num_nodes(), h.cols());
-            let reduce = match agg {
-                Aggregation::Sum => SparseReduce::Sum,
-                Aggregation::Mean => SparseReduce::Mean,
-                Aggregation::Max => SparseReduce::Max,
-            };
             sparse::aggregate_into(&graph.csr_view(), h, reduce, include_self, &mut out)?;
             return Ok(out);
         }
-        let n = graph.num_nodes();
         if h.rows() != n {
             // The f64 kernel's error, before any quantization work.
             return Err(TensorError::ShapeMismatch {
@@ -674,34 +675,8 @@ impl GnnDatapath for Precision {
                 rhs: h.shape(),
             });
         }
-        let q = Quantizer::calibrate(h).quantize(h);
-        let f = h.cols();
-        let reduce = match agg {
-            Aggregation::Sum | Aggregation::Mean => I8Reduce::Sum,
-            Aggregation::Max => I8Reduce::Max,
-        };
-        let mut sums = vec![0i32; n * f];
-        sparse_i8::aggregate_i8_into(
-            &graph.csr_i8_view(),
-            q.as_i8_slice(),
-            f,
-            reduce,
-            include_self,
-            &mut sums,
-        )?;
-        let scale = q.scale();
-        let mut out = Matrix::zeros(n, f);
-        let rows = out.as_mut_slice().chunks_exact_mut(f.max(1));
-        for (v, (row, row_sums)) in rows.zip(sums.chunks_exact(f.max(1))).enumerate() {
-            let denom = if agg == Aggregation::Mean {
-                (graph.degree(v) + usize::from(include_self)).max(1) as f64
-            } else {
-                1.0
-            };
-            for (o, &s) in row.iter_mut().zip(row_sums) {
-                *o = f64::from(s) * scale / denom;
-            }
-        }
+        let (view, q) = (graph.csr_i8_view(), Quantizer::calibrate(h).quantize(h));
+        sparse_i8::aggregate_dequant_into(&view, &q, reduce, include_self, &mut out)?;
         Ok(out)
     }
 

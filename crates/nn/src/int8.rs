@@ -94,9 +94,10 @@ impl QuantLinear {
 
     /// `x · W` on the int8 kernel, for any number of rows: each row of
     /// `x` is quantized against its own absmax
-    /// ([`RowQuantMatrix::quantize_rows`]), multiplied through
-    /// [`gemm_i8::matmul_packed`], and dequantized with `row_scale ×
-    /// weight_scale`.
+    /// ([`RowQuantMatrix::quantize_rows`]) and multiplied through
+    /// [`gemm_i8::matmul_packed_dequant`], which dequantizes each band of
+    /// the product with `row_scale × weight_scale` as the microkernel
+    /// stores it.
     ///
     /// # Errors
     ///
@@ -111,15 +112,7 @@ impl QuantLinear {
             });
         }
         let qx = RowQuantMatrix::quantize_rows(x);
-        let sums = gemm_i8::matmul_packed(qx.as_i8_slice(), &self.panels, x.rows())?;
-        let mut data = Vec::with_capacity(sums.len());
-        if n > 0 {
-            for (row, &row_scale) in sums.chunks_exact(n).zip(qx.scales()) {
-                let scale = row_scale * self.scale;
-                data.extend(row.iter().map(|&s| s as f64 * scale));
-            }
-        }
-        Matrix::from_vec(x.rows(), n, data)
+        gemm_i8::matmul_packed_dequant(qx.as_i8_slice(), qx.scales(), &self.panels, self.scale)
     }
 }
 

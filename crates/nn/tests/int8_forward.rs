@@ -2,12 +2,13 @@
 //! the f64 oracle, exact thread-count invariance, and equivalence of the
 //! int8 sparse aggregation with its dense counterpart.
 
-use phox_nn::datasets::{labelled_sequences, sbm};
+use phox_nn::datasets::{labelled_sequences, power_law, sbm};
 use phox_nn::gnn::{Aggregation, CsrGraph, GnnConfig, GnnKind, GnnModel};
 use phox_nn::int8::{Precision, QuantLinear};
 use phox_nn::quant_eval::{evaluate_gnn, evaluate_transformer};
 use phox_nn::transformer::{TransformerConfig, TransformerKind, TransformerModel};
 use phox_tensor::{gemm_i8, parallel, Matrix, Prng, Quantizer, RowQuantMatrix};
+use phox_trace::digest_of;
 
 #[test]
 fn transformer_int8_tracks_full_precision() {
@@ -123,4 +124,110 @@ fn quant_eval_int8_reports_are_comparable() {
     assert!(r.agreement >= 0.75, "agreement {}", r.agreement);
     assert!(r.is_comparable(0.25), "{r:?}");
     assert!(r.mean_relative_error < 0.3, "err {}", r.mean_relative_error);
+}
+
+/// `(case, digest_of(forward_int8))` for every GNN family on a
+/// 2,000-node power-law graph whose widths (37 → 19 → 5) cross the int8
+/// aggregate's 32-, 16- and 8-column blocks and its scalar tail.
+fn gnn_int8_digests() -> Vec<(String, String)> {
+    let graph = power_law(2_000, 16_000, 2.2, 0x27).unwrap();
+    let x = Prng::new(0x28).fill_normal(graph.num_nodes(), 37, 0.0, 1.0);
+    let mut cases = vec![("GCN".to_owned(), GnnKind::Gcn, Aggregation::Mean)];
+    for agg in [Aggregation::Sum, Aggregation::Mean, Aggregation::Max] {
+        cases.push((format!("GraphSAGE {agg}"), GnnKind::GraphSage, agg));
+    }
+    cases.push(("GIN".to_owned(), GnnKind::Gin, Aggregation::Sum));
+    cases.push(("GAT".to_owned(), GnnKind::Gat, Aggregation::Sum));
+    cases
+        .into_iter()
+        .map(|(case, kind, aggregation)| {
+            let cfg = GnnConfig {
+                kind,
+                dims: vec![37, 19, 5],
+                aggregation,
+            };
+            let model = GnnModel::random(cfg, 0x29).unwrap();
+            let y = model.forward_int8(&graph, &x).unwrap();
+            (case, digest_of(&y))
+        })
+        .collect()
+}
+
+#[test]
+fn gnn_int8_forwards_keep_their_bits_at_every_thread_count() {
+    let want = [
+        ("GCN", "0f946ad1820ca50a"),
+        ("GraphSAGE sum", "38a7612afb66caa5"),
+        ("GraphSAGE mean", "76d691114b91ac19"),
+        ("GraphSAGE max", "73fb03ad485c3a48"),
+        ("GIN", "821fc640f96d3194"),
+        ("GAT", "e282479336da7204"),
+    ];
+    for threads in [1usize, 2, 8] {
+        let got = parallel::with_threads(threads, gnn_int8_digests);
+        let bad: Vec<String> = got
+            .iter()
+            .zip(&want)
+            .filter(|((case, g), (w_case, w))| case != w_case || g != w)
+            .map(|((case, g), (_, w))| format!("{case}: got {g}, want {w}"))
+            .collect();
+        assert!(
+            bad.is_empty(),
+            "digests moved at {threads} threads:\n{}",
+            bad.join("\n")
+        );
+    }
+}
+
+/// `QuantLinear::forward` equals its definition bit for bit: per-row
+/// quantization, the raw `i32` product over the packed weight, and one
+/// dequantization per element with `row_scale × weight_scale`. Row
+/// counts sit on both sides of every 1,024-row band edge (give or take a
+/// 6-row tile) and above the parallel threshold, with zero, one, a few,
+/// a full panel and a panel plus one output columns; one row is all
+/// zeros and one holds an infinity.
+#[test]
+fn quant_linear_equals_raw_product_and_dequant_loop() {
+    let k = 37;
+    for n in [0usize, 1, 4, 16, 17] {
+        let w = Prng::new(0x2a + n as u64).xavier(k, n);
+        let layer = QuantLinear::from_weight(&w);
+        let qw = Quantizer::calibrate(&w).quantize(&w);
+        let panels = gemm_i8::Panels::pack(qw.as_i8_slice(), k, n);
+        for m in [
+            0usize, 1, 5, 6, 7, 1018, 1020, 1023, 1024, 1025, 1026, 1027, 1032, 2047, 2048, 2052,
+            2053, 3079, 8000,
+        ] {
+            let mut x = Prng::new(0x2b + m as u64).fill_normal(m, k, 0.0, 1.0);
+            if m > 3 {
+                x.row_mut(1).fill(0.0);
+                x.set(2, 5, f64::INFINITY);
+            }
+            // The oracle: today's product and dequantization loop.
+            let qx = RowQuantMatrix::quantize_rows(&x);
+            let sums = gemm_i8::matmul_packed(qx.as_i8_slice(), &panels, m).unwrap();
+            let mut want = Vec::with_capacity(m * n);
+            if n > 0 {
+                for (row, &row_scale) in sums.chunks_exact(n).zip(qx.scales()) {
+                    let scale = row_scale * qw.scale();
+                    want.extend(row.iter().map(|&s| s as f64 * scale));
+                }
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let threads: &[usize] = if m * k * n >= gemm_i8::PAR_ELEMS_MIN {
+                &[1, 2, 8]
+            } else {
+                &[1]
+            };
+            for &t in threads {
+                let y = parallel::with_threads(t, || layer.forward(&x).unwrap());
+                assert_eq!(y.shape(), (m, n), "{m}x{k}x{n}");
+                assert_eq!(
+                    bits(y.as_slice()),
+                    bits(&want),
+                    "{m}x{k}x{n} at {t} threads"
+                );
+            }
+        }
+    }
 }

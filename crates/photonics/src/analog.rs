@@ -228,11 +228,6 @@ impl AnalogEngine {
         self.faults = None;
     }
 
-    /// `true` when device faults are injected.
-    pub fn faulted(&self) -> bool {
-        self.faults.is_some()
-    }
-
     /// Receiver relative noise (σ/signal).
     pub fn relative_sigma(&self) -> f64 {
         self.relative_sigma
@@ -633,12 +628,15 @@ impl AnalogRuntime {
                 what: "fault plan geometry must match the accelerator's bank arrays",
             });
         }
-        let impact = plan
-            .validated()?
-            .impact(&d.mr, &d.tuning, &d.noise, d.adc_bits)?;
+        let plan = plan.validated()?;
+        let impact = plan.impact(&d.mr, &d.tuning, &d.noise, d.adc_bits)?;
         let mut rt = AnalogRuntime::new(devices, seed)?;
-        rt.engine
-            .set_fault_impact(&impact, d.array_rows, d.array_channels)?;
+        // An empty plan leaves the engine unfaulted, as an empty schedule
+        // does, rather than holding an identity impact.
+        if !plan.is_empty() {
+            rt.engine
+                .set_fault_impact(&impact, d.array_rows, d.array_channels)?;
+        }
         Ok(rt)
     }
 
@@ -1020,8 +1018,7 @@ mod tests {
         eng.set_fault_impact(&impact, 64, 16).unwrap();
         assert!((eng.relative_sigma() - 4e-3).abs() < 1e-15);
         eng.clear_faults();
-        assert!(!eng.faulted());
-        assert!((eng.relative_sigma() - 2e-3).abs() < 1e-15);
+        assert_eq!(eng, AnalogEngine::new(2e-3, 8, 8, 1).unwrap());
     }
 
     #[test]

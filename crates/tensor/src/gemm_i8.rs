@@ -4,10 +4,10 @@
 //! this module is the digital model of that MAC array: `i8 × i8`
 //! products accumulated in `i32`, dequantized once at the output. Every
 //! integer product in the workspace runs on its one microkernel
-//! ([`gemm`]): the int8 GEMM behind [`matmul_i32`], the KV-cached int8
-//! decoder's single-row products over resident [`Panels`]
-//! ([`matmul_packed`]), and every output tile of the analog engine in
-//! `phox-photonics`.
+//! ([`gemm`]): the int8 GEMM behind [`matmul_i32`], the reference
+//! models' int8 products over packed weights ([`matmul_packed_dequant`],
+//! one row high on every KV-cached decode step), and every output tile
+//! of the analog engine in `phox-photonics`.
 //!
 //! * **Pack once, in pair order.** `B` is packed once into [`Panels`]:
 //!   column panels of [`TILE_NR`] columns (the last one 8 or 16 wide,
@@ -31,9 +31,14 @@
 //!   ([`matmul_i32_naive`]) bits; there is no schedule to pin. A
 //!   `vpmaddwd` pair sum is at most `2 · 128² = 32768`, so the pairwise
 //!   step is exact too (the saturating `vpmaddubsw` would not be).
-//! * **Row-band parallelism.** Above [`PAR_ELEMS_MIN`] MACs the output
-//!   is split into row bands of whole tiles on scoped threads (see
-//!   [`crate::parallel`]); every band reads the same panels.
+//! * **Row bands.** One driver runs every product in bands of at most
+//!   1,026 rows; above [`PAR_ELEMS_MIN`] MACs it first splits the rows
+//!   into shares of whole tiles on scoped threads (see
+//!   [`crate::parallel`]). Every band reads the same panels. The `i32`
+//!   products store each band straight into their output;
+//!   [`matmul_packed_dequant`] stores it into a band-sized scratch
+//!   buffer and dequantizes it into the f64 output at once, so the int8
+//!   datapath's read-out is one pass with no `m × n` `i32` buffer.
 //!
 //! All accumulation wraps. A single `i8 × i8` product is at most
 //! `128 × 128 = 16384`, so a plain `i32` accumulator is exact for inner
@@ -51,7 +56,7 @@
 use std::ops::Range;
 
 use crate::gemm::simd::{padded_cols, panel_spans};
-use crate::matrix::TensorError;
+use crate::matrix::{Matrix, TensorError};
 use crate::parallel;
 
 /// Output rows of one microkernel tile.
@@ -650,7 +655,7 @@ pub fn simd_active() -> bool {
 /// product itself: instead the axpy loop streams each `B` row once,
 /// skipping zero activations like [`matmul_i32_naive`]. A caller that
 /// multiplies one row by the same `B` on every step keeps it packed and
-/// calls [`matmul_packed`] instead. Wrapping `i32` addition is
+/// calls [`matmul_packed`] or [`matmul_packed_dequant`] instead. Wrapping `i32` addition is
 /// associative, so the result is bit-identical to every GEMM path.
 ///
 /// # Errors
@@ -720,14 +725,39 @@ fn trace_product(m: usize, k: usize, n: usize) {
     }
 }
 
-/// The one driver behind [`matmul_i32`] and [`matmul_packed`]: runs
-/// [`gemm`] over every column of the packed `b`, serially or — once the
-/// MAC volume clears [`PAR_ELEMS_MIN`] — in row bands of whole tiles on
-/// scoped workers. Every band reads the same panels, and integer sums
-/// have one value, so the result is independent of the thread count.
-fn drive(a: &[i8], b: &Panels, out: &mut [i32]) {
+/// Rows per band of [`drive`]: 1,026, the whole [`TILE_MR`]-row tiles
+/// nearest 1,024. A dequantizing product ([`matmul_packed_dequant`])
+/// holds one band's `i32` sums in a scratch buffer, 64 KiB at the GCN's
+/// 16 columns, so they are still in L2 when they are dequantized; each
+/// band re-reads the `k × n` panels. Timed at the workloads' products
+/// (one thread, bands of 48 rows to unbounded), the band height moved
+/// nothing beyond this host's noise, but 1,026 rows keep every
+/// `llm_prefill` product (m = 256) and decode step in one band, the
+/// exact kernel calls of an unbanded product.
+const BAND_ROWS: usize = 1024usize.next_multiple_of(TILE_MR);
+
+/// The one driver behind [`matmul_i32`], [`matmul_packed`] and
+/// [`matmul_packed_dequant`]: calls `band(rows, out_rows, scratch)` for
+/// every band of at most [`BAND_ROWS`] rows of the `m`-row product,
+/// serially or — once the MAC volume clears [`PAR_ELEMS_MIN`] — in row
+/// shares of whole tiles on scoped workers, the bands of one share
+/// sharing one `scratch` buffer. Every band reads the same panels, and
+/// integer sums have one value, so the result is independent of the
+/// thread count and the band height.
+fn drive<T: Send>(
+    m: usize,
+    b: &Panels,
+    out: &mut [T],
+    band: impl Fn(Range<usize>, &mut [T], &mut Vec<i32>) + Sync,
+) {
     let (k, n) = (b.k, b.n);
-    let m = out.len() / n;
+    let share = |row0: usize, rows: &mut [T]| {
+        let mut scratch = Vec::new();
+        for (i, band_rows) in rows.chunks_mut(BAND_ROWS * n).enumerate() {
+            let r0 = row0 + i * BAND_ROWS;
+            band(r0..r0 + band_rows.len() / n, band_rows, &mut scratch);
+        }
+    };
     // Small products (every decode step) never look the thread count up.
     let threads = if m * k * n < PAR_ELEMS_MIN {
         1
@@ -735,16 +765,23 @@ fn drive(a: &[i8], b: &Panels, out: &mut [i32]) {
         parallel::max_threads()
     };
     if threads <= 1 {
-        gemm(a, b, 0..n, out, n);
+        share(0, out);
         return;
     }
-    // Two bands per thread, as in the f64 kernel: round-robin absorbs
-    // uneven band completion; band boundaries never affect values.
-    let band_rows = m.div_ceil(threads * 2).next_multiple_of(TILE_MR);
-    parallel::par_chunks_mut(out, band_rows * n, |band_idx, band| {
-        let row0 = band_idx * band_rows;
-        let rows = band.len() / n;
-        gemm(&a[row0 * k..(row0 + rows) * k], b, 0..n, band, n);
+    // Two shares per thread, as in the f64 kernel: round-robin absorbs
+    // uneven share completion; share boundaries never affect values.
+    let share_rows = m.div_ceil(threads * 2).next_multiple_of(TILE_MR);
+    parallel::par_chunks_mut(out, share_rows * n, |i, rows| {
+        share(i * share_rows, rows);
+    });
+}
+
+/// [`drive`] with every band's sums stored by [`gemm`] straight into
+/// its rows of `out`.
+fn drive_i32(a: &[i8], b: &Panels, out: &mut [i32]) {
+    let (k, n) = (b.k, b.n);
+    drive(out.len() / n, b, out, |rows, sums, _| {
+        gemm(&a[rows.start * k..rows.end * k], b, 0..n, sums, n);
     });
 }
 
@@ -811,14 +848,13 @@ pub fn matmul_i32(
     }
     let mut out = vec![0i32; m * n];
     if m > 0 && n > 0 && k > 0 {
-        drive(a, &Panels::pack(b, k, n), &mut out);
+        drive_i32(a, &Panels::pack(b, k, n), &mut out);
     }
     Ok(out)
 }
 
 /// `a` (row-major `m × k`) times a `B` the caller keeps packed: the
-/// same driver and the same bits as [`matmul_i32`], without the pack —
-/// the shape of a resident weight multiplied on every decode step.
+/// same driver and the same bits as [`matmul_i32`], without the pack.
 /// Traced exactly as [`matmul_i32`] traces the same product.
 ///
 /// # Errors
@@ -829,7 +865,45 @@ pub fn matmul_packed(a: &[i8], b: &Panels, m: usize) -> Result<Vec<i32>, TensorE
     trace_product(m, b.k, b.n);
     let mut out = vec![0i32; m * b.n];
     if m > 0 && b.n > 0 {
-        drive(a, b, &mut out);
+        drive_i32(a, b, &mut out);
+    }
+    Ok(out)
+}
+
+/// [`matmul_packed`] dequantized as it is stored: `a` holds one row of
+/// `b.k()` codes per entry of `row_scales`, and output `(i, j)` is the
+/// product's `i32` sum times `row_scales[i] · b_scale` (that product
+/// rounded once per row). Each band's sums go from the microkernel to a
+/// band-sized scratch buffer and on into the f64 output at once, so no
+/// `m × n` `i32` buffer exists. The same driver, the same bits as the
+/// `i32` product dequantized afterwards, and the same trace.
+///
+/// # Errors
+///
+/// Returns [`TensorError::LengthMismatch`] when `a.len() != m · k` for
+/// `m = row_scales.len()`.
+pub fn matmul_packed_dequant(
+    a: &[i8],
+    row_scales: &[f64],
+    b: &Panels,
+    b_scale: f64,
+) -> Result<Matrix, TensorError> {
+    let (m, k, n) = (row_scales.len(), b.k, b.n);
+    check_len(a.len(), m * k)?;
+    trace_product(m, k, n);
+    let mut out = Matrix::zeros(m, n);
+    if m > 0 && n > 0 {
+        drive(m, b, out.as_mut_slice(), |rows, dst, sums| {
+            sums.resize(dst.len(), 0);
+            gemm(&a[rows.start * k..rows.end * k], b, 0..n, sums, n);
+            let band = dst.chunks_exact_mut(n).zip(sums.chunks_exact(n));
+            for ((dst, sums), &row_scale) in band.zip(&row_scales[rows]) {
+                let scale = row_scale * b_scale;
+                for (d, &s) in dst.iter_mut().zip(sums.iter()) {
+                    *d = f64::from(s) * scale;
+                }
+            }
+        });
     }
     Ok(out)
 }

@@ -430,7 +430,7 @@ impl Matrix {
     /// Largest absolute element value (0 for an empty matrix); NaN
     /// elements are ignored, as [`f64::max`] ignores them.
     pub fn abs_max(&self) -> f64 {
-        abs_max(&self.data)
+        abs_max::<16>(&self.data)
     }
 
     /// Sum of all elements.
@@ -513,13 +513,16 @@ impl Matrix {
     }
 }
 
-/// Largest absolute value of `values` (0 when empty), NaNs ignored: 16
-/// independent lanes, then one fold over the lanes and the tail. `max`
-/// is exact and, with NaNs ignored, order-free, so this equals the
-/// serial fold bit for bit; the lanes let it vectorize.
-pub(crate) fn abs_max(values: &[f64]) -> f64 {
-    let mut lanes = [0.0f64; 16];
-    let mut chunks = values.chunks_exact(16);
+/// Largest absolute value of `values` (0 when empty), NaNs ignored:
+/// `LANES` independent lanes, then one fold over the lanes and the tail.
+/// `max` is exact and, with NaNs ignored, order-free, so this equals the
+/// serial fold bit for bit at any lane count; the lanes let it
+/// vectorize. A whole matrix folds 16 lanes; a short row (the per-row
+/// quantizer's) 8, two AVX2 registers.
+#[inline(always)]
+pub(crate) fn abs_max<const LANES: usize>(values: &[f64]) -> f64 {
+    let mut lanes = [0.0f64; LANES];
+    let mut chunks = values.chunks_exact(LANES);
     for chunk in &mut chunks {
         for (lane, &v) in lanes.iter_mut().zip(chunk) {
             // `f64::max` for a lane that is never NaN: a NaN `|v|`
@@ -695,12 +698,14 @@ mod tests {
         for len in [0, 1, 7, 31, 32, 33, 64, 100, 1001] {
             let v: Vec<f64> = (0..len).map(|_| f64::from_bits(rng.next_u64())).collect();
             let serial = v.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
-            assert_eq!(abs_max(&v).to_bits(), serial.to_bits(), "len={len}");
+            assert_eq!(abs_max::<16>(&v).to_bits(), serial.to_bits(), "len={len}");
+            assert_eq!(abs_max::<8>(&v).to_bits(), serial.to_bits(), "len={len}");
         }
-        assert_eq!(abs_max(&[f64::NAN, -2.0, f64::NAN]), 2.0);
-        assert_eq!(abs_max(&[f64::NAN; 9]).to_bits(), 0.0f64.to_bits());
-        assert_eq!(abs_max(&[-0.0; 11]).to_bits(), 0.0f64.to_bits());
-        assert_eq!(abs_max(&[-0.0, f64::NEG_INFINITY]), f64::INFINITY);
+        assert_eq!(abs_max::<16>(&[f64::NAN, -2.0, f64::NAN]), 2.0);
+        assert_eq!(abs_max::<16>(&[f64::NAN; 9]).to_bits(), 0.0f64.to_bits());
+        assert_eq!(abs_max::<8>(&[f64::NAN; 9]).to_bits(), 0.0f64.to_bits());
+        assert_eq!(abs_max::<16>(&[-0.0; 11]).to_bits(), 0.0f64.to_bits());
+        assert_eq!(abs_max::<16>(&[-0.0, f64::NEG_INFINITY]), f64::INFINITY);
     }
 
     #[test]

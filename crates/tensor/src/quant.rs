@@ -337,19 +337,61 @@ pub struct RowQuantMatrix {
 impl RowQuantMatrix {
     /// Calibrates and quantizes each row of `m` independently
     /// (symmetric; an all-zero row gets scale 1.0, like
-    /// [`Quantizer::calibrate`]).
+    /// [`Quantizer::calibrate`]), each code exactly
+    /// [`Quantizer::quantize_value`] at its row's scale. One pass
+    /// computes every row's scale and a second every code, so the scale
+    /// divides of neighbouring rows overlap. Where the int8 kernels are
+    /// dispatched ([`gemm_i8::simd_active`]) both passes run in one body
+    /// compiled for AVX2, dispatched once per matrix, as
+    /// [`Quantizer::quantize`]'s loop is.
     pub fn quantize_rows(m: &Matrix) -> Self {
         let (rows, cols) = m.shape();
-        let mut scales = Vec::with_capacity(rows);
-        let mut data = Vec::with_capacity(rows * cols);
-        for r in 0..rows {
-            let row = m.row(r);
-            let absmax = crate::matrix::abs_max(row);
-            let scale = if absmax > 0.0 { absmax / 127.0 } else { 1.0 };
-            Quantizer { scale }.quantize_into(row, &mut data);
-            scales.push(scale);
+        if cols == 0 {
+            return RowQuantMatrix {
+                scales: vec![1.0; rows],
+                data: Vec::new(),
+            };
+        }
+        #[cfg(target_arch = "x86_64")]
+        if gemm_i8::simd_active() {
+            // SAFETY: `simd_active` is true only where AVX2 is available.
+            return unsafe { Self::quantize_rows_avx2(m.as_slice(), cols) };
+        }
+        Self::quantize_rows_loop(m.as_slice(), cols)
+    }
+
+    /// The two passes of [`RowQuantMatrix::quantize_rows`] over rows of
+    /// `cols > 0` values.
+    #[inline(always)]
+    fn quantize_rows_loop(values: &[f64], cols: usize) -> Self {
+        // Plain loops over preallocated buffers, not `collect`: an
+        // iterator adapter's out-of-line fold would not be compiled for
+        // AVX2 with the rest of the body.
+        let mut scales = vec![0.0; values.len() / cols];
+        for (scale, row) in scales.iter_mut().zip(values.chunks_exact(cols)) {
+            let absmax = crate::matrix::abs_max::<8>(row);
+            *scale = if absmax > 0.0 { absmax / 127.0 } else { 1.0 };
+        }
+        let mut data = vec![0i8; values.len()];
+        let rows = values.chunks_exact(cols).zip(data.chunks_exact_mut(cols));
+        for ((row, codes), &scale) in rows.zip(&scales) {
+            let q = Quantizer { scale };
+            for (code, &v) in codes.iter_mut().zip(row) {
+                *code = q.quantize_value(v);
+            }
         }
         RowQuantMatrix { scales, data }
+    }
+
+    /// [`RowQuantMatrix::quantize_rows_loop`] compiled for AVX2.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn quantize_rows_avx2(values: &[f64], cols: usize) -> Self {
+        Self::quantize_rows_loop(values, cols)
     }
 
     /// Per-row quantization step sizes.
@@ -496,7 +538,7 @@ mod tests {
             assert_eq!(single, want, "scale={scale}");
             assert_eq!(q.quantize(&m).as_i8_slice(), &want[..], "scale={scale}");
         }
-        // Per-row calibration runs the same loop row by row.
+        // Per-row calibration gives each row's codes at its own scale.
         let rows = RowQuantMatrix::quantize_rows(&m);
         for (r, &scale) in rows.scales().iter().enumerate() {
             let absmax = m.row(r).iter().fold(0.0f64, |acc, &v| acc.max(v.abs()));

@@ -24,13 +24,19 @@
 //! order, so both give the same bits. Weighted SpMM and max aggregation
 //! run the member-major loop everywhere.
 //!
+//! Every row loop hands each finished row to a store step: the `i32`
+//! kernels reduce the row in place, and [`aggregate_dequant_into`], the
+//! digital int8 reference's GNN aggregate, reduces it into a row of
+//! scratch and dequantizes it into its f64 output row at once (the mean
+//! dividing there), so no `i32` output buffer or second pass exists.
+//!
 //! All sums wrap in `i32`, as in [`crate::gemm_i8`]. A row of `m`
 //! members of levels within ±127 stays exact while `127 · m < 2³¹`;
 //! callers that need the true sum past that bound (GHOST's reduce units)
 //! check it themselves.
 
-use crate::sparse::{DegreeBuckets, ROW_TILE};
-use crate::{gemm_i8, parallel, TensorError};
+use crate::sparse::{DegreeBuckets, SparseReduce, ROW_TILE};
+use crate::{gemm_i8, parallel, Matrix, QuantMatrix, TensorError};
 
 /// A borrowed compressed-sparse-row matrix with `i8` values.
 ///
@@ -232,22 +238,22 @@ fn trace_kernel(rows: usize, nnz: usize, f: usize) {
 /// is written once — straight into the output, with no per-tile scratch
 /// or scatter pass.
 #[derive(Clone, Copy)]
-struct RowSink {
-    ptr: *mut i32,
+struct RowSink<T> {
+    ptr: *mut T,
     rows: usize,
     f: usize,
 }
 
-// SAFETY: `ptr` is the start of the output slice `run_scheduled` holds
+// SAFETY: `ptr` is the start of the output slice the kernel call holds
 // mutably borrowed until its scoped tile loop has joined, and `rows` and
 // `f` are plain lengths; the sink hands out only disjoint rows (see
 // `RowSink::row`), so no two threads ever touch the same element.
-unsafe impl Send for RowSink {}
+unsafe impl<T: Send> Send for RowSink<T> {}
 // SAFETY: as for `Send`: shared sinks write only disjoint rows.
-unsafe impl Sync for RowSink {}
+unsafe impl<T: Send> Sync for RowSink<T> {}
 
-impl RowSink {
-    fn new(out: &mut [i32], f: usize) -> RowSink {
+impl<T> RowSink<T> {
+    fn new(out: &mut [T], f: usize) -> RowSink<T> {
         RowSink {
             ptr: out.as_mut_ptr(),
             rows: out.len() / f,
@@ -267,35 +273,109 @@ impl RowSink {
     /// # Panics
     ///
     /// Panics if `r` is out of range.
-    unsafe fn row<'a>(self, r: usize) -> &'a mut [i32] {
+    unsafe fn row<'a>(self, r: usize) -> &'a mut [T] {
         assert!(r < self.rows, "row outside the output");
         std::slice::from_raw_parts_mut(self.ptr.add(r * self.f), self.f)
     }
 }
 
+/// Where a kernel call's finished rows go: every reduction sums (or
+/// maxes) a row into the `i32` row [`RowStore::sums`] hands it, then
+/// calls [`RowStore::finish`] once that row is final. One row loop per
+/// reduction serves both outputs.
+trait RowStore: Copy + Send + Sync {
+    /// Scratch for one tile's rows, when they are not reduced in place.
+    fn scratch(self) -> Vec<i32>;
+
+    /// The `i32` row that row `r` reduces into: its output row, or
+    /// `scratch`.
+    ///
+    /// # Safety
+    ///
+    /// As [`RowSink::row`].
+    unsafe fn sums(self, r: usize, scratch: &mut [i32]) -> &mut [i32];
+
+    /// Stores row `r` once `sums` is final; `operands` counts the rows
+    /// reduced into it, the row's own included.
+    ///
+    /// # Safety
+    ///
+    /// As [`RowSink::row`].
+    unsafe fn finish(self, r: usize, operands: usize, sums: &[i32]);
+}
+
+/// The `i32` output: each row is reduced in place.
+impl RowStore for RowSink<i32> {
+    fn scratch(self) -> Vec<i32> {
+        Vec::new()
+    }
+
+    #[inline(always)]
+    unsafe fn sums(self, r: usize, _: &mut [i32]) -> &mut [i32] {
+        self.row(r)
+    }
+
+    #[inline(always)]
+    unsafe fn finish(self, _: usize, _: usize, _: &[i32]) {}
+}
+
+/// An f64 output that each row dequantizes into as soon as its sums are
+/// final: `f64::from(s) * scale / denom`, with `denom` the row's operand
+/// count (at least 1) for a mean and 1 otherwise.
+#[derive(Clone, Copy)]
+struct Dequant {
+    rows: RowSink<f64>,
+    scale: f64,
+    mean: bool,
+}
+
+impl RowStore for Dequant {
+    fn scratch(self) -> Vec<i32> {
+        vec![0; self.rows.f]
+    }
+
+    #[inline(always)]
+    unsafe fn sums(self, _: usize, scratch: &mut [i32]) -> &mut [i32] {
+        scratch
+    }
+
+    #[inline(always)]
+    unsafe fn finish(self, r: usize, operands: usize, sums: &[i32]) {
+        let denom = if self.mean {
+            operands.max(1) as f64
+        } else {
+            1.0
+        };
+        for (o, &s) in self.rows.row(r).iter_mut().zip(sums) {
+            *o = f64::from(s) * self.scale / denom;
+        }
+    }
+}
+
 /// The tile body shared by SpMM and aggregation: reduces the given rows
-/// into their rows of `sink`.
+/// into `store`.
 ///
 /// # Safety
 ///
-/// Caller must ensure no other reference to these rows of `sink` is
+/// Caller must ensure no other reference to these rows of `store` is
 /// live.
-unsafe fn reduce_tile(
+unsafe fn reduce_tile<S: RowStore>(
     a: &CsrI8View<'_>,
     x: &[i8],
     f: usize,
     rows: &[u32],
     reduce: I8Reduce,
     include_self: bool,
-    sink: RowSink,
+    store: S,
 ) {
     if reduce == I8Reduce::Sum && a.values.is_none() {
-        structural_sum(a, x, f, rows, include_self, sink);
+        structural_sum(a, x, f, rows, include_self, store);
         return;
     }
+    let mut scratch = store.scratch();
     for &r in rows {
         let r = r as usize;
-        let slot = sink.row(r);
+        let slot = store.sums(r, &mut scratch);
         let idx = a.row_indices(r);
         match reduce {
             I8Reduce::Sum => {
@@ -333,48 +413,46 @@ unsafe fn reduce_tile(
                 }
             }
         }
+        store.finish(r, idx.len() + usize::from(include_self), slot);
     }
 }
 
-/// The structural (pattern-only) sum of the given rows into their rows
-/// of `sink`: each row is the wrapping `i32` sum of its members' levels,
-/// the row's own levels included when `include_self` is set. Dispatches
-/// to the AVX2 kernel where the int8 kernels are
-/// ([`gemm_i8::simd_active`]), otherwise runs the member-major loop;
-/// integer sums have one value, so both give the same bits.
+/// The structural (pattern-only) sum of the given rows into `store`:
+/// each row is the wrapping `i32` sum of its members' levels, the row's
+/// own levels included when `include_self` is set. Dispatches to the
+/// AVX2 kernel where the int8 kernels are ([`gemm_i8::simd_active`]),
+/// otherwise runs the member-major loop; integer sums have one value, so
+/// both give the same bits.
 ///
 /// # Safety
 ///
-/// Caller must ensure no other reference to these rows of `sink` is
+/// Caller must ensure no other reference to these rows of `store` is
 /// live, and the operand contract [`check_operands`] and
 /// [`CsrI8View::new`] verify: `x` holds `a.cols()` rows of `f` levels,
 /// every member id is below `a.cols()`, and `include_self` implies a
 /// square pattern.
-unsafe fn structural_sum(
+unsafe fn structural_sum<S: RowStore>(
     a: &CsrI8View<'_>,
     x: &[i8],
     f: usize,
     rows: &[u32],
     include_self: bool,
-    sink: RowSink,
+    store: S,
 ) {
+    let mut scratch = store.scratch();
     #[cfg(target_arch = "x86_64")]
     if gemm_i8::simd_active() {
         // SAFETY: `simd_active` is true only where AVX2 is available; the
         // caller guarantees the rest.
-        x86::structural_sum_avx2(a, x, f, rows, include_self, sink);
+        x86::structural_sum_avx2(a, x, f, rows, include_self, store, &mut scratch);
         return;
     }
     for &r in rows {
         let r = r as usize;
-        sum_columns(
-            x,
-            f,
-            0,
-            include_self.then_some(r),
-            a.row_indices(r),
-            sink.row(r),
-        );
+        let (own, members) = (include_self.then_some(r), a.row_indices(r));
+        let slot = store.sums(r, &mut scratch);
+        sum_columns(x, f, 0, own, members, slot);
+        store.finish(r, members.len() + usize::from(include_self), slot);
     }
 }
 
@@ -403,32 +481,35 @@ mod x86 {
         _mm_loadl_epi64,
     };
 
-    use super::{CsrI8View, RowSink};
+    use super::{CsrI8View, RowStore};
 
     /// AVX2 [`super::structural_sum`]: per row, columns in blocks of 32,
     /// 16 and 8 (four, two and one register of eight `i32` sums), each
     /// block's sums held in registers across all of the row's members —
     /// one `vpmovsxbd` of eight levels and one `vpaddd` per register and
     /// member — then stored once. The last `f % 8` columns run a scalar
-    /// loop.
+    /// loop. Each finished row goes to `store` at once (its f64
+    /// dequantization compiled for AVX2 too).
     ///
     /// # Safety
     ///
     /// Caller must ensure AVX2 is available and the contract of
     /// [`super::structural_sum`]: every load reads eight levels at
-    /// `x[u·f + c..]` with `c + 8 ≤ f` and `u < a.cols()`.
+    /// `x[u·f + c..]` with `c + 8 ≤ f` and `u < a.cols()`, and `scratch`
+    /// comes from `store.scratch()`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn structural_sum_avx2(
+    pub unsafe fn structural_sum_avx2<S: RowStore>(
         a: &CsrI8View<'_>,
         x: &[i8],
         f: usize,
         rows: &[u32],
         include_self: bool,
-        sink: RowSink,
+        store: S,
+        scratch: &mut [i32],
     ) {
         for &r in rows {
             let r = r as usize;
-            let slot = sink.row(r);
+            let slot = store.sums(r, scratch);
             let (own, members) = (include_self.then_some(r), a.row_indices(r));
             let mut c = 0;
             while c + 32 <= f {
@@ -446,6 +527,7 @@ mod x86 {
             if c < f {
                 super::sum_columns(x, f, c, own, members, &mut slot[c..]);
             }
+            store.finish(r, members.len() + usize::from(include_self), slot);
         }
     }
 
@@ -492,16 +574,16 @@ mod x86 {
     }
 }
 
-/// Runs the degree-bucketed tile loop, each row reduced straight into its
-/// row of `out` (deterministic for any thread count).
-fn run_scheduled(
+/// Runs the degree-bucketed tile loop, each row reduced straight into
+/// `store` (deterministic for any thread count).
+fn run_scheduled<S: RowStore>(
     a: &CsrI8View<'_>,
     x: &[i8],
     f: usize,
     schedule: &DegreeBuckets,
     reduce: I8Reduce,
     include_self: bool,
-    out: &mut [i32],
+    store: S,
 ) -> Result<(), TensorError> {
     if schedule.rows() != a.rows() {
         return Err(TensorError::LengthMismatch {
@@ -510,13 +592,12 @@ fn run_scheduled(
         });
     }
     // Heaviest tiles are scheduled first and pulled by the work-stealing
-    // loop; each writes its rows straight into `out`.
-    let sink = RowSink::new(out, f);
+    // loop; each writes its rows straight into the output.
     parallel::par_map_indexed(schedule.num_tiles(), |t| {
-        // SAFETY: the schedule lists each of the `a.rows()` rows of `out`
-        // once, so tiles take disjoint rows, and `check_operands` and the
-        // view's validation give the operand contract.
-        unsafe { reduce_tile(a, x, f, schedule.tile_rows(t), reduce, include_self, sink) }
+        // SAFETY: the schedule lists each of the `a.rows()` rows of the
+        // output once, so tiles take disjoint rows, and `check_operands`
+        // and the view's validation give the operand contract.
+        unsafe { reduce_tile(a, x, f, schedule.tile_rows(t), reduce, include_self, store) }
     });
     Ok(())
 }
@@ -542,7 +623,8 @@ pub fn spmm_i8_scheduled(
     if f == 0 || a.rows() == 0 {
         return Ok(());
     }
-    run_scheduled(a, x, f, schedule, I8Reduce::Sum, false, out)?;
+    let sink = RowSink::new(out, f);
+    run_scheduled(a, x, f, schedule, I8Reduce::Sum, false, sink)?;
     trace_kernel(a.rows(), a.nnz(), f);
     Ok(())
 }
@@ -612,17 +694,76 @@ pub fn aggregate_i8_scheduled(
     include_self: bool,
     out: &mut [i32],
 ) -> Result<(), TensorError> {
-    check_operands(a, x.len(), f, out.len())?;
+    if check_aggregate(a, x.len(), f, out.len(), include_self)? {
+        let unweighted = CsrI8View { values: None, ..*a };
+        let sink = RowSink::new(out, f);
+        run_scheduled(&unweighted, x, f, schedule, reduce, include_self, sink)?;
+    }
+    Ok(())
+}
+
+/// [`aggregate_i8_into`] dequantized as it is stored: the levels of `x`
+/// (one row per column of `a`, quantized per tensor) reduce exactly in
+/// `i32` on the same row loop, and each output row is written as soon
+/// as its sums or maxima are final, as `f64::from(s) * x.scale()`,
+/// divided by the row's operand count (at least 1) for
+/// [`SparseReduce::Mean`]. No `i32` output buffer exists; the bits and
+/// the trace are those of [`aggregate_i8_into`] dequantized afterwards.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] when `out` is not `a.rows() ×
+/// x.cols()`, and the errors of [`aggregate_i8_into`].
+pub fn aggregate_dequant_into(
+    a: &CsrI8View<'_>,
+    x: &QuantMatrix,
+    reduce: SparseReduce,
+    include_self: bool,
+    out: &mut Matrix,
+) -> Result<(), TensorError> {
+    let f = x.cols();
+    if out.shape() != (a.rows(), f) {
+        return Err(TensorError::ShapeMismatch {
+            lhs: (a.rows(), f),
+            rhs: out.shape(),
+        });
+    }
+    let codes = x.as_i8_slice();
+    if check_aggregate(a, codes.len(), f, out.len(), include_self)? {
+        let view = CsrI8View { values: None, ..*a };
+        let schedule = DegreeBuckets::new(a.offsets());
+        let store = Dequant {
+            rows: RowSink::new(out.as_mut_slice(), f),
+            scale: x.scale(),
+            mean: reduce == SparseReduce::Mean,
+        };
+        let reduce = match reduce {
+            SparseReduce::Sum | SparseReduce::Mean => I8Reduce::Sum,
+            SparseReduce::Max => I8Reduce::Max,
+        };
+        run_scheduled(&view, codes, f, &schedule, reduce, include_self, store)?;
+        trace_kernel(a.rows(), a.nnz(), f);
+    }
+    Ok(())
+}
+
+/// Checks an aggregation's operands and reports whether there is work:
+/// the lengths [`check_operands`] checks, and a square pattern for
+/// `include_self`.
+fn check_aggregate(
+    a: &CsrI8View<'_>,
+    x_len: usize,
+    f: usize,
+    out_len: usize,
+    include_self: bool,
+) -> Result<bool, TensorError> {
+    check_operands(a, x_len, f, out_len)?;
     if include_self && a.rows() != a.cols() {
         return Err(TensorError::InvalidDimension {
             what: "include_self aggregation needs a square adjacency pattern",
         });
     }
-    if f == 0 || a.rows() == 0 {
-        return Ok(());
-    }
-    let unweighted = CsrI8View { values: None, ..*a };
-    run_scheduled(&unweighted, x, f, schedule, reduce, include_self, out)
+    Ok(f > 0 && a.rows() > 0)
 }
 
 #[cfg(test)]

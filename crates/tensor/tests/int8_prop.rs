@@ -415,3 +415,94 @@ fn int8_trace_counters_mirror_f64_scheme() {
     // One 4x6x3 product plus 2 nnz * 1 feature of SpMM MACs.
     assert_eq!(get("macs"), 4 * 6 * 3 + 2);
 }
+
+/// The textbook per-row quantizer: each row's NaN-ignoring abs-max, its
+/// scale (`absmax / 127`, or 1.0 for a row with nothing above zero),
+/// then `(v / scale).round()` clamped to ±127 and cast with saturation.
+fn quantize_rows_oracle(m: &Matrix) -> (Vec<i8>, Vec<f64>) {
+    let mut codes = Vec::with_capacity(m.len());
+    let mut scales = Vec::with_capacity(m.rows());
+    for r in 0..m.rows() {
+        let row = m.row(r);
+        let absmax = row
+            .iter()
+            .filter(|v| !v.is_nan())
+            .fold(0.0f64, |acc, v| acc.max(v.abs()));
+        let scale = if absmax > 0.0 { absmax / 127.0 } else { 1.0 };
+        codes.extend(
+            row.iter()
+                .map(|&v| (v / scale).round().clamp(-127.0, 127.0) as i8),
+        );
+        scales.push(scale);
+    }
+    (codes, scales)
+}
+
+/// Row `r` of a `cols`-wide adversarial matrix: the row's kind cycles
+/// with `r + cols`, so every row count meets several kinds.
+fn adversarial_row(r: usize, cols: usize, rng: &mut phox_tensor::Prng) -> Vec<f64> {
+    const SPECIALS: [f64; 12] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        5e-324,
+        -5e-324,
+        f64::MIN_POSITIVE / 3.0,
+        -f64::MIN_POSITIVE,
+        0.5,
+        -1.5,
+        126.5,
+    ];
+    // Exact halves of a unit step and their neighbours: a row whose
+    // abs-max is 127 has scale exactly 1.
+    let halves = |i: usize| {
+        let h = (i % 254) as f64 - 126.5;
+        match i % 3 {
+            0 => h,
+            1 => f64::from_bits(h.to_bits() + 1),
+            _ => f64::from_bits(h.to_bits() - 1),
+        }
+    };
+    (0..cols)
+        .map(|c| match (r + cols) % 8 {
+            0 => 0.0,
+            1 => f64::NAN,
+            2 if c == 0 => 127.0,
+            2 => halves(c + r),
+            3 => SPECIALS[(c + r) % SPECIALS.len()],
+            // A finite scale with NaN and -0 mixed in.
+            4 if c % 4 == 0 => f64::NAN,
+            4 if c % 4 == 1 => -0.0,
+            4 => rng.uniform(-3.0, 3.0),
+            5 => [5e-324, -1e-310, f64::MIN_POSITIVE / 7.0][(c + r) % 3],
+            6 if c % 5 == 0 => -0.0,
+            6 => rng.uniform(-1.0, 1.0) * 1e-3,
+            _ => f64::from(rng.next_u64() as u32 as i32) * 0.75,
+        })
+        .collect()
+}
+
+/// `RowQuantMatrix::quantize_rows` equals the textbook per-row loop in
+/// every code and every scale bit, at widths through each SIMD step of
+/// the quantizer and its tail (0..=40, 64, 256, 1024) and 0, 1, 2, 7 and
+/// 100 rows, over ±0, ±∞, NaN, subnormals, exact halves and their
+/// neighbours, all-zero and all-NaN rows.
+#[test]
+fn row_quantizer_equals_textbook_loop_on_adversarial_rows() {
+    let mut rng = phox_tensor::Prng::new(0x27);
+    for cols in (0..=40).chain([64, 256, 1024]) {
+        for rows in [0usize, 1, 2, 7, 100] {
+            let data: Vec<f64> = (0..rows)
+                .flat_map(|r| adversarial_row(r, cols, &mut rng))
+                .collect();
+            let m = Matrix::from_vec(rows, cols, data).unwrap();
+            let q = phox_tensor::RowQuantMatrix::quantize_rows(&m);
+            let (codes, scales) = quantize_rows_oracle(&m);
+            assert_eq!(q.as_i8_slice(), &codes[..], "codes, {rows}x{cols}");
+            let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(q.scales()), bits(&scales), "scales, {rows}x{cols}");
+        }
+    }
+}

@@ -15,8 +15,11 @@
 #                  and the f64 microkernel at 64/256/1024 and every int8
 #                  workload call (products, decode rows, analog tiles),
 #                  the quantizer vs its serial loop,
-#                  int8 vs f64 SpMM, and the 1/2/4/8-thread sweep, with
-#                  oracle and bit-identity verdicts.
+#                  int8 vs f64 SpMM, the int8 GCN's activation crossings
+#                  (row quantizer, aggregate, combine product) vs the
+#                  two-pass code they replaced at 100k x 32 and
+#                  100k x 16 with p10/p50/p90, and the 1/2/4/8-thread
+#                  sweep, with oracle and bit-identity verdicts.
 #   BENCH_4.json — KV-cached decode: per-token latency of a cached
 #                  decode step vs full-sequence recompute (f64 and
 #                  int8) across context lengths, with full-forward
@@ -40,7 +43,8 @@
 # There is also a timing-free mode that never writes to the repo root:
 #   digest        — reduces a deterministic battery (GEMM and its
 #                  microkernel edges, the int8 microkernel's edges,
-#                  SpMM, decode, analog int8 engine, Tron/Ghost
+#                  SpMM, decode, the int8 GCN forwards and row
+#                  quantizer, analog int8 engine, Tron/Ghost
 #                  forwards) to FNV-1a digests over result
 #                  bit patterns; CI byte-diffs the AVX2 and
 #                  PHOX_FORCE_SCALAR=1 files.

@@ -116,6 +116,30 @@ fn empty_fault_plan_matches_the_unfaulted_simulator() {
     );
 }
 
+/// An empty plan and an empty schedule both leave the engine exactly as
+/// the unfaulted constructor builds it: no identity fault impact held.
+#[test]
+fn empty_fault_plans_leave_the_engine_unfaulted() {
+    let tron = tron_cfg();
+    let (rows, channels) = (tron.array_rows, tron.array_channels);
+    let clean = TronFunctional::new(&tron, 7).unwrap();
+    let planned = TronFunctional::with_faults(&tron, FaultPlan::new(rows, channels), 7).unwrap();
+    let scheduled =
+        TronFunctional::with_fault_schedule(&tron, FaultSchedule::new(rows, channels), 7).unwrap();
+    assert_eq!(planned.engine(), clean.engine(), "TRON, empty plan");
+    assert_eq!(scheduled.engine(), clean.engine(), "TRON, empty schedule");
+
+    let ghost = ghost_cfg();
+    let (rows, channels) = (ghost.array_rows, ghost.array_channels);
+    let clean = GhostFunctional::new(&ghost, 8).unwrap();
+    let planned = GhostFunctional::with_faults(&ghost, FaultPlan::new(rows, channels), 8).unwrap();
+    let scheduled =
+        GhostFunctional::with_fault_schedule(&ghost, FaultSchedule::new(rows, channels), 8)
+            .unwrap();
+    assert_eq!(planned.engine(), clean.engine(), "GHOST, empty plan");
+    assert_eq!(scheduled.engine(), clean.engine(), "GHOST, empty schedule");
+}
+
 #[test]
 fn faults_actually_change_the_output() {
     let cfg = tron_cfg();
