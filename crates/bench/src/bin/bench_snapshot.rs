@@ -1932,6 +1932,14 @@ fn run_digest(out_path: &str) {
     // The row quantizer over an adversarial battery: widths through its
     // SIMD steps and tail, rows of ±0, ±∞, NaN, subnormals, exact halves
     // of a unit step and their neighbours, all zero and all NaN.
+    const SPECIALS: [f64; 6] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        5e-324,
+    ];
     let mut battery = Vec::new();
     for cols in (0..=40).chain([64, 256, 1024]) {
         for rows in [0usize, 1, 2, 7, 100] {
@@ -1944,8 +1952,7 @@ fn run_digest(out_path: &str) {
                         1 => f64::NAN,
                         2 if c == 0 => 127.0,
                         2 => f64::from_bits(half.to_bits() + (c % 3) as u64 - 1),
-                        3 => [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 5e-324]
-                            [(c + r) % 6],
+                        3 => SPECIALS[(c + r) % 6],
                         4 => [5e-324, -1e-310, f64::MIN_POSITIVE / 7.0][(c + r) % 3],
                         _ => f64::from((i as u32).wrapping_mul(0x9e37_79b9) as i32) * 0.75,
                     }

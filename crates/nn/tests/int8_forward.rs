@@ -1,6 +1,8 @@
 //! Integration tests for the true int8 forward paths: accuracy against
-//! the f64 oracle, exact thread-count invariance, and equivalence of the
-//! int8 sparse aggregation with its dense counterpart.
+//! the f64 oracle, exact thread-count invariance, equivalence of the
+//! int8 sparse aggregation with its dense counterpart, pinned output
+//! bits of every GNN family's int8 forward, and `QuantLinear::forward`
+//! against the raw product and its dequantization.
 
 use phox_nn::datasets::{labelled_sequences, power_law, sbm};
 use phox_nn::gnn::{Aggregation, CsrGraph, GnnConfig, GnnKind, GnnModel};
@@ -182,10 +184,10 @@ fn gnn_int8_forwards_keep_their_bits_at_every_thread_count() {
 /// `QuantLinear::forward` equals its definition bit for bit: per-row
 /// quantization, the raw `i32` product over the packed weight, and one
 /// dequantization per element with `row_scale × weight_scale`. Row
-/// counts sit on both sides of every 1,024-row band edge (give or take a
-/// 6-row tile) and above the parallel threshold, with zero, one, a few,
-/// a full panel and a panel plus one output columns; one row is all
-/// zeros and one holds an infinity.
+/// counts sit on both sides of the first two edges of the product's
+/// 1,026-row bands, of 1,024 and of 6-row tiles, and above the parallel
+/// threshold, with zero, one, a few, a full panel and a panel plus one
+/// output columns; one row is all zeros and one holds an infinity.
 #[test]
 fn quant_linear_equals_raw_product_and_dequant_loop() {
     let k = 37;
@@ -203,7 +205,7 @@ fn quant_linear_equals_raw_product_and_dequant_loop() {
                 x.row_mut(1).fill(0.0);
                 x.set(2, 5, f64::INFINITY);
             }
-            // The oracle: today's product and dequantization loop.
+            // The oracle: the raw `i32` product, then a dequantization pass.
             let qx = RowQuantMatrix::quantize_rows(&x);
             let sums = gemm_i8::matmul_packed(qx.as_i8_slice(), &panels, m).unwrap();
             let mut want = Vec::with_capacity(m * n);

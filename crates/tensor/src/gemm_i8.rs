@@ -655,8 +655,9 @@ pub fn simd_active() -> bool {
 /// product itself: instead the axpy loop streams each `B` row once,
 /// skipping zero activations like [`matmul_i32_naive`]. A caller that
 /// multiplies one row by the same `B` on every step keeps it packed and
-/// calls [`matmul_packed`] or [`matmul_packed_dequant`] instead. Wrapping `i32` addition is
-/// associative, so the result is bit-identical to every GEMM path.
+/// calls [`matmul_packed`] or [`matmul_packed_dequant`] instead.
+/// Wrapping `i32` addition is associative, so the result is
+/// bit-identical to every GEMM path.
 ///
 /// # Errors
 ///
@@ -730,10 +731,10 @@ fn trace_product(m: usize, k: usize, n: usize) {
 /// holds one band's `i32` sums in a scratch buffer, 64 KiB at the GCN's
 /// 16 columns, so they are still in L2 when they are dequantized; each
 /// band re-reads the `k × n` panels. Timed at the workloads' products
-/// (one thread, bands of 48 rows to unbounded), the band height moved
-/// nothing beyond this host's noise, but 1,026 rows keep every
-/// `llm_prefill` product (m = 256) and decode step in one band, the
-/// exact kernel calls of an unbanded product.
+/// (one thread on a 2-vCPU Xeon VM, bands of 48 rows to unbounded), the
+/// band height moved nothing beyond the run-to-run noise, and 1,026
+/// rows keep every `llm_prefill` product (m = 256) and decode step in
+/// one band: the exact kernel calls of an unbanded product.
 const BAND_ROWS: usize = 1024usize.next_multiple_of(TILE_MR);
 
 /// The one driver behind [`matmul_i32`], [`matmul_packed`] and

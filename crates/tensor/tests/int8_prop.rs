@@ -7,7 +7,8 @@
 //! int8 SpMM must agree exactly with the int8 dense GEMM on the
 //! densified adjacency, and the structural (pattern-only) sum behind
 //! unweighted SpMM and sum aggregation with a naive `i64` oracle at every
-//! feature width its blocks reach.
+//! feature width its blocks reach; and the per-row quantizer must give
+//! the textbook per-row loop's codes and scale bits on adversarial rows.
 //!
 //! CI's `simd-smoke` job runs this suite once per dispatch mode.
 
