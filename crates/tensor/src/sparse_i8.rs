@@ -949,4 +949,46 @@ mod tests {
         assert!(spmm_i8(&g.view(false), &[], 0).is_ok());
         assert!(aggregate_i8_into(&g.view(false), &[], 0, I8Reduce::Sum, true, &mut out).is_ok());
     }
+
+    #[test]
+    fn dequantizing_aggregate_equals_sums_dequantized_afterwards() {
+        // Every reduction, with and without the row itself, at a width
+        // through the 32-, 16- and 8-column blocks and the tail; the
+        // weighted view's values are ignored, as by `aggregate_i8_into`.
+        let (n, f) = (300, 61);
+        let g = random_graph(n, n, 9, 11);
+        let v = g.view(true);
+        let q = QuantMatrix::from_levels(n, f, 0.037, random_x(n * f, 12)).unwrap();
+        for (reduce, i8_reduce) in [
+            (SparseReduce::Sum, I8Reduce::Sum),
+            (SparseReduce::Mean, I8Reduce::Sum),
+            (SparseReduce::Max, I8Reduce::Max),
+        ] {
+            for include_self in [false, true] {
+                let mut sums = vec![0i32; n * f];
+                aggregate_i8_into(&v, q.as_i8_slice(), f, i8_reduce, include_self, &mut sums)
+                    .unwrap();
+                let want: Vec<u64> = sums
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &s)| {
+                        let operands = v.row_nnz(i / f) + usize::from(include_self);
+                        let denom = if reduce == SparseReduce::Mean {
+                            operands.max(1) as f64
+                        } else {
+                            1.0
+                        };
+                        (f64::from(s) * q.scale() / denom).to_bits()
+                    })
+                    .collect();
+                let mut out = Matrix::zeros(n, f);
+                aggregate_dequant_into(&v, &q, reduce, include_self, &mut out).unwrap();
+                let got: Vec<u64> = out.as_slice().iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, want, "{reduce:?} include_self={include_self}");
+            }
+        }
+        // The output must be rows × f, not merely as long.
+        let mut transposed = Matrix::zeros(f, n);
+        assert!(aggregate_dequant_into(&v, &q, SparseReduce::Sum, false, &mut transposed).is_err());
+    }
 }
