@@ -2017,15 +2017,6 @@ fn run_digest(out_path: &str) {
     write_or_die(out_path, &json);
 }
 
-/// Maximum relative elementwise difference between two equally shaped
-/// row slices (the decode-oracle error metric).
-fn max_rel_err(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| (x - y).abs() / x.abs().max(y.abs()).max(1e-300))
-        .fold(0.0, f64::max)
-}
-
 /// Advances `cache` with decode steps over rows `cache.rows()..rows` of
 /// `x` using `step`, leaving the cache holding exactly `rows` rows.
 fn prime_cache(
@@ -2101,7 +2092,8 @@ fn run_decode(out_path: &str) {
             model.forward_prefix_int8(&prefix).expect("full forward")
         });
         // Oracle: the cached step at context t must reproduce the last
-        // row of the full causal forward over the same prefix.
+        // row of the full causal forward over the same prefix, bit for bit.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let y_f64 = model
             .decode_step(&mut f64_cache, &row)
             .expect("decode step");
@@ -2110,13 +2102,12 @@ fn run_decode(out_path: &str) {
         int8_cache.truncate(t - 1);
         let full = model.forward_prefix(&prefix).expect("full forward");
         let full_i8 = model.forward_prefix_int8(&prefix).expect("full forward");
-        let f64_err = max_rel_err(y_f64.row(0), full.row(t - 1));
-        let f64_ok = f64_err <= 1e-9;
+        let f64_ok = bits(y_f64.row(0)) == bits(full.row(t - 1));
         let int8_ok = y_int8.row(0) == full_i8.row(t - 1);
         eprintln!(
             "bench_snapshot: t = {t}: cached_f64 {cached_f64_s:.6}s full_f64 {full_f64_s:.4}s \
              cached_int8 {cached_int8_s:.6}s full_int8 {full_int8_s:.4}s \
-             f64_ok={f64_ok} (rel {f64_err:.2e}) int8_ok={int8_ok}"
+             f64_ok={f64_ok} int8_ok={int8_ok}"
         );
         cached_f64.push(cached_f64_s);
         full_f64.push(full_f64_s);

@@ -1,8 +1,8 @@
 //! The KV-decode equivalence oracle: incremental decode must match the
-//! full-sequence causal forward on every prefix — within 1e-9 relative
-//! in f64, *exactly* on the int8 datapath — bit-identical across thread
-//! counts, with `GenerationReport`-side census arithmetic pinned to the
-//! MACs the functional path actually executes.
+//! full-sequence causal forward on every prefix bit for bit, in f64 and
+//! on the int8 datapath, bit-identical across thread counts, with
+//! `GenerationReport`-side census arithmetic pinned to the MACs the
+//! functional path actually executes.
 
 use phox_nn::decode::KvCache;
 use phox_nn::transformer::{
@@ -23,11 +23,8 @@ fn decoder_cfg(layers: usize, heads: usize, d_model: usize, seq_len: usize) -> T
     }
 }
 
-fn max_rel_err(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| (x - y).abs() / x.abs().max(y.abs()).max(1e-300))
-        .fold(0.0, f64::max)
+fn bits(row: &[f64]) -> Vec<u64> {
+    row.iter().map(|v| v.to_bits()).collect()
 }
 
 /// Runs `steps` incremental decode steps over the rows of `x` and
@@ -74,8 +71,11 @@ fn f64_decode_matches_full_forward_on_every_prefix() {
         for t in 1..=x.rows() {
             let prefix = Matrix::from_vec(t, d, x.as_slice()[..t * d].to_vec()).unwrap();
             let full = model.forward_prefix(&prefix).unwrap();
-            let err = max_rel_err(incremental.row(t - 1), full.row(t - 1));
-            assert!(err <= 1e-9, "d_model {d}, prefix {t}: rel err {err}");
+            assert_eq!(
+                bits(incremental.row(t - 1)),
+                bits(full.row(t - 1)),
+                "d_model {d}, prefix {t}"
+            );
         }
     }
 }
@@ -129,8 +129,11 @@ fn generate_matches_full_forward_feedback_chain() {
     let seq = Matrix::from_rows(&refs).unwrap();
     let full = model.forward_prefix(&seq).unwrap();
     for i in 0..3 {
-        let err = max_rel_err(gen.tokens.row(i), full.row(3 + i));
-        assert!(err <= 1e-9, "generated token {i}: rel err {err}");
+        assert_eq!(
+            bits(gen.tokens.row(i)),
+            bits(full.row(3 + i)),
+            "generated token {i}"
+        );
     }
 }
 
@@ -184,8 +187,7 @@ proptest! {
         for t in 1..=len {
             let prefix = Matrix::from_vec(t, d, x.as_slice()[..t * d].to_vec()).unwrap();
             let full = model.forward_prefix(&prefix).unwrap();
-            let err = max_rel_err(incremental.row(t - 1), full.row(t - 1));
-            prop_assert!(err <= 1e-9, "prefix {}: rel err {}", t, err);
+            prop_assert_eq!(bits(incremental.row(t - 1)), bits(full.row(t - 1)), "prefix {}", t);
         }
     }
 

@@ -1,15 +1,18 @@
 //! Integration tests for the true int8 forward paths: accuracy against
 //! the f64 oracle, exact thread-count invariance, equivalence of the
 //! int8 sparse aggregation with its dense counterpart, pinned output
-//! bits of every GNN family's int8 forward, and `QuantLinear::forward`
-//! against the raw product and its dequantization.
+//! bits of every GNN family's int8 forward, `QuantLinear::forward`
+//! against the raw product and its dequantization, and the model-owned
+//! weight packs against quantizing every weight on every product.
 
 use phox_nn::datasets::{labelled_sequences, power_law, sbm};
-use phox_nn::gnn::{Aggregation, CsrGraph, GnnConfig, GnnKind, GnnModel};
+use phox_nn::gnn::{Aggregation, CsrGraph, GnnConfig, GnnDatapath, GnnKind, GnnModel};
 use phox_nn::int8::{Precision, QuantLinear};
 use phox_nn::quant_eval::{evaluate_gnn, evaluate_transformer};
-use phox_nn::transformer::{TransformerConfig, TransformerKind, TransformerModel};
-use phox_tensor::{gemm_i8, parallel, Matrix, Prng, Quantizer, RowQuantMatrix};
+use phox_nn::transformer::{
+    FfActivation, TransformerConfig, TransformerDatapath, TransformerKind, TransformerModel,
+};
+use phox_tensor::{gemm_i8, parallel, Matrix, Prng, Quantizer, RowQuantMatrix, TensorError};
 use phox_trace::digest_of;
 
 #[test]
@@ -232,4 +235,168 @@ fn quant_linear_equals_raw_product_and_dequant_loop() {
             }
         }
     }
+}
+
+/// The int8 reference with no resident weights: every weight quantized
+/// and packed again on every product (`QuantLinear::from_weight`), every
+/// other op as `Precision::Int8` runs it.
+struct PerProduct;
+
+impl TransformerDatapath for PerProduct {
+    type Error = TensorError;
+    fn mm(&mut self, a: &Matrix, w: &Matrix) -> Result<Matrix, TensorError> {
+        QuantLinear::from_weight(w).forward(a)
+    }
+    fn mm_weight_only(&mut self, a: &Matrix, w: &Matrix) -> Result<Matrix, TensorError> {
+        QuantLinear::from_weight(w).forward(a)
+    }
+    fn heads(&mut self, qkv: [&Matrix; 3], n: usize, causal: bool) -> Result<Matrix, TensorError> {
+        Precision::Int8.heads(qkv, n, causal)
+    }
+    fn residual(&mut self, x: &Matrix, y: &Matrix) -> Result<Matrix, TensorError> {
+        x.add(y)
+    }
+    fn layer_norm(&mut self, x: &Matrix, ln: (&[f64], &[f64])) -> Result<Matrix, TensorError> {
+        Precision::Int8.layer_norm(x, ln)
+    }
+    fn activate(&mut self, f: FfActivation, x: &Matrix) -> Matrix {
+        TransformerDatapath::activate(&mut Precision::Int8, f, x)
+    }
+}
+
+impl GnnDatapath for PerProduct {
+    type Error = TensorError;
+    fn mm(&mut self, h: &Matrix, w: &Matrix) -> Result<Matrix, TensorError> {
+        QuantLinear::from_weight(w).forward(h)
+    }
+    fn aggregate(
+        &mut self,
+        graph: &CsrGraph,
+        h: &Matrix,
+        agg: Aggregation,
+        include_self: bool,
+    ) -> Result<Matrix, TensorError> {
+        Precision::Int8.aggregate(graph, h, agg, include_self)
+    }
+    fn attend(
+        &mut self,
+        graph: &CsrGraph,
+        z: &Matrix,
+        src: &[f64],
+        dst: &[f64],
+    ) -> Result<Matrix, TensorError> {
+        Precision::Int8.attend(graph, z, src, dst)
+    }
+    fn relu(&mut self, h: Matrix) -> Matrix {
+        GnnDatapath::relu(&mut Precision::Int8, h)
+    }
+}
+
+fn row_bits(row: &[f64]) -> Vec<u64> {
+    row.iter().map(|v| v.to_bits()).collect()
+}
+
+fn bits(m: &Matrix) -> Vec<u64> {
+    row_bits(m.as_slice())
+}
+
+fn decoder_cfg(seq_len: usize) -> TransformerConfig {
+    TransformerConfig {
+        kind: TransformerKind::DecoderOnly,
+        ..TransformerConfig::tiny(seq_len)
+    }
+}
+
+/// The weights of `TransformerModel::random(decoder_cfg(_), seed)` in a
+/// model that takes `t` rows: the sequence length draws no weights.
+fn decoder_at(seed: u64, t: usize) -> TransformerModel {
+    TransformerModel::random(decoder_cfg(t), seed).unwrap()
+}
+
+#[test]
+fn int8_transformer_forwards_equal_per_product_quantization() {
+    let x = Prng::new(0x30).fill_normal(8, 32, 0.0, 1.0);
+    for kind in [
+        TransformerKind::EncoderOnly,
+        TransformerKind::DecoderOnly,
+        TransformerKind::EncoderDecoder,
+    ] {
+        let cfg = TransformerConfig {
+            kind,
+            ..TransformerConfig::tiny(8)
+        };
+        let model = TransformerModel::random(cfg, 0x31).unwrap();
+        let want = bits(&model.forward_with(&x, PerProduct).unwrap());
+        for threads in [1, 2, 8] {
+            let got = parallel::with_threads(threads, || model.forward_int8(&x).unwrap());
+            assert_eq!(bits(&got), want, "{kind} at {threads} threads");
+        }
+    }
+}
+
+#[test]
+fn int8_prefix_decode_and_generation_equal_per_product_quantization() {
+    let (seed, p, g) = (0x32, 3, 5);
+    let model = decoder_at(seed, p);
+    let x = Prng::new(0x33).fill_normal(p + g, 32, 0.0, 1.0);
+    let prefix = |t: usize| Matrix::from_vec(t, 32, x.as_slice()[..t * 32].to_vec()).unwrap();
+    let oracle = |t: usize| decoder_at(seed, t).forward_with(&prefix(t), PerProduct).unwrap();
+    let decoder = model.int8_decoder();
+    let mut cache = phox_nn::decode::KvCache::new(model.config(), p + g).unwrap();
+    for t in 1..=p + g {
+        let want = oracle(t);
+        let full = model.forward_prefix_int8(&prefix(t)).unwrap();
+        assert_eq!(bits(&full), bits(&want), "prefix {t}");
+        let step = decoder
+            .step(&mut cache, &Matrix::row_vector(x.row(t - 1)))
+            .unwrap();
+        assert_eq!(bits(&step), row_bits(want.row(t - 1)), "decode step {t}");
+    }
+    // Generation feeds each output back: replay that chain per product.
+    let gen = model.generate_int8(&prefix(p), g).unwrap();
+    let mut seq = prefix(p).as_slice().to_vec();
+    for i in 0..g {
+        let t = p + i;
+        let want = decoder_at(seed, t)
+            .forward_with(&Matrix::from_vec(t, 32, seq.clone()).unwrap(), PerProduct)
+            .unwrap();
+        assert_eq!(
+            row_bits(gen.tokens.row(i)),
+            row_bits(want.row(t - 1)),
+            "generated token {i}"
+        );
+        seq.extend_from_slice(gen.tokens.row(i));
+    }
+}
+
+#[test]
+fn int8_gnn_forwards_equal_per_product_quantization() {
+    let task = sbm(3, 12, 16, 0.5, 0.05, 0x34).unwrap();
+    for kind in [GnnKind::Gcn, GnnKind::GraphSage, GnnKind::Gin, GnnKind::Gat] {
+        let model = GnnModel::random(GnnConfig::two_layer(kind, 16, 24, 3), 0x35).unwrap();
+        let want = model
+            .forward_with(&task.graph, &task.features, PerProduct)
+            .unwrap();
+        let got = model.forward_int8(&task.graph, &task.features).unwrap();
+        assert_eq!(bits(&got), bits(&want), "{kind}");
+    }
+}
+
+#[test]
+fn models_compare_equal_whether_or_not_they_have_packed() {
+    let x = Prng::new(0x36).fill_normal(8, 32, 0.0, 1.0);
+    let packed = TransformerModel::random(TransformerConfig::tiny(8), 0x37).unwrap();
+    let fresh = TransformerModel::random(TransformerConfig::tiny(8), 0x37).unwrap();
+    packed.forward_int8(&x).unwrap();
+    assert_eq!(packed, fresh);
+    assert_eq!(format!("{packed:?}"), format!("{fresh:?}"));
+    assert_eq!(packed.clone(), fresh);
+
+    let task = sbm(2, 6, 8, 0.5, 0.1, 0x38).unwrap();
+    let cfg = GnnConfig::two_layer(GnnKind::Gcn, 8, 8, 2);
+    let packed = GnnModel::random(cfg.clone(), 0x39).unwrap();
+    let fresh = GnnModel::random(cfg, 0x39).unwrap();
+    packed.forward_int8(&task.graph, &task.features).unwrap();
+    assert_eq!(packed, fresh);
+    assert_eq!(format!("{packed:?}"), format!("{fresh:?}"));
 }
