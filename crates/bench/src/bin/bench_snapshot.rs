@@ -91,18 +91,18 @@ use std::time::Instant;
 use phox_core::nn::datasets::{power_law, GraphShape};
 use phox_core::nn::decode::KvCache;
 use phox_core::nn::gnn::{Aggregation, CsrGraph, GnnConfig, GnnKind, GnnModel};
-use phox_core::nn::int8::QuantLinear;
+use phox_core::nn::int8::{Precision, QuantLinear, Weight};
 use phox_core::nn::transformer::{
-    FfActivation, TransformerConfig, TransformerKind, TransformerModel,
+    FfActivation, TransformerConfig, TransformerDatapath, TransformerKind, TransformerModel,
 };
 use phox_core::photonics::analog::TILE;
 use phox_core::tensor::sparse::SparseReduce;
 use phox_core::tensor::sparse_i8::I8Reduce;
 use phox_core::tensor::{
     gemm, gemm_i8, parallel, sparse, sparse_i8, Matrix, Prng, QuantMatrix, Quantizer,
-    RowQuantMatrix,
+    RowQuantMatrix, TensorError,
 };
-use phox_core::trace::json::json_number;
+use phox_core::trace::json::{json_number, json_string};
 
 /// Median-of-`reps` wall time for one evaluation of `f`, in seconds;
 /// `checksum` folds each result into a finiteness sink so the optimizer
@@ -1336,21 +1336,17 @@ fn time_interleaved<A, B>(
     })
 }
 
-/// One activation crossing of the int8 GCN forward against the code it
-/// replaced: `rows × cols` activations (`out_cols` output columns for
-/// the combine product).
-struct CrossingRow {
-    stage: &'static str,
-    baseline: &'static str,
-    rows: usize,
-    cols: usize,
-    out_cols: usize,
-    /// Wall times, ms, sorted: the production code, then the baseline.
+/// Production code timed against the code it replaced, interleaved on
+/// one thread: the JSON fields naming the stage, its baseline and its
+/// shape, the sorted wall times in ms of the production code and then
+/// the baseline, and whether their outputs agree bit for bit.
+struct ReplacedRow {
+    fields: Vec<(&'static str, String)>,
     times: [Vec<f64>; 2],
     bitwise: bool,
 }
 
-impl CrossingRow {
+impl ReplacedRow {
     fn speedup(&self) -> f64 {
         quantile(&self.times[1], 0.5) / quantile(&self.times[0], 0.5)
     }
@@ -1358,41 +1354,58 @@ impl CrossingRow {
     fn to_json(&self) -> String {
         let q = |t: &[f64], p: f64| json_number(quantile(t, p));
         let [new, old] = &self.times;
+        let stats = [
+            ("reps", new.len().to_string()),
+            ("p10_ms", q(new, 0.1)),
+            ("p50_ms", q(new, 0.5)),
+            ("p90_ms", q(new, 0.9)),
+            ("baseline_p10_ms", q(old, 0.1)),
+            ("baseline_p50_ms", q(old, 0.5)),
+            ("baseline_p90_ms", q(old, 0.9)),
+            ("speedup_vs_replaced", json_number(self.speedup())),
+            ("matches_replaced_bitwise", self.bitwise.to_string()),
+        ];
+        let lines: Vec<String> = self
+            .fields
+            .iter()
+            .cloned()
+            .chain(stats)
+            .map(|(key, value)| format!("          \"{key}\": {value}"))
+            .collect();
+        format!("        {{\n{}\n        }}", lines.join(",\n"))
+    }
+
+    /// One progress line: the fields, both medians and the verdict.
+    fn summary(&self) -> String {
+        let fields: Vec<String> = self.fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
         format!(
-            concat!(
-                "        {{\n",
-                "          \"stage\": \"{}\",\n",
-                "          \"baseline\": \"{}\",\n",
-                "          \"rows\": {},\n",
-                "          \"cols\": {},\n",
-                "          \"out_cols\": {},\n",
-                "          \"reps\": {},\n",
-                "          \"p10_ms\": {},\n",
-                "          \"p50_ms\": {},\n",
-                "          \"p90_ms\": {},\n",
-                "          \"baseline_p10_ms\": {},\n",
-                "          \"baseline_p50_ms\": {},\n",
-                "          \"baseline_p90_ms\": {},\n",
-                "          \"speedup_vs_replaced\": {},\n",
-                "          \"matches_replaced_bitwise\": {}\n",
-                "        }}"
-            ),
-            self.stage,
-            self.baseline,
-            self.rows,
-            self.cols,
-            self.out_cols,
-            new.len(),
-            q(new, 0.1),
-            q(new, 0.5),
-            q(new, 0.9),
-            q(old, 0.1),
-            q(old, 0.5),
-            q(old, 0.9),
-            json_number(self.speedup()),
+            "{}: p50 {:.2} ms, baseline p50 {:.2} ms ({:.2}x) bitwise={}",
+            fields.join(" "),
+            quantile(&self.times[0], 0.5),
+            quantile(&self.times[1], 0.5),
+            self.speedup(),
             self.bitwise,
         )
     }
+}
+
+/// The leading fields of an activation crossing's row: the stage, the
+/// code it replaced, and `rows × cols` activations into `out_cols`
+/// output columns.
+fn crossing_fields(
+    stage: &str,
+    baseline: &str,
+    rows: usize,
+    cols: usize,
+    out_cols: usize,
+) -> Vec<(&'static str, String)> {
+    vec![
+        ("stage", json_string(stage)),
+        ("baseline", json_string(baseline)),
+        ("rows", rows.to_string()),
+        ("cols", cols.to_string()),
+        ("out_cols", out_cols.to_string()),
+    ]
 }
 
 /// Every activation crossing of `gnn_powerlaw`'s int8 GCN at its two
@@ -1400,7 +1413,7 @@ impl CrossingRow {
 /// production code it replaced, 15 interleaved reps on one thread: the
 /// row quantizer, the aggregate (GCN's mean with the row itself) and the
 /// combine product.
-fn measure_activation_crossings(graph: &CsrGraph) -> Vec<CrossingRow> {
+fn measure_activation_crossings(graph: &CsrGraph) -> Vec<ReplacedRow> {
     const REPS: usize = 15;
     let n = graph.num_nodes();
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -1411,12 +1424,8 @@ fn measure_activation_crossings(graph: &CsrGraph) -> Vec<CrossingRow> {
 
         let new = RowQuantMatrix::quantize_rows(&x);
         let (codes, scales) = per_row_quantizer::quantize_rows(&x);
-        rows.push(CrossingRow {
-            stage: "quantize_rows",
-            baseline: "per_row_quantizer",
-            rows: n,
-            cols: f,
-            out_cols: f,
+        rows.push(ReplacedRow {
+            fields: crossing_fields("quantize_rows", "per_row_quantizer", n, f, f),
             times: time_interleaved(
                 REPS,
                 || RowQuantMatrix::quantize_rows(&x),
@@ -1433,12 +1442,14 @@ fn measure_activation_crossings(graph: &CsrGraph) -> Vec<CrossingRow> {
                 .expect("operands agree");
             out
         };
-        rows.push(CrossingRow {
-            stage: "aggregate_mean_include_self",
-            baseline: "aggregate_i8_into_then_dequant",
-            rows: n,
-            cols: f,
-            out_cols: f,
+        rows.push(ReplacedRow {
+            fields: crossing_fields(
+                "aggregate_mean_include_self",
+                "aggregate_i8_into_then_dequant",
+                n,
+                f,
+                f,
+            ),
             bitwise: bits(fused().as_slice()) == bits(aggregate_two_pass(graph, &q).as_slice()),
             times: time_interleaved(REPS, fused, || aggregate_two_pass(graph, &q)),
         });
@@ -1449,31 +1460,120 @@ fn measure_activation_crossings(graph: &CsrGraph) -> Vec<CrossingRow> {
         let panels = gemm_i8::Panels::pack(qw.as_i8_slice(), f, out_cols);
         let fused = || layer.forward(&x).expect("shapes agree");
         let two_pass = || quant_linear_two_pass(&x, &panels, qw.scale());
-        rows.push(CrossingRow {
-            stage: "quant_linear_forward",
-            baseline: "matmul_packed_then_dequant",
-            rows: n,
-            cols: f,
-            out_cols,
+        rows.push(ReplacedRow {
+            fields: crossing_fields(
+                "quant_linear_forward",
+                "matmul_packed_then_dequant",
+                n,
+                f,
+                out_cols,
+            ),
             bitwise: bits(fused().as_slice()) == bits(two_pass().as_slice()),
             times: time_interleaved(REPS, fused, two_pass),
         });
     }
     for r in &rows {
-        eprintln!(
-            "bench_snapshot: {} {}x{}->{}: p50 {:.2} ms, {} p50 {:.2} ms ({:.2}x) bitwise={}",
-            r.stage,
-            r.rows,
-            r.cols,
-            r.out_cols,
-            quantile(&r.times[0], 0.5),
-            r.baseline,
-            quantile(&r.times[1], 0.5),
-            r.speedup(),
-            r.bitwise,
-        );
+        eprintln!("bench_snapshot: {}", r.summary());
     }
     rows
+}
+
+/// The int8 reference as it ran before each model weight kept its pack:
+/// every weight quantized and packed again on every product
+/// (`QuantLinear::from_weight`), every other op as `Precision::Int8`
+/// runs it. The baseline of the BENCH_3 `resident_weights` row.
+struct PerProduct;
+
+impl TransformerDatapath for PerProduct {
+    type Error = TensorError;
+    fn mm(&mut self, a: &Matrix, w: &Weight) -> Result<Matrix, TensorError> {
+        QuantLinear::from_weight(w).forward(a)
+    }
+    fn mm_weight_only(&mut self, a: &Matrix, w: &Weight) -> Result<Matrix, TensorError> {
+        QuantLinear::from_weight(w).forward(a)
+    }
+    fn heads(&mut self, qkv: [&Matrix; 3], n: usize, causal: bool) -> Result<Matrix, TensorError> {
+        Precision::Int8.heads(qkv, n, causal)
+    }
+    fn residual(&mut self, x: &Matrix, y: &Matrix) -> Result<Matrix, TensorError> {
+        x.add(y)
+    }
+    fn layer_norm(&mut self, x: &Matrix, ln: (&[f64], &[f64])) -> Result<Matrix, TensorError> {
+        Precision::Int8.layer_norm(x, ln)
+    }
+    fn activate(&mut self, f: FfActivation, x: &Matrix) -> Matrix {
+        TransformerDatapath::activate(&mut Precision::Int8, f, x)
+    }
+}
+
+/// `llm_prefill`'s model: 4 encoder layers, d_model 256, 4 heads, d_ff
+/// 1,024, GELU, 256 rows.
+fn prefill_config() -> TransformerConfig {
+    TransformerConfig {
+        name: "prefill-4x256".to_string(),
+        kind: TransformerKind::EncoderOnly,
+        layers: 4,
+        d_model: 256,
+        heads: 4,
+        d_ff: 1024,
+        seq_len: 256,
+        ff_activation: FfActivation::Gelu,
+    }
+}
+
+/// Every weight of `model`'s layers.
+fn layer_weights(model: &TransformerModel) -> impl Iterator<Item = &Weight> {
+    model
+        .layers()
+        .iter()
+        .flat_map(|lw| [&lw.w_q, &lw.w_k, &lw.w_v, &lw.w_o, &lw.w_ff1, &lw.w_ff2])
+}
+
+/// `llm_prefill`'s int8 forward on the model's resident packs against
+/// [`PerProduct`], 15 interleaved reps on one thread after a warm-up
+/// that builds the packs, plus what building all 24 packs once costs
+/// (median of 5 fresh models) and how many bytes they hold: one per
+/// code, since every width is a multiple of 16 and every `k` even, so
+/// the panels carry no padding.
+fn measure_resident_forward() -> ReplacedRow {
+    const REPS: usize = 15;
+    let cfg = prefill_config();
+    eprintln!("bench_snapshot: int8 forward on resident packs at {}...", cfg.name);
+    let build = || TransformerModel::random(cfg.clone(), 61).expect("valid benchmark model");
+    let mut pack_ms: Vec<f64> = (0..5)
+        .map(|_| {
+            let fresh = build();
+            let t0 = Instant::now();
+            layer_weights(&fresh).for_each(|w| {
+                std::hint::black_box(w.quantized());
+            });
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    pack_ms.sort_by(f64::total_cmp);
+    let model = build();
+    let pack_bytes: usize = layer_weights(&model).map(|w| w.rows() * w.cols()).sum();
+    let x = Prng::new(62).fill_normal(cfg.seq_len, cfg.d_model, 0.0, 1.0);
+    let resident = || model.forward_int8(&x).expect("forward succeeds");
+    let per_product = || model.forward_with(&x, PerProduct).expect("forward succeeds");
+    let bits = |m: Matrix| m.into_vec().into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    let row = ReplacedRow {
+        fields: vec![
+            ("stage", json_string("forward_int8")),
+            ("baseline", json_string("quant_linear_from_weight_per_product")),
+            ("layers", cfg.layers.to_string()),
+            ("seq_len", cfg.seq_len.to_string()),
+            ("d_model", cfg.d_model.to_string()),
+            ("d_ff", cfg.d_ff.to_string()),
+            ("weights", layer_weights(&model).count().to_string()),
+            ("pack_bytes", pack_bytes.to_string()),
+            ("pack_once_ms", json_number(quantile(&pack_ms, 0.5))),
+        ],
+        bitwise: bits(resident()) == bits(per_product()),
+        times: time_interleaved(REPS, resident, per_product),
+    };
+    eprintln!("bench_snapshot: {}", row.summary());
+    row
 }
 
 fn run_int8(out_path: &str) {
@@ -1589,7 +1689,11 @@ fn run_int8(out_path: &str) {
     let crossings = measure_activation_crossings(&large);
     let crossings_bitwise = crossings.iter().all(|r| r.bitwise);
 
-    // --- Section 5: thread scaling sweep on the int8 kernels (gemm-1024
+    // --- Section 5: the int8 forward on resident weight packs against
+    // quantizing and packing every weight on every product.
+    let resident = measure_resident_forward();
+
+    // --- Section 6: thread scaling sweep on the int8 kernels (gemm-1024
     // and power-law SpMM), with byte-identity checked against the
     // 1-thread result: i32 sums are exact, so any difference is a bug.
     let n = 1024usize;
@@ -1651,7 +1755,9 @@ fn run_int8(out_path: &str) {
         "bench_snapshot: int8 verdicts: dispatch={dispatch} \
          matches_dot_kernel_bitwise={matches_dot_kernel} matches_naive_oracle={matches_oracle} \
          quantizer_matches_serial_bitwise={quant_bitwise} \
-         activation_crossings_match_replaced_bitwise={crossings_bitwise}"
+         activation_crossings_match_replaced_bitwise={crossings_bitwise} \
+         resident_forward_matches_per_product_bitwise={}",
+        resident.bitwise,
     );
     let sections = [
         (
@@ -1669,8 +1775,9 @@ fn run_int8(out_path: &str) {
         (
             "activation_crossings",
             "stages",
-            crossings.iter().map(CrossingRow::to_json).collect(),
+            crossings.iter().map(ReplacedRow::to_json).collect(),
         ),
+        ("resident_weights", "forwards", vec![resident.to_json()]),
         ("int8_thread_scaling", "sweep", sweep_rows),
     ]
     .map(|(section, key, rows): (&str, &str, Vec<String>)| {
@@ -1689,6 +1796,7 @@ fn run_int8(out_path: &str) {
             "f64_spmm",
             "int8_spmm",
             "int8_activation_crossings",
+            "int8_forward_resident_packs",
         ],
         &[
             ("accumulation", "\"exact i32\"".to_string()),
@@ -1703,12 +1811,21 @@ fn run_int8(out_path: &str) {
                 "activation_crossings_match_replaced_bitwise",
                 crossings_bitwise.to_string(),
             ),
+            (
+                "resident_forward_matches_per_product_bitwise",
+                resident.bitwise.to_string(),
+            ),
         ],
         "sections",
         &sections,
     );
     write_or_die(out_path, &json);
-    if !matches_oracle || !matches_dot_kernel || !quant_bitwise || !crossings_bitwise {
+    if !matches_oracle
+        || !matches_dot_kernel
+        || !quant_bitwise
+        || !crossings_bitwise
+        || !resident.bitwise
+    {
         eprintln!("bench_snapshot: int8 verdicts FAILED");
         std::process::exit(1);
     }
@@ -1890,6 +2007,94 @@ fn run_digest(out_path: &str) {
         ),
     );
 
+    // The f64 heads over the shapes `heads_oracle` pins them on: query
+    // and key lengths from 1 to 256, unequal too, head widths through the
+    // context kernel's eight-, four- and one-column blocks and its six-row
+    // blocks, causal and not, with ±0, subnormals and saturating logits,
+    // and ±∞ and NaN in V's row that every earlier query masks. A NaN's
+    // payload may follow operand order, so NaNs hash as one value.
+    const LENS: [usize; 6] = [1, 2, 5, 17, 64, 256];
+    const WIDTHS: [usize; 9] = [1, 3, 7, 8, 14, 16, 17, 25, 64];
+    let mut cases = Vec::new();
+    for (i, &l_q) in LENS.iter().enumerate() {
+        for (j, &l_kv) in LENS.iter().enumerate() {
+            let widths = if l_q.max(l_kv) < 256 {
+                &WIDTHS[..]
+            } else {
+                &WIDTHS[(i + j) % 9..][..1]
+            };
+            for &dh in widths {
+                for causal in [false, true] {
+                    cases.push((l_q, l_kv, dh, 1 + cases.len() % 3, causal));
+                }
+            }
+        }
+    }
+    cases.extend([(256, 256, 64, 4, false), (256, 256, 64, 4, true), (511, 511, 16, 4, true)]);
+    let mut heads = Vec::new();
+    for (seed, &(l_q, l_kv, dh, n, causal)) in cases.iter().enumerate() {
+        let d = n * dh;
+        let mut rng = Prng::new(0x4EAD + seed as u64);
+        let loud = if seed % 3 == 0 { 30.0 } else { 1.0 };
+        let mut q = rng.fill_normal(l_q, d, 0.0, loud);
+        let k = rng.fill_normal(l_kv, d, 0.0, 1.0);
+        let mut v = rng.fill_normal(l_kv, d, 0.0, 1.0);
+        q.as_mut_slice().iter_mut().step_by(11).for_each(|x| *x = -0.0);
+        for (i, x) in v.as_mut_slice().iter_mut().enumerate() {
+            match i % 17 {
+                3 => *x = 0.0,
+                4 => *x = -f64::MIN_POSITIVE / 3.0,
+                _ => {}
+            }
+        }
+        if causal && l_kv > 1 {
+            let last = v.row_mut(l_kv - 1);
+            last[0] = f64::INFINITY;
+            last[d / 2] = f64::NEG_INFINITY;
+            last[d - 1] = f64::NAN;
+        }
+        let y = Precision::F64.heads([&q, &k, &v], n, causal).expect("shapes agree");
+        let canonical = y.as_slice().iter().map(|v| if v.is_nan() { u64::MAX } else { v.to_bits() });
+        heads.push(fnv1a(canonical));
+    }
+    record("prefill_heads", fnv1a(heads));
+
+    // The int8 forwards on resident packs at widths that leave every
+    // panel edge: odd k (45 and 77 rows), half and ragged last panels.
+    // Each model runs twice, packing on the first call and reading the
+    // packs on the second; the decoder also runs its prefix forward and
+    // a KV-cached generation, the encoder-decoder its cross-attention.
+    let mut resident = Vec::new();
+    for (seed, kind) in [
+        TransformerKind::EncoderOnly,
+        TransformerKind::DecoderOnly,
+        TransformerKind::EncoderDecoder,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let cfg = TransformerConfig {
+            kind,
+            layers: 2,
+            d_model: 45,
+            heads: 5,
+            d_ff: 77,
+            ..TransformerConfig::tiny(13)
+        };
+        let model = TransformerModel::random(cfg, 48 + seed as u64).expect("valid digest model");
+        let x = Prng::new(51 + seed as u64).fill_normal(13, 45, 0.0, 1.0);
+        for _ in 0..2 {
+            resident.push(digest_matrix(&model.forward_int8(&x).expect("forward succeeds")));
+        }
+        if kind == TransformerKind::DecoderOnly {
+            let prefix = Matrix::from_vec(9, 45, x.as_slice()[..9 * 45].to_vec()).expect("9 rows");
+            let full = model.forward_prefix_int8(&prefix).expect("forward succeeds");
+            let gen = model.generate_int8(&prefix, 4).expect("generation");
+            resident.extend([digest_matrix(&full), digest_matrix(&gen.tokens)]);
+        }
+    }
+    record("int8_forward_resident", fnv1a(resident));
+
     // Sparse: SpMM and mean aggregation on a small power-law graph.
     let graph = power_law(2_000, 10_000, 2.2, 33).expect("power-law instantiation");
     let x = Prng::new(34).fill_normal(graph.num_nodes(), 48, 0.0, 1.0);
@@ -2015,6 +2220,72 @@ fn run_digest(out_path: &str) {
         rows.join(",\n"),
     );
     write_or_die(out_path, &json);
+}
+
+/// The f64 attention heads as the reference ran them before the context
+/// kernel, kept here (the library no longer carries them) as the
+/// baseline of the BENCH_4 `prefill_heads` rows: per head, copies of its
+/// Q, K and V columns, the score GEMM over `K_hᵀ`, a scaled copy with the
+/// future masked, a softmaxed copy, `ops::matmul_seq`, then the heads
+/// concatenated.
+mod composed_heads {
+    use phox_core::tensor::{ops, Matrix};
+
+    pub fn heads([q, k, v]: [&Matrix; 3], n: usize, causal: bool) -> Matrix {
+        let (rows, d) = q.shape();
+        let dh = d / n;
+        let mut concat = Matrix::zeros(rows, d);
+        for h in 0..n {
+            let [qh, kh, vh] = [q, k, v].map(|m| m.col_slice(h * dh, (h + 1) * dh).unwrap());
+            let mut scores = qh.matmul(&kh.transpose()).unwrap().scale(1.0 / (dh as f64).sqrt());
+            if causal {
+                for r in 0..scores.rows() {
+                    for c in (r + 1)..scores.cols() {
+                        scores.set(r, c, f64::NEG_INFINITY);
+                    }
+                }
+            }
+            let ctx = ops::matmul_seq(&ops::softmax_rows(&scores), &vh).unwrap();
+            for r in 0..rows {
+                concat.row_mut(r)[h * dh..(h + 1) * dh].copy_from_slice(ctx.row(r));
+            }
+        }
+        concat
+    }
+}
+
+/// The f64 heads against [`composed_heads`], 15 interleaved reps on one
+/// thread: `llm_prefill`'s (256 rows, d_model 256, four heads of 64, no
+/// mask) and a causal prefix as long as `llm_decode`'s last context
+/// (511 rows, d_model 64, four heads of 16).
+fn measure_prefill_heads() -> Vec<ReplacedRow> {
+    const REPS: usize = 15;
+    [("heads_encoder", 256usize, 256usize, false), ("heads_causal", 511, 64, true)]
+        .into_iter()
+        .enumerate()
+        .map(|(i, (stage, rows, d, causal))| {
+            eprintln!("bench_snapshot: f64 heads {rows} x {d} x 4 (causal {causal})...");
+            let mut rng = Prng::new(70 + i as u64);
+            let [q, k, v] = [(); 3].map(|_| rng.fill_normal(rows, d, 0.0, 1.0));
+            let new = || Precision::F64.heads([&q, &k, &v], 4, causal).expect("shapes agree");
+            let old = || composed_heads::heads([&q, &k, &v], 4, causal);
+            let bits = |m: Matrix| m.into_vec().into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            let row = ReplacedRow {
+                fields: vec![
+                    ("stage", json_string(stage)),
+                    ("baseline", json_string("composed_heads")),
+                    ("rows", rows.to_string()),
+                    ("d_model", d.to_string()),
+                    ("heads", "4".to_string()),
+                    ("mask", json_string(if causal { "causal" } else { "none" })),
+                ],
+                bitwise: bits(new()) == bits(old()),
+                times: time_interleaved(REPS, new, old),
+            };
+            eprintln!("bench_snapshot: {}", row.summary());
+            row
+        })
+        .collect()
 }
 
 /// Advances `cache` with decode steps over rows `cache.rows()..rows` of
@@ -2226,10 +2497,20 @@ fn run_decode(out_path: &str) {
         ));
     }
 
+    // --- Section 4: the digital heads of the full forward against the
+    // composition they replaced, one thread.
+    let heads = measure_prefill_heads();
+    let heads_bitwise = heads.iter().all(|r| r.bitwise);
+
     let sections = [
         ("per_token_latency", "contexts", latency_rows),
         ("growth_verdicts", "verdicts", growth_rows),
         ("decode_thread_scaling", "sweep", sweep_rows),
+        (
+            "prefill_heads",
+            "shapes",
+            heads.iter().map(ReplacedRow::to_json).collect(),
+        ),
     ]
     .map(|(section, key, rows)| {
         format!(
@@ -2244,18 +2525,27 @@ fn run_decode(out_path: &str) {
             "kv_cached_step_int8",
             "full_recompute_f64",
             "full_recompute_int8",
+            "f64_heads",
+            "composed_heads",
         ],
-        &[(
-            "model",
-            format!(
-                "{{\"layers\": {}, \"d_model\": {}, \"heads\": {}, \"d_ff\": {}}}",
-                cfg.layers, cfg.d_model, cfg.heads, cfg.d_ff
+        &[
+            (
+                "model",
+                format!(
+                    "{{\"layers\": {}, \"d_model\": {}, \"heads\": {}, \"d_ff\": {}}}",
+                    cfg.layers, cfg.d_model, cfg.heads, cfg.d_ff
+                ),
             ),
-        )],
+            ("heads_match_composition_bitwise", heads_bitwise.to_string()),
+        ],
         "sections",
         &sections,
     );
     write_or_die(out_path, &json);
+    if !heads_bitwise {
+        eprintln!("bench_snapshot: decode verdicts FAILED");
+        std::process::exit(1);
+    }
 }
 
 /// The system allocator, counting the heap bytes held while

@@ -21,6 +21,7 @@
 //! every read value lies inside the window rounded from it.
 
 use phox_nn::gnn::{Aggregation, CsrGraph, GnnDatapath, GnnModel};
+use phox_nn::int8::Weight;
 use phox_photonics::analog::{AnalogDevices, AnalogEngine, AnalogRuntime};
 use phox_photonics::devices::OpticalActivation;
 use phox_photonics::fault::{FaultPlan, FaultSchedule};
@@ -337,7 +338,7 @@ impl GhostFunctional {
 impl GnnDatapath for &mut GhostFunctional {
     type Error = PhotonicError;
 
-    fn mm(&mut self, h: &Matrix, w: &Matrix) -> Result<Matrix, PhotonicError> {
+    fn mm(&mut self, h: &Matrix, w: &Weight) -> Result<Matrix, PhotonicError> {
         self.0.engine_mut().matmul(h, w)
     }
 

@@ -12,13 +12,12 @@
 //!
 //! The whole module is pinned by one property: an incremental decode
 //! step over context `t` must reproduce row `t-1` of the full-sequence
-//! causal forward ([`TransformerModel::forward_prefix`]) — within 1e-9
-//! relative in f64, *exactly* on the int8 datapath. Three design choices
-//! make that hold:
+//! causal forward ([`TransformerModel::forward_prefix`]) bit for bit, in
+//! f64 and on the int8 datapath. Three design choices make that hold:
 //!
 //! * the attention context product uses a sequential accumulation order
-//!   ([`phox_tensor::ops::matmul_seq`] in the full path, the same
-//!   per-output order in the fused attention kernel here), so the masked
+//!   (one [`phox_tensor::gemm::simd::context`] kernel in both paths: a
+//!   block of query rows in the full path, one row here), so the masked
 //!   tail's exact-zero weights contribute nothing;
 //! * per-element f64 dot products are independent of the operand's row
 //!   and column counts, so every fixed-`k` projection of one row equals
@@ -46,16 +45,17 @@
 //!
 //! ## Resident int8 weights
 //!
-//! [`TransformerModel::int8_decoder`] quantizes each layer's six weights
-//! once and keeps their codes packed as the int8 microkernel's panels
-//! plus a scale ([`crate::int8::QuantLinear`]); every step multiplies
-//! through the register-blocked kernel one row high and dequantizes
-//! with `row_scale × weight_scale`, computed once per row, as the
-//! kernel stores the row ([`phox_tensor::gemm_i8::matmul_packed_dequant`]).
-//! Weight quantization is deterministic and `i32` sums are exact, so a
-//! step reproduces [`TransformerModel::forward_prefix_int8`], which
-//! quantizes every weight on every product, bit for bit.
-//! [`TransformerModel::generate_int8`] runs through the same decoder.
+//! Each weight of the model keeps its int8 pack once built
+//! ([`crate::int8::Weight`]): its codes packed as the int8 microkernel's
+//! panels plus a scale ([`crate::int8::QuantLinear`]).
+//! [`TransformerModel::int8_decoder`] builds every pack the steps read
+//! and hands out a view of the model; every step multiplies through the
+//! register-blocked kernel one row high and dequantizes with
+//! `row_scale × weight_scale`, computed once per row, as the kernel
+//! stores the row ([`phox_tensor::gemm_i8::matmul_packed_dequant`]).
+//! [`TransformerModel::forward_prefix_int8`] and
+//! [`TransformerModel::generate_int8`] read the same packs, so a step
+//! reproduces the full forward bit for bit.
 //!
 //! ## Trace instrumentation
 //!
@@ -69,9 +69,10 @@
 use phox_tensor::gemm::simd;
 use phox_tensor::{Matrix, TensorError};
 
-use crate::int8::QuantLinear;
+use crate::int8::Precision;
 use crate::transformer::{
-    decode_context_lengths, LayerWeights, TransformerConfig, TransformerKind, TransformerModel,
+    decode_context_lengths, TransformerConfig, TransformerDatapath, TransformerKind,
+    TransformerModel,
 };
 
 /// Per-layer K/V rows of one layer.
@@ -285,13 +286,10 @@ pub struct Generation {
 }
 
 /// A weight-resident int8 decoder: [`TransformerModel::decode_step`] on
-/// the int8 datapath, with each layer's six weights quantized once, when
-/// the decoder is built, and kept as packed codes plus a scale across
-/// steps — how the accelerator holds weights during decode.
+/// the int8 datapath, reading the packs the model keeps with its weights
+/// across steps — how the accelerator holds weights during decode.
 pub struct Int8Decoder<'m> {
     model: &'m TransformerModel,
-    /// Per layer, the six weights in [`layer_products`] order.
-    layers: Vec<[QuantLinear; 6]>,
 }
 
 impl Int8Decoder<'_> {
@@ -302,29 +300,22 @@ impl Int8Decoder<'_> {
     /// Same conditions as [`TransformerModel::decode_step`].
     pub fn step(&self, cache: &mut KvCache, x: &Matrix) -> Result<Matrix, TensorError> {
         self.model
-            .decode_step_with(cache, x, Some(&self.layers))
+            .decode_step_with(cache, x, Precision::Int8)
             .map(|(y, _)| y)
     }
 }
 
-/// A layer's six weights in the order a decode step multiplies by them:
-/// Q, K, V, the output projection and the two feed-forward weights.
-fn layer_products(lw: &LayerWeights) -> [&Matrix; 6] {
-    [&lw.w_q, &lw.w_k, &lw.w_v, &lw.w_o, &lw.w_ff1, &lw.w_ff2]
-}
-
 impl TransformerModel {
     /// A weight-resident int8 decode handle borrowing this model. Builds
-    /// the packed weights: one quantization and panel pack per weight.
+    /// every pack a step reads that the model has not built yet: one
+    /// quantization and panel pack per weight, kept by the model.
     pub fn int8_decoder(&self) -> Int8Decoder<'_> {
-        Int8Decoder {
-            model: self,
-            layers: self
-                .layers()
-                .iter()
-                .map(|lw| layer_products(lw).map(QuantLinear::from_weight))
-                .collect(),
+        for lw in self.layers() {
+            for w in [&lw.w_q, &lw.w_k, &lw.w_v, &lw.w_o, &lw.w_ff1, &lw.w_ff2] {
+                w.quantized();
+            }
         }
+        Int8Decoder { model: self }
     }
 
     /// One full-precision KV-cached decode step: runs the single row `x`
@@ -340,18 +331,18 @@ impl TransformerModel {
     /// decoder-only, for a cache built for a different configuration, or
     /// for a cache at capacity; shape errors for a malformed `x`.
     pub fn decode_step(&self, cache: &mut KvCache, x: &Matrix) -> Result<Matrix, TensorError> {
-        self.decode_step_with(cache, x, None).map(|(y, _)| y)
+        self.decode_step_with(cache, x, Precision::F64).map(|(y, _)| y)
     }
 
-    /// Shared decode-step implementation: the weight products run on
-    /// `packed` (per layer, in [`layer_products`] order) when given, in
-    /// f64 on the model's weights otherwise. Returns the output row and
-    /// the MACs this step executed.
+    /// Shared decode-step implementation: the weight products run at
+    /// precision `p` ([`Precision::F64`] or [`Precision::Int8`], whose
+    /// products read each weight's resident pack). Returns the output row
+    /// and the MACs this step executed.
     fn decode_step_with(
         &self,
         cache: &mut KvCache,
         x: &Matrix,
-        packed: Option<&[[QuantLinear; 6]]>,
+        mut p: Precision,
     ) -> Result<(Matrix, u64), TensorError> {
         let cfg = self.config();
         if cfg.kind != TransformerKind::DecoderOnly {
@@ -382,14 +373,9 @@ impl TransformerModel {
         // attends over the same number of cached rows.
         let mut scores = Vec::new();
         for (layer, lw) in self.layers().iter().enumerate() {
-            let products = layer_products(lw);
-            let mm = |i: usize, a: &Matrix| match packed {
-                Some(packed) => packed[layer][i].forward(a),
-                None => a.matmul(products[i]),
-            };
-            let q = mm(0, &h)?;
-            let k = mm(1, &h)?;
-            let v = mm(2, &h)?;
+            let q = p.mm(&h, &lw.w_q)?;
+            let k = p.mm(&h, &lw.w_k)?;
+            let v = p.mm(&h, &lw.w_v)?;
             cache.append(layer, k.row(0), v.row(0))?;
             let t = cache.layer_rows(layer);
             scores.resize(t, 0.0);
@@ -403,9 +389,10 @@ impl TransformerModel {
                 // Score j equals element (t-1, j) of the full path's
                 // `qh.matmul(&kh.transpose())` scaled, bit for bit: both
                 // run `simd::dot`'s schedule over the fixed inner
-                // dimension dh. The context keeps the full path's
-                // `ops::matmul_seq` order, one accumulator per output,
-                // context index ascending (the prefix-invariance oracle).
+                // dimension dh. The context runs the full path's
+                // `simd::context` kernel one row high: one accumulator
+                // per output, context index ascending (the
+                // prefix-invariance oracle).
                 simd::attend(
                     &q.row(0)[lo..hi],
                     kbuf,
@@ -416,13 +403,13 @@ impl TransformerModel {
                     &mut concat.as_mut_slice()[lo..hi],
                 );
             }
-            let mha = mm(3, &concat)?;
+            let mha = p.mm_weight_only(&concat, &lw.w_o)?;
             let res1 = h.add(&mha)?;
             let norm1 = phox_tensor::ops::layer_norm(&res1, &lw.ln1_gamma, &lw.ln1_beta, 1e-9)?;
 
-            let inner = mm(4, &norm1)?;
+            let inner = p.mm_weight_only(&norm1, &lw.w_ff1)?;
             let activated = cfg.ff_activation.apply(&inner);
-            let ffo = mm(5, &activated)?;
+            let ffo = p.mm_weight_only(&activated, &lw.w_ff2)?;
             let res2 = norm1.add(&ffo)?;
             h = phox_tensor::ops::layer_norm(&res2, &lw.ln2_gamma, &lw.ln2_beta, 1e-9)?;
 
@@ -465,12 +452,12 @@ impl TransformerModel {
     /// decoder-only or `gen_tokens == 0`; shape errors for a malformed
     /// prompt.
     pub fn generate(&self, prompt: &Matrix, gen_tokens: usize) -> Result<Generation, TensorError> {
-        self.generate_with(prompt, gen_tokens, None)
+        self.generate_with(prompt, gen_tokens, Precision::F64)
     }
 
-    /// [`TransformerModel::generate`] on the true int8 datapath through
-    /// an [`Int8Decoder`]: weights quantized and packed once, held
-    /// resident across steps.
+    /// [`TransformerModel::generate`] on the true int8 datapath, each
+    /// step an [`Int8Decoder`] step: weights quantized and packed once,
+    /// held resident across steps.
     ///
     /// # Errors
     ///
@@ -480,15 +467,14 @@ impl TransformerModel {
         prompt: &Matrix,
         gen_tokens: usize,
     ) -> Result<Generation, TensorError> {
-        let decoder = self.int8_decoder();
-        self.generate_with(prompt, gen_tokens, Some(&decoder.layers))
+        self.generate_with(prompt, gen_tokens, Precision::Int8)
     }
 
     fn generate_with(
         &self,
         prompt: &Matrix,
         gen_tokens: usize,
-        packed: Option<&[[QuantLinear; 6]]>,
+        precision: Precision,
     ) -> Result<Generation, TensorError> {
         let cfg = self.config();
         if cfg.kind != TransformerKind::DecoderOnly {
@@ -517,14 +503,14 @@ impl TransformerModel {
         // Prefill: prompt rows 0..p-1 build the cache (contexts 1..p-1).
         for r in 0..p - 1 {
             let row = Matrix::row_vector(prompt.row(r));
-            let (_, m) = self.decode_step_with(&mut cache, &row, packed)?;
+            let (_, m) = self.decode_step_with(&mut cache, &row, precision)?;
             prefill_macs += m;
         }
         // Decode: the last prompt row produces generated token 1
         // (context p); each output feeds the next step.
         let mut next = Matrix::row_vector(prompt.row(p - 1));
         for i in 0..gen_tokens {
-            let (out, m) = self.decode_step_with(&mut cache, &next, packed)?;
+            let (out, m) = self.decode_step_with(&mut cache, &next, precision)?;
             decode_macs += m;
             for c in 0..cfg.d_model {
                 tokens.set(i, c, out.get(0, c));

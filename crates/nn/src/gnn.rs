@@ -13,7 +13,7 @@ use phox_tensor::sparse_i8::{self, CsrI8View};
 use phox_tensor::{ops, Matrix, Prng, Quantizer, TensorError};
 
 use crate::census::OpCensus;
-use crate::int8::Precision;
+use crate::int8::{Precision, Weight};
 use crate::transformer::TransformerDatapath;
 
 /// A directed graph in compressed sparse row form (in-neighbour lists).
@@ -331,7 +331,7 @@ impl GnnConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct GnnLayerWeights {
     /// Combine matrix (`fin x fout`, or `2fin x fout` for GraphSAGE).
-    pub w: Matrix,
+    pub w: Weight,
     /// GAT attention vector for the source part, length `fout`.
     pub a_src: Vec<f64>,
     /// GAT attention vector for the destination part, length `fout`.
@@ -368,7 +368,7 @@ impl GnnModel {
             let a_src = (0..fout).map(|_| rng.uniform(-0.5, 0.5)).collect();
             let a_dst = (0..fout).map(|_| rng.uniform(-0.5, 0.5)).collect();
             layers.push(GnnLayerWeights {
-                w: rng.xavier(rows, fout),
+                w: Weight::new(rng.xavier(rows, fout)),
                 a_src,
                 a_dst,
             });
@@ -610,7 +610,7 @@ pub trait GnnDatapath {
     /// The ops' error; tensor errors convert into it.
     type Error: From<TensorError>;
     /// The combine (or GAT transform) product `h · W`.
-    fn mm(&mut self, h: &Matrix, w: &Matrix) -> Result<Matrix, Self::Error>;
+    fn mm(&mut self, h: &Matrix, w: &Weight) -> Result<Matrix, Self::Error>;
     /// Reduces each vertex's in-neighbours, plus the vertex itself when
     /// `include_self`, with `agg`; an isolated vertex aggregates to zero.
     fn aggregate(
@@ -646,7 +646,7 @@ pub trait GnnDatapath {
 impl GnnDatapath for Precision {
     type Error = TensorError;
 
-    fn mm(&mut self, h: &Matrix, w: &Matrix) -> Result<Matrix, TensorError> {
+    fn mm(&mut self, h: &Matrix, w: &Weight) -> Result<Matrix, TensorError> {
         TransformerDatapath::mm(self, h, w)
     }
 

@@ -30,9 +30,15 @@
 //! activations *per row*, so a row's result never depends on which
 //! other rows share the batch: a one-row KV-cached decode step
 //! reproduces the matching row of a full forward bit for bit.
-//! [`Precision::Int8`] builds one per product (the quantization, pack
-//! and driver [`gemm_i8::matmul_i32`] runs inside);
-//! [`crate::decode::Int8Decoder`] builds one per weight and keeps it.
+//!
+//! Every model weight is a [`Weight`]: the f64 matrix plus the
+//! [`QuantLinear`] built from it on its first int8 product and kept with
+//! it from then on, so [`Precision::Int8`], the KV-cached int8 decoder
+//! and the int8 GNN combine quantize and pack each weight once per
+//! model, the way the accelerator keeps a weight resident in its banks.
+
+use std::ops::Deref;
+use std::sync::OnceLock;
 
 use phox_tensor::{gemm_i8, Matrix, Quantizer, RowQuantMatrix, TensorError};
 
@@ -116,6 +122,62 @@ impl QuantLinear {
     }
 }
 
+/// A model weight: the f64 matrix, and its int8 [`QuantLinear`] once an
+/// int8 product has asked for it ([`Weight::quantized`]). The pack is
+/// built lazily, so a model that only runs in f64 never pays for it, and
+/// at most once, even when several threads ask at the same time. The
+/// matrix is read through `Deref` and never handed out mutably, so the
+/// pack cannot go stale. Equality and `Debug` see the matrix alone: a
+/// weight that has packed equals, and prints as, one that has not.
+#[derive(Clone)]
+pub struct Weight {
+    matrix: Matrix,
+    quantized: OnceLock<QuantLinear>,
+}
+
+impl Weight {
+    /// The weight `matrix`, not yet packed.
+    pub fn new(matrix: Matrix) -> Self {
+        Weight {
+            matrix,
+            quantized: OnceLock::new(),
+        }
+    }
+
+    /// The int8 form of the weight: [`QuantLinear::from_weight`] of the
+    /// matrix, built on the first call and kept.
+    pub fn quantized(&self) -> &QuantLinear {
+        self.quantized
+            .get_or_init(|| QuantLinear::from_weight(&self.matrix))
+    }
+}
+
+impl From<Matrix> for Weight {
+    fn from(matrix: Matrix) -> Self {
+        Weight::new(matrix)
+    }
+}
+
+impl Deref for Weight {
+    type Target = Matrix;
+
+    fn deref(&self) -> &Matrix {
+        &self.matrix
+    }
+}
+
+impl PartialEq for Weight {
+    fn eq(&self, other: &Self) -> bool {
+        self.matrix == other.matrix
+    }
+}
+
+impl std::fmt::Debug for Weight {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.matrix.fmt(f)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,7 +231,7 @@ mod tests {
     #[test]
     fn every_precision_arm_matches_its_definition() {
         let a = Prng::new(5).fill_normal(4, 8, 0.0, 1.0);
-        let w = Prng::new(6).xavier(8, 3);
+        let w = Weight::new(Prng::new(6).xavier(8, 3));
         let fq = |m: &Matrix, bits| quant::fake_quantize_bits(m, bits).unwrap();
         let exact = a.matmul(&w).unwrap();
         let int8 = QuantLinear::from_weight(&w).forward(&a).unwrap();

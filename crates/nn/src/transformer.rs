@@ -6,10 +6,11 @@
 //! the encoder/decoder stack used to validate the photonic functional
 //! simulation and the 8-bit quantization claim.
 
+use phox_tensor::gemm::simd;
 use phox_tensor::{ops, quant, Matrix, Prng, TensorError};
 
 use crate::census::OpCensus;
-use crate::int8::{Precision, QuantLinear};
+use crate::int8::{Precision, Weight};
 
 /// Which parts of the original transformer a model keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -274,17 +275,17 @@ impl TransformerConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerWeights {
     /// Query projection, `d_model x d_model`.
-    pub w_q: Matrix,
+    pub w_q: Weight,
     /// Key projection, `d_model x d_model`.
-    pub w_k: Matrix,
+    pub w_k: Weight,
     /// Value projection, `d_model x d_model`.
-    pub w_v: Matrix,
+    pub w_v: Weight,
     /// Output projection, `d_model x d_model`.
-    pub w_o: Matrix,
+    pub w_o: Weight,
     /// First feed-forward matrix, `d_model x d_ff`.
-    pub w_ff1: Matrix,
+    pub w_ff1: Weight,
     /// Second feed-forward matrix, `d_ff x d_model`.
-    pub w_ff2: Matrix,
+    pub w_ff2: Weight,
     /// Post-attention LayerNorm gain.
     pub ln1_gamma: Vec<f64>,
     /// Post-attention LayerNorm bias.
@@ -303,13 +304,13 @@ pub struct DecoderLayerWeights {
     /// encoder layer; self-attention is causally masked).
     pub base: LayerWeights,
     /// Cross-attention query projection (from the decoder state).
-    pub w_cq: Matrix,
+    pub w_cq: Weight,
     /// Cross-attention key projection (from the encoder memory).
-    pub w_ck: Matrix,
+    pub w_ck: Weight,
     /// Cross-attention value projection (from the encoder memory).
-    pub w_cv: Matrix,
+    pub w_cv: Weight,
     /// Cross-attention output projection.
-    pub w_co: Matrix,
+    pub w_co: Weight,
     /// Post-cross-attention LayerNorm gain.
     pub ln_cross_gamma: Vec<f64>,
     /// Post-cross-attention LayerNorm bias.
@@ -325,7 +326,9 @@ pub struct TransformerModel {
 }
 
 impl TransformerModel {
-    /// Materializes a model with Xavier-initialised random weights.
+    /// Materializes a model with Xavier-initialised random weights. No
+    /// weight is packed for the int8 kernels yet: each packs on its first
+    /// int8 product ([`Weight::quantized`]).
     ///
     /// # Errors
     ///
@@ -349,13 +352,14 @@ impl TransformerModel {
         let mut rng = Prng::new(seed);
         let d = config.d_model;
         let ff = config.d_ff;
+        let weight = |rng: &mut Prng, rows, cols| Weight::new(rng.xavier(rows, cols));
         let mk_layer = |rng: &mut Prng| LayerWeights {
-            w_q: rng.xavier(d, d),
-            w_k: rng.xavier(d, d),
-            w_v: rng.xavier(d, d),
-            w_o: rng.xavier(d, d),
-            w_ff1: rng.xavier(d, ff),
-            w_ff2: rng.xavier(ff, d),
+            w_q: weight(rng, d, d),
+            w_k: weight(rng, d, d),
+            w_v: weight(rng, d, d),
+            w_o: weight(rng, d, d),
+            w_ff1: weight(rng, d, ff),
+            w_ff2: weight(rng, ff, d),
             ln1_gamma: vec![1.0; d],
             ln1_beta: vec![0.0; d],
             ln2_gamma: vec![1.0; d],
@@ -366,10 +370,10 @@ impl TransformerModel {
             (0..config.layers)
                 .map(|_| DecoderLayerWeights {
                     base: mk_layer(&mut rng),
-                    w_cq: rng.xavier(d, d),
-                    w_ck: rng.xavier(d, d),
-                    w_cv: rng.xavier(d, d),
-                    w_co: rng.xavier(d, d),
+                    w_cq: weight(&mut rng, d, d),
+                    w_ck: weight(&mut rng, d, d),
+                    w_cv: weight(&mut rng, d, d),
+                    w_co: weight(&mut rng, d, d),
                     ln_cross_gamma: vec![1.0; d],
                     ln_cross_beta: vec![0.0; d],
                 })
@@ -563,7 +567,7 @@ impl TransformerModel {
         &self,
         dp: &mut D,
         (x, kv): (&Matrix, &Matrix),
-        ([w_q, w_k, w_v, w_o], ln): ([&Matrix; 4], (&[f64], &[f64])),
+        ([w_q, w_k, w_v, w_o], ln): ([&Weight; 4], (&[f64], &[f64])),
         causal: bool,
     ) -> Result<Matrix, D::Error> {
         let (q, k, v) = (dp.mm(x, w_q)?, dp.mm(kv, w_k)?, dp.mm(kv, w_v)?);
@@ -591,7 +595,7 @@ impl TransformerModel {
 
 impl LayerWeights {
     /// The self-attention block's projections and LayerNorm.
-    fn self_attention(&self) -> ([&Matrix; 4], (&[f64], &[f64])) {
+    fn self_attention(&self) -> ([&Weight; 4], (&[f64], &[f64])) {
         (
             [&self.w_q, &self.w_k, &self.w_v, &self.w_o],
             (&self.ln1_gamma, &self.ln1_beta),
@@ -612,10 +616,10 @@ pub trait TransformerDatapath {
     type Error: From<TensorError>;
     /// A product where both operands meet the precision model (Q/K/V,
     /// cross-attention).
-    fn mm(&mut self, a: &Matrix, w: &Matrix) -> Result<Matrix, Self::Error>;
+    fn mm(&mut self, a: &Matrix, w: &Weight) -> Result<Matrix, Self::Error>;
     /// A product where fake quantization treats only the weight (output
     /// projection, feed-forward block).
-    fn mm_weight_only(&mut self, a: &Matrix, w: &Matrix) -> Result<Matrix, Self::Error>;
+    fn mm_weight_only(&mut self, a: &Matrix, w: &Weight) -> Result<Matrix, Self::Error>;
     /// The `n` attention heads over `[q, k, v]`: each head's
     /// `softmax(q_h·k_hᵀ/√d_h)·v_h`, the future masked when `causal`,
     /// concatenated in head order.
@@ -628,85 +632,68 @@ pub trait TransformerDatapath {
     fn activate(&mut self, f: FfActivation, x: &Matrix) -> Matrix;
 }
 
-/// Head `h` of `n` over `[q, k, v]`: its query columns, its key columns
-/// transposed, and its value columns.
-///
-/// # Errors
-///
-/// Returns a shape error when the head's columns lie outside an operand.
-pub fn head_operands(qkv: [&Matrix; 3], n: usize, h: usize) -> Result<[Matrix; 3], TensorError> {
-    let dh = qkv[0].cols() / n;
-    let [q, k, v] = qkv.map(|m| m.col_slice(h * dh, (h + 1) * dh));
-    Ok([q?, k?.transpose(), v?])
-}
-
-/// Scales a head's scores by `1/√d_h` and, when `causal`, masks every
-/// future position with `-∞`.
-pub fn mask_scores(scores: Matrix, dh: usize, causal: bool) -> Matrix {
-    let mut scores = scores.scale(1.0 / (dh as f64).sqrt());
-    if causal {
-        for r in 0..scores.rows() {
-            for c in (r + 1)..scores.cols() {
-                scores.set(r, c, f64::NEG_INFINITY);
-            }
-        }
-    }
-    scores
-}
-
-/// Concatenates the heads' contexts in head order into one `rows x d`
-/// matrix (Fig. 5(b) buffer & concat).
-///
-/// # Errors
-///
-/// Returns the first failed head's error.
-pub fn concat_heads<E>(
-    (rows, d): (usize, usize),
-    contexts: impl IntoIterator<Item = Result<Matrix, E>>,
-) -> Result<Matrix, E> {
-    let mut concat = Matrix::zeros(rows, d);
-    for (h, ctx) in contexts.into_iter().enumerate() {
-        let ctx = ctx?;
-        for r in 0..rows {
-            concat.row_mut(r)[h * ctx.cols()..][..ctx.cols()].copy_from_slice(ctx.row(r));
-        }
-    }
-    Ok(concat)
-}
-
-/// The digital reference: products at the precision, the heads one after
-/// another in f64, softmax, LayerNorm and residual adds in f64.
+/// The digital reference: products at the precision (at
+/// [`Precision::Int8`] on the weight's resident pack), the heads one
+/// after another in f64, softmax, LayerNorm and residual adds in f64.
 impl TransformerDatapath for Precision {
     type Error = TensorError;
 
-    fn mm(&mut self, a: &Matrix, w: &Matrix) -> Result<Matrix, TensorError> {
+    fn mm(&mut self, a: &Matrix, w: &Weight) -> Result<Matrix, TensorError> {
         match *self {
             Precision::F64 => a.matmul(w),
             Precision::FakeQuant { bits } => {
                 quant::fake_quantize_bits(a, bits)?.matmul(&quant::fake_quantize_bits(w, bits)?)
             }
-            Precision::Int8 => QuantLinear::from_weight(w).forward(a),
+            Precision::Int8 => w.quantized().forward(a),
         }
     }
 
-    fn mm_weight_only(&mut self, a: &Matrix, w: &Matrix) -> Result<Matrix, TensorError> {
+    fn mm_weight_only(&mut self, a: &Matrix, w: &Weight) -> Result<Matrix, TensorError> {
         match *self {
             Precision::FakeQuant { bits } => a.matmul(&quant::fake_quantize_bits(w, bits)?),
             Precision::F64 | Precision::Int8 => self.mm(a, w),
         }
     }
 
-    fn heads(&mut self, qkv: [&Matrix; 3], n: usize, causal: bool) -> Result<Matrix, TensorError> {
-        let contexts = (0..n).map(|h| {
-            let [qh, kt, vh] = head_operands(qkv, n, h)?;
-            let scores = mask_scores(qh.matmul(&kt)?, vh.cols(), causal);
-            // Sequential accumulation over the context dimension: the
-            // masked tail beyond row r carries exact-zero weights, so a
-            // KV-cached decode step (context t, no tail) reproduces row
-            // t-1 of this product bit-for-bit. See [`ops::matmul_seq`].
-            ops::matmul_seq(&ops::softmax_rows(&scores), &vh)
-        });
-        concat_heads(qkv[0].shape(), contexts)
+    /// Per head: the scores `q_h·k_hᵀ` from one traced GEMM
+    /// ([`Matrix::matmul`]) over copies of the head's query columns and
+    /// transposed key columns; each score row scaled by `1/√d_h`, its
+    /// future set to `-∞` when `causal`, and softmaxed in place
+    /// ([`ops::softmax_in_place`]); then the context accumulated from
+    /// `v` where it lies straight into the head's columns of the output
+    /// ([`simd::context`]). Each context output sums every key row in
+    /// ascending order from `+0.0`, masked zero weights included, so a
+    /// KV-cached decode step over context `t` (no masked tail) reproduces
+    /// row `t-1` bit for bit.
+    fn heads(&mut self, [q, k, v]: [&Matrix; 3], n: usize, causal: bool) -> Result<Matrix, TensorError> {
+        let (rows, d) = q.shape();
+        if k.shape() != v.shape() || k.cols() != d {
+            return Err(TensorError::ShapeMismatch {
+                lhs: k.shape(),
+                rhs: v.shape(),
+            });
+        }
+        let dh = d / n;
+        let scale = 1.0 / (dh as f64).sqrt();
+        let mut out = Matrix::zeros(rows, d);
+        for h in 0..n {
+            let cols = h * dh..(h + 1) * dh;
+            let kt = k.col_slice(cols.start, cols.end)?.transpose();
+            let mut scores = q.col_slice(cols.start, cols.end)?.matmul(&kt)?;
+            for r in 0..rows {
+                let row = scores.row_mut(r);
+                for (c, s) in row.iter_mut().enumerate() {
+                    *s = if causal && c > r {
+                        f64::NEG_INFINITY
+                    } else {
+                        *s * scale
+                    };
+                }
+                ops::softmax_in_place(row);
+            }
+            simd::context(scores.as_slice(), v.as_slice(), d, cols, out.as_mut_slice());
+        }
+        Ok(out)
     }
 
     fn residual(&mut self, x: &Matrix, y: &Matrix) -> Result<Matrix, TensorError> {

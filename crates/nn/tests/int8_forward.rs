@@ -7,7 +7,7 @@
 
 use phox_nn::datasets::{labelled_sequences, power_law, sbm};
 use phox_nn::gnn::{Aggregation, CsrGraph, GnnConfig, GnnDatapath, GnnKind, GnnModel};
-use phox_nn::int8::{Precision, QuantLinear};
+use phox_nn::int8::{Precision, QuantLinear, Weight};
 use phox_nn::quant_eval::{evaluate_gnn, evaluate_transformer};
 use phox_nn::transformer::{
     FfActivation, TransformerConfig, TransformerDatapath, TransformerKind, TransformerModel,
@@ -244,10 +244,10 @@ struct PerProduct;
 
 impl TransformerDatapath for PerProduct {
     type Error = TensorError;
-    fn mm(&mut self, a: &Matrix, w: &Matrix) -> Result<Matrix, TensorError> {
+    fn mm(&mut self, a: &Matrix, w: &Weight) -> Result<Matrix, TensorError> {
         QuantLinear::from_weight(w).forward(a)
     }
-    fn mm_weight_only(&mut self, a: &Matrix, w: &Matrix) -> Result<Matrix, TensorError> {
+    fn mm_weight_only(&mut self, a: &Matrix, w: &Weight) -> Result<Matrix, TensorError> {
         QuantLinear::from_weight(w).forward(a)
     }
     fn heads(&mut self, qkv: [&Matrix; 3], n: usize, causal: bool) -> Result<Matrix, TensorError> {
@@ -266,7 +266,7 @@ impl TransformerDatapath for PerProduct {
 
 impl GnnDatapath for PerProduct {
     type Error = TensorError;
-    fn mm(&mut self, h: &Matrix, w: &Matrix) -> Result<Matrix, TensorError> {
+    fn mm(&mut self, h: &Matrix, w: &Weight) -> Result<Matrix, TensorError> {
         QuantLinear::from_weight(w).forward(h)
     }
     fn aggregate(
@@ -399,4 +399,36 @@ fn models_compare_equal_whether_or_not_they_have_packed() {
     packed.forward_int8(&task.graph, &task.features).unwrap();
     assert_eq!(packed, fresh);
     assert_eq!(format!("{packed:?}"), format!("{fresh:?}"));
+}
+
+#[test]
+fn a_pack_is_built_once_and_shared_across_threads() {
+    let model = TransformerModel::random(TransformerConfig::tiny(8), 0x3a).unwrap();
+    let x = Prng::new(0x3b).fill_normal(8, 32, 0.0, 1.0);
+    let want = bits(&model.forward_with(&x, PerProduct).unwrap());
+    let weights = || {
+        model
+            .layers()
+            .iter()
+            .flat_map(|lw| [&lw.w_q, &lw.w_k, &lw.w_v, &lw.w_o, &lw.w_ff1, &lw.w_ff2])
+    };
+    // Four threads race to the first int8 forward of a fresh model; each
+    // sees the oracle's bits and the same pack behind every weight.
+    let packs: Vec<Vec<usize>> = std::thread::scope(|s| {
+        let runs: Vec<_> = (0..4)
+            .map(|_| {
+                s.spawn(|| {
+                    assert_eq!(bits(&model.forward_int8(&x).unwrap()), want);
+                    weights()
+                        .map(|w| std::ptr::from_ref(w.quantized()) as usize)
+                        .collect()
+                })
+            })
+            .collect();
+        runs.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    assert!(packs.windows(2).all(|p| p[0] == p[1]));
+    for w in weights() {
+        assert_eq!(*w.quantized(), QuantLinear::from_weight(w));
+    }
 }

@@ -55,19 +55,29 @@
 //!   that must not change. The [`crate::sparse`] kernels keep the same
 //!   per-element order in their own register-resident row kernel,
 //!   dispatched on [`simd_active`].
+//! * [`context`] is an attention head's context product for a block of
+//!   query rows: each output starts from what `out` holds and adds
+//!   `w[i][j] · V[j][c]` for every key row `j`, ascending, the product
+//!   rounded before the add, as [`axpy`] does and as
+//!   [`crate::ops::matmul_seq`] does from `+0.0`. The AVX2 kernel keeps
+//!   a block of six query rows by eight columns in registers across all
+//!   key rows, so `V` is read once per block; its scalar twin
+//!   [`context_scalar`] is the textbook loop.
 //! * [`attend`] fuses one head of a KV-cached decode step: scores in the
 //!   [`dot`] schedule (four cached rows at a time, whose horizontal folds
 //!   share one 4×4 transpose), softmax in place through
-//!   [`crate::ops::softmax_in_place`], and the context accumulated in
-//!   registers with [`axpy`]'s unfused multiply-then-add, rows ascending.
-//!   Every output bit equals the per-row `dot` → `softmax_rows` → `axpy`
-//!   composition, which its scalar twin [`attend_scalar`] spells out.
+//!   [`crate::ops::softmax_in_place`], and the context of its one query
+//!   row through [`context`]'s register blocks. Every output bit equals
+//!   the per-row `dot` → `softmax_rows` → `axpy` composition, which its
+//!   scalar twin [`attend_scalar`] spells out.
 //!
 //! Dispatch follows the [`crate::gemm_i8`] idiom: cached once-per-process
 //! feature detection (`avx2` **and** `fma` here), with a
 //! `PHOX_FORCE_SCALAR=1` environment override — read once, same cache —
 //! so CI can run the whole suite on the scalar path and byte-diff the
 //! results against the SIMD run.
+
+use std::ops::Range;
 
 /// Number of independent accumulation lanes in [`dot`]: four 4-lane
 /// `f64` vectors. Both the scalar and AVX2 kernels are written against
@@ -371,6 +381,102 @@ fn attention_scale(dh: usize) -> f64 {
     1.0 / (dh as f64).sqrt()
 }
 
+/// Query rows per register block of the AVX2 [`context`] kernel. A
+/// block holds its rows' outputs for eight columns in twelve registers,
+/// enough independent adds to hide their latency, and reads each row of
+/// `V` once for all of them. Timed at `llm_prefill`'s heads (one thread,
+/// 2-vCPU Xeon VM), six rows ran the context ~1.2× faster than four, and
+/// the blocks of twelve or sixteen columns tried (two to four rows) ran
+/// slower than either.
+const CONTEXT_ROWS: usize = 6;
+
+/// Checks the operands of [`context`] and returns `(t, rows)`: `values`
+/// holds `t` rows and `out` `rows` rows of a nonzero `stride`, `cols`
+/// lies inside a row, and `w` holds `rows × t` weights. The AVX2
+/// kernel's pointer arithmetic relies on exactly these bounds.
+fn check_context(
+    w: &[f64],
+    values: &[f64],
+    stride: usize,
+    cols: &Range<usize>,
+    out: &[f64],
+) -> (usize, usize) {
+    assert!(stride > 0, "context row stride is zero");
+    assert_eq!(values.len() % stride, 0, "context V is not t × stride");
+    assert_eq!(out.len() % stride, 0, "context output is not rows × stride");
+    assert!(
+        cols.start <= cols.end && cols.end <= stride,
+        "context columns overrun the row"
+    );
+    let (t, rows) = (values.len() / stride, out.len() / stride);
+    assert_eq!(
+        Some(w.len()),
+        rows.checked_mul(t),
+        "context needs one weight per query and key row"
+    );
+    (t, rows)
+}
+
+/// Scalar [`context`] kernel: the textbook loop, one output at a time,
+/// `out[i·stride + c] += w[i·t + j] · values[j·stride + c]` for `j`
+/// ascending. Public so equivalence suites can pin the dispatched kernel
+/// against it regardless of which path dispatch selected.
+///
+/// # Panics
+///
+/// Panics on the operand shapes [`context`] rejects.
+pub fn context_scalar(
+    w: &[f64],
+    values: &[f64],
+    stride: usize,
+    cols: Range<usize>,
+    out: &mut [f64],
+) {
+    let (t, _) = check_context(w, values, stride, &cols, out);
+    if t == 0 {
+        return;
+    }
+    for (wrow, orow) in w.chunks_exact(t).zip(out.chunks_exact_mut(stride)) {
+        for c in cols.clone() {
+            for (j, &wj) in wrow.iter().enumerate() {
+                orow[c] += wj * values[j * stride + c];
+            }
+        }
+    }
+}
+
+/// The context product of one attention head for a block of query rows:
+/// `values` holds `t` key rows and `out` `rows` query rows, both
+/// `stride` values apart, with the head in columns `cols` of each; `w`
+/// holds each query row's `t` weights, row-major. For every query row
+/// `i` and column `c` in `cols`,
+///
+/// * `out[i·stride + c] += w[i·t + j] · values[j·stride + c]` for every
+///   `j`, ascending, each product rounded before its add;
+///
+/// zero weights included, so a `±∞` or NaN in `V` reaches the output
+/// whatever its weight. From an `out` of `+0.0` this is
+/// [`crate::ops::matmul_seq`]'s order, and every output bit equals it.
+/// Dispatches to AVX2 when available; otherwise runs [`context_scalar`].
+///
+/// # Panics
+///
+/// Panics unless `values.len()` and `out.len()` are multiples of a
+/// nonzero `stride`, `cols.end <= stride`, and `w.len()` is the product
+/// of their row counts.
+#[inline]
+pub fn context(w: &[f64], values: &[f64], stride: usize, cols: Range<usize>, out: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if x86::simd_usable() {
+        let (t, rows) = check_context(w, values, stride, &cols, out);
+        // SAFETY: AVX2 availability was just checked, and so were the
+        // operand shapes every pointer offset in the kernel relies on.
+        unsafe { x86::context_avx2(w, values, stride, cols, out, t, rows) };
+        return;
+    }
+    context_scalar(w, values, stride, cols, out);
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::{
@@ -379,6 +485,7 @@ mod x86 {
         _mm256_set_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_unpackhi_pd, _mm256_unpacklo_pd,
         _mm_add_pd, _mm_add_sd, _mm_cvtsd_f64, _mm_unpackhi_pd,
     };
+    use std::ops::Range;
 
     /// AVX2+FMA dot product: the 16-lane body of [`dot_lanes`], reduced
     /// in the fixed order documented at module level, then the in-order
@@ -787,23 +894,89 @@ mod x86 {
         }
         crate::ops::softmax_in_place(scores);
 
-        let (vp, op) = (values.as_ptr(), out.as_mut_ptr());
-        let mut c = 0usize;
-        while c + 4 <= dh {
-            let width = if c + 16 <= dh { 16 } else { 4 };
-            // SAFETY: the checked operands put columns lo + c..lo + c +
-            // width of every cached row inside `values`, and c..c + width
-            // inside `out`; no row pointer is formed when t = 0.
-            if width == 16 {
-                context_block::<4>(scores, vp, stride, lo + c, op.add(c));
-            } else {
-                context_block::<1>(scores, vp, stride, lo + c, op.add(c));
-            }
-            c += width;
+        // SAFETY: the checked operands put columns lo..lo + dh of every
+        // cached row inside `values`, and `out` is dh wide.
+        context_rows::<1, 4>(
+            scores.as_ptr(),
+            t,
+            values.as_ptr().add(lo),
+            stride,
+            dh,
+            out.as_mut_ptr(),
+            dh,
+        );
+    }
+
+    /// AVX2 [`super::context`]: blocks of `CONTEXT_ROWS` query rows by
+    /// eight columns through [`context_rows`], then the rows left over
+    /// one at a time, sixteen columns wide.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available and that the operands pass
+    /// [`super::check_context`], which returned `(t, rows)`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn context_avx2(
+        w: &[f64],
+        values: &[f64],
+        stride: usize,
+        cols: Range<usize>,
+        out: &mut [f64],
+        t: usize,
+        rows: usize,
+    ) {
+        use super::CONTEXT_ROWS;
+        let (vp, dh) = (values.as_ptr().add(cols.start), cols.len());
+        let (wp, op) = (w.as_ptr(), out.as_mut_ptr().add(cols.start));
+        let body = rows - rows % CONTEXT_ROWS;
+        // SAFETY (both loops): the checked operands put `t` weights per
+        // query row in `w`, columns cols of t key rows in `values`, and
+        // columns cols of `rows` query rows in `out`.
+        for i in (0..body).step_by(CONTEXT_ROWS) {
+            let (w, out) = (wp.add(i * t), op.add(i * stride));
+            context_rows::<CONTEXT_ROWS, 2>(w, t, vp, stride, dh, out, stride);
         }
-        for (col, o) in out.iter_mut().enumerate().skip(c) {
-            for (&w, vrow) in scores.iter().zip(values.chunks_exact(stride)) {
-                *o += w * vrow[lo + col];
+        for i in body..rows {
+            context_rows::<1, 4>(wp.add(i * t), t, vp, stride, dh, op.add(i * stride), stride);
+        }
+    }
+
+    /// The context of `R` query rows over `dh` columns: `out[r·ld + c] +=
+    /// w[r·t + j] · v[j·stride + c]` for `j < t` ascending. Columns run
+    /// in blocks of `4·V`, then of four, through [`context_block`]; the
+    /// last `dh % 4` in scalar code with the same operations.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available, `w` points to `R` rows of
+    /// `t` weights, `v + j·stride` to `dh` elements for every `j < t`,
+    /// and `out + r·ld` to `dh` writable elements for every `r < R`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn context_rows<const R: usize, const V: usize>(
+        w: *const f64,
+        t: usize,
+        v: *const f64,
+        stride: usize,
+        dh: usize,
+        out: *mut f64,
+        ld: usize,
+    ) {
+        let mut c = 0usize;
+        while c + 4 * V <= dh {
+            context_block::<R, V>(w, t, v.add(c), stride, out.add(c), ld);
+            c += 4 * V;
+        }
+        while c + 4 <= dh {
+            context_block::<R, 1>(w, t, v.add(c), stride, out.add(c), ld);
+            c += 4;
+        }
+        for r in 0..R {
+            for col in c..dh {
+                let o = out.add(r * ld + col);
+                for j in 0..t {
+                    *o += *w.add(r * t + j) * *v.add(j * stride + col);
+                }
             }
         }
     }
@@ -832,38 +1005,50 @@ mod x86 {
         _mm256_add_pd(_mm256_add_pd(acc[0], acc[1]), _mm256_add_pd(acc[2], acc[3]))
     }
 
-    /// `out[i] += w[j] · v[j·stride + col + i]` for `i < 4·V` and every
-    /// `j` ascending, the outputs held in `V` registers across all rows
-    /// and each row added as [`axpy_avx2`] adds it: product rounded, then
-    /// added.
+    /// `out[r·ld + i] += w[r·t + j] · v[j·stride + i]` for `r < R`,
+    /// `i < 4·V` and every `j < t` ascending: the `R·V` output vectors
+    /// held in registers across all rows of `v`, each row loaded once for
+    /// all `R` query rows, and each term added as [`axpy_avx2`] adds it:
+    /// product rounded, then added.
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX2 is available, `out` points to `4·V`
-    /// elements, and `v + j·stride + col` points to `4·V` elements for
-    /// every `j < w.len()`.
+    /// Caller must ensure AVX2 is available, `w` points to `R` rows of
+    /// `t` weights, `out + r·ld` to `4·V` elements for every `r < R`,
+    /// and `v + j·stride` to `4·V` elements for every `j < t`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn context_block<const V: usize>(
-        w: &[f64],
+    unsafe fn context_block<const R: usize, const V: usize>(
+        w: *const f64,
+        t: usize,
         v: *const f64,
         stride: usize,
-        col: usize,
         out: *mut f64,
+        ld: usize,
     ) {
-        let mut acc = [_mm256_setzero_pd(); V];
-        for (i, a) in acc.iter_mut().enumerate() {
-            *a = _mm256_loadu_pd(out.add(4 * i));
-        }
-        for (j, &wj) in w.iter().enumerate() {
-            let x = _mm256_set1_pd(wj);
-            let row = v.add(j * stride + col);
-            for (i, a) in acc.iter_mut().enumerate() {
-                *a = _mm256_add_pd(*a, _mm256_mul_pd(x, _mm256_loadu_pd(row.add(4 * i))));
+        let mut acc = [[_mm256_setzero_pd(); V]; R];
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            for (i, a) in acc_r.iter_mut().enumerate() {
+                *a = _mm256_loadu_pd(out.add(r * ld + 4 * i));
             }
         }
-        for (i, a) in acc.iter().enumerate() {
-            _mm256_storeu_pd(out.add(4 * i), *a);
+        for j in 0..t {
+            let row = v.add(j * stride);
+            let mut vj = [_mm256_setzero_pd(); V];
+            for (i, x) in vj.iter_mut().enumerate() {
+                *x = _mm256_loadu_pd(row.add(4 * i));
+            }
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let x = _mm256_set1_pd(*w.add(r * t + j));
+                for (a, &y) in acc_r.iter_mut().zip(&vj) {
+                    *a = _mm256_add_pd(*a, _mm256_mul_pd(x, y));
+                }
+            }
+        }
+        for (r, acc_r) in acc.iter().enumerate() {
+            for (i, a) in acc_r.iter().enumerate() {
+                _mm256_storeu_pd(out.add(r * ld + 4 * i), *a);
+            }
         }
     }
 
@@ -1139,6 +1324,26 @@ mod tests {
             &mut [0.0; 2],
             &mut [0.0; 3],
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "context columns overrun the row")]
+    fn context_rejects_a_head_past_the_row() {
+        context(&[1.0; 2], &[0.0; 8], 4, 2..5, &mut [0.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "context needs one weight per query and key row")]
+    fn context_rejects_a_short_weight_block() {
+        // Two query rows over two key rows need four weights.
+        context(&[1.0; 3], &[0.0; 8], 4, 0..4, &mut [0.0; 8]);
+    }
+
+    #[test]
+    fn context_without_keys_leaves_the_output() {
+        let mut out = [1.5, -0.0, 2.0];
+        context(&[], &[], 3, 0..3, &mut out);
+        assert_eq!(out.map(f64::to_bits), [1.5, -0.0, 2.0].map(f64::to_bits));
     }
 
     #[test]

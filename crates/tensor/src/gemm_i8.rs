@@ -11,10 +11,13 @@
 //!
 //! * **Pack once, in pair order.** `B` is packed once into [`Panels`]:
 //!   column panels of [`TILE_NR`] columns (the last one 8 or 16 wide,
-//!   zero-padded) whose rows sit two at a time, k-pair-interleaved and
-//!   widened to `i16`, so one 32-byte load holds eight columns' pairs
-//!   `(B[2q][j], B[2q+1][j])` — the operand of one `vpmaddwd`. An odd
-//!   `k` pads its last pair with a zero row.
+//!   zero-padded) whose rows sit two at a time, k-pair-interleaved, as
+//!   the `i8` codes themselves, so one 16-byte load holds eight columns'
+//!   pairs `(B[2q][j], B[2q+1][j])`; widened to `i16` in a register
+//!   (`vpmovsxbw`), they are the operand of one `vpmaddwd`. An odd `k`
+//!   pads its last pair with a zero row. A pack holds one byte per code,
+//!   half what codes stored widened would take, so a model can keep
+//!   every weight packed.
 //! * **Register blocking.** The AVX2 kernel computes a [`TILE_MR`] ×
 //!   [`TILE_NR`] tile at once: `A`'s rows are widened to `i16` one tile
 //!   of rows at a time, into a stack block of [`TILE_KC`]-value
@@ -91,10 +94,10 @@ fn check_len(len: usize, expected: usize) -> Result<(), TensorError> {
 /// panel of width `w` starting at column `j0` holds `B`'s rows in pairs:
 /// `B[p][j]` sits at `j0·k₂ + (p / 2)·2w + 2(j − j0) + p % 2`, with
 /// `k₂ = k` rounded up to even and a zero row padding an odd `k`. The
-/// codes are widened to `i16` so the kernel loads them as they lie.
+/// codes stay `i8`; the kernels widen them to `i16` as they load them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Panels {
-    data: Vec<i16>,
+    data: Vec<i8>,
     k: usize,
     n: usize,
 }
@@ -130,7 +133,7 @@ impl Panels {
                 let at = self.at(p, j0);
                 let dst = self.data[at..].iter_mut().step_by(2);
                 for (d, &v) in dst.zip(&brow[j0..n.min(j0 + width)]) {
-                    *d = i16::from(v);
+                    *d = v;
                 }
             }
         }
@@ -153,8 +156,7 @@ impl Panels {
     ///
     /// Panics unless `p < k` and `j < n`.
     pub fn code(&self, p: usize, j: usize) -> i8 {
-        let v = self.data[self.checked_at(p, j)];
-        i8::try_from(v).unwrap_or_else(|_| unreachable!("panels hold i8 codes"))
+        self.data[self.checked_at(p, j)]
     }
 
     /// Overwrites the code `B[p][j]`, as a fault model forces a stuck
@@ -165,7 +167,7 @@ impl Panels {
     /// Panics unless `p < k` and `j < n`.
     pub fn set_code(&mut self, p: usize, j: usize, v: i8) {
         let at = self.checked_at(p, j);
-        self.data[at] = i16::from(v);
+        self.data[at] = v;
     }
 
     fn checked_at(&self, p: usize, j: usize) -> usize {
@@ -315,9 +317,10 @@ pub fn gemm(a: &[i8], b: &Panels, cols: Range<usize>, out: &mut [i32], ld: usize
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::{
-        __m128i, __m256i, _mm256_add_epi32, _mm256_loadu_si256, _mm256_madd_epi16,
+        __m128i, __m256i, _mm256_add_epi32, _mm256_cvtepi8_epi16, _mm256_madd_epi16,
         _mm256_set1_epi32, _mm256_setzero_si256, _mm256_storeu_si256, _mm_add_epi32,
-        _mm_loadu_si128, _mm_madd_epi16, _mm_set1_epi32, _mm_setzero_si128, _mm_storeu_si128,
+        _mm_loadl_epi64, _mm_loadu_si128, _mm_madd_epi16, _mm_set1_epi32, _mm_setzero_si128,
+        _mm_srai_epi16, _mm_storeu_si128, _mm_unpacklo_epi8,
     };
     use core::mem::MaybeUninit;
     use std::ops::Range;
@@ -331,8 +334,8 @@ mod x86 {
         const SUMS: usize;
         /// All-zero sums.
         unsafe fn zero() -> Self;
-        /// `SUMS` pairs of `i16` codes from `p`.
-        unsafe fn load(p: *const i16) -> Self;
+        /// `SUMS` pairs of `i8` codes from `p`, each widened to `i16`.
+        unsafe fn load(p: *const i8) -> Self;
         /// The `i16` pair at `p` in every 32-bit lane.
         unsafe fn splat_pair(p: *const i16) -> Self;
         /// `acc + pmaddwd(x, b)`: per lane, `acc + x₀b₀ + x₁b₁`.
@@ -351,9 +354,10 @@ mod x86 {
         unsafe fn zero() -> Self {
             Avx2(_mm256_setzero_si256())
         }
+        /// Sixteen codes, sign-extended by `vpmovsxbw`.
         #[inline(always)]
-        unsafe fn load(p: *const i16) -> Self {
-            Avx2(_mm256_loadu_si256(p.cast()))
+        unsafe fn load(p: *const i8) -> Self {
+            Avx2(_mm256_cvtepi8_epi16(_mm_loadu_si128(p.cast())))
         }
         #[inline(always)]
         unsafe fn splat_pair(p: *const i16) -> Self {
@@ -379,9 +383,12 @@ mod x86 {
         unsafe fn zero() -> Self {
             Sse2(_mm_setzero_si128())
         }
+        /// Eight codes, each unpacked into both bytes of a lane, then
+        /// shifted right arithmetically: SSE2 has no sign-extending load.
         #[inline(always)]
-        unsafe fn load(p: *const i16) -> Self {
-            Sse2(_mm_loadu_si128(p.cast()))
+        unsafe fn load(p: *const i8) -> Self {
+            let codes = _mm_loadl_epi64(p.cast());
+            Sse2(_mm_srai_epi16::<8>(_mm_unpacklo_epi8(codes, codes)))
         }
         #[inline(always)]
         unsafe fn splat_pair(p: *const i16) -> Self {
@@ -575,7 +582,7 @@ mod x86 {
     #[inline(always)]
     unsafe fn tile<L: Lanes, const R: usize, const V: usize>(
         wide: *const i16,
-        panel: *const i16,
+        panel: *const i8,
         count: usize,
     ) -> [[L; V]; R] {
         let step = 2 * L::SUMS;

@@ -6,6 +6,9 @@
 //! `k = 0`, ragged (non-multiple-of-16) inner dimensions, every edge of
 //! the register-blocked microkernel, and subnormal operands.
 //!
+//! The context kernel behind the attention heads must equal its
+//! definition from any starting output, in every register block.
+//!
 //! The batched `Prng::fill_u64` (a 4-lane AVX2 body where the int8
 //! kernels are dispatched) must equal a `next_u64` loop in its outputs
 //! and in the state it leaves behind.
@@ -154,6 +157,54 @@ fn check_attend(
             stride,
             lo
         );
+    }
+    Ok(())
+}
+
+/// Strategy: one head's context over a block of query rows, `(rows, t,
+/// stride, lo, d_h)`: `rows` past two six-row register blocks with every
+/// remainder, `t` key rows from none, and `d_h` across eight-, four- and
+/// leftover-column blocks at an offset `lo` inside a wider row.
+fn context_shapes() -> impl Strategy<Value = (usize, usize, usize, usize, usize)> {
+    (1usize..=14, 0usize..=40, 1usize..=40, 0usize..=8)
+        .prop_flat_map(|(rows, t, dh, pad)| (Just((rows, t, dh, pad)), 0usize..=pad))
+        .prop_map(|((rows, t, dh, pad), lo)| (rows, t, dh + pad, lo, dh))
+}
+
+/// The signature shared by [`simd::context`] and [`simd::context_scalar`].
+type ContextFn = fn(&[f64], &[f64], usize, std::ops::Range<usize>, &mut [f64]);
+
+/// Both context kernels, from the same starting `out`, must equal the
+/// definition bit for bit (or both give NaN): each head output adds
+/// `w[i][j] · V[j][c]` for `j` ascending, the product rounded before the
+/// add; columns outside the head keep their starting value.
+fn check_context(
+    (rows, t, stride, lo, dh): (usize, usize, usize, usize, usize),
+    w: &[f64],
+    values: &[f64],
+    start: &[f64],
+) -> Result<(), TestCaseError> {
+    let mut expect = start.to_vec();
+    for i in 0..rows {
+        for c in lo..lo + dh {
+            for j in 0..t {
+                expect[i * stride + c] += w[i * t + j] * values[j * stride + c];
+            }
+        }
+    }
+    for (name, kernel) in [
+        ("dispatched", simd::context as ContextFn),
+        ("scalar", simd::context_scalar),
+    ] {
+        let mut out = start.to_vec();
+        kernel(w, values, stride, lo..lo + dh, &mut out);
+        for (o, (g, e)) in out.iter().zip(&expect).enumerate() {
+            prop_assert!(
+                g.to_bits() == e.to_bits() || (g.is_nan() && e.is_nan()),
+                "{} kernel, element {}: {:e} != {:e} ({} rows, t = {}, stride = {}, lo = {}, d_h = {})",
+                name, o, g, e, rows, t, stride, lo, dh
+            );
+        }
     }
     Ok(())
 }
@@ -323,6 +374,28 @@ proptest! {
         }),
     ) {
         check_attend(t, dh, stride, lo, &q, &keys, &values)?;
+    }
+
+    #[test]
+    fn context_bitwise_equals_its_definition(
+        (shape, w, values, start) in context_shapes().prop_flat_map(|s| {
+            let (rows, t, stride, _, _) = s;
+            (Just(s), operands(rows * t), operands(t * stride), operands(rows * stride))
+        }),
+    ) {
+        check_context(shape, &w, &values, &start)?;
+    }
+
+    #[test]
+    fn context_on_unit_operands_bitwise_equals_its_definition(
+        (shape, w, values, start) in context_shapes().prop_flat_map(|s| {
+            let (rows, t, stride, _, _) = s;
+            (Just(s), unit(rows * t), unit(t * stride), unit(rows * stride))
+        }),
+    ) {
+        // Unit-range operands keep every product's low bits in the sum,
+        // so a fused multiply-add or a reordered row fails here.
+        check_context(shape, &w, &values, &start)?;
     }
 
     #[test]

@@ -12,14 +12,13 @@
 //! [`phox_photonics::analog::AnalogEngine`]; this module supplies the
 //! analog datapath that the model's own layer walk (Fig. 5) runs on.
 
-use phox_nn::transformer::{
-    concat_heads, head_operands, mask_scores, FfActivation, TransformerDatapath, TransformerModel,
-};
+use phox_nn::int8::Weight;
+use phox_nn::transformer::{FfActivation, TransformerDatapath, TransformerModel};
 use phox_photonics::analog::{AnalogDevices, AnalogEngine, AnalogRuntime};
 use phox_photonics::devices::OpticalActivation;
 use phox_photonics::fault::{FaultPlan, FaultSchedule};
 use phox_photonics::{Ctx, PhotonicError};
-use phox_tensor::{parallel, Matrix};
+use phox_tensor::{parallel, Matrix, TensorError};
 
 use crate::config::TronConfig;
 
@@ -130,11 +129,11 @@ impl TronFunctional {
 impl TransformerDatapath for &mut TronFunctional {
     type Error = PhotonicError;
 
-    fn mm(&mut self, a: &Matrix, w: &Matrix) -> Result<Matrix, PhotonicError> {
+    fn mm(&mut self, a: &Matrix, w: &Weight) -> Result<Matrix, PhotonicError> {
         self.0.engine_mut().matmul(a, w)
     }
 
-    fn mm_weight_only(&mut self, a: &Matrix, w: &Matrix) -> Result<Matrix, PhotonicError> {
+    fn mm_weight_only(&mut self, a: &Matrix, w: &Weight) -> Result<Matrix, PhotonicError> {
         self.0.engine_mut().matmul(a, w)
     }
 
@@ -168,6 +167,45 @@ impl TransformerDatapath for &mut TronFunctional {
             FfActivation::Gelu => phox_tensor::ops::gelu(x),
         }
     }
+}
+
+/// Head `h` of `n` over `[q, k, v]`: its query columns, its key columns
+/// transposed (the operand the engine's `B` modulators take), and its
+/// value columns.
+fn head_operands(qkv: [&Matrix; 3], n: usize, h: usize) -> Result<[Matrix; 3], TensorError> {
+    let dh = qkv[0].cols() / n;
+    let [q, k, v] = qkv.map(|m| m.col_slice(h * dh, (h + 1) * dh));
+    Ok([q?, k?.transpose(), v?])
+}
+
+/// Scales a head's scores by `1/√d_h` and, when `causal`, masks every
+/// future position with `-∞`.
+fn mask_scores(scores: Matrix, dh: usize, causal: bool) -> Matrix {
+    let mut scores = scores.scale(1.0 / (dh as f64).sqrt());
+    if causal {
+        for r in 0..scores.rows() {
+            for c in (r + 1)..scores.cols() {
+                scores.set(r, c, f64::NEG_INFINITY);
+            }
+        }
+    }
+    scores
+}
+
+/// Concatenates the heads' contexts in head order into one `rows x d`
+/// matrix (Fig. 5(b) buffer & concat).
+fn concat_heads<E>(
+    (rows, d): (usize, usize),
+    contexts: impl IntoIterator<Item = Result<Matrix, E>>,
+) -> Result<Matrix, E> {
+    let mut concat = Matrix::zeros(rows, d);
+    for (h, ctx) in contexts.into_iter().enumerate() {
+        let ctx = ctx?;
+        for r in 0..rows {
+            concat.row_mut(r)[h * ctx.cols()..][..ctx.cols()].copy_from_slice(ctx.row(r));
+        }
+    }
+    Ok(concat)
 }
 
 #[cfg(test)]
