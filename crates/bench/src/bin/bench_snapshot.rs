@@ -1377,7 +1377,11 @@ impl ReplacedRow {
 
     /// One progress line: the fields, both medians and the verdict.
     fn summary(&self) -> String {
-        let fields: Vec<String> = self.fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        let fields: Vec<String> = self
+            .fields
+            .iter()
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect();
         format!(
             "{}: p50 {:.2} ms, baseline p50 {:.2} ms ({:.2}x) bitwise={}",
             fields.join(" "),
@@ -1538,7 +1542,10 @@ fn layer_weights(model: &TransformerModel) -> impl Iterator<Item = &Weight> {
 fn measure_resident_forward() -> ReplacedRow {
     const REPS: usize = 15;
     let cfg = prefill_config();
-    eprintln!("bench_snapshot: int8 forward on resident packs at {}...", cfg.name);
+    eprintln!(
+        "bench_snapshot: int8 forward on resident packs at {}...",
+        cfg.name
+    );
     let build = || TransformerModel::random(cfg.clone(), 61).expect("valid benchmark model");
     let mut pack_ms: Vec<f64> = (0..5)
         .map(|_| {
@@ -1555,12 +1562,24 @@ fn measure_resident_forward() -> ReplacedRow {
     let pack_bytes: usize = layer_weights(&model).map(|w| w.rows() * w.cols()).sum();
     let x = Prng::new(62).fill_normal(cfg.seq_len, cfg.d_model, 0.0, 1.0);
     let resident = || model.forward_int8(&x).expect("forward succeeds");
-    let per_product = || model.forward_with(&x, PerProduct).expect("forward succeeds");
-    let bits = |m: Matrix| m.into_vec().into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    let per_product = || {
+        model
+            .forward_with(&x, PerProduct)
+            .expect("forward succeeds")
+    };
+    let bits = |m: Matrix| {
+        m.into_vec()
+            .into_iter()
+            .map(f64::to_bits)
+            .collect::<Vec<_>>()
+    };
     let row = ReplacedRow {
         fields: vec![
             ("stage", json_string("forward_int8")),
-            ("baseline", json_string("quant_linear_from_weight_per_product")),
+            (
+                "baseline",
+                json_string("quant_linear_from_weight_per_product"),
+            ),
             ("layers", cfg.layers.to_string()),
             ("seq_len", cfg.seq_len.to_string()),
             ("d_model", cfg.d_model.to_string()),
@@ -2030,7 +2049,11 @@ fn run_digest(out_path: &str) {
             }
         }
     }
-    cases.extend([(256, 256, 64, 4, false), (256, 256, 64, 4, true), (511, 511, 16, 4, true)]);
+    cases.extend([
+        (256, 256, 64, 4, false),
+        (256, 256, 64, 4, true),
+        (511, 511, 16, 4, true),
+    ]);
     let mut heads = Vec::new();
     for (seed, &(l_q, l_kv, dh, n, causal)) in cases.iter().enumerate() {
         let d = n * dh;
@@ -2039,7 +2062,10 @@ fn run_digest(out_path: &str) {
         let mut q = rng.fill_normal(l_q, d, 0.0, loud);
         let k = rng.fill_normal(l_kv, d, 0.0, 1.0);
         let mut v = rng.fill_normal(l_kv, d, 0.0, 1.0);
-        q.as_mut_slice().iter_mut().step_by(11).for_each(|x| *x = -0.0);
+        q.as_mut_slice()
+            .iter_mut()
+            .step_by(11)
+            .for_each(|x| *x = -0.0);
         for (i, x) in v.as_mut_slice().iter_mut().enumerate() {
             match i % 17 {
                 3 => *x = 0.0,
@@ -2053,8 +2079,13 @@ fn run_digest(out_path: &str) {
             last[d / 2] = f64::NEG_INFINITY;
             last[d - 1] = f64::NAN;
         }
-        let y = Precision::F64.heads([&q, &k, &v], n, causal).expect("shapes agree");
-        let canonical = y.as_slice().iter().map(|v| if v.is_nan() { u64::MAX } else { v.to_bits() });
+        let y = Precision::F64
+            .heads([&q, &k, &v], n, causal)
+            .expect("shapes agree");
+        let canonical = y
+            .as_slice()
+            .iter()
+            .map(|v| if v.is_nan() { u64::MAX } else { v.to_bits() });
         heads.push(fnv1a(canonical));
     }
     record("prefill_heads", fnv1a(heads));
@@ -2084,11 +2115,15 @@ fn run_digest(out_path: &str) {
         let model = TransformerModel::random(cfg, 48 + seed as u64).expect("valid digest model");
         let x = Prng::new(51 + seed as u64).fill_normal(13, 45, 0.0, 1.0);
         for _ in 0..2 {
-            resident.push(digest_matrix(&model.forward_int8(&x).expect("forward succeeds")));
+            resident.push(digest_matrix(
+                &model.forward_int8(&x).expect("forward succeeds"),
+            ));
         }
         if kind == TransformerKind::DecoderOnly {
             let prefix = Matrix::from_vec(9, 45, x.as_slice()[..9 * 45].to_vec()).expect("9 rows");
-            let full = model.forward_prefix_int8(&prefix).expect("forward succeeds");
+            let full = model
+                .forward_prefix_int8(&prefix)
+                .expect("forward succeeds");
             let gen = model.generate_int8(&prefix, 4).expect("generation");
             resident.extend([digest_matrix(&full), digest_matrix(&gen.tokens)]);
         }
@@ -2237,7 +2272,10 @@ mod composed_heads {
         let mut concat = Matrix::zeros(rows, d);
         for h in 0..n {
             let [qh, kh, vh] = [q, k, v].map(|m| m.col_slice(h * dh, (h + 1) * dh).unwrap());
-            let mut scores = qh.matmul(&kh.transpose()).unwrap().scale(1.0 / (dh as f64).sqrt());
+            let mut scores = qh
+                .matmul(&kh.transpose())
+                .unwrap()
+                .scale(1.0 / (dh as f64).sqrt());
             if causal {
                 for r in 0..scores.rows() {
                     for c in (r + 1)..scores.cols() {
@@ -2260,32 +2298,44 @@ mod composed_heads {
 /// (511 rows, d_model 64, four heads of 16).
 fn measure_prefill_heads() -> Vec<ReplacedRow> {
     const REPS: usize = 15;
-    [("heads_encoder", 256usize, 256usize, false), ("heads_causal", 511, 64, true)]
-        .into_iter()
-        .enumerate()
-        .map(|(i, (stage, rows, d, causal))| {
-            eprintln!("bench_snapshot: f64 heads {rows} x {d} x 4 (causal {causal})...");
-            let mut rng = Prng::new(70 + i as u64);
-            let [q, k, v] = [(); 3].map(|_| rng.fill_normal(rows, d, 0.0, 1.0));
-            let new = || Precision::F64.heads([&q, &k, &v], 4, causal).expect("shapes agree");
-            let old = || composed_heads::heads([&q, &k, &v], 4, causal);
-            let bits = |m: Matrix| m.into_vec().into_iter().map(f64::to_bits).collect::<Vec<_>>();
-            let row = ReplacedRow {
-                fields: vec![
-                    ("stage", json_string(stage)),
-                    ("baseline", json_string("composed_heads")),
-                    ("rows", rows.to_string()),
-                    ("d_model", d.to_string()),
-                    ("heads", "4".to_string()),
-                    ("mask", json_string(if causal { "causal" } else { "none" })),
-                ],
-                bitwise: bits(new()) == bits(old()),
-                times: time_interleaved(REPS, new, old),
-            };
-            eprintln!("bench_snapshot: {}", row.summary());
-            row
-        })
-        .collect()
+    [
+        ("heads_encoder", 256usize, 256usize, false),
+        ("heads_causal", 511, 64, true),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, (stage, rows, d, causal))| {
+        eprintln!("bench_snapshot: f64 heads {rows} x {d} x 4 (causal {causal})...");
+        let mut rng = Prng::new(70 + i as u64);
+        let [q, k, v] = [(); 3].map(|_| rng.fill_normal(rows, d, 0.0, 1.0));
+        let new = || {
+            Precision::F64
+                .heads([&q, &k, &v], 4, causal)
+                .expect("shapes agree")
+        };
+        let old = || composed_heads::heads([&q, &k, &v], 4, causal);
+        let bits = |m: Matrix| {
+            m.into_vec()
+                .into_iter()
+                .map(f64::to_bits)
+                .collect::<Vec<_>>()
+        };
+        let row = ReplacedRow {
+            fields: vec![
+                ("stage", json_string(stage)),
+                ("baseline", json_string("composed_heads")),
+                ("rows", rows.to_string()),
+                ("d_model", d.to_string()),
+                ("heads", "4".to_string()),
+                ("mask", json_string(if causal { "causal" } else { "none" })),
+            ],
+            bitwise: bits(new()) == bits(old()),
+            times: time_interleaved(REPS, new, old),
+        };
+        eprintln!("bench_snapshot: {}", row.summary());
+        row
+    })
+    .collect()
 }
 
 /// Advances `cache` with decode steps over rows `cache.rows()..rows` of

@@ -331,7 +331,8 @@ impl TransformerModel {
     /// decoder-only, for a cache built for a different configuration, or
     /// for a cache at capacity; shape errors for a malformed `x`.
     pub fn decode_step(&self, cache: &mut KvCache, x: &Matrix) -> Result<Matrix, TensorError> {
-        self.decode_step_with(cache, x, Precision::F64).map(|(y, _)| y)
+        self.decode_step_with(cache, x, Precision::F64)
+            .map(|(y, _)| y)
     }
 
     /// Shared decode-step implementation: the weight products run at

@@ -368,7 +368,7 @@ impl GnnModel {
             let a_src = (0..fout).map(|_| rng.uniform(-0.5, 0.5)).collect();
             let a_dst = (0..fout).map(|_| rng.uniform(-0.5, 0.5)).collect();
             layers.push(GnnLayerWeights {
-                w: Weight::new(rng.xavier(rows, fout)),
+                w: Weight::from(rng.xavier(rows, fout)),
                 a_src,
                 a_dst,
             });

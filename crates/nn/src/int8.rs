@@ -136,14 +136,6 @@ pub struct Weight {
 }
 
 impl Weight {
-    /// The weight `matrix`, not yet packed.
-    pub fn new(matrix: Matrix) -> Self {
-        Weight {
-            matrix,
-            quantized: OnceLock::new(),
-        }
-    }
-
     /// The int8 form of the weight: [`QuantLinear::from_weight`] of the
     /// matrix, built on the first call and kept.
     pub fn quantized(&self) -> &QuantLinear {
@@ -153,8 +145,12 @@ impl Weight {
 }
 
 impl From<Matrix> for Weight {
+    /// The weight `matrix`, not yet packed.
     fn from(matrix: Matrix) -> Self {
-        Weight::new(matrix)
+        Weight {
+            matrix,
+            quantized: OnceLock::new(),
+        }
     }
 }
 
@@ -231,7 +227,7 @@ mod tests {
     #[test]
     fn every_precision_arm_matches_its_definition() {
         let a = Prng::new(5).fill_normal(4, 8, 0.0, 1.0);
-        let w = Weight::new(Prng::new(6).xavier(8, 3));
+        let w = Weight::from(Prng::new(6).xavier(8, 3));
         let fq = |m: &Matrix, bits| quant::fake_quantize_bits(m, bits).unwrap();
         let exact = a.matmul(&w).unwrap();
         let int8 = QuantLinear::from_weight(&w).forward(&a).unwrap();

@@ -352,7 +352,7 @@ impl TransformerModel {
         let mut rng = Prng::new(seed);
         let d = config.d_model;
         let ff = config.d_ff;
-        let weight = |rng: &mut Prng, rows, cols| Weight::new(rng.xavier(rows, cols));
+        let weight = |rng: &mut Prng, rows, cols| Weight::from(rng.xavier(rows, cols));
         let mk_layer = |rng: &mut Prng| LayerWeights {
             w_q: weight(rng, d, d),
             w_k: weight(rng, d, d),
@@ -665,7 +665,12 @@ impl TransformerDatapath for Precision {
     /// ascending order from `+0.0`, masked zero weights included, so a
     /// KV-cached decode step over context `t` (no masked tail) reproduces
     /// row `t-1` bit for bit.
-    fn heads(&mut self, [q, k, v]: [&Matrix; 3], n: usize, causal: bool) -> Result<Matrix, TensorError> {
+    fn heads(
+        &mut self,
+        [q, k, v]: [&Matrix; 3],
+        n: usize,
+        causal: bool,
+    ) -> Result<Matrix, TensorError> {
         let (rows, d) = q.shape();
         if k.shape() != v.shape() || k.cols() != d {
             return Err(TensorError::ShapeMismatch {

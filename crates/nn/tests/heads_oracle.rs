@@ -79,7 +79,7 @@ fn same_bits(a: &Matrix, b: &Matrix) -> bool {
 /// query row but the last masks out.
 fn operands(l_q: usize, l_kv: usize, d: usize, causal: bool, seed: u64) -> [Matrix; 3] {
     let mut rng = Prng::new(seed);
-    let loud = seed % 3 == 0;
+    let loud = seed.is_multiple_of(3);
     let mut q = rng.fill_normal(l_q, d, 0.0, if loud { 30.0 } else { 1.0 });
     let mut k = rng.fill_normal(l_kv, d, 0.0, 1.0);
     let mut v = rng.fill_normal(l_kv, d, 0.0, 1.0);
@@ -153,7 +153,14 @@ fn heads_equal_the_composition_at_long_shapes() {
                 continue;
             }
             for causal in [false, true] {
-                check(l_q, l_kv, WIDTHS[(i + j + seed as usize) % 9], 2, causal, seed);
+                check(
+                    l_q,
+                    l_kv,
+                    WIDTHS[(i + j + seed as usize) % 9],
+                    2,
+                    causal,
+                    seed,
+                );
                 seed += 1;
             }
         }

@@ -340,7 +340,11 @@ fn int8_prefix_decode_and_generation_equal_per_product_quantization() {
     let model = decoder_at(seed, p);
     let x = Prng::new(0x33).fill_normal(p + g, 32, 0.0, 1.0);
     let prefix = |t: usize| Matrix::from_vec(t, 32, x.as_slice()[..t * 32].to_vec()).unwrap();
-    let oracle = |t: usize| decoder_at(seed, t).forward_with(&prefix(t), PerProduct).unwrap();
+    let oracle = |t: usize| {
+        decoder_at(seed, t)
+            .forward_with(&prefix(t), PerProduct)
+            .unwrap()
+    };
     let decoder = model.int8_decoder();
     let mut cache = phox_nn::decode::KvCache::new(model.config(), p + g).unwrap();
     for t in 1..=p + g {

@@ -18,12 +18,16 @@
 #                  int8 vs f64 SpMM, the int8 GCN's activation crossings
 #                  (row quantizer, aggregate, combine product) vs the
 #                  two-pass code they replaced at 100k x 32 and
-#                  100k x 16 with p10/p50/p90, and the 1/2/4/8-thread
-#                  sweep, with oracle and bit-identity verdicts.
+#                  100k x 16 with p10/p50/p90, llm_prefill's int8
+#                  forward on resident weight packs vs packing every
+#                  weight per product, and the 1/2/4/8-thread sweep,
+#                  with oracle and bit-identity verdicts.
 #   BENCH_4.json — KV-cached decode: per-token latency of a cached
 #                  decode step vs full-sequence recompute (f64 and
-#                  int8) across context lengths, with full-forward
-#                  oracle, growth and thread bit-identity verdicts.
+#                  int8) across context lengths, and the f64 attention
+#                  heads vs the composition they replaced, with
+#                  full-forward oracle, growth and bit-identity
+#                  verdicts.
 #   BENCH_5.json — serving under load: the phox-serve batched-inference
 #                  engine over an offered-rate sweep — p50/p99 latency,
 #                  sustained QPS, batch occupancy and joules/request
