@@ -386,8 +386,8 @@ fn attention_scale(dh: usize) -> f64 {
 /// enough independent adds to hide their latency, and reads each row of
 /// `V` once for all of them. Timed at `llm_prefill`'s heads (one thread,
 /// 2-vCPU Xeon VM), six rows ran the context ~1.2× faster than four, and
-/// the blocks of twelve or sixteen columns tried (two to four rows) ran
-/// slower than either.
+/// the blocks of twelve or sixteen columns tried (two to four rows) were
+/// no faster.
 const CONTEXT_ROWS: usize = 6;
 
 /// Checks the operands of [`context`] and returns `(t, rows)`: `values`
