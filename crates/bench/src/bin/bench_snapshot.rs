@@ -29,9 +29,13 @@
 //!   GCN (row quantizer, aggregate, combine product) at 100k × 32 and
 //!   100k × 16 against the two-pass code it replaced (kept as private
 //!   copies), one thread, interleaved, with p10/p50/p90 and a
-//!   `matches_replaced_bitwise` verdict per row; and a 1/2/4/8-thread
-//!   scaling sweep checked for bit-identity. A failed verdict exits
-//!   non-zero after writing the snapshot.
+//!   `matches_replaced_bitwise` verdict per row; the int8 forward on
+//!   resident weight packs and the analog engine's products over them
+//!   (ideal and noisy, at every workload weight shape), each against
+//!   quantizing and packing the weight per product, with the same
+//!   statistics and verdict; and a 1/2/4/8-thread scaling sweep
+//!   checked for bit-identity. A failed verdict exits non-zero after
+//!   writing the snapshot.
 //! * **decode** (`BENCH_4.json`): KV-cached autoregressive decode —
 //!   per-token latency of a cached decode step vs a full-sequence
 //!   recompute, f64 and int8, across context lengths and a 1/2/4/8
@@ -95,7 +99,7 @@ use phox_core::nn::int8::{Precision, QuantLinear, Weight};
 use phox_core::nn::transformer::{
     FfActivation, TransformerConfig, TransformerDatapath, TransformerKind, TransformerModel,
 };
-use phox_core::photonics::analog::TILE;
+use phox_core::photonics::analog::{AnalogEngine, TILE};
 use phox_core::tensor::sparse::SparseReduce;
 use phox_core::tensor::sparse_i8::I8Reduce;
 use phox_core::tensor::{
@@ -1595,6 +1599,77 @@ fn measure_resident_forward() -> ReplacedRow {
     row
 }
 
+/// The analog engine's weight shapes in the workloads: `llm_prefill`'s
+/// TRON products (Q/K/V and output projection, the two feed-forward
+/// products) and `gnn_powerlaw`'s two GHOST combine products.
+const ANALOG_PRODUCT_SHAPES: [(usize, usize, usize); 5] = [
+    (256, 256, 256),
+    (256, 256, 1024),
+    (256, 1024, 256),
+    (100_000, 32, 16),
+    (100_000, 16, 4),
+];
+
+/// The analog product over a resident weight pack
+/// (`AnalogEngine::matmul_packed`) against the per-call path it replaced
+/// (`AnalogEngine::matmul` on the f64 weight: calibrate, quantize and
+/// pack the weight, then the same product), on the ideal and a noisy
+/// engine at every workload weight shape, 15 interleaved reps on one
+/// thread. Both sides start from clones of one engine, so their outputs
+/// must agree bit for bit.
+fn measure_analog_products() -> Vec<ReplacedRow> {
+    const REPS: usize = 15;
+    const SIGMA: f64 = 5e-3;
+    let mut rows = Vec::new();
+    for (i, (m, k, n)) in ANALOG_PRODUCT_SHAPES.into_iter().enumerate() {
+        let seed = 70 + 2 * i as u64;
+        let a = Prng::new(seed).fill_normal(m, k, 0.0, 1.0);
+        let w = Prng::new(seed + 1).xavier(k, n);
+        let layer = QuantLinear::from_weight(&w);
+        for (engine, sigma) in [("ideal", 0.0), ("noisy", SIGMA)] {
+            eprintln!("bench_snapshot: analog product {m}x{k}x{n} on the {engine} engine...");
+            let base = AnalogEngine::new(sigma, 8, 8, seed).expect("valid engine");
+            let (mut resident, mut per_call) = (base.clone(), base.clone());
+            let bits = |y: Matrix| {
+                y.into_vec()
+                    .into_iter()
+                    .map(f64::to_bits)
+                    .collect::<Vec<_>>()
+            };
+            let bitwise = bits(
+                resident
+                    .matmul_packed(&a, layer.panels(), layer.scale())
+                    .expect("shapes agree"),
+            ) == bits(per_call.matmul(&a, &w).expect("shapes agree"));
+            rows.push(ReplacedRow {
+                fields: vec![
+                    ("stage", json_string("analog_matmul_packed")),
+                    ("baseline", json_string("analog_matmul_per_call_weight")),
+                    ("engine", json_string(engine)),
+                    ("sigma", json_number(sigma)),
+                    ("m", m.to_string()),
+                    ("k", k.to_string()),
+                    ("n", n.to_string()),
+                ],
+                times: time_interleaved(
+                    REPS,
+                    || {
+                        resident
+                            .matmul_packed(&a, layer.panels(), layer.scale())
+                            .expect("shapes agree")
+                    },
+                    || per_call.matmul(&a, &w).expect("shapes agree"),
+                ),
+                bitwise,
+            });
+        }
+    }
+    for r in &rows {
+        eprintln!("bench_snapshot: {}", r.summary());
+    }
+    rows
+}
+
 fn run_int8(out_path: &str) {
     let dispatch = if gemm_i8::simd_active() {
         "avx2"
@@ -1712,7 +1787,12 @@ fn run_int8(out_path: &str) {
     // quantizing and packing every weight on every product.
     let resident = measure_resident_forward();
 
-    // --- Section 6: thread scaling sweep on the int8 kernels (gemm-1024
+    // --- Section 6: the analog engine's products over resident weight
+    // packs against quantizing and packing the weight on every call.
+    let analog = measure_analog_products();
+    let analog_bitwise = analog.iter().all(|r| r.bitwise);
+
+    // --- Section 7: thread scaling sweep on the int8 kernels (gemm-1024
     // and power-law SpMM), with byte-identity checked against the
     // 1-thread result: i32 sums are exact, so any difference is a bug.
     let n = 1024usize;
@@ -1775,7 +1855,8 @@ fn run_int8(out_path: &str) {
          matches_dot_kernel_bitwise={matches_dot_kernel} matches_naive_oracle={matches_oracle} \
          quantizer_matches_serial_bitwise={quant_bitwise} \
          activation_crossings_match_replaced_bitwise={crossings_bitwise} \
-         resident_forward_matches_per_product_bitwise={}",
+         resident_forward_matches_per_product_bitwise={} \
+         analog_products_match_replaced_bitwise={analog_bitwise}",
         resident.bitwise,
     );
     let sections = [
@@ -1797,6 +1878,11 @@ fn run_int8(out_path: &str) {
             crossings.iter().map(ReplacedRow::to_json).collect(),
         ),
         ("resident_weights", "forwards", vec![resident.to_json()]),
+        (
+            "analog_products",
+            "products",
+            analog.iter().map(ReplacedRow::to_json).collect(),
+        ),
         ("int8_thread_scaling", "sweep", sweep_rows),
     ]
     .map(|(section, key, rows): (&str, &str, Vec<String>)| {
@@ -1816,6 +1902,7 @@ fn run_int8(out_path: &str) {
             "int8_spmm",
             "int8_activation_crossings",
             "int8_forward_resident_packs",
+            "analog_matmul_packed",
         ],
         &[
             ("accumulation", "\"exact i32\"".to_string()),
@@ -1834,6 +1921,10 @@ fn run_int8(out_path: &str) {
                 "resident_forward_matches_per_product_bitwise",
                 resident.bitwise.to_string(),
             ),
+            (
+                "analog_products_match_replaced_bitwise",
+                analog_bitwise.to_string(),
+            ),
         ],
         "sections",
         &sections,
@@ -1844,6 +1935,7 @@ fn run_int8(out_path: &str) {
         || !quant_bitwise
         || !crossings_bitwise
         || !resident.bitwise
+        || !analog_bitwise
     {
         eprintln!("bench_snapshot: int8 verdicts FAILED");
         std::process::exit(1);
@@ -1884,7 +1976,7 @@ fn digest_i32(sums: &[i32]) -> u64 {
 fn run_digest(out_path: &str) {
     use phox_core::ghost::{GhostConfig, GhostFunctional};
     use phox_core::nn::datasets::sbm;
-    use phox_core::photonics::analog::AnalogEngine;
+    use phox_core::photonics::fault::{FaultImpact, StuckWeight};
     use phox_core::tensor::ops;
     use phox_core::tron::{TronConfig, TronFunctional};
 
@@ -2220,6 +2312,44 @@ fn run_digest(out_path: &str) {
         "analog_matmul_noisy",
         digest_matrix(&noisy.matmul(&a, &b).expect("shapes agree")),
     );
+
+    // The same product over a resident pack, on the ideal engine and on
+    // a noisy one with every fault the read-out applies (stuck cells
+    // patch the engine's copy of the pack), twice each.
+    let qb = Quantizer::calibrate(&b).quantize(&b);
+    let pack = gemm_i8::Panels::pack(qb.as_i8_slice(), b.rows(), b.cols());
+    let mut faulted = AnalogEngine::new(5e-3, 8, 8, 47).expect("valid engine");
+    let impact = FaultImpact {
+        sigma_scale: 1.5,
+        weight_gain: 0.97,
+        compensation_power_w: 0.0,
+        dead_lanes: vec![1, 5],
+        stuck: vec![
+            StuckWeight {
+                row: 0,
+                channel: 2,
+                transmission: 0.4,
+            },
+            StuckWeight {
+                row: 3,
+                channel: 0,
+                transmission: 0.9,
+            },
+        ],
+    };
+    faulted
+        .set_fault_impact(&impact, 8, 4)
+        .expect("valid fault geometry");
+    let mut resident = Vec::new();
+    for engine in [&mut AnalogEngine::ideal(8, 8, 46), &mut faulted] {
+        for _ in 0..2 {
+            let y = engine
+                .matmul_packed(&a, &pack, qb.scale())
+                .expect("shapes agree");
+            resident.push(digest_matrix(&y));
+        }
+    }
+    record("analog_matmul_resident", fnv1a(resident));
 
     // Full functional forwards: transformer and GNN (GCN + GAT).
     let tf_model =

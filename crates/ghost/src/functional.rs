@@ -17,8 +17,8 @@
 //! kernel's wrapping `i32` equals the true sum while a row has at most
 //! ⌊(2³¹ − 1) / 127⌋ = 16,909,320 members; a larger row is a returned
 //! error. Transform-unit products read out in one pass too (see
-//! [`AnalogEngine::matmul`]): the ADC's range spans each product, and
-//! every read value lies inside the window rounded from it.
+//! [`AnalogEngine::matmul_packed`]): the ADC's range spans each product,
+//! and every read value lies inside the window rounded from it.
 
 use phox_nn::gnn::{Aggregation, CsrGraph, GnnDatapath, GnnModel};
 use phox_nn::int8::Weight;
@@ -331,15 +331,17 @@ impl GhostFunctional {
     }
 }
 
-/// The analog datapath (Figs. 2 and 7): combine products on the engine,
-/// aggregation through the reduce units
+/// The analog datapath (Figs. 2 and 7): combine products on the engine
+/// over each weight's resident int8 pack ([`Weight::quantized`],
+/// [`AnalogEngine::matmul_packed`]), aggregation through the reduce units
 /// ([`GhostFunctional::optical_aggregate`]), GAT attention as an int8
 /// LUT-weighted coherent accumulation, and SOA ReLU in the update units.
 impl GnnDatapath for &mut GhostFunctional {
     type Error = PhotonicError;
 
     fn mm(&mut self, h: &Matrix, w: &Weight) -> Result<Matrix, PhotonicError> {
-        self.0.engine_mut().matmul(h, w)
+        let q = w.quantized();
+        self.0.engine_mut().matmul_packed(h, q.panels(), q.scale())
     }
 
     fn aggregate(
@@ -431,9 +433,7 @@ impl GnnDatapath for &mut GhostFunctional {
     }
 
     fn relu(&mut self, h: Matrix) -> Matrix {
-        self.0
-            .engine_mut()
-            .soa_activate(OpticalActivation::Relu, &h)
+        self.0.engine_mut().soa_activate(OpticalActivation::Relu, h)
     }
 }
 

@@ -322,7 +322,7 @@ fn traced_gat_forward_exports_its_op_order() {
     check(
         &[("jsonl".to_owned(), digest_of(&trace.export_jsonl()))],
         &[
-            "1cc8e54c87c3d0fd", // jsonl
+            "32df039b169bd944", // jsonl
         ],
     );
 }

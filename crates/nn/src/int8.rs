@@ -120,6 +120,17 @@ impl QuantLinear {
         let qx = RowQuantMatrix::quantize_rows(x);
         gemm_i8::matmul_packed_dequant(qx.as_i8_slice(), qx.scales(), &self.panels, self.scale)
     }
+
+    /// The weight's codes, packed for the int8 microkernel: what an
+    /// analog engine multiplies a resident weight by.
+    pub fn panels(&self) -> &gemm_i8::Panels {
+        &self.panels
+    }
+
+    /// The weight's quantization scale (one per tensor).
+    pub fn scale(&self) -> f64 {
+        self.scale
+    }
 }
 
 /// A model weight: the f64 matrix, and its int8 [`QuantLinear`] once an

@@ -11,12 +11,18 @@
 //! with the accumulator grid — so a noiseless, fault-free engine
 //! reproduces the digital int8 reference bit for bit.
 //!
-//! [`AnalogEngine::matmul`] makes one pass per output: each tile's exact
-//! sums go through noise, drift gain, dead-lane zeroing and the ADC
-//! read-back straight into the result. The converter's range spans the
-//! whole product (its largest magnitude), and no read value can leave
-//! the window rounded from that range, so the read-back needs no second
-//! pass over the product.
+//! A weight that stays in the microring banks between products is
+//! passed as its resident int8 pack ([`AnalogEngine::matmul_packed`]);
+//! only the activations then go through the DACs.
+//! [`AnalogEngine::matmul`] quantizes and packs an f64 weight first and
+//! runs the same product. Each product makes one pass per output: each
+//! tile's exact sums go through noise, drift gain, dead-lane zeroing and
+//! the ADC read-back straight into the result. The converter's range
+//! spans the whole product (its largest magnitude), and no read value
+//! can leave the window rounded from that range, so the read-back needs
+//! no second pass over the product.
+
+use std::ops::Range;
 
 use phox_tensor::{gemm_i8, ops, parallel, split_seed, Matrix, Prng, Quantizer};
 
@@ -43,12 +49,14 @@ struct FaultState {
 pub const TILE: usize = 32;
 
 /// Reusable per-engine matmul scratch: the int8 weight operand packed
-/// as [`gemm_i8::Panels`] for the microkernel, and one range value per
-/// output tile (its largest read-out magnitude, which the tile's trace
-/// span reports). Capacities persist across calls, so steady-state
-/// serving hits the same allocations on every step; the
+/// as [`gemm_i8::Panels`] for the microkernel (a per-call weight, or a
+/// copy of a resident pack for stuck cells to patch), and one range
+/// value per output tile (its largest read-out magnitude, which the
+/// tile's trace span reports). Capacities persist across calls, so
+/// steady-state serving hits the same allocations on every step; the
 /// `analog/scratch_reuse_hits` trace counter reports how often each
-/// buffer was large enough.
+/// buffer was large enough, and counts an unfaulted resident weight,
+/// which needs no buffer, as reused.
 ///
 /// Scratch is a cache, not engine state: it is excluded from the
 /// engine's `PartialEq` and children start with empty buffers.
@@ -71,6 +79,145 @@ fn reuse_doubling(buf: &mut Vec<f64>, len: usize) -> bool {
     }
     buf.resize(len, 0.0);
     reused
+}
+
+/// The typed error of a product whose `a` has other than `k` columns.
+fn check_inner(a: &Matrix, k: usize) -> Result<(), PhotonicError> {
+    if a.cols() != k {
+        return Err(PhotonicError::InvalidConfig {
+            what: "matmul inner dimensions must agree",
+        });
+    }
+    Ok(())
+}
+
+/// The ADC read-back of one product: what it applies to each exact sum
+/// on its way into the result.
+struct ReadOut<'a> {
+    /// Receiver relative noise.
+    sigma: f64,
+    /// Residual drift gain on the analog difference.
+    weight_gain: f64,
+    /// Dead ADC lanes as a column mask; empty when every lane works.
+    dead: &'a [bool],
+    /// Dequantization scale: both operands' scales.
+    scale: f64,
+}
+
+impl ReadOut<'_> {
+    /// Reads one tile out: the exact sums of its rows (`TILE` apart in
+    /// `sums`) into columns `cols` of its rows of `rows_out` (`n` values
+    /// each), drawing its noise from `rng` in row-major order. Returns
+    /// the tile's largest pre-ADC magnitude. Where the int8 kernels are
+    /// dispatched ([`gemm_i8::simd_active`]) the loop is compiled for
+    /// AVX2, so `round` and the inlined noise draw compile to inline
+    /// instructions, as in the quantizer; the operations and their order
+    /// are the same either way, so are the bits.
+    fn tile(
+        &self,
+        sums: &[i32],
+        rows_out: &mut [f64],
+        n: usize,
+        cols: Range<usize>,
+        rng: &mut Prng,
+    ) -> f64 {
+        #[cfg(target_arch = "x86_64")]
+        if gemm_i8::simd_active() {
+            // SAFETY: `simd_active` is true only where AVX2 is available.
+            return unsafe { self.tile_avx2(sums, rows_out, n, cols, rng) };
+        }
+        self.tile_loop(sums, rows_out, n, cols, rng)
+    }
+
+    #[inline(always)]
+    fn tile_loop(
+        &self,
+        sums: &[i32],
+        rows_out: &mut [f64],
+        n: usize,
+        cols: Range<usize>,
+        rng: &mut Prng,
+    ) -> f64 {
+        let mut tile_max = 0.0f64;
+        for (row_sums, row_out) in sums.chunks_exact(TILE).zip(rows_out.chunks_exact_mut(n)) {
+            for ((&s, o), j) in row_sums
+                .iter()
+                .zip(&mut row_out[cols.clone()])
+                .zip(cols.clone())
+            {
+                // Receiver noise perturbs the accumulated count
+                // (pre-dequantization). The draw happens even for
+                // dead-lane outputs, to keep stream alignment with the
+                // fault-free engine.
+                let noisy = perturb(f64::from(s), self.sigma, rng);
+                // Device faults, part 2: residual thermal-drift mis-bias
+                // is a uniform gain error on the analog difference; a
+                // dead ADC lane reads its output columns as zero. Both
+                // are pure functions of (i, j), so the result stays
+                // bit-identical across thread counts.
+                let v = if self.dead.get(j).copied().unwrap_or(false) {
+                    0.0
+                } else {
+                    noisy * self.weight_gain
+                };
+                tile_max = tile_max.max(v.abs());
+                // ADC stage: read back on the accumulator code grid —
+                // the nearest level-product count.
+                *o = v.round() * self.scale;
+            }
+        }
+        tile_max
+    }
+
+    /// [`ReadOut::tile_loop`] compiled for AVX2.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn tile_avx2(
+        &self,
+        sums: &[i32],
+        rows_out: &mut [f64],
+        n: usize,
+        cols: Range<usize>,
+        rng: &mut Prng,
+    ) -> f64 {
+        self.tile_loop(sums, rows_out, n, cols, rng)
+    }
+}
+
+/// Rounds each softmax weight `v / sum` to the LUT's grid of `levels`
+/// steps, in place. Where the int8 kernels are dispatched
+/// ([`gemm_i8::simd_active`]) the loop is compiled for AVX2, so `round`
+/// inlines; the bits are the same either way.
+fn lut_grid(values: &mut [f64], sum: f64, levels: f64) {
+    #[cfg(target_arch = "x86_64")]
+    if gemm_i8::simd_active() {
+        // SAFETY: `simd_active` is true only where AVX2 is available.
+        unsafe { lut_grid_avx2(values, sum, levels) };
+        return;
+    }
+    lut_grid_loop(values, sum, levels);
+}
+
+#[inline(always)]
+fn lut_grid_loop(values: &mut [f64], sum: f64, levels: f64) {
+    for v in values {
+        *v = (*v / sum * levels).round() / levels;
+    }
+}
+
+/// [`lut_grid_loop`] compiled for AVX2.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 is available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn lut_grid_avx2(values: &mut [f64], sum: f64, levels: f64) {
+    lut_grid_loop(values, sum, levels);
 }
 
 /// A value-level analog compute engine.
@@ -270,18 +417,41 @@ impl AnalogEngine {
         }
     }
 
-    /// Analog matrix multiplication `a · b`.
+    /// Analog matrix multiplication `a · b` with a per-call weight: `b`
+    /// is calibrated and quantized to DAC levels, packed into the
+    /// engine's reusable [`gemm_i8::Panels`] (stuck-cell faults then
+    /// patch those codes), and multiplied as
+    /// [`AnalogEngine::matmul_packed`] multiplies a resident pack.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PhotonicError::InvalidConfig`] on inner-dimension
+    /// mismatch.
+    pub fn matmul(&mut self, a: &Matrix, b: &Matrix) -> Result<Matrix, PhotonicError> {
+        check_inner(a, b.rows())?;
+        let qb = Quantizer::calibrate(b).quantize(b);
+        Ok(self.product_in_scratch(a, qb.scale(), |panels| {
+            panels.repack(qb.as_i8_slice(), b.rows(), b.cols())
+        }))
+    }
+
+    /// Analog matrix multiplication `a · B` with a resident weight: `b`
+    /// holds `B`'s int8 codes packed for the microkernel and `b_scale`
+    /// its quantization scale, as a model keeps each weight
+    /// (`phox_nn::int8::QuantLinear`) and a microring bank holds it
+    /// between products. Only `a` goes through the DACs. Stuck-cell
+    /// faults patch a copy of the pack in the engine's scratch, never
+    /// `b` itself; without them `b` is read in place. The codes and scale
+    /// of `Quantizer::calibrate(w).quantize(w)` give exactly
+    /// [`AnalogEngine::matmul`]`(a, w)`.
     ///
     /// The product is computed [`TILE`]`×`[`TILE`] output tile by tile,
     /// one parallel task per `TILE`-row block of the output. Each output
-    /// element accumulates the
-    /// balanced-photodetector difference current in exact level-product
-    /// counts — the same `i32` accumulation the digital int8 reference
-    /// ([`phox_tensor::QuantMatrix::matmul`]) performs. The weight
-    /// operand is packed once per call into the engine's reusable
-    /// [`gemm_i8::Panels`] (stuck-cell faults are applied to the packed
-    /// codes), and each tile's sums come from one call of the
-    /// register-blocked [`gemm_i8::gemm`] microkernel into a stack block.
+    /// element accumulates the balanced-photodetector difference current
+    /// in exact level-product counts — the same `i32` accumulation the
+    /// digital int8 reference ([`phox_tensor::QuantMatrix::matmul`])
+    /// performs — from one call of the register-blocked
+    /// [`gemm_i8::gemm`] microkernel per tile into a stack block.
     /// Receiver noise then perturbs each accumulated count before
     /// dequantization, in row-major `(i, j)` order within the tile. Each
     /// tile draws its noise from an independent stream keyed on `(engine
@@ -310,51 +480,92 @@ impl AnalogEngine {
     ///
     /// Returns [`PhotonicError::InvalidConfig`] on inner-dimension
     /// mismatch.
-    pub fn matmul(&mut self, a: &Matrix, b: &Matrix) -> Result<Matrix, PhotonicError> {
-        if a.cols() != b.rows() {
-            return Err(PhotonicError::InvalidConfig {
-                what: "matmul inner dimensions must agree",
-            });
+    pub fn matmul_packed(
+        &mut self,
+        a: &Matrix,
+        b: &gemm_i8::Panels,
+        b_scale: f64,
+    ) -> Result<Matrix, PhotonicError> {
+        check_inner(a, b.k())?;
+        let stuck = self
+            .faults
+            .as_ref()
+            .is_some_and(|fs| !fs.impact.stuck.is_empty());
+        Ok(if stuck {
+            self.product_in_scratch(a, b_scale, |panels| panels.copy_from(b))
+        } else {
+            // Nothing is allocated for the weight: it counts as reused.
+            self.product(a, b, b_scale, true)
+        })
+    }
+
+    /// The product over the engine's scratch pack, once `fill` has
+    /// written the weight's codes into it (returning whether its buffer
+    /// was large enough) and stuck cells have patched them.
+    fn product_in_scratch(
+        &mut self,
+        a: &Matrix,
+        b_scale: f64,
+        fill: impl FnOnce(&mut gemm_i8::Panels) -> bool,
+    ) -> Matrix {
+        let mut panels = std::mem::take(&mut self.scratch.panels);
+        let reused = fill(&mut panels);
+        self.stick(&mut panels);
+        let out = self.product(a, &panels, b_scale, reused);
+        self.scratch.panels = panels;
+        out
+    }
+
+    /// Device faults, part 1: a stuck microring forces every weight it
+    /// carries to its stuck transmission level. Output column `j` is
+    /// produced by array row `j % array_rows`, and reduction index `kk`
+    /// rides wavelength channel `kk % array_channels`, so the stuck cell
+    /// repeats across the logical matrix with the bank geometry's period.
+    /// The programmed sign survives (it lives in the BPD arm assignment,
+    /// not the ring bias).
+    fn stick(&self, panels: &mut gemm_i8::Panels) {
+        let Some(fs) = &self.faults else { return };
+        let (k, n) = (panels.k(), panels.n());
+        for s in &fs.impact.stuck {
+            #[allow(clippy::cast_possible_truncation)]
+            let level = (s.transmission * 127.0).round() as i8;
+            for j in (s.row..n).step_by(fs.array_rows) {
+                for kk in (s.channel..k).step_by(fs.array_channels) {
+                    let w = panels.code(kk, j);
+                    panels.set_code(kk, j, if w >= 0 { level } else { -level });
+                }
+            }
         }
+    }
+
+    /// The one product body: `a` through the DACs, times the (already
+    /// stuck-patched) weight pack `b`, read out tile by tile (see
+    /// [`AnalogEngine::matmul_packed`]). `weight_reused` is the weight
+    /// operand's share of the `analog/scratch_reuse_hits` counter.
+    fn product(
+        &mut self,
+        a: &Matrix,
+        b: &gemm_i8::Panels,
+        b_scale: f64,
+        weight_reused: bool,
+    ) -> Matrix {
         // DAC stage: symmetric int8 levels.
         let qa = Quantizer::calibrate(a).quantize(a);
-        let qb = Quantizer::calibrate(b).quantize(b);
-        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        let (m, k, n) = (a.rows(), b.k(), b.n());
         let op_key = self.stream_key();
-        let sigma = self.relative_sigma;
-        let scale = qa.scale() * qb.scale();
 
         let tile_rows = m.div_ceil(TILE);
         let tile_cols = n.div_ceil(TILE);
         let num_tiles = tile_rows * tile_cols;
 
-        // Reusable scratch, moved out of `self` for the duration of the
-        // call so the parallel section can borrow both buffers freely.
-        // The weight codes are packed once for the int8 microkernel.
-        let mut panels = std::mem::take(&mut self.scratch.panels);
+        // Reusable range scratch, moved out of `self` for the duration of
+        // the call so the parallel section can borrow it freely.
         let mut ranges = std::mem::take(&mut self.scratch.ranges);
-        let scratch_hits = i64::from(panels.repack(qb.as_i8_slice(), k, n))
-            + i64::from(reuse_doubling(&mut ranges, num_tiles));
+        let scratch_hits =
+            i64::from(weight_reused) + i64::from(reuse_doubling(&mut ranges, num_tiles));
 
-        // Device faults, part 1: a stuck microring forces every weight it
-        // carries to its stuck transmission level. Output column `j` is
-        // produced by array row `j % array_rows`, and reduction index
-        // `kk` rides wavelength channel `kk % array_channels`, so the
-        // stuck cell repeats across the logical matrix with the bank
-        // geometry's period. The programmed sign survives (it lives in
-        // the BPD arm assignment, not the ring bias).
         let (weight_gain, dead): (f64, Vec<bool>) = match &self.faults {
             Some(fs) => {
-                for s in &fs.impact.stuck {
-                    #[allow(clippy::cast_possible_truncation)]
-                    let level = (s.transmission * 127.0).round() as i8;
-                    for j in (s.row..n).step_by(fs.array_rows) {
-                        for kk in (s.channel..k).step_by(fs.array_channels) {
-                            let w = panels.code(kk, j);
-                            panels.set_code(kk, j, if w >= 0 { level } else { -level });
-                        }
-                    }
-                }
                 // Dead ADC lanes as a column mask, built once per call.
                 let lanes = &fs.impact.dead_lanes;
                 let dead = if lanes.is_empty() {
@@ -367,6 +578,12 @@ impl AnalogEngine {
                 (fs.impact.weight_gain, dead)
             }
             None => (1.0, Vec::new()),
+        };
+        let read_out = ReadOut {
+            sigma: self.relative_sigma,
+            weight_gain,
+            dead: &dead,
+            scale: qa.scale() * b_scale,
         };
 
         let mut out = Matrix::zeros(m, n);
@@ -384,45 +601,17 @@ impl AnalogEngine {
                 let (i0, height) = (ti * TILE, rows_out.len() / n);
                 let a_rows = &qas[i0 * k..(i0 + height) * k];
                 for (tj, range) in tile_ranges.iter_mut().enumerate() {
-                    let (j0, j1) = (tj * TILE, ((tj + 1) * TILE).min(n));
+                    let cols = tj * TILE..((tj + 1) * TILE).min(n);
                     // The BPD difference current accumulates level
                     // products exactly — the int8 microkernel's i32
                     // accumulators, shared with the digital reference.
                     let mut sums = [0i32; TILE * TILE];
-                    gemm_i8::gemm(a_rows, &panels, j0..j1, &mut sums[..height * TILE], TILE);
+                    gemm_i8::gemm(a_rows, b, cols.clone(), &mut sums[..height * TILE], TILE);
                     let mut rng = Prng::stream(op_key, (ti * tile_cols + tj) as u64);
-                    let mut tile_max = 0.0f64;
-                    for (row_sums, row_out) in
-                        sums.chunks_exact(TILE).zip(rows_out.chunks_exact_mut(n))
-                    {
-                        for ((&s, o), j) in row_sums.iter().zip(&mut row_out[j0..j1]).zip(j0..) {
-                            // Receiver noise perturbs the accumulated
-                            // count (pre-dequantization). The draw
-                            // happens even for dead-lane outputs, to keep
-                            // stream alignment with the fault-free engine.
-                            let noisy = perturb(f64::from(s), sigma, &mut rng);
-                            // Device faults, part 2: residual thermal-drift
-                            // mis-bias is a uniform gain error on the
-                            // analog difference; a dead ADC lane reads its
-                            // output columns as zero. Both are pure
-                            // functions of (i, j), so the result stays
-                            // bit-identical across thread counts.
-                            let v = if dead.get(j).copied().unwrap_or(false) {
-                                0.0
-                            } else {
-                                noisy * weight_gain
-                            };
-                            tile_max = tile_max.max(v.abs());
-                            // ADC stage: read back on the accumulator code
-                            // grid — the nearest level-product count.
-                            *o = v.round() * scale;
-                        }
-                    }
-                    *range = tile_max;
+                    *range = read_out.tile(&sums, rows_out, n, cols, &mut rng);
                 }
             });
         }
-        self.scratch.panels = panels;
 
         // Tile spans are recorded here, in a serial loop over tile
         // indices — never from the worker threads — so the recording
@@ -458,7 +647,7 @@ impl AnalogEngine {
             }
         }
         self.scratch.ranges = ranges;
-        Ok(out)
+        out
     }
 
     /// Digital LUT softmax: row-wise softmax with probabilities quantized
@@ -486,10 +675,7 @@ impl AnalogEngine {
             *v = (*v - m).exp();
             sum += *v;
         }
-        let levels = (2u64.pow(self.dac_bits) - 1) as f64;
-        for v in values.iter_mut() {
-            *v = (*v / sum * levels).round() / levels;
-        }
+        lut_grid(values, sum, self.dac_levels());
     }
 
     /// Optical LayerNorm: exact normalization followed by analog
@@ -505,10 +691,9 @@ impl AnalogEngine {
         gamma: &[f64],
         beta: &[f64],
     ) -> Result<Matrix, PhotonicError> {
-        let ln = ops::layer_norm(x, gamma, beta, 1e-9).ctx("optical layer norm")?;
-        let sigma = self.relative_sigma;
-        let rng = &mut self.rng;
-        Ok(ln.map(|v| perturb(v, sigma, rng)))
+        let mut ln = ops::layer_norm(x, gamma, beta, 1e-9).ctx("optical layer norm")?;
+        self.perturb_in_place(&mut ln);
+        Ok(ln)
     }
 
     /// Coherent residual addition with receiver-noise perturbation.
@@ -518,19 +703,27 @@ impl AnalogEngine {
     /// Returns a context-chained [`PhotonicError::Upstream`] preserving
     /// the tensor-layer shape detail on an operand shape mismatch.
     pub fn coherent_add(&mut self, a: &Matrix, b: &Matrix) -> Result<Matrix, PhotonicError> {
-        let sum = a.add(b).ctx("coherent residual add")?;
-        let sigma = self.relative_sigma;
-        let rng = &mut self.rng;
-        Ok(sum.map(|v| perturb(v, sigma, rng)))
+        let mut sum = a.add(b).ctx("coherent residual add")?;
+        self.perturb_in_place(&mut sum);
+        Ok(sum)
     }
 
-    /// SOA-based optical activation applied elementwise, with the SOA's
-    /// calibration residual plus receiver noise.
-    pub fn soa_activate(&mut self, f: OpticalActivation, x: &Matrix) -> Matrix {
+    /// Perturbs every value of `x` in place, in row-major order, with
+    /// receiver noise from the engine's sequential stream.
+    fn perturb_in_place(&mut self, x: &mut Matrix) {
+        let sigma = self.relative_sigma;
+        let rng = &mut self.rng;
+        x.map_inplace(|v| perturb(v, sigma, rng));
+    }
+
+    /// SOA-based optical activation applied elementwise to `x` in place,
+    /// with the SOA's calibration residual plus receiver noise.
+    pub fn soa_activate(&mut self, f: OpticalActivation, mut x: Matrix) -> Matrix {
         let sigma = (self.relative_sigma.powi(2) + self.soa.activation_error.powi(2)).sqrt();
         let soa = self.soa;
         let rng = &mut self.rng;
-        x.map(|v| perturb(soa.activate(f, v), sigma, rng))
+        x.map_inplace(|v| perturb(soa.activate(f, v), sigma, rng));
+        x
     }
 }
 
@@ -742,9 +935,7 @@ mod tests {
         let qa = Quantizer::calibrate(&a).quantize(&a);
         let qb = Quantizer::calibrate(&b).quantize(&b);
         let digital = qa.matmul(&qb).unwrap();
-        let analog_bits: Vec<u64> = analog.as_slice().iter().map(|v| v.to_bits()).collect();
-        let digital_bits: Vec<u64> = digital.as_slice().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(analog_bits, digital_bits);
+        assert_eq!(bits(&analog), bits(&digital));
     }
 
     #[test]
@@ -866,9 +1057,10 @@ mod tests {
         Matrix::from_vec(m, n, read).unwrap()
     }
 
-    #[test]
-    fn one_pass_read_back_equals_the_two_pass_formula() {
-        let impact = FaultImpact {
+    /// Stuck cells, dead lanes, drift gain and droop on an 8 × 4 bank
+    /// geometry: every fault the read-out applies.
+    fn every_fault() -> FaultImpact {
+        FaultImpact {
             sigma_scale: 1.5,
             weight_gain: 0.97,
             compensation_power_w: 0.0,
@@ -885,9 +1077,22 @@ mod tests {
                     transmission: 0.9,
                 },
             ],
-        };
+        }
+    }
+
+    /// Ragged shapes: partial edge tiles on both axes, a single output
+    /// column and a single row.
+    const RAGGED: [(usize, usize, usize); 4] = [(41, 70, 37), (33, 8, 1), (1, 5, 40), (70, 3, 65)];
+
+    fn bits(y: &Matrix) -> Vec<u64> {
+        y.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn one_pass_read_back_equals_the_two_pass_formula() {
+        let impact = every_fault();
         let mut rng = Prng::new(12);
-        for (m, k, n) in [(41, 70, 37), (33, 8, 1), (1, 5, 40), (70, 3, 65)] {
+        for (m, k, n) in RAGGED {
             let a = rng.fill_normal(m, k, 0.0, 1.0);
             let b = rng.fill_normal(k, n, 0.0, 1.0);
             for (sigma, faulted) in [(5e-3, false), (5e-2, false), (5e-3, true)] {
@@ -899,9 +1104,6 @@ mod tests {
                 for call in 0..2 {
                     let want = two_pass_read_back(&eng, &a, &b);
                     let got = eng.matmul(&a, &b).unwrap();
-                    let bits = |y: &Matrix| -> Vec<u64> {
-                        y.as_slice().iter().map(|v| v.to_bits()).collect()
-                    };
                     assert_eq!(
                         bits(&got),
                         bits(&want),
@@ -909,6 +1111,83 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn resident_products_equal_per_call_products_bitwise() {
+        let mut rng = Prng::new(14);
+        for (m, k, n) in RAGGED.into_iter().chain([(0, 8, 40), (5, 0, 7)]) {
+            let a = rng.fill_normal(m, k, 0.0, 1.0);
+            let b = rng.fill_normal(k, n, 0.0, 1.0);
+            let qb = Quantizer::calibrate(&b).quantize(&b);
+            let pack = gemm_i8::Panels::pack(qb.as_i8_slice(), k, n);
+            let engines = [
+                ("ideal", AnalogEngine::ideal(8, 8, 15)),
+                ("sigma 5e-3", AnalogEngine::new(5e-3, 8, 8, 15).unwrap()),
+                ("sigma 5e-2", AnalogEngine::new(5e-2, 8, 8, 15).unwrap()),
+                ("faulted", {
+                    let mut eng = AnalogEngine::new(5e-3, 8, 8, 15).unwrap();
+                    eng.set_fault_impact(&every_fault(), 8, 4).unwrap();
+                    eng
+                }),
+            ];
+            for (name, engine) in engines {
+                for threads in [1, 2, 8] {
+                    let (mut per_call, mut resident) = (engine.clone(), engine.clone());
+                    parallel::with_threads(threads, || {
+                        // Two products: the second runs on the next op key
+                        // and over the scratch the first one left.
+                        for call in 0..2 {
+                            let want = per_call.matmul(&a, &b).unwrap();
+                            let got = resident.matmul_packed(&a, &pack, qb.scale()).unwrap();
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "{m}x{k}x{n} {name} threads {threads} call {call}"
+                            );
+                        }
+                    });
+                    assert_eq!(resident, per_call, "{m}x{k}x{n} {name} threads {threads}");
+                }
+            }
+            // Stuck cells patched the engine's copy, never the pack.
+            assert_eq!(pack, gemm_i8::Panels::pack(qb.as_i8_slice(), k, n));
+        }
+    }
+
+    #[test]
+    fn resident_weights_count_as_reused_scratch() {
+        // Unfaulted, a resident product allocates nothing for its weight;
+        // under stuck cells its copy fills the scratch pack like a
+        // per-call weight. The range buffer counts as it does per call.
+        let a = Prng::new(17).fill_normal(40, 8, 0.0, 1.0);
+        let b = Prng::new(18).fill_normal(8, 40, 0.0, 1.0);
+        let qb = Quantizer::calibrate(&b).quantize(&b);
+        let pack = gemm_i8::Panels::pack(qb.as_i8_slice(), 8, 40);
+        for (faulted, want) in [(false, [1, 2]), (true, [0, 2])] {
+            let mut eng = AnalogEngine::new(2e-3, 8, 8, 19).unwrap();
+            if faulted {
+                eng.set_fault_impact(&every_fault(), 8, 4).unwrap();
+            }
+            let hits: Vec<_> = (0..2)
+                .map(|_| {
+                    let trace = phox_trace::Trace::new();
+                    phox_trace::with_installed(trace.clone(), || {
+                        eng.matmul_packed(&a, &pack, qb.scale()).unwrap()
+                    });
+                    trace
+                        .counters()
+                        .into_iter()
+                        .find(|(t, n, _)| t == "analog" && n == "scratch_reuse_hits")
+                        .map(|(_, _, v)| v)
+                })
+                .collect();
+            let want: Vec<_> = want
+                .into_iter()
+                .map(|v| Some(phox_trace::CounterValue::Int(v)))
+                .collect();
+            assert_eq!(hits, want, "faulted {faulted}");
         }
     }
 
@@ -940,17 +1219,27 @@ mod tests {
 
     #[test]
     fn matmul_validates_shapes() {
-        let mut eng = AnalogEngine::ideal(8, 8, 1);
-        assert!(eng
-            .matmul(&Matrix::zeros(2, 3), &Matrix::zeros(4, 2))
-            .is_err());
+        let mut eng = AnalogEngine::new(5e-3, 8, 8, 1).unwrap();
+        let before = eng.clone();
+        let a = Matrix::zeros(2, 3);
+        let pack = gemm_i8::Panels::pack(&[1; 8], 4, 2);
+        for err in [
+            eng.matmul(&a, &Matrix::zeros(4, 2)),
+            eng.matmul_packed(&a, &pack, 0.5),
+        ] {
+            assert!(
+                matches!(err, Err(PhotonicError::InvalidConfig { .. })),
+                "{err:?}"
+            );
+        }
+        assert_eq!(eng, before, "a rejected product takes no stream key");
     }
 
     #[test]
     fn soa_activation_close_to_ideal() {
         let mut eng = AnalogEngine::ideal(8, 8, 7);
         let x = Matrix::from_rows(&[&[-1.0, 0.5, 2.0]]).unwrap();
-        let y = eng.soa_activate(OpticalActivation::Relu, &x);
+        let y = eng.soa_activate(OpticalActivation::Relu, x);
         // SOA residual is ~0.5 %: outputs near the ideal ReLU.
         assert!(y.get(0, 0).abs() < 0.05);
         assert!((y.get(0, 1) - 0.5).abs() < 0.05);

@@ -195,6 +195,7 @@ impl NoiseBudget {
 /// Draws a noisy observation of `value` with relative standard deviation
 /// `relative_sigma`, the injection primitive used by the functional
 /// simulators.
+#[inline]
 pub fn perturb(value: f64, relative_sigma: f64, rng: &mut Prng) -> f64 {
     if relative_sigma <= 0.0 {
         return value;

@@ -140,6 +140,18 @@ impl Panels {
         reused
     }
 
+    /// Copies `src` into this pack's buffer (`Vec::clone_from`, which
+    /// keeps the allocation when it is large enough), so a caller can
+    /// patch a resident pack's codes without touching the original.
+    /// Returns whether the buffer was already large enough, as
+    /// [`Panels::repack`] does.
+    pub fn copy_from(&mut self, src: &Panels) -> bool {
+        let reused = self.data.capacity() >= src.data.len();
+        self.data.clone_from(&src.data);
+        (self.k, self.n) = (src.k, src.n);
+        reused
+    }
+
     /// Rows of the packed `B`.
     pub fn k(&self) -> usize {
         self.k

@@ -97,7 +97,8 @@ impl Quantizer {
     /// dispatched ([`gemm_i8::simd_active`]) the loop is compiled for
     /// AVX2, so LLVM inlines `round` as `trunc(x + copysign(pred(0.5),
     /// x))` — exact for every input, NaN and ±∞ included — and
-    /// vectorizes it; otherwise each element calls libm `round`.
+    /// vectorizes it; otherwise each element makes an out-of-line call
+    /// to the `round` linked statically into the binary.
     fn quantize_into(&self, values: &[f64], out: &mut Vec<i8>) {
         #[cfg(target_arch = "x86_64")]
         if gemm_i8::simd_active() {

@@ -81,6 +81,7 @@ impl Prng {
     }
 
     /// Next raw 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         // SplitMix64 (Steele, Lea, Flood 2014).
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -132,6 +133,7 @@ impl Prng {
     }
 
     /// Uniform `f64` in `[0, 1)`.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         Self::unit_f64(self.next_u64())
     }
@@ -170,6 +172,7 @@ impl Prng {
     }
 
     /// Standard normal variate via Box-Muller.
+    #[inline]
     pub fn next_normal(&mut self) -> f64 {
         if let Some(v) = self.spare_normal.take() {
             return v;
@@ -193,6 +196,7 @@ impl Prng {
     /// # Panics
     ///
     /// Panics if `std_dev < 0`.
+    #[inline]
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         assert!(std_dev >= 0.0, "standard deviation must be non-negative");
         mean + std_dev * self.next_normal()

@@ -121,7 +121,9 @@ impl TronFunctional {
     }
 }
 
-/// The analog datapath (Fig. 5): every product on the engine, the heads'
+/// The analog datapath (Fig. 5): every product on the engine, each
+/// weight product over the weight's resident int8 pack
+/// ([`Weight::quantized`], [`AnalogEngine::matmul_packed`]), the heads'
 /// optical Q·Kᵀ (eq. (3) keeps it fully analog) with a digital LUT
 /// softmax, coherent-summation residuals and optical LayerNorm. ReLU maps
 /// onto an SOA; GELU is realised digitally between conversions (modelled
@@ -130,11 +132,12 @@ impl TransformerDatapath for &mut TronFunctional {
     type Error = PhotonicError;
 
     fn mm(&mut self, a: &Matrix, w: &Weight) -> Result<Matrix, PhotonicError> {
-        self.0.engine_mut().matmul(a, w)
+        let q = w.quantized();
+        self.0.engine_mut().matmul_packed(a, q.panels(), q.scale())
     }
 
     fn mm_weight_only(&mut self, a: &Matrix, w: &Weight) -> Result<Matrix, PhotonicError> {
-        self.0.engine_mut().matmul(a, w)
+        self.mm(a, w)
     }
 
     /// Heads run in parallel, each on a deterministic child engine keyed
@@ -163,7 +166,10 @@ impl TransformerDatapath for &mut TronFunctional {
 
     fn activate(&mut self, f: FfActivation, x: &Matrix) -> Matrix {
         match f {
-            FfActivation::Relu => self.0.engine_mut().soa_activate(OpticalActivation::Relu, x),
+            FfActivation::Relu => self
+                .0
+                .engine_mut()
+                .soa_activate(OpticalActivation::Relu, x.clone()),
             FfActivation::Gelu => phox_tensor::ops::gelu(x),
         }
     }

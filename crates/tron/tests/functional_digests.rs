@@ -173,7 +173,7 @@ fn traced_forward_exports_its_op_order() {
     check(
         &[("jsonl".to_owned(), digest_of(&trace.export_jsonl()))],
         &[
-            "e65d73ced142c88a", // jsonl
+            "214e43b26168cbbc", // jsonl
         ],
     );
 }

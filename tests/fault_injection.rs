@@ -156,6 +156,46 @@ fn faults_actually_change_the_output() {
     assert_ne!(baseline, degraded, "injected faults must be observable");
 }
 
+/// The analog products read each model weight's resident int8 pack; a
+/// stuck ring patches the engine's copy of it, never the model's, so an
+/// int8 forward after a faulted analog forward still reads the packs as
+/// built.
+#[test]
+fn stuck_rings_leave_the_models_weight_packs_untouched() {
+    let stuck = |rows, channels| {
+        FaultPlan::new(rows, channels)
+            .stuck_mr(3, 5, 0.25)
+            .and_then(|p| p.stuck_mr(0, 1, 0.9))
+            .unwrap()
+    };
+    let bits = |y: Matrix| -> Vec<u64> { y.into_vec().into_iter().map(f64::to_bits).collect() };
+
+    let cfg = tron_cfg();
+    let model = tiny_transformer(51);
+    let x = Prng::new(52).fill_normal(8, 32, 0.0, 1.0);
+    let mut tron =
+        TronFunctional::with_faults(&cfg, stuck(cfg.array_rows, cfg.array_channels), 53).unwrap();
+    tron.forward(&model, &x).unwrap();
+    assert!(
+        bits(model.forward_int8(&x).unwrap())
+            == bits(tiny_transformer(51).forward_int8(&x).unwrap()),
+        "TRON's stuck rings changed the model's int8 forward"
+    );
+
+    let cfg = ghost_cfg();
+    let task = small_graph_task();
+    let gnn = || GnnModel::random(GnnConfig::two_layer(GnnKind::Gcn, 12, 16, 3), 54).unwrap();
+    let model = gnn();
+    let mut ghost =
+        GhostFunctional::with_faults(&cfg, stuck(cfg.array_rows, cfg.array_channels), 55).unwrap();
+    ghost.forward(&model, &task.graph, &task.features).unwrap();
+    let int8 = |m: &GnnModel| bits(m.forward_int8(&task.graph, &task.features).unwrap());
+    assert!(
+        int8(&model) == int8(&gnn()),
+        "GHOST's stuck rings changed the model's int8 forward"
+    );
+}
+
 #[test]
 fn uncompensatable_faults_return_typed_chained_errors() {
     let tron = tron_cfg();
