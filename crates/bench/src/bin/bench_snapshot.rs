@@ -15,8 +15,13 @@
 //!   thread, interleaved: GCN's mean-with-self, a sum and a weighted
 //!   SpMM at the GCN's widths 32 and 16 on a 100k-node / 1M-edge
 //!   power-law graph and at width 1,433 on a Cora-class R-MAT graph,
-//!   with a `matches_axpy_kernel_bitwise` verdict per row. A failed
-//!   verdict exits non-zero after writing the snapshot.
+//!   with a `matches_axpy_kernel_bitwise` verdict per row; and
+//!   `power_law` at `gnn_powerlaw`'s 100k-node / 1M-edge shape and at
+//!   10k / 100k against the generator it replaced (full binary-search
+//!   picks, one attempt at a time, a `HashSet<u64>`; kept as a private
+//!   copy), one thread, interleaved, with p10/p50/p90 and a
+//!   `matches_replaced_bitwise` verdict per row. A failed verdict exits
+//!   non-zero after writing the snapshot.
 //! * **int8** (`BENCH_3.json`): the register-blocked int8 GEMM
 //!   microkernel (`i8 x i8 -> i32`) against the per-output dot kernel it
 //!   replaced and today's f64 microkernel, single-threaded and
@@ -584,17 +589,17 @@ impl SparseRow {
     fn to_json(&self) -> String {
         format!(
             concat!(
-                "    {{\n",
-                "      \"graph\": \"{}\",\n",
-                "      \"nodes\": {},\n",
-                "      \"edges\": {},\n",
-                "      \"features\": {},\n",
-                "      \"op\": \"{}\",\n",
-                "      \"kernel_s\": {},\n",
-                "      \"axpy_kernel_s\": {},\n",
-                "      \"speedup_vs_axpy_kernel\": {},\n",
-                "      \"matches_axpy_kernel_bitwise\": {}\n",
-                "    }}"
+                "        {{\n",
+                "          \"graph\": \"{}\",\n",
+                "          \"nodes\": {},\n",
+                "          \"edges\": {},\n",
+                "          \"features\": {},\n",
+                "          \"op\": \"{}\",\n",
+                "          \"kernel_s\": {},\n",
+                "          \"axpy_kernel_s\": {},\n",
+                "          \"speedup_vs_axpy_kernel\": {},\n",
+                "          \"matches_axpy_kernel_bitwise\": {}\n",
+                "        }}"
             ),
             self.graph,
             self.nodes,
@@ -623,7 +628,7 @@ fn run_sparse(out_path: &str) {
     let large = power_law(100_000, 1_000_000, 2.2, 22).expect("power-law instantiation");
     // One thread, as `gnn_powerlaw` times its GCN: the pair compares
     // kernels, not the host's second vCPU.
-    let (json, all_bitwise) = parallel::with_threads(1, || {
+    let (json, verdicts_hold) = parallel::with_threads(1, || {
         let mut rows = Vec::new();
         for (name, graph, f) in [
             ("power_law_100k", &large, 32usize),
@@ -699,24 +704,175 @@ fn run_sparse(out_path: &str) {
             }
         }
         let all_bitwise = rows.iter().all(|r| r.bitwise);
-        let json_rows: Vec<String> = rows.iter().map(SparseRow::to_json).collect();
+        drop((cora, large));
+        let generators = measure_graph_generation();
+        let generators_bitwise = generators.iter().all(|r| r.bitwise);
+        let sections = [
+            (
+                "row_kernel",
+                "shapes",
+                rows.iter().map(SparseRow::to_json).collect::<Vec<_>>(),
+            ),
+            (
+                "graph_generation",
+                "generators",
+                generators.iter().map(ReplacedRow::to_json).collect(),
+            ),
+        ]
+        .map(|(section, key, rows)| {
+            format!(
+                "    {{\n      \"section\": \"{section}\",\n      \"{key}\": [\n{}\n      ]\n    }}",
+                rows.join(",\n"),
+            )
+        });
         let json = snapshot_json(
             "sparse_row_kernel",
-            &["csr_row_kernel", "axpy_kernel"],
+            &[
+                "csr_row_kernel",
+                "axpy_kernel",
+                "power_law",
+                "replaced_power_law",
+            ],
             &[
                 ("simd_active", gemm::simd::simd_active().to_string()),
                 ("matches_axpy_kernel_bitwise", all_bitwise.to_string()),
+                (
+                    "generators_match_replaced_bitwise",
+                    generators_bitwise.to_string(),
+                ),
             ],
-            "shapes",
-            &json_rows,
+            "sections",
+            &sections,
         );
-        (json, all_bitwise)
+        (json, all_bitwise && generators_bitwise)
     });
     write_or_die(out_path, &json);
-    if !all_bitwise {
+    if !verdicts_hold {
         eprintln!("bench_snapshot: sparse verdicts FAILED");
         std::process::exit(1);
     }
+}
+
+/// `power_law` as it was before its guided picks, draw batches and
+/// open-addressing pair table, kept as `graph_generation`'s baseline:
+/// each endpoint a binary search over every cumulative weight, one
+/// attempt at a time, and a `HashSet<u64>` of `src << 32 | dst` with the
+/// one-multiply hasher, as at every shape above 2048 nodes (below it
+/// the replaced code kept a bitset instead).
+mod replaced_power_law {
+    use std::collections::HashSet;
+    use std::hash::{BuildHasherDefault, Hasher};
+
+    use phox_core::nn::gnn::CsrGraph;
+    use phox_core::tensor::Prng;
+
+    #[derive(Default)]
+    struct PairHasher(u64);
+
+    impl Hasher for PairHasher {
+        fn finish(&self) -> u64 {
+            let product = u128::from(self.0) * 0x9E37_79B9_7F4A_7C15;
+            (product >> 64) as u64 ^ product as u64
+        }
+
+        fn write(&mut self, bytes: &[u8]) {
+            for &byte in bytes {
+                self.0 = self.0.rotate_left(8) ^ u64::from(byte);
+            }
+        }
+
+        fn write_u64(&mut self, key: u64) {
+            self.0 = key;
+        }
+    }
+
+    /// The kept pairs, in draw order, and the set of their keys.
+    struct Kept {
+        list: Vec<(u32, u32)>,
+        seen: HashSet<u64, BuildHasherDefault<PairHasher>>,
+        target: usize,
+    }
+
+    impl Kept {
+        fn is_full(&self) -> bool {
+            self.list.len() >= self.target
+        }
+
+        fn offer(&mut self, src: u32, dst: u32) {
+            let new = src != dst && self.seen.insert((u64::from(src) << 32) | u64::from(dst));
+            let kept = self.list.len();
+            self.list.push((src, dst));
+            self.list.truncate(kept + usize::from(new));
+        }
+    }
+
+    pub fn power_law(nodes: usize, edges: usize, gamma: f64, seed: u64) -> CsrGraph {
+        assert!(
+            nodes > 2048,
+            "below 2049 nodes the replaced code kept a bitset"
+        );
+        let mut rng = Prng::new(seed);
+        let alpha = -1.0 / (gamma - 1.0);
+        let mut cumulative = Vec::with_capacity(nodes);
+        let mut total = 0.0;
+        for i in 0..nodes {
+            total += ((i + 1) as f64).powf(alpha);
+            cumulative.push(total);
+        }
+        let pick = |rng: &mut Prng| -> u32 {
+            let x = rng.next_f64() * total;
+            cumulative.partition_point(|&c| c <= x).min(nodes - 1) as u32
+        };
+        let mut kept = Kept {
+            list: Vec::with_capacity(edges),
+            seen: HashSet::with_capacity_and_hasher(edges, BuildHasherDefault::default()),
+            target: edges,
+        };
+        let mut attempts = 0usize;
+        let max_attempts = edges.saturating_mul(50).max(10_000);
+        while !kept.is_full() && attempts < max_attempts {
+            attempts += 1;
+            let src = pick(&mut rng);
+            let dst = pick(&mut rng);
+            kept.offer(src, dst);
+        }
+        while !kept.is_full() {
+            let src = (rng.next_u64() % nodes as u64) as u32;
+            let dst = (rng.next_u64() % nodes as u64) as u32;
+            kept.offer(src, dst);
+        }
+        CsrGraph::from_edges(nodes, &kept.list).expect("endpoints below nodes")
+    }
+}
+
+/// `power_law` against [`replaced_power_law`] at `gnn_powerlaw`'s shape
+/// (100k nodes, 1M edges, `gamma` 2.2) and at a tenth of it, 11
+/// interleaved reps on one thread; the two graphs must be equal.
+fn measure_graph_generation() -> Vec<ReplacedRow> {
+    const REPS: usize = 11;
+    const GAMMA: f64 = 2.2;
+    [(100_000usize, 1_000_000usize, 22u64), (10_000, 100_000, 23)]
+        .into_iter()
+        .map(|(nodes, edges, seed)| {
+            eprintln!("bench_snapshot: power_law {nodes} nodes / {edges} edges...");
+            let new = || power_law(nodes, edges, GAMMA, seed).expect("valid power-law shape");
+            let old = || replaced_power_law::power_law(nodes, edges, GAMMA, seed);
+            let row = ReplacedRow {
+                fields: vec![
+                    ("generator", json_string("power_law")),
+                    ("baseline", json_string("replaced_power_law")),
+                    ("nodes", nodes.to_string()),
+                    ("edges", edges.to_string()),
+                    ("gamma", json_number(GAMMA)),
+                    ("seed", seed.to_string()),
+                ],
+                bitwise: new() == old(),
+                times: time_interleaved(REPS, new, old),
+            };
+            eprintln!("bench_snapshot: {}", row.summary());
+            row
+        })
+        .collect()
 }
 
 /// Folds an i32 buffer into a checksum for [`time_median_by`].

@@ -16,9 +16,6 @@
 //!   structure, used by the accuracy experiments so that classification is
 //!   learnable-by-construction.
 
-use std::collections::HashSet;
-use std::hash::{BuildHasherDefault, Hasher};
-
 use phox_tensor::{gemm_i8, Matrix, Prng, TensorError};
 
 use crate::gnn::CsrGraph;
@@ -348,6 +345,15 @@ mod x86 {
 /// output is deterministic in `seed` (the dedup set is membership-only,
 /// never iterated).
 ///
+/// Each attempt draws its source, then its destination, from
+/// [`Prng::fill_u64`] batches of up to [`PICK_BATCH`] attempts. A batch
+/// never runs past `max_attempts`, so a request that stalls there hands
+/// the uniform fill the generator state after exactly `max_attempts`
+/// attempts; a batch that fills the target leaves its later draws
+/// unused, and the generator is not read again. Each pair's slot in the
+/// dedup set is prefetched as it is drawn, and the batch is offered in
+/// draw order afterwards.
+///
 /// # Errors
 ///
 /// Returns [`TensorError::InvalidDimension`] for fewer than two nodes,
@@ -374,33 +380,123 @@ pub fn power_law(
         });
     }
     let mut rng = Prng::new(seed);
-    // Chung–Lu endpoint weights: w_i = (i + 1)^(-1/(gamma - 1)), sampled
-    // via inverse transform on the cumulative sum.
-    let alpha = -1.0 / (gamma - 1.0);
-    let mut cumulative = Vec::with_capacity(nodes);
-    let mut total = 0.0;
-    for i in 0..nodes {
-        total += ((i + 1) as f64).powf(alpha);
-        cumulative.push(total);
-    }
-    let pick = |rng: &mut Prng| -> u32 {
-        let x = rng.next_f64() * total;
-        // partition_point: first index whose cumulative weight exceeds x.
-        cumulative.partition_point(|&c| c <= x).min(nodes - 1) as u32
-    };
+    let endpoints = ChungLu::new(nodes, gamma);
     let mut list = DistinctEdges::new(edges, nodes);
     let mut attempts = 0usize;
     let max_attempts = edges.saturating_mul(50).max(10_000);
+    let mut draws = [0u64; 2 * PICK_BATCH];
+    let mut pairs = [(0u32, 0u32); PICK_BATCH];
     while !list.is_full() && attempts < max_attempts {
-        attempts += 1;
-        let src = pick(&mut rng);
-        let dst = pick(&mut rng);
-        list.offer(src, dst);
+        let batch = (max_attempts - attempts).min(PICK_BATCH);
+        attempts += batch;
+        let draws = &mut draws[..2 * batch];
+        rng.fill_u64(draws);
+        let pairs = &mut pairs[..batch];
+        for (pair, attempt) in pairs.iter_mut().zip(draws.chunks_exact(2)) {
+            *pair = (endpoints.pick(attempt[0]), endpoints.pick(attempt[1]));
+            list.prefetch(pair.0, pair.1);
+        }
+        for &(src, dst) in pairs.iter() {
+            if list.is_full() {
+                break;
+            }
+            list.offer(src, dst);
+        }
     }
     // Dense requests: hub-to-hub pairs saturate long before the edge
     // budget does.
     list.fill_uniform(&mut rng, nodes);
     list.into_graph(nodes)
+}
+
+/// Attempts per [`Prng::fill_u64`] batch of [`power_law`]'s sampler.
+const PICK_BATCH: usize = 32;
+
+/// Chung–Lu endpoint sampling by inverse transform: vertex `i` has weight
+/// `w_i = (i + 1)^(-1/(gamma - 1))`, and a draw `x` uniform in
+/// `[0, total)` picks the first vertex whose cumulative weight exceeds
+/// `x`, `cumulative.partition_point(|&c| c <= x)`, or the last vertex if
+/// none does.
+///
+/// A binary search over all of a 100k-node table is a chain of ~17
+/// dependent loads, most of them cache misses. A guide table cuts it to
+/// a few neighbouring entries: the range `[0, total)` splits into `B =
+/// nodes.next_power_of_two()` equal buckets, and `guide[b]` counts the
+/// cumulative weights at or below bucket `b`'s lower edge `b·(total/B)`.
+/// A draw in bucket `b = ⌊x·(B/total)⌋` is searched for only within
+/// `cumulative[guide[b − 1]..guide[b + 2]]` (from 0 at `b = 0`, to the
+/// end when `b + 2 ≥ B`). `B` is a power of two, so `total/B` is exact;
+/// the rounding of `x·(B/total)` and of each edge is a few units in the
+/// last place of `x`, far less than the bucket of margin on either side,
+/// so the lower edge lies at or below `x` and the upper one above it.
+/// The search is monotone in its threshold, so it returns the full
+/// search's vertex for every draw.
+struct ChungLu {
+    cumulative: Vec<f64>,
+    total: f64,
+    guide: Vec<usize>,
+    /// `B / total`: a draw's bucket is `⌊x · buckets_per_weight⌋`.
+    buckets_per_weight: f64,
+}
+
+impl ChungLu {
+    /// The sampler over `nodes ≥ 1` vertices with exponent `gamma > 1`.
+    fn new(nodes: usize, gamma: f64) -> Self {
+        let alpha = -1.0 / (gamma - 1.0);
+        let mut cumulative = Vec::with_capacity(nodes);
+        let mut total = 0.0;
+        for i in 0..nodes {
+            total += ((i + 1) as f64).powf(alpha);
+            cumulative.push(total);
+        }
+        Self::over(cumulative)
+    }
+
+    /// The sampler over a non-empty, non-decreasing table of positive
+    /// cumulative weights.
+    fn over(cumulative: Vec<f64>) -> Self {
+        let (nodes, total) = (cumulative.len(), cumulative[cumulative.len() - 1]);
+        let buckets = nodes.next_power_of_two();
+        let width = total / buckets as f64;
+        // `cumulative.partition_point(|&c| c <= edge)` for each ascending
+        // edge, as one merge walk.
+        let mut below = 0;
+        let guide = (0..buckets)
+            .map(|b| {
+                let edge = b as f64 * width;
+                while below < nodes && cumulative[below] <= edge {
+                    below += 1;
+                }
+                below
+            })
+            .collect();
+        ChungLu {
+            cumulative,
+            total,
+            guide,
+            buckets_per_weight: buckets as f64 / total,
+        }
+    }
+
+    /// The vertex the raw draw `raw` picks: [`ChungLu::vertex`] of
+    /// `Prng::unit_f64(raw) · total`, as a [`Prng::next_f64`] draw times
+    /// `total`.
+    #[inline]
+    fn pick(&self, raw: u64) -> u32 {
+        self.vertex(Prng::unit_f64(raw) * self.total)
+    }
+
+    /// `cumulative.partition_point(|&c| c <= x).min(nodes − 1)`, for any
+    /// `x ≥ 0`, searched within `x`'s bucket and one on either side.
+    #[inline]
+    fn vertex(&self, x: f64) -> u32 {
+        let (guide, nodes) = (&self.guide, self.cumulative.len());
+        let b = ((x * self.buckets_per_weight) as usize).min(guide.len() - 1);
+        let lo = if b == 0 { 0 } else { guide[b - 1] };
+        let hi = guide.get(b + 2).copied().unwrap_or(nodes);
+        let found = lo + self.cumulative[lo..hi].partition_point(|&c| c <= x);
+        found.min(nodes - 1) as u32
+    }
 }
 
 /// The distinct directed non-self-loop edges a generator has kept, in
@@ -444,6 +540,12 @@ impl DistinctEdges {
         self.list.truncate(kept + usize::from(new));
     }
 
+    /// Starts loading what an offer of `src -> dst` reads first.
+    #[inline]
+    fn prefetch(&self, src: u32, dst: u32) {
+        self.seen.prefetch(src, dst);
+    }
+
     /// Uniform rejection sampling over `nodes` vertices until the target
     /// is reached: completes requests too dense for a skewed sampler.
     fn fill_uniform(&mut self, rng: &mut Prng, nodes: usize) {
@@ -475,12 +577,11 @@ const DENSE_PAIR_BITS: usize = 1 << 22;
 
 /// The pairs a [`DistinctEdges`] has kept, sized by the vertex count: a
 /// bitset over all `nodes²` ordered pairs while it fits in
-/// [`DENSE_PAIR_BITS`], otherwise a hash set keyed `src << 32 | dst`
-/// (large graphs such as a 100k-node `power_law`, whose bitset would be
-/// over a gigabyte).
+/// [`DENSE_PAIR_BITS`], otherwise a [`PairTable`] (large graphs such as
+/// a 100k-node `power_law`, whose bitset would be over a gigabyte).
 enum PairSet {
     Dense { bits: Vec<u64>, nodes: usize },
-    Hashed(HashSet<u64, BuildHasherDefault<PairHasher>>),
+    Table(PairTable),
 }
 
 impl PairSet {
@@ -490,15 +591,12 @@ impl PairSet {
                 bits: vec![0; pairs.div_ceil(64)],
                 nodes,
             },
-            _ => PairSet::Hashed(HashSet::with_capacity_and_hasher(
-                target,
-                BuildHasherDefault::default(),
-            )),
+            _ => PairSet::Table(PairTable::new(target)),
         }
     }
 
-    /// Adds `src -> dst` (both below `nodes`), returning whether it was
-    /// new.
+    /// Adds `src -> dst` (both below `nodes`, `src != dst`), returning
+    /// whether it was new.
     #[inline]
     fn insert(&mut self, src: u32, dst: u32) -> bool {
         match self {
@@ -509,33 +607,93 @@ impl PairSet {
                 *word |= bit;
                 new
             }
-            PairSet::Hashed(set) => set.insert((u64::from(src) << 32) | u64::from(dst)),
+            PairSet::Table(table) => table.insert(pair_key(src, dst)),
+        }
+    }
+
+    /// Starts loading the memory an insert of `src -> dst` reads first.
+    /// The bitset fits in L2 and is left alone.
+    #[inline]
+    fn prefetch(&self, src: u32, dst: u32) {
+        if let PairSet::Table(table) = self {
+            table.prefetch(pair_key(src, dst));
         }
     }
 }
 
-/// Hashes a packed `src << 32 | dst` pair with one folded 128-bit
-/// multiply. The keys are generator output, not adversarial input, so
-/// SipHash's collision resistance buys nothing here; the fold spreads
-/// both endpoints into the low bits that pick a bucket and the high bits
-/// that fill its control byte.
-#[derive(Default)]
-struct PairHasher(u64);
+/// `src -> dst` packed as `src << 32 | dst`: zero only for the self-loop
+/// `0 -> 0`.
+#[inline]
+fn pair_key(src: u32, dst: u32) -> u64 {
+    (u64::from(src) << 32) | u64::from(dst)
+}
 
-impl Hasher for PairHasher {
-    fn finish(&self) -> u64 {
-        let product = u128::from(self.0) * 0x9E37_79B9_7F4A_7C15;
-        (product >> 64) as u64 ^ product as u64
-    }
+/// A membership-only set of non-zero `u64` keys by open addressing: a
+/// power-of-two slot array at least twice as long as the most keys it
+/// will hold, `0` marking an empty slot, and linear probing from each
+/// key's home slot. [`DistinctEdges`] inserts only packed non-self-loop
+/// pairs ([`pair_key`]), never zero, and at most its target count, so
+/// the table is at most half full and a probe always ends.
+///
+/// A key's first probe reads one slot of a table far larger than the
+/// caches, so [`PairTable::prefetch`] can start that load while the
+/// sampler draws the next pairs.
+struct PairTable {
+    slots: Vec<u64>,
+    mask: usize,
+}
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(byte);
+impl PairTable {
+    /// A table for up to `keys` keys.
+    fn new(keys: usize) -> Self {
+        let len = keys.saturating_mul(2).next_power_of_two();
+        PairTable {
+            slots: vec![0; len],
+            mask: len - 1,
         }
     }
 
-    fn write_u64(&mut self, key: u64) {
-        self.0 = key;
+    /// Where a probe for `key` starts: one folded 128-bit multiply,
+    /// which spreads both endpoints of a packed pair into the low bits
+    /// that pick the slot. The keys are generator output, not
+    /// adversarial input, so this needs no collision resistance.
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        let product = u128::from(key) * 0x9E37_79B9_7F4A_7C15;
+        ((product >> 64) as u64 ^ product as u64) as usize & self.mask
+    }
+
+    /// Adds the non-zero `key`, returning whether it was new.
+    #[inline]
+    fn insert(&mut self, key: u64) -> bool {
+        let mut slot = self.home(key);
+        loop {
+            match self.slots[slot] {
+                0 => {
+                    self.slots[slot] = key;
+                    return true;
+                }
+                held if held == key => return false,
+                _ => slot = (slot + 1) & self.mask,
+            }
+        }
+    }
+
+    /// Starts loading the cache line of `key`'s home slot. A hint only:
+    /// no value changes.
+    #[inline]
+    fn prefetch(&self, key: u64) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            let slot: *const u64 = &self.slots[self.home(key)];
+            // SAFETY: SSE is part of the x86_64 baseline, and a prefetch
+            // reads nothing architecturally and cannot fault; `slot`
+            // points into the table anyway.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(slot.cast()) };
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = key;
     }
 }
 
@@ -671,6 +829,8 @@ pub fn labelled_sequences(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
 
     #[test]
@@ -830,6 +990,107 @@ mod tests {
                         "levels {levels}, batch {batch}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn guided_picks_equal_the_full_search() {
+        let mut tables: Vec<(String, ChungLu)> = Vec::new();
+        for nodes in [2, 3, 1_000, 1_024, 1_025] {
+            // 1.05 flattens the cumulative sum into long runs of ties.
+            for gamma in [1.05, 1.5, 2.2, 3.5] {
+                let label = format!("{nodes} nodes, gamma {gamma}");
+                tables.push((label, ChungLu::new(nodes, gamma)));
+            }
+        }
+        // Weights summing to values on the edges of `buckets` buckets of
+        // a random total and one float either side: a table of about
+        // `3·buckets` entries splits into `4·buckets` buckets, whose
+        // every fourth edge is one of these. A draw near such an edge is
+        // where the rounding of its bucket decides.
+        let mut rng = Prng::new(29);
+        for buckets in [2usize, 4, 512, 1_024] {
+            for _ in 0..8 {
+                let total = rng.uniform(1.0, 64.0);
+                let width = total / buckets as f64;
+                let mut cumulative: Vec<f64> = (1..buckets)
+                    .map(|b| b as f64 * width)
+                    .flat_map(|edge| [edge.next_down(), edge, edge.next_up()])
+                    .collect();
+                cumulative.push(total);
+                let label = format!("edges of {buckets} buckets of {total}");
+                tables.push((label, ChungLu::over(cumulative)));
+            }
+        }
+        for (label, endpoints) in &tables {
+            let (cumulative, total) = (&endpoints.cumulative, endpoints.total);
+            let nodes = cumulative.len();
+            let full = |x: f64| cumulative.partition_point(|&c| c <= x).min(nodes - 1) as u32;
+            let width = total / endpoints.guide.len() as f64;
+            let edges = (0..=endpoints.guide.len()).map(|b| b as f64 * width);
+            let adversarial = edges
+                .chain(cumulative.iter().copied())
+                .chain([0.0, total])
+                .flat_map(|x| [x.next_down(), x, x.next_up()])
+                .filter(|&x| x >= 0.0);
+            for x in adversarial {
+                assert_eq!(endpoints.vertex(x), full(x), "{label}, x {x:e}");
+            }
+            let mut rng = Prng::new(nodes as u64);
+            for _ in 0..20_000 {
+                let raw = rng.next_u64();
+                let x = Prng::unit_f64(raw) * total;
+                assert_eq!(endpoints.pick(raw), full(x), "{label}, x {x:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn pair_table_matches_a_hash_set() {
+        let mut rng = Prng::new(23);
+        for keys in [1, 2, 5, 64, 1_000] {
+            let probe = PairTable::new(keys);
+            assert!(probe.slots.len() >= 2 * keys && probe.slots.len().is_power_of_two());
+            // Keys homed at the last slot chain around the end, and keys
+            // sharing any slot collide.
+            let last: Vec<u64> = (1..)
+                .filter(|&k| probe.home(k) == probe.mask)
+                .take(keys.min(4))
+                .collect();
+            let shared: Vec<u64> = (1..)
+                .filter(|&k| probe.home(k) == probe.mask / 2)
+                .take(keys.min(4))
+                .collect();
+            for universe in [keys as u64, 4 * keys as u64, u64::MAX] {
+                let mut table = PairTable::new(keys);
+                let mut oracle = HashSet::new();
+                let forced = last.iter().chain(&shared).copied();
+                let random =
+                    std::iter::repeat_with(|| rng.next_u64() % universe + 1).take(6 * keys);
+                for key in forced.chain(random) {
+                    if oracle.len() == keys && !oracle.contains(&key) {
+                        continue;
+                    }
+                    assert_eq!(
+                        table.insert(key),
+                        oracle.insert(key),
+                        "{keys} keys, key {key}"
+                    );
+                }
+                for &key in &oracle {
+                    assert!(!table.insert(key), "{keys} keys, key {key} lost");
+                }
+                let held: HashSet<u64> = table.slots.iter().copied().filter(|&k| k != 0).collect();
+                assert_eq!(held, oracle);
+            }
+            // Wrapped: the last slot's chain continues at slot 0.
+            let mut table = PairTable::new(keys);
+            for &key in &last {
+                assert!(table.insert(key));
+            }
+            if last.len() > 1 {
+                assert_eq!(table.slots[0], last[1]);
             }
         }
     }

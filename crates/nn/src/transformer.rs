@@ -657,14 +657,18 @@ impl TransformerDatapath for Precision {
 
     /// Per head: the scores `q_h·k_hᵀ` from one traced GEMM
     /// ([`Matrix::matmul`]) over copies of the head's query columns and
-    /// transposed key columns; each score row scaled by `1/√d_h`, its
-    /// future set to `-∞` when `causal`, and softmaxed in place
-    /// ([`ops::softmax_in_place`]); then the context accumulated from
-    /// `v` where it lies straight into the head's columns of the output
-    /// ([`simd::context`]). Each context output sums every key row in
-    /// ascending order from `+0.0`, masked zero weights included, so a
-    /// KV-cached decode step over context `t` (no masked tail) reproduces
-    /// row `t-1` bit for bit.
+    /// transposed key columns; each score row scaled by `1/√d_h` and
+    /// softmaxed in place ([`ops::softmax_in_place`]); then the context
+    /// accumulated from `v` where it lies straight into the head's
+    /// columns of the output ([`simd::context`]). A causal row `r`
+    /// scales and softmaxes only its past `row[..=r]` and sets its future
+    /// to `+0.0`: the softmax of the row with that future at `-∞` would
+    /// take the same maximum, add `exp(-∞) = +0.0` to its sum for each
+    /// masked score (exact) and write `+0.0` there, so every bit is the
+    /// same without those `exp` calls. Each context output sums every
+    /// key row in ascending order from `+0.0`, masked zero weights
+    /// included, so a KV-cached decode step over context `t` (no masked
+    /// tail) reproduces row `t-1` bit for bit.
     fn heads(
         &mut self,
         [q, k, v]: [&Matrix; 3],
@@ -687,14 +691,17 @@ impl TransformerDatapath for Precision {
             let mut scores = q.col_slice(cols.start, cols.end)?.matmul(&kt)?;
             for r in 0..rows {
                 let row = scores.row_mut(r);
-                for (c, s) in row.iter_mut().enumerate() {
-                    *s = if causal && c > r {
-                        f64::NEG_INFINITY
-                    } else {
-                        *s * scale
-                    };
+                let past = if causal {
+                    (r + 1).min(row.len())
+                } else {
+                    row.len()
+                };
+                let (past, future) = row.split_at_mut(past);
+                for s in past.iter_mut() {
+                    *s *= scale;
                 }
-                ops::softmax_in_place(row);
+                ops::softmax_in_place(past);
+                future.fill(0.0);
             }
             simd::context(scores.as_slice(), v.as_slice(), d, cols, out.as_mut_slice());
         }

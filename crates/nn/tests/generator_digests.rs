@@ -15,7 +15,7 @@ const RMAT_CASES: [(usize, usize, u64, &str); 9] = [
     (2_048, 51_200, 0xB41A, "086d104bc0f36d03"),
     (2_048, 204_800, 0xB41A, "1716bb2b93ee1059"),
     // Either side of the pair-set switch: a dense bitset up to 2048
-    // nodes, the hash set from 2049 on.
+    // nodes, the open-addressing table from 2049 on.
     (2_048, 16_384, 5, "bce93549ae6791aa"),
     (2_049, 16_384, 5, "aaf631be924f7e63"),
     (2_708, 5_429, 1, "462ee1e190ab075a"),
@@ -67,16 +67,24 @@ fn in_degrees_match_the_instantiated_graphs() {
 
 #[test]
 fn power_law_graphs_keep_their_bits() {
-    let cases: [(usize, usize, f64, u64, &str); 5] = [
+    let cases: [(usize, usize, f64, u64, &str); 7] = [
         (2_000, 20_000, 2.2, 7, "1f4486c1f7b63cbd"),
         // Either side of the pair-set switch.
         (2_048, 20_000, 2.2, 11, "9109815a3c73d7ee"),
         (2_049, 20_000, 2.2, 11, "cc17ea34ab8ce581"),
+        // Five times as many pick buckets, one of the `bench_snapshot
+        // sparse` generation shapes.
+        (10_000, 100_000, 2.2, 3, "94c525eb12fc9d58"),
         // 80 % of all pairs, still completed by the skewed sampler.
         (50, 2_000, 2.2, 9, "7f64b34135295816"),
         // Steeper skew: hub pairs saturate and the uniform fill supplies
         // 1158 of the edges.
         (50, 2_000, 1.5, 9, "4772eef7dcb2e8e2"),
+        // Stalls too (842 edges kept when the cap is reached), and its
+        // 100,050-attempt cap is not a whole number of 32-attempt draw
+        // batches: the fill must start where the cap leaves the
+        // generator.
+        (50, 2_001, 1.5, 9, "3c9e2986cabc98ba"),
     ];
     for (nodes, edges, gamma, seed, want) in cases {
         let graph = power_law(nodes, edges, gamma, seed).unwrap();

@@ -80,7 +80,7 @@ proptest! {
     #[test]
     fn rmat_generator_matches_requested_shape(
         // Crosses 2048 nodes, where the pair set turns from a bitset
-        // into a hash set.
+        // into an open-addressing table.
         nodes in 16usize..2_400,
         avg_degree in 1usize..8,
         seed in any::<u64>(),

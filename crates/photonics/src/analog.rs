@@ -650,20 +650,9 @@ impl AnalogEngine {
         out
     }
 
-    /// Digital LUT softmax: row-wise softmax with probabilities quantized
-    /// to the LUT's output grid. Delegates each row to
-    /// [`AnalogEngine::lut_softmax_in_place`].
-    pub fn lut_softmax(&self, logits: &Matrix) -> Matrix {
-        let mut out = logits.clone();
-        for r in 0..out.rows() {
-            self.lut_softmax_in_place(out.row_mut(r));
-        }
-        out
-    }
-
-    /// The one LUT-softmax implementation: numerically stable softmax over
-    /// `values`, rewritten in place with each probability quantized to the
-    /// LUT's output grid. Consumes no noise stream — the LUT is a digital
+    /// Digital LUT softmax: numerically stable softmax over `values`,
+    /// rewritten in place with each probability quantized to the LUT's
+    /// output grid. Consumes no noise stream — the LUT is a digital
     /// block — so it never perturbs the engine's RNG state.
     pub fn lut_softmax_in_place(&self, values: &mut [f64]) {
         if values.is_empty() {

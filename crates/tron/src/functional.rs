@@ -149,8 +149,10 @@ impl TransformerDatapath for &mut TronFunctional {
         let contexts = parallel::par_map_indexed(n, |h| {
             let mut engine = parent.make_child(key, h as u64);
             let [qh, kt, vh] = head_operands(qkv, n, h)?;
-            let scores = mask_scores(engine.matmul(&qh, &kt)?, vh.cols(), causal);
-            let attn = engine.lut_softmax(&scores);
+            let mut attn = mask_scores(engine.matmul(&qh, &kt)?, vh.cols(), causal);
+            for r in 0..attn.rows() {
+                engine.lut_softmax_in_place(attn.row_mut(r));
+            }
             engine.matmul(&attn, &vh)
         });
         concat_heads(qkv[0].shape(), contexts)
@@ -184,10 +186,13 @@ fn head_operands(qkv: [&Matrix; 3], n: usize, h: usize) -> Result<[Matrix; 3], T
     Ok([q?, k?.transpose(), v?])
 }
 
-/// Scales a head's scores by `1/√d_h` and, when `causal`, masks every
-/// future position with `-∞`.
-fn mask_scores(scores: Matrix, dh: usize, causal: bool) -> Matrix {
-    let mut scores = scores.scale(1.0 / (dh as f64).sqrt());
+/// Scales a head's scores by `1/√d_h` in place and, when `causal`, masks
+/// every future position with `-∞`.
+fn mask_scores(mut scores: Matrix, dh: usize, causal: bool) -> Matrix {
+    let scale = 1.0 / (dh as f64).sqrt();
+    for s in scores.as_mut_slice() {
+        *s *= scale;
+    }
     if causal {
         for r in 0..scores.rows() {
             for c in (r + 1)..scores.cols() {

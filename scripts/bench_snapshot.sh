@@ -9,7 +9,9 @@
 #                  per-member axpy loop it replaced (mean-with-self,
 #                  sum, weighted SpMM) at widths 32 and 16 on a
 #                  100k-node / 1M-edge power-law graph and 1,433 on a
-#                  Cora-class graph, with bit-identity verdicts.
+#                  Cora-class graph, and power_law vs the generator it
+#                  replaced at 100k / 1M and 10k / 100k with
+#                  p10/p50/p90, with bit-identity verdicts.
 #   BENCH_3.json — int8 kernels: the register-blocked i8 x i8 -> i32
 #                  microkernel vs the per-output dot kernel it replaced
 #                  and the f64 microkernel at 64/256/1024 and every int8
