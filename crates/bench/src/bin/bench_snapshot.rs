@@ -433,10 +433,15 @@ fn run_gemm(out_path: &str) {
         .chain(&shapes)
         .all(|p| p.bitwise);
     let no_simd_regression = !simd_active || reports.iter().all(|r| r.simd_speedup() >= 1.0);
+    // `llm_prefill`'s products over its resident f64 weights against
+    // `gemm::matmul`, which packed them on every call, one thread.
+    let resident = measure_resident_products(256, &PREFILL_WEIGHT_SHAPES, 1, 21);
+    let resident_bitwise = resident.iter().all(|r| r.bitwise);
     eprintln!(
         "bench_snapshot: gemm verdicts: simd_active={simd_active} \
          simd_bit_identical={bit_identical} matches_dot_kernel_bitwise={matches_dot_kernel} \
-         no_simd_regression={no_simd_regression}"
+         no_simd_regression={no_simd_regression} \
+         resident_panels_match_replaced_bitwise={resident_bitwise}"
     );
     let rows: Vec<String> = reports.iter().map(SizeReport::to_json).collect();
     let json = snapshot_json(
@@ -447,6 +452,8 @@ fn run_gemm(out_path: &str) {
             "blocked_microkernel",
             "blocked_parallel",
             "dot_kernel_packed_bt",
+            "matmul_packed",
+            "matmul_pack_per_call",
         ],
         &[
             ("simd_active", simd_active.to_string()),
@@ -454,15 +461,30 @@ fn run_gemm(out_path: &str) {
             ("matches_dot_kernel_bitwise", matches_dot_kernel.to_string()),
             ("no_simd_regression", no_simd_regression.to_string()),
             (
+                "resident_panels_match_replaced_bitwise",
+                resident_bitwise.to_string(),
+            ),
+            (
                 "workload_shapes",
                 format!("[\n{}\n  ]", shape_rows.join(",\n")),
+            ),
+            (
+                "resident_f64_panels",
+                format!(
+                    "[\n{}\n  ]",
+                    resident
+                        .iter()
+                        .map(ReplacedRow::to_json)
+                        .collect::<Vec<_>>()
+                        .join(",\n")
+                ),
             ),
         ],
         "sizes",
         &rows,
     );
     write_or_die(out_path, &json);
-    if !bit_identical || !matches_dot_kernel || !no_simd_regression {
+    if !bit_identical || !matches_dot_kernel || !no_simd_regression || !resident_bitwise {
         eprintln!("bench_snapshot: gemm verdicts FAILED");
         std::process::exit(1);
     }
@@ -1645,16 +1667,38 @@ fn measure_activation_crossings(graph: &CsrGraph) -> Vec<ReplacedRow> {
 /// The int8 reference as it ran before each model weight kept its pack:
 /// every weight quantized and packed again on every product
 /// (`QuantLinear::from_weight`), every other op as `Precision::Int8`
-/// runs it. The baseline of the BENCH_3 `resident_weights` row.
-struct PerProduct;
+/// runs it. The baseline of the BENCH_3 `resident_weights` row. It holds
+/// each weight's row-major matrix (by the weight's address), unpacked
+/// once before timing, as the model held its weights then.
+struct PerProduct(Vec<(usize, Matrix)>);
 
-impl TransformerDatapath for PerProduct {
+impl PerProduct {
+    fn new(model: &TransformerModel) -> PerProduct {
+        PerProduct(
+            layer_weights(model)
+                .map(|w| (std::ptr::from_ref(w) as usize, w.to_matrix()))
+                .collect(),
+        )
+    }
+
+    fn forward(&self, a: &Matrix, w: &Weight) -> Result<Matrix, TensorError> {
+        let key = std::ptr::from_ref(w) as usize;
+        let (_, matrix) = self
+            .0
+            .iter()
+            .find(|(k, _)| *k == key)
+            .expect("a layer weight");
+        QuantLinear::from_weight(matrix).forward(a)
+    }
+}
+
+impl TransformerDatapath for &PerProduct {
     type Error = TensorError;
     fn mm(&mut self, a: &Matrix, w: &Weight) -> Result<Matrix, TensorError> {
-        QuantLinear::from_weight(w).forward(a)
+        self.forward(a, w)
     }
     fn mm_weight_only(&mut self, a: &Matrix, w: &Weight) -> Result<Matrix, TensorError> {
-        QuantLinear::from_weight(w).forward(a)
+        self.forward(a, w)
     }
     fn heads(&mut self, qkv: [&Matrix; 3], n: usize, causal: bool) -> Result<Matrix, TensorError> {
         Precision::Int8.heads(qkv, n, causal)
@@ -1719,20 +1763,13 @@ fn measure_resident_forward() -> ReplacedRow {
         .collect();
     pack_ms.sort_by(f64::total_cmp);
     let model = build();
-    let pack_bytes: usize = layer_weights(&model).map(|w| w.rows() * w.cols()).sum();
+    let pack_bytes: usize = layer_weights(&model)
+        .map(|w| w.shape().0 * w.shape().1)
+        .sum();
     let x = Prng::new(62).fill_normal(cfg.seq_len, cfg.d_model, 0.0, 1.0);
     let resident = || model.forward_int8(&x).expect("forward succeeds");
-    let per_product = || {
-        model
-            .forward_with(&x, PerProduct)
-            .expect("forward succeeds")
-    };
-    let bits = |m: Matrix| {
-        m.into_vec()
-            .into_iter()
-            .map(f64::to_bits)
-            .collect::<Vec<_>>()
-    };
+    let baseline = PerProduct::new(&model);
+    let per_product = || model.forward_with(&x, &baseline).expect("forward succeeds");
     let row = ReplacedRow {
         fields: vec![
             ("stage", json_string("forward_int8")),
@@ -2198,6 +2235,37 @@ fn run_digest(out_path: &str) {
     record("gemm_microkernel", micro);
     record("gemm_microkernel_4t", micro_banded);
 
+    // Products over resident panels (`gemm::matmul_packed`): single rows
+    // through the panel GEMV (every lane tail, lone, 4-wide, padded and
+    // full panels) and row counts around the 6-row tile, serially and on
+    // 4 threads, which splits the last shape into row bands.
+    let mut packed = 0u64;
+    let mut packed_banded = 0u64;
+    for (i, &(m, k, n)) in [
+        (1usize, 0usize, 5usize),
+        (1, 7, 1),
+        (1, 100, 70),
+        (1, 300, 17),
+        (1, 1029, 16),
+        (2, 64, 13),
+        (7, 530, 3),
+        (50, 1040, 16),
+    ]
+    .iter()
+    .enumerate()
+    {
+        let a = Prng::new(800 + i as u64).fill_uniform(m, k, -1.0, 1.0);
+        let b = Prng::new(900 + i as u64).xavier_panels(k, n);
+        packed ^= parallel::with_threads(1, || {
+            digest_matrix(&gemm::matmul_packed(&a, &b).expect("shapes agree"))
+        });
+        packed_banded ^= parallel::with_threads(4, || {
+            digest_matrix(&gemm::matmul_packed(&a, &b).expect("shapes agree"))
+        });
+    }
+    record("gemm_resident_panels", packed);
+    record("gemm_resident_panels_4t", packed_banded);
+
     // The int8 microkernel's edges over the whole i8 range: every row
     // remainder past one tile at both register widths, k = 0, 1, odd and
     // past two k-blocks, full, half-width and padded panels, and a single
@@ -2600,12 +2668,6 @@ fn measure_prefill_heads() -> Vec<ReplacedRow> {
                 .expect("shapes agree")
         };
         let old = || composed_heads::heads([&q, &k, &v], 4, causal);
-        let bits = |m: Matrix| {
-            m.into_vec()
-                .into_iter()
-                .map(f64::to_bits)
-                .collect::<Vec<_>>()
-        };
         let row = ReplacedRow {
             fields: vec![
                 ("stage", json_string(stage)),
@@ -2622,6 +2684,164 @@ fn measure_prefill_heads() -> Vec<ReplacedRow> {
         row
     })
     .collect()
+}
+
+/// `llm_decode`'s f64 weights `(k, n, count)`, multiplied one row at a
+/// time: per step, Q/K/V and the output projection of four layers, then
+/// their two feed-forward products (d_model 64, d_ff 256).
+const DECODE_WEIGHT_SHAPES: [(usize, usize, usize); 3] = [(64, 64, 16), (64, 256, 4), (256, 64, 4)];
+
+/// `llm_prefill`'s f64 weight shapes `(k, n, count)`, one of each,
+/// multiplied 256 rows at a time (d_model 256, d_ff 1,024).
+const PREFILL_WEIGHT_SHAPES: [(usize, usize, usize); 3] =
+    [(256, 256, 1), (256, 1024, 1), (1024, 256, 1)];
+
+/// `m`-row f64 products by `count` separately allocated `k × n` weights
+/// over resident panels (`gemm::matmul_packed`) against the row-major
+/// path each replaced, `reps` interleaved samples of `calls` passes over
+/// the weights on one thread: at `m = 1` the GEMV over the row-major
+/// matrix (`gemm::matmul`'s `simd::gemv`), above it `gemm::matmul`,
+/// which packs the weight on every call. A step's several weights are
+/// timed together, as the step reads them: one weight alone stays in L1
+/// or L2, and its speed there turns on where its buffer lands.
+fn measure_resident_products(
+    m: usize,
+    shapes: &[(usize, usize, usize)],
+    calls: usize,
+    reps: usize,
+) -> Vec<ReplacedRow> {
+    let baseline = if m == 1 {
+        "simd_gemv_row_major"
+    } else {
+        "matmul_pack_per_call"
+    };
+    shapes
+        .iter()
+        .enumerate()
+        .map(|(i, &(k, n, count))| {
+            eprintln!("bench_snapshot: {m} x {k} x {n} over {count} resident f64 weight(s)...");
+            let seed = 80 + 100 * i as u64;
+            let a: Vec<Matrix> = (0..count)
+                .map(|c| Prng::new(seed + c as u64).fill_uniform(m, k, -1.0, 1.0))
+                .collect();
+            let b: Vec<Matrix> = (0..count)
+                .map(|c| Prng::new(seed + 50 + c as u64).fill_uniform(k, n, -1.0, 1.0))
+                .collect();
+            let panels: Vec<_> = b
+                .iter()
+                .map(|w| gemm::simd::Panels::pack(w.as_slice(), k, n))
+                .collect();
+            let passes = |product: &dyn Fn(usize) -> Matrix| {
+                for _ in 1..calls {
+                    (0..count).for_each(|c| drop(std::hint::black_box(product(c))));
+                }
+                (0..count)
+                    .flat_map(|c| bits(product(c)))
+                    .collect::<Vec<_>>()
+            };
+            let new = || passes(&|c| gemm::matmul_packed(&a[c], &panels[c]).expect("shapes agree"));
+            let old = || passes(&|c| gemm::matmul(&a[c], &b[c]).expect("shapes agree"));
+            let row = ReplacedRow {
+                fields: vec![
+                    ("product", json_string("matmul_packed")),
+                    ("baseline", json_string(baseline)),
+                    ("m", m.to_string()),
+                    ("k", k.to_string()),
+                    ("n", n.to_string()),
+                    ("weights", count.to_string()),
+                    ("passes_per_sample", calls.to_string()),
+                ],
+                bitwise: parallel::with_threads(1, || new() == old()),
+                times: time_interleaved(reps, new, old),
+            };
+            eprintln!("bench_snapshot: {}", row.summary());
+            row
+        })
+        .collect()
+}
+
+/// One decode step's attention over `llm_decode`'s per-head K/V slabs
+/// (four layers of four heads of 16 columns, stride 16) against the same
+/// heads over the row-major cache they replaced (stride 64, each head at
+/// its column offset), at contexts 64, 256 and 511: `reps` interleaved
+/// samples of `calls` steps on one thread.
+fn measure_head_slabs(calls: usize, reps: usize) -> Vec<ReplacedRow> {
+    const D: usize = 64;
+    const HEADS: usize = 4;
+    const LAYERS: usize = 4;
+    const DH: usize = D / HEADS;
+    [64usize, 256, 511]
+        .into_iter()
+        .map(|t| {
+            eprintln!("bench_snapshot: attention over per-head slabs at context {t}...");
+            let mut rng = Prng::new(100 + t as u64);
+            let q = rng.fill_normal(1, D, 0.0, 1.0).into_vec();
+            // Per layer, its cached keys and values, row-major.
+            let cache: Vec<[Matrix; 2]> = (0..LAYERS)
+                .map(|_| [(); 2].map(|_| rng.fill_normal(t, D, 0.0, 1.0)))
+                .collect();
+            let slabs = |m: &Matrix| -> Vec<Vec<f64>> {
+                (0..HEADS)
+                    .map(|h| {
+                        (0..t)
+                            .flat_map(|r| &m.row(r)[h * DH..(h + 1) * DH])
+                            .copied()
+                            .collect()
+                    })
+                    .collect()
+            };
+            let split: Vec<[Vec<Vec<f64>>; 2]> =
+                cache.iter().map(|kv| kv.each_ref().map(slabs)).collect();
+            // One head of one layer: (layer, head, scores, output columns).
+            type Head<'h> = dyn Fn(usize, usize, &mut [f64], &mut [f64]) + 'h;
+            let step = |head: &Head<'_>| {
+                let (mut scores, mut out) = (vec![0.0; t], vec![0.0; LAYERS * D]);
+                for _ in 0..calls {
+                    out.fill(0.0);
+                    for (layer, out_l) in out.chunks_exact_mut(D).enumerate() {
+                        for (h, out_h) in out_l.chunks_exact_mut(DH).enumerate() {
+                            head(layer, h, &mut scores, out_h);
+                        }
+                    }
+                }
+                out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            let q_h = |h: usize| &q[h * DH..(h + 1) * DH];
+            let new = || {
+                step(&|layer, h, scores, out| {
+                    let [k, v] = &split[layer];
+                    gemm::simd::attend(q_h(h), &k[h], &v[h], DH, 0, scores, out);
+                })
+            };
+            let old = || {
+                step(&|layer, h, scores, out| {
+                    let [k, v] = &cache[layer];
+                    let (k, v) = (k.as_slice(), v.as_slice());
+                    gemm::simd::attend(q_h(h), k, v, D, h * DH, scores, out);
+                })
+            };
+            let row = ReplacedRow {
+                fields: vec![
+                    ("product", json_string("attend_head_slabs")),
+                    ("baseline", json_string("attend_row_major_cache")),
+                    ("context", t.to_string()),
+                    ("d_model", D.to_string()),
+                    ("heads", HEADS.to_string()),
+                    ("layers", LAYERS.to_string()),
+                    ("steps_per_sample", calls.to_string()),
+                ],
+                bitwise: new() == old(),
+                times: time_interleaved(reps, new, old),
+            };
+            eprintln!("bench_snapshot: {}", row.summary());
+            row
+        })
+        .collect()
+}
+
+/// The bits of every value of `m`.
+fn bits(m: Matrix) -> Vec<u64> {
+    m.into_vec().into_iter().map(f64::to_bits).collect()
 }
 
 /// Advances `cache` with decode steps over rows `cache.rows()..rows` of
@@ -2838,6 +3058,13 @@ fn run_decode(out_path: &str) {
     let heads = measure_prefill_heads();
     let heads_bitwise = heads.iter().all(|r| r.bitwise);
 
+    // --- Section 5: a decode step's operands in their resident layouts
+    // (the single-row products over f64 panels, attention over per-head
+    // slabs) against the row-major layouts they replaced, one thread.
+    let mut resident = measure_resident_products(1, &DECODE_WEIGHT_SHAPES, 200, 31);
+    resident.extend(measure_head_slabs(50, 31));
+    let resident_bitwise = resident.iter().all(|r| r.bitwise);
+
     let sections = [
         ("per_token_latency", "contexts", latency_rows),
         ("growth_verdicts", "verdicts", growth_rows),
@@ -2846,6 +3073,11 @@ fn run_decode(out_path: &str) {
             "prefill_heads",
             "shapes",
             heads.iter().map(ReplacedRow::to_json).collect(),
+        ),
+        (
+            "resident_f64_panels",
+            "rows",
+            resident.iter().map(ReplacedRow::to_json).collect(),
         ),
     ]
     .map(|(section, key, rows)| {
@@ -2863,6 +3095,10 @@ fn run_decode(out_path: &str) {
             "full_recompute_int8",
             "f64_heads",
             "composed_heads",
+            "matmul_packed",
+            "simd_gemv_row_major",
+            "attend_head_slabs",
+            "attend_row_major_cache",
         ],
         &[
             (
@@ -2873,12 +3109,16 @@ fn run_decode(out_path: &str) {
                 ),
             ),
             ("heads_match_composition_bitwise", heads_bitwise.to_string()),
+            (
+                "resident_panels_match_replaced_bitwise",
+                resident_bitwise.to_string(),
+            ),
         ],
         "sections",
         &sections,
     );
     write_or_die(out_path, &json);
-    if !heads_bitwise {
+    if !heads_bitwise || !resident_bitwise {
         eprintln!("bench_snapshot: decode verdicts FAILED");
         std::process::exit(1);
     }

@@ -32,16 +32,23 @@
 //!
 //! ## Reading operands in place
 //!
-//! An f64 step copies no weight and no cached row. It multiplies each
-//! weight where it lies, and the `m = 1` product reads row-major `W`
-//! directly instead of packing `Wᵀ`
-//! ([`phox_tensor::gemm::simd::gemv`]). At either precision each head runs
-//! one fused [`phox_tensor::gemm::simd::attend`] call over the cached K/V
-//! rows in place: scores four rows at a time in `simd::dot`'s schedule,
-//! softmax in one scores buffer shared by every head of the step, and the
-//! context accumulated in registers in the sequential order above, so
-//! attention reads the cache once per step and layer and allocates once
-//! per step.
+//! An f64 step copies no weight and no cached row, and reads both in the
+//! layout its kernel walks. Each weight is stored once, as the f64
+//! microkernel's lane-major panels ([`crate::int8::Weight`]), and the
+//! `m = 1` product runs the GEMV body of
+//! [`phox_tensor::gemm::simd::gemv`] over them in place
+//! ([`phox_tensor::gemm::matmul_packed`]): each of its sixteen lanes
+//! reads one contiguous run of a panel instead of a column strided by a
+//! whole weight row (512 B–2 KB at `d_model` 64). The cache keeps each
+//! layer's K and V per head, one `rows × d_head` slab each, so at either
+//! precision each head runs one fused [`phox_tensor::gemm::simd::attend`]
+//! call over its slabs with stride `d_head`, reading contiguous memory:
+//! scores four rows at a time in `simd::dot`'s schedule, softmax in one
+//! scores buffer shared by every head of the step, and the context
+//! accumulated in registers in the sequential order above. Attention
+//! reads the cache once per step and layer and allocates once per step.
+//! Neither layout moves a bit: each output runs the same operations on
+//! the same values in the same order.
 //!
 //! ## Resident int8 weights
 //!
@@ -75,13 +82,15 @@ use crate::transformer::{
     TransformerModel,
 };
 
-/// Per-layer K/V rows of one layer.
+/// The K/V rows of one layer, split by head.
 #[derive(Debug, Clone, PartialEq)]
 struct LayerKv {
-    /// Cached key rows, row-major `rows × d_model`.
-    k: Vec<f64>,
-    /// Cached value rows, row-major `rows × d_model`.
-    v: Vec<f64>,
+    /// Per head, its columns of the cached key rows: row-major
+    /// `rows × d_head`.
+    k: Vec<Vec<f64>>,
+    /// Per head, its columns of the cached value rows: row-major
+    /// `rows × d_head`.
+    v: Vec<Vec<f64>>,
     rows: usize,
 }
 
@@ -91,10 +100,14 @@ struct LayerKv {
 /// `capacity` rows. The cache stores *post-projection* rows (what the
 /// attention heads read), so a decode step touches each cached row once
 /// per head slice instead of recomputing the projections — the O(t·d)
-/// per-step cost that replaces the O(t²·d) full recompute.
+/// per-step cost that replaces the O(t²·d) full recompute. Each row is
+/// split by head as it is appended: a layer keeps one contiguous
+/// `rows × d_head` slab of keys and one of values per head, the layout
+/// a head's attention reads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KvCache {
     d_model: usize,
+    d_head: usize,
     capacity: usize,
     layers: Vec<LayerKv>,
 }
@@ -114,16 +127,22 @@ impl KvCache {
                 what: "kv-cache capacity must be nonzero",
             });
         }
-        let d = config.d_model;
+        let d_head = config.d_head();
+        let slabs = || {
+            (0..config.heads)
+                .map(|_| Vec::with_capacity(capacity * d_head))
+                .collect()
+        };
         let layers = (0..config.layers)
             .map(|_| LayerKv {
-                k: Vec::with_capacity(capacity * d),
-                v: Vec::with_capacity(capacity * d),
+                k: slabs(),
+                v: slabs(),
                 rows: 0,
             })
             .collect();
         Ok(KvCache {
-            d_model: d,
+            d_model: config.d_model,
+            d_head,
             capacity,
             layers,
         })
@@ -160,11 +179,7 @@ impl KvCache {
 
     /// Drops every cached row, keeping the allocation.
     pub fn reset(&mut self) {
-        for l in &mut self.layers {
-            l.k.clear();
-            l.v.clear();
-            l.rows = 0;
-        }
+        self.truncate(0);
     }
 
     /// Truncates every layer back to `rows` context rows (no-op when
@@ -173,8 +188,9 @@ impl KvCache {
     pub fn truncate(&mut self, rows: usize) {
         for l in &mut self.layers {
             if l.rows > rows {
-                l.k.truncate(rows * self.d_model);
-                l.v.truncate(rows * self.d_model);
+                for slab in l.k.iter_mut().chain(&mut l.v) {
+                    slab.truncate(rows * self.d_head);
+                }
                 l.rows = rows;
             }
         }
@@ -217,14 +233,18 @@ impl KvCache {
                 what: "kv-cache is at capacity",
             });
         }
-        l.k.extend_from_slice(k_row);
-        l.v.extend_from_slice(v_row);
+        let dh = self.d_head;
+        for (slabs, row) in [(&mut l.k, k_row), (&mut l.v, v_row)] {
+            for (slab, head) in slabs.iter_mut().zip(row.chunks_exact(dh)) {
+                slab.extend_from_slice(head);
+            }
+        }
         l.rows += 1;
         Ok(())
     }
 
     /// Ledger-style invariant check: every layer holds the same number
-    /// of rows, each buffer length is `rows × d_model`, and no layer
+    /// of rows, each head's slab length is `rows × d_head`, and no layer
     /// exceeds capacity.
     ///
     /// # Errors
@@ -239,7 +259,11 @@ impl KvCache {
                     what: "kv-cache layers hold differing row counts",
                 });
             }
-            if l.k.len() != rows * self.d_model || l.v.len() != rows * self.d_model {
+            if l.k
+                .iter()
+                .chain(&l.v)
+                .any(|slab| slab.len() != rows * self.d_head)
+            {
                 return Err(TensorError::InvalidDimension {
                     what: "kv-cache buffer length disagrees with its row count",
                 });
@@ -366,7 +390,6 @@ impl TransformerModel {
 
         let d = cfg.d_model;
         let dh = cfg.d_head();
-        let heads = cfg.heads;
         let (d_u64, ff_u64) = (d as u64, cfg.d_ff as u64);
         let mut macs = 0u64;
         let mut h = x.clone();
@@ -382,11 +405,13 @@ impl TransformerModel {
             scores.resize(t, 0.0);
 
             let LayerKv {
-                k: kbuf, v: vbuf, ..
+                k: kslabs,
+                v: vslabs,
+                ..
             } = &cache.layers[layer];
             let mut concat = Matrix::zeros(1, d);
-            for head in 0..heads {
-                let (lo, hi) = (head * dh, (head + 1) * dh);
+            let heads = q.row(0).chunks_exact(dh).zip(kslabs.iter().zip(vslabs));
+            for ((qh, (kh, vh)), out) in heads.zip(concat.as_mut_slice().chunks_exact_mut(dh)) {
                 // Score j equals element (t-1, j) of the full path's
                 // `qh.matmul(&kh.transpose())` scaled, bit for bit: both
                 // run `simd::dot`'s schedule over the fixed inner
@@ -394,15 +419,7 @@ impl TransformerModel {
                 // `simd::context` kernel one row high: one accumulator
                 // per output, context index ascending (the
                 // prefix-invariance oracle).
-                simd::attend(
-                    &q.row(0)[lo..hi],
-                    kbuf,
-                    vbuf,
-                    d,
-                    lo,
-                    &mut scores,
-                    &mut concat.as_mut_slice()[lo..hi],
-                );
+                simd::attend(qh, kh, vh, dh, 0, &mut scores, out);
             }
             let mha = p.mm_weight_only(&concat, &lw.w_o)?;
             let res1 = h.add(&mha)?;
@@ -561,6 +578,53 @@ mod tests {
         // Wrong row length and bad layer index are rejected.
         assert!(cache.append(0, &[0.0; 31], &[0.0; 32]).is_err());
         assert!(cache.append(5, &[0.0; 32], &[0.0; 32]).is_err());
+    }
+
+    #[test]
+    fn cache_keeps_each_head_in_its_own_slab() {
+        let m = tiny_decoder(10, 8);
+        let mut cache = KvCache::new(m.config(), 4).unwrap();
+        let (k_row, v_row): (Vec<f64>, Vec<f64>) = (0..32).map(|c| (c as f64, -(c as f64))).unzip();
+        for layer in 0..2 {
+            cache.append(layer, &k_row, &v_row).unwrap();
+            cache.append(layer, &v_row, &k_row).unwrap();
+        }
+        let slabs = &cache.layers[1];
+        for (h, (ks, vs)) in slabs.k.iter().zip(&slabs.v).enumerate() {
+            let cols = h * 8..(h + 1) * 8;
+            assert_eq!(ks[..8], k_row[cols.clone()], "head {h}");
+            assert_eq!(ks[8..], v_row[cols.clone()], "head {h}");
+            assert_eq!(vs[..8], v_row[cols.clone()], "head {h}");
+            assert_eq!(vs[8..], k_row[cols], "head {h}");
+        }
+    }
+
+    #[test]
+    fn truncated_replay_reproduces_the_step_bitwise() {
+        // A step re-run from a truncated cache sees exactly the slabs the
+        // first run saw: the same output bits and the same cache after,
+        // at either precision.
+        let m = tiny_decoder(11, 8);
+        let x = Prng::new(12).fill_normal(7, 32, 0.0, 1.0);
+        let bits = |y: &Matrix| y.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for p in [Precision::F64, Precision::Int8] {
+            let mut cache = KvCache::new(m.config(), 7).unwrap();
+            let step = |cache: &mut KvCache, r: usize| {
+                let row = Matrix::row_vector(x.row(r));
+                m.decode_step_with(cache, &row, p).unwrap().0
+            };
+            for r in 0..6 {
+                step(&mut cache, r);
+            }
+            let first = step(&mut cache, 6);
+            let after = cache.clone();
+            cache.truncate(6);
+            assert_eq!(cache.rows(), 6);
+            cache.validate().unwrap();
+            let replay = step(&mut cache, 6);
+            assert_eq!(bits(&replay), bits(&first), "{p:?}");
+            assert_eq!(cache, after, "{p:?}");
+        }
     }
 
     #[test]

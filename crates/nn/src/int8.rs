@@ -6,9 +6,10 @@
 //! [`crate::gnn::GnnDatapath`]); every weight product of a digital
 //! forward runs at one precision:
 //!
-//! * [`Precision::F64`] multiplies the operands where they lie — no
-//!   copy, so a single-row product reads each weight in place through the
-//!   GEMV of [`phox_tensor::gemm::matmul`];
+//! * [`Precision::F64`] multiplies each weight where it lies, in the f64
+//!   microkernel's panel layout ([`phox_tensor::gemm::matmul_packed`]):
+//!   no pack and no copy at any row count, and a single-row product runs
+//!   the GEMV body over the panels;
 //! * [`Precision::FakeQuant`] rounds operands to a `bits`-wide grid
 //!   ([`phox_tensor::quant::fake_quantize_bits`]) inside an f64 product,
 //!   the tool for *accuracy* analysis. It treats both operands at Q/K/V,
@@ -31,16 +32,18 @@
 //! other rows share the batch: a one-row KV-cached decode step
 //! reproduces the matching row of a full forward bit for bit.
 //!
-//! Every model weight is a [`Weight`]: the f64 matrix plus the
-//! [`QuantLinear`] built from it on its first int8 product and kept with
-//! it from then on, so [`Precision::Int8`], the KV-cached int8 decoder
-//! and the int8 GNN combine quantize and pack each weight once per
-//! model, the way the accelerator keeps a weight resident in its banks.
+//! Every model weight is a [`Weight`]: its one f64 copy, held as the f64
+//! microkernel's [`Panels`], plus the [`QuantLinear`] built from it on
+//! its first int8 product and kept with it from then on. So every f64
+//! product reads the weight in the layout its kernel wants, and
+//! [`Precision::Int8`], the KV-cached int8 decoder and the int8 GNN
+//! combine quantize and pack each weight once per model, the way the
+//! accelerator keeps a weight resident in its banks.
 
-use std::ops::Deref;
 use std::sync::OnceLock;
 
-use phox_tensor::{gemm_i8, Matrix, Quantizer, RowQuantMatrix, TensorError};
+use phox_tensor::gemm::simd::Panels;
+use phox_tensor::{gemm_i8, Matrix, Prng, Quantizer, RowQuantMatrix, TensorError};
 
 /// How a model forward executes its weight products; see the module
 /// docs.
@@ -133,55 +136,99 @@ impl QuantLinear {
     }
 }
 
-/// A model weight: the f64 matrix, and its int8 [`QuantLinear`] once an
-/// int8 product has asked for it ([`Weight::quantized`]). The pack is
-/// built lazily, so a model that only runs in f64 never pays for it, and
-/// at most once, even when several threads ask at the same time. The
-/// matrix is read through `Deref` and never handed out mutably, so the
-/// pack cannot go stale. Equality and `Debug` see the matrix alone: a
-/// weight that has packed equals, and prints as, one that has not.
+/// A model weight: its one f64 copy, held in the f64 microkernel's
+/// panel layout ([`Panels`]) that every f64 product reads in place
+/// ([`phox_tensor::gemm::matmul_packed`]), and its int8 [`QuantLinear`]
+/// once an int8 product has asked for it ([`Weight::quantized`]). The
+/// int8 pack is built lazily, so a model that only runs in f64 never
+/// pays for it, and at most once, even when several threads ask at the
+/// same time. The panels are never handed out mutably, so the pack
+/// cannot go stale. The few readers that want the row-major matrix
+/// (fake quantization, the int8 pack, `Debug`) unpack it on demand
+/// ([`Weight::to_matrix`]). Equality and `Debug` see the f64 values
+/// alone, as the matrix's would: a weight that has packed equals, and
+/// prints as, one that has not.
 #[derive(Clone)]
 pub struct Weight {
-    matrix: Matrix,
+    panels: Panels,
     quantized: OnceLock<QuantLinear>,
 }
 
 impl Weight {
+    /// A Xavier-uniform `rows × cols` weight ([`Prng::xavier`]'s draws)
+    /// drawn straight into its panels.
+    pub fn xavier(rng: &mut Prng, rows: usize, cols: usize) -> Self {
+        Weight::from(rng.xavier_panels(rows, cols))
+    }
+
+    /// The f64 values, packed for [`phox_tensor::gemm::matmul_packed`].
+    pub fn panels(&self) -> &Panels {
+        &self.panels
+    }
+
+    /// `(rows, cols)` of the weight matrix.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.panels.k(), self.panels.n())
+    }
+
+    /// The weight as a row-major matrix, unpacked from its panels.
+    pub fn to_matrix(&self) -> Matrix {
+        let (rows, cols) = self.shape();
+        Matrix::from_vec(rows, cols, self.panels.unpack())
+            .unwrap_or_else(|_| unreachable!("panels unpack to rows × cols values"))
+    }
+
     /// The int8 form of the weight: [`QuantLinear::from_weight`] of the
-    /// matrix, built on the first call and kept.
+    /// matrix, built on the first call and kept. The codes are quantized
+    /// from the panels a block of rows at a time, so building the pack
+    /// never holds a second f64 copy of the weight.
     pub fn quantized(&self) -> &QuantLinear {
-        self.quantized
-            .get_or_init(|| QuantLinear::from_weight(&self.matrix))
+        self.quantized.get_or_init(|| {
+            const BLOCK_ROWS: usize = 16;
+            let (k, n) = self.shape();
+            let q = Quantizer::from_abs_max(self.panels.abs_max());
+            let mut codes = Vec::with_capacity(k * n);
+            for r0 in (0..k).step_by(BLOCK_ROWS) {
+                let rows = r0..k.min(r0 + BLOCK_ROWS);
+                let block = Matrix::from_vec(rows.len(), n, self.panels.unpack_rows(rows))
+                    .unwrap_or_else(|_| unreachable!("panels unpack to rows × n values"));
+                codes.extend_from_slice(q.quantize(&block).as_i8_slice());
+            }
+            QuantLinear {
+                panels: gemm_i8::Panels::pack(&codes, k, n),
+                scale: q.scale(),
+            }
+        })
     }
 }
 
-impl From<Matrix> for Weight {
-    /// The weight `matrix`, not yet packed.
-    fn from(matrix: Matrix) -> Self {
+impl From<Panels> for Weight {
+    /// The weight held by `panels`, not yet packed for int8.
+    fn from(panels: Panels) -> Self {
         Weight {
-            matrix,
+            panels,
             quantized: OnceLock::new(),
         }
     }
 }
 
-impl Deref for Weight {
-    type Target = Matrix;
-
-    fn deref(&self) -> &Matrix {
-        &self.matrix
+impl From<Matrix> for Weight {
+    /// The weight `matrix`, packed into panels.
+    fn from(matrix: Matrix) -> Self {
+        let (rows, cols) = matrix.shape();
+        Weight::from(Panels::pack(matrix.as_slice(), rows, cols))
     }
 }
 
 impl PartialEq for Weight {
     fn eq(&self, other: &Self) -> bool {
-        self.matrix == other.matrix
+        self.panels == other.panels
     }
 }
 
 impl std::fmt::Debug for Weight {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.matrix.fmt(f)
+        self.to_matrix().fmt(f)
     }
 }
 
@@ -236,26 +283,49 @@ mod tests {
     }
 
     #[test]
+    fn weights_hold_the_matrix_they_were_drawn_as() {
+        // Drawn straight into panels, a weight equals the packed matrix
+        // of the same draws, unpacks to it, and compares and prints as
+        // it; a -0.0 and a NaN compare as the matrix's would.
+        for (rows, cols) in [(0, 3), (3, 0), (1, 1), (17, 5), (64, 256), (45, 77)] {
+            let m = Prng::new(7).xavier(rows, cols);
+            let w = Weight::xavier(&mut Prng::new(7), rows, cols);
+            assert_eq!(w, Weight::from(m.clone()), "{rows}x{cols}");
+            assert_eq!(w.shape(), (rows, cols));
+            assert_eq!(w.to_matrix(), m);
+            assert_eq!(format!("{w:?}"), format!("{m:?}"));
+            w.quantized();
+            assert_eq!(w, Weight::from(m), "packing for int8 leaves equality");
+        }
+        let signed = Matrix::from_rows(&[&[0.0, 1.0], &[2.0, 3.0]]).unwrap();
+        let negated = Matrix::from_rows(&[&[-0.0, 1.0], &[2.0, 3.0]]).unwrap();
+        assert_eq!(Weight::from(signed), Weight::from(negated));
+        let nan = Matrix::from_rows(&[&[f64::NAN]]).unwrap();
+        assert_ne!(Weight::from(nan.clone()), Weight::from(nan));
+    }
+
+    #[test]
     fn every_precision_arm_matches_its_definition() {
         let a = Prng::new(5).fill_normal(4, 8, 0.0, 1.0);
-        let w = Weight::from(Prng::new(6).xavier(8, 3));
+        let m = Prng::new(6).xavier(8, 3);
+        let w = Weight::from(m.clone());
         let fq = |m: &Matrix, bits| quant::fake_quantize_bits(m, bits).unwrap();
-        let exact = a.matmul(&w).unwrap();
-        let int8 = QuantLinear::from_weight(&w).forward(&a).unwrap();
+        let exact = a.matmul(&m).unwrap();
+        let int8 = QuantLinear::from_weight(&m).forward(&a).unwrap();
         // (arm, product at a both-operand site, at a weight-only site)
         let table = [
             (Precision::F64, exact.clone(), exact.clone()),
             (
                 Precision::FakeQuant { bits: 4 },
-                fq(&a, 4).matmul(&fq(&w, 4)).unwrap(),
-                a.matmul(&fq(&w, 4)).unwrap(),
+                fq(&a, 4).matmul(&fq(&m, 4)).unwrap(),
+                a.matmul(&fq(&m, 4)).unwrap(),
             ),
             (
                 Precision::FakeQuant { bits: 8 },
                 quant::fake_quantize(&a)
-                    .matmul(&quant::fake_quantize(&w))
+                    .matmul(&quant::fake_quantize(&m))
                     .unwrap(),
-                a.matmul(&quant::fake_quantize(&w)).unwrap(),
+                a.matmul(&quant::fake_quantize(&m)).unwrap(),
             ),
             (Precision::Int8, int8.clone(), int8),
         ];

@@ -6,7 +6,7 @@
 //! the encoder/decoder stack used to validate the photonic functional
 //! simulation and the 8-bit quantization claim.
 
-use phox_tensor::gemm::simd;
+use phox_tensor::gemm::{self, simd};
 use phox_tensor::{ops, quant, Matrix, Prng, TensorError};
 
 use crate::census::OpCensus;
@@ -326,9 +326,10 @@ pub struct TransformerModel {
 }
 
 impl TransformerModel {
-    /// Materializes a model with Xavier-initialised random weights. No
-    /// weight is packed for the int8 kernels yet: each packs on its first
-    /// int8 product ([`Weight::quantized`]).
+    /// Materializes a model with Xavier-initialised random weights, each
+    /// drawn straight into the f64 panels it is multiplied from
+    /// ([`Weight::xavier`]). No weight is packed for the int8 kernels yet:
+    /// each packs on its first int8 product ([`Weight::quantized`]).
     ///
     /// # Errors
     ///
@@ -352,7 +353,7 @@ impl TransformerModel {
         let mut rng = Prng::new(seed);
         let d = config.d_model;
         let ff = config.d_ff;
-        let weight = |rng: &mut Prng, rows, cols| Weight::from(rng.xavier(rows, cols));
+        let weight = Weight::xavier;
         let mk_layer = |rng: &mut Prng| LayerWeights {
             w_q: weight(rng, d, d),
             w_k: weight(rng, d, d),
@@ -633,24 +634,26 @@ pub trait TransformerDatapath {
 }
 
 /// The digital reference: products at the precision (at
-/// [`Precision::Int8`] on the weight's resident pack), the heads one
-/// after another in f64, softmax, LayerNorm and residual adds in f64.
+/// [`Precision::F64`] on the weight's resident f64 panels, at
+/// [`Precision::Int8`] on its resident int8 pack), the heads one after
+/// another in f64, softmax, LayerNorm and residual adds in f64.
 impl TransformerDatapath for Precision {
     type Error = TensorError;
 
     fn mm(&mut self, a: &Matrix, w: &Weight) -> Result<Matrix, TensorError> {
         match *self {
-            Precision::F64 => a.matmul(w),
-            Precision::FakeQuant { bits } => {
-                quant::fake_quantize_bits(a, bits)?.matmul(&quant::fake_quantize_bits(w, bits)?)
-            }
+            Precision::F64 => gemm::matmul_packed(a, w.panels()),
+            Precision::FakeQuant { bits } => quant::fake_quantize_bits(a, bits)?
+                .matmul(&quant::fake_quantize_bits(&w.to_matrix(), bits)?),
             Precision::Int8 => w.quantized().forward(a),
         }
     }
 
     fn mm_weight_only(&mut self, a: &Matrix, w: &Weight) -> Result<Matrix, TensorError> {
         match *self {
-            Precision::FakeQuant { bits } => a.matmul(&quant::fake_quantize_bits(w, bits)?),
+            Precision::FakeQuant { bits } => {
+                a.matmul(&quant::fake_quantize_bits(&w.to_matrix(), bits)?)
+            }
             Precision::F64 | Precision::Int8 => self.mm(a, w),
         }
     }

@@ -245,10 +245,10 @@ struct PerProduct;
 impl TransformerDatapath for PerProduct {
     type Error = TensorError;
     fn mm(&mut self, a: &Matrix, w: &Weight) -> Result<Matrix, TensorError> {
-        QuantLinear::from_weight(w).forward(a)
+        QuantLinear::from_weight(&w.to_matrix()).forward(a)
     }
     fn mm_weight_only(&mut self, a: &Matrix, w: &Weight) -> Result<Matrix, TensorError> {
-        QuantLinear::from_weight(w).forward(a)
+        QuantLinear::from_weight(&w.to_matrix()).forward(a)
     }
     fn heads(&mut self, qkv: [&Matrix; 3], n: usize, causal: bool) -> Result<Matrix, TensorError> {
         Precision::Int8.heads(qkv, n, causal)
@@ -267,7 +267,7 @@ impl TransformerDatapath for PerProduct {
 impl GnnDatapath for PerProduct {
     type Error = TensorError;
     fn mm(&mut self, h: &Matrix, w: &Weight) -> Result<Matrix, TensorError> {
-        QuantLinear::from_weight(w).forward(h)
+        QuantLinear::from_weight(&w.to_matrix()).forward(h)
     }
     fn aggregate(
         &mut self,
@@ -433,6 +433,6 @@ fn a_pack_is_built_once_and_shared_across_threads() {
     });
     assert!(packs.windows(2).all(|p| p[0] == p[1]));
     for w in weights() {
-        assert_eq!(*w.quantized(), QuantLinear::from_weight(w));
+        assert_eq!(*w.quantized(), QuantLinear::from_weight(&w.to_matrix()));
     }
 }

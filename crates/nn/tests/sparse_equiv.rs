@@ -153,7 +153,7 @@ fn spmm_reference(a: &CsrView<'_>, x: &Matrix) -> Matrix {
 #[allow(clippy::needless_range_loop)] // index loops mirror the retired implementation
 fn gat_layer_reference(model: &GnnModel, graph: &CsrGraph, x: &Matrix) -> Matrix {
     let lw = &model.layers()[0];
-    let z = x.matmul(&lw.w).unwrap();
+    let z = x.matmul(&lw.w.to_matrix()).unwrap();
     let fout = z.cols();
     let n = graph.num_nodes();
     let mut src_logit = vec![0.0; n];
@@ -263,16 +263,16 @@ proptest! {
         let expected = match kind {
             GnnKind::Gcn => {
                 let a = model.aggregate_dense_stack(&g, &x, Aggregation::Mean, true);
-                a.matmul(&model.layers()[0].w).unwrap()
+                a.matmul(&model.layers()[0].w.to_matrix()).unwrap()
             }
             GnnKind::GraphSage => {
                 let a = model.aggregate_dense_stack(&g, &x, agg, false);
-                x.hconcat(&a).unwrap().matmul(&model.layers()[0].w).unwrap()
+                x.hconcat(&a).unwrap().matmul(&model.layers()[0].w.to_matrix()).unwrap()
             }
             GnnKind::Gin => {
                 let a = model.aggregate_dense_stack(&g, &x, Aggregation::Sum, false);
                 let mixed = x.scale(1.0 + model.epsilon()).add(&a).unwrap();
-                mixed.matmul(&model.layers()[0].w).unwrap()
+                mixed.matmul(&model.layers()[0].w.to_matrix()).unwrap()
             }
             GnnKind::Gat => gat_layer_reference(&model, &g, &x),
         };

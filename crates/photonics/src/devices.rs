@@ -51,11 +51,6 @@ impl Vcsel {
         let optical = self.max_power_w * fraction;
         Ok((optical, optical / self.wall_plug_efficiency))
     }
-
-    /// Electrical power needed to hold a given optical output, W.
-    pub fn electrical_power_w(&self, optical_w: f64) -> f64 {
-        optical_w / self.wall_plug_efficiency
-    }
 }
 
 /// A PIN photodetector.

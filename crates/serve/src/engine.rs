@@ -187,11 +187,6 @@ impl ServeEngine {
         &self.classes
     }
 
-    /// The fault context, when the engine was built fault-aware.
-    pub fn fault_context(&self) -> Option<&FaultContext> {
-        self.faults.as_ref()
-    }
-
     /// Runs the full horizon — stream arrivals, admit, batch, serve,
     /// drain — and returns the steady-state report.
     ///

@@ -4,15 +4,18 @@
 //! funnel their dense products through [`Matrix::matmul`], which in turn
 //! calls [`matmul`] here. The kernel strategy:
 //!
-//! * **Pack once, in lane order.** `B` is packed once per call into
+//! * **Pack once, in lane order.** The microkernel reads `B` as
 //!   [`simd::Panels`]: column panels of [`simd::GEMM_NR`] columns whose
 //!   rows sit lane-major (`p = l + 16·s` for the 16-lane body, the
 //!   `k % 16` tail after), so each accumulation lane of every output
 //!   reads one contiguous run. The pack is as large as the `Bᵀ` transpose
-//!   it replaced. The textbook i-j-k loop ([`matmul_naive`], kept as the
-//!   benchmark and property-test reference) instead walks a column of `B`
-//!   with an `n`-element stride and misses cache on every step at large
-//!   sizes.
+//!   it replaced. [`matmul`] packs a row-major `B` on every call; a model
+//!   weight is stored as panels from the start and multiplied in place by
+//!   [`matmul_packed`], so its products never pack, the way the
+//!   accelerator programs a weight into its banks once. The textbook
+//!   i-j-k loop ([`matmul_naive`], kept as the benchmark and
+//!   property-test reference) instead walks a column of `B` with an
+//!   `n`-element stride and misses cache on every step at large sizes.
 //! * **Register blocking.** The microkernel ([`simd::gemm`]) computes a
 //!   [`simd::GEMM_MR`] × [`simd::GEMM_NR`] output tile at once: per lane
 //!   step, six broadcasts of `A` and two vector loads of the panel feed
@@ -42,15 +45,19 @@
 //!   vectorizes across output columns. It runs the same 16-lane schedule
 //!   per output — lane `p % 16` fuses `a[p]·B[p][j]`, the same fold,
 //!   the same in-order tail — so every output equals
-//!   [`matmul_blocked`]'s bit for bit. The trace counters still fire
-//!   first, so a traced m = 1 call is counted like any other.
+//!   [`matmul_blocked`]'s bit for bit. Over a resident weight,
+//!   [`matmul_packed`] runs the same GEMV body over the panels instead,
+//!   where each lane reads one contiguous run rather than a row-strided
+//!   column. The trace counters still fire first, so a traced m = 1
+//!   call is counted like any other (its instant names the microkernel's
+//!   tile, as every f64 product's does).
 //! * **Row-band parallelism.** Above [`PAR_ELEMS_MIN`] multiply-adds the
 //!   output is split into row bands of whole tiles handed to scoped
 //!   threads (see [`crate::parallel`]). One routine serves the serial and
-//!   the banded path: it packs the panels once, before any band runs, and
-//!   every band reads the same panels and computes each output
-//!   identically regardless of which thread runs it, so the product is
-//!   independent of the thread count.
+//!   the banded path: every band reads the same panels, packed before
+//!   any band runs or resident, and computes each output identically
+//!   regardless of which thread runs it, so the product is independent
+//!   of the thread count.
 
 use crate::matrix::{Matrix, TensorError};
 use crate::parallel;
@@ -125,20 +132,25 @@ pub fn transpose_blocked(src: &Matrix) -> Matrix {
     out
 }
 
-/// The one routine behind [`matmul_blocked`] and [`matmul`]: packs `B` into
-/// [`simd::Panels`] once, then runs the microkernel over the whole
-/// output, or over row bands on up to `threads` workers once the problem
-/// volume clears [`PAR_ELEMS_MIN`]. Every band reads the same panels and
-/// computes each output in the same order, so the result is independent
-/// of `threads`.
-fn gemm(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
+/// The one routine behind [`matmul_blocked`], [`matmul`] and
+/// [`matmul_packed`]: runs the microkernel over the whole output, or, when
+/// `banded` and the problem volume clears [`PAR_ELEMS_MIN`], over row
+/// bands on up to [`parallel::max_threads`] workers. The thread setting
+/// is read only then, so a single decode row never consults it. Every
+/// band reads the same panels and computes each output in the same
+/// order, so the result is independent of the thread count.
+fn gemm(a: &Matrix, panels: &simd::Panels, banded: bool) -> Matrix {
     let (m, k) = a.shape();
-    let n = b.cols();
-    let panels = simd::Panels::pack(b.as_slice(), k, n);
+    let n = panels.n();
     let mut out = Matrix::zeros(m, n);
     let av = a.as_slice();
-    if threads <= 1 || m * k * n < PAR_ELEMS_MIN {
-        simd::gemm(av, &panels, out.as_mut_slice());
+    let threads = if banded && m * k * n >= PAR_ELEMS_MIN {
+        parallel::max_threads()
+    } else {
+        1
+    };
+    if threads <= 1 {
+        simd::gemm(av, panels, out.as_mut_slice());
         return out;
     }
     // Two bands per thread lets the round-robin distribution absorb any
@@ -148,9 +160,14 @@ fn gemm(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
     parallel::par_chunks_mut(out.as_mut_slice(), band_rows * n, |band_idx, band| {
         let row0 = band_idx * band_rows;
         let rows = band.len() / n;
-        simd::gemm(&av[row0 * k..(row0 + rows) * k], &panels, band);
+        simd::gemm(&av[row0 * k..(row0 + rows) * k], panels, band);
     });
     out
+}
+
+/// `B` packed for [`gemm`].
+fn pack(b: &Matrix) -> simd::Panels {
+    simd::Panels::pack(b.as_slice(), b.rows(), b.cols())
 }
 
 /// Serial cache-blocked product: `B` packed into lane-major column
@@ -162,7 +179,7 @@ fn gemm(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
 /// Returns [`TensorError::ShapeMismatch`] when `a.cols() != b.rows()`.
 pub fn matmul_blocked(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
     check_shapes(a, b)?;
-    Ok(gemm(a, b, 1))
+    Ok(gemm(a, &pack(b), false))
 }
 
 /// Rows, columns and k-block of the tile the dispatched kernel computes
@@ -194,31 +211,7 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
     check_shapes(a, b)?;
     let (m, k) = a.shape();
     let n = b.cols();
-    if phox_trace::enabled() {
-        // Only thread-count-independent quantities are recorded (problem
-        // and tile geometry, not the worker split), so a fixed-seed trace
-        // stays byte-identical across `PHOX_NUM_THREADS`.
-        let tr = phox_trace::active();
-        let (tile_mr, tile_nr, tile_kc) = dispatched_tile(k);
-        tr.count("gemm", "calls", 1);
-        tr.count("gemm", "macs", (m * k * n) as i64);
-        tr.instant(
-            "gemm",
-            "kernel",
-            vec![
-                ("m", phox_trace::Value::UInt(m as u64)),
-                ("k", phox_trace::Value::UInt(k as u64)),
-                ("n", phox_trace::Value::UInt(n as u64)),
-                ("tile_mr", phox_trace::Value::UInt(tile_mr as u64)),
-                ("tile_nr", phox_trace::Value::UInt(tile_nr as u64)),
-                ("tile_kc", phox_trace::Value::UInt(tile_kc as u64)),
-                (
-                    "simd",
-                    phox_trace::Value::UInt(u64::from(simd::simd_active())),
-                ),
-            ],
-        );
-    }
+    record_call(m, k, n);
     if m == 1 {
         // Single-row shape (one decode token): read B in place instead of
         // packing it, which would cost as much as the product itself.
@@ -226,7 +219,60 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
         simd::gemv(a.as_slice(), b.as_slice(), out.as_mut_slice());
         return Ok(out);
     }
-    Ok(gemm(a, b, parallel::max_threads()))
+    Ok(gemm(a, &pack(b), true))
+}
+
+/// `a · B` for `B` already packed as [`simd::Panels`] (a resident weight):
+/// [`matmul`] without the pack. Rows run through the banded microkernel
+/// (a single row through the GEMV body of [`simd::gemv`] over the
+/// panels), every output in [`simd::dot`]'s order, so the product equals
+/// [`matmul`] of the unpacked `B` bit for bit for any thread count, and
+/// the trace records it as [`matmul`] records that call.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] when `a.cols() != b.k()`.
+pub fn matmul_packed(a: &Matrix, b: &simd::Panels) -> Result<Matrix, TensorError> {
+    let (m, k) = a.shape();
+    if k != b.k() {
+        return Err(TensorError::ShapeMismatch {
+            lhs: a.shape(),
+            rhs: (b.k(), b.n()),
+        });
+    }
+    record_call(m, k, b.n());
+    Ok(gemm(a, b, true))
+}
+
+/// The trace record of one `m × k × n` product: the `gemm/calls` and
+/// `gemm/macs` counters and a `gemm/kernel` instant with the dispatched
+/// tile. Only thread-count-independent quantities are recorded (problem
+/// and tile geometry, not the worker split), so a fixed-seed trace stays
+/// byte-identical across `PHOX_NUM_THREADS`.
+fn record_call(m: usize, k: usize, n: usize) {
+    if !phox_trace::enabled() {
+        return;
+    }
+    let tr = phox_trace::active();
+    let (tile_mr, tile_nr, tile_kc) = dispatched_tile(k);
+    tr.count("gemm", "calls", 1);
+    tr.count("gemm", "macs", (m * k * n) as i64);
+    tr.instant(
+        "gemm",
+        "kernel",
+        vec![
+            ("m", phox_trace::Value::UInt(m as u64)),
+            ("k", phox_trace::Value::UInt(k as u64)),
+            ("n", phox_trace::Value::UInt(n as u64)),
+            ("tile_mr", phox_trace::Value::UInt(tile_mr as u64)),
+            ("tile_nr", phox_trace::Value::UInt(tile_nr as u64)),
+            ("tile_kc", phox_trace::Value::UInt(tile_kc as u64)),
+            (
+                "simd",
+                phox_trace::Value::UInt(u64::from(simd::simd_active())),
+            ),
+        ],
+    );
 }
 
 #[cfg(test)]
@@ -273,6 +319,30 @@ mod tests {
         let routed = matmul(&a, &b).unwrap();
         assert_eq!(routed.as_slice(), &gemv[..]);
         assert_eq!(routed, matmul_blocked(&a, &b).unwrap());
+    }
+
+    #[test]
+    fn matmul_packed_is_traced_as_matmul() {
+        // The same counters and the same instant, the single row's
+        // microkernel tile included.
+        for (m, k, n) in [(1, 40, 9), (7, 33, 20)] {
+            let (a, b) = (random(m, k, 27), random(k, n, 28));
+            let panels = simd::Panels::pack(b.as_slice(), k, n);
+            let [plain, packed] = [false, true].map(|resident| {
+                let trace = phox_trace::Trace::new();
+                let out = phox_trace::with_installed(trace.clone(), || {
+                    if resident {
+                        matmul_packed(&a, &panels).unwrap()
+                    } else {
+                        matmul(&a, &b).unwrap()
+                    }
+                });
+                (out, trace.export_jsonl())
+            });
+            assert_eq!(plain, packed, "{m}x{k}x{n}");
+        }
+        let short = simd::Panels::pack(&[0.0; 6], 2, 3);
+        assert!(matmul_packed(&Matrix::zeros(2, 3), &short).is_err());
     }
 
     #[test]

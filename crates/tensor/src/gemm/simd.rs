@@ -28,8 +28,10 @@
 //!   with in-order fused multiply-adds. It vectorizes *across* columns
 //!   (one `__m256d` holds lane `l` of four adjacent columns) instead of
 //!   along `k`, so it reads `B` in place: each output equals `dot(a,
-//!   Bᵀ[j])` bit for bit without packing `Bᵀ`. Lanes are independent
-//!   until the fold, so the AVX2 kernel may run them in any grouping.
+//!   Bᵀ[j])` bit for bit without packing `Bᵀ`. The AVX2 kernel runs the
+//!   lanes in four groups, `{g, g+4, g+8, g+12}`, each folding as soon as
+//!   its lanes finish; lanes are independent until the fold, so the
+//!   grouping moves no bit.
 //! * [`gemm`] is the register-blocked microkernel behind
 //!   [`crate::gemm::matmul`] for `m ≥ 2`. `B` is packed once into
 //!   [`Panels`]: [`GEMM_NR`]-column panels (the last one 4 or 8 wide,
@@ -44,8 +46,14 @@
 //!   multiply-adds, every fma and add with [`dot`]'s operands in [`dot`]'s
 //!   order: each output equals `dot(a_i, Bᵀ[j])` bit for bit. A last
 //!   tile with fewer rows repeats its last row and stores only its own.
-//!   The scalar twin [`gemm_scalar`] unpacks each panel back into `Bᵀ`
-//!   rows and calls [`dot_scalar`] per output.
+//!   A single row runs the GEMV body of [`gemv`] over the panels
+//!   instead, in either dispatch mode: lane `l` of a panel is one
+//!   contiguous run, so each of a group's four lanes streams its own run,
+//!   and a panel's padded columns are computed and dropped, with no
+//!   scalar column tail. The scalar twin [`gemm_scalar`] unpacks each
+//!   panel back into `Bᵀ` rows and calls [`dot_scalar`] per output, at
+//!   any row count; the dispatched kernel runs it for two rows or more
+//!   where AVX2+FMA is missing.
 //! * [`axpy`] vectorizes over the *output* dimension (`o[j] += a ·
 //!   b[j]`), where each element has its own accumulator — no
 //!   reassociation happens, so plain vector multiply + add is
@@ -125,28 +133,53 @@ const GEMV_COLS: usize = 4;
 /// so each pass streams short contiguous runs of the `B` rows. Also the
 /// AVX2 kernel's column tail.
 fn gemv_scalar_from(a: &[f64], b: &[f64], out: &mut [f64], j0: usize) {
-    let (k, n) = (a.len(), out.len());
-    let body = k - k % DOT_LANES;
+    let n = out.len();
     for jc in (j0..n).step_by(GEMV_COLS) {
         let w = (n - jc).min(GEMV_COLS);
-        let mut s = [[0.0f64; GEMV_COLS]; DOT_LANES];
-        for (p, &ap) in a[..body].iter().enumerate() {
-            let brow = &b[p * n + jc..p * n + jc + w];
-            for (acc, &bv) in s[p % DOT_LANES].iter_mut().zip(brow) {
-                *acc = ap.mul_add(bv, *acc);
-            }
+        gemv_scalar_cols(a, |p| &b[p * n + jc..p * n + jc + w], &mut out[jc..jc + w]);
+    }
+}
+
+/// Scalar GEMV over packed `b` (`a` is one row): each panel's columns
+/// in blocks of [`GEMV_COLS`], every row read where the panel holds it,
+/// so a single row over resident panels unpacks nothing.
+fn gemv_panels_scalar(a: &[f64], b: &Panels, out: &mut [f64]) {
+    let k = b.k;
+    for (j0, width) in panel_spans(b.n, 0, GEMM_NR) {
+        let panel = &b.data[j0 * k..(j0 + width) * k];
+        let cols = width.min(b.n - j0);
+        for c0 in (0..cols).step_by(GEMV_COLS) {
+            let w = (cols - c0).min(GEMV_COLS);
+            let at = |p| packed_row(p, k) * width + c0;
+            let out = &mut out[j0 + c0..j0 + c0 + w];
+            gemv_scalar_cols(a, |p| &panel[at(p)..at(p) + w], out);
         }
-        for c in 0..w {
-            let mut wl = [0.0f64; 4];
-            for (l, v) in wl.iter_mut().enumerate() {
-                *v = (s[l][c] + s[l + 4][c]) + (s[l + 8][c] + s[l + 12][c]);
-            }
-            let mut acc = (wl[0] + wl[2]) + (wl[1] + wl[3]);
-            for (p, &ap) in a.iter().enumerate().skip(body) {
-                acc = ap.mul_add(b[p * n + jc + c], acc);
-            }
-            out[jc + c] = acc;
+    }
+}
+
+/// The scalar GEMV body, shared by row-major `B` and packed panels: the
+/// [`dot_scalar`] schedule for `out.len()` (at most [`GEMV_COLS`])
+/// adjacent columns, whose values in row `p` of `B` `row(p)` returns.
+/// Lane `p % 16` of each column fuses `a[p]·B[p][j]`, then `dot`'s fold
+/// and its in-order fused tail.
+fn gemv_scalar_cols<'b>(a: &[f64], row: impl Fn(usize) -> &'b [f64], out: &mut [f64]) {
+    let body = a.len() - a.len() % DOT_LANES;
+    let mut s = [[0.0f64; GEMV_COLS]; DOT_LANES];
+    for (p, &ap) in a[..body].iter().enumerate() {
+        for (acc, &bv) in s[p % DOT_LANES].iter_mut().zip(row(p)) {
+            *acc = ap.mul_add(bv, *acc);
         }
+    }
+    for (c, o) in out.iter_mut().enumerate() {
+        let mut wl = [0.0f64; 4];
+        for (l, v) in wl.iter_mut().enumerate() {
+            *v = (s[l][c] + s[l + 4][c]) + (s[l + 8][c] + s[l + 12][c]);
+        }
+        let mut acc = (wl[0] + wl[2]) + (wl[1] + wl[3]);
+        for (p, &ap) in a.iter().enumerate().skip(body) {
+            acc = ap.mul_add(row(p)[c], acc);
+        }
+        *o = acc;
     }
 }
 
@@ -195,14 +228,15 @@ pub(crate) fn panel_spans(
     })
 }
 
-/// `B` (`k × n`, row-major) packed once for [`gemm`]: column panels of
+/// `B` (`k × n`, row-major) packed for [`gemm`]: column panels of
 /// [`GEMM_NR`] (the last one 4 or 8 wide, zero-padded), each holding its
 /// `k` rows lane-major. Row `p < body = k - k % 16` of the panel sits at
 /// position `(p % 16) · (body / 16) + p / 16`, so lane `l` of the
 /// [`dot`] schedule reads one contiguous run; the `k % 16` tail rows
 /// follow in order. The pack is as large as the `Bᵀ` it replaces, plus
-/// at most three padding columns.
-#[derive(Debug)]
+/// at most three padding columns. Equality compares the values, so two
+/// packs are equal exactly when the matrices they hold are.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Panels {
     data: Vec<f64>,
     k: usize,
@@ -217,16 +251,138 @@ impl Panels {
     /// Panics if `b.len() != k * n`.
     pub fn pack(b: &[f64], k: usize, n: usize) -> Panels {
         assert_eq!(Some(b.len()), k.checked_mul(n), "gemm operand is not k × n");
-        let mut data = vec![0.0; padded_cols(n, GEMM_NR) * k];
+        let mut panels = Panels::zeroed(k, n);
         for (p, brow) in b.chunks_exact(n.max(1)).enumerate() {
-            let row = packed_row(p, k);
-            for (j0, width) in panel_spans(n, 0, GEMM_NR) {
-                let cols = width.min(n - j0);
-                let at = j0 * k + row * width;
-                data[at..at + cols].copy_from_slice(&brow[j0..j0 + cols]);
+            panels.set_row(p, brow);
+        }
+        panels
+    }
+
+    /// Packs a `k × n` operand whose rows `fill_row` writes, row 0
+    /// first, into one reused row buffer: how a weight is drawn straight
+    /// into its resident layout, without a row-major copy of it. Each
+    /// value is stored once, into storage that is never zeroed first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k · n` overflows.
+    pub fn from_rows(k: usize, n: usize, mut fill_row: impl FnMut(&mut [f64])) -> Panels {
+        let len = packed_len(k, n);
+        let mut data = Vec::with_capacity(len);
+        let slots = &mut data.spare_capacity_mut()[..len];
+        let mut row = vec![0.0; n];
+        for p in 0..k {
+            fill_row(&mut row);
+            for (cols, at) in row_runs(k, n, p) {
+                for (slot, &v) in slots[at].iter_mut().zip(&row[cols]) {
+                    slot.write(v);
+                }
             }
         }
+        // A half-width or padded last panel: its columns past `n`.
+        if let Some((j0, width)) = panel_spans(n, 0, GEMM_NR).last() {
+            for panel_row in slots[j0 * k..].chunks_exact_mut(width) {
+                for slot in &mut panel_row[n - j0..] {
+                    slot.write(0.0);
+                }
+            }
+        }
+        // SAFETY: every slot below `len` was written: row `p` of every
+        // panel at `packed_row(p, k)`, a bijection on `0..k`, in its real
+        // columns by the loop over `row_runs`, and in the last panel's
+        // padding columns just above.
+        unsafe { data.set_len(len) };
         Panels { data, k, n }
+    }
+
+    /// The row-major `k × n` values the panels hold.
+    pub fn unpack(&self) -> Vec<f64> {
+        self.unpack_rows(0..self.k)
+    }
+
+    /// Rows `rows` of the packed `B`, row-major (`rows.len() × n`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` reaches past `k`.
+    pub fn unpack_rows(&self, rows: Range<usize>) -> Vec<f64> {
+        assert!(rows.end <= self.k, "rows past the packed operand");
+        let (k, n) = (self.k, self.n);
+        let mut b = vec![0.0; rows.len() * n];
+        for (p, brow) in rows.zip(b.chunks_exact_mut(n.max(1))) {
+            for (cols, at) in row_runs(k, n, p) {
+                copy_run(&mut brow[cols], &self.data[at]);
+            }
+        }
+        b
+    }
+
+    /// The largest magnitude of the packed values, as
+    /// [`Matrix::abs_max`](crate::Matrix::abs_max) of the unpacked matrix
+    /// (NaNs ignored; the zero padding never exceeds it).
+    pub fn abs_max(&self) -> f64 {
+        crate::matrix::abs_max::<16>(&self.data)
+    }
+
+    /// Rows of the packed `B` (the inner dimension of a product).
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Columns of the packed `B`, padding excluded.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// All-zero panels for a `k × n` operand.
+    fn zeroed(k: usize, n: usize) -> Panels {
+        Panels {
+            data: vec![0.0; packed_len(k, n)],
+            k,
+            n,
+        }
+    }
+
+    /// Writes row `p` of `B` (`n` values) into its panel rows.
+    fn set_row(&mut self, p: usize, brow: &[f64]) {
+        for (cols, at) in row_runs(self.k, self.n, p) {
+            copy_run(&mut self.data[at], &brow[cols]);
+        }
+    }
+}
+
+/// Values a pack of a `k × n` operand stores, padding included.
+///
+/// # Panics
+///
+/// Panics if the count overflows `usize`.
+fn packed_len(k: usize, n: usize) -> usize {
+    let Some(len) = k.checked_mul(padded_cols(n, GEMM_NR)) else {
+        panic!("gemm operand is not k × n");
+    };
+    len
+}
+
+/// Where row `p` of a packed `k × n` operand lies: per panel, its
+/// columns `cols` sit at `data[at]`.
+fn row_runs(k: usize, n: usize, p: usize) -> impl Iterator<Item = (Range<usize>, Range<usize>)> {
+    let row = packed_row(p, k);
+    panel_spans(n, 0, GEMM_NR).map(move |(j0, width)| {
+        let (cols, at) = (width.min(n - j0), j0 * k + row * width);
+        (j0..j0 + cols, at..at + cols)
+    })
+}
+
+/// `dst.copy_from_slice(src)`, with a full panel row copied as one
+/// fixed-size block rather than through a `memcpy` call.
+#[inline]
+fn copy_run(dst: &mut [f64], src: &[f64]) {
+    match (
+        <&mut [f64; GEMM_NR]>::try_from(&mut *dst),
+        <&[f64; GEMM_NR]>::try_from(src),
+    ) {
+        (Ok(d), Ok(s)) => *d = *s,
+        _ => dst.copy_from_slice(src),
     }
 }
 
@@ -517,11 +673,10 @@ mod x86 {
     }
 
     /// AVX2+FMA GEMV over row-major `b` (`a.len() × out.len()`): blocks
-    /// of eight, then four, adjacent columns, where one `__m256d` holds
-    /// lane `l` of the [`dot_avx2`] schedule for four columns, advanced by
-    /// one `vfmadd231pd` per row of `B`, then folded in the same order and
-    /// finished with the same in-order fused tail. The last `n % 4`
-    /// columns run the scalar kernel, which replays the same schedule.
+    /// of eight, then four, adjacent columns through [`gemv_block`],
+    /// where one `__m256d` holds lane `l` of the [`dot_avx2`] schedule for
+    /// four columns. The last `n % 4` columns run the scalar kernel,
+    /// which replays the same schedule.
     ///
     /// # Safety
     ///
@@ -531,56 +686,108 @@ mod x86 {
     pub unsafe fn gemv_avx2(a: &[f64], b: &[f64], out: &mut [f64]) {
         let n = out.len();
         let (bp, op) = (b.as_ptr(), out.as_mut_ptr());
+        // Row p = l + 16·s lies p·n values past the block's first column.
+        let rows = Rows {
+            lane: n,
+            step: super::DOT_LANES * n,
+            tail: n,
+        };
         let mut j = 0usize;
         while j + 8 <= n {
-            let [lo, hi] = gemv_block::<2>(a, bp, n, j);
-            _mm256_storeu_pd(op.add(j), lo);
-            _mm256_storeu_pd(op.add(j + 4), hi);
+            store_cols(&gemv_block::<2>(a, bp.add(j), rows), op.add(j), 8);
             j += 8;
         }
         if j + 4 <= n {
-            let [v] = gemv_block::<1>(a, bp, n, j);
-            _mm256_storeu_pd(op.add(j), v);
+            store_cols(&gemv_block::<1>(a, bp.add(j), rows), op.add(j), 4);
             j += 4;
         }
         super::gemv_scalar_from(a, b, out, j);
     }
 
-    /// Columns `j..j + 4·V` of [`gemv_avx2`], `V` vectors wide. The lanes
-    /// run in four groups, `{g, g+4, g+8, g+12}` for `g` in `0..4`: each
-    /// group needs only four accumulators per vector and folds at once
-    /// into `w[g] = (s[g] + s[g+4]) + (s[g+8] + s[g+12])`, so at `V = 2`
-    /// every accumulator stays in a register.
+    /// AVX2+FMA GEMV over packed `b`: each column panel through
+    /// [`gemv_block`], whose lanes then read the panel's contiguous lane
+    /// runs. A half-width panel runs one vector wide, and a padded panel
+    /// stores only its real columns, so no column takes a scalar tail.
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX2 and FMA are available, `b` points to
-    /// `a.len() × n` elements and `j + 4·V <= n`.
+    /// Caller must ensure AVX2 and FMA are available and that the
+    /// operands pass [`super::check_gemm`] with one row.
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn gemv_block<const V: usize>(
-        a: &[f64],
-        b: *const f64,
-        n: usize,
-        j: usize,
-    ) -> [__m256d; V] {
+    pub unsafe fn gemv_panels_avx2(a: &[f64], b: &super::Panels, out: &mut [f64]) {
+        use super::{DOT_LANES, GEMM_NR};
+        let (k, n) = (b.k, b.n);
+        for (j0, width) in super::panel_spans(n, 0, GEMM_NR) {
+            // Panel row l·(k / 16) + s holds row p = l + 16·s; the tail
+            // rows p ≥ k - k % 16 sit at panel row p.
+            let rows = Rows {
+                lane: k / DOT_LANES * width,
+                step: width,
+                tail: width,
+            };
+            let cols = width.min(n - j0);
+            // SAFETY: the checked panel length covers columns j0..j0 +
+            // width of all k packed rows, and columns j0..j0 + cols lie
+            // inside the one-row `out`.
+            let (panel, dst) = (b.data.as_ptr().add(j0 * k), out.as_mut_ptr().add(j0));
+            if width == GEMM_NR {
+                store_cols(&gemv_block::<2>(a, panel, rows), dst, cols);
+            } else {
+                store_cols(&gemv_block::<1>(a, panel, rows), dst, cols);
+            }
+        }
+    }
+
+    /// Where the rows of `B` lie for [`gemv_block`], in elements from the
+    /// block's first column: body row `p = l + 16·s` (lane `l`, step `s`)
+    /// at `l·lane + s·step`, tail row `p ≥ k - k % 16` at `p·tail`.
+    #[derive(Clone, Copy)]
+    struct Rows {
+        lane: usize,
+        step: usize,
+        tail: usize,
+    }
+
+    /// The `4·V` columns of `a · B` from `b`, every output in the
+    /// [`dot_avx2`] schedule, for row-major `B` and for packed panels
+    /// alike (`rows` says where each row of `B` lies). The lanes run in
+    /// four groups, `{g, g+4, g+8, g+12}` for `g` in `0..4`: each group
+    /// advances four accumulators per vector by one `vfmadd231pd` per row
+    /// of `B`, each lane reading its rows in ascending order, and folds at
+    /// once into `w[g] = (s[g] + s[g+4]) + (s[g+8] + s[g+12])`, so at
+    /// `V = 2` every accumulator stays in a register. Then `(w0 + w2) +
+    /// (w1 + w3)` and the in-order fused tail.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 and FMA are available and that `rows`
+    /// puts `4·V` readable elements of every row of `B` (`a.len()` rows)
+    /// at its offset from `b`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn gemv_block<const V: usize>(a: &[f64], b: *const f64, rows: Rows) -> [__m256d; V] {
         use super::DOT_LANES;
         let k = a.len();
         let body = k - k % DOT_LANES;
         let ap = a.as_ptr();
         let mut w = [[_mm256_setzero_pd(); V]; 4];
         for (g, wg) in w.iter_mut().enumerate() {
+            // Wrapping: without a 16-lane body these rows need not exist,
+            // and the loop below reads none of them.
+            let lanes: [*const f64; 4] =
+                core::array::from_fn(|q| b.wrapping_add((g + 4 * q) * rows.lane));
             let mut s = [[_mm256_setzero_pd(); V]; 4];
-            let mut p = g;
+            let (mut p, mut at) = (g, 0usize);
             while p < body {
                 for (q, sq) in s.iter_mut().enumerate() {
-                    let row = p + 4 * q;
-                    let x = _mm256_set1_pd(*ap.add(row));
-                    let brow = b.add(row * n + j);
+                    let x = _mm256_set1_pd(*ap.add(p + 4 * q));
+                    let brow = lanes[q].add(at);
                     for (v, acc) in sq.iter_mut().enumerate() {
                         *acc = _mm256_fmadd_pd(x, _mm256_loadu_pd(brow.add(4 * v)), *acc);
                     }
                 }
                 p += DOT_LANES;
+                at += rows.step;
             }
             for (v, wv) in wg.iter_mut().enumerate() {
                 *wv = _mm256_add_pd(
@@ -599,7 +806,7 @@ mod x86 {
         }
         for p in body..k {
             let x = _mm256_set1_pd(*ap.add(p));
-            let brow = b.add(p * n + j);
+            let brow = b.add(p * rows.tail);
             for (v, av) in acc.iter_mut().enumerate() {
                 *av = _mm256_fmadd_pd(x, _mm256_loadu_pd(brow.add(4 * v)), *av);
             }
@@ -775,18 +982,29 @@ mod x86 {
         cols: usize,
     ) {
         for (i, acc_i) in acc.iter().enumerate().take(rows) {
-            let row = dst.add(i * n);
-            if cols == 4 * V {
-                for (v, &x) in acc_i.iter().enumerate() {
-                    _mm256_storeu_pd(row.add(4 * v), x);
-                }
-            } else {
-                let mut tmp = [0.0f64; super::GEMM_NR];
-                for (v, &x) in acc_i.iter().enumerate() {
-                    _mm256_storeu_pd(tmp.as_mut_ptr().add(4 * v), x);
-                }
-                core::ptr::copy_nonoverlapping(tmp.as_ptr(), row, cols);
+            store_cols(acc_i, dst.add(i * n), cols);
+        }
+    }
+
+    /// Stores the first `cols` of the `4·V` columns of `acc` to `dst`.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available, `cols <= 4·V` and that
+    /// `dst` points to `cols` writable elements.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn store_cols<const V: usize>(acc: &[__m256d; V], dst: *mut f64, cols: usize) {
+        if cols == 4 * V {
+            for (v, &x) in acc.iter().enumerate() {
+                _mm256_storeu_pd(dst.add(4 * v), x);
             }
+        } else {
+            let mut tmp = [0.0f64; super::GEMM_NR];
+            for (v, &x) in acc.iter().enumerate() {
+                _mm256_storeu_pd(tmp.as_mut_ptr().add(4 * v), x);
+            }
+            core::ptr::copy_nonoverlapping(tmp.as_ptr(), dst, cols);
         }
     }
 
@@ -1140,9 +1358,10 @@ pub fn gemv(a: &[f64], b: &[f64], out: &mut [f64]) {
 /// `out = a · B` for the rows of row-major `a` (`rows × k`) against `B`
 /// packed as [`Panels`] (`k × n`), `rows = out.len() / n`: every output
 /// in the pinned [`dot`] schedule over its column, so each equals
-/// `dot(a_i, Bᵀ[j])` bit for bit. Dispatches to the AVX2+FMA
-/// register-blocked microkernel when available; otherwise runs
-/// [`gemm_scalar`]. See the module docs.
+/// `dot(a_i, Bᵀ[j])` bit for bit. A single row runs the GEMV body of
+/// [`gemv`] over the panels; more rows run the AVX2+FMA register-blocked
+/// microkernel where it is available, and otherwise [`gemm_scalar`]. See
+/// the module docs.
 ///
 /// # Panics
 ///
@@ -1150,16 +1369,23 @@ pub fn gemv(a: &[f64], b: &[f64], out: &mut [f64]) {
 /// number of rows of `k` values.
 #[inline]
 pub fn gemm(a: &[f64], b: &Panels, out: &mut [f64]) {
+    let rows = check_gemm(a, b, out);
     #[cfg(target_arch = "x86_64")]
     if x86::simd_usable() {
-        if check_gemm(a, b, out).is_some() {
-            // SAFETY: AVX2+FMA availability was just checked, and so
-            // were the operand lengths every pointer offset relies on.
-            unsafe { x86::gemm_avx2(a, b, out) };
+        // SAFETY (both arms): AVX2+FMA availability was just checked, and
+        // so were the operand lengths every pointer offset relies on.
+        match rows {
+            Some(1) => unsafe { x86::gemv_panels_avx2(a, b, out) },
+            Some(_) => unsafe { x86::gemm_avx2(a, b, out) },
+            None => {}
         }
         return;
     }
-    gemm_scalar(a, b, out);
+    match rows {
+        Some(1) => gemv_panels_scalar(a, b, out),
+        Some(_) => gemm_scalar(a, b, out),
+        None => {}
+    }
 }
 
 /// `out[j] += x · b[j]` over `min(out.len(), b.len())` elements,
@@ -1291,6 +1517,26 @@ mod tests {
                     assert_eq!(slow[j].to_bits(), expect, "scalar k={k} n={n} j={j}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn panels_unpack_to_what_they_packed() {
+        for (k, n) in [(0, 0), (0, 5), (5, 0), (1, 1), (17, 3), (33, 13), (64, 17)] {
+            let b = random(k * n, 33);
+            let panels = Panels::pack(&b, k, n);
+            assert_eq!((panels.k(), panels.n()), (k, n));
+            assert_eq!(panels.unpack(), b, "{k}x{n}");
+            // Filled row by row, every value and every padding zero lands
+            // where the pack puts it, bit for bit.
+            let mut filled = 0;
+            let drawn = Panels::from_rows(k, n, |row| {
+                row.copy_from_slice(&b[filled * n..(filled + 1) * n]);
+                filled += 1;
+            });
+            let bits = |p: &Panels| p.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&drawn), bits(&panels), "{k}x{n}");
+            assert_eq!(filled, k, "{k}x{n} filled every row once");
         }
     }
 

@@ -177,15 +177,6 @@ impl Matrix {
         })
     }
 
-    /// Creates a column vector (`n x 1`) from a slice.
-    pub fn col_vector(values: &[f64]) -> Self {
-        Matrix {
-            rows: values.len(),
-            cols: 1,
-            data: values.to_vec(),
-        }
-    }
-
     /// Creates a row vector (`1 x n`) from a slice.
     pub fn row_vector(values: &[f64]) -> Self {
         Matrix {
@@ -351,15 +342,6 @@ impl Matrix {
     /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
     pub fn sub(&self, rhs: &Matrix) -> Result<Matrix, TensorError> {
         self.zip_with(rhs, |a, b| a - b)
-    }
-
-    /// Element-wise (Hadamard) product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn hadamard(&self, rhs: &Matrix) -> Result<Matrix, TensorError> {
-        self.zip_with(rhs, |a, b| a * b)
     }
 
     /// Combines two equal-shaped matrices element by element.

@@ -46,7 +46,12 @@ impl Quantizer {
     /// A tensor that is entirely zero gets scale 1.0 so that quantization
     /// remains the identity on it.
     pub fn calibrate(m: &Matrix) -> Self {
-        let absmax = m.abs_max();
+        Quantizer::from_abs_max(m.abs_max())
+    }
+
+    /// The quantizer [`Quantizer::calibrate`] returns for a tensor whose
+    /// largest magnitude is `absmax`.
+    pub fn from_abs_max(absmax: f64) -> Self {
         let scale = if absmax > 0.0 { absmax / 127.0 } else { 1.0 };
         Quantizer { scale }
     }

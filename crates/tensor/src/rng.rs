@@ -232,9 +232,33 @@ impl Prng {
     /// Xavier/Glorot-uniform weight initialisation for a `fan_in x fan_out`
     /// layer, the scheme used for all reference model weights.
     pub fn xavier(&mut self, fan_in: usize, fan_out: usize) -> crate::Matrix {
-        let limit = (6.0 / (fan_in + fan_out).max(1) as f64).sqrt();
+        let limit = xavier_limit(fan_in, fan_out);
         self.fill_uniform(fan_in, fan_out, -limit, limit)
     }
+
+    /// [`Prng::xavier`] drawn straight into the f64 microkernel's panel
+    /// layout: the same draws in the same order (each row one
+    /// [`Prng::fill_u64`] batch, converted as [`Prng::uniform`] converts a
+    /// draw), so it equals
+    /// [`Panels::pack`](crate::gemm::simd::Panels::pack) of the matrix
+    /// `xavier` returns, without that matrix, and leaves the generator
+    /// where `xavier` leaves it.
+    pub fn xavier_panels(&mut self, fan_in: usize, fan_out: usize) -> crate::gemm::simd::Panels {
+        let limit = xavier_limit(fan_in, fan_out);
+        let (lo, hi) = (-limit, limit);
+        let mut raw = vec![0u64; fan_out];
+        crate::gemm::simd::Panels::from_rows(fan_in, fan_out, |row| {
+            self.fill_u64(&mut raw);
+            for (v, &r) in row.iter_mut().zip(&raw) {
+                *v = lo + (hi - lo) * Prng::unit_f64(r);
+            }
+        })
+    }
+}
+
+/// The bound `√(6 / (fan_in + fan_out))` of Xavier-uniform weights.
+fn xavier_limit(fan_in: usize, fan_out: usize) -> f64 {
+    (6.0 / (fan_in + fan_out).max(1) as f64).sqrt()
 }
 
 #[cfg(target_arch = "x86_64")]

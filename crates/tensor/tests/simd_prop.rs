@@ -9,6 +9,11 @@
 //! The context kernel behind the attention heads must equal its
 //! definition from any starting output, in every register block.
 //!
+//! A product over resident panels (`gemm::matmul_packed`, and the panel
+//! GEMV it runs for a single row) must equal `gemm::matmul` of the same
+//! matrix bit for bit at every row and thread count, and a weight drawn
+//! straight into panels must equal the packed matrix of the same draws.
+//!
 //! The batched `Prng::fill_u64` (a 4-lane AVX2 body where the int8
 //! kernels are dispatched) must equal a `next_u64` loop in its outputs
 //! and in the state it leaves behind.
@@ -418,14 +423,132 @@ proptest! {
         }),
     ) {
         // The deep k class clears `gemm::PAR_ELEMS_MIN` for the larger m
-        // and n, so those cases split into real row bands.
+        // and n, so those cases split into real row bands. The product
+        // over resident panels must agree at every thread count too.
         let am = Matrix::from_vec(m, k, a).unwrap();
         let bm = Matrix::from_vec(k, n, b).unwrap();
+        let panels = simd::Panels::pack(bm.as_slice(), k, n);
         let serial = gemm::matmul_blocked(&am, &bm).unwrap();
         for threads in [1usize, 2, 4, 8] {
             let par = parallel::with_threads(threads, || gemm::matmul(&am, &bm).unwrap());
             prop_assert_eq!(bits(&par), bits(&serial), "threads = {}", threads);
+            let packed =
+                parallel::with_threads(threads, || gemm::matmul_packed(&am, &panels).unwrap());
+            prop_assert_eq!(bits(&packed), bits(&serial), "packed, threads = {}", threads);
         }
+    }
+
+    #[test]
+    fn single_row_over_panels_bitwise_equals_scalar_reference(
+        ((k, n), a, b) in (0usize..=300, 1usize..=40)
+            .prop_flat_map(|(k, n)| (Just((k, n)), operands(k), operands(k * n))),
+    ) {
+        // The panel GEMV and the row-major one it replaces must each
+        // equal the scalar reference dot over every column.
+        let (am, bm) = (Matrix::from_vec(1, k, a).unwrap(), Matrix::from_vec(k, n, b).unwrap());
+        let packed = gemm::matmul_packed(&am, &simd::Panels::pack(bm.as_slice(), k, n)).unwrap();
+        let bt = gemm::transpose_blocked(&bm);
+        for j in 0..n {
+            let reference = simd::dot_scalar(am.as_slice(), &bt.as_slice()[j * k..(j + 1) * k]);
+            prop_assert_eq!(
+                packed.get(0, j).to_bits(), reference.to_bits(),
+                "column {} of 1x{}x{}", j, k, n
+            );
+        }
+        prop_assert_eq!(bits(&packed), bits(&gemm::matmul(&am, &bm).unwrap()));
+    }
+}
+
+/// The panel GEMV against the scalar reference dot over every column, at
+/// every lane tail (`k` in `0..40` and around 64, and deep) and at every
+/// panel edge: a lone column, a 4-wide panel padded or full, an 8-wide
+/// panel padded or full, and several panels ending in each. Through the
+/// dispatched kernel (the AVX2 panel GEMV, or the forced-scalar twin
+/// under `PHOX_FORCE_SCALAR=1`) and through the scalar twin itself.
+#[test]
+fn panel_gemv_matches_dot_over_columns_bitwise() {
+    for k in (0..40).chain([63, 64, 65, 300]) {
+        for n in [1usize, 3, 4, 5, 8, 13, 16, 17] {
+            let a = Prng::new(31).fill_uniform(1, k, -1.0, 1.0).into_vec();
+            let b = Prng::new(32).fill_uniform(k, n, -1.0, 1.0).into_vec();
+            let panels = simd::Panels::pack(&b, k, n);
+            let mut fast = vec![f64::NAN; n];
+            let mut twin = vec![f64::NAN; n];
+            simd::gemm(&a, &panels, &mut fast);
+            simd::gemm_scalar(&a, &panels, &mut twin);
+            for j in 0..n {
+                let col: Vec<f64> = (0..k).map(|p| b[p * n + j]).collect();
+                let expect = simd::dot_scalar(&a, &col).to_bits();
+                assert_eq!(fast[j].to_bits(), expect, "k={k} n={n} j={j}");
+                assert_eq!(twin[j].to_bits(), expect, "twin k={k} n={n} j={j}");
+            }
+        }
+    }
+}
+
+/// `matmul_packed` equals `matmul` of the same matrix bit for bit at the
+/// row counts the models run (one decode row, row remainders around the
+/// six-row tile, a full prefill) and at `llm_prefill`'s and
+/// `llm_decode`'s weight shapes, on 1, 2 and 8 threads.
+#[test]
+fn matmul_packed_equals_matmul_at_every_row_and_thread_count() {
+    for (i, &(k, n)) in [
+        (64usize, 64usize),
+        (64, 256),
+        (256, 64),
+        (256, 1024),
+        (45, 77),
+    ]
+    .iter()
+    .enumerate()
+    {
+        let b = Prng::new(50 + i as u64).fill_uniform(k, n, -1.0, 1.0);
+        let panels = simd::Panels::pack(b.as_slice(), k, n);
+        for m in [1usize, 2, 5, 6, 7, 256] {
+            let a = Prng::new(60 + m as u64).fill_uniform(m, k, -1.0, 1.0);
+            let want = bits(&gemm::matmul(&a, &b).unwrap());
+            for threads in [1usize, 2, 8] {
+                let got = parallel::with_threads(threads, || gemm::matmul_packed(&a, &panels));
+                assert_eq!(bits(&got.unwrap()), want, "{m}x{k}x{n} threads={threads}");
+            }
+        }
+    }
+}
+
+/// A weight drawn straight into panels (`Prng::xavier_panels`) equals
+/// `Panels::pack` of `Prng::xavier` at the same seed, unpacks to that
+/// matrix bit for bit, and leaves the generator where `xavier` leaves
+/// it, so every later draw of a model build is unchanged.
+#[test]
+fn xavier_panels_equal_the_packed_xavier_matrix() {
+    for (k, n) in [
+        (0usize, 4usize),
+        (4, 0),
+        (1, 1),
+        (15, 3),
+        (64, 64),
+        (64, 256),
+        (256, 64),
+        (45, 77),
+    ] {
+        let (mut direct, mut via) = (
+            Prng::new(k as u64 * 31 + n as u64),
+            Prng::new(k as u64 * 31 + n as u64),
+        );
+        let panels = direct.xavier_panels(k, n);
+        let matrix = via.xavier(k, n);
+        assert_eq!(
+            panels,
+            simd::Panels::pack(matrix.as_slice(), k, n),
+            "{k}x{n}"
+        );
+        let unpacked: Vec<u64> = panels.unpack().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(unpacked, bits(&matrix), "{k}x{n}");
+        assert_eq!(
+            direct.next_u64(),
+            via.next_u64(),
+            "{k}x{n}: generator state"
+        );
     }
 }
 

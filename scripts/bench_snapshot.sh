@@ -3,8 +3,10 @@
 #   BENCH_1.json — GEMM: naive vs the register-blocked microkernel vs
 #                  blocked+parallel at 64/256/1024, and the microkernel
 #                  vs the per-output dot kernel it replaced at those
-#                  sizes and every workload shape, with GMAC/s and
-#                  bit-identity verdicts.
+#                  sizes and every workload shape, llm_prefill's
+#                  products over resident f64 panels vs packing the
+#                  weight per call (one thread, p10/p50/p90), with
+#                  GMAC/s and bit-identity verdicts.
 #   BENCH_2.json — sparse kernels: the f64 row kernel vs the
 #                  per-member axpy loop it replaced (mean-with-self,
 #                  sum, weighted SpMM) at widths 32 and 16 on a
@@ -26,8 +28,11 @@
 #                  with oracle and bit-identity verdicts.
 #   BENCH_4.json — KV-cached decode: per-token latency of a cached
 #                  decode step vs full-sequence recompute (f64 and
-#                  int8) across context lengths, and the f64 attention
-#                  heads vs the composition they replaced, with
+#                  int8) across context lengths, the f64 attention
+#                  heads vs the composition they replaced, and a
+#                  step's operands in their resident layouts (single
+#                  rows over f64 panels, attention over per-head K/V
+#                  slabs) vs the row-major ones they replaced, with
 #                  full-forward oracle, growth and bit-identity
 #                  verdicts.
 #   BENCH_5.json — serving under load: the phox-serve batched-inference
@@ -48,7 +53,8 @@
 #
 # There is also a timing-free mode that never writes to the repo root:
 #   digest        — reduces a deterministic battery (GEMM and its
-#                  microkernel edges, the int8 microkernel's edges,
+#                  microkernel edges, products over resident f64
+#                  panels, the int8 microkernel's edges,
 #                  SpMM, decode, the int8 GCN forwards and row
 #                  quantizer, analog int8 engine, Tron/Ghost
 #                  forwards) to FNV-1a digests over result
