@@ -8,7 +8,11 @@
 //!   kernel the microkernel replaced (packed `Bᵀ`, one `simd::dot` per
 //!   output). The same pair is timed at every f64 GEMM shape the
 //!   benchmark workloads run, with GMAC/s and a
-//!   `matches_dot_kernel_bitwise` verdict.
+//!   `matches_dot_kernel_bitwise` verdict; each of those rows also
+//!   times the product over resident panels against the microkernel it
+//!   replaced (kept as a private copy), over several fresh allocations
+//!   on one thread, interleaved, with p10/p50/p90 and a
+//!   `matches_replaced_bitwise` verdict.
 //! * **sparse** (`BENCH_2.json`): the register-resident f64 row kernel
 //!   behind `sparse::aggregate_into` and `sparse::spmm_into` against the
 //!   per-member axpy loop it replaced (kept as a private copy), on one
@@ -230,6 +234,237 @@ fn matmul_dot_kernel(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
+/// The f64 microkernel as it stood before its lanes folded without
+/// spilling and its rows ran in L2-sized blocks, kept here (the library
+/// no longer carries it) as the `workload_shapes` rows' replaced
+/// baseline: per 6 × 8 tile it zero-fills sixteen lane-partial tiles,
+/// folds them through `core::array::from_fn` closures whose tile adds
+/// are called out of line, and every 16 KiB group of panels passes over
+/// all of `a`. It reads its own copy of the lane-major panels, packed as
+/// `simd::Panels` packs them. Where the f64 kernels run scalar
+/// (`PHOX_FORCE_SCALAR=1` or no AVX2+FMA) it runs `simd::gemm_scalar`,
+/// as the replaced dispatch did.
+mod replaced_gemm {
+    use phox_core::tensor::gemm::simd::{self, Panels, DOT_LANES, GEMM_MR, GEMM_NR};
+
+    /// `(j0, width)` of every column panel over `n` columns from panel
+    /// start `from` on, as `simd::Panels` lays them out.
+    fn panel_spans(n: usize, from: usize) -> impl Iterator<Item = (usize, usize)> {
+        let width = move |j0: usize| {
+            if n - j0 > GEMM_NR / 2 {
+                GEMM_NR
+            } else {
+                GEMM_NR / 2
+            }
+        };
+        std::iter::successors((from < n).then(|| (from, width(from))), move |&(j0, w)| {
+            (j0 + w < n).then(|| (j0 + w, width(j0 + w)))
+        })
+    }
+
+    /// Row-major `b` (`k × n`) in `simd::Panels`' layout: per panel, row
+    /// `p` of the 16-lane body at `(p % 16) · (body / 16) + p / 16`, the
+    /// tail rows after, each `width` wide with zero padding.
+    pub fn pack(b: &[f64], k: usize, n: usize) -> Vec<f64> {
+        let body = k - k % DOT_LANES;
+        let row = |p: usize| {
+            if p < body {
+                (p % DOT_LANES) * (body / DOT_LANES) + p / DOT_LANES
+            } else {
+                p
+            }
+        };
+        let padded = panel_spans(n, 0).last().map_or(0, |(j0, w)| j0 + w);
+        let mut data = vec![0.0; k * padded];
+        for (j0, width) in panel_spans(n, 0) {
+            for p in 0..k {
+                for c in 0..width.min(n - j0) {
+                    data[j0 * k + row(p) * width + c] = b[p * n + j0 + c];
+                }
+            }
+        }
+        data
+    }
+
+    /// `out = a · B` over `packed` (from [`pack`]) with the replaced
+    /// kernel; `panels` holds the same `B` for the scalar path.
+    pub fn gemm(a: &[f64], panels: &Panels, packed: &[f64], out: &mut [f64]) {
+        #[cfg(target_arch = "x86_64")]
+        if simd::simd_active() {
+            let (k, n) = (panels.k(), panels.n());
+            let padded = panel_spans(n, 0).last().map_or(0, |(j0, w)| j0 + w);
+            assert_eq!(packed.len(), k * padded, "pack does not hold k × n");
+            assert_eq!(out.len() % n.max(1), 0, "output is not rows × n");
+            assert_eq!(a.len(), out.len() / n.max(1) * k, "a is not rows × k");
+            if n > 0 && !out.is_empty() {
+                // SAFETY: `simd_active` is true only where AVX2 and FMA
+                // are available, and the assertions above bound every
+                // pointer offset the kernel takes.
+                unsafe { x86::gemm_avx2(a, packed, k, n, out) };
+            }
+            return;
+        }
+        simd::gemm_scalar(a, panels, out);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    mod x86 {
+        use super::{panel_spans, DOT_LANES, GEMM_MR, GEMM_NR};
+        use core::arch::x86_64::{
+            __m256d, _mm256_add_pd, _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_set1_pd,
+            _mm256_setzero_pd, _mm256_storeu_pd,
+        };
+
+        type Tile<const V: usize> = [[__m256d; V]; GEMM_MR];
+        const GEMM_KC: usize = phox_core::tensor::gemm::simd::GEMM_KC;
+        const GEMM_GROUP_BYTES: usize = 16 << 10;
+
+        /// # Safety
+        ///
+        /// AVX2 and FMA must be available, `packed` must hold the panels
+        /// of a `k × n` operand (`n > 0`), `out` whole rows of `n` and `a`
+        /// as many rows of `k`.
+        #[target_feature(enable = "avx2", enable = "fma")]
+        pub unsafe fn gemm_avx2(a: &[f64], packed: &[f64], k: usize, n: usize, out: &mut [f64]) {
+            let rows = out.len() / n;
+            let group = GEMM_NR * (GEMM_GROUP_BYTES / (k * GEMM_NR * 8).max(1)).max(1);
+            for g0 in (0..n).step_by(group) {
+                let mut i = 0usize;
+                while i < rows {
+                    let r = (rows - i).min(GEMM_MR);
+                    let arows: [*const f64; GEMM_MR] =
+                        core::array::from_fn(|t| a[(i + t.min(r - 1)) * k..].as_ptr());
+                    let spans = panel_spans(n, g0).take_while(|&(j0, _)| j0 < g0 + group);
+                    for (j0, width) in spans {
+                        let cols = width.min(n - j0);
+                        // SAFETY: the pack holds columns j0..j0 + width of
+                        // all k rows, and row i < rows, column j0 < n lie
+                        // inside `out`.
+                        let (panel, dst) = (
+                            packed.as_ptr().add(j0 * k),
+                            out.as_mut_ptr().add(i * n + j0),
+                        );
+                        // SAFETY: each of `arows` starts a k-long row of
+                        // `a`, the panel is `width` wide, and the tile
+                        // stores r rows and cols columns inside `out`.
+                        if width == GEMM_NR {
+                            store_tile(&gemm_tile::<2>(&arows, panel, k), dst, n, r, cols);
+                        } else {
+                            store_tile(&gemm_tile::<1>(&arows, panel, k), dst, n, r, cols);
+                        }
+                    }
+                    i += GEMM_MR;
+                }
+            }
+        }
+
+        /// # Safety
+        ///
+        /// AVX2 and FMA must be available, each of `a` must point to `k`
+        /// elements and `panel` to `k · 4·V` packed elements.
+        #[inline]
+        #[target_feature(enable = "avx2", enable = "fma")]
+        unsafe fn gemm_tile<const V: usize>(
+            a: &[*const f64; GEMM_MR],
+            panel: *const f64,
+            k: usize,
+        ) -> Tile<V> {
+            let body = k - k % DOT_LANES;
+            let steps = body / DOT_LANES;
+            let mut acc = [[_mm256_setzero_pd(); V]; GEMM_MR];
+            if steps > 0 {
+                let mut s = [acc; DOT_LANES];
+                let mut s0 = 0usize;
+                while s0 < steps {
+                    let s1 = steps.min(s0 + GEMM_KC / DOT_LANES);
+                    for (l, sl) in s.iter_mut().enumerate() {
+                        let start = if s0 == 0 { acc } else { *sl };
+                        let rows = panel.add((l * steps + s0) * 4 * V);
+                        *sl = fma_rows(a, rows, l + s0 * DOT_LANES, DOT_LANES, s1 - s0, start);
+                    }
+                    s0 = s1;
+                }
+                let w: [Tile<V>; 4] = core::array::from_fn(|g| {
+                    add_tiles(
+                        &add_tiles(&s[g], &s[g + 4]),
+                        &add_tiles(&s[g + 8], &s[g + 12]),
+                    )
+                });
+                acc = add_tiles(&add_tiles(&w[0], &w[2]), &add_tiles(&w[1], &w[3]));
+            }
+            fma_rows(a, panel.add(body * 4 * V), body, 1, k - body, acc)
+        }
+
+        /// # Safety
+        ///
+        /// AVX2 and FMA must be available, `rows` must point to
+        /// `count · 4·V` elements and each of `a` to more than
+        /// `p0 + (count - 1)·stride` elements when `count > 0`.
+        #[inline]
+        #[target_feature(enable = "avx2", enable = "fma")]
+        unsafe fn fma_rows<const V: usize>(
+            a: &[*const f64; GEMM_MR],
+            rows: *const f64,
+            p0: usize,
+            stride: usize,
+            count: usize,
+            start: Tile<V>,
+        ) -> Tile<V> {
+            let mut s = start;
+            for t in 0..count {
+                let brow = rows.add(t * 4 * V);
+                let bv: [__m256d; V] = core::array::from_fn(|v| _mm256_loadu_pd(brow.add(4 * v)));
+                let p = p0 + t * stride;
+                for (ai, si) in a.iter().zip(s.iter_mut()) {
+                    let x = _mm256_set1_pd(*ai.add(p));
+                    for (sv, &bvv) in si.iter_mut().zip(&bv) {
+                        *sv = _mm256_fmadd_pd(x, bvv, *sv);
+                    }
+                }
+            }
+            s
+        }
+
+        /// # Safety
+        ///
+        /// AVX2 must be available.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn add_tiles<const V: usize>(x: &Tile<V>, y: &Tile<V>) -> Tile<V> {
+            core::array::from_fn(|i| core::array::from_fn(|v| _mm256_add_pd(x[i][v], y[i][v])))
+        }
+
+        /// # Safety
+        ///
+        /// AVX2 must be available, `cols <= 4·V`, and `dst + i·n` must
+        /// point to `cols` writable elements for every `i < rows`.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn store_tile<const V: usize>(
+            acc: &Tile<V>,
+            dst: *mut f64,
+            n: usize,
+            rows: usize,
+            cols: usize,
+        ) {
+            for (i, acc_i) in acc.iter().enumerate().take(rows) {
+                let dst = dst.add(i * n);
+                if cols == 4 * V {
+                    for (v, &x) in acc_i.iter().enumerate() {
+                        _mm256_storeu_pd(dst.add(4 * v), x);
+                    }
+                } else {
+                    let mut tmp = [0.0f64; GEMM_NR];
+                    for (v, &x) in acc_i.iter().enumerate() {
+                        _mm256_storeu_pd(tmp.as_mut_ptr().add(4 * v), x);
+                    }
+                    core::ptr::copy_nonoverlapping(tmp.as_ptr(), dst, cols);
+                }
+            }
+        }
+    }
+}
+
 /// The production microkernel against the kernel it replaced at one
 /// shape, timed interleaved.
 struct DotKernelPair {
@@ -374,6 +609,86 @@ const WORKLOAD_SHAPES: [(usize, usize, usize, usize); 6] = [
     (100_000, 16, 4, 21),
 ];
 
+/// Fresh operand sets per `workload_shapes` row: each round allocates
+/// `a`, the resident panels, the replaced kernel's pack and both outputs
+/// anew, so the row's quantiles span buffer placements (a lone
+/// allocation can sit in a slow or a fast mode for a whole process).
+const RESIDENT_ALLOCATIONS: usize = 7;
+
+/// Interleaved reps per allocation round of a `workload_shapes` row.
+const RESIDENT_REPS: usize = 9;
+
+/// The resident-panel product at one workload shape (`simd::gemm` over
+/// `simd::Panels` into a written output, one thread) against the kernel
+/// it replaced ([`replaced_gemm`]) on the same operands: wall times in
+/// ms over every allocation round, sorted, and whether every round's
+/// outputs agree bit for bit.
+struct ResidentKernelRow {
+    block_rows: usize,
+    times: [Vec<f64>; 2],
+    bitwise: bool,
+}
+
+impl ResidentKernelRow {
+    fn measure(m: usize, k: usize, n: usize, seed: u64) -> ResidentKernelRow {
+        let mut times = [Vec::new(), Vec::new()];
+        let mut bitwise = true;
+        for _ in 0..RESIDENT_ALLOCATIONS {
+            let a = Prng::new(seed).fill_uniform(m, k, -1.0, 1.0);
+            let b = Prng::new(seed + 1).fill_uniform(k, n, -1.0, 1.0);
+            let panels = gemm::simd::Panels::pack(b.as_slice(), k, n);
+            let packed = replaced_gemm::pack(b.as_slice(), k, n);
+            let (mut new_out, mut old_out) = (vec![0.0; m * n], vec![0.0; m * n]);
+            let [new, old] = time_interleaved(
+                RESIDENT_REPS,
+                || gemm::simd::gemm(a.as_slice(), &panels, &mut new_out),
+                || replaced_gemm::gemm(a.as_slice(), &panels, &packed, &mut old_out),
+            );
+            bitwise &= new_out
+                .iter()
+                .zip(&old_out)
+                .all(|(x, y)| x.to_bits() == y.to_bits());
+            times[0].extend(new);
+            times[1].extend(old);
+        }
+        for t in &mut times {
+            t.sort_by(f64::total_cmp);
+        }
+        ResidentKernelRow {
+            block_rows: gemm::simd::gemm_block_rows(k, n),
+            times,
+            bitwise,
+        }
+    }
+
+    fn speedup(&self) -> f64 {
+        quantile(&self.times[1], 0.5) / quantile(&self.times[0], 0.5)
+    }
+
+    /// The JSON fields of the row, each line indented for a row object
+    /// and followed by a comma.
+    fn json_fields(&self) -> String {
+        let q = |t: &[f64], p: f64| json_number(quantile(t, p));
+        let [new, old] = &self.times;
+        [
+            ("block_rows", self.block_rows.to_string()),
+            ("resident_allocations", RESIDENT_ALLOCATIONS.to_string()),
+            ("resident_reps", new.len().to_string()),
+            ("resident_p10_ms", q(new, 0.1)),
+            ("resident_p50_ms", q(new, 0.5)),
+            ("resident_p90_ms", q(new, 0.9)),
+            ("replaced_p10_ms", q(old, 0.1)),
+            ("replaced_p50_ms", q(old, 0.5)),
+            ("replaced_p90_ms", q(old, 0.9)),
+            ("speedup_vs_replaced", json_number(self.speedup())),
+            ("matches_replaced_bitwise", self.bitwise.to_string()),
+        ]
+        .iter()
+        .map(|(key, value)| format!("      \"{key}\": {value},\n"))
+        .collect()
+    }
+}
+
 fn run_gemm(out_path: &str) {
     let simd_active = gemm::simd::simd_active();
     let sizes_reps = [(64usize, 21usize), (256, 9), (1024, 3)];
@@ -396,6 +711,7 @@ fn run_gemm(out_path: &str) {
         reports.push(r);
     }
     let mut shapes = Vec::new();
+    let mut residents = Vec::new();
     let mut shape_rows = Vec::new();
     for (i, &(m, k, n, reps)) in WORKLOAD_SHAPES.iter().enumerate() {
         let a = Prng::new(3 + 2 * i as u64).fill_uniform(m, k, -1.0, 1.0);
@@ -415,12 +731,23 @@ fn run_gemm(out_path: &str) {
             pair.speedup(),
             pair.bitwise,
         );
+        let resident = ResidentKernelRow::measure(m, k, n, 40 + 2 * i as u64);
+        eprintln!(
+            "bench_snapshot: {m}x{k}x{n} over resident panels ({} rows per block): p50 {:.3} ms, replaced kernel p50 {:.3} ms ({:.2}x) bitwise={}",
+            resident.block_rows,
+            quantile(&resident.times[0], 0.5),
+            quantile(&resident.times[1], 0.5),
+            resident.speedup(),
+            resident.bitwise,
+        );
         shape_rows.push(format!(
-            "    {{\n      \"m\": {m},\n      \"k\": {k},\n      \"n\": {n},\n      \"reps\": {reps},\n      \"blocked_s\": {},\n{}    }}",
+            "    {{\n      \"m\": {m},\n      \"k\": {k},\n      \"n\": {n},\n      \"reps\": {reps},\n      \"blocked_s\": {},\n{}{}    }}",
             json_number(pair.blocked_s),
+            resident.json_fields(),
             pair.json_fields(),
         ));
         shapes.push(pair);
+        residents.push(resident);
     }
     // In-run verdicts: the dispatched kernel must agree with its scalar
     // twin and with the kernel it replaced bit for bit, and when the SIMD
@@ -437,11 +764,13 @@ fn run_gemm(out_path: &str) {
     // `gemm::matmul`, which packed them on every call, one thread.
     let resident = measure_resident_products(256, &PREFILL_WEIGHT_SHAPES, 1, 21);
     let resident_bitwise = resident.iter().all(|r| r.bitwise);
+    let shapes_match_replaced = residents.iter().all(|r| r.bitwise);
     eprintln!(
         "bench_snapshot: gemm verdicts: simd_active={simd_active} \
          simd_bit_identical={bit_identical} matches_dot_kernel_bitwise={matches_dot_kernel} \
          no_simd_regression={no_simd_regression} \
-         resident_panels_match_replaced_bitwise={resident_bitwise}"
+         resident_panels_match_replaced_bitwise={resident_bitwise} \
+         workload_shapes_match_replaced_bitwise={shapes_match_replaced}"
     );
     let rows: Vec<String> = reports.iter().map(SizeReport::to_json).collect();
     let json = snapshot_json(
@@ -452,6 +781,7 @@ fn run_gemm(out_path: &str) {
             "blocked_microkernel",
             "blocked_parallel",
             "dot_kernel_packed_bt",
+            "replaced_microkernel",
             "matmul_packed",
             "matmul_pack_per_call",
         ],
@@ -463,6 +793,10 @@ fn run_gemm(out_path: &str) {
             (
                 "resident_panels_match_replaced_bitwise",
                 resident_bitwise.to_string(),
+            ),
+            (
+                "workload_shapes_match_replaced_bitwise",
+                shapes_match_replaced.to_string(),
             ),
             (
                 "workload_shapes",
@@ -484,7 +818,12 @@ fn run_gemm(out_path: &str) {
         &rows,
     );
     write_or_die(out_path, &json);
-    if !bit_identical || !matches_dot_kernel || !no_simd_regression || !resident_bitwise {
+    if !bit_identical
+        || !matches_dot_kernel
+        || !no_simd_regression
+        || !resident_bitwise
+        || !shapes_match_replaced
+    {
         eprintln!("bench_snapshot: gemm verdicts FAILED");
         std::process::exit(1);
     }
@@ -2234,6 +2573,34 @@ fn run_digest(out_path: &str) {
     }
     record("gemm_microkernel", micro);
     record("gemm_microkernel_4t", micro_banded);
+
+    // The microkernel's row blocks (`simd::gemm_block_rows`): each shape
+    // spans two or more blocks, none with a row count a multiple of six,
+    // at k = 32, at k = 1029 (four k-blocks and a 16-lane tail) and
+    // either side of one k-block, over full, half-width and padded last
+    // panels.
+    let mut row_blocks = 0u64;
+    for (i, &(m, k, n)) in [
+        (2733usize, 32usize, 16usize),
+        (1457, 32, 13),
+        (127, 1029, 9),
+        (125, 1029, 12),
+        (239, 255, 20),
+        (251, 256, 13),
+        (259, 257, 3),
+    ]
+    .iter()
+    .enumerate()
+    {
+        assert!(
+            m > gemm::simd::gemm_block_rows(k, n),
+            "{m}x{k}x{n} fits one row block"
+        );
+        let a = Prng::new(700 + i as u64).fill_uniform(m, k, -1.0, 1.0);
+        let b = Prng::new(750 + i as u64).fill_uniform(k, n, -1.0, 1.0);
+        row_blocks ^= digest_matrix(&gemm::matmul_blocked(&a, &b).expect("shapes agree"));
+    }
+    record("gemm_row_blocks", row_blocks);
 
     // Products over resident panels (`gemm::matmul_packed`): single rows
     // through the panel GEMV (every lane tail, lone, 4-wide, padded and

@@ -25,7 +25,10 @@
 //!   partials, so a block's slices of `A` and the panel stay in L1 even
 //!   at `k = 1024`. Row tiles pass over a group of panels that fits in
 //!   L1 together, so a skinny `B` (the GCN's `k = 16, 32`) is read
-//!   against each row of `A` once.
+//!   against each row of `A` once. Rows run in blocks of
+//!   [`simd::gemm_block_rows`], and every group passes over one block
+//!   before the next, so a block's rows of `A` stay in L2 across all of
+//!   `B` instead of streaming from L3 once per group.
 //! * **SIMD accumulation with a pinned lane order.** Every output keeps
 //!   [`simd::dot`]'s exact operation sequence: lane `l` fuses
 //!   `a[p]·B[p][j]` for ascending `p ≡ l (mod 16)`, the lanes fold as

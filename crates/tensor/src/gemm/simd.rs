@@ -40,27 +40,36 @@
 //!   [`GEMM_MR`] × [`GEMM_NR`] tile at once — one lane chain at a time,
 //!   twelve `__m256d` accumulators advanced by six broadcasts of `a` and
 //!   two panel loads per lane step — in k-blocks of [`GEMM_KC`] values
-//!   that resume from each lane's stored partial. The sixteen lane
-//!   partials then fold `(s[g] + s[g+4]) + (s[g+8] + s[g+12])`, then
-//!   `(w0 + w2) + (w1 + w3)`, and the tail is added with in-order fused
-//!   multiply-adds, every fma and add with [`dot`]'s operands in [`dot`]'s
-//!   order: each output equals `dot(a_i, Bᵀ[j])` bit for bit. A last
-//!   tile with fewer rows repeats its last row and stores only its own.
-//!   A single row runs the GEMV body of [`gemv`] over the panels
-//!   instead, in either dispatch mode: lane `l` of a panel is one
-//!   contiguous run, so each of a group's four lanes streams its own run,
-//!   and a panel's padded columns are computed and dropped, with no
-//!   scalar column tail. The scalar twin [`gemm_scalar`] unpacks each
-//!   panel back into `Bᵀ` rows and calls [`dot_scalar`] per output, at
-//!   any row count; the dispatched kernel runs it for two rows or more
-//!   where AVX2+FMA is missing.
+//!   that resume from each lane's stored partial. Each partial is stored
+//!   only by its own chain, never zero-filled first. The sixteen lane
+//!   partials then fold in straight-line adds,
+//!   `(s[g] + s[g+4]) + (s[g+8] + s[g+12])`, then `(w0 + w2) + (w1 + w3)`,
+//!   and the tail is added with in-order fused multiply-adds, every fma
+//!   and add with [`dot`]'s operands in [`dot`]'s order: each output
+//!   equals `dot(a_i, Bᵀ[j])` bit for bit. A last tile with fewer rows
+//!   repeats its last row and stores only its own. Rows run in blocks of
+//!   [`gemm_block_rows`] (whole tiles whose rows of `a` and of the output
+//!   fit [`GEMM_BLOCK_BYTES`]), and every group of panels passes over one
+//!   block before the next block starts, so the block's rows of `a` stay
+//!   in L2 across all of `B`. A single row runs the GEMV body of
+//!   [`gemv`] over the panels instead, in either dispatch mode: lane `l`
+//!   of a panel is one contiguous run, so each of a group's four lanes
+//!   streams its own run, and a panel's padded columns are computed and
+//!   dropped, with no scalar column tail. The scalar twin
+//!   [`gemm_scalar`] unpacks each panel back into `Bᵀ` rows and calls
+//!   [`dot_scalar`] per output, at any row count; the dispatched kernel
+//!   runs it for two rows or more where AVX2+FMA is missing.
 //! * [`axpy`] vectorizes over the *output* dimension (`o[j] += a ·
 //!   b[j]`), where each element has its own accumulator — no
 //!   reassociation happens, so plain vector multiply + add is
-//!   bitwise-equal to the scalar loop by construction. It backs the
-//!   [`crate::ops::matmul_seq`] decode GEMV, whose sequential-in-`k`
-//!   accumulation order is a documented invariant (prefix invariance)
-//!   that must not change. The [`crate::sparse`] kernels keep the same
+//!   bitwise-equal to the scalar loop by construction. It runs inside
+//!   [`crate::ops::matmul_seq`], whose sequential-in-`k` accumulation
+//!   order is a documented invariant (prefix invariance) that must not
+//!   change. Neither serves a model path any more: the heads run
+//!   [`context`] and a decode step [`attend`], and `matmul_seq` and
+//!   [`crate::ops::softmax_rows`] remain as the oracle those kernels are
+//!   pinned against (the `heads_oracle` and `simd_prop` suites) and in
+//!   the bench digest. The [`crate::sparse`] kernels keep the same
 //!   per-element order in their own register-resident row kernel,
 //!   dispatched on [`simd_active`].
 //! * [`context`] is an attention head's context product for a block of
@@ -211,6 +220,27 @@ pub const GEMM_KC: usize = 256;
 /// Columns of a full [`Panels`] panel: two 4-lane vectors, so an
 /// [`GEMM_MR`] × `GEMM_NR` tile holds twelve accumulators.
 pub const GEMM_NR: usize = 8;
+
+/// Bytes of `a` and `out` per row block of the AVX2 [`gemm`] kernel:
+/// every group of column panels passes over one block's rows before the
+/// next block starts, so the block's rows of `a` stay in L2 across all of
+/// `B` instead of streaming from L3 once per group. The output rows
+/// count because their stores share L2 with `a`: timed at
+/// `llm_prefill`'s products (one thread, 2-vCPU Xeon VM), a budget on `a`
+/// alone that suited `k = 1024` left the 256×256×1024 product 1.2–1.4×
+/// slower than blocks of 48 rows; budgets of 512 to 768 KiB on both read
+/// the same, and 384 KiB ran 1–15 % slower.
+pub const GEMM_BLOCK_BYTES: usize = 512 << 10;
+
+/// Rows per row block of the AVX2 [`gemm`] kernel over `k × n` panels:
+/// the whole [`GEMM_MR`]-row tiles whose rows of `a` (`k` values each)
+/// and of `out` (`n` each) fit [`GEMM_BLOCK_BYTES`], at least one tile.
+/// Blocking never changes a value, only which rows share a pass over
+/// `B`.
+pub fn gemm_block_rows(k: usize, n: usize) -> usize {
+    let row_bytes = (k + n).max(1) * std::mem::size_of::<f64>();
+    GEMM_MR * (GEMM_BLOCK_BYTES / (row_bytes * GEMM_MR)).max(1)
+}
 
 /// `(j0, width)` of every column panel over `n` columns from panel
 /// start `from` on: `nr` wide while more than half a panel remains, then
@@ -641,6 +671,7 @@ mod x86 {
         _mm256_set_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_unpackhi_pd, _mm256_unpacklo_pd,
         _mm_add_pd, _mm_add_sd, _mm_cvtsd_f64, _mm_unpackhi_pd,
     };
+    use core::mem::MaybeUninit;
     use std::ops::Range;
 
     /// AVX2+FMA dot product: the 16-lane body of [`dot_lanes`], reduced
@@ -822,13 +853,15 @@ mod x86 {
     /// a skinny `B` is read against each row of `a` once.
     const GEMM_GROUP_BYTES: usize = 16 << 10;
 
-    /// AVX2+FMA [`super::gemm`]: column panels in groups of at most
-    /// [`GEMM_GROUP_BYTES`] packed bytes; for each group, tiles of
-    /// [`GEMM_MR`](super::GEMM_MR) rows run through [`gemm_tile`] against
-    /// every panel of the group, the group staying hot in cache while the
-    /// rows stream past it. A last tile with fewer rows repeats its last
-    /// row and stores only its own rows; a padded panel stores only the
-    /// real columns.
+    /// AVX2+FMA [`super::gemm`]: rows in blocks of whole
+    /// [`GEMM_MR`](super::GEMM_MR)-row tiles
+    /// ([`gemm_block_rows`](super::gemm_block_rows)); per block, column
+    /// panels in groups of at most [`GEMM_GROUP_BYTES`] packed bytes; for
+    /// each group, the block's tiles run through [`gemm_tile`] against
+    /// every panel of the group, the group staying hot in L1 while the
+    /// block's rows stream past it from L2. A last tile with fewer rows
+    /// repeats its last row and stores only its own rows; a padded panel
+    /// stores only the real columns.
     ///
     /// # Safety
     ///
@@ -839,36 +872,39 @@ mod x86 {
         use super::{GEMM_MR, GEMM_NR};
         let (k, n) = (b.k, b.n);
         let rows = out.len() / n;
-        // Whole full panels per group, so every group starts a panel.
+        // Whole full panels per group, so every group starts a panel, and
+        // whole tiles per block, so only the last tile is short.
         let group = GEMM_NR * (GEMM_GROUP_BYTES / (k * GEMM_NR * 8).max(1)).max(1);
-        for g0 in (0..n).step_by(group) {
-            let mut i = 0usize;
-            while i < rows {
-                let r = (rows - i).min(GEMM_MR);
-                let arows: [*const f64; GEMM_MR] =
-                    core::array::from_fn(|t| a[(i + t.min(r - 1)) * k..].as_ptr());
-                let spans =
-                    super::panel_spans(n, g0, GEMM_NR).take_while(|&(j0, _)| j0 < g0 + group);
-                for (j0, width) in spans {
-                    let cols = width.min(n - j0);
-                    // SAFETY: the checked panel length covers columns
-                    // j0..j0 + width of all k packed rows, and row i <
-                    // rows, column j0 < n lie inside `out`.
-                    let (panel, dst) = (
-                        b.data.as_ptr().add(j0 * k),
-                        out.as_mut_ptr().add(i * n + j0),
-                    );
-                    // SAFETY: each of `arows` starts a k-long row of `a`,
-                    // the panel is `width` wide, and the tile stores r rows
-                    // and cols columns of `out`, all inside the checked
-                    // operands.
-                    if width == GEMM_NR {
-                        store_tile(&gemm_tile::<2>(&arows, panel, k), dst, n, r, cols);
-                    } else {
-                        store_tile(&gemm_tile::<1>(&arows, panel, k), dst, n, r, cols);
+        let block = super::gemm_block_rows(k, n);
+        for r0 in (0..rows).step_by(block) {
+            let r1 = rows.min(r0 + block);
+            for g0 in (0..n).step_by(group) {
+                for i in (r0..r1).step_by(GEMM_MR) {
+                    let r = (r1 - i).min(GEMM_MR);
+                    let arows: [*const f64; GEMM_MR] =
+                        core::array::from_fn(|t| a[(i + t.min(r - 1)) * k..].as_ptr());
+                    let spans =
+                        super::panel_spans(n, g0, GEMM_NR).take_while(|&(j0, _)| j0 < g0 + group);
+                    for (j0, width) in spans {
+                        let cols = width.min(n - j0);
+                        // SAFETY: the checked panel length covers columns
+                        // j0..j0 + width of all k packed rows, and row i <
+                        // rows, column j0 < n lie inside `out`.
+                        let (panel, dst) = (
+                            b.data.as_ptr().add(j0 * k),
+                            out.as_mut_ptr().add(i * n + j0),
+                        );
+                        // SAFETY: each of `arows` starts a k-long row of
+                        // `a`, the panel is `width` wide, and the tile
+                        // stores r rows and cols columns of `out`, all
+                        // inside the checked operands.
+                        if width == GEMM_NR {
+                            store_tile(&gemm_tile::<2>(&arows, panel, k), dst, n, r, cols);
+                        } else {
+                            store_tile(&gemm_tile::<1>(&arows, panel, k), dst, n, r, cols);
+                        }
                     }
                 }
-                i += GEMM_MR;
             }
         }
     }
@@ -879,7 +915,10 @@ mod x86 {
     /// [`GEMM_KC`](super::GEMM_KC) values: every lane's chain over one
     /// block, then every lane's over the next, each resuming from its
     /// stored partial, so the block's slices of `a` and the panel stay in
-    /// L1 across all sixteen lanes. The lanes then fold into
+    /// L1 across all sixteen lanes. A lane's partial is stored only by its
+    /// chain: the first k-block's chain starts from `+0` in registers and
+    /// writes it, so the partials are never zero-filled. The lanes then
+    /// fold in straight-line adds, per accumulator, into
     /// `w[g] = (s[g] + s[g+4]) + (s[g+8] + s[g+12])`, then
     /// `(w0 + w2) + (w1 + w3)`, and the in-order fused tail follows. With
     /// no 16-lane body the fold of zero lanes is `+0`, the starting value,
@@ -901,24 +940,34 @@ mod x86 {
         let steps = body / DOT_LANES;
         let mut acc = [[_mm256_setzero_pd(); V]; super::GEMM_MR];
         if steps > 0 {
-            let mut s = [acc; DOT_LANES];
+            let mut s = [MaybeUninit::<Tile<V>>::uninit(); DOT_LANES];
             let mut s0 = 0usize;
             while s0 < steps {
                 let s1 = steps.min(s0 + GEMM_KC / DOT_LANES);
                 for (l, sl) in s.iter_mut().enumerate() {
-                    let start = if s0 == 0 { acc } else { *sl };
-                    let rows = panel.add((l * steps + s0) * 4 * V);
-                    *sl = fma_rows(a, rows, l + s0 * DOT_LANES, DOT_LANES, s1 - s0, start);
+                    // SAFETY: past the first k-block, whose chains wrote
+                    // every lane, each lane holds its partial.
+                    let start = if s0 == 0 { acc } else { sl.assume_init_read() };
+                    let (rows, p0) = (panel.add((l * steps + s0) * 4 * V), l + s0 * DOT_LANES);
+                    sl.write(fma_rows(a, rows, p0, DOT_LANES, s1 - s0, start));
                 }
                 s0 = s1;
             }
-            let w: [Tile<V>; 4] = core::array::from_fn(|g| {
-                add_tiles(
-                    &add_tiles(&s[g], &s[g + 4]),
-                    &add_tiles(&s[g + 8], &s[g + 12]),
-                )
-            });
-            acc = add_tiles(&add_tiles(&w[0], &w[2]), &add_tiles(&w[1], &w[3]));
+            // SAFETY: the first k-block wrote every lane, and a
+            // `MaybeUninit<T>` has the layout of `T`.
+            let s = &*s.as_ptr().cast::<[Tile<V>; DOT_LANES]>();
+            for (i, acc_i) in acc.iter_mut().enumerate() {
+                for (v, av) in acc_i.iter_mut().enumerate() {
+                    let mut w = [_mm256_setzero_pd(); 4];
+                    for (g, wg) in w.iter_mut().enumerate() {
+                        *wg = _mm256_add_pd(
+                            _mm256_add_pd(s[g][i][v], s[g + 4][i][v]),
+                            _mm256_add_pd(s[g + 8][i][v], s[g + 12][i][v]),
+                        );
+                    }
+                    *av = _mm256_add_pd(_mm256_add_pd(w[0], w[2]), _mm256_add_pd(w[1], w[3]));
+                }
+            }
         }
         fma_rows(a, panel.add(body * 4 * V), body, 1, k - body, acc)
     }
@@ -956,13 +1005,6 @@ mod x86 {
             }
         }
         s
-    }
-
-    /// `x + y` per accumulator, `x` first.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn add_tiles<const V: usize>(x: &Tile<V>, y: &Tile<V>) -> Tile<V> {
-        core::array::from_fn(|i| core::array::from_fn(|v| _mm256_add_pd(x[i][v], y[i][v])))
     }
 
     /// Stores the first `rows` rows and `cols` columns of `acc` to `dst`,
@@ -1391,8 +1433,8 @@ pub fn gemm(a: &[f64], b: &Panels, out: &mut [f64]) {
 /// `out[j] += x · b[j]` over `min(out.len(), b.len())` elements,
 /// dispatching to the AVX2 kernel when available. Per-element
 /// accumulation order is untouched, so this is bitwise-equal to the
-/// scalar loop it replaces — safe for order-sensitive callers like the
-/// decode GEMV.
+/// scalar loop it replaces — safe for order-sensitive callers like
+/// [`crate::ops::matmul_seq`].
 #[inline]
 pub fn axpy(out: &mut [f64], x: f64, b: &[f64]) {
     #[cfg(target_arch = "x86_64")]

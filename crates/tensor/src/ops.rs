@@ -73,10 +73,14 @@ pub fn softmax_in_place(row: &mut [f64]) {
 /// *prefix-invariant*: extending the inner dimension with rows whose
 /// contribution is exactly `±0.0` leaves every output bit unchanged
 /// (adding a zero term to a running f64 sum is an exact no-op). The
-/// attention context product `softmax(scores)·V` uses it so that a
+/// attention context product `softmax(scores)·V` keeps this order, so a
 /// KV-cached decode step over `t` context rows is bit-identical to row
 /// `t-1` of the full causal forward over `L ≥ t` rows, where the masked
-/// tail carries exact-zero weights.
+/// tail carries exact-zero weights. No model path calls this function:
+/// the heads run [`crate::gemm::simd::context`] and a decode step
+/// [`crate::gemm::simd::attend`], each bit for bit in this order. It and
+/// [`softmax_rows`] serve as the oracle those kernels are pinned against
+/// (the `heads_oracle` and `simd_prop` suites) and in the bench digest.
 ///
 /// # Errors
 ///
@@ -95,8 +99,7 @@ pub fn matmul_seq(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
         let orow = out.row_mut(i);
         // SIMD over the output columns only: each output element keeps
         // its own single accumulator advancing in ascending `k`, so the
-        // prefix-invariance contract above is bitwise unchanged. This is
-        // the decode-GEMV hot loop (`m == 1` inside a KV-cached step).
+        // prefix-invariance contract above is bitwise unchanged.
         for (p, &av) in arow.iter().enumerate().take(k) {
             let brow = &b.as_slice()[p * n..(p + 1) * n];
             crate::gemm::simd::axpy(orow, av, brow);

@@ -579,6 +579,44 @@ fn deep_ragged_gemm_bitwise_equals_scalar_reference() {
     assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
 }
 
+/// The AVX2 kernel's row blocks ([`simd::gemm_block_rows`]) must move no
+/// bit at their seams: `m` spans two or more blocks, none of the counts
+/// a multiple of six, at `k = 32` (two lane steps), `k = 1029` (four
+/// k-blocks and a five-value tail) and `k = 255, 256, 257` (either side
+/// of one k-block), over full, half-width (`n = 12, 20`) and padded
+/// (`n = 3, 13`) last panels; each product must equal the scalar
+/// reference on unit operands and equal itself on 2 and 4 threads,
+/// whose row bands start blocks of their own.
+#[test]
+fn row_block_seams_bitwise_equal_scalar_reference() {
+    let cases = [
+        (32usize, [16usize, 12, 13], 2usize),
+        (1029, [9, 12, 3], 2),
+        (255, [20, 13, 3], 1),
+        (256, [20, 13, 8], 1),
+        (257, [20, 13, 3], 1),
+    ];
+    for (i, &(k, widths, whole_blocks)) in cases.iter().enumerate() {
+        for (j, &n) in widths.iter().enumerate() {
+            let block = simd::gemm_block_rows(k, n);
+            assert_eq!(block % simd::GEMM_MR, 0, "k={k} n={n}");
+            // A full tile and a short one past the last whole block.
+            let m = whole_blocks * block + 7 + 2 * j;
+            assert_ne!(m % simd::GEMM_MR, 0);
+            let seed = 60 + 2 * (3 * i + j) as u64;
+            let a = phox_tensor::Prng::new(seed).fill_uniform(m, k, -1.0, 1.0);
+            let b = phox_tensor::Prng::new(seed + 1).fill_uniform(k, n, -1.0, 1.0);
+            let serial = bits(&gemm::matmul_blocked(&a, &b).unwrap());
+            for threads in [2usize, 4] {
+                let par = parallel::with_threads(threads, || gemm::matmul(&a, &b).unwrap());
+                assert_eq!(bits(&par), serial, "{m}x{k}x{n} on {threads} threads");
+            }
+            let mismatch = gemm_mismatch(m, k, n, a.into_vec(), b.into_vec());
+            assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
+        }
+    }
+}
+
 /// An empty context attends to nothing: `out` keeps every bit, on both
 /// kernels, even where a head offset lies past the (empty) cache.
 #[test]

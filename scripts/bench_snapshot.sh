@@ -3,10 +3,13 @@
 #   BENCH_1.json — GEMM: naive vs the register-blocked microkernel vs
 #                  blocked+parallel at 64/256/1024, and the microkernel
 #                  vs the per-output dot kernel it replaced at those
-#                  sizes and every workload shape, llm_prefill's
-#                  products over resident f64 panels vs packing the
-#                  weight per call (one thread, p10/p50/p90), with
-#                  GMAC/s and bit-identity verdicts.
+#                  sizes and every workload shape, at every workload
+#                  shape the resident-panel product vs the microkernel
+#                  it replaced (fresh allocations, one thread,
+#                  p10/p50/p90), llm_prefill's products over resident
+#                  f64 panels vs packing the weight per call (one
+#                  thread, p10/p50/p90), with GMAC/s and bit-identity
+#                  verdicts.
 #   BENCH_2.json — sparse kernels: the f64 row kernel vs the
 #                  per-member axpy loop it replaced (mean-with-self,
 #                  sum, weighted SpMM) at widths 32 and 16 on a
